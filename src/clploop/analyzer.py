@@ -30,6 +30,7 @@ from .filters import (
     PositionSet,
     delta_more_general,
     more_general,
+    projected_pred,
     select_positions,
 )
 from .linarith import ResourceLimitError
@@ -131,18 +132,12 @@ def candidate_filter(rule: Clause, positions: frozenset[int],
     tau = PositionSet.of({pred: positions})
     condition = Query(
         Atom(
-            _projected(pred, positions),
+            projected_pred(pred, positions),
             tuple(LinTerm.of_var(v) for v in selected),
         ),
         linarith.project(rule.constraint, selected, limit),
     )
     return Filter.make(tau, {pred: condition})
-
-
-def _projected(pred, positions):
-    from .filters import projected_pred
-
-    return projected_pred(pred, positions)
 
 
 def make_witness(filt: Filter, rule: Clause,

@@ -558,6 +558,10 @@ _TOKEN_RE = re.compile(
 
 _Token = tuple  # (kind, text, line, col)
 
+# Parentheses nest at most this deep.  Each level costs three parser frames,
+# so far deeper input would exhaust the interpreter's recursion limit.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
@@ -585,6 +589,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.arities: dict[str, int] = {}
 
     def peek(self) -> _Token:
@@ -621,16 +626,26 @@ class _Parser:
             return Fraction(int(num), int(den))
         return Fraction(int(tok[1]))
 
-    # term := rational | var | rational "*" var | var "/" rational
-    #       | "-" term | "(" linexpr ")"
+    # term := "-"* unsigned
     def term(self) -> LinTerm:
+        negate = False
+        while self.at("-"):
+            self.next()
+            negate = not negate
+        t = self.unsigned()
+        return -t if negate else t
+
+    # unsigned := rational | var | rational "*" var | var "*" rational
+    #           | var "/" rational | "(" linexpr ")"
+    def unsigned(self) -> LinTerm:
         tok = self.peek()
-        if tok[1] == "-":
-            self.next()
-            return -self.term()
         if tok[1] == "(":
+            if self.depth == _MAX_NESTING:
+                self.error(f"parentheses nested deeper than {_MAX_NESTING}")
             self.next()
+            self.depth += 1
             t = self.linexpr()
+            self.depth -= 1
             self.expect(")")
             return t
         if tok[0] == "rat":
@@ -651,34 +666,25 @@ class _Parser:
             v = Var(tok[1])
             if self.at("*"):
                 star = self.next()
-                ntok = self.next()
+                ntok = self.peek()
                 if ntok[0] == "var":
                     self.error("nonlinear term: variable * variable", star)
                 if ntok[0] != "rat":
                     self.error("expected a constant after '*'", ntok)
-                coeff = self._frac(ntok)
-                return LinTerm.make({v: coeff})
+                return LinTerm.make({v: self.rational()})
             if self.at("/"):
                 self.next()
-                dtok = self.next()
+                dtok = self.peek()
                 if dtok[0] == "var":
                     self.error("nonlinear term: division by a variable", dtok)
                 if dtok[0] != "rat":
                     self.error("expected a constant divisor", dtok)
-                den = self._frac(dtok)
+                den = self.rational()
                 if den == 0:
                     self.error("division by zero", dtok)
                 return LinTerm.make({v: Fraction(1) / den})
             return LinTerm.of_var(v)
         self.error("expected a term")
-
-    def _frac(self, tok: _Token) -> Fraction:
-        if "/" in tok[1]:
-            num, den = tok[1].split("/")
-            if int(den) == 0:
-                self.error("zero denominator in rational literal", tok)
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok[1]))
 
     # linexpr := term (("+" | "-") term)*
     def linexpr(self) -> LinTerm:

@@ -130,6 +130,12 @@ class TestExitCodes:
         assert "error:" in err
         assert "nonlinear" in err
 
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        rhs = "(" * 500 + "B" + ")" * 500
+        path = rule_file(tmp_path, f"p(A) <- A = {rhs} <> p(B).\n")
+        assert main(["analyze", path]) == 2
+        assert "nested deeper than" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.clp"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -185,6 +191,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "UNKNOWN" in out
         assert "empirical: 1 steps (derivation ended)" in out
+
+    def test_repeating_run_reaches_a_large_limit(self, tmp_path, capsys):
+        # the run repeats a variant query after one step, so the remaining
+        # steps are inferred rather than executed
+        path = rule_file(tmp_path, "p(A) <- A = B <> p(B).\n")
+        assert main(["check", path, "--query", "p(0)", "--run", "1000000"]) == 0
+        out = capsys.readouterr().out
+        assert "empirical: 1000000 steps (limit reached)" in out
 
     def test_trace(self, tmp_path, capsys):
         path = rule_file(tmp_path, "p(A) <- A = B + 1, B >= 0 <> p(B).\n")

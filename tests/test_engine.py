@@ -2,6 +2,7 @@
 
 import pytest
 
+from clploop import engine
 from clploop.engine import DerivationState, derivation_step, format_trace, run
 from clploop.linarith import decide, satisfiable
 from clploop.filters import sat_formula
@@ -113,6 +114,63 @@ class TestRun:
         state = run(parse_query("p(20)"), prog, max_steps=3, keep_trace=True)
         assert [i for i, _ in state.trace][0] == 0
         assert [i for i, _ in state.trace][1:] == [2, 2]
+
+
+class TestVariantShortcut:
+    """A run that reaches a variant of an earlier query stops executing
+    steps; the steps it reports are those of the every-step run."""
+
+    @pytest.fixture
+    def step_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return derivation_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "derivation_step", counted)
+        return calls
+
+    def test_period_one(self, step_calls):
+        prog = parse_program("p2(A) <- A = B <> p2(B).")
+        state = run(parse_query("p2(0)"), prog, max_steps=100, project_stores=True)
+        assert state.steps == 100
+        assert len(step_calls) <= 8
+
+    def test_period_two(self, step_calls):
+        prog = parse_program("p(A) <- B = -A <> p(B).")
+        state = run(parse_query("p(1)"), prog, max_steps=100, project_stores=True)
+        assert state.steps == 100
+        assert len(step_calls) <= 8
+
+    def test_current_is_a_variant_of_the_last_step(self):
+        # period 2 with an odd budget: the leftover step is executed, so the
+        # final query has the sign of step 99, not of an even step
+        prog = parse_program("p(A) <- B = -A <> p(B).")
+        state = run(parse_query("p(1)"), prog, max_steps=99, project_stores=True)
+        full = run(parse_query("p(1)"), prog, max_steps=99, project_stores=True,
+                   keep_trace=True)
+        assert state.steps == full.steps == 99
+        assert engine._variant_key(state.current) == engine._variant_key(full.current)
+
+    def test_drifting_run_executes_every_step(self, step_calls):
+        prog = parse_program("p(A) <- A = B - 1 <> p(B).")
+        state = run(parse_query("p(0)"), prog, max_steps=100, project_stores=True)
+        assert state.steps == 100
+        assert len(step_calls) == 100
+
+    def test_run_that_ends_early(self, step_calls):
+        prog = parse_program("p(A) <- A >= 1, A = B + 1 <> p(B).")
+        state = run(parse_query("p(3)"), prog, max_steps=100, project_stores=True)
+        assert state.steps == 3
+        assert str(state.current) == "<p(B#3) | B#3 = 0>"
+        assert len(step_calls) == 4  # three steps and the attempt that fails
+
+    def test_trace_executes_every_step(self, step_calls):
+        prog = parse_program("p2(A) <- A = B <> p2(B).")
+        state = run(parse_query("p2(0)"), prog, max_steps=20, project_stores=True,
+                    keep_trace=True)
+        assert state.steps == len(state.trace) == len(step_calls) == 20
 
 
 class TestTrace:

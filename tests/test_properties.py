@@ -6,6 +6,7 @@ budgets live in the acceptance gate.
 
 import random
 
+import pytest
 from fuzzers import rand_constraint, rand_formula, rand_query, rand_rule, relax
 
 from clploop.engine import run
@@ -118,6 +119,22 @@ class TestEngineProperties:
                         project_stores=True, keep_trace=True)
             for _, step_q in state.trace:
                 assert satisfiable(step_q.constraint)
+
+    @pytest.mark.parametrize("project_stores", [False, True])
+    def test_shortcut_matches_every_step_run(self, project_stores):
+        # two-rule programs exercise leftmost selection: the second rule
+        # applies only where the first one fails
+        rng = random.Random(111 + project_stores)
+        for k in range(40):
+            rule = rand_rule(rng)
+            first = rand_rule(rng, arity=rule.head_pred.arity)
+            rules = (rule,) if k % 2 else (first, rule)
+            q = rand_query(rng, rule.head_pred)
+            prog = Program(rules)
+            fast = run(q, prog, max_steps=20, project_stores=project_stores)
+            full = run(q, prog, max_steps=20, project_stores=project_stores,
+                       keep_trace=True)
+            assert fast.steps == full.steps
 
     def test_projected_and_plain_runs_agree_on_length(self):
         rng = random.Random(110)

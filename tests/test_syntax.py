@@ -188,6 +188,22 @@ class TestParsing:
         with pytest.raises(ParseError, match="'true' is reserved"):
             parse_program("true <- true <> true.")
 
+    def test_long_minus_chain_parses_iteratively(self):
+        prog = parse_program("p(A) <- A = " + "-" * 5000 + "B <> p(B).")
+        assert str(prog.clauses[0].constraint) == "A - B = 0"
+        prog = parse_program("p(A) <- A = " + "-" * 5001 + "B <> p(B).")
+        assert str(prog.clauses[0].constraint) == "A + B = 0"
+
+    def test_paren_nesting_bounded(self):
+        nested = "(" * 100 + "B" + ")" * 100
+        prog = parse_program(f"p(A) <- A = {nested} <> p(B).")
+        assert str(prog.clauses[0].constraint) == "A - B = 0"
+        deep = "(" * 500 + "B" + ")" * 500
+        with pytest.raises(ParseError, match="nested deeper than 100") as exc:
+            parse_program(f"p(A) <- A = {deep} <> p(B).")
+        # the position is that of the first parenthesis past the bound
+        assert (exc.value.line, exc.value.col) == (1, 13 + 100)
+
     def test_error_position(self):
         try:
             parse_program("p(A) <- A * A >= 1 <> p(B).")
