@@ -1,11 +1,14 @@
 """Non-termination prover for binary rules over linear rational constraints.
 
-The public surface re-exports the pieces most callers need: the parser and
-term language (:mod:`clploop.syntax`), the exact linear-arithmetic decision
-procedure (:mod:`clploop.linarith`), query generality and filters
-(:mod:`clploop.filters`), the neutrality criterion (:mod:`clploop.neutral`),
-the analyzer (:mod:`clploop.analyzer`) and the derivation engine
-(:mod:`clploop.engine`).
+The package exports what a caller needs to analyze a program: the parser
+(``parse_program``, ``parse_query``, ``ParseError``), the analyzer entry
+point (``analyze_program``, ``AnalyzeOptions``), its report types and
+``ResourceLimitError``.  The building blocks stay importable from their
+submodules: :mod:`clploop.syntax` (terms and normalization),
+:mod:`clploop.linarith` (exact linear-arithmetic decision procedure),
+:mod:`clploop.filters` (query generality and filters), :mod:`clploop.neutral`
+(the neutrality criterion), :mod:`clploop.analyzer` (search and propagation)
+and :mod:`clploop.engine` (the derivation engine).
 """
 
 from __future__ import annotations
@@ -20,106 +23,21 @@ from .analyzer import (
     PropagatedLoop,
     SubsetCheck,
     analyze_program,
-    candidate_filter,
-    class_closure,
-    find_looping_queries,
-    make_witness,
-    propagate,
 )
-from .engine import DerivationState, derivation_step, format_trace, run
-from .filters import (
-    Filter,
-    PositionSet,
-    delta_more_general,
-    more_general,
-    project_query,
-    projected_pred,
-    sat_formula,
-    satisfies,
-    select_positions,
-)
-from .linarith import (
-    DEFAULT_DNF_LIMIT,
-    EvalError,
-    ResourceLimitError,
-    decide,
-    eliminate_exists,
-    eval_formula,
-    project,
-    sample_solution,
-    satisfiable,
-)
-from .neutral import (
-    is_derivation_neutral,
-    neutrality_body_formula,
-    neutrality_head_formula,
-)
-from .syntax import (
-    Atom,
-    AtomicProp,
-    Clause,
-    Constraint,
-    LinTerm,
-    ParseError,
-    Pred,
-    Program,
-    Query,
-    Rational,
-    Var,
-    parse_program,
-    parse_query,
-)
+from .linarith import ResourceLimitError
+from .syntax import ParseError, parse_program, parse_query
 
 __all__ = [
     "__version__",
     "AnalyzeOptions",
-    "Atom",
-    "AtomicProp",
-    "Clause",
     "ClauseReport",
-    "Constraint",
-    "DEFAULT_DNF_LIMIT",
-    "DerivationState",
-    "EvalError",
-    "Filter",
     "FilterResult",
-    "LinTerm",
     "ParseError",
-    "PositionSet",
-    "Pred",
-    "Program",
     "ProgramReport",
     "PropagatedLoop",
-    "Query",
-    "Rational",
     "ResourceLimitError",
     "SubsetCheck",
-    "Var",
     "analyze_program",
-    "candidate_filter",
-    "class_closure",
-    "decide",
-    "delta_more_general",
-    "derivation_step",
-    "eliminate_exists",
-    "eval_formula",
-    "find_looping_queries",
-    "format_trace",
-    "is_derivation_neutral",
-    "make_witness",
-    "more_general",
-    "neutrality_body_formula",
-    "neutrality_head_formula",
     "parse_program",
     "parse_query",
-    "project",
-    "project_query",
-    "projected_pred",
-    "propagate",
-    "run",
-    "sample_solution",
-    "sat_formula",
-    "satisfiable",
-    "satisfies",
-    "select_positions",
 ]

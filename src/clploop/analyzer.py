@@ -10,11 +10,19 @@ positions, and every reported query is validated by actually running the
 derivation engine for a configurable number of steps.  No unverified looping
 claim ever reaches a report.
 
-The set of passing position subsets is closed downward under inclusion (a
-neutral filter stays neutral when positions are dropped), which the reports
-expose as "non-terminating classes".  A separate propagation pass extends
-looping facts through non-recursive rules: if a rule's body query is more
-general than a known looping query, its head query loops as well.
+The reports expose the downward closure of the passing position subsets as
+"non-terminating classes": m is a class when some query with constants at the
+positions m, fresh variables elsewhere and the store true loops.  Dropping
+positions does not keep a filter neutral (on the corpus, clause 16's {1} and
+{2} fail the head check); the closure holds by lifting.  A passing tau's
+witness has constants at tau; putting fresh variables in place of its
+arguments outside m, a subset of tau, and true in place of its store gives a
+more general query, and a query more general than a looping query loops
+too.  The head-query fallback of `make_witness` has no such constants; the
+tests run every corpus class query on the engine.  A separate
+propagation pass extends looping facts through non-recursive rules: if a
+rule's body query is more general than a known looping query, its head query
+loops as well.
 """
 
 from __future__ import annotations

@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the verification derivation of each witness")
     pa.add_argument("--max-dnf", type=int,
                     default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
-                    help="disjunct ceiling for the elimination backend")
+                    help="ceiling on normal-form disjuncts and on the "
+                         "conjuncts of one elimination step")
     pa.add_argument("--no-propagate", action="store_true",
                     help="skip the cross-clause propagation pass")
     pa.set_defaults(func=cmd_analyze)
@@ -268,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="witness verification steps for the underlying analysis")
     pc.add_argument("--max-dnf", type=int,
                     default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
-                    help="disjunct ceiling for the elimination backend")
+                    help="ceiling on normal-form disjuncts and on the "
+                         "conjuncts of one elimination step")
     pc.set_defaults(func=cmd_check)
     return parser
 

@@ -84,22 +84,18 @@ def select_positions(items: tuple, positions: Iterable[int]) -> tuple:
     return tuple(items[i - 1] for i in sorted(set(positions)))
 
 
-def project_query(q: Query, tau: PositionSet) -> Query:
-    """Keep only the filtered argument positions; the constraint is unchanged
+def _keep_positions(q: Query, ps: frozenset[int]) -> Query:
+    """Keep only the argument positions ps; the constraint is unchanged
     (dropped argument variables become existential)."""
-    ps = tau.get(q.pred)
     return Query(
         Atom(projected_pred(q.pred, ps), select_positions(q.atom.args, ps)),
         q.constraint,
     )
 
 
-def _project_complement(q: Query, tau: PositionSet) -> Query:
-    ps = tau.complement_for(q.pred)
-    return Query(
-        Atom(projected_pred(q.pred, ps), select_positions(q.atom.args, ps)),
-        q.constraint,
-    )
+def project_query(q: Query, tau: PositionSet) -> Query:
+    """Keep only the filtered argument positions."""
+    return _keep_positions(q, tau.get(q.pred))
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ def delta_more_general(q_gen: Query, q: Query, filt: Filter,
     """More general on the unfiltered positions, and q_gen satisfies the
     filter.  Transitive; not reflexive in general."""
     return more_general(
-        _project_complement(q_gen, filt.positions),
-        _project_complement(q, filt.positions),
+        _keep_positions(q_gen, filt.positions.complement_for(q_gen.pred)),
+        _keep_positions(q, filt.positions.complement_for(q.pred)),
         limit,
     ) and satisfies(q_gen, filt, limit)

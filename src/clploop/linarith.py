@@ -1,19 +1,21 @@
 """Exact first-order reasoning over linear rational arithmetic.
 
-The formula language is built from the atomic propositions of the syntax
-module with true/false, negation, conjunction, disjunction, implication and
-quantifiers.  The admitted structure is the rationals with addition, rational
-constants and the orderings; every connective and quantifier is decidable here
-by quantifier elimination.
+The formula language has seven node kinds: the atomic propositions of the
+syntax module, true, false, negation, conjunction, disjunction and the
+existential quantifier.  Implication and the universal quantifier are built
+from them by `implies` and `forall`.  The admitted structure is the rationals
+with addition, rational constants and the orderings; every connective and
+quantifier is decidable here by quantifier elimination.
 
 The decision pipeline is Fourier-Motzkin elimination: a quantifier-free body
 is put into disjunctive normal form, equalities containing the eliminated
 variable are removed first by substitution, and every remaining lower bound
 l REL1 x is combined with every upper bound x REL2 u into l REL u, strict iff
-either side is strict.  Universal quantifiers reduce to negated existentials;
-`decide` closes the formula universally and evaluates the ground residue.
-All arithmetic is exact (`fractions.Fraction`); DNF growth is capped by a
-configurable ceiling that raises :class:`ResourceLimitError` when exceeded.
+either side is strict.  `decide` closes the formula universally and
+evaluates the ground residue.  All arithmetic is exact (`fractions.Fraction`);
+one configurable ceiling caps both the disjuncts of a normal form and the
+conjuncts an elimination step produces, raising :class:`ResourceLimitError`
+when exceeded.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ from .syntax import (
     _NEG_F1,
 )
 
-Rational = Fraction
 Valuation = Mapping[Var, Fraction]
 
 DEFAULT_DNF_LIMIT = 10**6
 
 
 class ResourceLimitError(Exception):
-    """Raised when normal-form conversion exceeds the configured ceiling."""
+    """Raised when a disjunctive normal form exceeds the configured ceiling
+    of disjuncts, or one Fourier-Motzkin step exceeds it in conjuncts."""
 
 
 class EvalError(Exception):
@@ -88,24 +90,12 @@ class Or(_Node):
 
 
 @dataclass(frozen=True)
-class Implies(_Node):
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
 class Exists(_Node):
     vars: tuple[Var, ...]
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall(_Node):
-    vars: tuple[Var, ...]
-    body: "Formula"
-
-
-Formula = Union[AtomicProp, Top, Bottom, Not, And, Or, Implies, Exists, Forall]
+Formula = Union[AtomicProp, Top, Bottom, Not, And, Or, Exists]
 
 
 def conj(*parts: Formula) -> Formula:
@@ -155,11 +145,7 @@ def neg(f: Formula) -> Formula:
 
 
 def implies(a: Formula, b: Formula) -> Formula:
-    if isinstance(a, Top):
-        return b
-    if isinstance(a, Bottom) or isinstance(b, Top):
-        return TRUE
-    return Implies(a, b)
+    return disj(neg(a), b)
 
 
 def exists(variables: Iterable[Var], body: Formula) -> Formula:
@@ -170,10 +156,7 @@ def exists(variables: Iterable[Var], body: Formula) -> Formula:
 
 
 def forall(variables: Iterable[Var], body: Formula) -> Formula:
-    vs = tuple(variables)
-    if not vs:
-        return body
-    return Forall(vs, body)
+    return neg(exists(variables, neg(body)))
 
 
 def to_formula(obj) -> Formula:
@@ -195,9 +178,7 @@ def free_vars(f: Formula) -> frozenset[Var]:
         for a in f.args:
             out |= free_vars(a)
         return out
-    if isinstance(f, Implies):
-        return free_vars(f.lhs) | free_vars(f.rhs)
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Exists):
         return free_vars(f.body) - set(f.vars)
     raise TypeError(f"not a formula: {type(f).__name__}")
 
@@ -220,11 +201,9 @@ def substitute(f: Formula, mapping: Mapping[Var, object]) -> Formula:
             return And(tuple(go(a, active) for a in g.args))
         if isinstance(g, Or):
             return Or(tuple(go(a, active) for a in g.args))
-        if isinstance(g, Implies):
-            return Implies(go(g.lhs, active), go(g.rhs, active))
-        if isinstance(g, (Exists, Forall)):
+        if isinstance(g, Exists):
             inner = {v: t for v, t in active.items() if v not in g.vars}
-            return type(g)(g.vars, go(g.body, inner))
+            return Exists(g.vars, go(g.body, inner))
         raise TypeError(f"not a formula: {type(g).__name__}")
 
     return go(f, terms)
@@ -251,9 +230,7 @@ def eval_formula(f: Formula, valuation: Valuation) -> bool:
         return all(eval_formula(a, valuation) for a in f.args)
     if isinstance(f, Or):
         return any(eval_formula(a, valuation) for a in f.args)
-    if isinstance(f, Implies):
-        return (not eval_formula(f.lhs, valuation)) or eval_formula(f.rhs, valuation)
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Exists):
         raise EvalError("cannot evaluate a quantified formula; use decide")
     raise TypeError(f"not a formula: {type(f).__name__}")
 
@@ -285,11 +262,7 @@ def _nnf(f: Formula, negated: bool) -> Formula:
     if isinstance(f, Or):
         parts = tuple(_nnf(a, negated) for a in f.args)
         return conj(*parts) if negated else disj(*parts)
-    if isinstance(f, Implies):
-        if negated:
-            return conj(_nnf(f.lhs, False), _nnf(f.rhs, True))
-        return disj(_nnf(f.lhs, True), _nnf(f.rhs, False))
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Exists):
         raise ValueError("quantifier inside a quantifier-free context")
     raise TypeError(f"not a formula: {type(f).__name__}")
 
@@ -539,24 +512,15 @@ def _qe(f: Formula, limit: int) -> Formula:
         return conj(*[_qe(a, limit) for a in f.args])
     if isinstance(f, Or):
         return disj(*[_qe(a, limit) for a in f.args])
-    if isinstance(f, Implies):
-        return implies(_qe(f.lhs, limit), _qe(f.rhs, limit))
     if isinstance(f, Exists):
         return eliminate_exists(f.vars, _qe(f.body, limit), limit)
-    if isinstance(f, Forall):
-        inner = _qe(f.body, limit)
-        return neg(eliminate_exists(f.vars, neg(inner), limit))
     raise TypeError(f"not a formula: {type(f).__name__}")
 
 
 def decide(f, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     """Validity of the universal closure of ``f`` over the rationals."""
     g = to_formula(f)
-    fv = sorted(free_vars(g))
-    if fv:
-        g = Forall(tuple(fv), g)
-    ground = _qe(g, limit)
-    return eval_formula(ground, {})
+    return eval_formula(_qe(forall(sorted(free_vars(g)), g), limit), {})
 
 
 def satisfiable(c, limit: int = DEFAULT_DNF_LIMIT) -> bool:
@@ -570,19 +534,11 @@ def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) 
     """Existentially project a constraint onto ``keep``: the result is a
     constraint over (a subset of) keep describing the same solutions there.
     Projection of a conjunction stays a conjunction."""
-    keep = set(keep)
-    drop = sorted(c.variables - keep)
-    g = eliminate_exists(drop, to_formula(c), limit)
-    if isinstance(g, Top):
-        return Constraint(())
-    if isinstance(g, Bottom):
+    atoms = _eliminate_all(_simplify_conj(c.atoms), c.variables - set(keep), limit)
+    if atoms is None:
         # unsatisfiable input: a ground-false conjunction
         return Constraint((AtomicProp(LinTerm.of_const(1), REL_LT),))
-    if isinstance(g, AtomicProp):
-        return Constraint((g,))
-    if isinstance(g, And) and all(isinstance(a, AtomicProp) for a in g.args):
-        return Constraint(tuple(g.args))
-    raise AssertionError("projection of a conjunction produced a disjunction")
+    return Constraint(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,14 @@ Both conditions together imply derivation neutrality, and over linear
 rational constraints they are exact.  The two conditions must be decided
 separately: merging them into the single formula "every replacement can be
 completed to a solution that also satisfies the condition" is strictly weaker
-and unsound (the analyzer's tests pin a counterexample).
+and unsound (the analyzer's tests pin a counterexample).  The analyzer
+decides each formula on its own and reports each verdict.
 """
 
 from __future__ import annotations
 
 from .filters import Filter, sat_formula, select_positions
-from .linarith import Formula, decide, exists, forall, implies, to_formula
+from .linarith import Formula, exists, forall, implies, to_formula
 from .syntax import Clause, LinTerm, max_gen
 
 
@@ -59,11 +60,3 @@ def neutrality_body_formula(filt: Filter, rule: Clause) -> Formula:
     member = sat_formula(probe, filt.condition(rule.body_pred), base)
     return implies(c, member)
 
-
-def is_derivation_neutral(filt: Filter, rule: Clause, limit: int = None) -> bool:
-    """Decide both conditions.  Sound for proving neutrality; complete over
-    linear rational constraints."""
-    kwargs = {} if limit is None else {"limit": limit}
-    return decide(neutrality_head_formula(filt, rule), **kwargs) and decide(
-        neutrality_body_formula(filt, rule), **kwargs
-    )

@@ -13,7 +13,16 @@ from clploop.analyzer import (
 from clploop.engine import run
 from clploop.filters import more_general
 from clploop.linarith import decide, implies, to_formula
-from clploop.syntax import Constraint, LinTerm, compare, parse_program
+from clploop.syntax import (
+    Atom,
+    Constraint,
+    LinTerm,
+    Program,
+    Query,
+    Var,
+    compare,
+    parse_program,
+)
 
 
 def clause(text):
@@ -228,3 +237,25 @@ class TestProgramReport:
         statuses = [r.status for r in corpus_report.reports]
         assert statuses.count("none found") == 2
         assert statuses.count("looping") == 16
+
+    def test_class_queries_loop(self, corpus_report):
+        # every class m is lifted from a passing tau containing it: the
+        # witness constants at m, fresh variables elsewhere, store true
+        members = 0
+        for rep in corpus_report.reports:
+            for m in rep.classes:
+                res = next(r for r in rep.results if m <= r.positions)
+                args = []
+                for i, t in enumerate(res.witness.atom.args, start=1):
+                    if i in m:
+                        assert not t.variables, (rep.index, sorted(m))
+                        args.append(t)
+                    else:
+                        args.append(LinTerm.of_var(Var(f"F{i}")))
+                q = Query(Atom(rep.clause.head_pred, tuple(args)),
+                          Constraint(()))
+                state = run(q, Program((rep.clause,)), max_steps=100,
+                            project_stores=True)
+                assert state.steps == 100, (rep.index, sorted(m))
+                members += 1
+        assert members == 31

@@ -11,7 +11,6 @@ from clploop.linarith import (
     Bottom,
     EvalError,
     Exists,
-    Forall,
     Not,
     Or,
     ResourceLimitError,
@@ -33,7 +32,16 @@ from clploop.linarith import (
     to_dnf,
     to_formula,
 )
-from clploop.syntax import Constraint, LinTerm, Var, compare, parse_program
+from clploop.analyzer import candidate_filter
+from clploop.neutral import neutrality_body_formula, neutrality_head_formula
+from clploop.syntax import (
+    AtomicProp,
+    Constraint,
+    LinTerm,
+    Var,
+    compare,
+    parse_program,
+)
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 tx, ty, tz = LinTerm.of_var(X), LinTerm.of_var(Y), LinTerm.of_var(Z)
@@ -303,4 +311,26 @@ class TestResourceLimits:
         assert isinstance(FALSE, Bottom)
         assert Not(TRUE) == Not(TRUE)
         assert Or((TRUE, FALSE)) == Or((TRUE, FALSE))
-        assert Forall((X,), TRUE) != Exists((X,), TRUE)
+        # implication and the universal quantifier are sugar: every formula
+        # the criterion builds uses the seven core node kinds only
+        core = (AtomicProp, Top, Bottom, Not, And, Or, Exists)
+        rule = parse_program(
+            "p(X1, X2) <- X1 >= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
+        ).clauses[0]
+        built = [forall([X], implies(le(tx, ty), exists([Y], lt(tx, ty))))]
+        for ps in (frozenset({1, 2}), frozenset({1}), frozenset()):
+            filt = candidate_filter(rule, ps)
+            built += [neutrality_head_formula(filt, rule),
+                      neutrality_body_formula(filt, rule)]
+        todo, seen = list(built), set()
+        while todo:
+            f = todo.pop()
+            assert isinstance(f, core), type(f).__name__
+            seen.add(type(f))
+            if isinstance(f, Not):
+                todo.append(f.arg)
+            elif isinstance(f, (And, Or)):
+                todo.extend(f.args)
+            elif isinstance(f, Exists):
+                todo.append(f.body)
+        assert {Not, Or, Exists} <= seen

@@ -2,11 +2,7 @@
 
 from clploop.filters import Filter, PositionSet, projected_pred, satisfies
 from clploop.linarith import decide
-from clploop.neutral import (
-    is_derivation_neutral,
-    neutrality_body_formula,
-    neutrality_head_formula,
-)
+from clploop.neutral import neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
     Atom,
     Constraint,
@@ -25,6 +21,12 @@ SHIFT_LE = "p(X1, X2) <- X1 <= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
 
 def clause(text):
     return parse_program(text).clauses[0]
+
+
+def both_hold(filt: Filter, rule) -> bool:
+    """Both conditions of the criterion, each decided on its own."""
+    return (decide(neutrality_head_formula(filt, rule))
+            and decide(neutrality_body_formula(filt, rule)))
 
 
 def filter_for(pred: Pred, ps, *atom_builders) -> Filter:
@@ -46,26 +48,26 @@ class TestDoublingRule:
         )
         assert decide(neutrality_head_formula(filt, rule))
         assert decide(neutrality_body_formula(filt, rule))
-        assert is_derivation_neutral(filt, rule)
+        assert both_hold(filt, rule)
 
     def test_second_position_wrong_conditions_fail(self):
         rule = clause(DOUBLING)
         # unconstrained condition admits replacements below the rule's bound
         loose = filter_for(rule.head_pred, {2})
         assert not decide(neutrality_head_formula(loose, rule))
-        assert not is_derivation_neutral(loose, rule)
+        assert not both_hold(loose, rule)
         # too tight a condition and the body values fall outside it
         tight = filter_for(
             rule.head_pred, {2},
             lambda cv: compare(LinTerm.of_var(cv[0]), ">=", LinTerm.of_const(3)),
         )
         assert not decide(neutrality_body_formula(tight, rule))
-        assert not is_derivation_neutral(tight, rule)
+        assert not both_hold(tight, rule)
 
     def test_empty_positions_always_neutral(self):
         rule = clause(DOUBLING)
         filt = Filter.make(PositionSet.of({rule.head_pred: set()}))
-        assert is_derivation_neutral(filt, rule)
+        assert both_hold(filt, rule)
 
 
 class TestShiftRules:
@@ -77,7 +79,7 @@ class TestShiftRules:
         )
         assert decide(neutrality_head_formula(filt, rule))
         assert decide(neutrality_body_formula(filt, rule))
-        assert is_derivation_neutral(filt, rule)
+        assert both_hold(filt, rule)
 
     def test_le_full_positions_fails_body(self):
         rule = clause(SHIFT_LE)
@@ -87,21 +89,21 @@ class TestShiftRules:
         )
         assert decide(neutrality_head_formula(filt, rule))
         assert not decide(neutrality_body_formula(filt, rule))
-        assert not is_derivation_neutral(filt, rule)
+        assert not both_hold(filt, rule)
 
     def test_le_single_positions_fail_head(self):
         rule = clause(SHIFT_LE)
         for ps in ({1}, {2}):
             filt = filter_for(rule.head_pred, ps)
             assert not decide(neutrality_head_formula(filt, rule))
-            assert not is_derivation_neutral(filt, rule)
+            assert not both_hold(filt, rule)
 
     def test_le_empty_positions_neutral(self):
         rule = clause(SHIFT_LE)
         filt = Filter.make(PositionSet.of({rule.head_pred: set()}))
         assert decide(neutrality_head_formula(filt, rule))
         assert decide(neutrality_body_formula(filt, rule))
-        assert is_derivation_neutral(filt, rule)
+        assert both_hold(filt, rule)
 
 
 class TestBodyConditionMatchesMembership:
@@ -137,4 +139,4 @@ class TestUnboundedBodyRule:
                            {rule.head_pred: cond})
         assert decide(neutrality_head_formula(filt, rule))
         assert not decide(neutrality_body_formula(filt, rule))
-        assert not is_derivation_neutral(filt, rule)
+        assert not both_hold(filt, rule)
