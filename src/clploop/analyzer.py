@@ -28,7 +28,7 @@ loops as well.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import linarith
@@ -43,7 +43,7 @@ from .filters import (
 )
 from .linarith import ResourceLimitError
 from .neutral import neutrality_body_formula, neutrality_head_formula
-from .syntax import Atom, Clause, LinTerm, Program, Query
+from .syntax import Atom, Clause, LinTerm, Pred, Program, Query
 
 
 @dataclass(frozen=True)
@@ -253,18 +253,31 @@ def propagate(program: Program,
               reports: tuple[ClauseReport, ...]) -> tuple[PropagatedLoop, ...]:
     """Close looping facts under the rules: whenever a rule's body query is
     more general than a known looping query, its head query loops too.  Known
-    facts start from the verified witnesses and head queries of directly
+    facts start from the head queries and verified witnesses of directly
     looping rules; the pass iterates to a fixpoint (at most one new head query
-    per rule)."""
-    known: list[Query] = []
+    per rule).
+
+    The fixpoint is semi-naive.  Facts are kept per predicate in order of
+    discovery, and each rule keeps a cursor into the list of its body
+    predicate.  A round visits the underived rules in program order and tests
+    each only against the facts past its cursor, then moves the cursor to the
+    end; a rule with no new facts is skipped.  ``more_general`` is pure, so a
+    fact before the cursor was already refuted for that rule and stays
+    refuted.  The first match past the cursor is therefore the first match a
+    full rescan of all known facts finds, and the result (loops, order and
+    ``via`` facts) equals the naive rescan's, with each (rule, fact) pair
+    tested at most once."""
+    facts: dict[Pred, list[Query]] = {}
     have_head: set[int] = set()
     for r in reports:
         if r.results:
             have_head.add(r.index)
+            known = facts.setdefault(r.clause.head_pred, [])
             known.append(r.clause.head_query)
             for res in r.results:
                 if res.witness not in known:
                     known.append(res.witness)
+    cursor = [0] * len(program.clauses)
     out: list[PropagatedLoop] = []
     changed = True
     while changed:
@@ -272,13 +285,16 @@ def propagate(program: Program,
         for index, rule in enumerate(program.clauses):
             if index in have_head:
                 continue
+            known = facts.get(rule.body_pred, [])
+            start = cursor[index]
+            if start == len(known):
+                continue
+            cursor[index] = len(known)
             body_q = rule.body_query
-            for fact in known:
-                if fact.pred != rule.body_pred:
-                    continue
+            for fact in known[start:]:
                 if more_general(body_q, fact):
                     head_q = rule.head_query
-                    known.append(head_q)
+                    facts.setdefault(rule.head_pred, []).append(head_q)
                     have_head.add(index)
                     out.append(PropagatedLoop(index, head_q, via=fact))
                     changed = True

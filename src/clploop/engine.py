@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import linarith
-from .syntax import Atom, Clause, Constraint, LinTerm, Program, Query, compare, max_gen, rename_apart
+from .syntax import Clause, Constraint, LinTerm, Program, Query, compare, max_gen, rename_apart
 
 
 @dataclass

@@ -73,11 +73,6 @@ class PositionSet:
     def complement_for(self, pred: Pred) -> frozenset[int]:
         return frozenset(range(1, pred.arity + 1)) - self.get(pred)
 
-    def complement(self) -> "PositionSet":
-        """Complement over the same predicate domain; an involution."""
-        return PositionSet.of({p: frozenset(range(1, p.arity + 1)) - ps
-                               for p, ps in self.entries})
-
 
 def select_positions(items: tuple, positions: Iterable[int]) -> tuple:
     """Subsequence of a tuple at the given ascending 1-based positions."""

@@ -1,17 +1,21 @@
 """Candidate filters, witnesses, the subset scan and loop propagation."""
 
+import random
+
 import pytest
 
+from clploop import analyzer
 from clploop.analyzer import (
     AnalyzeOptions,
+    PropagatedLoop,
     analyze_program,
     candidate_filter,
     class_closure,
     find_looping_queries,
     make_witness,
+    propagate,
 )
 from clploop.engine import run
-from clploop.filters import more_general
 from clploop.linarith import decide, implies, to_formula
 from clploop.syntax import (
     Atom,
@@ -221,6 +225,132 @@ class TestPropagate:
         )
         report = analyze_program(prog)
         assert report.propagated == ()
+
+
+def naive_propagate(program, reports):
+    """Reference fixpoint: every round rescans every underived rule against
+    every known fact."""
+    known = []
+    have_head = set()
+    for r in reports:
+        if r.results:
+            have_head.add(r.index)
+            known.append(r.clause.head_query)
+            for res in r.results:
+                if res.witness not in known:
+                    known.append(res.witness)
+    out = []
+    changed = True
+    while changed:
+        changed = False
+        for index, rule in enumerate(program.clauses):
+            if index in have_head:
+                continue
+            body_q = rule.body_query
+            for fact in known:
+                if fact.pred != rule.body_pred:
+                    continue
+                if analyzer.more_general(body_q, fact):
+                    head_q = rule.head_query
+                    known.append(head_q)
+                    have_head.add(index)
+                    out.append(PropagatedLoop(index, head_q, via=fact))
+                    changed = True
+                    break
+    return tuple(out)
+
+
+def random_program(rng):
+    """Directly looping rules (unary and binary sinks with several witnesses,
+    two rules sharing a head), a recursive rule with no result, and levels of
+    non-recursive callers, some blocked by their body bound and some sharing
+    a head predicate, listed callee-first, callee-last or shuffled."""
+    lines = [
+        "s(A) <- A = B <> s(B).",
+        "t(A, B) <- A = C, B = D <> t(C, D).",
+        "u(A) <- A = B + 1, B >= 0 <> u(B).",
+        "u(A) <- A = B - 1, B <= 5 <> u(B).",
+        "r(A) <- A = 0, B = 1 <> r(B).",
+    ]
+    callees = ["s", "t", "u", "r"]
+    levels = []
+    for level in range(rng.randint(2, 4)):
+        names = [f"c{level}_{i}" for i in range(rng.randint(2, 4))]
+        rules = []
+        for _ in range(rng.randint(3, 6)):
+            head = rng.choice(names + ["r"] * (level == 0))
+            callee = rng.choice(callees)
+            k, k2 = rng.randint(-3, 6), rng.randint(-3, 6)
+            op = rng.choice(["<=", "<=", "<=", ">="])
+            args = "Y, Z" if callee == "t" else "Y"
+            rules.append(f"{head}(X) <- X <= {k}, Y {op} {k2} <> {callee}({args}).")
+        levels.append(rules)
+        callees += names
+    order = rng.choice(["first", "last", "shuffled"])
+    callers = [rule for rules in levels for rule in rules]
+    if order == "last":
+        callers = [rule for rules in reversed(levels) for rule in rules]
+    elif order == "shuffled":
+        rng.shuffle(callers)
+    return parse_program("\n".join(lines + callers) + "\n")
+
+
+def chain_program(depth, width):
+    """Unary sinks and `depth` levels of `width` callers listed callee-last;
+    one caller of the second level is blocked, and every body query is
+    distinct."""
+    lines = ["s1(A) <- A = B <> s1(B).", "s2(A) <- A = B <> s2(B)."]
+    callees = ["s1", "s2"]
+    bound = {"s1": 0, "s2": 0}  # the sinks' witnesses are s1(0) and s2(0)
+    levels = []
+    for level in range(1, depth + 1):
+        names = [f"c{level}_{i}" for i in range(width)]
+        rules = []
+        for i, name in enumerate(names):
+            callee = callees[i % len(callees)]
+            k2 = bound[callee] - ((level, i) == (2, 0))
+            bound[name] = 10 * level + i
+            rules.append(f"{name}(X) <- X <= {bound[name]}, Y <= {k2} <> "
+                         f"{callee}(Y).")
+        levels.append(rules)
+        callees = names
+    callers = [rule for rules in reversed(levels) for rule in rules]
+    return parse_program("\n".join(lines + callers) + "\n")
+
+
+class TestSemiNaivePropagate:
+    OPTS = AnalyzeOptions(verify_steps=0, propagate=False)
+
+    def test_equals_naive_rescan(self):
+        propagated = rounds = 0
+        for seed in range(24):
+            prog = random_program(random.Random(seed))
+            reports = analyze_program(prog, self.OPTS).reports
+            got = propagate(prog, reports)
+            assert got == naive_propagate(prog, reports), seed
+            propagated += len(got)
+            rounds += any(a.index > b.index for a, b in zip(got, got[1:]))
+        # the programs exercise propagation, also over several rounds
+        assert propagated >= 24 and rounds >= 4
+
+    def test_each_pair_tested_at_most_once(self, monkeypatch):
+        prog = chain_program(depth=6, width=4)
+        reports = analyze_program(prog, self.OPTS).reports
+        calls = []
+        more_general = analyzer.more_general
+
+        def counted(body_q, fact):
+            calls.append((body_q, fact))
+            return more_general(body_q, fact)
+
+        monkeypatch.setattr(analyzer, "more_general", counted)
+        got = propagate(prog, reports)
+        # the blocked caller cuts its callers off, one per level above it
+        assert len(got) == 6 * 4 - 5
+        assert calls and len(calls) == len(set(calls))
+        calls.clear()
+        assert naive_propagate(prog, reports) == got
+        assert len(calls) > len(set(calls))
 
 
 class TestProgramReport:

@@ -8,7 +8,6 @@ from clploop.linarith import decide, satisfiable
 from clploop.filters import sat_formula
 from clploop.syntax import (
     LinTerm,
-    Program,
     max_gen,
     parse_program,
     parse_query,

@@ -60,8 +60,6 @@ class TestPositionSet:
     def test_complement(self):
         tau = PositionSet.of({P2: {2}})
         assert tau.complement_for(P2) == {1}
-        assert tau.complement().get(P2) == {1}
-        assert tau.complement().complement().get(P2) == {2}
 
     def test_select_positions(self):
         assert select_positions(("a", "b", "c"), {3, 1}) == ("a", "c")

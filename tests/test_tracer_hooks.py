@@ -2,8 +2,9 @@
 
 ``perfbench/spans.py`` replaces functions of the clploop modules by name
 (``Tracer.install``); a refactor that moves or removes one of those names
-makes every traced benchmark run fail.  The install runs in a child process
-so the wrappers never reach this test session.
+makes every traced benchmark run fail, and one that binds a wrapped function
+to a local alias makes its counters read zero.  The tracer runs in a child
+process so the wrappers never reach this test session.
 """
 
 import os
@@ -13,14 +14,39 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+PROPAGATING = """\
+import spans
+from clploop import analyze_program, parse_program
 
-def test_tracer_installs():
+tracer = spans.Tracer()
+tracer.install()
+report = analyze_program(parse_program(
+    "p(A) <- A = B + 1, B >= 0 <> p(B).\\n"
+    "q(Z) <- Z <= 5 <> p(W).\\n"
+    "s(U) <- U >= 0 <> q(V).\\n"))
+assert len(report.propagated) == 2, report.propagated
+names = {span[spans.NAME] for span in tracer.spans}
+for name in ("analyzer.propagate", "filters.more_general"):
+    assert name in names, (name, sorted(names))
+"""
+
+
+def run_in_perfbench(code):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import spans; spans.Tracer().install()"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         cwd=ROOT / "perfbench", env=env, capture_output=True, text=True,
         timeout=60,
     )
+
+
+def test_tracer_installs():
+    proc = run_in_perfbench("import spans; spans.Tracer().install()")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_propagation_spans_recorded():
+    proc = run_in_perfbench(PROPAGATING)
     assert proc.returncode == 0, proc.stderr
