@@ -7,8 +7,8 @@ If the filter is derivation neutral for the rule and the rule's body query is
 filter-more-general than its head query, then the head query loops; a ground
 witness is built by sampling the condition constraint at the filtered
 positions, and every reported query is validated by actually running the
-derivation engine for a configurable number of steps.  No unverified looping
-claim ever reaches a report.
+derivation engine for a configurable number of steps.  With zero steps the
+witnesses are reported unverified (``verified_steps`` 0, "not run").
 
 The reports expose the downward closure of the passing position subsets as
 "non-terminating classes": m is a class when some query with constants at the

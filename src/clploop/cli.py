@@ -148,9 +148,8 @@ def cmd_analyze(args) -> int:
             for res in r.results:
                 if res.verified_steps <= 0:
                     continue
-                state = run(res.witness, Program((r.clause,)),
-                            res.verified_steps, project_stores=True,
-                            keep_trace=True)
+                state = run(res.witness, Program((r.clause,)), res.verified_steps,
+                            project_stores=True, keep_trace=True)
                 print(f"trace for {res.witness} "
                       f"(clause {r.index + 1}, tau {_positions_str(res.positions)}):")
                 for line in format_trace(state):
@@ -199,12 +198,9 @@ def cmd_check(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     verdict = "LOOPS (proved)" if proof else "UNKNOWN"
-    empirical: Optional[int] = None
-    state = None
-    if args.run > 0:
-        state = run(query, program, args.run, project_stores=True,
-                    keep_trace=args.trace)
-        empirical = state.steps
+    state = (run(query, program, args.run, project_stores=True,
+                 keep_trace=args.trace) if args.run > 0 else None)
+    empirical = state.steps if state else None
     if args.json:
         payload = {
             "query": str(query),
@@ -222,10 +218,15 @@ def cmd_check(args) -> int:
             note = ("limit reached" if empirical >= args.run
                     else "derivation ended")
             print(f"  empirical: {empirical} steps ({note})")
-        if args.trace and state is not None:
+        if args.trace and state:
             for line in format_trace(state):
                 print(f"  {line}")
     return 3 if report.had_resource_error else 0
+
+
+_MAX_DNF_HELP = ("ceiling on normal-form disjuncts and on the conjuncts of one "
+                 "elimination step in the filter search and witness construction "
+                 "(engine runs, propagation and check's proof use 10^6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the verification derivation of each witness")
     pa.add_argument("--max-dnf", type=int,
                     default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
-                    help="ceiling on normal-form disjuncts and on the "
-                         "conjuncts of one elimination step")
+                    help=_MAX_DNF_HELP)
     pa.add_argument("--no-propagate", action="store_true",
                     help="skip the cross-clause propagation pass")
     pa.set_defaults(func=cmd_analyze)
@@ -269,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="witness verification steps for the underlying analysis")
     pc.add_argument("--max-dnf", type=int,
                     default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
-                    help="ceiling on normal-form disjuncts and on the "
-                         "conjuncts of one elimination step")
+                    help=_MAX_DNF_HELP)
     pc.set_defaults(func=cmd_check)
     return parser
 

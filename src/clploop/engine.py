@@ -12,12 +12,13 @@ projection onto the current atom's variables keeps stores small on long runs;
 it preserves the denoted set of every intermediate query, hence also the
 existence of every later step.
 
-A run stops executing steps once a query repeats: ``run`` keeps the variant
-key of one earlier query (Brent's cycle detection) and, when a successor is a
-variant of it, infers the remaining steps instead of executing them.  This is
-the variant check of tabled resolution (Tamaki & Sato, OLDT, 1986) applied to
-one deterministic run.  It is sound because selection is leftmost over a
-fixed program:
+A run, traced or not, stops executing steps once a query repeats: ``run``
+keeps the variant key of one earlier query (Brent's cycle detection) and,
+when a successor is a variant of it, infers the remaining steps instead of
+executing them; a trace lists the executed steps only.  This is the variant
+check of tabled resolution (Tamaki & Sato, OLDT, 1986) applied to one
+deterministic run.  It is sound because selection is leftmost over a fixed
+program:
   - whether a step exists depends only on the query's denotation up to
     renaming, and so does the denotation of the successor;
   - a variant therefore repeats the stretch of steps that led back to it;
@@ -35,11 +36,14 @@ from .syntax import Clause, Constraint, LinTerm, Program, Query, compare, max_ge
 
 @dataclass
 class DerivationState:
-    """Outcome of a (partial) derivation run."""
+    """Outcome of a (partial) derivation run.  ``cycle`` is (step, period)
+    when the run skipped steps: the query after ``step`` steps was a variant
+    of the one ``period`` steps earlier.  ``trace`` holds (clause index,
+    query) for each executed step when the run keeps it."""
 
     current: Query
     steps: int
-    generation: int
+    cycle: Optional[tuple[int, int]] = None
     trace: list[tuple[int, Query]] = field(default_factory=list)
 
 
@@ -54,8 +58,8 @@ def derivation_step(
     """One derivation step, or None when the store is unsatisfiable.
     ``generation`` must exceed every renaming generation in q.  With
     ``project_store`` the successor keeps only the store's projection onto its
-    own atom variables (same denoted set, one elimination pass instead of a
-    satisfiability check plus a projection)."""
+    own atom variables (same denoted set); the step then checks the
+    satisfiability of that projection instead of the whole store."""
     if rule.head_pred != q.pred:
         raise ValueError(f"rule head {rule.head_pred} does not match query {q.pred}")
     fresh = rename_apart(rule, generation)
@@ -65,10 +69,7 @@ def derivation_step(
     ]
     store = Constraint(tuple(equations)).conjoin(fresh.constraint).conjoin(q.constraint)
     if project_store:
-        kept = linarith.project(store, fresh.body_atom.variables, limit)
-        if not linarith.satisfiable(kept, limit):
-            return None
-        return Query(fresh.body_atom, kept)
+        store = linarith.project(store, fresh.body_atom.variables, limit)
     if not linarith.satisfiable(store, limit):
         return None
     return Query(fresh.body_atom, store)
@@ -87,41 +88,38 @@ def run(
 
     When a successor is a variant of an earlier query (see the module
     docstring), the run has period p and every later step exists: whole
-    periods are counted without executing them, and the fewer than p steps
-    left over are executed.  ``steps`` then equals ``max_steps`` and
-    ``current`` is the last query actually computed, a variant of the query
-    after ``steps`` steps.  With ``keep_trace`` every step is executed, since
-    the trace lists each one."""
+    periods are counted without executing them and recorded in ``cycle``, and
+    the fewer than p steps left over are executed.  ``steps`` then equals
+    ``max_steps`` and ``current`` is the last query actually computed, a
+    variant of the query after ``steps`` steps.  ``keep_trace`` only records
+    the executed steps; it does not change which steps are executed."""
+    state = DerivationState(current=q, steps=0)
     generation = 1 + max_gen(q)
-    state = DerivationState(current=q, steps=0, generation=generation)
-    checkpoint = None if keep_trace else _variant_key(q)
+    checkpoint = _variant_key(q)
     checkpoint_step = 0
     while state.steps < max_steps:
-        successor = None
-        used_index = -1
         for index, rule in enumerate(program.clauses):
-            if rule.head_pred != state.current.pred:
-                continue
-            successor = derivation_step(
-                state.current, rule, state.generation,
-                project_store=project_stores,
-            )
-            if successor is not None:
-                used_index = index
-                break
-        if successor is None:
+            if rule.head_pred == state.current.pred:
+                successor = derivation_step(state.current, rule, generation,
+                                            project_store=project_stores)
+                if successor is not None:
+                    break
+        else:
             break
         state.current = successor
         state.steps += 1
-        state.generation = 1 + max_gen(successor)
+        generation = 1 + max_gen(successor)
         if keep_trace:
-            state.trace.append((used_index, successor))
+            state.trace.append((index, successor))
         if checkpoint is None:
             continue
         key = _variant_key(successor)
         if key == checkpoint:
             period = state.steps - checkpoint_step
-            state.steps += (max_steps - state.steps) // period * period
+            skipped = (max_steps - state.steps) // period * period
+            if skipped:
+                state.cycle = (state.steps, period)
+                state.steps += skipped
             checkpoint = None
         elif state.steps >= 2 * checkpoint_step:
             checkpoint, checkpoint_step = key, state.steps
@@ -147,8 +145,13 @@ def _variant_key(q: Query) -> tuple:
 
 
 def format_trace(state: DerivationState) -> list[str]:
-    """One line per recorded step, clause numbers 1-based as in reports."""
-    return [
-        f"step {k}: clause {index + 1} |- {query}"
-        for k, (index, query) in enumerate(state.trace, start=1)
-    ]
+    """One line per recorded step under its step number, clause numbers
+    1-based as in reports, and one line for the steps a cycle skipped."""
+    at, period = state.cycle or (state.steps, 1)
+    skipped = state.steps - at - (state.steps - at) % period
+    lines = [f"step {k + skipped if k > at else k}: clause {index + 1} |- {query}"
+             for k, (index, query) in enumerate(state.trace, start=1)]
+    if state.cycle:
+        lines.insert(at, f"steps {at + 1}..{at + skipped} not executed: step {at} "
+                         f"is a variant of step {at - period} (period {period})")
+    return lines

@@ -14,6 +14,7 @@ floating point is used anywhere in the package.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -277,20 +278,11 @@ class AtomicProp:
             term = -term
             rel = {REL_EQ: "=", REL_LE: ">=", REL_LT: ">"}[rel]
         # scale to integer coefficients, constant on the right
-        denoms = [c.denominator for _, c in term.coeffs] + [term.const.denominator]
-        mult = 1
-        for d in denoms:
-            mult = mult * d // _gcd(mult, d)
-        term = term.scaled(mult)
+        term = term.scaled(math.lcm(term.const.denominator,
+                                    *(c.denominator for _, c in term.coeffs)))
         lhs = LinTerm(term.coeffs, _F0)
         rhs = -term.const
         return f"{lhs} {rel} {rhs}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _canon(term: LinTerm, rel: str) -> AtomicProp:
@@ -875,7 +867,3 @@ def to_source(clause: Clause) -> str:
     head = str(clause.head_atom)
     body = str(clause.body_atom)
     return f"{head} <- {clause.constraint} <> {body}."
-
-
-def program_to_source(program: Program) -> str:
-    return "\n".join(to_source(c) for c in program.clauses) + ("\n" if program.clauses else "")

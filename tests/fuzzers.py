@@ -4,7 +4,8 @@ Everything takes an explicit random.Random so each suite is reproducible.
 Scales are kept small on purpose: arity at most 2, a handful of atoms,
 coefficients in a narrow integer band. Generators that must deliver a
 well-formed value (satisfiable rule constraint, satisfiable filter
-condition) retry instead of returning a broken one.
+condition) retry instead of returning a broken one.  ``every_step_run`` is
+the reference the engine's variant shortcut is tested against.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from clploop.engine import derivation_step
 from clploop.filters import Filter, PositionSet, projected_pred
 from clploop.linarith import conj, disj, implies, neg
 from clploop.syntax import (
@@ -20,6 +22,7 @@ from clploop.syntax import (
     LinTerm,
     ParseError,
     Pred,
+    Program,
     Query,
     Var,
     atom_of_vars,
@@ -138,3 +141,23 @@ def rand_filter(rng: random.Random, pred: Pred,
             return Filter.make(tau, {pred: cond})
         except ValueError:
             continue
+
+
+def every_step_run(q: Query, program: Program, max_steps: int,
+                   project_stores: bool = False) -> list[tuple[int, Query]]:
+    """The (clause index, query) pair of each step of the derivation from q,
+    every step executed: leftmost selection over ``derivation_step`` with no
+    variant shortcut, stopping at ``max_steps`` or when no rule applies."""
+    steps: list[tuple[int, Query]] = []
+    while len(steps) < max_steps:
+        for index, rule in enumerate(program.clauses):
+            if rule.head_pred == q.pred:
+                successor = derivation_step(q, rule, 1 + max_gen(q),
+                                            project_store=project_stores)
+                if successor is not None:
+                    break
+        else:
+            break
+        q = successor
+        steps.append((index, q))
+    return steps

@@ -70,13 +70,23 @@ class TestAnalyzeText:
         out = capsys.readouterr().out
         assert "propagated:" not in out
 
-    def test_trace_prints_derivations(self, tmp_path, capsys):
+    def test_trace_prints_the_verification_run(self, tmp_path, capsys):
         path = rule_file(tmp_path, "p(A) <- A = B + 1, B >= 0 <> p(B).\n")
-        assert main(["analyze", path, "--verify-steps", "3", "--trace"]) == 0
+        assert main(["analyze", path, "--verify-steps", "100", "--trace"]) == 0
         out = capsys.readouterr().out
-        assert "trace for <p(A) | A >= 1>" in out
-        assert "step 1: clause 1 |-" in out
-        assert out.count("step 3:") >= 1
+        assert out.endswith(
+            "trace for <p(A) | A >= 1> (clause 1, tau {}):\n"
+            "  step 1: clause 1 |- <p(B#1) | B#1 >= 0>\n"
+            "  step 2: clause 1 |- <p(B#2) | B#2 >= 0>\n"
+            "  steps 3..100 not executed: step 2 is a variant of step 1 (period 1)\n")
+
+    def test_trace_lists_each_witness_run(self, corpus_path, capsys):
+        assert main(["analyze", str(corpus_path), "--trace"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 680
+        assert sum(line.startswith("trace for ") for line in lines) == 23
+        assert sum(line.startswith("  step ") for line in lines) == 533
+        assert sum(" not executed: " in line for line in lines) == 18
 
 
 class TestAnalyzeJson:
@@ -199,6 +209,16 @@ class TestCheck:
         assert main(["check", path, "--query", "p(0)", "--run", "1000000"]) == 0
         out = capsys.readouterr().out
         assert "empirical: 1000000 steps (limit reached)" in out
+
+    def test_trace_of_a_repeating_run_reaching_a_large_limit(self, tmp_path, capsys):
+        path = rule_file(tmp_path, "p(A) <- A = B <> p(B).\n")
+        assert main(["check", path, "--query", "p(0)", "--run", "1000000",
+                     "--trace"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  empirical: 1000000 steps (limit reached)" in lines
+        assert sum(line.startswith("  step ") for line in lines) <= 3
+        assert lines[-1] == ("  steps 3..1000000 not executed: "
+                             "step 2 is a variant of step 1 (period 1)")
 
     def test_trace(self, tmp_path, capsys):
         path = rule_file(tmp_path, "p(A) <- A = B + 1, B >= 0 <> p(B).\n")

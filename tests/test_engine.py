@@ -1,6 +1,7 @@
 """Derivation steps and bounded runs."""
 
 import pytest
+from fuzzers import every_step_run
 
 from clploop import engine
 from clploop.engine import DerivationState, derivation_step, format_trace, run
@@ -115,6 +116,12 @@ class TestRun:
         assert [i for i, _ in state.trace][1:] == [2, 2]
 
 
+PERIOD_ONE = "p2(A) <- A = B <> p2(B)."
+PERIOD_TWO = "p(A) <- B = -A <> p(B)."
+DRIFTING = "p(A) <- A = B - 1 <> p(B)."
+ENDS_EARLY = "p(A) <- A >= 1, A = B + 1 <> p(B)."
+
+
 class TestVariantShortcut:
     """A run that reaches a variant of an earlier query stops executing
     steps; the steps it reports are those of the every-step run."""
@@ -131,45 +138,81 @@ class TestVariantShortcut:
         return calls
 
     def test_period_one(self, step_calls):
-        prog = parse_program("p2(A) <- A = B <> p2(B).")
+        prog = parse_program(PERIOD_ONE)
         state = run(parse_query("p2(0)"), prog, max_steps=100, project_stores=True)
         assert state.steps == 100
+        assert state.cycle == (2, 1)
         assert len(step_calls) <= 8
 
     def test_period_two(self, step_calls):
-        prog = parse_program("p(A) <- B = -A <> p(B).")
+        prog = parse_program(PERIOD_TWO)
         state = run(parse_query("p(1)"), prog, max_steps=100, project_stores=True)
         assert state.steps == 100
+        assert state.cycle == (4, 2)
         assert len(step_calls) <= 8
 
     def test_current_is_a_variant_of_the_last_step(self):
         # period 2 with an odd budget: the leftover step is executed, so the
         # final query has the sign of step 99, not of an even step
-        prog = parse_program("p(A) <- B = -A <> p(B).")
+        prog = parse_program(PERIOD_TWO)
         state = run(parse_query("p(1)"), prog, max_steps=99, project_stores=True)
-        full = run(parse_query("p(1)"), prog, max_steps=99, project_stores=True,
-                   keep_trace=True)
-        assert state.steps == full.steps == 99
-        assert engine._variant_key(state.current) == engine._variant_key(full.current)
+        full = every_step_run(parse_query("p(1)"), prog, 99, project_stores=True)
+        assert state.steps == len(full) == 99
+        assert state.cycle == (4, 2)
+        assert engine._variant_key(state.current) == engine._variant_key(full[-1][1])
 
     def test_drifting_run_executes_every_step(self, step_calls):
-        prog = parse_program("p(A) <- A = B - 1 <> p(B).")
+        prog = parse_program(DRIFTING)
         state = run(parse_query("p(0)"), prog, max_steps=100, project_stores=True)
         assert state.steps == 100
+        assert state.cycle is None
         assert len(step_calls) == 100
 
     def test_run_that_ends_early(self, step_calls):
-        prog = parse_program("p(A) <- A >= 1, A = B + 1 <> p(B).")
+        prog = parse_program(ENDS_EARLY)
         state = run(parse_query("p(3)"), prog, max_steps=100, project_stores=True)
         assert state.steps == 3
+        assert state.cycle is None
         assert str(state.current) == "<p(B#3) | B#3 = 0>"
         assert len(step_calls) == 4  # three steps and the attempt that fails
 
-    def test_trace_executes_every_step(self, step_calls):
-        prog = parse_program("p2(A) <- A = B <> p2(B).")
-        state = run(parse_query("p2(0)"), prog, max_steps=20, project_stores=True,
-                    keep_trace=True)
-        assert state.steps == len(state.trace) == len(step_calls) == 20
+    def test_cycle_that_skips_nothing_is_not_recorded(self):
+        # period 2 is found at step 4; one step is left, so it is executed
+        state = run(parse_query("p(1)"), parse_program(PERIOD_TWO), max_steps=5,
+                    project_stores=True)
+        assert state.steps == 5
+        assert state.cycle is None
+
+    @pytest.mark.parametrize("rules, query", [
+        (PERIOD_ONE, "p2(0)"), (PERIOD_TWO, "p(1)"),
+        (DRIFTING, "p(0)"), (ENDS_EARLY, "p(3)"),
+    ], ids=["period-one", "period-two", "drifting", "ends-early"])
+    def test_trace_takes_the_same_path(self, step_calls, rules, query):
+        prog = parse_program(rules)
+        plain = run(parse_query(query), prog, max_steps=99, project_stores=True)
+        plain_calls = len(step_calls)
+        traced = run(parse_query(query), prog, max_steps=99, project_stores=True,
+                     keep_trace=True)
+        assert len(step_calls) == 2 * plain_calls
+        assert (traced.steps, traced.cycle, traced.current) == (
+            plain.steps, plain.cycle, plain.current)
+        if traced.cycle is None:
+            assert len(traced.trace) == traced.steps
+
+    @pytest.mark.parametrize("rules, query", [
+        (PERIOD_ONE, "p2(0)"), (PERIOD_TWO, "p(1)"), (DRIFTING, "p(0)"),
+    ], ids=["period-one", "period-two", "drifting"])
+    def test_traced_steps_are_those_of_the_every_step_run(self, rules, query):
+        prog = parse_program(rules)
+        traced = run(parse_query(query), prog, max_steps=99, project_stores=True,
+                     keep_trace=True)
+        full = every_step_run(parse_query(query), prog, 99, project_stores=True)
+        at = traced.cycle[0] if traced.cycle else traced.steps
+        assert traced.trace[:at] == full[:at]
+        for k, (index, q) in enumerate(traced.trace[at:], start=1):
+            number = traced.steps - len(traced.trace) + at + k
+            assert index == full[number - 1][0]
+            assert engine._variant_key(q) == engine._variant_key(full[number - 1][1])
 
 
 class TestTrace:
@@ -182,6 +225,27 @@ class TestTrace:
             "step 1: clause 1 |- <p(B#1) | B#1 = 2>",
             "step 2: clause 1 |- <p(B#2) | B#2 = 1>",
             "step 3: clause 1 |- <p(B#3) | B#3 = 0>",
+        ]
+
+    def test_format_period_one(self):
+        state = run(parse_query("p2(0)"), parse_program(PERIOD_ONE), max_steps=100,
+                    project_stores=True, keep_trace=True)
+        assert format_trace(state) == [
+            "step 1: clause 1 |- <p2(B#1) | B#1 = 0>",
+            "step 2: clause 1 |- <p2(B#2) | B#2 = 0>",
+            "steps 3..100 not executed: step 2 is a variant of step 1 (period 1)",
+        ]
+
+    def test_format_period_two_with_a_leftover_step(self):
+        state = run(parse_query("p(1)"), parse_program(PERIOD_TWO), max_steps=99,
+                    project_stores=True, keep_trace=True)
+        assert format_trace(state) == [
+            "step 1: clause 1 |- <p(B#1) | B#1 = -1>",
+            "step 2: clause 1 |- <p(B#2) | B#2 = 1>",
+            "step 3: clause 1 |- <p(B#3) | B#3 = -1>",
+            "step 4: clause 1 |- <p(B#4) | B#4 = 1>",
+            "steps 5..98 not executed: step 4 is a variant of step 2 (period 2)",
+            "step 99: clause 1 |- <p(B#5) | B#5 = -1>",
         ]
 
     def test_empty_without_keep_trace(self):

@@ -7,8 +7,9 @@ budgets live in the acceptance gate.
 import random
 
 import pytest
-from fuzzers import rand_constraint, rand_formula, rand_query, rand_rule, relax
+from fuzzers import every_step_run, rand_constraint, rand_formula, rand_query, rand_rule, relax
 
+from clploop import engine
 from clploop.engine import run
 from clploop.filters import PositionSet, more_general, project_query
 from clploop.linarith import (
@@ -24,7 +25,7 @@ from clploop.linarith import (
     substitute,
     to_formula,
 )
-from clploop.syntax import Pred, Program, Var, parse_program, program_to_source
+from clploop.syntax import Pred, Program, Var, parse_program
 
 
 class TestGeneralityProperties:
@@ -131,10 +132,14 @@ class TestEngineProperties:
             rules = (rule,) if k % 2 else (first, rule)
             q = rand_query(rng, rule.head_pred)
             prog = Program(rules)
-            fast = run(q, prog, max_steps=20, project_stores=project_stores)
-            full = run(q, prog, max_steps=20, project_stores=project_stores,
+            fast = run(q, prog, max_steps=20, project_stores=project_stores,
                        keep_trace=True)
-            assert fast.steps == full.steps
+            full = every_step_run(q, prog, 20, project_stores=project_stores)
+            assert fast.steps == len(full)
+            at = fast.cycle[0] if fast.cycle else fast.steps
+            assert fast.trace[:at] == full[:at]
+            if project_stores and full:
+                assert engine._variant_key(fast.current) == engine._variant_key(full[-1][1])
 
     def test_projected_and_plain_runs_agree_on_length(self):
         rng = random.Random(110)
@@ -149,7 +154,7 @@ class TestEngineProperties:
 
 class TestSourceRoundTrip:
     def test_corpus_round_trips(self, corpus_program):
-        text = program_to_source(corpus_program)
+        text = str(corpus_program)
         assert parse_program(text) == corpus_program
 
     def test_random_rules_round_trip(self):
@@ -157,5 +162,5 @@ class TestSourceRoundTrip:
         for _ in range(60):
             rule = rand_rule(rng)
             prog = Program((rule,))
-            again = parse_program(program_to_source(prog))
+            again = parse_program(str(prog))
             assert again.clauses[0] == rule

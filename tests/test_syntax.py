@@ -18,7 +18,6 @@ from clploop.syntax import (
     normalize_clause,
     parse_program,
     parse_query,
-    program_to_source,
     rename_apart,
     to_source,
     var_eq,
@@ -259,7 +258,7 @@ class TestRoundTrip:
     def test_program_source(self):
         text = "p(A) <- A >= 1, A = B + 1 <> p(B).\nq(A, B) <- A - B <= 0 <> q(B, A).\n"
         prog = parse_program(text)
-        again = parse_program(program_to_source(prog))
+        again = parse_program(str(prog))
         assert again == prog
 
     def test_clause_source(self):
@@ -270,7 +269,7 @@ class TestRoundTrip:
 
     def test_empty_program(self):
         assert parse_program("").clauses == ()
-        assert program_to_source(parse_program("")) == ""
+        assert str(parse_program("")) == ""
 
 
 class TestNormalizeClause:
