@@ -211,12 +211,13 @@ def find_looping_queries(rule: Clause, index: int = 0,
                 filt = candidate_filter(rule, m, opts.max_dnf)
                 head_ok = linarith.decide(
                     neutrality_head_formula(filt, rule), opts.max_dnf)
-                body_ok = linarith.decide(
-                    neutrality_body_formula(filt, rule), opts.max_dnf)
-                subsumes = None
-                if head_ok and body_ok:
-                    subsumes = delta_more_general(
-                        rule.body_query, rule.head_query, filt, opts.max_dnf)
+                body_ok = subsumes = None
+                if head_ok:
+                    body_ok = linarith.decide(
+                        neutrality_body_formula(filt, rule), opts.max_dnf)
+                    if body_ok:
+                        subsumes = delta_more_general(
+                            rule.body_query, rule.head_query, filt, opts.max_dnf)
                 check = SubsetCheck(m, head_ok, body_ok, subsumes)
             except ResourceLimitError as err:
                 checks.append(SubsetCheck(m, error=str(err)))
@@ -227,12 +228,7 @@ def find_looping_queries(rule: Clause, index: int = 0,
             witness = make_witness(filt, rule, opts.max_dnf)
             verified = 0
             if opts.verify_steps > 0:
-                state = run(
-                    witness,
-                    Program((rule,)),
-                    opts.verify_steps,
-                    project_stores=True,
-                )
+                state = run(witness, Program((rule,)), opts.verify_steps)
                 verified = state.steps
                 if verified < opts.verify_steps:
                     raise AssertionError(

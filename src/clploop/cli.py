@@ -149,7 +149,7 @@ def cmd_analyze(args) -> int:
                 if res.verified_steps <= 0:
                     continue
                 state = run(res.witness, Program((r.clause,)), res.verified_steps,
-                            project_stores=True, keep_trace=True)
+                            keep_trace=True)
                 print(f"trace for {res.witness} "
                       f"(clause {r.index + 1}, tau {_positions_str(res.positions)}):")
                 for line in format_trace(state):
@@ -198,8 +198,8 @@ def cmd_check(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     verdict = "LOOPS (proved)" if proof else "UNKNOWN"
-    state = (run(query, program, args.run, project_stores=True,
-                 keep_trace=args.trace) if args.run > 0 else None)
+    state = (run(query, program, args.run, keep_trace=args.trace)
+             if args.run > 0 else None)
     empirical = state.steps if state else None
     if args.json:
         payload = {

@@ -7,10 +7,14 @@ applied rule with a strictly increasing generation so variables never collide
 across steps.  Rule selection is leftmost: the first rule in program order
 whose head predicate matches and whose combined store is satisfiable.
 
-Constraint stores grow as plain conjunction lists.  An optional per-step
-projection onto the current atom's variables keeps stores small on long runs;
-it preserves the denoted set of every intermediate query, hence also the
-existence of every later step.
+The engine never builds the equations s = u.  Normalization makes the head
+variables s distinct and disjoint from every other variable of the rule, and
+renaming makes them disjoint from the query, so each s_i occurs in the store
+only in its own equation and in c'.  Substituting u_i for s_i in c' therefore
+eliminates s exactly (``exists s . s = u and c'`` is ``c'[s := u]``), and it
+is the standard solver step of CLP(Q).  The store is then projected onto
+t's variables: projection keeps the denoted set of the successor, hence the
+existence of every later step, and keeps stores from growing on long runs.
 
 A run, traced or not, stops executing steps once a query repeats: ``run``
 keeps the variant key of one earlier query (Brent's cycle detection) and,
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import linarith
-from .syntax import Clause, Constraint, LinTerm, Program, Query, compare, max_gen, rename_apart
+from .syntax import Clause, Constraint, LinTerm, Program, Query, max_gen, rename_apart
 
 
 @dataclass
@@ -52,24 +56,20 @@ def derivation_step(
     rule: Clause,
     generation: int,
     *,
-    project_store: bool = False,
     limit: int = linarith.DEFAULT_DNF_LIMIT,
 ) -> Optional[Query]:
-    """One derivation step, or None when the store is unsatisfiable.
-    ``generation`` must exceed every renaming generation in q.  With
-    ``project_store`` the successor keeps only the store's projection onto its
-    own atom variables (same denoted set); the step then checks the
-    satisfiability of that projection instead of the whole store."""
+    """One derivation step, or None when no such step exists.
+    ``generation`` must exceed every renaming generation in q.  The step
+    renames the rule to p(s) <- c' <> q(t), substitutes each query argument
+    u_i for s_i in c', conjoins the query store d and projects the result
+    onto t's variables; the step exists exactly when that projection is
+    satisfiable, and the successor is <q(t) | projection>."""
     if rule.head_pred != q.pred:
         raise ValueError(f"rule head {rule.head_pred} does not match query {q.pred}")
     fresh = rename_apart(rule, generation)
-    equations = [
-        compare(LinTerm.of_var(s), "=", u)
-        for s, u in zip(fresh.head_vars, q.atom.args)
-    ]
-    store = Constraint(tuple(equations)).conjoin(fresh.constraint).conjoin(q.constraint)
-    if project_store:
-        store = linarith.project(store, fresh.body_atom.variables, limit)
+    args = dict(zip(fresh.head_vars, q.atom.args))
+    atoms = tuple(a.substitute(args) for a in fresh.constraint) + q.constraint.atoms
+    store = linarith.project(Constraint(atoms), fresh.body_atom.variables, limit)
     if not linarith.satisfiable(store, limit):
         return None
     return Query(fresh.body_atom, store)
@@ -80,7 +80,6 @@ def run(
     program: Program,
     max_steps: int = 100,
     *,
-    project_stores: bool = False,
     keep_trace: bool = False,
 ) -> DerivationState:
     """Run up to ``max_steps`` derivation steps from q using leftmost rule
@@ -100,8 +99,7 @@ def run(
     while state.steps < max_steps:
         for index, rule in enumerate(program.clauses):
             if rule.head_pred == state.current.pred:
-                successor = derivation_step(state.current, rule, generation,
-                                            project_store=project_stores)
+                successor = derivation_step(state.current, rule, generation)
                 if successor is not None:
                     break
         else:

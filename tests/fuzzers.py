@@ -5,19 +5,22 @@ Scales are kept small on purpose: arity at most 2, a handful of atoms,
 coefficients in a narrow integer band. Generators that must deliver a
 well-formed value (satisfiable rule constraint, satisfiable filter
 condition) retry instead of returning a broken one.  ``every_step_run`` is
-the reference the engine's variant shortcut is tested against.
+the reference the engine's variant shortcut is tested against, and
+``textbook_step`` the reference for one derivation step.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 from clploop.engine import derivation_step
 from clploop.filters import Filter, PositionSet, projected_pred
-from clploop.linarith import conj, disj, implies, neg
+from clploop.linarith import conj, disj, implies, neg, satisfiable
 from clploop.syntax import (
     Atom,
+    Clause,
     Constraint,
     LinTerm,
     ParseError,
@@ -104,6 +107,14 @@ def rand_query(rng: random.Random, pred: Pred, max_atoms: int = 2) -> Query:
     return Query(Atom(pred, args), rand_constraint(rng, pool, max_atoms))
 
 
+def rand_linear_query(rng: random.Random, pred: Pred, max_atoms: int = 2) -> Query:
+    """Random query whose arguments are linear terms with coefficients, such
+    as ``2*Q1 - 1``, possibly sharing variables between positions."""
+    pool = tuple(Var(f"Q{i}") for i in range(pred.arity + 1))
+    args = tuple(rand_term(rng, pool, span=3) for _ in range(pred.arity))
+    return Query(Atom(pred, args), rand_constraint(rng, pool, max_atoms))
+
+
 def relax(rng: random.Random, q: Query) -> Query:
     """A query more general than q by construction: drop conjuncts, swap an
     argument for a fresh variable, or take a variant (same denotation)."""
@@ -143,17 +154,31 @@ def rand_filter(rng: random.Random, pred: Pred,
             continue
 
 
+def textbook_step(q: Query, rule: Clause, generation: int) -> Optional[Query]:
+    """The derivation step as the paper defines it: from <p(u) | d> with the
+    fresh variant p(s) <- c' <> q(t), the successor <q(t) | s = u, c', d>
+    when that store is satisfiable, else None.  No substitution and no
+    projection: the whole store is kept and checked."""
+    fresh = rename_apart(rule, generation)
+    equations = tuple(compare(LinTerm.of_var(s), "=", u)
+                      for s, u in zip(fresh.head_vars, q.atom.args))
+    store = Constraint(equations).conjoin(fresh.constraint).conjoin(q.constraint)
+    if not satisfiable(store):
+        return None
+    return Query(fresh.body_atom, store)
+
+
 def every_step_run(q: Query, program: Program, max_steps: int,
-                   project_stores: bool = False) -> list[tuple[int, Query]]:
+                   step=derivation_step) -> list[tuple[int, Query]]:
     """The (clause index, query) pair of each step of the derivation from q,
-    every step executed: leftmost selection over ``derivation_step`` with no
-    variant shortcut, stopping at ``max_steps`` or when no rule applies."""
+    every step executed: leftmost selection over ``step`` (the engine's
+    ``derivation_step`` or ``textbook_step``) with no variant shortcut,
+    stopping at ``max_steps`` or when no rule applies."""
     steps: list[tuple[int, Query]] = []
     while len(steps) < max_steps:
         for index, rule in enumerate(program.clauses):
             if rule.head_pred == q.pred:
-                successor = derivation_step(q, rule, 1 + max_gen(q),
-                                            project_store=project_stores)
+                successor = step(q, rule, 1 + max_gen(q))
                 if successor is not None:
                     break
         else:

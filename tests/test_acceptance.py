@@ -134,12 +134,12 @@ def test_criterion_2_witnesses_survive_100_steps(corpus_program, corpus_report):
     for rep in corpus_report.reports:
         single = Program((rep.clause,))
         for res in rep.results:
-            state = run(res.witness, single, 100, project_stores=True)
+            state = run(res.witness, single, 100)
             assert state.steps == 100, \
                 f"witness {res.witness} stopped after {state.steps} steps"
             checked += 1
     for loop in corpus_report.propagated:
-        state = run(loop.head_query, corpus_program, 100, project_stores=True)
+        state = run(loop.head_query, corpus_program, 100)
         assert state.steps == 100
     assert checked >= 16  # every looping clause contributed at least one
 
@@ -148,7 +148,7 @@ def test_criterion_2_witnesses_survive_100_steps(corpus_program, corpus_report):
         rep = find_looping_queries(rule)
         assert rep.results, f"no filter found for {rule.text}"
         for res in rep.results:
-            state = run(res.witness, Program((rule,)), 100, project_stores=True)
+            state = run(res.witness, Program((rule,)), 100)
             assert state.steps == 100
 
 

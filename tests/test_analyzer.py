@@ -202,7 +202,7 @@ class TestPropagate:
         prog = parse_program(self.PAIR)
         report = analyze_program(prog)
         q = report.propagated[0].head_query
-        state = run(q, prog, max_steps=100, project_stores=True)
+        state = run(q, prog, max_steps=100)
         assert state.steps == 100
 
     def test_chain_of_two(self):
@@ -384,8 +384,7 @@ class TestProgramReport:
                         args.append(LinTerm.of_var(Var(f"F{i}")))
                 q = Query(Atom(rep.clause.head_pred, tuple(args)),
                           Constraint(()))
-                state = run(q, Program((rep.clause,)), max_steps=100,
-                            project_stores=True)
+                state = run(q, Program((rep.clause,)), max_steps=100)
                 assert state.steps == 100, (rep.index, sorted(m))
                 members += 1
         assert members == 31

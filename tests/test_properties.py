@@ -6,11 +6,19 @@ budgets live in the acceptance gate.
 
 import random
 
-import pytest
-from fuzzers import every_step_run, rand_constraint, rand_formula, rand_query, rand_rule, relax
+from fuzzers import (
+    every_step_run,
+    rand_constraint,
+    rand_formula,
+    rand_linear_query,
+    rand_query,
+    rand_rule,
+    relax,
+    textbook_step,
+)
 
 from clploop import engine
-from clploop.engine import run
+from clploop.engine import derivation_step, run
 from clploop.filters import PositionSet, more_general, project_query
 from clploop.linarith import (
     decide,
@@ -25,7 +33,7 @@ from clploop.linarith import (
     substitute,
     to_formula,
 )
-from clploop.syntax import Pred, Program, Var, parse_program
+from clploop.syntax import Pred, Program, Var, max_gen, parse_program
 
 
 class TestGeneralityProperties:
@@ -116,40 +124,68 @@ class TestEngineProperties:
         for _ in range(60):
             rule = rand_rule(rng)
             q = rand_query(rng, rule.head_pred)
-            state = run(q, Program((rule,)), max_steps=5,
-                        project_stores=True, keep_trace=True)
+            state = run(q, Program((rule,)), max_steps=5, keep_trace=True)
             for _, step_q in state.trace:
                 assert satisfiable(step_q.constraint)
 
-    @pytest.mark.parametrize("project_stores", [False, True])
-    def test_shortcut_matches_every_step_run(self, project_stores):
+    def test_shortcut_matches_every_step_run(self):
         # two-rule programs exercise leftmost selection: the second rule
         # applies only where the first one fails
-        rng = random.Random(111 + project_stores)
+        rng = random.Random(112)
         for k in range(40):
             rule = rand_rule(rng)
             first = rand_rule(rng, arity=rule.head_pred.arity)
             rules = (rule,) if k % 2 else (first, rule)
             q = rand_query(rng, rule.head_pred)
             prog = Program(rules)
-            fast = run(q, prog, max_steps=20, project_stores=project_stores,
-                       keep_trace=True)
-            full = every_step_run(q, prog, 20, project_stores=project_stores)
+            fast = run(q, prog, max_steps=20, keep_trace=True)
+            full = every_step_run(q, prog, 20)
             assert fast.steps == len(full)
             at = fast.cycle[0] if fast.cycle else fast.steps
             assert fast.trace[:at] == full[:at]
-            if project_stores and full:
+            if full:
                 assert engine._variant_key(fast.current) == engine._variant_key(full[-1][1])
+
+    def test_steps_match_textbook_steps(self):
+        # every rule tried from every executed query, rules with a local
+        # variable included: the projecting step exists exactly when the
+        # textbook step does, and the two successors denote the same set
+        rng = random.Random(111)
+        found = missing = 0
+        for k in range(40):
+            rule = rand_rule(rng)
+            first = rand_rule(rng, arity=rule.head_pred.arity)
+            prog = Program((rule,) if k % 2 else (first, rule))
+            make_query = rand_linear_query if k % 4 >= 2 else rand_query
+            q = make_query(rng, rule.head_pred)
+            state = run(q, prog, max_steps=6, keep_trace=True)
+            at = state.cycle[0] if state.cycle else state.steps
+            executed = state.trace[:at]
+            for query, taken in zip([q] + [sq for _, sq in executed], executed + [None]):
+                generation = 1 + max_gen(query)
+                for index, r in enumerate(prog.clauses):
+                    ours = derivation_step(query, r, generation)
+                    book = textbook_step(query, r, generation)
+                    assert (ours is None) == (book is None), (str(r), str(query))
+                    if ours is None:
+                        missing += 1
+                        continue
+                    found += 1
+                    assert more_general(ours, book) and more_general(book, ours)
+                    if taken is not None and taken[0] == index:
+                        assert taken[1] == ours
+        assert found >= 100 and missing >= 5
 
     def test_projected_and_plain_runs_agree_on_length(self):
         rng = random.Random(110)
-        for _ in range(40):
+        for k in range(40):
             rule = rand_rule(rng)
-            q = rand_query(rng, rule.head_pred)
+            make_query = rand_linear_query if k % 2 else rand_query
+            q = make_query(rng, rule.head_pred)
             prog = Program((rule,))
-            plain = run(q, prog, max_steps=4)
-            small = run(q, prog, max_steps=4, project_stores=True)
-            assert plain.steps == small.steps
+            plain = every_step_run(q, prog, 4, step=textbook_step)
+            small = run(q, prog, max_steps=4)
+            assert len(plain) == small.steps
 
 
 class TestSourceRoundTrip:

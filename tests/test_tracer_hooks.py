@@ -30,6 +30,20 @@ for name in ("analyzer.propagate", "filters.more_general"):
     assert name in names, (name, sorted(names))
 """
 
+# a drifting run executes every step, one derivation_step call each
+DRIFTING_STEPS = """\
+import spans
+from clploop.engine import run
+from clploop.syntax import parse_program, parse_query
+
+tracer = spans.Tracer()
+tracer.install()
+state = run(parse_query("p(0)"), parse_program("p(A) <- A = B - 1 <> p(B)."), 10)
+assert state.steps == 10 and state.cycle is None, state
+steps = [span for span in tracer.spans if span[spans.NAME] == "engine.step"]
+assert len(steps) == 10, len(steps)
+"""
+
 
 def run_in_perfbench(code):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -49,4 +63,9 @@ def test_tracer_installs():
 
 def test_propagation_spans_recorded():
     proc = run_in_perfbench(PROPAGATING)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_engine_steps_counted():
+    proc = run_in_perfbench(DRIFTING_STEPS)
     assert proc.returncode == 0, proc.stderr
