@@ -5,10 +5,18 @@ The package exports what a caller needs to analyze a program: the parser
 point (``analyze_program``, ``AnalyzeOptions``), its report types and
 ``ResourceLimitError``.  The building blocks stay importable from their
 submodules: :mod:`clploop.syntax` (terms and normalization),
-:mod:`clploop.linarith` (exact linear-arithmetic decision procedure),
+:mod:`clploop.linarith` (exact entailment between linear constraints),
 :mod:`clploop.filters` (query generality and filters), :mod:`clploop.neutral`
 (the neutrality criterion), :mod:`clploop.analyzer` (search and propagation)
 and :mod:`clploop.engine` (the derivation engine).
+
+The prover decides three conjunctive entailments, each projected onto a set
+of variables: the head condition ``c[H renamed apart], M(H) |= c`` over
+the unfiltered head and body variables O and the filtered head variables H,
+the body condition ``c |= M(B)`` over the filtered body variables B, and
+query generality ``membership(W, Q) |= membership(W, Q1)`` over probe
+variables W.  Here c is a rule constraint, R is B plus the rule's local
+variables and M is membership in a filter condition.
 """
 
 from __future__ import annotations

@@ -224,8 +224,8 @@ def cmd_check(args) -> int:
     return 3 if report.had_resource_error else 0
 
 
-_MAX_DNF_HELP = ("ceiling on normal-form disjuncts and on the conjuncts of one "
-                 "elimination step in the filter search and witness construction "
+_MAX_DNF_HELP = ("ceiling on the conjuncts of one elimination step in the "
+                 "filter search and witness construction "
                  "(engine runs, propagation and check's proof use 10^6)")
 
 

@@ -2,11 +2,12 @@
 
 A query Q1 is *more general* than Q iff every ground instance denoted by Q is
 also denoted by Q1.  Membership of a tuple of values in a query's denotation
-is captured by a formula: taking a variant Q' = <p(t') | d'> of Q that shares
-no variables with the probe terms s, the tuple s belongs to Q's denotation
-exactly when ``exists Var(Q'). s = t' and d'`` holds.  Inclusion between two
-denotations is then a universally quantified implication between two such
-formulas, decided exactly by the linarith module.
+is captured by a constraint: taking a variant Q' = <p(t') | d'> of Q that
+shares no variables with the probe terms s, the tuple s belongs to Q's
+denotation exactly when ``s = t', d'`` has a solution extending the values
+of s.  Inclusion between two denotations is then the entailment
+``membership(W, Q) |= membership(W, Q1)`` over fresh probe variables W,
+decided exactly by the linarith module.
 
 A *filter* assigns every predicate a set of argument positions together with a
 condition query over the projected predicate.  A query satisfies the filter
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from . import linarith
-from .linarith import Formula, conj, exists, forall, implies
+from .linarith import Entailment
 from .syntax import (
     Atom,
     Constraint,
@@ -135,24 +136,22 @@ class Filter:
 # ---------------------------------------------------------------------------
 # membership and inclusion
 
-def sat_formula(
+def membership(
     probe: tuple[LinTerm, ...], q: Query, gen: Optional[int] = None
-) -> Formula:
-    """Formula over the variables of ``probe`` that holds under a valuation v
-    exactly when the tuple of probe values under v is denoted by q.  ``gen``
-    names the renaming generation for q's variant and must exceed every
-    generation in probe and q; when omitted it is chosen that way."""
+) -> Constraint:
+    """Constraint whose solutions, restricted to the variables of ``probe``,
+    are exactly the valuations under which the tuple of probe values is
+    denoted by q: the equations ``probe = t'`` plus the store of the variant
+    of q at generation ``gen``.  ``gen`` must exceed every generation in
+    probe and q; when omitted it is chosen that way."""
     if len(probe) != q.pred.arity:
         raise ValueError(f"probe arity {len(probe)} does not match {q.pred}")
     if gen is None:
         gen = 1 + max_gen(q, frozenset().union(*[t.variables for t in probe])
                           if probe else frozenset())
     variant: Query = rename_apart(q, gen)
-    equations = [compare(s, "=", t) for s, t in zip(probe, variant.atom.args)]
-    return exists(
-        sorted(variant.variables),
-        conj(*equations, *variant.constraint.atoms),
-    )
+    equations = tuple(compare(s, "=", t) for s, t in zip(probe, variant.atom.args))
+    return Constraint(equations + variant.constraint.atoms)
 
 
 def _gen_span(q: Query) -> int:
@@ -172,11 +171,11 @@ def more_general(q_gen: Query, q: Query,
     probe_gen = base + span_q + span_g
     probe_vars = tuple(Var(f"W{i}", probe_gen) for i in range(1, q.pred.arity + 1))
     probe = tuple(LinTerm.of_var(v) for v in probe_vars)
-    body = implies(
-        sat_formula(probe, q, base),
-        sat_formula(probe, q_gen, base + span_q),
-    )
-    return linarith.decide(forall(probe_vars, body), limit)
+    return linarith.decide(Entailment(
+        membership(probe, q, base),
+        membership(probe, q_gen, base + span_q),
+        frozenset(probe_vars),
+    ), limit)
 
 
 def satisfies(q: Query, filt: Filter,

@@ -17,7 +17,7 @@ from typing import Optional
 
 from clploop.engine import derivation_step
 from clploop.filters import Filter, PositionSet, projected_pred
-from clploop.linarith import conj, disj, implies, neg, satisfiable
+from clploop.linarith import satisfiable
 from clploop.syntax import (
     Atom,
     Clause,
@@ -58,23 +58,6 @@ def rand_atom(rng: random.Random, variables, span: int = 4):
 def rand_constraint(rng: random.Random, variables, max_atoms: int = 3) -> Constraint:
     n = rng.randint(0, max_atoms)
     return Constraint(tuple(rand_atom(rng, variables) for _ in range(n)))
-
-
-def rand_formula(rng: random.Random, variables, depth: int = 2):
-    """Random quantifier-free formula; leaves are atomic propositions."""
-    if depth <= 0 or rng.random() < 0.35:
-        return rand_atom(rng, variables)
-    kind = rng.randrange(4)
-    if kind == 0:
-        return conj(*(rand_formula(rng, variables, depth - 1)
-                      for _ in range(rng.randint(2, 3))))
-    if kind == 1:
-        return disj(*(rand_formula(rng, variables, depth - 1)
-                      for _ in range(rng.randint(2, 3))))
-    if kind == 2:
-        return neg(rand_formula(rng, variables, depth - 1))
-    return implies(rand_formula(rng, variables, depth - 1),
-                   rand_formula(rng, variables, depth - 1))
 
 
 def rand_rule(rng: random.Random, arity: int | None = None, name: str = "p"):

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from fuzzers import rand_filter, rand_formula, rand_query, rand_rule, relax
+from fuzzers import rand_constraint, rand_filter, rand_query, rand_rule, relax
 
 from clploop.analyzer import analyze_program, candidate_filter, find_looping_queries
 from clploop.engine import derivation_step, run
@@ -18,29 +18,17 @@ from clploop.filters import (
     delta_more_general,
     more_general,
     project_query,
+    membership,
     projected_pred,
-    sat_formula,
     satisfies,
     select_positions,
 )
 from clploop.linarith import (
-    And,
-    AtomicProp,
-    Bottom,
-    Not,
-    Or,
-    Top,
-    conj,
+    Entailment,
     decide,
-    eval_formula,
-    exists,
-    forall,
-    implies,
     project,
     sample_solution,
     satisfiable,
-    substitute,
-    to_formula,
 )
 from clploop.neutral import neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
@@ -66,8 +54,9 @@ def clause(text):
 
 
 def equivalent_constraints(c1, c2) -> bool:
-    f1, f2 = to_formula(c1), to_formula(c2)
-    return decide(implies(f1, f2)) and decide(implies(f2, f1))
+    over = c1.variables | c2.variables
+    return (decide(Entailment(c1, c2, over))
+            and decide(Entailment(c2, c1, over)))
 
 
 # expected per corpus row: the strongest position set and its condition
@@ -176,26 +165,12 @@ def test_criterion_4_projection_unit_facts():
     assert equivalent_constraints(project(c, {t1}), expected_t1)
 
 
-def _quantifier_free_atoms(f):
-    if isinstance(f, AtomicProp):
-        yield f
-    elif isinstance(f, (Top, Bottom)):
-        return
-    elif isinstance(f, Not):
-        yield from _quantifier_free_atoms(f.arg)
-    elif isinstance(f, (And, Or)):
-        for part in f.args:
-            yield from _quantifier_free_atoms(part)
-    else:
-        raise AssertionError(f"unexpected node {f!r}")
-
-
-def _one_var_candidates(g, x):
-    """Complete evaluation points for a one-variable formula over the
-    rationals: every finite bound an atom implies for x, midpoints of
-    consecutive bounds, and the bounds shifted by one on each side."""
+def _one_var_candidates(atoms, x):
+    """Complete evaluation points for one-variable atoms over the rationals:
+    every finite bound an atom implies for x, midpoints of consecutive
+    bounds, and the bounds shifted by one on each side."""
     bounds = set()
-    for atom in _quantifier_free_atoms(g):
+    for atom in atoms:
         a = atom.term.coeff(x)
         if a != 0:
             bounds.add(-atom.term.const / a)
@@ -210,6 +185,10 @@ def _one_var_candidates(g, x):
     return points
 
 
+def _holds(c, valuation):
+    return all(a.eval(valuation) for a in c)
+
+
 def test_criterion_5_decision_agrees_with_boundary_oracle():
     rng = random.Random(20260816)
     frees = (Var("U"), Var("V"), Var("W"))
@@ -217,17 +196,21 @@ def test_criterion_5_decision_agrees_with_boundary_oracle():
     start = time.monotonic()
     for i in range(500):
         pool = frees[: rng.randint(0, 3)] + (x,)
-        body = rand_formula(rng, pool, depth=2)
         valuation = {
-            v: Fraction(rng.randint(-8, 8), rng.choice((1, 2)))
+            v: LinTerm.of_const(Fraction(rng.randint(-8, 8), rng.choice((1, 2))))
             for v in frees
         }
-        g = substitute(body, valuation)
-        candidates = _one_var_candidates(g, x)
-        exists_oracle = any(eval_formula(g, {x: pt}) for pt in candidates)
-        forall_oracle = all(eval_formula(g, {x: pt}) for pt in candidates)
-        assert decide(exists([x], g)) == exists_oracle, f"instance {i} (exists)"
-        assert decide(forall([x], g)) == forall_oracle, f"instance {i} (forall)"
+        lhs, rhs = (
+            Constraint(tuple(a.substitute(valuation)
+                             for a in rand_constraint(rng, pool)))
+            for _ in range(2))
+        points = [{x: pt} for pt in
+                  _one_var_candidates(lhs.atoms + rhs.atoms, x)]
+        sat_oracle = any(_holds(lhs, v) for v in points)
+        entails_oracle = all(_holds(rhs, v) for v in points if _holds(lhs, v))
+        assert satisfiable(lhs) == sat_oracle, f"instance {i} (satisfiable)"
+        assert decide(Entailment(lhs, rhs, frozenset({x}))) == entails_oracle, \
+            f"instance {i} (entailment)"
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"500 decisions took {elapsed:.2f}s"
 
@@ -249,10 +232,8 @@ def test_criterion_6_randomized_soundness_suites():
              else rand_query(rng, rule.head_pred))
         probe = tuple(LinTerm.of_var(Var(f"W{i}", 0))
                       for i in range(1, rule.head_pred.arity + 1))
-        overlap = conj(
-            sat_formula(probe, q, 1 + max_gen(q)),
-            sat_formula(probe, rule.head_query, 2 + max_gen(q, rule)),
-        )
+        overlap = membership(probe, q, 1 + max_gen(q)).conjoin(
+            membership(probe, rule.head_query, 2 + max_gen(q, rule)))
         step = derivation_step(q, rule, 1 + max_gen(q))
         assert satisfiable(overlap) == (step is not None)
 
@@ -338,15 +319,15 @@ def test_criterion_7_merged_criterion_is_rejected():
     head_sel = select_positions(rule.head_vars, {1})
     body_sel = select_positions(rule.body_vars, {1})
     base = 1 + max(max_gen(rule), max_gen(cond))
-    c = to_formula(rule.constraint)
-    member_head = sat_formula(
+    c = rule.constraint
+    member_head = membership(
         tuple(LinTerm.of_var(v) for v in head_sel), cond, base)
-    member_body = sat_formula(
+    member_body = membership(
         tuple(LinTerm.of_var(v) for v in body_sel), cond, base + 1)
-    rechoose = sorted(set(body_sel) | rule.local_vars())
-    merged = implies(
-        c, forall(head_sel,
-                  implies(member_head, exists(rechoose, conj(c, member_body)))))
+    apart = c.rename({v: Var(v.name, base + 2) for v in head_sel})
+    rechoose = set(body_sel) | rule.local_vars()
+    merged = Entailment(apart.conjoin(member_head), c.conjoin(member_body),
+                        rule.variables - rechoose)
 
     assert decide(merged)  # the merged form wrongly certifies the filter
     assert decide(neutrality_head_formula(filt, rule))
@@ -357,6 +338,6 @@ def test_criterion_7_merged_criterion_is_rejected():
     succ = derivation_step(rule.head_query, rule,
                            1 + max_gen(rule.head_query))
     assert succ is not None
-    assert decide(sat_formula((_c(4),), succ))
+    assert satisfiable(membership((_c(4),), succ))
     stuck = Query(Atom(pred, (_c(4),)), Constraint(()))
     assert derivation_step(stuck, rule, 1) is None

@@ -6,14 +6,14 @@ from clploop.filters import (
     Filter,
     PositionSet,
     delta_more_general,
+    membership,
     more_general,
     project_query,
     projected_pred,
-    sat_formula,
     satisfies,
     select_positions,
 )
-from clploop.linarith import decide
+from clploop.linarith import satisfiable
 from clploop.syntax import (
     Atom,
     Constraint,
@@ -99,19 +99,19 @@ class TestProjectQuery:
 class TestSatFormula:
     def test_ground_membership(self):
         target = q("p(X, Y) : Y <= X + 2")
-        inside = sat_formula((LinTerm.of_const(0), LinTerm.of_const(2)), target)
-        outside = sat_formula((LinTerm.of_const(0), LinTerm.of_const(3)), target)
-        assert decide(inside)
-        assert not decide(outside)
+        inside = membership((LinTerm.of_const(0), LinTerm.of_const(2)), target)
+        outside = membership((LinTerm.of_const(0), LinTerm.of_const(3)), target)
+        assert satisfiable(inside)
+        assert not satisfiable(outside)
 
     def test_unconstrained_membership(self):
         target = q("p(X, Y)")
-        f = sat_formula((LinTerm.of_const(7), LinTerm.of_const(-7)), target)
-        assert decide(f)
+        c = membership((LinTerm.of_const(7), LinTerm.of_const(-7)), target)
+        assert satisfiable(c)
 
     def test_arity_check(self):
         with pytest.raises(ValueError, match="arity"):
-            sat_formula((tx,), q("p(X, Y)"))
+            membership((tx,), q("p(X, Y)"))
 
 
 class TestMoreGeneral:

@@ -1,41 +1,20 @@
-"""Formulas, exact quantifier elimination, decision, projection, sampling."""
+"""Entailments, elimination, decision, projection, sampling."""
 
 from fractions import Fraction
 
 import pytest
 
 from clploop.linarith import (
-    FALSE,
-    TRUE,
-    And,
-    Bottom,
-    EvalError,
-    Exists,
-    Not,
-    Or,
+    Entailment,
     ResourceLimitError,
-    Top,
-    conj,
+    _negate_atom,
+    _simplify_conj,
     decide,
-    disj,
-    eliminate_exists,
-    eval_formula,
-    exists,
-    forall,
-    free_vars,
-    implies,
-    neg,
     project,
     sample_solution,
     satisfiable,
-    substitute,
-    to_dnf,
-    to_formula,
 )
-from clploop.analyzer import candidate_filter
-from clploop.neutral import neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
-    AtomicProp,
     Constraint,
     LinTerm,
     Var,
@@ -61,179 +40,165 @@ def eq(a, b):
     return compare(a, "=", b)
 
 
+def entails(lhs, rhs, over) -> bool:
+    return decide(Entailment(Constraint(tuple(lhs)), Constraint(tuple(rhs)),
+                             frozenset(over)))
+
+
 class TestConstructors:
-    def test_conj_disj_units(self):
-        a = le(tx, ty)
-        assert conj() is TRUE
-        assert disj() is FALSE
-        assert conj(a) == a
-        assert conj(TRUE, a) == a
-        assert conj(a, FALSE) is FALSE
-        assert disj(a, TRUE) is TRUE
-        assert disj(FALSE, a) == a
+    def test_quantifier_constructors(self):
+        e = Entailment(Constraint.of(le(tx, ty)), Constraint(()), frozenset({X}))
+        assert e == Entailment(Constraint.of(le(tx, ty)), Constraint(()),
+                               frozenset({X}))
+        assert hash(e) == hash(Entailment(Constraint.of(le(tx, ty)),
+                                          Constraint(()), frozenset({X})))
+        with pytest.raises(AttributeError):
+            e.over = frozenset()
 
     def test_neg_implies(self):
-        a = le(tx, ty)
-        assert neg(TRUE) is FALSE
-        assert neg(neg(a)) == a
-        assert implies(TRUE, a) == a
-        assert implies(FALSE, a) is TRUE
-        assert implies(a, TRUE) is TRUE
-
-    def test_quantifier_constructors(self):
-        a = le(tx, ty)
-        assert exists([], a) == a
-        assert forall([], a) == a
-        q = exists([X, Y], a)
-        assert isinstance(q, Exists)
-        assert set(q.vars) == {X, Y}
-        assert q.body == a
-
-    def test_to_formula(self):
-        c = Constraint.of(le(tx, ty), le(ty, tz))
-        f = to_formula(c)
-        assert isinstance(f, And)
-        assert to_formula(TRUE) is TRUE
-        assert to_formula(le(tx, ty)) == le(tx, ty)
+        # the negation of an atom is the disjunction of the returned atoms
+        assert _negate_atom(eq(tx, one)) == (lt(tx, one), lt(one, tx))
+        assert _negate_atom(le(tx, one)) == (lt(one, tx),)
+        assert _negate_atom(lt(tx, one)) == (le(one, tx),)
 
 
 class TestFreeVarsSubstitute:
     def test_free_vars_under_binders(self):
-        f = exists([Y], conj(le(tx, ty), le(ty, tz)))
-        assert free_vars(f) == {X, Z}
-        assert free_vars(forall([X, Z], f)) == frozenset()
+        # variables outside `over` are existential, each on its own side
+        assert entails([le(tx, ty), le(ty, tz)], [le(tx, tz)], {X, Z})
+        assert entails([le(tx, tz)], [le(tx, ty), le(ty, tz)], {X, Z})
+        assert not entails([le(tx, tz)], [le(tx, ty), le(ty, tz)], {X, Y, Z})
 
     def test_substitute_atom_and_number(self):
         f = le(tx, ty)
-        g = substitute(f, {X: 3})
-        assert g == le(LinTerm.of_const(3), ty)
-        h = substitute(f, {X: tz + one})
-        assert h == le(tz + one, ty)
-
-    def test_substitute_skips_bound(self):
-        f = exists([Y], eq(ty, tx))
-        g = substitute(f, {X: 5, Y: 7})
-        assert free_vars(g) == frozenset()
-        assert decide(g)  # exists Y. Y = 5
+        assert f.substitute({X: LinTerm.of_const(3)}) == le(LinTerm.of_const(3), ty)
+        assert f.substitute({X: tz + one}) == le(tz + one, ty)
 
 
 class TestEval:
     def test_basic(self):
         f = le(ty, tx + LinTerm.of_const(2))
-        assert eval_formula(f, {X: Fraction(0), Y: Fraction(2)})
-        assert not eval_formula(f, {X: Fraction(0), Y: Fraction(3)})
-        assert not eval_formula(lt(tx, tx), {X: Fraction(1)})
+        assert f.eval({X: Fraction(0), Y: Fraction(2)})
+        assert not f.eval({X: Fraction(0), Y: Fraction(3)})
+        assert not lt(tx, tx).eval({X: Fraction(1)})
 
     def test_connectives(self):
-        a = le(tx, zero)
-        v = {X: Fraction(1)}
-        assert eval_formula(neg(a), v)
-        assert eval_formula(implies(a, FALSE), v)
-        assert eval_formula(disj(a, TRUE), v)
+        # exactly one of an atom and its negation holds at every point
+        for atom in (eq(tx, zero), le(tx, zero), lt(tx, zero)):
+            for value in (-1, 0, Fraction(1, 2), 1):
+                v = {X: Fraction(value)}
+                assert atom.eval(v) != any(n.eval(v) for n in _negate_atom(atom))
 
     def test_unbound_variable(self):
-        with pytest.raises(EvalError):
-            eval_formula(le(tx, ty), {X: Fraction(0)})
-
-    def test_quantifier_rejected(self):
-        with pytest.raises(EvalError):
-            eval_formula(exists([X], le(tx, zero)), {})
+        with pytest.raises(KeyError):
+            le(tx, ty).eval({X: Fraction(0)})
 
 
 class TestDnf:
+    """The normal forms decide works with: each disjunct a simplified
+    conjunction, and the negation of an atom a disjunction of atoms."""
+
     def test_conjunction_single_disjunct(self):
-        f = conj(le(tx, ty), le(ty, tz))
-        d = to_dnf(f)
-        assert len(d) == 1
-        assert set(d[0]) == {le(tx, ty), le(ty, tz)}
+        assert _simplify_conj((le(tx, ty), le(ty, tz))) == (le(tx, ty), le(ty, tz))
 
     def test_negated_equality_splits(self):
-        d = to_dnf(neg(eq(tx, zero)))
-        assert len(d) == 2
+        assert len(_negate_atom(eq(tx, zero))) == 2
 
     def test_contradictory_equalities_pruned(self):
-        f = conj(eq(tx, zero), eq(tx, one))
-        assert to_dnf(f) == []
+        assert _simplify_conj((eq(tx, zero), eq(tx, one))) is None
 
     def test_limit(self):
-        # (a1 or b1) and ... and (a25 or b25) wants 2**25 disjuncts
-        pairs = [
-            disj(eq(LinTerm.of_var(Var(f"V{i}")), zero),
-                 eq(LinTerm.of_var(Var(f"V{i}")), one))
-            for i in range(25)
-        ]
-        with pytest.raises(ResourceLimitError, match="disjuncts"):
-            to_dnf(conj(*pairs), limit=1000)
+        # eliminating X combines 30 lower with 30 upper bounds
+        atoms = tuple(le(LinTerm.of_var(Var(f"L{i}")), tx) for i in range(30))
+        atoms += tuple(le(tx, LinTerm.of_var(Var(f"H{i}"))) for i in range(30))
+        c = Constraint(atoms)
+        with pytest.raises(ResourceLimitError, match="conjuncts"):
+            project(c, c.variables - {X}, limit=800)
 
 
 class TestEliminate:
     def test_transitive_bound(self):
-        f = conj(le(tx, ty), le(ty, tz))
-        g = eliminate_exists([Y], f)
-        assert g == le(tx, tz)
+        c = Constraint.of(le(tx, ty), le(ty, tz))
+        assert project(c, {X, Z}) == Constraint.of(le(tx, tz))
 
     def test_strictness_preserved(self):
-        f = conj(lt(tx, ty), le(ty, tz))
-        assert eliminate_exists([Y], f) == lt(tx, tz)
+        c = Constraint.of(lt(tx, ty), le(ty, tz))
+        assert project(c, {X, Z}) == Constraint.of(lt(tx, tz))
 
     def test_unbounded_variable_drops_out(self):
-        g = eliminate_exists([Y], conj(le(tx, ty), le(zero, tx)))
-        assert g == le(zero, tx)
+        c = Constraint.of(le(tx, ty), le(zero, tx))
+        assert project(c, {X}) == Constraint.of(le(zero, tx))
 
     def test_equality_substitution(self):
-        f = conj(eq(ty, tx + one), le(ty, tz))
-        assert eliminate_exists([Y], f) == le(tx + one, tz)
+        c = Constraint.of(eq(ty, tx + one), le(ty, tz))
+        assert project(c, {X, Z}) == Constraint.of(le(tx + one, tz))
 
     def test_empty_and_false(self):
-        assert eliminate_exists([X], le(tx, tx)) is TRUE
-        assert eliminate_exists([X], lt(tx, tx)) is FALSE
+        assert project(Constraint.of(le(tx, tx)), ()) == Constraint(())
+        assert not satisfiable(project(Constraint.of(lt(tx, tx)), ()))
 
     def test_equivalence_with_original(self):
-        f = conj(le(tx, ty), le(ty, tz), lt(tx + one, tz))
-        g = eliminate_exists([Y], f)
-        assert decide(implies(g, exists([Y], f)))
-        assert decide(implies(exists([Y], f), g))
+        c = Constraint.of(le(tx, ty), le(ty, tz), lt(tx + one, tz))
+        p = project(c, {X, Z})
+        assert entails(p, c, {X, Z})
+        assert entails(c, p, {X, Z})
+
+    def test_opposite_bounds_fold_into_an_equality(self):
+        c = Constraint.of(le(tx, ty), le(ty, tx), le(zero, tz))
+        assert project(c, {X, Y, Z}) == Constraint.of(eq(tx, ty), le(zero, tz))
+        # strict or apart bounds stay as they are
+        c = Constraint.of(le(tx, ty), lt(ty, tx))
+        assert project(c, {X, Y}) == c
+        c = Constraint.of(le(tx, ty), le(ty + one, tx))
+        assert project(c, {X, Y}) == c
 
 
 class TestDecide:
     def test_dense_order(self):
-        assert decide(exists([Y], lt(tx, ty)))
-        assert decide(forall([X], exists([Y], lt(tx, ty))))
-        assert not decide(exists([Y], forall([X], lt(tx, ty))))
+        assert entails([], [lt(tx, ty)], {X})
+        assert not entails([], [lt(tx, ty)], {X, Y})
 
     def test_between(self):
-        f = implies(lt(tx, tz), exists([Y], conj(lt(tx, ty), lt(ty, tz))))
-        assert decide(f)
+        assert entails([lt(tx, tz)], [lt(tx, ty), lt(ty, tz)], {X, Z})
 
     def test_free_vars_universally_closed(self):
-        assert not decide(le(tx, ty))
-        assert decide(le(tx, tx))
+        assert not entails([], [le(tx, ty)], {X, Y})
+        assert entails([], [le(tx, tx)], {X})
 
     def test_shift_clause_head_rechoice_fails(self):
         # constraint of a shift-by-one rule: moving the first argument while
         # keeping the second means no single first coordinate covers all cases
         x1, x2, y1, y2 = Var("X1"), Var("X2"), Var("Y1"), Var("Y2")
-        c = conj(
+        c = Constraint.of(
             le(LinTerm.of_var(x1), LinTerm.of_var(x2)),
             eq(LinTerm.of_var(y1), LinTerm.of_var(x1) + one),
             eq(LinTerm.of_var(y2), LinTerm.of_var(x2)),
         )
-        assert not decide(implies(c, forall([x1], exists([y1], c))))
+        apart = c.rename({x1: Var("X1", 1), y1: Var("Y1", 1)})
+        assert not decide(Entailment(apart, c, frozenset({x1, x2, y2})))
         # but rechoosing both body coordinates succeeds
-        assert decide(implies(c, forall([x1], exists([y1, y2, x2], c))))
+        apart = c.rename({v: Var(v.name, 1) for v in (x1, x2, y1, y2)})
+        assert decide(Entailment(apart, c, frozenset({x1})))
+
+    def test_unsatisfiable_sides(self):
+        assert entails([lt(tx, tx)], [lt(ty, ty)], {X, Y})
+        assert entails([lt(tx, zero), lt(zero, tx)], [eq(tx, one)], {X})
+        assert not entails([le(tx, zero)], [lt(ty, ty)], {X})
+        assert entails([], [le(zero, one)], ())
 
     def test_satisfiable(self):
         assert satisfiable(Constraint.of(le(tx, ty)))
         assert not satisfiable(Constraint.of(lt(tx, tx)))
-        assert satisfiable(disj(lt(tx, tx), le(zero, one)))
+        assert satisfiable(Constraint(()))
+        assert not satisfiable(Constraint.of(le(tx, zero), lt(zero, tx)))
 
 
 class TestProject:
     def test_keep_all_is_identity_up_to_equivalence(self):
         c = Constraint.of(le(tx, ty), le(zero, tx))
         p = project(c, c.variables)
-        assert decide(implies(to_formula(p), to_formula(c)))
-        assert decide(implies(to_formula(c), to_formula(p)))
+        assert entails(p, c, c.variables)
+        assert entails(c, p, c.variables)
 
     def test_onto_empty(self):
         c = Constraint.of(le(tx, ty))
@@ -298,39 +263,14 @@ class TestSample:
 
 class TestResourceLimits:
     def test_decide_limit_raises(self):
-        pairs = [
-            disj(eq(LinTerm.of_var(Var(f"V{i}")), zero),
-                 eq(LinTerm.of_var(Var(f"V{i}")), one))
-            for i in range(25)
-        ]
-        with pytest.raises(ResourceLimitError):
-            decide(neg(conj(*pairs)), limit=100)
-
-    def test_nodes(self):
-        assert isinstance(TRUE, Top)
-        assert isinstance(FALSE, Bottom)
-        assert Not(TRUE) == Not(TRUE)
-        assert Or((TRUE, FALSE)) == Or((TRUE, FALSE))
-        # implication and the universal quantifier are sugar: every formula
-        # the criterion builds uses the seven core node kinds only
-        core = (AtomicProp, Top, Bottom, Not, And, Or, Exists)
-        rule = parse_program(
-            "p(X1, X2) <- X1 >= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
-        ).clauses[0]
-        built = [forall([X], implies(le(tx, ty), exists([Y], lt(tx, ty))))]
-        for ps in (frozenset({1, 2}), frozenset({1}), frozenset()):
-            filt = candidate_filter(rule, ps)
-            built += [neutrality_head_formula(filt, rule),
-                      neutrality_body_formula(filt, rule)]
-        todo, seen = list(built), set()
-        while todo:
-            f = todo.pop()
-            assert isinstance(f, core), type(f).__name__
-            seen.add(type(f))
-            if isinstance(f, Not):
-                todo.append(f.arg)
-            elif isinstance(f, (And, Or)):
-                todo.extend(f.args)
-            elif isinstance(f, Exists):
-                todo.append(f.body)
-        assert {Not, Or, Exists} <= seen
+        # eliminating Y combines three lower with three upper bounds
+        lows = [Var(f"L{i}") for i in range(3)]
+        highs = [Var(f"H{i}") for i in range(3)]
+        lhs = Constraint(tuple(le(LinTerm.of_var(v), ty) for v in lows)
+                         + tuple(le(ty, LinTerm.of_var(v)) for v in highs))
+        rhs = Constraint.of(le(LinTerm.of_var(lows[0]), LinTerm.of_var(highs[0])))
+        e = Entailment(lhs, rhs, frozenset(lows + highs))
+        assert decide(e)
+        assert decide(e, limit=9)
+        with pytest.raises(ResourceLimitError, match="exceeds 8 conjuncts"):
+            decide(e, limit=8)

@@ -1,4 +1,4 @@
-"""Randomized invariants over the term, formula and engine layers.
+"""Randomized invariants over the term, entailment and engine layers.
 
 Counts stay modest here; the heavier randomized suites with their own
 budgets live in the acceptance gate.
@@ -9,7 +9,7 @@ import random
 from fuzzers import (
     every_step_run,
     rand_constraint,
-    rand_formula,
+    rand_filter,
     rand_linear_query,
     rand_query,
     rand_rule,
@@ -19,21 +19,36 @@ from fuzzers import (
 
 from clploop import engine
 from clploop.engine import derivation_step, run
-from clploop.filters import PositionSet, more_general, project_query
+from clploop.filters import (
+    PositionSet,
+    membership,
+    more_general,
+    project_query,
+    satisfies,
+    select_positions,
+)
 from clploop.linarith import (
+    Entailment,
+    _negate_atom,
     decide,
-    eliminate_exists,
-    exists,
-    free_vars,
-    implies,
-    neg,
     project,
     sample_solution,
     satisfiable,
-    substitute,
-    to_formula,
 )
-from clploop.syntax import Pred, Program, Var, max_gen, parse_program
+from clploop.neutral import neutrality_head_formula
+from clploop.syntax import (
+    Atom,
+    Constraint,
+    LinTerm,
+    Pred,
+    Program,
+    Query,
+    Var,
+    compare,
+    max_gen,
+    parse_program,
+    var_eq,
+)
 
 
 class TestGeneralityProperties:
@@ -65,25 +80,6 @@ class TestGeneralityProperties:
 class TestEliminationProperties:
     VARS = (Var("U"), Var("V"), Var("W"))
 
-    def test_eliminate_exists_equivalent(self):
-        rng = random.Random(104)
-        x = Var("X")
-        for _ in range(150):
-            body = rand_formula(rng, self.VARS[: rng.randint(0, 2)] + (x,))
-            lhs = exists([x], body)
-            rhs = eliminate_exists([x], body)
-            assert decide(implies(lhs, rhs))
-            assert decide(implies(rhs, lhs))
-
-    def test_closed_formulas_are_two_valued(self):
-        # exactly one of f, not f holds once f is closed
-        rng = random.Random(105)
-        for _ in range(150):
-            f = rand_formula(rng, self.VARS)
-            grounded = substitute(
-                f, {v: rng.randint(-4, 4) for v in free_vars(f)})
-            assert decide(grounded) != decide(neg(grounded))
-
     def test_projection_variables_within_keep(self):
         rng = random.Random(106)
         for _ in range(150):
@@ -97,11 +93,116 @@ class TestEliminationProperties:
         for _ in range(100):
             c = rand_constraint(rng, self.VARS, max_atoms=4)
             keep = {v for v in self.VARS if rng.random() < 0.5}
-            drop = sorted(c.variables - keep)
-            lhs = exists(drop, to_formula(c))
-            rhs = to_formula(project(c, keep))
-            assert decide(implies(lhs, rhs))
-            assert decide(implies(rhs, lhs))
+            p = project(c, keep)
+            assert decide(Entailment(c, p, frozenset(keep)))
+            assert decide(Entailment(p, c, frozenset(keep)))
+
+
+def _holds(c, valuation) -> bool:
+    return all(a.eval(valuation) for a in c)
+
+
+def _loosen(rng, a):
+    """An atom that ``a`` implies: its term lowered by a non-negative
+    constant, an equality read as one of its two bounds."""
+    term = a.term if a.rel != "=" or rng.random() < 0.5 else -a.term
+    op = "<" if a.rel == "<" else "<="
+    return compare(term - LinTerm.of_const(rng.randint(0, 2)), op,
+                   LinTerm.of_const(0))
+
+
+def _refuting_sample(e: Entailment):
+    """A sample of the left side that violates an atom of the right side,
+    found by sampling the left side conjoined with each negated atom."""
+    for a in e.rhs:
+        for n in _negate_atom(a):
+            v = sample_solution(e.lhs.conjoin(Constraint.of(n)), e.over)
+            if v is not None:
+                return v
+    return None
+
+
+class TestDecideProperties:
+    OVER = (Var("U"), Var("V"))
+    EXTRA = (Var("W"),)
+
+    def test_verdicts_checked_by_eval(self):
+        # the left side ranges over `over` plus an extra variable, the right
+        # side over `over` alone; each verdict is checked by evaluating atoms
+        # at sampled points, never by decide
+        rng = random.Random(113)
+        over = frozenset(self.OVER)
+        refuted = held = 0
+        for _ in range(200):
+            lhs = rand_constraint(rng, self.OVER + self.EXTRA, max_atoms=4)
+            rhs = rand_constraint(rng, self.OVER, max_atoms=2)
+            if rng.random() < 0.5:
+                # implied by construction, unless a random atom is kept
+                rhs = Constraint(tuple(_loosen(rng, a) for a in lhs
+                                       if a.variables <= over)
+                                 + rhs.atoms[:rng.randint(0, 1)])
+            e = Entailment(lhs, rhs, over)
+            if not decide(e):
+                v = _refuting_sample(e)
+                assert v is not None, (str(lhs), str(rhs))
+                assert _holds(lhs, v) and not _holds(rhs, v)
+                refuted += 1
+                continue
+            for _ in range(3):
+                bounds = Constraint(tuple(
+                    compare(LinTerm.of_var(x), rng.choice(("<=", ">=")),
+                            LinTerm.of_const(rng.randint(-4, 4)))
+                    for x in self.OVER + self.EXTRA if rng.random() < 0.5))
+                v = sample_solution(lhs.conjoin(bounds), self.OVER)
+                if v is not None:
+                    assert _holds(rhs, v), (str(lhs), str(rhs), v)
+                    held += 1
+        assert refuted >= 50 and held >= 50, (refuted, held)
+
+
+class TestNeutralityProperties:
+    def test_failed_head_condition_loses_a_step(self):
+        # completeness of the head condition, on the engine: when it fails,
+        # its refuting sample gives unfiltered values O, replacement values H'
+        # satisfying the filter, and original values H0 that c admits with
+        # O; the query with H0 has a step whose successor admits the
+        # unfiltered body values, the query with H' has none
+        rng = random.Random(114)
+        failed = 0
+        for _ in range(400):
+            rule = rand_rule(rng)
+            filt = rand_filter(rng, rule.head_pred)
+            e = neutrality_head_formula(filt, rule)
+            if decide(e):
+                continue
+            failed += 1
+            refuting = _refuting_sample(
+                Entailment(e.lhs, project(e.rhs, e.over), e.over))
+            assert refuting is not None
+            replaced = select_positions(
+                rule.head_vars, filt.positions.get(rule.head_pred))
+            unfiltered = sorted(e.over - set(replaced))
+            fixed = Constraint(tuple(var_eq(v, LinTerm.of_const(refuting[v]))
+                                     for v in unfiltered))
+            original = sample_solution(rule.constraint.conjoin(fixed),
+                                       rule.head_vars)
+            assert original is not None
+            probe = tuple(LinTerm.of_const(refuting[v]) if v in unfiltered
+                          else LinTerm.of_var(Var(f"W{i}"))
+                          for i, v in enumerate(rule.body_vars, start=1))
+
+            def ground(values):
+                args = tuple(LinTerm.of_const(values[v]) for v in rule.head_vars)
+                return Query(Atom(rule.head_pred, args), Constraint(()))
+
+            def admits(q):
+                succ = derivation_step(q, rule, 1)
+                return succ is not None and satisfiable(membership(probe, succ))
+
+            assert admits(ground(original))
+            assert satisfies(ground(refuting), filt)
+            assert not admits(ground(refuting))
+        assert failed >= 50, failed
 
 
 class TestSampleProperties:

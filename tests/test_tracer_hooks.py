@@ -44,6 +44,24 @@ steps = [span for span in tracer.spans if span[spans.NAME] == "engine.step"]
 assert len(steps) == 10, len(steps)
 """
 
+# every head decision is charged to neutral.head, and the body decisions,
+# made only after a passing head, to neutral.body
+NEUTRALITY_DECIDES = """\
+import spans
+from clploop import analyze_program, parse_program
+
+tracer = spans.Tracer()
+tracer.install()
+report = analyze_program(parse_program(
+    "p(X1, X2) <- X1 <= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\\n"))
+checks = report.reports[0].checks
+notes = [span[spans.NOTE] for span in tracer.spans
+         if span[spans.NAME] == "linarith.decide"]
+head_passes = sum(1 for check in checks if check.head_ok)
+assert notes.count("neutral.head") == len(checks) == 4, notes
+assert notes.count("neutral.body") == head_passes == 2, notes
+"""
+
 
 def run_in_perfbench(code):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -68,4 +86,9 @@ def test_propagation_spans_recorded():
 
 def test_engine_steps_counted():
     proc = run_in_perfbench(DRIFTING_STEPS)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_neutrality_decides_charged_to_their_builders():
+    proc = run_in_perfbench(NEUTRALITY_DECIDES)
     assert proc.returncode == 0, proc.stderr
