@@ -219,22 +219,23 @@ def find_looping_queries(rule: Clause, index: int = 0,
                         subsumes = delta_more_general(
                             rule.body_query, rule.head_query, filt, opts.max_dnf)
                 check = SubsetCheck(m, head_ok, body_ok, subsumes)
+                if check.passed:
+                    witness = make_witness(filt, rule, opts.max_dnf)
+                    verified = 0
+                    if opts.verify_steps > 0:
+                        verified = run(witness, Program((rule,)), opts.verify_steps,
+                                       limit=opts.max_dnf).steps
             except ResourceLimitError as err:
                 checks.append(SubsetCheck(m, error=str(err)))
                 continue
             checks.append(check)
             if not check.passed:
                 continue
-            witness = make_witness(filt, rule, opts.max_dnf)
-            verified = 0
-            if opts.verify_steps > 0:
-                state = run(witness, Program((rule,)), opts.verify_steps)
-                verified = state.steps
-                if verified < opts.verify_steps:
-                    raise AssertionError(
-                        f"witness {witness} failed engine validation after "
-                        f"{verified} steps; the neutrality criterion is sound, "
-                        f"so this indicates an implementation bug")
+            if verified < opts.verify_steps:
+                raise AssertionError(
+                    f"witness {witness} failed engine validation after "
+                    f"{verified} steps; the neutrality criterion is sound, "
+                    f"so this indicates an implementation bug")
             results.append(FilterResult(m, filt, filt.condition(rule.head_pred),
                                         witness, verified))
             if opts.first_only:

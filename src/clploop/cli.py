@@ -149,7 +149,7 @@ def cmd_analyze(args) -> int:
                 if res.verified_steps <= 0:
                     continue
                 state = run(res.witness, Program((r.clause,)), res.verified_steps,
-                            keep_trace=True)
+                            keep_trace=True, limit=args.max_dnf)
                 print(f"trace for {res.witness} "
                       f"(clause {r.index + 1}, tau {_positions_str(res.positions)}):")
                 for line in format_trace(state):
@@ -157,7 +157,8 @@ def cmd_analyze(args) -> int:
     return 3 if report.had_resource_error else 0
 
 
-def _proof_for(query: Query, report: ProgramReport) -> Optional[tuple[str, str]]:
+def _proof_for(query: Query, report: ProgramReport,
+               limit: int) -> Optional[tuple[str, str]]:
     """A (kind, fact) pair proving the query loops, or None.
 
     kind 'more general than' cites a verified looping query; kind
@@ -171,14 +172,14 @@ def _proof_for(query: Query, report: ProgramReport) -> Optional[tuple[str, str]]
             facts.extend(res.witness for res in r.results)
     facts.extend(p.head_query for p in report.propagated)
     for fact in facts:
-        if fact.pred == query.pred and more_general(query, fact):
+        if fact.pred == query.pred and more_general(query, fact, limit):
             return ("more general than", str(fact))
     for r in report.reports:
         for res in r.results:
             head = r.clause.head_query
             if head.pred != query.pred:
                 continue
-            if delta_more_general(query, head, res.filter):
+            if delta_more_general(query, head, res.filter, limit):
                 return ("filter-more-general than",
                         f"{head} under tau {_positions_str(res.positions)}")
     return None
@@ -193,13 +194,14 @@ def cmd_check(args) -> int:
         return 2
     report = analyze_program(program, _options_from(args))
     try:
-        proof = _proof_for(query, report)
+        proof = _proof_for(query, report, args.max_dnf)
+        state = (run(query, program, args.run, keep_trace=args.trace,
+                     limit=args.max_dnf)
+                 if args.run > 0 else None)
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     verdict = "LOOPS (proved)" if proof else "UNKNOWN"
-    state = (run(query, program, args.run, keep_trace=args.trace)
-             if args.run > 0 else None)
     empirical = state.steps if state else None
     if args.json:
         payload = {
@@ -225,8 +227,8 @@ def cmd_check(args) -> int:
 
 
 _MAX_DNF_HELP = ("ceiling on the conjuncts of one elimination step in the "
-                 "filter search and witness construction "
-                 "(engine runs, propagation and check's proof use 10^6)")
+                 "filter search, witness construction and verification, "
+                 "check's proof and --run (propagation uses 10^6)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,6 +81,7 @@ def run(
     max_steps: int = 100,
     *,
     keep_trace: bool = False,
+    limit: int = linarith.DEFAULT_DNF_LIMIT,
 ) -> DerivationState:
     """Run up to ``max_steps`` derivation steps from q using leftmost rule
     selection.  Stops early when no rule applies.
@@ -91,7 +92,9 @@ def run(
     the fewer than p steps left over are executed.  ``steps`` then equals
     ``max_steps`` and ``current`` is the last query actually computed, a
     variant of the query after ``steps`` steps.  ``keep_trace`` only records
-    the executed steps; it does not change which steps are executed."""
+    the executed steps; it does not change which steps are executed.
+    ``limit`` bounds the conjuncts of each elimination step of every
+    derivation step."""
     state = DerivationState(current=q, steps=0)
     generation = 1 + max_gen(q)
     checkpoint = _variant_key(q)
@@ -99,7 +102,8 @@ def run(
     while state.steps < max_steps:
         for index, rule in enumerate(program.clauses):
             if rule.head_pred == state.current.pred:
-                successor = derivation_step(state.current, rule, generation)
+                successor = derivation_step(state.current, rule, generation,
+                                            limit=limit)
                 if successor is not None:
                     break
         else:

@@ -15,17 +15,22 @@ the membership constraint of a filter condition:
 The admitted structure is the rationals with addition, rational constants
 and the orderings.
 
-The decision procedure is Fourier-Motzkin elimination.  Equalities containing
-the eliminated variable are removed first by substitution, and every
-remaining lower bound l REL1 x is combined with every upper bound x REL2 u
-into l REL u, strict iff either side is strict.  `project` eliminates the
-variables outside a set, `satisfiable` eliminates them all, and `decide`
-projects both sides of an entailment onto its universal variables and
-refutes the left side conjoined with the negation of each right-hand atom,
-the standard entailment check of CLP(Q) solvers.  All arithmetic is exact
-(`fractions.Fraction`); one configurable ceiling caps the conjuncts one
-elimination step produces, raising :class:`ResourceLimitError` when
-exceeded.
+The decision procedure is Fourier-Motzkin elimination over integers.  Every
+atom is a primitive integer vector (see :class:`syntax.AtomicProp`), so each
+step is an integer combination of two atoms that cancels the eliminated
+variable x, divided by the gcd of its entries, as in the normalization of
+the Omega test (Pugh, CACM 1992).  Equalities containing x are removed first
+by substitution: an equality with coefficient c on x turns an atom a with
+coefficient d on x into ``|c|*a - sign(c)*d*eq``.  Every remaining lower
+bound ``lo`` (coefficient -b on x, b > 0) is combined with every upper bound
+``up`` (coefficient a > 0) into ``b*up + a*lo``, strict iff either side is
+strict.  `project` eliminates the variables outside a set, `satisfiable`
+eliminates them all, and `decide` projects both sides of an entailment onto
+its universal variables and refutes the left side conjoined with the
+negation of each right-hand atom, the standard entailment check of CLP(Q)
+solvers.  All arithmetic is exact; sampled values are ``Fraction``s.  One
+configurable ceiling caps the conjuncts one elimination step produces,
+raising :class:`ResourceLimitError` when exceeded.
 """
 
 from __future__ import annotations
@@ -42,9 +47,7 @@ from .syntax import (
     Constraint,
     LinTerm,
     Var,
-    _canon,
-    _F0,
-    _NEG_F1,
+    _atom,
 )
 
 DEFAULT_DNF_LIMIT = 10**6
@@ -55,15 +58,6 @@ class ResourceLimitError(Exception):
     conjuncts."""
 
 
-def _slope_key(atoms_coeffs) -> tuple:
-    return tuple((v.name, v.gen, c.numerator, c.denominator)
-                 for v, c in atoms_coeffs)
-
-
-def _neg_slope_key(key: tuple) -> tuple:
-    return tuple((n, g, -num, den) for n, g, num, den in key)
-
-
 def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ...]]:
     """Normalize a conjunction: drop ground-true conjuncts, duplicates, and
     inequalities slackened by a tighter bound on the same slope (the growth
@@ -71,66 +65,63 @@ def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ..
     one bound); fold inequalities settled by an equality over the same
     variables, and opposite non-strict bounds that meet into one equality.
     Returns None when a conjunct is ground-false or two conjuncts
-    contradict outright."""
-    eqs: dict[tuple, tuple[Fraction, AtomicProp]] = {}
-    ineqs: dict[tuple, list] = {}  # slope -> [const, strict, atom]
+    contradict outright.  An atom with slope (d, s, g) (see
+    :meth:`AtomicProp.slope`) and constant k says ``s*d.x + k/g REL 0``; the
+    constants of atoms on one slope are compared by cross-multiplication."""
+    eqs: dict[tuple, tuple[int, int, AtomicProp]] = {}  # d -> (k, g, atom)
+    ineqs: dict[tuple, list] = {}  # (d, s) -> [k, g, strict, atom]
     order: list[tuple[bool, tuple]] = []
     for a in atoms:
         if a.is_ground():
             if a.ground_truth():
                 continue
             return None
-        sk = _slope_key(a.term.coeffs)
+        d, s, g = a.slope()
+        k = a.term.const
         if a.rel == REL_EQ:
-            prev = eqs.get(sk)
+            prev = eqs.get(d)
             if prev is not None:
-                if prev[0] != a.term.const:
+                if prev[0] * g != k * prev[1]:
                     return None
                 continue
-            eqs[sk] = (a.term.const, a)
-            order.append((True, sk))
+            eqs[d] = (k, g, a)
+            order.append((True, d))
         else:
             strict = a.rel == REL_LT
-            cell = ineqs.get(sk)
+            key = (d, s)
+            cell = ineqs.get(key)
             if cell is None:
-                ineqs[sk] = [a.term.const, strict, a]
-                order.append((False, sk))
+                ineqs[key] = [k, g, strict, a]
+                order.append((False, key))
             else:
-                c0, s0, _ = cell
-                c1 = a.term.const
-                # s.x + c REL 0 is s.x <= -c: larger c is tighter
-                if c1 > c0 or (c1 == c0 and strict and not s0):
-                    cell[0], cell[1], cell[2] = c1, strict, a
+                k0, g0, s0, _ = cell
+                # s*d.x <= -k/g (or <): larger k/g is tighter
+                if k * g0 > k0 * g or (k * g0 == k0 * g and strict and not s0):
+                    cell[:] = k, g, strict, a
     out: list[AtomicProp] = []
-    for is_eq, sk in order:
+    for is_eq, key in order:
         if is_eq:
-            out.append(eqs[sk][1])
+            out.append(eqs[key][2])
             continue
-        c, strict, a = ineqs[sk]
+        k, g, strict, a = ineqs[key]
         if a is None:
             continue  # folded into an equality with its opposite bound
-        neg_sk = _neg_slope_key(sk)
-        # an equality on the same or negated slope pins s.x to one value
-        value: Optional[Fraction] = None
-        same = eqs.get(sk)
-        if same is not None:
-            value = -same[0]
-        else:
-            opposite = eqs.get(neg_sk)
-            if opposite is not None:
-                value = opposite[0]
-        if value is not None:
-            # the inequality says s.x <= -c (or <)
-            if value < -c or (value == -c and not strict):
+        d, s = key
+        pinned = eqs.get(d)
+        if pinned is not None:
+            # the equality pins d.x to -ke/ge; s*d.x + k/g there, times g*ge
+            ke, ge, _ = pinned
+            slack = k * ge - s * ke * g
+            if slack < 0 or (slack == 0 and not strict):
                 continue
             return None
         if not strict:
-            opposite_bound = ineqs.get(neg_sk)
-            if (opposite_bound is not None and not opposite_bound[1]
-                    and opposite_bound[0] == -c):
-                # s.x <= -c and s.x >= -c
-                opposite_bound[2] = None
-                a = _canon(a.term, REL_EQ)
+            bound = ineqs.get((d, -s))
+            if (bound is not None and not bound[2]
+                    and bound[0] * g == -k * bound[1]):
+                # s*d.x <= -k/g and s*d.x >= -k/g
+                bound[3] = None
+                a = _atom(a.term.coeffs, k, REL_EQ)
         out.append(a)
     return tuple(out)
 
@@ -138,42 +129,46 @@ def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ..
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 
+def _combine(p: int, a: AtomicProp, q: int, b: AtomicProp, x: Var,
+             rel: str) -> AtomicProp:
+    """The atom ``p*a + q*b REL 0``, where p and q cancel x."""
+    acc = {v: p * c for v, c in a.term.coeffs}
+    for v, c in b.term.coeffs:
+        acc[v] = acc.get(v, 0) + q * c
+    del acc[x]
+    return _atom(tuple(sorted((v, c) for v, c in acc.items() if c)),
+                 p * a.term.const + q * b.term.const, rel)
+
+
 def _eliminate_var_conj(
     atoms: Sequence[AtomicProp], x: Var, limit: int
 ) -> Optional[tuple[AtomicProp, ...]]:
     """Eliminate one variable from a conjunction.  Returns the reduced
     conjunction or None if it becomes inconsistent (ground-false)."""
-    equalities = [a for a in atoms if a.rel == REL_EQ and a.term.coeff(x) != 0]
-    if equalities:
-        # solve x = -(rest)/c and substitute everywhere else
-        eq = equalities[0]
-        c = eq.term.coeff(x)
-        rest = eq.term - LinTerm(((x, c),), _F0)
-        replacement = rest.scaled(_NEG_F1 / c)
-        out = [a.substitute({x: replacement}) for a in atoms if a is not eq]
+    with_x = [(a, a.term.coeff(x)) for a in atoms]
+    eq, c = next(((a, c) for a, c in with_x if c and a.rel == REL_EQ), (None, 0))
+    if eq is not None:
+        # |c|*a - sign(c)*d*eq cancels the d*x of a
+        out = [_combine(abs(c), a, -d if c > 0 else d, eq, x, a.rel) if d else a
+               for a, d in with_x if a is not eq]
         return _simplify_conj(out)
 
     kept: list[AtomicProp] = []
-    lowers: list[tuple[LinTerm, bool]] = []  # (bound term, strict)
-    uppers: list[tuple[LinTerm, bool]] = []
-    for a in atoms:
-        c = a.term.coeff(x)
+    lowers: list[tuple[AtomicProp, int]] = []  # (atom, -coefficient of x)
+    uppers: list[tuple[AtomicProp, int]] = []
+    for a, c in with_x:
         if c == 0:
             kept.append(a)
-            continue
-        rest = a.term - LinTerm(((x, c),), _F0)
-        bound = rest.scaled(_NEG_F1 / c)
-        strict = a.rel == REL_LT
-        if c > 0:
-            uppers.append((bound, strict))  # x <= bound
+        elif c > 0:
+            uppers.append((a, c))  # x <= -rest/c
         else:
-            lowers.append((bound, strict))  # bound <= x
+            lowers.append((a, -c))  # -rest/c <= x
     if len(kept) + len(lowers) * len(uppers) > limit:
         raise ResourceLimitError(f"elimination exceeds {limit} conjuncts")
-    for lo, lo_strict in lowers:
-        for up, up_strict in uppers:
-            rel = REL_LT if (lo_strict or up_strict) else REL_LE
-            kept.append(_canon(lo - up, rel))
+    for lo, b in lowers:
+        for up, a in uppers:
+            rel = REL_LT if REL_LT in (lo.rel, up.rel) else REL_LE
+            kept.append(_combine(b, up, a, lo, x, rel))
     return _simplify_conj(kept)
 
 
@@ -235,7 +230,7 @@ def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) 
     atoms = _eliminate_all(_simplify_conj(c.atoms), c.variables - set(keep), limit)
     if atoms is None:
         # unsatisfiable input: a ground-false conjunction
-        return Constraint((AtomicProp(LinTerm.of_const(1), REL_LT),))
+        return Constraint((_atom((), 1, REL_LT),))
     return Constraint(atoms)
 
 
@@ -260,12 +255,12 @@ class Entailment:
 
 def _negate_atom(a: AtomicProp) -> tuple[AtomicProp, ...]:
     """Atoms whose disjunction is the negation of ``a``."""
-    t = a.term
+    t, n = a.term, -a.term
     if a.rel == REL_EQ:
-        return (_canon(t, REL_LT), _canon(-t, REL_LT))
+        return (_atom(t.coeffs, t.const, REL_LT), _atom(n.coeffs, n.const, REL_LT))
     if a.rel == REL_LE:
-        return (_canon(-t, REL_LT),)
-    return (_canon(-t, REL_LE),)
+        return (_atom(n.coeffs, n.const, REL_LT),)
+    return (_atom(n.coeffs, n.const, REL_LE),)
 
 
 def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
@@ -347,7 +342,7 @@ def sample_solution(
             k = a.term.coeff(x)
             if k == 0:
                 continue  # ground leftovers are true after _simplify_conj
-            bound = -a.term.const / k
+            bound = Fraction(-a.term.const, k)
             if a.rel == REL_EQ:
                 if (lo is None or bound > lo or (bound == lo and not lo_strict)) :
                     lo, lo_strict = bound, False

@@ -8,8 +8,11 @@ constraints, atoms, rules, queries, programs), the parser, normalization of
 rules into the internal form (argument tuples that are disjoint sequences of
 distinct variables), variable renaming, and printing.
 
-Everything is immutable.  Rationals are ``fractions.Fraction`` throughout; no
-floating point is used anywhere in the package.
+Everything is immutable and exact; no floating point is used anywhere in the
+package.  Terms, query arguments and sampled values are rationals
+(``fractions.Fraction``).  An atomic proposition is kept as a primitive
+integer vector: its coefficients and constant are Python ``int``s with gcd 1,
+so the Fourier-Motzkin kernel combines atoms in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
-
-Rational = Fraction
 
 # relations of canonical atomic propositions (term REL 0)
 REL_EQ = "="
@@ -57,7 +58,6 @@ class Var:
 _SMALL_FRACTIONS = {i: Fraction(i) for i in range(-8, 9)}
 _F0 = _SMALL_FRACTIONS[0]
 _F1 = _SMALL_FRACTIONS[1]
-_NEG_F1 = _SMALL_FRACTIONS[-1]
 
 
 def _as_fraction(value) -> Fraction:
@@ -74,10 +74,13 @@ class LinTerm:
     """A linear term: sum of coefficient*variable pairs plus a constant.
 
     ``coeffs`` is sorted by variable and contains no zero coefficients, so
-    structural equality is semantic equality.  Equality and hashing go through
-    an integer key (variable names, generations, numerators, denominators):
-    Fraction's own comparisons funnel through numeric-tower instance checks
-    that dominate profiles at elimination scale.
+    structural equality is semantic equality.  The coefficients and constant
+    are ``Fraction``s, except in the term of an :class:`AtomicProp`, where
+    they are ``int``s.  Equality and hashing go through an integer key
+    (variable names, generations, numerators, denominators), which both
+    number types provide: Fraction's own comparisons funnel through
+    numeric-tower instance checks that dominate profiles at elimination
+    scale.
     """
 
     coeffs: tuple[tuple[Var, Fraction], ...] = ()
@@ -125,11 +128,12 @@ class LinTerm:
     def of_const(value) -> "LinTerm":
         return LinTerm((), _as_fraction(value))
 
-    def coeff(self, v: Var) -> Fraction:
+    def coeff(self, v: Var) -> Fraction | int:
+        """The coefficient of v; the int 0 when v does not occur."""
         for var, c in self.coeffs:
             if var == v:
                 return c
-        return _F0
+        return 0
 
     @property
     def variables(self) -> frozenset[Var]:
@@ -207,15 +211,19 @@ class LinTerm:
 class AtomicProp:
     """A canonical atomic proposition ``term REL 0`` with REL in {=, <=, <}.
 
-    Built through :func:`compare`, which moves everything to the left side and
-    scales so the leading variable coefficient has absolute value 1 (and is
-    positive for equalities).  All five source relations reduce to this form.
+    The term is a primitive integer vector: its coefficients and constant are
+    ``int``s with gcd 1, and an equality's leading coefficient is positive, so
+    the positive multiples of a proposition share one form.  Built by
+    :func:`_canon` from a rational term (through :func:`compare`, which moves
+    everything to the left side; all five source relations reduce to this
+    form) or by :func:`_atom` from an integer vector.
     """
 
     term: LinTerm
     rel: str
 
     _hash = None
+    _slope = None
 
     def __post_init__(self):
         if self.rel not in (REL_EQ, REL_LE, REL_LT):
@@ -246,7 +254,28 @@ class AtomicProp:
         return _canon(t, self.rel)
 
     def rename(self, mapping: Mapping[Var, Var]) -> "AtomicProp":
-        return AtomicProp(self.term.rename(mapping), self.rel)
+        t = self.term
+        return _atom(tuple(sorted((mapping.get(v, v), c) for v, c in t.coeffs)),
+                     t.const, self.rel)
+
+    def slope(self) -> tuple[tuple, int, int]:
+        """(d, s, g) with the coefficient vector equal to s*g*d: g > 0 is
+        the gcd of the coefficients and s = +1 or -1 the sign of the leading
+        one, so d is led by a positive coefficient.  d is a flat key of
+        variable names, generations and coefficients; two atoms share d
+        exactly when their coefficient vectors are proportional.  Cached;
+        not defined for ground atoms."""
+        slope = self._slope
+        if slope is None:
+            coeffs = self.term.coeffs
+            g = math.gcd(*(c for _, c in coeffs))
+            sg = g if coeffs[0][1] > 0 else -g
+            d: list = []
+            for v, c in coeffs:
+                d += (v.name, v.gen, c // sg)
+            slope = (tuple(d), 1 if sg > 0 else -1, g)
+            object.__setattr__(self, "_slope", slope)
+        return slope
 
     def is_ground(self) -> bool:
         return not self.term.coeffs
@@ -273,26 +302,33 @@ class AtomicProp:
         if not term.coeffs:
             return f"{term.const} {rel} 0"
         # flip for readability when the leading coefficient is negative
-        flip = term.coeffs[0][1] < 0
-        if flip:
+        if term.coeffs[0][1] < 0:
             term = -term
             rel = {REL_EQ: "=", REL_LE: ">=", REL_LT: ">"}[rel]
-        # scale to integer coefficients, constant on the right
-        term = term.scaled(math.lcm(term.const.denominator,
-                                    *(c.denominator for _, c in term.coeffs)))
-        lhs = LinTerm(term.coeffs, _F0)
-        rhs = -term.const
-        return f"{lhs} {rel} {rhs}"
+        return f"{LinTerm(term.coeffs)} {rel} {-term.const}"
 
 
 def _canon(term: LinTerm, rel: str) -> AtomicProp:
-    if term.coeffs:
-        lead = term.coeffs[0][1]
-        if rel == REL_EQ and lead < 0:
-            term = -term
-            lead = -lead
-        term = term.scaled(Fraction(1) / abs(lead))
-    return AtomicProp(term, rel)
+    """The atom ``term REL 0`` of a rational term, scaled to integers."""
+    coeffs, const = term.coeffs, term.const
+    scale = math.lcm(const.denominator, *(c.denominator for _, c in coeffs))
+    return _atom(tuple((v, c.numerator * (scale // c.denominator))
+                       for v, c in coeffs),
+                 const.numerator * (scale // const.denominator), rel)
+
+
+def _atom(coeffs: tuple[tuple[Var, int], ...], const: int, rel: str) -> AtomicProp:
+    """The atom ``sum of c*v + const REL 0`` of integer coefficients (sorted
+    by variable, none zero) and an integer constant, divided by the gcd of
+    its entries and negated when it is an equality led by a negative
+    coefficient."""
+    g = math.gcd(const, *(c for _, c in coeffs))
+    if rel == REL_EQ and coeffs and coeffs[0][1] < 0:
+        g = -g
+    if g != 1 and g != 0:
+        coeffs = tuple((v, c // g) for v, c in coeffs)
+        const //= g
+    return AtomicProp(LinTerm(coeffs, const), rel)
 
 
 def compare(lhs: LinTerm, op: str, rhs: LinTerm) -> AtomicProp:

@@ -173,7 +173,7 @@ def _one_var_candidates(atoms, x):
     for atom in atoms:
         a = atom.term.coeff(x)
         if a != 0:
-            bounds.add(-atom.term.const / a)
+            bounds.add(Fraction(-atom.term.const) / a)
     if not bounds:
         return [Fraction(0)]
     ordered = sorted(bounds)

@@ -183,6 +183,18 @@ class TestFindLoopingQueries:
         # subsets after the failing one were still checked
         assert len(report.checks) == 8
 
+    def test_witness_overflow_is_the_subsets_error(self):
+        # subset {1, 2} passes the search within 4 conjuncts; its witness
+        # needs 5
+        rule = clause("p(A1, A2) <- 4*B1 > -1, A1 - 2*B1 > -8, B2 >= 1 <> p(B1, B2).")
+        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
+        assert [(c.positions, c.error) for c in report.checks if c.error] == [
+            (frozenset({1, 2}), "elimination exceeds 4 conjuncts")]
+        assert not report.results
+        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=5))
+        assert [r.positions for r in report.results] == [frozenset({1, 2})]
+        assert report.results[0].verified_steps == 100
+
 
 class TestPropagate:
     PAIR = (

@@ -245,6 +245,29 @@ class TestCheck:
         assert data["via"] is None
         assert data["empirical_steps"] is None
 
+    def test_run_obeys_max_dnf(self, tmp_path, capsys):
+        # the analysis and the proof fit in 5 conjuncts, the run's second
+        # step does not
+        path = rule_file(
+            tmp_path, "p(A, B) <- D <= C, E <= C, C <= A, C <= B + D <> p(D, E).\n")
+        args = ["check", path, "--query", "p(0, 1)", "--max-dnf", "5"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--run", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: elimination exceeds 5 conjuncts"]
+
+    def test_proof_obeys_max_dnf(self, tmp_path, capsys):
+        path = rule_file(tmp_path, "p(A) <- A = B - 1 <> p(B).\n")
+        query = "p(X) : X <= Y, X <= 2*Z, W <= X, V <= X"
+        assert main(["check", path, "--query", query, "--max-dnf", "4"]) == 0
+        assert "LOOPS (proved)" in capsys.readouterr().out
+        assert main(["check", path, "--query", query, "--max-dnf", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: elimination exceeds 3 conjuncts"]
+
     def test_unknown_predicate(self, tmp_path, capsys):
         path = rule_file(tmp_path, SHIFT_GE)
         assert main(["check", path, "--query", "r(0)"]) == 2

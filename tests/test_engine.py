@@ -6,7 +6,7 @@ from fuzzers import every_step_run, textbook_step
 from clploop import engine
 from clploop.engine import DerivationState, derivation_step, format_trace, run
 from clploop.filters import membership
-from clploop.linarith import satisfiable
+from clploop.linarith import ResourceLimitError, satisfiable
 from clploop.syntax import (
     LinTerm,
     max_gen,
@@ -73,6 +73,16 @@ class TestRun:
         assert state.steps == 100
         short = run(parse_query("p(2)"), prog, max_steps=10)
         assert short.steps == 10
+
+    def test_limit_bounds_every_step(self):
+        # the second step from p(0, 1) combines more than five bounds
+        prog = parse_program(
+            "p(A, B) <- D <= C, E <= C, C <= A, C <= B + D <> p(D, E).")
+        q = parse_query("p(0, 1)", prog)
+        assert run(q, prog, 1, limit=5).steps == 1
+        with pytest.raises(ResourceLimitError, match="exceeds 5 conjuncts"):
+            run(q, prog, 2, limit=5)
+        assert run(q, prog, 100, limit=6).steps == 100
 
     def test_single_step_then_stuck(self):
         prog = parse_program("p(A) <- A = 0, B = 1 <> p(B).")

@@ -153,6 +153,40 @@ class TestEliminate:
         assert project(c, {X, Y}) == c
 
 
+class TestIntegerForm:
+    """Atoms are primitive integer vectors, and bounds on one slope compare
+    by value whatever the gcd of their coefficients."""
+
+    def test_proportional_slopes_keep_the_tighter_bound(self):
+        # 2*X + 2*Y <= 1 says X + Y <= 1/2
+        loose = le(tx.scaled(2) + ty.scaled(2), one)
+        tight = le(tx + ty, zero)
+        assert _simplify_conj((loose, tight)) == (tight,)
+        assert _simplify_conj((tight, loose)) == (tight,)
+        assert project(Constraint.of(loose, tight, le(zero, tz)), {X, Y}) == \
+            Constraint.of(tight)
+
+    def test_opposite_bounds_with_different_gcds_fold(self):
+        atoms = (le(tx.scaled(2), one), compare(tx.scaled(-4), "<=", LinTerm.of_const(-2)))
+        folded = _simplify_conj(atoms)
+        assert folded == (eq(tx.scaled(2), one),)
+        assert str(folded[0]) == "2*X = 1"
+
+    def test_equality_settles_bounds_on_its_slope(self):
+        e = eq(tx.scaled(2) + ty.scaled(2), one)  # X + Y = 1/2
+        assert _simplify_conj((e, le(tx + ty, one))) == (e,)
+        assert _simplify_conj((e, le(zero, tx + ty))) == (e,)
+        assert _simplify_conj((e, lt(tx + ty, zero))) is None
+        assert _simplify_conj((e, le(one, tx + ty))) is None
+        assert _simplify_conj((e, eq(tx + ty, zero))) is None
+
+    def test_atoms_print_their_integer_vector(self):
+        a = le(tx.scaled(Fraction(2, 3)), ty.scaled(Fraction(1, 2)) + one)
+        assert [c for _, c in a.term.coeffs] == [4, -3] and a.term.const == -6
+        assert str(a) == "4*X - 3*Y <= 6"
+        assert str(project(Constraint.of(lt(tx, tx)), ())) == "1 < 0"
+
+
 class TestDecide:
     def test_dense_order(self):
         assert entails([], [lt(tx, ty)], {X})
