@@ -58,7 +58,9 @@ class AnalyzeOptions:
 class SubsetCheck:
     """Diagnostics for one position subset: which side of the neutrality
     criterion held, and whether the body query subsumed the head query.
-    Unevaluated checks are None; ``error`` carries a resource-limit message."""
+    Unevaluated checks are None.  ``error`` carries a resource-limit
+    message, or says that the subset's witness failed engine validation
+    (all three checks then held, and the subset has no result)."""
 
     positions: frozenset[int]
     head_ok: Optional[bool] = None
@@ -68,7 +70,7 @@ class SubsetCheck:
 
     @property
     def passed(self) -> bool:
-        return bool(self.head_ok and self.body_ok and self.subsumes)
+        return bool(self.head_ok and self.body_ok and self.subsumes) and not self.error
 
     @property
     def failed_condition(self) -> Optional[str]:
@@ -124,7 +126,9 @@ class ProgramReport:
     propagated: tuple[PropagatedLoop, ...] = ()
 
     @property
-    def had_resource_error(self) -> bool:
+    def had_error(self) -> bool:
+        """Whether some subset hit a resource limit or has a witness that
+        failed engine validation (the CLI then exits with 3)."""
         return any(r.errors for r in self.reports)
 
 
@@ -194,8 +198,9 @@ def find_looping_queries(rule: Clause, index: int = 0,
                          opts: AnalyzeOptions = AnalyzeOptions()) -> ClauseReport:
     """Scan position subsets in decreasing cardinality (lexicographic within a
     cardinality) and collect every passing filter with a verified witness.
-    Non-recursive rules yield an empty report; resource-limit errors are
-    recorded per subset and the scan continues."""
+    Non-recursive rules yield an empty report.  Resource-limit errors and
+    witnesses that fail engine validation are recorded as the subset's
+    error, and the scan continues."""
     if not rule.is_recursive():
         return ClauseReport(index=index, clause=rule)
     arity = rule.head_pred.arity
@@ -228,14 +233,14 @@ def find_looping_queries(rule: Clause, index: int = 0,
             except ResourceLimitError as err:
                 checks.append(SubsetCheck(m, error=str(err)))
                 continue
+            if check.passed and verified < opts.verify_steps:
+                # the criterion is sound, so this is an implementation fault
+                check = SubsetCheck(m, head_ok, body_ok, subsumes, error=(
+                    f"witness {witness} failed engine validation after "
+                    f"{verified} of {opts.verify_steps} steps"))
             checks.append(check)
             if not check.passed:
                 continue
-            if verified < opts.verify_steps:
-                raise AssertionError(
-                    f"witness {witness} failed engine validation after "
-                    f"{verified} steps; the neutrality criterion is sound, "
-                    f"so this indicates an implementation bug")
             results.append(FilterResult(m, filt, filt.condition(rule.head_pred),
                                         witness, verified))
             if opts.first_only:

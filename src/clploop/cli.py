@@ -9,8 +9,8 @@ looping query, or filter-more-general than a proven looping head query under
 one of the found filters.
 
 Exit codes: 0 analysis completed (whatever the findings), 2 parse or
-validation error, 3 a resource limit was hit somewhere (the partial report is
-still printed).
+validation error, 3 a resource limit was hit somewhere or a witness failed
+engine validation (the partial report is still printed).
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ def _print_text_report(report: ProgramReport, out) -> None:
             print("  none found", file=out)
         for check in r.checks:
             if check.error:
-                print(f"  resource limit at tau "
+                # a failed witness is the only error of a subset that was decided
+                kind = "error" if check.head_ok else "resource limit"
+                print(f"  {kind} at tau "
                       f"{_positions_str(check.positions)}: {check.error}",
                       file=out)
     if report.propagated:
@@ -154,7 +156,7 @@ def cmd_analyze(args) -> int:
                       f"(clause {r.index + 1}, tau {_positions_str(res.positions)}):")
                 for line in format_trace(state):
                     print(f"  {line}")
-    return 3 if report.had_resource_error else 0
+    return 3 if report.had_error else 0
 
 
 def _proof_for(query: Query, report: ProgramReport,
@@ -223,7 +225,7 @@ def cmd_check(args) -> int:
         if args.trace and state:
             for line in format_trace(state):
                 print(f"  {line}")
-    return 3 if report.had_resource_error else 0
+    return 3 if report.had_error else 0
 
 
 _MAX_DNF_HELP = ("ceiling on the conjuncts of one elimination step in the "

@@ -16,6 +16,18 @@ is the standard solver step of CLP(Q).  The store is then projected onto
 t's variables: projection keeps the denoted set of the successor, hence the
 existence of every later step, and keeps stores from growing on long runs.
 
+Renaming and substitution are one integer pass over a form of the rule
+compiled once and cached on the clause.  The compiled form names each
+variable of c' by its head argument index or by (name, generation offset),
+the offset being the rank of its generation among the rule's generations,
+so generation + offset is exactly where ``rename_apart`` puts it.  A step
+multiplies the query arguments by one common denominator L; each atom of
+c'[s := u], times L, is then an integer vector, and dividing it by the gcd
+of its entries gives the same primitive vector as substituting the rational
+arguments and scaling the result (a positive multiple of a term has one
+primitive form), so every atom equals the one the literal rename, substitute
+and canonicalize would build.
+
 A run, traced or not, stops executing steps once a query repeats: ``run``
 keeps the variant key of one earlier query (Brent's cycle detection) and,
 when a successor is a variant of it, infers the remaining steps instead of
@@ -31,11 +43,22 @@ program:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import linarith
-from .syntax import Clause, Constraint, LinTerm, Program, Query, max_gen, rename_apart
+from .syntax import (
+    Atom,
+    Clause,
+    Constraint,
+    LinTerm,
+    Program,
+    Query,
+    Var,
+    _atom,
+    max_gen,
+)
 
 
 @dataclass
@@ -51,6 +74,30 @@ class DerivationState:
     trace: list[tuple[int, Query]] = field(default_factory=list)
 
 
+def _compiled(rule: Clause) -> tuple[tuple, tuple[tuple[str, int], ...], int]:
+    """A rule p(s) <- c <> q(t) prepared for `derivation_step`, built on
+    first use and cached on it: (atoms, body, span).  Each atom of c is held
+    as its head variables, as (argument index, coefficient), its other
+    variables, as (name, offset, coefficient), its constant and its
+    relation, where offset is the rank of the variable's generation among
+    the rule's generations.  ``body`` holds t as (name, offset) pairs;
+    ``span`` is one more than the largest offset in t (0 when t is empty)."""
+    form = rule._step
+    if form is None:
+        gens = sorted({v.gen for v in rule.variables})
+        offset = {g: i for i, g in enumerate(gens)}
+        head = {v: i for i, v in enumerate(rule.head_vars)}
+        atoms = tuple(
+            (tuple((head[v], c) for v, c in a.term.coeffs if v in head),
+             tuple((v.name, offset[v.gen], c) for v, c in a.term.coeffs if v not in head),
+             a.term.const, a.rel)
+            for a in rule.constraint)
+        body = tuple((v.name, offset[v.gen]) for v in rule.body_vars)
+        form = (atoms, body, 1 + max((o for _, o in body), default=-1))
+        object.__setattr__(rule, "_step", form)
+    return form
+
+
 def derivation_step(
     q: Query,
     rule: Clause,
@@ -60,19 +107,44 @@ def derivation_step(
 ) -> Optional[Query]:
     """One derivation step, or None when no such step exists.
     ``generation`` must exceed every renaming generation in q.  The step
-    renames the rule to p(s) <- c' <> q(t), substitutes each query argument
-    u_i for s_i in c', conjoins the query store d and projects the result
-    onto t's variables; the step exists exactly when that projection is
-    satisfiable, and the successor is <q(t) | projection>."""
+    takes the rule's fresh variant p(s) <- c' <> q(t) at ``generation``
+    (as ``rename_apart`` would), substitutes each query argument u_i for s_i
+    in c', conjoins the query store d and projects the result onto t's
+    variables; the step exists exactly when that projection is satisfiable,
+    and the successor is <q(t) | projection>.
+
+    Renaming and substitution are one integer loop over the compiled rule
+    (see the module docstring): the arguments are multiplied by the lcm L
+    of their denominators, each atom of c' is accumulated as L times its
+    substituted form and reduced by ``_atom``, so the store atoms equal
+    those of renaming, substituting and canonicalizing one by one."""
     if rule.head_pred != q.pred:
         raise ValueError(f"rule head {rule.head_pred} does not match query {q.pred}")
-    fresh = rename_apart(rule, generation)
-    args = dict(zip(fresh.head_vars, q.atom.args))
-    atoms = tuple(a.substitute(args) for a in fresh.constraint) + q.constraint.atoms
-    store = linarith.project(Constraint(atoms), fresh.body_atom.variables, limit)
-    if not linarith.satisfiable(store, limit):
+    atoms, body, _ = _compiled(rule)
+    args = q.atom.args
+    scale = math.lcm(*(t.const.denominator for t in args),
+                     *(c.denominator for t in args for _, c in t.coeffs))
+    scaled = [(tuple((v, c.numerator * (scale // c.denominator)) for v, c in t.coeffs),
+               t.const.numerator * (scale // t.const.denominator))
+              for t in args]
+    store = []
+    for heads, others, k, rel in atoms:
+        acc = {Var(name, generation + off): c * scale for name, off, c in others}
+        k *= scale
+        for i, c in heads:
+            coeffs, const = scaled[i]
+            k += c * const
+            for v, d in coeffs:
+                acc[v] = acc.get(v, 0) + c * d
+        store.append(_atom(tuple(sorted([(v, c) for v, c in acc.items() if c])),
+                           k, rel))
+    keep = tuple(Var(name, generation + off) for name, off in body)
+    projected = linarith.project(Constraint(tuple(store) + q.constraint.atoms),
+                                 keep, limit)
+    if not linarith.satisfiable(projected, limit):
         return None
-    return Query(fresh.body_atom, store)
+    return Query(Atom(rule.body_pred, tuple(LinTerm.of_var(v) for v in keep)),
+                 projected)
 
 
 def run(
@@ -94,7 +166,12 @@ def run(
     variant of the query after ``steps`` steps.  ``keep_trace`` only records
     the executed steps; it does not change which steps are executed.
     ``limit`` bounds the conjuncts of each elimination step of every
-    derivation step."""
+    derivation step.
+
+    Each step's generation exceeds every generation of its query: the first
+    is ``1 + max_gen(q)``, and the next is read off the compiled body of the
+    rule applied, which is ``1 + max_gen`` of the successor (whose variables
+    are the body variables, or none)."""
     state = DerivationState(current=q, steps=0)
     generation = 1 + max_gen(q)
     checkpoint = _variant_key(q)
@@ -110,7 +187,8 @@ def run(
             break
         state.current = successor
         state.steps += 1
-        generation = 1 + max_gen(successor)
+        _, _, span = _compiled(rule)
+        generation = generation + span if span else 1
         if keep_trace:
             state.trace.append((index, successor))
         if checkpoint is None:

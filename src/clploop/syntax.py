@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 # relations of canonical atomic propositions (term REL 0)
 REL_EQ = "="
@@ -43,10 +43,11 @@ class ParseError(Exception):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True, order=True)
-class Var:
+class Var(NamedTuple):
     """A variable.  ``gen`` is the renaming generation; user-written variables
-    have generation 0."""
+    have generation 0.  A NamedTuple, so ordering (by name, then
+    generation), equality and hashing are the tuple's own C methods; the FM
+    core sorts and compares variables once per coefficient."""
 
     name: str
     gen: int = 0
@@ -464,6 +465,8 @@ class Clause:
     body_vars: tuple[Var, ...]
     text: str = field(default="", compare=False)
 
+    _step = None  # the engine's compiled derivation step, set lazily
+
     def __post_init__(self):
         hv, bv = self.head_vars, self.body_vars
         if len(set(hv)) != len(hv) or len(set(bv)) != len(bv) or set(hv) & set(bv):
@@ -523,15 +526,17 @@ def variables_of(obj) -> frozenset[Var]:
 
 
 def max_gen(*objects) -> int:
-    """Largest renaming generation occurring in the given objects (0 if none)."""
+    """Largest renaming generation occurring in the given objects (0 if none):
+    variables, containers of objects, and anything ``variables_of`` takes.
+    A Var is tested first, since it is a tuple itself."""
     best = 0
     for obj in objects:
-        vs = obj if isinstance(obj, (set, frozenset, tuple, list)) else variables_of(obj)
-        for v in vs:
-            if isinstance(v, Var):
-                best = max(best, v.gen)
-            else:
-                best = max(best, max_gen(v))
+        if isinstance(obj, Var):
+            best = max(best, obj.gen)
+        elif isinstance(obj, (set, frozenset, tuple, list)):
+            best = max(best, max_gen(*obj))
+        else:
+            best = max(best, max_gen(*variables_of(obj)))
     return best
 
 

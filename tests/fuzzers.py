@@ -5,8 +5,10 @@ Scales are kept small on purpose: arity at most 2, a handful of atoms,
 coefficients in a narrow integer band. Generators that must deliver a
 well-formed value (satisfiable rule constraint, satisfiable filter
 condition) retry instead of returning a broken one.  ``every_step_run`` is
-the reference the engine's variant shortcut is tested against, and
-``textbook_step`` the reference for one derivation step.
+the reference the engine's variant shortcut is tested against,
+``textbook_step`` the reference for the meaning of one derivation step, and
+``renaming_step`` the reference for the atoms the engine's compiled step
+builds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional
 
 from clploop.engine import derivation_step
 from clploop.filters import Filter, PositionSet, projected_pred
-from clploop.linarith import satisfiable
+from clploop.linarith import DEFAULT_DNF_LIMIT, project, satisfiable
 from clploop.syntax import (
     Atom,
     Clause,
@@ -90,6 +92,57 @@ def rand_query(rng: random.Random, pred: Pred, max_atoms: int = 2) -> Query:
     return Query(Atom(pred, args), rand_constraint(rng, pool, max_atoms))
 
 
+def rand_step_rule(rng: random.Random, head_pred: Pred | None = None,
+                   body_pred: Pred | None = None) -> Clause:
+    """Random rule p(..) <- c <> q(..) (or over the given predicates) with
+    head and body arities from 0 to 2, possibly a local variable, and its
+    variables spread over several generations, some sharing a name (such as
+    ``U#2`` beside ``U``), so the rule's generations are not all 0."""
+    head_pred = head_pred or Pred("p", rng.randint(0, 2))
+    body_pred = body_pred or Pred("q", rng.randint(0, 2))
+    head = tuple(Var(f"A{i}") for i in range(1, head_pred.arity + 1))
+    body = tuple(Var(f"B{i}") for i in range(1, body_pred.arity + 1))
+    locals_ = tuple(Var(f"L{i}") for i in range(1, rng.randint(0, 1) + 1))
+    pool = head + body + locals_
+    while True:
+        c = rand_constraint(rng, pool, max_atoms=4)
+        try:
+            rule = normalize_clause(atom_of_vars(head_pred, head), c,
+                                    atom_of_vars(body_pred, body))
+            break
+        except ParseError:
+            continue
+    names = [(n, g) for n in "UVW" for g in (0, 2, 3, 7)]
+    mapping = {v: Var(*ng) for v, ng in zip(sorted(rule.variables),
+                                            rng.sample(names, len(rule.variables)))}
+    return Clause(rule.head_pred, tuple(mapping[v] for v in rule.head_vars),
+                  rule.constraint.rename(mapping), rule.body_pred,
+                  tuple(mapping[v] for v in rule.body_vars))
+
+
+def rand_rational_query(rng: random.Random, pred: Pred) -> Query:
+    """Random query whose arguments mix variables (often repeated, as in
+    ``p(X, X)``), linear terms with rational coefficients and constants
+    (``2*X + 1/3``) and rational constants; its variables may carry a
+    generation."""
+    pool = tuple(Var(f"Q{i}", rng.choice((0, 0, 1, 4))) for i in range(2))
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def arg() -> LinTerm:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return LinTerm.of_var(rng.choice(pool))
+        if kind == 1:
+            return LinTerm.make({v: rational() for v in pool if rng.random() < 0.6},
+                                rational())
+        return LinTerm.of_const(rational())
+
+    return Query(Atom(pred, tuple(arg() for _ in range(pred.arity))),
+                 rand_constraint(rng, pool, 2))
+
+
 def rand_linear_query(rng: random.Random, pred: Pred, max_atoms: int = 2) -> Query:
     """Random query whose arguments are linear terms with coefficients, such
     as ``2*Q1 - 1``, possibly sharing variables between positions."""
@@ -147,6 +200,23 @@ def textbook_step(q: Query, rule: Clause, generation: int) -> Optional[Query]:
                       for s, u in zip(fresh.head_vars, q.atom.args))
     store = Constraint(equations).conjoin(fresh.constraint).conjoin(q.constraint)
     if not satisfiable(store):
+        return None
+    return Query(fresh.body_atom, store)
+
+
+def renaming_step(q: Query, rule: Clause, generation: int, *,
+                  limit: int = DEFAULT_DNF_LIMIT) -> Optional[Query]:
+    """The engine's derivation step built from the general operations: the
+    fresh variant ``rename_apart(rule, generation)``, each of its atoms with
+    the query arguments substituted for the head variables
+    (``AtomicProp.substitute``, which canonicalizes the rational result),
+    the query store conjoined, and the projection onto the body variables
+    kept when it is satisfiable."""
+    fresh = rename_apart(rule, generation)
+    args = dict(zip(fresh.head_vars, q.atom.args))
+    atoms = tuple(a.substitute(args) for a in fresh.constraint) + q.constraint.atoms
+    store = project(Constraint(atoms), fresh.body_atom.variables, limit)
+    if not satisfiable(store, limit):
         return None
     return Query(fresh.body_atom, store)
 

@@ -374,7 +374,7 @@ class TestProgramReport:
             assert rep.classes == class_closure(passing)
 
     def test_no_resource_errors_at_default_limit(self, corpus_report):
-        assert not corpus_report.had_resource_error
+        assert not corpus_report.had_error
 
     def test_statuses(self, corpus_report):
         statuses = [r.status for r in corpus_report.reports]

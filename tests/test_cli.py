@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from clploop import __version__
+from clploop import __version__, analyzer, parse_program
 from clploop.cli import main
 
 SHIFT_GE = "p(X1, X2) <- X1 >= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
@@ -149,6 +149,46 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.clp"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_witness_is_the_subsets_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the first witness run (clause 1's) stops 3 steps short; clause 2
+        # and the rest of the report are still produced, and the exit is 3
+        text = SHIFT_GE + "q(A) <- A = B + 1, B >= 0 <> q(B).\n"
+        path = rule_file(tmp_path, text)
+        real_run, runs = analyzer.run, []
+
+        def short_first_run(q, program, max_steps, **kwargs):
+            state = real_run(q, program, max_steps, **kwargs)
+            runs.append(q)
+            if len(runs) == 1:
+                state.steps -= 3
+            return state
+
+        monkeypatch.setattr(analyzer, "run", short_first_run)
+        report = analyzer.analyze_program(parse_program(text))
+        first, second = report.reports
+        (failed,) = [c for c in first.checks if c.error]
+        assert failed.error == (f"witness {runs[0]} failed engine validation "
+                                f"after 97 of 100 steps")
+        assert failed.head_ok and failed.body_ok and failed.subsumes
+        assert not failed.passed and failed.positions not in first.classes
+        assert second.status == "looping"
+        assert second.results[0].verified_steps == 100
+        assert report.had_error
+
+        runs.clear()
+        assert main(["analyze", path]) == 3
+        out = capsys.readouterr().out
+        assert f"  error at tau {{1,2}}: witness {runs[0]} failed engine " \
+               f"validation after 97 of 100 steps\n" in out
+        assert "clause 2: q(A) <- A = B + 1, B >= 0 <> q(B).\n  tau: {}\n" in out
+        assert out.endswith("2 clauses: 1 looping, 1 none found\n")
+        runs.clear()
+        assert main(["analyze", path, "--json"]) == 3
+        clauses = json.loads(capsys.readouterr().out)["clauses"]
+        assert clauses[0]["errors"] == [{"tau": [1, 2], "message": failed.error}]
+        assert clauses[1]["status"] == "looping"
 
     def test_resource_limit(self, corpus_path, capsys):
         assert main(["analyze", str(corpus_path), "--max-dnf", "4"]) == 3

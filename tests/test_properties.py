@@ -15,9 +15,12 @@ from fuzzers import (
     rand_filter,
     rand_linear_query,
     rand_query,
+    rand_rational_query,
     rand_rule,
+    rand_step_rule,
     rand_term,
     relax,
+    renaming_step,
     textbook_step,
 )
 
@@ -42,6 +45,7 @@ from clploop.linarith import (
 from clploop.neutral import neutrality_head_formula
 from clploop.syntax import (
     Atom,
+    Clause,
     Constraint,
     LinTerm,
     Pred,
@@ -346,6 +350,85 @@ class TestEngineProperties:
                     if taken is not None and taken[0] == index:
                         assert taken[1] == ours
         assert found >= 100 and missing >= 5
+
+    def test_compiled_step_equals_renaming_step(self):
+        # the compiled integer pass builds exactly the atoms of renaming the
+        # rule apart and substituting the rational arguments atom by atom:
+        # same successor atom, same store atoms in the same order, same
+        # generations, and the next generation run derives from the rule;
+        # the inputs include rational, repeated and ground arguments and
+        # rules over several generations
+        rng = random.Random(113)
+        found = 0
+        seen = set()
+        for _ in range(300):
+            rule = rand_step_rule(rng)
+            q = rand_rational_query(rng, rule.head_pred)
+            args = q.atom.args
+            if len({v.gen for v in rule.variables}) > 2:
+                seen.add("generations")
+            if any(c.denominator > 1 for t in args for _, c in t.coeffs) and \
+                    any(t.const.denominator > 1 for t in args):
+                seen.add("rational")
+            if any(not t.coeffs for t in args):
+                seen.add("ground")
+            if len(args) == 2 and args[0].is_var() and args[0] == args[1]:
+                seen.add("repeated")
+            generation = 1 + max_gen(q) + rng.randint(0, 2)
+            ours = derivation_step(q, rule, generation)
+            ref = renaming_step(q, rule, generation)
+            assert (ours is None) == (ref is None), (str(rule), str(q))
+            if ours is None:
+                continue
+            found += 1
+            assert ours == ref  # the atom, and the store atoms in order
+            assert str(ours) == str(ref)
+            assert [v for t in ours.atom.args for v, _ in t.coeffs] == \
+                [v for t in ref.atom.args for v, _ in t.coeffs]
+            assert all(type(c) is int for a in ours.constraint for _, c in a.term.coeffs)
+            _, _, span = engine._compiled(rule)
+            assert (generation + span if span else 1) == 1 + max_gen(ref)
+        assert found >= 150
+        assert seen == {"generations", "rational", "ground", "repeated"}
+
+    def test_runs_take_the_renaming_steps(self):
+        # two-rule cycles p -> q -> p over rules with several generations and
+        # arities from 0: every executed step of a run equals the renaming
+        # step at 1 + max_gen of its query, so run derives each next
+        # generation as the renaming step's successor requires
+        rng = random.Random(114)
+        executed = 0
+        for _ in range(80):
+            there = rand_step_rule(rng)
+            back = rand_step_rule(rng, there.body_pred, there.head_pred)
+            prog = Program((there, back))
+            q = rand_rational_query(rng, there.head_pred)
+            state = run(q, prog, max_steps=6, keep_trace=True)
+            at = state.cycle[0] if state.cycle else state.steps
+            ref = every_step_run(q, prog, 6, step=renaming_step)
+            assert state.trace[:at] == ref[:at]
+            assert [str(s) for _, s in state.trace[:at]] == [str(s) for _, s in ref[:at]]
+            executed += at
+        assert executed >= 100
+
+    def test_compiled_step_examples(self):
+        # p(1/2, 2*X + 1/3) and p(X, X) against a rule whose variables
+        # carry generations 0, 2 and 5
+        (rule,) = parse_program(
+            "p(A, B) <- A + B >= 1, C = 2*A - B, D <= C + 1 <> q(C, D).").clauses
+        gens = {Var("A"): Var("A", 2), Var("B"): Var("B"), Var("C"): Var("C", 5),
+                Var("D"): Var("D", 2)}
+        rule = Clause(rule.head_pred, tuple(gens[v] for v in rule.head_vars),
+                      rule.constraint.rename(gens), rule.body_pred,
+                      tuple(gens[v] for v in rule.body_vars))
+        for text in ("p(1/2, 2*X + 1/3)", "p(X, X)", "p(X, X) : X >= 1/3"):
+            q = parse_query(text)
+            for generation in (1, 4):
+                ours = derivation_step(q, rule, generation)
+                assert ours == renaming_step(q, rule, generation)
+                assert str(ours) == str(renaming_step(q, rule, generation))
+        ours = derivation_step(parse_query("p(1/2, 2*X + 1/3)"), rule, 1)
+        assert str(ours.atom) == "q(C#3, D#2)"
 
     def test_projected_and_plain_runs_agree_on_length(self):
         rng = random.Random(110)

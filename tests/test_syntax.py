@@ -27,6 +27,46 @@ A, B, C = Var("A"), Var("B"), Var("C")
 ta, tb = LinTerm.of_var(A), LinTerm.of_var(B)
 
 
+class TestVar:
+    def test_order_by_name_then_generation(self):
+        vs = [Var("Y"), Var("X", 10), Var("X"), Var("X", 2), Var("W", 3)]
+        assert sorted(vs) == [Var("W", 3), Var("X"), Var("X", 2), Var("X", 10), Var("Y")]
+        assert Var("X", 9) < Var("Y") and not Var("Y") < Var("X", 9)
+        assert max(vs) == Var("Y") and min(vs) == Var("W", 3)
+
+    def test_str(self):
+        assert str(Var("X")) == "X"
+        assert str(Var("X", 0)) == "X"
+        assert str(Var("X", 3)) == "X#3"
+        assert f"{Var('Y1', 12)}" == "Y1#12"
+
+    def test_fields_and_default_generation(self):
+        v = Var("X", 3)
+        assert (v.name, v.gen) == ("X", 3)
+        assert Var("X").gen == 0 and Var("X") == Var("X", 0)
+
+    def test_equality_and_hash_across_instances(self):
+        assert Var("X", 3) == Var("X", 3)
+        assert hash(Var("X", 3)) == hash(Var("X", 3))
+        assert Var("X", 3) != Var("X", 4) and Var("X") != Var("Y")
+        assert len({Var("X", 3), Var("X", 3), Var("X"), Var("Y", 3)}) == 3
+        assert {Var("X", 3): 1}[Var("X", 3)] == 1
+
+    def test_printed_orders(self):
+        t = LinTerm.make({Var("Y"): 1, Var("X", 2): 2, Var("X"): -1, Var("X", 10): 1}, 1)
+        assert str(t) == "-X + 2*X#2 + X#10 + Y + 1"
+        assert str(compare(t, "<=", LinTerm.of_const(0))) == "X - 2*X#2 - X#10 - Y >= 1"
+
+    def test_max_gen_over_objects_holding_vars(self):
+        assert max_gen(Var("X", 4)) == 4
+        assert max_gen(Var("X", 4), Var("Y", 6)) == 6
+        assert max_gen((Var("X", 2), Var("Y", 5))) == 5
+        assert max_gen(frozenset({Var("X", 7)}), [Var("Y")]) == 7
+        assert max_gen(LinTerm.make({Var("X", 3): 1})) == 3
+        assert max_gen(parse_query("p(A) : A >= B"), [(Var("C", 8),)]) == 8
+        assert max_gen() == 0 and max_gen(()) == 0
+
+
 class TestLinTerm:
     def test_algebra(self):
         t = ta + ta - tb + LinTerm.of_const(3)

@@ -62,13 +62,30 @@ assert notes.count("neutral.head") == len(checks) == 4, notes
 assert notes.count("neutral.body") == head_passes == 2, notes
 """
 
+# the benchmark's engine counters on the bundled corpus: a change to the step
+# or to the run must keep every witness run and step visible to the tracer
+CORPUS_COUNTERS = """\
+import contextlib, io, sys
+import spans
+from clploop import cli
 
-def run_in_perfbench(code):
+tracer = spans.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["analyze", sys.argv[1], "--json"])
+assert rc == 0, rc
+metrics = spans.summarize(tracer.export())
+counts = (metrics["engine.runs"], metrics["engine.steps"])
+assert counts == (23, 533), counts
+"""
+
+
+def run_in_perfbench(code, *args):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         cwd=ROOT / "perfbench", env=env, capture_output=True, text=True,
         timeout=60,
     )
@@ -91,4 +108,10 @@ def test_engine_steps_counted():
 
 def test_neutrality_decides_charged_to_their_builders():
     proc = run_in_perfbench(NEUTRALITY_DECIDES)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_corpus_engine_counters():
+    corpus = ROOT / "src" / "clploop" / "corpus" / "demo.clp"
+    proc = run_in_perfbench(CORPUS_COUNTERS, str(corpus))
     assert proc.returncode == 0, proc.stderr
