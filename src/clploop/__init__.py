@@ -11,12 +11,14 @@ submodules: :mod:`clploop.syntax` (terms and normalization),
 and :mod:`clploop.engine` (the derivation engine).
 
 The prover decides three conjunctive entailments, each projected onto a set
-of variables: the head condition ``c[H renamed apart], M(H) |= c`` over
-the unfiltered head and body variables O and the filtered head variables H,
-the body condition ``c |= M(B)`` over the filtered body variables B, and
-query generality ``membership(W, Q) |= membership(W, Q1)`` over probe
-variables W.  Here c is a rule constraint, R is B plus the rule's local
-variables and M is membership in a filter condition.
+of variables: the head condition ``proj(c, O), den(cond)<H> |= proj(c, O u
+H)`` over the unfiltered head and body variables O and the filtered head
+variables H, the body condition ``c |= den(cond)<B>`` over the filtered body
+variables B, and query generality ``den(Q) |= den(Q1)`` over probe
+variables W.  Here c is a rule constraint, ``proj(c, V)`` its projection
+onto V, den(Q) the denotation of a query as a constraint over W, computed
+once per query, and ``den(cond)<V>`` that of a filter condition with W
+renamed to V.
 """
 
 from __future__ import annotations

@@ -215,11 +215,11 @@ def find_looping_queries(rule: Clause, index: int = 0,
             try:
                 filt = candidate_filter(rule, m, opts.max_dnf)
                 head_ok = linarith.decide(
-                    neutrality_head_formula(filt, rule), opts.max_dnf)
+                    neutrality_head_formula(filt, rule, opts.max_dnf), opts.max_dnf)
                 body_ok = subsumes = None
                 if head_ok:
                     body_ok = linarith.decide(
-                        neutrality_body_formula(filt, rule), opts.max_dnf)
+                        neutrality_body_formula(filt, rule, opts.max_dnf), opts.max_dnf)
                     if body_ok:
                         subsumes = delta_more_general(
                             rule.body_query, rule.head_query, filt, opts.max_dnf)

@@ -1,13 +1,12 @@
 """Position filters and generality checks between atomic queries.
 
 A query Q1 is *more general* than Q iff every ground instance denoted by Q is
-also denoted by Q1.  Membership of a tuple of values in a query's denotation
-is captured by a constraint: taking a variant Q' = <p(t') | d'> of Q that
-shares no variables with the probe terms s, the tuple s belongs to Q's
-denotation exactly when ``s = t', d'`` has a solution extending the values
-of s.  Inclusion between two denotations is then the entailment
-``membership(W, Q) |= membership(W, Q1)`` over fresh probe variables W,
-decided exactly by the linarith module.
+also denoted by Q1.  For Q = <p(t) | d> and probe variables W that occur
+nowhere else, the values of W are denoted by Q exactly when ``W = t, d``
+has a solution extending them.  That constraint projected onto W is the
+*denotation* den(Q) (:func:`denotation`, computed once per query), and
+inclusion between two denotations is the entailment ``den(Q) |= den(Q1)``
+over W, decided exactly by the linarith module.
 
 A *filter* assigns every predicate a set of argument positions together with a
 condition query over the projected predicate.  A query satisfies the filter
@@ -31,9 +30,7 @@ from .syntax import (
     Pred,
     Query,
     Var,
-    compare,
-    max_gen,
-    rename_apart,
+    var_eq,
 )
 
 
@@ -134,48 +131,41 @@ class Filter:
 
 
 # ---------------------------------------------------------------------------
-# membership and inclusion
+# denotation and inclusion
 
-def membership(
-    probe: tuple[LinTerm, ...], q: Query, gen: Optional[int] = None
-) -> Constraint:
-    """Constraint whose solutions, restricted to the variables of ``probe``,
-    are exactly the valuations under which the tuple of probe values is
-    denoted by q: the equations ``probe = t'`` plus the store of the variant
-    of q at generation ``gen``.  ``gen`` must exceed every generation in
-    probe and q; when omitted it is chosen that way."""
-    if len(probe) != q.pred.arity:
-        raise ValueError(f"probe arity {len(probe)} does not match {q.pred}")
-    if gen is None:
-        gen = 1 + max_gen(q, frozenset().union(*[t.variables for t in probe])
-                          if probe else frozenset())
-    variant: Query = rename_apart(q, gen)
-    equations = tuple(compare(s, "=", t) for s, t in zip(probe, variant.atom.args))
-    return Constraint(equations + variant.constraint.atoms)
+def probes(n: int) -> tuple[Var, ...]:
+    """The probe variables W1..Wn.  Their generation, -1, is reserved: no
+    parsed, normalized or renamed variable carries it."""
+    return tuple(Var(f"W{i}", -1) for i in range(1, n + 1))
 
 
-def _gen_span(q: Query) -> int:
-    return len({v.gen for v in q.variables}) or 1
+def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
+    """q's denotation as a constraint over ``probes(n)``: ``W = t, d``
+    projected onto W for q = <p(t) | d>, where q needs no renaming apart
+    since no variable of q has the probes' generation.  Cached on q; a call
+    with a smaller ``limit`` than the cached one computes it again, so it
+    raises ``ResourceLimitError`` exactly when an uncached call would."""
+    cached = q._den
+    if cached is None or limit < cached[0]:
+        w = probes(q.pred.arity)
+        member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
+        cached = (limit, linarith.project(
+            Constraint(member + q.constraint.atoms), w, limit))
+        object.__setattr__(q, "_den", cached)
+    return cached[1]
 
 
 def more_general(q_gen: Query, q: Query,
                  limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
-    """Whether q_gen denotes a superset of q.  Queries over distinct
-    predicates are incomparable unless q denotes the empty set, in which case
-    any query is more general."""
+    """Whether q_gen denotes a superset of q: ``den(q) |= den(q_gen)`` over
+    the probes (see :func:`denotation`).  Queries over distinct predicates
+    are incomparable unless q denotes the empty set, in which case any
+    query is more general."""
     if q_gen.pred != q.pred:
         return not linarith.satisfiable(q.constraint, limit)
-    base = 1 + max_gen(q_gen, q)
-    span_q = _gen_span(q)
-    span_g = _gen_span(q_gen)
-    probe_gen = base + span_q + span_g
-    probe_vars = tuple(Var(f"W{i}", probe_gen) for i in range(1, q.pred.arity + 1))
-    probe = tuple(LinTerm.of_var(v) for v in probe_vars)
     return linarith.decide(Entailment(
-        membership(probe, q, base),
-        membership(probe, q_gen, base + span_q),
-        frozenset(probe_vars),
-    ), limit)
+        denotation(q, limit), denotation(q_gen, limit),
+        frozenset(probes(q.pred.arity))), limit)
 
 
 def satisfies(q: Query, filt: Filter,

@@ -3,14 +3,15 @@
 Every question the prover asks is one :class:`Entailment`: does one
 conjunction, projected onto some variables, entail another projected onto
 the same variables?  There are three such questions, for a rule with
-constraint c, filtered head variables H, filtered body variables B, R the
-variables re-chosen (B plus the locals), O the other rule variables and M
-the membership constraint of a filter condition:
+constraint c, filtered head variables H, filtered body variables B, O the
+unfiltered head and body variables, ``proj(c, V)`` the projection of c onto
+V and ``den(Q)`` the denotation of a query Q as a constraint over probe
+variables W (``den(cond)<V>`` with W renamed to V, for a filter condition):
 
-* the head condition ``c[H renamed apart], M(H) |= c`` over O and H;
-* the body condition ``c |= M(B)`` over B;
-* query generality ``membership(W, Q) |= membership(W, Q1)`` over fresh
-  probe variables W.
+* the head condition ``proj(c, O), den(cond)<H> |= proj(c, O u H)`` over O
+  and H;
+* the body condition ``c |= den(cond)<B>`` over B;
+* query generality ``den(Q) |= den(Q1)`` over W.
 
 The admitted structure is the rationals with addition, rational constants
 and the orderings.

@@ -440,6 +440,8 @@ class Query:
     atom: Atom
     constraint: Constraint
 
+    _den = None  # filters.denotation as (limit, constraint), set lazily
+
     @property
     def pred(self) -> Pred:
         return self.atom.pred
@@ -774,7 +776,7 @@ class _Parser:
         return Pred(name, arity)
 
     # clause := atom "<-" constrs "<>" atom "."
-    def clause(self, source: str) -> Clause:
+    def clause(self, lines: list[str]) -> Clause:
         start = self.peek()
         hname, hargs, htok = self.atom()
         self.expect("<-")
@@ -785,7 +787,7 @@ class _Parser:
         head = Atom(self.pred_of(hname, len(hargs), htok), hargs)
         body = Atom(self.pred_of(bname, len(bargs), btok), bargs)
         end = self.tokens[self.pos - 1]
-        text = _slice_source(source, start, end)
+        text = _slice_source(lines, start, end)
         try:
             clause = normalize_clause(head, c, body, text=text)
         except ParseError as err:
@@ -806,8 +808,10 @@ class _Parser:
         return Query(Atom(self.pred_of(name, len(args), tok), args), c)
 
 
-def _slice_source(source: str, start: _Token, end: _Token) -> str:
-    lines = source.split("\n")
+def _slice_source(lines: list[str], start: _Token, end: _Token) -> str:
+    """The source text from token start to token end, from the source's
+    lines; the lines of a multi-line span are stripped and joined by one
+    space."""
     s_line, s_col = start[2], start[3]
     e_line, e_col = end[2], end[3]
     if s_line == e_line:
@@ -823,9 +827,10 @@ def parse_program(text: str) -> Program:
     position for syntax errors, predicate arity mismatches, nonlinear terms and
     rules whose constraint is unsatisfiable."""
     p = _Parser(text)
+    lines = text.split("\n")
     clauses: list[Clause] = []
     while p.peek()[0] != "eof":
-        clauses.append(p.clause(text))
+        clauses.append(p.clause(lines))
     return Program(tuple(clauses))
 
 

@@ -8,7 +8,11 @@ condition) retry instead of returning a broken one.  ``every_step_run`` is
 the reference the engine's variant shortcut is tested against,
 ``textbook_step`` the reference for the meaning of one derivation step, and
 ``renaming_step`` the reference for the atoms the engine's compiled step
-builds.
+builds.  ``membership``, ``renaming_more_general``,
+``renaming_head_formula`` and ``renaming_body_formula`` build the three
+entailments as they were built before query denotations: by renaming apart,
+with nothing projected before ``decide``; the property tests compare the
+analyzer's builders against them.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from fractions import Fraction
 from typing import Optional
 
 from clploop.engine import derivation_step
-from clploop.filters import Filter, PositionSet, projected_pred
-from clploop.linarith import DEFAULT_DNF_LIMIT, project, satisfiable
+from clploop.filters import Filter, PositionSet, projected_pred, select_positions
+from clploop.linarith import DEFAULT_DNF_LIMIT, Entailment, project, satisfiable
 from clploop.syntax import (
     Atom,
     Clause,
@@ -239,3 +243,100 @@ def every_step_run(q: Query, program: Program, max_steps: int,
         q = successor
         steps.append((index, q))
     return steps
+
+
+def membership(
+    probe: tuple[LinTerm, ...], q: Query, gen: Optional[int] = None
+) -> Constraint:
+    """Constraint whose solutions, restricted to the variables of ``probe``,
+    are exactly the valuations under which the tuple of probe values is
+    denoted by q: the equations ``probe = t'`` plus the store of the variant
+    of q at generation ``gen``.  ``gen`` must exceed every generation in
+    probe and q; when omitted it is chosen that way."""
+    if len(probe) != q.pred.arity:
+        raise ValueError(f"probe arity {len(probe)} does not match {q.pred}")
+    if gen is None:
+        gen = 1 + max_gen(q, frozenset().union(*[t.variables for t in probe])
+                          if probe else frozenset())
+    variant: Query = rename_apart(q, gen)
+    equations = tuple(compare(s, "=", t) for s, t in zip(probe, variant.atom.args))
+    return Constraint(equations + variant.constraint.atoms)
+
+
+def _gen_span(q: Query) -> int:
+    return len({v.gen for v in q.variables}) or 1
+
+
+def renaming_more_general(q_gen: Query, q: Query) -> Entailment:
+    """Generality of two queries over one predicate:
+    ``membership(W, q) |= membership(W, q_gen)`` over fresh probes W, each
+    query renamed apart from W and from the other."""
+    base = 1 + max_gen(q_gen, q)
+    span_q = _gen_span(q)
+    probe_gen = base + span_q + _gen_span(q_gen)
+    probe_vars = tuple(Var(f"W{i}", probe_gen) for i in range(1, q.pred.arity + 1))
+    probe = tuple(LinTerm.of_var(v) for v in probe_vars)
+    return Entailment(membership(probe, q, base),
+                      membership(probe, q_gen, base + span_q),
+                      frozenset(probe_vars))
+
+
+def _renaming_parts(filt: Filter, rule: Clause):
+    head_sel = select_positions(rule.head_vars, filt.positions.get(rule.head_pred))
+    body_sel = select_positions(rule.body_vars, filt.positions.get(rule.body_pred))
+    base = 1 + max(max_gen(rule), max_gen(filt.condition(rule.head_pred)),
+                   max_gen(filt.condition(rule.body_pred)))
+    return head_sel, body_sel, base
+
+
+def renaming_head_formula(filt: Filter, rule: Clause) -> Entailment:
+    """The head condition ``c[H renamed apart], M(H) |= c`` over O and H,
+    with R (B plus the locals) existential on each side."""
+    head_sel, body_sel, base = _renaming_parts(filt, rule)
+    c = rule.constraint
+    probe = tuple(LinTerm.of_var(v) for v in head_sel)
+    member = membership(probe, filt.condition(rule.head_pred), base)
+    fresh = 1 + max_gen(rule, member)
+    apart = c.rename({v: Var(v.name, fresh + v.gen) for v in head_sel})
+    rechoose = set(body_sel) | rule.local_vars()
+    return Entailment(apart.conjoin(member), c, rule.variables - rechoose)
+
+
+def renaming_body_formula(filt: Filter, rule: Clause) -> Entailment:
+    """The body condition ``c |= M(B)`` over B."""
+    _, body_sel, base = _renaming_parts(filt, rule)
+    probe = tuple(LinTerm.of_var(v) for v in body_sel)
+    member = membership(probe, filt.condition(rule.body_pred), base)
+    return Entailment(rule.constraint, member, frozenset(body_sel))
+
+
+def rand_condition_filter(rng: random.Random, rule: Clause) -> Filter:
+    """Random filter for a rule's head and body predicates whose condition
+    queries mix variable arguments (sometimes repeated), linear terms with
+    rational coefficients and constants, rational constants and local
+    variables, drawn from a pool that holds some of the rule's own
+    variables (same name and generation), so conditions share names with
+    the rule, and ``W1``, the name of a probe variable at generation 0.  A
+    predicate sometimes keeps the default condition."""
+    preds = sorted({rule.head_pred, rule.body_pred}, key=lambda p: p.name)
+    shared = sorted(rule.variables)
+    while True:
+        positions = {p: rand_positions(rng, p.arity) if rng.random() < 0.6
+                     else frozenset(range(1, p.arity + 1)) for p in preds}
+        pool = rng.sample(shared, min(2, len(shared))) + [Var("W1")]
+        rng.shuffle(pool)
+        conditions = {}
+        for p in preds:
+            if rng.random() < 0.15:
+                continue
+            pp = projected_pred(p, positions[p])
+            cond = rand_rational_query(rng, pp)
+            mapping = dict(zip(sorted(cond.variables), pool))
+            args = [t.rename(mapping) for t in cond.atom.args]
+            if len(args) > 1 and rng.random() < 0.25:
+                args[0] = args[-1] = LinTerm.of_var(rng.choice(pool))
+            conditions[p] = Query(Atom(pp, tuple(args)), cond.constraint.rename(mapping))
+        try:
+            return Filter.make(PositionSet.of(positions), conditions)
+        except ValueError:
+            continue

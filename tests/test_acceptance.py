@@ -8,7 +8,14 @@ import random
 import time
 from fractions import Fraction
 
-from fuzzers import rand_constraint, rand_filter, rand_query, rand_rule, relax
+from fuzzers import (
+    membership,
+    rand_constraint,
+    rand_filter,
+    rand_query,
+    rand_rule,
+    relax,
+)
 
 from clploop.analyzer import analyze_program, candidate_filter, find_looping_queries
 from clploop.engine import derivation_step, run
@@ -18,7 +25,6 @@ from clploop.filters import (
     delta_more_general,
     more_general,
     project_query,
-    membership,
     projected_pred,
     satisfies,
     select_positions,

@@ -16,7 +16,8 @@ from clploop.analyzer import (
     propagate,
 )
 from clploop.engine import run
-from clploop.linarith import Entailment, decide
+from clploop.linarith import Entailment, ResourceLimitError, decide
+from clploop.neutral import neutrality_head_formula
 from clploop.syntax import (
     Atom,
     Constraint,
@@ -177,11 +178,26 @@ class TestFindLoopingQueries:
         rule = clause(
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
-        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=6))
+        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
         assert report.errors
-        assert any("exceeds 6" in e for e in report.errors)
+        assert any("exceeds 4" in e for e in report.errors)
         # subsets after the failing one were still checked
         assert len(report.checks) == 8
+
+    def test_limit_in_the_head_builder_is_the_subsets_error(self):
+        # subset {1}'s candidate filter projects within 4 conjuncts; the
+        # head builder's projection of the rule constraint needs more
+        rule = clause(
+            "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
+            "C >= B <> pow2(D, E, F).")
+        filt = candidate_filter(rule, frozenset({1}), 4)
+        with pytest.raises(ResourceLimitError, match="exceeds 4"):
+            neutrality_head_formula(filt, rule, 4)
+        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
+        failed = next(c for c in report.checks if c.positions == frozenset({1}))
+        assert failed.error == "elimination exceeds 4 conjuncts"
+        assert failed.head_ok is None
+        assert report.results
 
     def test_witness_overflow_is_the_subsets_error(self):
         # subset {1, 2} passes the search within 4 conjuncts; its witness

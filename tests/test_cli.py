@@ -191,7 +191,7 @@ class TestExitCodes:
         assert clauses[1]["status"] == "looping"
 
     def test_resource_limit(self, corpus_path, capsys):
-        assert main(["analyze", str(corpus_path), "--max-dnf", "4"]) == 3
+        assert main(["analyze", str(corpus_path), "--max-dnf", "3"]) == 3
         out = capsys.readouterr().out
         assert "resource limit at tau" in out
         # the report is still printed in full

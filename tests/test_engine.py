@@ -1,11 +1,10 @@
 """Derivation steps and bounded runs."""
 
 import pytest
-from fuzzers import every_step_run, textbook_step
+from fuzzers import every_step_run, membership, textbook_step
 
 from clploop import engine
 from clploop.engine import DerivationState, derivation_step, format_trace, run
-from clploop.filters import membership
 from clploop.linarith import ResourceLimitError, satisfiable
 from clploop.syntax import (
     LinTerm,

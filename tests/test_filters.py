@@ -1,19 +1,21 @@
 """Position sets, query projection, generality and filter membership."""
 
 import pytest
+from fuzzers import membership
 
 from clploop.filters import (
     Filter,
     PositionSet,
     delta_more_general,
-    membership,
+    denotation,
     more_general,
     project_query,
+    probes,
     projected_pred,
     satisfies,
     select_positions,
 )
-from clploop.linarith import satisfiable
+from clploop.linarith import ResourceLimitError, satisfiable
 from clploop.syntax import (
     Atom,
     Constraint,
@@ -112,6 +114,30 @@ class TestSatFormula:
     def test_arity_check(self):
         with pytest.raises(ValueError, match="arity"):
             membership((tx,), q("p(X, Y)"))
+
+
+class TestDenotation:
+    def test_over_the_reserved_probes(self):
+        den = denotation(q("p(X, 2*X + 1/2) : X >= L, L >= 1"))
+        assert probes(2) == (Var("W1", -1), Var("W2", -1))
+        assert den.variables == set(probes(2))
+        assert str(den) == "4*W1#-1 - 2*W2#-1 = -1, W1#-1 >= 1"
+        assert str(denotation(q("p(X, X, 3)"))) == "W1#-1 - W2#-1 = 0, W3#-1 = 3"
+        assert denotation(q("p")).is_true()
+        # a query over variables named like the probes needs no renaming
+        assert str(denotation(q("p(W2, W1) : W2 <= W1"))) == "W1#-1 - W2#-1 <= 0"
+
+    def test_cached_on_the_query(self):
+        target = q("p(X, Y) : Y <= X + 2")
+        assert denotation(target) is denotation(target)
+
+    def test_smaller_limit_than_the_cached_one_raises(self):
+        target = q("p(X) : X >= L, X >= M, L >= 0, M >= 1, X <= 9")
+        den = denotation(target)
+        with pytest.raises(ResourceLimitError, match="exceeds 4"):
+            denotation(target, 4)
+        assert denotation(target, 5) == den
+        assert str(den) == "W1#-1 <= 9, W1#-1 >= 1"
 
 
 class TestMoreGeneral:

@@ -223,6 +223,18 @@ class TestParsing:
         with pytest.raises(ParseError, match="arity mismatch"):
             parse_program("p(A) <- true <> p(A, B).")
 
+    def test_clause_text_is_its_source_span(self):
+        # a clause on one line keeps its text as written; the lines of a
+        # multi-line clause are stripped and joined by one space
+        prog = parse_program(
+            "p(A) <-\n   A >= 1,\n  A = B + 1   # c\n <> p(B).  q(X) <- X = Y <>\n"
+            "q(Y).\n\n  r(X,\tY) <- X >= Y,   Y = Z <> r(Z, W).")
+        assert [c.text for c in prog.clauses] == [
+            "p(A) <- A >= 1, A = B + 1   # c <> p(B).",
+            "q(X) <- X = Y <> q(Y).",
+            "r(X,\tY) <- X >= Y,   Y = Z <> r(Z, W).",
+        ]
+
     def test_true_reserved(self):
         with pytest.raises(ParseError, match="'true' is reserved"):
             parse_program("true <- true <> true.")
