@@ -31,7 +31,6 @@ from .syntax import (
     Query,
     parse_program,
     parse_query,
-    to_source,
 )
 
 
@@ -44,7 +43,7 @@ def _sorted_classes(classes) -> list[frozenset[int]]:
 
 
 def _clause_source(report: ClauseReport) -> str:
-    return report.clause.text or to_source(report.clause)
+    return report.clause.text or str(report.clause)
 
 
 def _print_text_report(report: ProgramReport, out) -> None:

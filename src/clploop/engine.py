@@ -20,8 +20,9 @@ Renaming and substitution are one integer pass over a form of the rule
 compiled once and cached on the clause.  The compiled form names each
 variable of c' by its head argument index or by (name, generation offset),
 the offset being the rank of its generation among the rule's generations,
-so generation + offset is exactly where ``rename_apart`` puts it.  A step
-multiplies the query arguments by one common denominator L; each atom of
+so generation + offset is exactly where renaming the rule apart at that
+generation puts it (the rule's i-th generation goes to generation + i).  A
+step multiplies the query arguments by one common denominator L; each atom of
 c'[s := u], times L, is then an integer vector, and dividing it by the gcd
 of its entries gives the same primitive vector as substituting the rational
 arguments and scaling the result (a positive multiple of a term has one
@@ -39,15 +40,44 @@ program:
     renaming, and so does the denotation of the successor;
   - a variant therefore repeats the stretch of steps that led back to it;
   - so every later step exists, and the run reaches any step budget.
+
+A run whose store drifts (``B = A + 1``, ``B = 2*A``) never repeats a
+query, so at the same checkpoints, when no variant has been found, ``run``
+also tries the variant check modulo an affine map.  It applies when the
+last three queries Q_k-2, Q_k-1, Q_k share a predicate p that exactly one
+rule p(x) <- c(x, y, z) <> p(y) of the program heads.  A diagonal map
+A(W)_i = a_i*W_i + b_i is guessed from samples s0, s1, s2 of the three
+query denotations: a_i = (s2_i - s1_i)/(s1_i - s0_i), or 1 when
+s1_i = s0_i, and b_i = s2_i - a_i*s1_i.  Two entailments are then decided:
+  - (i) ``den(Q_k-1) |= den(Q_k)[W := A.W]`` over the probes W: the image
+    of Q_k-1 under A lies in Q_k;
+  - (ii) ``proj(c, x u y) |= proj(c, x u y)[x := A.x, y := A.y]`` over x
+    and y: the rule's relation is closed under A on both sides.
+Together they prove that every later step exists:
+  - with the single rule, den(Q_j+1) is post(den(Q_j)) for the monotone
+    post(S) = {y : some x in S has c(x, y, z)}, and a step exists exactly
+    when post is non-empty;
+  - by (ii), post(A.S) contains A.post(S);
+  - so by induction from (i), den(Q_j+1) contains A.den(Q_j) for every
+    j >= k-1, and none of them is empty, since den(Q_k) is not.
+The proof needs no inverse of A, so a_i = 0 is sound.  The variant check
+is the case where A is the identity, and it stays the only shortcut for a
+predicate headed by several rules, where leftmost selection may pick an
+earlier rule on a larger query, and for periods no diagonal map describes.
+Samples and decisions run under the run's ``limit``; exceeding it only
+forgoes the shortcut at that checkpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from . import linarith
+from .filters import denotation, probes
+from .linarith import Entailment, ResourceLimitError
 from .syntax import (
     Atom,
     Clause,
@@ -64,13 +94,18 @@ from .syntax import (
 @dataclass
 class DerivationState:
     """Outcome of a (partial) derivation run.  ``cycle`` is (step, period)
-    when the run skipped steps: the query after ``step`` steps was a variant
-    of the one ``period`` steps earlier.  ``trace`` holds (clause index,
-    query) for each executed step when the run keeps it."""
+    when the run skipped steps.  With ``drift`` None, the query after
+    ``step`` steps was a variant of the one ``period`` steps earlier.
+    Otherwise ``drift`` is the diagonal map A(W)_i = a_i*W_i + b_i as its
+    (a_i, b_i) pairs, the period is 1, the query after ``step`` steps
+    denotes a superset of the image under A of the one before, and the rule
+    is closed under A (see the module docstring).  ``trace`` holds (clause
+    index, query) for each executed step when the run keeps it."""
 
     current: Query
     steps: int
     cycle: Optional[tuple[int, int]] = None
+    drift: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
     trace: list[tuple[int, Query]] = field(default_factory=list)
 
 
@@ -108,10 +143,10 @@ def derivation_step(
     """One derivation step, or None when no such step exists.
     ``generation`` must exceed every renaming generation in q.  The step
     takes the rule's fresh variant p(s) <- c' <> q(t) at ``generation``
-    (as ``rename_apart`` would), substitutes each query argument u_i for s_i
-    in c', conjoins the query store d and projects the result onto t's
-    variables; the step exists exactly when that projection is satisfiable,
-    and the successor is <q(t) | projection>.
+    (its i-th generation renamed to ``generation`` + i), substitutes each
+    query argument u_i for s_i in c', conjoins the query store d and
+    projects the result onto t's variables; the step exists exactly when
+    that projection is satisfiable, and the successor is <q(t) | projection>.
 
     Renaming and substitution are one integer loop over the compiled rule
     (see the module docstring): the arguments are multiplied by the lcm L
@@ -163,8 +198,12 @@ def run(
     periods are counted without executing them and recorded in ``cycle``, and
     the fewer than p steps left over are executed.  ``steps`` then equals
     ``max_steps`` and ``current`` is the last query actually computed, a
-    variant of the query after ``steps`` steps.  ``keep_trace`` only records
-    the executed steps; it does not change which steps are executed.
+    variant of the query after ``steps`` steps.  When a checkpoint's query
+    instead contains the image of the one before under an affine map the
+    rule is closed under (see ``_drift``), every later step exists as well:
+    the run records the map in ``drift``, sets ``steps`` to ``max_steps``
+    and keeps the checkpoint's query as ``current``.  ``keep_trace`` only
+    records the executed steps; it does not change which steps are executed.
     ``limit`` bounds the conjuncts of each elimination step of every
     derivation step.
 
@@ -176,6 +215,7 @@ def run(
     generation = 1 + max_gen(q)
     checkpoint = _variant_key(q)
     checkpoint_step = 0
+    recent = (q,)  # the last three queries, while a checkpoint is kept
     while state.steps < max_steps:
         for index, rule in enumerate(program.clauses):
             if rule.head_pred == state.current.pred:
@@ -193,6 +233,7 @@ def run(
             state.trace.append((index, successor))
         if checkpoint is None:
             continue
+        recent = recent[-2:] + (successor,)
         key = _variant_key(successor)
         if key == checkpoint:
             period = state.steps - checkpoint_step
@@ -203,7 +244,53 @@ def run(
             checkpoint = None
         elif state.steps >= 2 * checkpoint_step:
             checkpoint, checkpoint_step = key, state.steps
+            if len(recent) == 3 and state.steps < max_steps:
+                drift = _drift(recent, program, limit)
+                if drift is not None:
+                    state.cycle, state.drift = (state.steps, 1), drift
+                    state.steps = max_steps
     return state
+
+
+def _drift(queries: tuple[Query, Query, Query], program: Program,
+           limit: int) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
+    """The diagonal map of the module docstring as (a_i, b_i) pairs when
+    both of its entailments hold for the three queries, else None.  None
+    also when the queries do not share a predicate headed by exactly one
+    rule, that rule is not recursive, or ``limit`` is exceeded."""
+    pred = queries[-1].pred
+    rules = [r for r in program.clauses if r.head_pred == pred]
+    if (any(q.pred != pred for q in queries) or len(rules) != 1
+            or not rules[0].is_recursive()):
+        return None
+    rule = rules[0]
+    w = probes(pred.arity)
+    try:
+        dens = [denotation(q, limit) for q in queries]
+        s0, s1, s2 = (linarith.sample_solution(d, w, limit) for d in dens)
+        drift = []
+        for v in w:
+            a = ((s2[v] - s1[v]) / (s1[v] - s0[v]) if s1[v] != s0[v]
+                 else Fraction(1))
+            drift.append((a, s2[v] - a * s1[v]))
+        if not linarith.decide(Entailment(
+                dens[1], _image(dens[2], w, drift), frozenset(w)), limit):
+            return None
+        moved = rule.head_vars + rule.body_vars  # x and y, both moved by A
+        if not linarith.decide(Entailment(
+                rule.constraint, _image(rule.constraint, moved, drift * 2),
+                frozenset(moved)), limit):
+            return None
+    except ResourceLimitError:
+        return None
+    return tuple(drift)
+
+
+def _image(c: Constraint, variables: tuple[Var, ...],
+           drift: list[tuple[Fraction, Fraction]]) -> Constraint:
+    """c with each variable v_i replaced by a_i*v_i + b_i."""
+    mapping = {v: LinTerm.make({v: a}, b) for v, (a, b) in zip(variables, drift)}
+    return Constraint(tuple(atom.substitute(mapping) for atom in c))
 
 
 def _variant_key(q: Query) -> tuple:
@@ -226,12 +313,18 @@ def _variant_key(q: Query) -> tuple:
 
 def format_trace(state: DerivationState) -> list[str]:
     """One line per recorded step under its step number, clause numbers
-    1-based as in reports, and one line for the steps a cycle skipped."""
+    1-based as in reports, and one line for the steps a cycle skipped that
+    names the variant period or the affine map."""
     at, period = state.cycle or (state.steps, 1)
     skipped = state.steps - at - (state.steps - at) % period
     lines = [f"step {k + skipped if k > at else k}: clause {index + 1} |- {query}"
              for k, (index, query) in enumerate(state.trace, start=1)]
-    if state.cycle:
+    if state.drift is not None:
+        moves = ", ".join(f"W{i} := {LinTerm.make({Var(f'W{i}'): a}, b)}"
+                          for i, (a, b) in enumerate(state.drift, start=1))
+        lines.insert(at, f"steps {at + 1}..{at + skipped} not executed: step {at} "
+                         f"contains the image of step {at - 1} under {moves}")
+    elif state.cycle:
         lines.insert(at, f"steps {at + 1}..{at + skipped} not executed: step {at} "
                          f"is a variant of step {at - period} (period {period})")
     return lines

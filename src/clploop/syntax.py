@@ -502,7 +502,9 @@ class Clause:
         return self.head_pred == self.body_pred
 
     def __str__(self) -> str:
-        return to_source(self)
+        """Grammar-conforming text for the rule; parsing it rebuilds the
+        rule structurally."""
+        return f"{self.head_atom} <- {self.constraint} <> {self.body_atom}."
 
 
 @dataclass(frozen=True)
@@ -510,68 +512,15 @@ class Program:
     clauses: tuple[Clause, ...]
 
     def __str__(self) -> str:
-        return "\n".join(to_source(c) for c in self.clauses)
+        return "\n".join(str(c) for c in self.clauses)
 
 
 # ---------------------------------------------------------------------------
-# variable collection and renaming
+# renaming generations
 
-def variables_of(obj) -> frozenset[Var]:
-    if isinstance(obj, (LinTerm, AtomicProp, Constraint, Atom, Query, Clause)):
-        return obj.variables
-    if isinstance(obj, Program):
-        out: set[Var] = set()
-        for c in obj.clauses:
-            out |= c.variables
-        return frozenset(out)
-    raise TypeError(f"cannot collect variables of {type(obj).__name__}")
-
-
-def max_gen(*objects) -> int:
-    """Largest renaming generation occurring in the given objects (0 if none):
-    variables, containers of objects, and anything ``variables_of`` takes.
-    A Var is tested first, since it is a tuple itself."""
-    best = 0
-    for obj in objects:
-        if isinstance(obj, Var):
-            best = max(best, obj.gen)
-        elif isinstance(obj, (set, frozenset, tuple, list)):
-            best = max(best, max_gen(*obj))
-        else:
-            best = max(best, max_gen(*variables_of(obj)))
-    return best
-
-
-def rename_apart(obj, gen: int):
-    """Return a variant of ``obj`` with every variable re-indexed at or above
-    ``gen``.  Distinct generations in the input stay distinct (the i-th
-    generation present maps to gen + i), so objects whose variables all have
-    generation 0 are re-indexed to exactly ``gen``.  Callers pick ``gen``
-    strictly greater than any generation in the objects the variant must be
-    disjoint from; there is no hidden global counter."""
-    vs = variables_of(obj)
-    gens = sorted({v.gen for v in vs})
-    shift = {g: gen + i for i, g in enumerate(gens)}
-    mapping = {v: Var(v.name, shift[v.gen]) for v in vs}
-    if isinstance(obj, (LinTerm, AtomicProp, Constraint)):
-        return obj.rename(mapping)
-    if isinstance(obj, Atom):
-        return Atom(obj.pred, tuple(t.rename(mapping) for t in obj.args))
-    if isinstance(obj, Query):
-        return Query(
-            Atom(obj.atom.pred, tuple(t.rename(mapping) for t in obj.atom.args)),
-            obj.constraint.rename(mapping),
-        )
-    if isinstance(obj, Clause):
-        return Clause(
-            obj.head_pred,
-            tuple(mapping[v] for v in obj.head_vars),
-            obj.constraint.rename(mapping),
-            obj.body_pred,
-            tuple(mapping[v] for v in obj.body_vars),
-            text=obj.text,
-        )
-    raise TypeError(f"cannot rename {type(obj).__name__}")
+def max_gen(q: Query) -> int:
+    """Largest renaming generation of a variable of q (0 if none)."""
+    return max((v.gen for v in q.variables), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -902,14 +851,3 @@ def normalize_clause(head: Atom, constraint: Constraint, body: Atom, text: str =
     if not linarith.satisfiable(new_constraint):
         raise ParseError(f"unsatisfiable rule constraint: {new_constraint}")
     return Clause(head.pred, head_vars, new_constraint, body.pred, body_vars, text=text)
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-def to_source(clause: Clause) -> str:
-    """Grammar-conforming text for a normalized rule; parse(to_source(r))
-    rebuilds r structurally."""
-    head = str(clause.head_atom)
-    body = str(clause.body_atom)
-    return f"{head} <- {clause.constraint} <> {body}."

@@ -1,14 +1,16 @@
 """Seeded random generators shared by the property and acceptance suites.
 
 Everything takes an explicit random.Random so each suite is reproducible.
-Scales are kept small on purpose: arity at most 2, a handful of atoms,
-coefficients in a narrow integer band. Generators that must deliver a
-well-formed value (satisfiable rule constraint, satisfiable filter
-condition) retry instead of returning a broken one.  ``every_step_run`` is
-the reference the engine's variant shortcut is tested against,
-``textbook_step`` the reference for the meaning of one derivation step, and
-``renaming_step`` the reference for the atoms the engine's compiled step
-builds.  ``membership``, ``renaming_more_general``,
+Scales are kept small on purpose: arity at most 2 (3 for drifting rules),
+a handful of atoms, coefficients in a narrow integer band.  Generators that
+must deliver a well-formed value (satisfiable rule constraint, satisfiable
+filter condition) retry instead of returning a broken one.
+``every_step_run`` is the reference the engine's variant and affine
+shortcuts are tested against, ``textbook_step`` the reference for the
+meaning of one derivation step, and ``renaming_step`` the reference for the
+atoms the engine's compiled step builds.  ``rename_apart``,
+``variables_of`` and ``max_gen`` over any objects serve those references.
+``membership``, ``renaming_more_general``,
 ``renaming_head_formula`` and ``renaming_body_formula`` build the three
 entailments as they were built before query denotations: by renaming apart,
 with nothing projected before ``decide``; the property tests compare the
@@ -26,6 +28,7 @@ from clploop.filters import Filter, PositionSet, projected_pred, select_position
 from clploop.linarith import DEFAULT_DNF_LIMIT, Entailment, project, satisfiable
 from clploop.syntax import (
     Atom,
+    AtomicProp,
     Clause,
     Constraint,
     LinTerm,
@@ -36,12 +39,69 @@ from clploop.syntax import (
     Var,
     atom_of_vars,
     compare,
-    max_gen,
     normalize_clause,
-    rename_apart,
 )
 
 RELS = ("=", "<=", "<", ">=", ">")
+
+
+def variables_of(obj) -> frozenset[Var]:
+    if isinstance(obj, (LinTerm, AtomicProp, Constraint, Atom, Query, Clause)):
+        return obj.variables
+    if isinstance(obj, Program):
+        out: set[Var] = set()
+        for c in obj.clauses:
+            out |= c.variables
+        return frozenset(out)
+    raise TypeError(f"cannot collect variables of {type(obj).__name__}")
+
+
+def max_gen(*objects) -> int:
+    """Largest renaming generation occurring in the given objects (0 if none):
+    variables, containers of objects, and anything ``variables_of`` takes.
+    A Var is tested first, since it is a tuple itself.  On one query it
+    equals ``syntax.max_gen``."""
+    best = 0
+    for obj in objects:
+        if isinstance(obj, Var):
+            best = max(best, obj.gen)
+        elif isinstance(obj, (set, frozenset, tuple, list)):
+            best = max(best, max_gen(*obj))
+        else:
+            best = max(best, max_gen(*variables_of(obj)))
+    return best
+
+
+def rename_apart(obj, gen: int):
+    """Return a variant of ``obj`` with every variable re-indexed at or above
+    ``gen``.  Distinct generations in the input stay distinct (the i-th
+    generation present maps to gen + i), so objects whose variables all have
+    generation 0 are re-indexed to exactly ``gen``.  Callers pick ``gen``
+    strictly greater than any generation in the objects the variant must be
+    disjoint from; there is no hidden global counter."""
+    vs = variables_of(obj)
+    gens = sorted({v.gen for v in vs})
+    shift = {g: gen + i for i, g in enumerate(gens)}
+    mapping = {v: Var(v.name, shift[v.gen]) for v in vs}
+    if isinstance(obj, (LinTerm, AtomicProp, Constraint)):
+        return obj.rename(mapping)
+    if isinstance(obj, Atom):
+        return Atom(obj.pred, tuple(t.rename(mapping) for t in obj.args))
+    if isinstance(obj, Query):
+        return Query(
+            Atom(obj.atom.pred, tuple(t.rename(mapping) for t in obj.atom.args)),
+            obj.constraint.rename(mapping),
+        )
+    if isinstance(obj, Clause):
+        return Clause(
+            obj.head_pred,
+            tuple(mapping[v] for v in obj.head_vars),
+            obj.constraint.rename(mapping),
+            obj.body_pred,
+            tuple(mapping[v] for v in obj.body_vars),
+            text=obj.text,
+        )
+    raise TypeError(f"cannot rename {type(obj).__name__}")
 
 
 def rand_term(rng: random.Random, variables, max_vars: int = 2, span: int = 4) -> LinTerm:
@@ -81,6 +141,39 @@ def rand_rule(rng: random.Random, arity: int | None = None, name: str = "p"):
                                     atom_of_vars(pred, body_vars))
         except ParseError:
             continue
+
+
+def rand_drift_rule(rng: random.Random, arity: int | None = None,
+                    name: str = "p", body_name: str | None = None) -> Clause:
+    """Random rule ``p(X1..Xn) <- guards, Y1 = a1*X1 + k1, .. <> p(Y1..Yn)``
+    whose store drifts along a run: each Yi is Xi moved by a translation
+    (``Y = X + k``) or a scaling (``Y = a*X + k``, a in {2, -1, 3}), or left
+    free, and guards such as ``X >= 0``, ``X < 10`` or ``X <= 50`` may end the
+    drift.  With ``body_name`` the rule is an exit ``p(X1..Xn) <- Xi >= k <>
+    q(Y1..Yn)`` (or ``<=``) to that predicate instead, for the first rule of
+    a two-rule program: a drifting run may cross its bound after some steps."""
+    n = arity if arity is not None else rng.randint(1, 3)
+    head = tuple(Var(f"A{i}") for i in range(1, n + 1))
+    body = tuple(Var(f"B{i}") for i in range(1, n + 1))
+    if body_name is not None:
+        atoms = [compare(LinTerm.of_var(rng.choice(head)), rng.choice((">=", "<=")),
+                         LinTerm.of_const(rng.randint(-6, 6)))]
+        return normalize_clause(atom_of_vars(Pred(name, n), head), Constraint(tuple(atoms)),
+                                atom_of_vars(Pred(body_name, n), body))
+    atoms = []
+    for x, y in zip(head, body):
+        kind = rng.random()
+        if kind < 0.85:
+            a = 1 if kind < 0.45 else rng.choice((2, -1, 3))
+            atoms.append(compare(LinTerm.of_var(y), "=", LinTerm.make(
+                {x: Fraction(a)}, Fraction(rng.randint(-3, 3)))))
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        x = rng.choice(head)
+        rel, bound = rng.choice(((">=", 0), ("<", 10), ("<=", 50), (">=", -5)))
+        atoms.append(compare(LinTerm.of_var(x), rel, LinTerm.of_const(bound)))
+    rng.shuffle(atoms)
+    return normalize_clause(atom_of_vars(Pred(name, n), head), Constraint(tuple(atoms)),
+                            atom_of_vars(Pred(name, n), body))
 
 
 def rand_query(rng: random.Random, pred: Pred, max_atoms: int = 2) -> Query:
@@ -194,7 +287,8 @@ def rand_filter(rng: random.Random, pred: Pred,
             continue
 
 
-def textbook_step(q: Query, rule: Clause, generation: int) -> Optional[Query]:
+def textbook_step(q: Query, rule: Clause, generation: int, *,
+                  limit: int = DEFAULT_DNF_LIMIT) -> Optional[Query]:
     """The derivation step as the paper defines it: from <p(u) | d> with the
     fresh variant p(s) <- c' <> q(t), the successor <q(t) | s = u, c', d>
     when that store is satisfiable, else None.  No substitution and no
@@ -203,7 +297,7 @@ def textbook_step(q: Query, rule: Clause, generation: int) -> Optional[Query]:
     equations = tuple(compare(LinTerm.of_var(s), "=", u)
                       for s, u in zip(fresh.head_vars, q.atom.args))
     store = Constraint(equations).conjoin(fresh.constraint).conjoin(q.constraint)
-    if not satisfiable(store):
+    if not satisfiable(store, limit):
         return None
     return Query(fresh.body_atom, store)
 
@@ -226,16 +320,18 @@ def renaming_step(q: Query, rule: Clause, generation: int, *,
 
 
 def every_step_run(q: Query, program: Program, max_steps: int,
-                   step=derivation_step) -> list[tuple[int, Query]]:
+                   step=derivation_step, *,
+                   limit: int = DEFAULT_DNF_LIMIT) -> list[tuple[int, Query]]:
     """The (clause index, query) pair of each step of the derivation from q,
     every step executed: leftmost selection over ``step`` (the engine's
-    ``derivation_step`` or ``textbook_step``) with no variant shortcut,
-    stopping at ``max_steps`` or when no rule applies."""
+    ``derivation_step`` or ``textbook_step``, called with ``limit``) with no
+    variant or affine shortcut, stopping at ``max_steps`` or when no rule
+    applies."""
     steps: list[tuple[int, Query]] = []
     while len(steps) < max_steps:
         for index, rule in enumerate(program.clauses):
             if rule.head_pred == q.pred:
-                successor = step(q, rule, 1 + max_gen(q))
+                successor = step(q, rule, 1 + max_gen(q), limit=limit)
                 if successor is not None:
                     break
         else:

@@ -9,12 +9,14 @@ import time
 from fractions import Fraction
 
 from fuzzers import (
+    max_gen,
     membership,
     rand_constraint,
     rand_filter,
     rand_query,
     rand_rule,
     relax,
+    rename_apart,
 )
 
 from clploop.analyzer import analyze_program, candidate_filter, find_looping_queries
@@ -45,9 +47,7 @@ from clploop.syntax import (
     Query,
     Var,
     compare,
-    max_gen,
     parse_program,
-    rename_apart,
 )
 
 DOUBLING = "p(N, T) <- N >= 1, N = N1 + 1, T1 = 2*T, T >= 1 <> p(N1, T1).\n"

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from clploop import __version__, analyzer, parse_program
+from clploop import __version__, analyzer, engine, parse_program
 from clploop.cli import main
+from clploop.engine import derivation_step
 
 SHIFT_GE = "p(X1, X2) <- X1 >= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
 SHIFT_LE = "p(X1, X2) <- X1 <= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
@@ -83,10 +84,11 @@ class TestAnalyzeText:
     def test_trace_lists_each_witness_run(self, corpus_path, capsys):
         assert main(["analyze", str(corpus_path), "--trace"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 680
+        assert len(lines) == 203
         assert sum(line.startswith("trace for ") for line in lines) == 23
-        assert sum(line.startswith("  step ") for line in lines) == 533
-        assert sum(" not executed: " in line for line in lines) == 18
+        assert sum(line.startswith("  step ") for line in lines) == 51
+        assert sum(" not executed: " in line for line in lines) == 23
+        assert sum(" contains the image of " in line for line in lines) == 5
 
 
 class TestAnalyzeJson:
@@ -249,6 +251,25 @@ class TestCheck:
         assert main(["check", path, "--query", "p(0)", "--run", "1000000"]) == 0
         out = capsys.readouterr().out
         assert "empirical: 1000000 steps (limit reached)" in out
+
+    def test_drifting_run_reaches_a_large_limit(self, tmp_path, capsys, monkeypatch):
+        # the store drifts by one each step, so no query repeats; the run
+        # stops executing once a step contains the previous one moved by
+        # W1 := W1 + 1.  With --verify-steps 0 the analysis runs no witness,
+        # so every derivation step counted is the --run's
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return derivation_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "derivation_step", counted)
+        path = rule_file(tmp_path, "p(A) <- A = B - 1 <> p(B).\n")
+        assert main(["check", path, "--query", "p(0)", "--run", "1000000",
+                     "--verify-steps", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "  empirical: 1000000 steps (limit reached)\n" in out
+        assert len(calls) <= 4
 
     def test_trace_of_a_repeating_run_reaching_a_large_limit(self, tmp_path, capsys):
         path = rule_file(tmp_path, "p(A) <- A = B <> p(B).\n")

@@ -1,14 +1,13 @@
 """Derivation steps and bounded runs."""
 
 import pytest
-from fuzzers import every_step_run, membership, textbook_step
+from fuzzers import every_step_run, max_gen, membership, textbook_step
 
 from clploop import engine
 from clploop.engine import DerivationState, derivation_step, format_trace, run
 from clploop.linarith import ResourceLimitError, satisfiable
 from clploop.syntax import (
     LinTerm,
-    max_gen,
     parse_program,
     parse_query,
 )
@@ -143,25 +142,32 @@ class TestRun:
 
 
 PERIOD_ONE = "p2(A) <- A = B <> p2(B)."
-PERIOD_TWO = "p(A) <- B = -A <> p(B)."
+# B = -A alone is caught as the affine map W1 := -W1; a second rule for p,
+# never selected from p(1), leaves the run only the variant check
+SIGN_FLIP = "p(A) <- B = -A <> p(B)."
+PERIOD_TWO = SIGN_FLIP + "\np(A) <- B = A <> p(B)."
 DRIFTING = "p(A) <- A = B - 1 <> p(B)."
+# the first argument grows by the second, so no diagonal map relates steps
+NON_AFFINE = "p(A, B) <- C = A + B, D = B + 1 <> p(C, D)."
 ENDS_EARLY = "p(A) <- A >= 1, A = B + 1 <> p(B)."
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The query of each derivation_step call ``run`` makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return derivation_step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "derivation_step", counted)
+    return calls
 
 
 class TestVariantShortcut:
     """A run that reaches a variant of an earlier query stops executing
     steps; the steps it reports are those of the every-step run."""
-
-    @pytest.fixture
-    def step_calls(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return derivation_step(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "derivation_step", counted)
-        return calls
 
     def test_period_one(self, step_calls):
         prog = parse_program(PERIOD_ONE)
@@ -188,8 +194,8 @@ class TestVariantShortcut:
         assert engine._variant_key(state.current) == engine._variant_key(full[-1][1])
 
     def test_drifting_run_executes_every_step(self, step_calls):
-        prog = parse_program(DRIFTING)
-        state = run(parse_query("p(0)"), prog, max_steps=100)
+        prog = parse_program(NON_AFFINE)
+        state = run(parse_query("p(0, 0)"), prog, max_steps=100)
         assert state.steps == 100
         assert state.cycle is None
         assert len(step_calls) == 100
@@ -210,8 +216,8 @@ class TestVariantShortcut:
 
     @pytest.mark.parametrize("rules, query", [
         (PERIOD_ONE, "p2(0)"), (PERIOD_TWO, "p(1)"),
-        (DRIFTING, "p(0)"), (ENDS_EARLY, "p(3)"),
-    ], ids=["period-one", "period-two", "drifting", "ends-early"])
+        (DRIFTING, "p(0)"), (NON_AFFINE, "p(0, 0)"), (ENDS_EARLY, "p(3)"),
+    ], ids=["period-one", "period-two", "drifting", "non-affine", "ends-early"])
     def test_trace_takes_the_same_path(self, step_calls, rules, query):
         prog = parse_program(rules)
         plain = run(parse_query(query), prog, max_steps=99)
@@ -226,7 +232,8 @@ class TestVariantShortcut:
 
     @pytest.mark.parametrize("rules, query", [
         (PERIOD_ONE, "p2(0)"), (PERIOD_TWO, "p(1)"), (DRIFTING, "p(0)"),
-    ], ids=["period-one", "period-two", "drifting"])
+        (NON_AFFINE, "p(0, 0)"),
+    ], ids=["period-one", "period-two", "drifting", "non-affine"])
     def test_traced_steps_are_those_of_the_every_step_run(self, rules, query):
         prog = parse_program(rules)
         traced = run(parse_query(query), prog, max_steps=99,
@@ -238,6 +245,83 @@ class TestVariantShortcut:
             number = traced.steps - len(traced.trace) + at + k
             assert index == full[number - 1][0]
             assert engine._variant_key(q) == engine._variant_key(full[number - 1][1])
+
+
+class TestAffineShortcut:
+    """A run of a predicate headed by one recursive rule stops executing
+    steps once a step contains the previous one moved by a diagonal affine
+    map the rule is closed under; the steps it executes are those of the
+    every-step run."""
+
+    def test_drifting_run_executes_at_most_four_steps(self, step_calls):
+        prog = parse_program(DRIFTING)
+        state = run(parse_query("p(0)"), prog, max_steps=100)
+        assert state.steps == 100
+        assert state.cycle == (2, 1)
+        assert state.drift == ((1, 1),)
+        assert len(step_calls) <= 4
+
+    def test_sign_flip(self, step_calls):
+        # the affine counterpart of period two: W1 := -W1 at step 2
+        state = run(parse_query("p(1)"), parse_program(SIGN_FLIP), max_steps=100)
+        assert state.steps == 100
+        assert (state.cycle, state.drift) == ((2, 1), ((-1, 0),))
+        assert len(step_calls) == 2
+
+    def test_doubling(self):
+        state = run(parse_query("p(1)"), parse_program("p(A) <- B = 2*A <> p(B)."),
+                    max_steps=100)
+        assert (state.steps, state.cycle, state.drift) == (100, (2, 1), ((2, 0),))
+
+    def test_current_is_the_last_executed_step(self):
+        # no step is left over: current is the every-step run's query at
+        # the step where the map was found, exactly
+        prog = parse_program(SIGN_FLIP)
+        state = run(parse_query("p(1)"), prog, max_steps=99)
+        full = every_step_run(parse_query("p(1)"), prog, 99)
+        assert state.steps == len(full) == 99
+        assert state.cycle == (2, 1)
+        assert state.current == full[1][1]
+
+    def test_drift_that_skips_nothing_is_not_recorded(self):
+        # the map is found at step 2 only when steps remain to skip
+        state = run(parse_query("p(1)"), parse_program(SIGN_FLIP), max_steps=2)
+        assert (state.steps, state.cycle, state.drift) == (2, None, None)
+
+    def test_terminating_guard_runs_every_step(self, step_calls):
+        # W1 := W1 + 1 maps each step into the next, but the rule is not
+        # closed under it: A < 10 fails once A is moved past 9
+        prog = parse_program("p(A) <- A < 10, B = A + 1 <> p(B).")
+        state = run(parse_query("p(0)"), prog, max_steps=100)
+        assert (state.steps, state.cycle) == (10, None)
+        assert len(step_calls) == 11
+
+    def test_shrinking_run_is_not_accelerated(self):
+        # the samples stay at 0, so the map guessed is the identity, which
+        # the rule is closed under; but each denotation is smaller than the
+        # one before (X <= 6, then -6..5, -6..4, ...), so (i) fails and the
+        # run ends once the interval is empty
+        prog = parse_program("p(A) <- A >= -5, B = A - 1 <> p(B).")
+        state = run(parse_query("p(X) : X <= 6"), prog, max_steps=100)
+        assert (state.steps, state.cycle, state.drift) == (12, None, None)
+
+    def test_two_rules_keep_only_the_variant_check(self, step_calls):
+        # leftmost selection picks the first rule once A reaches 10, so the
+        # drift of the second rule does not go on forever
+        prog = parse_program("p(A) <- A >= 10 <> q(A).\n"
+                             "p(A) <- B = A + 1 <> p(B).")
+        state = run(parse_query("p(0)"), prog, max_steps=100)
+        assert (state.steps, state.cycle) == (11, None)
+        assert str(state.current) == "<q(Y1#11) | Y1#11 = 10>"
+
+    def test_limit_forgoes_the_shortcut(self, monkeypatch):
+        # a decision that exceeds the limit leaves the run on every step
+        def exceeded(*args, **kwargs):
+            raise ResourceLimitError("elimination exceeds 1 conjuncts")
+
+        monkeypatch.setattr(engine.linarith, "decide", exceeded)
+        state = run(parse_query("p(0)"), parse_program(DRIFTING), max_steps=20)
+        assert (state.steps, state.cycle, state.drift) == (20, None, None)
 
 
 class TestTrace:
@@ -269,6 +353,23 @@ class TestTrace:
             "steps 5..98 not executed: step 4 is a variant of step 2 (period 2)",
             "step 99: clause 1 |- <p(B#5) | B#5 = -1>",
         ]
+
+    def test_format_affine_map(self):
+        state = run(parse_query("p(1)"), parse_program(SIGN_FLIP), max_steps=99,
+                    keep_trace=True)
+        assert format_trace(state) == [
+            "step 1: clause 1 |- <p(B#1) | B#1 = -1>",
+            "step 2: clause 1 |- <p(B#2) | B#2 = 1>",
+            "steps 3..99 not executed: step 2 contains the image of step 1 "
+            "under W1 := -W1",
+        ]
+
+    def test_format_map_of_several_arguments(self):
+        prog = parse_program("p(A, B, C) <- D = A, E = 2*B, F = C - 1/2 <> p(D, E, F).")
+        state = run(parse_query("p(0, 1, 0)"), prog, max_steps=10, keep_trace=True)
+        assert format_trace(state)[-1] == (
+            "steps 3..10 not executed: step 2 contains the image of step 1 "
+            "under W1 := W1, W2 := 2*W2, W3 := W3 - 1/2")
 
     def test_empty_without_keep_trace(self):
         prog = parse_program("p(A) <- true <> p(A).")

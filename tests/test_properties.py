@@ -12,9 +12,11 @@ from fractions import Fraction
 from fuzzers import (
     RELS,
     every_step_run,
+    max_gen,
     membership,
     rand_condition_filter,
     rand_constraint,
+    rand_drift_rule,
     rand_filter,
     rand_linear_query,
     rand_positions,
@@ -45,6 +47,7 @@ from clploop.filters import (
 )
 from clploop.linarith import (
     Entailment,
+    ResourceLimitError,
     _negate_atom,
     decide,
     project,
@@ -63,7 +66,6 @@ from clploop.syntax import (
     Var,
     compare,
     _canon,
-    max_gen,
     parse_program,
     parse_query,
     var_eq,
@@ -389,6 +391,50 @@ class TestSampleProperties:
                 assert sample_solution(c) == v
 
 
+# the projected store of a run from p(-3, 1) doubles every step
+STORE_DOUBLES = ("p(A1, A2) <- 2*A2 - B1 - 4*B2 = 1, 3*A1 + 4*B1 > 0, "
+                 "3*A1 + 4*A2 + 2*B1 >= 1 <> p(B1, B2).")
+
+
+def _drift_case(rng: random.Random, k: int) -> tuple[Program, Query]:
+    """A drifting rule (every fifth a ``rand_rule``) and a query whose
+    arguments are constants or variables with at most one bound each (a
+    random query for every fourth case).  Every third program puts an exit
+    to another predicate first and starts from a ground query, so that the
+    exit's bound may first fail and then be crossed; every sixth puts
+    another drifting rule for the same predicate first."""
+    rule = rand_rule(rng) if k % 5 == 4 else rand_drift_rule(rng)
+    pred = rule.head_pred
+    rules, ground = (rule,), rng.random() < 0.5
+    if k % 3 == 0:
+        rules, ground = (rand_drift_rule(rng, pred.arity, body_name="q"), rule), True
+    elif k % 6 == 1:
+        rules = (rand_drift_rule(rng, pred.arity), rule)
+    if k % 4 == 1 and not ground:
+        return Program(rules), rand_query(rng, pred)
+    args, bounds = [], []
+    for i in range(pred.arity):
+        if ground or rng.random() < 0.5:
+            args.append(LinTerm.of_const(rng.randint(-12, 12)))
+            continue
+        x = LinTerm.of_var(Var(f"X{i + 1}"))
+        args.append(x)
+        if rng.random() < 0.7:
+            bound = LinTerm.of_const(rng.randint(-12, 12))
+            bounds.append(compare(x, rng.choice((">=", "<=")), bound))
+    return Program(rules), Query(Atom(pred, tuple(args)), Constraint(tuple(bounds)))
+
+
+def _recording(successors: list):
+    """``derivation_step`` appending each successor it finds to a list."""
+    def step(*args, **kwargs):
+        successor = derivation_step(*args, **kwargs)
+        if successor is not None:
+            successors.append(successor)
+        return successor
+    return step
+
+
 class TestEngineProperties:
     def test_stores_stay_satisfiable_along_runs(self):
         rng = random.Random(109)
@@ -416,6 +462,59 @@ class TestEngineProperties:
             assert fast.trace[:at] == full[:at]
             if full:
                 assert engine._variant_key(fast.current) == engine._variant_key(full[-1][1])
+
+    def test_affine_shortcut_matches_every_step_run(self, monkeypatch):
+        # drifting rules, some with a guard that ends the drift, random
+        # rules, and two-rule programs whose first rule (possibly an exit to
+        # another predicate) may take over on a later query.  Both sides run
+        # under one small limit: when the every-step run exceeds it, the
+        # run must exceed it at the same step or have stopped executing
+        # steps before it.  The first case is a rule whose projected store
+        # doubles every step, so both of its runs exceed the limit
+        limit, budget = 60, 30
+        rng = random.Random(5)
+        fast_steps: list = []
+        monkeypatch.setattr(engine, "derivation_step", _recording(fast_steps))
+        seen = Counter()
+        for k in range(300):
+            if k == 0:
+                prog = parse_program(STORE_DOUBLES)
+                q = parse_query("p(-3, 1)")
+            else:
+                prog, q = _drift_case(rng, k)
+            full_steps: list = []
+            try:
+                full = every_step_run(q, prog, budget, step=_recording(full_steps),
+                                      limit=limit)
+                full_raised = None
+            except ResourceLimitError:
+                full, full_raised = None, len(full_steps) + 1
+            fast_steps.clear()
+            try:
+                fast = run(q, prog, budget, keep_trace=True, limit=limit)
+            except ResourceLimitError:
+                assert len(fast_steps) + 1 == full_raised, (k, str(q))
+                seen["raised"] += 1
+                continue
+            at = fast.cycle[0] if fast.cycle else fast.steps
+            assert [query for _, query in fast.trace[:at]] == full_steps[:at], k
+            if full_raised is not None:
+                assert at < full_raised and fast.steps == budget, (k, str(q))
+                seen["stopped before the limit"] += 1
+                continue
+            assert fast.steps == len(full), (k, str(prog), str(q))
+            assert fast.trace[:at] == full[:at]
+            if fast.drift is not None:
+                assert fast.current == full[at - 1][1]
+                seen["affine"] += 1
+            elif fast.cycle:
+                assert engine._variant_key(fast.current) == engine._variant_key(full[-1][1])
+                seen["variant"] += 1
+            else:
+                assert fast.current == (full[-1][1] if full else q)
+                seen["ended" if fast.steps < budget else "every step"] += 1
+        assert seen["affine"] >= 30 and seen["variant"] >= 30 and seen["ended"] >= 30, seen
+        assert seen["raised"] >= 1, seen
 
     def test_steps_match_textbook_steps(self):
         # every rule tried from every executed query, rules with a local

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from fuzzers import max_gen, rename_apart
 
+from clploop import syntax
 from clploop.syntax import (
     Atom,
     Constraint,
@@ -14,12 +16,9 @@ from clploop.syntax import (
     Var,
     atom_of_vars,
     compare,
-    max_gen,
     normalize_clause,
     parse_program,
     parse_query,
-    rename_apart,
-    to_source,
     var_eq,
 )
 
@@ -305,6 +304,11 @@ class TestRenaming:
         q = parse_query("p(A)")
         assert max_gen(q, rename_apart(q, 5)) == 5
 
+    def test_query_max_gen(self):
+        q = rename_apart(parse_query("p(A) : A >= B"), 3)
+        assert syntax.max_gen(q) == max_gen(q) == 3
+        assert syntax.max_gen(parse_query("p(0)")) == 0
+
 
 class TestRoundTrip:
     def test_program_source(self):
@@ -316,7 +320,7 @@ class TestRoundTrip:
     def test_clause_source(self):
         prog = parse_program("p(0) <- true <> p(B).")
         (cl,) = prog.clauses
-        reparsed = parse_program(to_source(cl))
+        reparsed = parse_program(str(cl))
         assert reparsed.clauses[0] == cl
 
     def test_empty_program(self):

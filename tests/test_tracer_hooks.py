@@ -30,7 +30,8 @@ for name in ("analyzer.propagate", "filters.more_general"):
     assert name in names, (name, sorted(names))
 """
 
-# a drifting run executes every step, one derivation_step call each
+# a run that neither repeats nor drifts by a diagonal affine map executes
+# every step, one derivation_step call each
 DRIFTING_STEPS = """\
 import spans
 from clploop.engine import run
@@ -38,7 +39,8 @@ from clploop.syntax import parse_program, parse_query
 
 tracer = spans.Tracer()
 tracer.install()
-state = run(parse_query("p(0)"), parse_program("p(A) <- A = B - 1 <> p(B)."), 10)
+state = run(parse_query("p(0, 0)"),
+            parse_program("p(A, B) <- C = A + B, D = B + 1 <> p(C, D)."), 10)
 assert state.steps == 10 and state.cycle is None, state
 steps = [span for span in tracer.spans if span[spans.NAME] == "engine.step"]
 assert len(steps) == 10, len(steps)
@@ -76,7 +78,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert rc == 0, rc
 metrics = spans.summarize(tracer.export())
 counts = (metrics["engine.runs"], metrics["engine.steps"])
-assert counts == (23, 533), counts
+assert counts == (23, 51), counts
 """
 
 
