@@ -15,10 +15,10 @@ of variables: the head condition ``proj(c, O), den(cond)<H> |= proj(c, O u
 H)`` over the unfiltered head and body variables O and the filtered head
 variables H, the body condition ``c |= den(cond)<B>`` over the filtered body
 variables B, and query generality ``den(Q) |= den(Q1)`` over probe
-variables W.  Here c is a rule constraint, ``proj(c, V)`` its projection
-onto V, den(Q) the denotation of a query as a constraint over W, computed
-once per query, and ``den(cond)<V>`` that of a filter condition with W
-renamed to V.
+variables W, or over those at some positions for a filter.  Here c is a
+rule constraint, ``proj(c, V)`` its projection onto V, den(Q) the
+denotation of a query as a constraint over W, computed once per query, and
+``den(cond)<V>`` that of a filter condition with W renamed to V.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from .filters import (
 )
 from .linarith import ResourceLimitError
 from .neutral import neutrality_body_formula, neutrality_head_formula
-from .syntax import Atom, Clause, LinTerm, Pred, Program, Query
+from .syntax import Atom, Clause, LinTerm, Pred, Program, Query, atom_of_vars
 
 
 @dataclass(frozen=True)
@@ -142,23 +142,18 @@ def candidate_filter(rule: Clause, positions: frozenset[int],
     pred = rule.head_pred
     selected = select_positions(rule.head_vars, positions)
     tau = PositionSet.of({pred: positions})
-    condition = Query(
-        Atom(
-            projected_pred(pred, positions),
-            tuple(LinTerm.of_var(v) for v in selected),
-        ),
-        linarith.project(rule.constraint, selected, limit),
-    )
+    condition = Query(atom_of_vars(projected_pred(pred, positions), selected),
+                      linarith.project(rule.constraint, selected, limit))
     return Filter.make(tau, {pred: condition})
 
 
-def make_witness(filt: Filter, rule: Clause,
+def make_witness(filt: Filter, rule: Clause, head: Query,
                  limit: int = linarith.DEFAULT_DNF_LIMIT) -> Query:
     """A concrete looping query for a passing filter: constants sampled from
     the condition constraint at the filtered positions, head variables kept
     elsewhere, the rule constraint projected onto the kept variables.  Falls
-    back to the rule's head query (itself proved looping) if the generality
-    check for the constructed candidate does not go through."""
+    back to ``head``, the rule's head query (itself proved looping), if the
+    generality check for the constructed candidate does not go through."""
     pred = rule.head_pred
     tau = filt.positions.get(pred)
     condition = filt.condition(pred)
@@ -180,9 +175,9 @@ def make_witness(filt: Filter, rule: Clause,
         Atom(pred, tuple(args)),
         linarith.project(rule.constraint, select_positions(rule.head_vars, kept), limit),
     )
-    if delta_more_general(candidate, rule.head_query, filt, limit):
+    if delta_more_general(candidate, head, filt, limit):
         return candidate
-    return rule.head_query
+    return head
 
 
 def class_closure(passing: set[frozenset[int]]) -> frozenset[frozenset[int]]:
@@ -204,6 +199,8 @@ def find_looping_queries(rule: Clause, index: int = 0,
     if not rule.is_recursive():
         return ClauseReport(index=index, clause=rule)
     arity = rule.head_pred.arity
+    # built once, so each denotation is computed once per clause
+    head, body = rule.head_query, rule.body_query
     checks: list[SubsetCheck] = []
     results: list[FilterResult] = []
     done = False
@@ -221,11 +218,10 @@ def find_looping_queries(rule: Clause, index: int = 0,
                     body_ok = linarith.decide(
                         neutrality_body_formula(filt, rule, opts.max_dnf), opts.max_dnf)
                     if body_ok:
-                        subsumes = delta_more_general(
-                            rule.body_query, rule.head_query, filt, opts.max_dnf)
+                        subsumes = delta_more_general(body, head, filt, opts.max_dnf)
                 check = SubsetCheck(m, head_ok, body_ok, subsumes)
                 if check.passed:
-                    witness = make_witness(filt, rule, opts.max_dnf)
+                    witness = make_witness(filt, rule, head, opts.max_dnf)
                     verified = 0
                     if opts.verify_steps > 0:
                         verified = run(witness, Program((rule,)), opts.verify_steps,

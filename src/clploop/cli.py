@@ -8,9 +8,9 @@ and answers LOOPS (proved) when the query is more general than a verified
 looping query, or filter-more-general than a proven looping head query under
 one of the found filters.
 
-Exit codes: 0 analysis completed (whatever the findings), 2 parse or
-validation error, 3 a resource limit was hit somewhere or a witness failed
-engine validation (the partial report is still printed).
+Exit codes: 0 analysis completed (whatever the findings), 2 parse,
+validation or usage error, 3 a resource limit was hit somewhere or a
+witness failed engine validation (the partial report is still printed).
 """
 
 from __future__ import annotations
@@ -166,20 +166,20 @@ def _proof_for(query: Query, report: ProgramReport,
     'filter-more-general than' cites a looping head query whose clause has a
     passing filter.
     """
+    # each looping clause's head query, built once for both loops
+    looping = [(r, r.clause.head_query) for r in report.reports if r.results]
     facts: list[Query] = []
-    for r in report.reports:
-        if r.results:
-            facts.append(r.clause.head_query)
-            facts.extend(res.witness for res in r.results)
+    for r, head in looping:
+        facts.append(head)
+        facts.extend(res.witness for res in r.results)
     facts.extend(p.head_query for p in report.propagated)
     for fact in facts:
         if fact.pred == query.pred and more_general(query, fact, limit):
             return ("more general than", str(fact))
-    for r in report.reports:
+    for r, head in looping:
+        if head.pred != query.pred:
+            continue
         for res in r.results:
-            head = r.clause.head_query
-            if head.pred != query.pred:
-                continue
             if delta_more_general(query, head, res.filter, limit):
                 return ("filter-more-general than",
                         f"{head} under tau {_positions_str(res.positions)}")
@@ -227,6 +227,16 @@ def cmd_check(args) -> int:
     return 3 if report.had_error else 0
 
 
+def _at_least(least: int):
+    """An argparse type: an integer, below ``least`` a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse's invalid-value message names it
+    return parse
+
+
 _MAX_DNF_HELP = ("ceiling on the conjuncts of one elimination step in the "
                  "filter search, witness construction and verification, "
                  "check's proof and --run (propagation uses 10^6)")
@@ -247,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--json", action="store_true", help="machine readable report")
     pa.add_argument("--first-only", action="store_true",
                     help="stop at the first passing position set per clause")
-    pa.add_argument("--verify-steps", type=int, default=100, metavar="K",
+    pa.add_argument("--verify-steps", type=_at_least(0), default=100, metavar="K",
                     help="derivation steps each witness must survive "
                          "(0 disables the runtime check; default 100)")
     pa.add_argument("--trace", action="store_true",
                     help="print the verification derivation of each witness")
-    pa.add_argument("--max-dnf", type=int,
+    pa.add_argument("--max-dnf", type=_at_least(1),
                     default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
                     help=_MAX_DNF_HELP)
     pa.add_argument("--no-propagate", action="store_true",
@@ -263,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("file", help="rule file")
     pc.add_argument("--query", required=True, metavar="Q",
                     help='query text, e.g. "p(0, X) : X >= 1"')
-    pc.add_argument("--run", type=int, default=0, metavar="K",
+    pc.add_argument("--run", type=_at_least(0), default=0, metavar="K",
                     help="also run the query for up to K derivation steps")
     pc.add_argument("--json", action="store_true", help="machine readable verdict")
     pc.add_argument("--trace", action="store_true",
                     help="with --run, print the derivation steps")
-    pc.add_argument("--verify-steps", type=int, default=100, metavar="K",
+    pc.add_argument("--verify-steps", type=_at_least(0), default=100, metavar="K",
                     help="witness verification steps for the underlying analysis")
-    pc.add_argument("--max-dnf", type=int,
+    pc.add_argument("--max-dnf", type=_at_least(1),
                     default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
                     help=_MAX_DNF_HELP)
     pc.set_defaults(func=cmd_check)

@@ -9,11 +9,13 @@ inclusion between two denotations is the entailment ``den(Q) |= den(Q1)``
 over W, decided exactly by the linarith module.
 
 A *filter* assigns every predicate a set of argument positions together with a
-condition query over the projected predicate.  A query satisfies the filter
-when its projection onto the filtered positions denotes a subset of the
-condition query.  "More general at the unfiltered positions plus satisfies the
-filter" is the combined order used by the analyzer; it is transitive but not
-reflexive.
+condition query over the projected predicate.  Both filter questions restrict
+inclusion to the probes of some positions: Q satisfies the filter when
+``den(Q) |= den(cond)<W_tau>`` over W_tau, the probes at the filtered
+positions (:func:`condition_denotation`), and Q1 is more general than Q at
+the unfiltered positions plus satisfies the filter (δ-generality, the
+analyzer's order: transitive, not reflexive) when also ``den(Q) |= den(Q1)``
+over the probes there.
 """
 
 from __future__ import annotations
@@ -23,15 +25,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import linarith
 from .linarith import Entailment
-from .syntax import (
-    Atom,
-    Constraint,
-    LinTerm,
-    Pred,
-    Query,
-    Var,
-    var_eq,
-)
+from .syntax import Constraint, Pred, Query, Var, atom_of_vars, var_eq
 
 
 def projected_pred(pred: Pred, positions: Iterable[int]) -> Pred:
@@ -77,20 +71,6 @@ def select_positions(items: tuple, positions: Iterable[int]) -> tuple:
     return tuple(items[i - 1] for i in sorted(set(positions)))
 
 
-def _keep_positions(q: Query, ps: frozenset[int]) -> Query:
-    """Keep only the argument positions ps; the constraint is unchanged
-    (dropped argument variables become existential)."""
-    return Query(
-        Atom(projected_pred(q.pred, ps), select_positions(q.atom.args, ps)),
-        q.constraint,
-    )
-
-
-def project_query(q: Query, tau: PositionSet) -> Query:
-    """Keep only the filtered argument positions."""
-    return _keep_positions(q, tau.get(q.pred))
-
-
 @dataclass(frozen=True)
 class Filter:
     """Positions plus a condition query per predicate.  Condition queries are
@@ -124,10 +104,7 @@ class Filter:
                 return q
         ps = self.positions.get(pred)
         fresh = tuple(Var(f"X{i}") for i in range(1, len(ps) + 1))
-        return Query(
-            Atom(projected_pred(pred, ps), tuple(LinTerm.of_var(v) for v in fresh)),
-            Constraint(()),
-        )
+        return Query(atom_of_vars(projected_pred(pred, ps), fresh), Constraint(()))
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +132,45 @@ def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
     return cached[1]
 
 
+def condition_denotation(filt: Filter, pred: Pred, at: tuple[Var, ...],
+                         limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
+    """``den(cond)<at>``: the denotation of pred's filter condition with its
+    i-th probe renamed to ``at[i]``, one variable per filtered position."""
+    den = denotation(filt.condition(pred), limit)
+    return den.rename(dict(zip(probes(len(at)), at)))
+
+
+def _included(q_gen: Query, q: Query, over: tuple[Var, ...], limit: int) -> bool:
+    """``den(q) |= den(q_gen)`` over the probes ``over``; see more_general."""
+    if q_gen.pred != q.pred:
+        return not linarith.satisfiable(q.constraint, limit)
+    return linarith.decide(Entailment(
+        denotation(q, limit), denotation(q_gen, limit), frozenset(over)), limit)
+
+
 def more_general(q_gen: Query, q: Query,
                  limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
     """Whether q_gen denotes a superset of q: ``den(q) |= den(q_gen)`` over
     the probes (see :func:`denotation`).  Queries over distinct predicates
     are incomparable unless q denotes the empty set, in which case any
     query is more general."""
-    if q_gen.pred != q.pred:
-        return not linarith.satisfiable(q.constraint, limit)
-    return linarith.decide(Entailment(
-        denotation(q, limit), denotation(q_gen, limit),
-        frozenset(probes(q.pred.arity))), limit)
+    return _included(q_gen, q, probes(q.pred.arity), limit)
 
 
 def satisfies(q: Query, filt: Filter,
               limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
-    """Whether q's projection onto the filtered positions denotes a subset of
-    the filter's condition query for q's predicate."""
-    return more_general(filt.condition(q.pred),
-                        project_query(q, filt.positions), limit)
+    """Whether q denotes a subset of the filter's condition query at the
+    filtered positions (see the module docstring)."""
+    at = select_positions(probes(q.pred.arity), filt.positions.get(q.pred))
+    return linarith.decide(Entailment(
+        denotation(q, limit), condition_denotation(filt, q.pred, at, limit),
+        frozenset(at)), limit)
 
 
 def delta_more_general(q_gen: Query, q: Query, filt: Filter,
                        limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
     """More general on the unfiltered positions, and q_gen satisfies the
     filter.  Transitive; not reflexive in general."""
-    return more_general(
-        _keep_positions(q_gen, filt.positions.complement_for(q_gen.pred)),
-        _keep_positions(q, filt.positions.complement_for(q.pred)),
-        limit,
-    ) and satisfies(q_gen, filt, limit)
+    kept = filt.positions.complement_for(q.pred)
+    return (_included(q_gen, q, select_positions(probes(q.pred.arity), kept), limit)
+            and satisfies(q_gen, filt, limit))

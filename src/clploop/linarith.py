@@ -11,7 +11,7 @@ variables W (``den(cond)<V>`` with W renamed to V, for a filter condition):
 * the head condition ``proj(c, O), den(cond)<H> |= proj(c, O u H)`` over O
   and H;
 * the body condition ``c |= den(cond)<B>`` over B;
-* query generality ``den(Q) |= den(Q1)`` over W.
+* query generality ``den(Q) |= den(Q1)`` over W, or some of W (filters).
 
 The admitted structure is the rationals with addition, rational constants
 and the orderings.

@@ -6,8 +6,8 @@ filter's condition preserves the existence of every derivation step.  For a
 normalized rule ``p(X) <- c <> q(Y)`` write H for the filtered head
 variables, B for the filtered body variables, R for B plus the rule's local
 variables and O for every other rule variable, ``proj(c, V)`` for c
-projected onto V and ``den(cond)<V>`` for the denotation of the condition
-query with its probe variables renamed to V (see :func:`filters.denotation`).
+projected onto V and ``den(cond)<V>`` for the condition query's cached
+denotation with its probes renamed to V (:func:`filters.condition_denotation`).
 The criterion is a pair of entailments over linear rational arithmetic,
 decided exactly:
 
@@ -36,24 +36,16 @@ reports each verdict.
 from __future__ import annotations
 
 from . import linarith
-from .filters import Filter, denotation, probes, select_positions
+from .filters import Filter, condition_denotation, select_positions
 from .linarith import Entailment
-from .syntax import Clause, Constraint, Pred, Var
-
-
-def _condition_on(filt: Filter, pred: Pred, args: tuple[Var, ...],
-                  limit: int) -> tuple[tuple[Var, ...], Constraint]:
-    """The filtered variables of ``args``, and the denotation of pred's
-    filter condition with its i-th probe renamed to the i-th of them."""
-    sel = select_positions(args, filt.positions.get(pred))
-    den = denotation(filt.condition(pred), limit)
-    return sel, den.rename(dict(zip(probes(len(sel)), sel)))
+from .syntax import Clause
 
 
 def neutrality_head_formula(filt: Filter, rule: Clause,
                             limit: int = linarith.DEFAULT_DNF_LIMIT) -> Entailment:
     """Entailment of the head condition (see the module docstring)."""
-    head_sel, member = _condition_on(filt, rule.head_pred, rule.head_vars, limit)
+    head_sel = select_positions(rule.head_vars, filt.positions.get(rule.head_pred))
+    member = condition_denotation(filt, rule.head_pred, head_sel, limit)
     body_sel = select_positions(rule.body_vars, filt.positions.get(rule.body_pred))
     over = rule.variables - rule.local_vars() - set(body_sel)
     rhs = linarith.project(rule.constraint, over, limit)
@@ -64,5 +56,6 @@ def neutrality_head_formula(filt: Filter, rule: Clause,
 def neutrality_body_formula(filt: Filter, rule: Clause,
                             limit: int = linarith.DEFAULT_DNF_LIMIT) -> Entailment:
     """Entailment of the body condition (see the module docstring)."""
-    body_sel, member = _condition_on(filt, rule.body_pred, rule.body_vars, limit)
+    body_sel = select_positions(rule.body_vars, filt.positions.get(rule.body_pred))
+    member = condition_denotation(filt, rule.body_pred, body_sel, limit)
     return Entailment(rule.constraint, member, frozenset(body_sel))

@@ -14,7 +14,11 @@ atoms the engine's compiled step builds.  ``rename_apart``,
 ``renaming_head_formula`` and ``renaming_body_formula`` build the three
 entailments as they were built before query denotations: by renaming apart,
 with nothing projected before ``decide``; the property tests compare the
-analyzer's builders against them.
+analyzer's builders against them.  ``project_query``,
+``projected_satisfies`` and ``projected_delta_more_general`` decide filter
+satisfaction and δ-generality as they were decided before each question
+became one entailment on the whole query's denotation: on queries kept at
+some argument positions, each with a denotation of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ from fractions import Fraction
 from typing import Optional
 
 from clploop.engine import derivation_step
-from clploop.filters import Filter, PositionSet, projected_pred, select_positions
+from clploop.filters import (
+    Filter,
+    PositionSet,
+    more_general,
+    projected_pred,
+    select_positions,
+)
 from clploop.linarith import DEFAULT_DNF_LIMIT, Entailment, project, satisfiable
 from clploop.syntax import (
     Atom,
@@ -436,3 +446,32 @@ def rand_condition_filter(rng: random.Random, rule: Clause) -> Filter:
             return Filter.make(PositionSet.of(positions), conditions)
         except ValueError:
             continue
+
+
+def _keep_positions(q: Query, ps: frozenset[int]) -> Query:
+    """Keep only the argument positions ps; the constraint is unchanged
+    (dropped argument variables become existential)."""
+    return Query(
+        Atom(projected_pred(q.pred, ps), select_positions(q.atom.args, ps)),
+        q.constraint,
+    )
+
+
+def project_query(q: Query, tau: PositionSet) -> Query:
+    """Keep only the filtered argument positions."""
+    return _keep_positions(q, tau.get(q.pred))
+
+
+def projected_satisfies(q: Query, filt: Filter) -> bool:
+    """q kept at the filtered positions denotes a subset of the filter's
+    condition query."""
+    return more_general(filt.condition(q.pred), project_query(q, filt.positions))
+
+
+def projected_delta_more_general(q_gen: Query, q: Query, filt: Filter) -> bool:
+    """``more_general`` on the two queries kept at the unfiltered positions,
+    and q_gen satisfies the filter."""
+    return more_general(
+        _keep_positions(q_gen, filt.positions.complement_for(q_gen.pred)),
+        _keep_positions(q, filt.positions.complement_for(q.pred)),
+    ) and projected_satisfies(q_gen, filt)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from fuzzers import (
     max_gen,
     membership,
+    project_query,
     rand_constraint,
     rand_filter,
     rand_query,
@@ -26,7 +27,6 @@ from clploop.filters import (
     PositionSet,
     delta_more_general,
     more_general,
-    project_query,
     projected_pred,
     satisfies,
     select_positions,

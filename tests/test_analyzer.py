@@ -80,7 +80,7 @@ class TestMakeWitness:
     def witness_for(self, text, positions):
         rule = clause(text)
         filt = candidate_filter(rule, frozenset(positions))
-        return make_witness(filt, rule)
+        return make_witness(filt, rule, rule.head_query)
 
     def test_shift_ge_full(self):
         w = self.witness_for(SHIFT_GE, {1, 2})
@@ -417,3 +417,29 @@ class TestProgramReport:
                 assert state.steps == 100, (rep.index, sorted(m))
                 members += 1
         assert members == 31
+
+
+class _StoredDenotations:
+    """Stands in for ``Query._den``, the cache of ``filters.denotation``:
+    every store into it is a cache miss, recorded as the query's text."""
+
+    def __init__(self):
+        self.queries: list[str] = []
+
+    def __get__(self, q, owner=None):
+        return self if q is None else q.__dict__.get("_den_stored")
+
+    def __set__(self, q, value):
+        self.queries.append(str(q))
+        q.__dict__["_den_stored"] = value
+
+
+def test_corpus_denotations_computed(corpus_path, monkeypatch):
+    # each clause's head and body queries are built once for the whole
+    # subset scan, and filter generality is decided on their denotations;
+    # the two repeats are head queries that propagation builds again
+    stored = _StoredDenotations()
+    monkeypatch.setattr(Query, "_den", stored)
+    analyze_program(parse_program(corpus_path.read_text(encoding="utf-8")))
+    repeats = len(stored.queries) - len(set(stored.queries))
+    assert (len(stored.queries), repeats) == (133, 2)

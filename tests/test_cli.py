@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from clploop import __version__, analyzer, engine, parse_program
+from clploop import __version__, analyzer, cli, engine, parse_program, parse_query
 from clploop.cli import main
 from clploop.engine import derivation_step
+from clploop.syntax import Clause
 
 SHIFT_GE = "p(X1, X2) <- X1 >= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
 SHIFT_LE = "p(X1, X2) <- X1 <= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
@@ -192,6 +193,35 @@ class TestExitCodes:
         assert clauses[0]["errors"] == [{"tau": [1, 2], "message": failed.error}]
         assert clauses[1]["status"] == "looping"
 
+    @pytest.mark.parametrize("args, message", [
+        (["analyze", "--verify-steps", "-1"], "--verify-steps: must be at least 0, got -1"),
+        (["analyze", "--max-dnf", "0"], "--max-dnf: must be at least 1, got 0"),
+        (["analyze", "--max-dnf", "-1"], "--max-dnf: must be at least 1, got -1"),
+        (["analyze", "--max-dnf", "ten"], "--max-dnf: invalid int value: 'ten'"),
+        (["check", "--run", "-3"], "--run: must be at least 0, got -3"),
+        (["check", "--verify-steps", "-2"], "--verify-steps: must be at least 0, got -2"),
+        (["check", "--max-dnf", "0"], "--max-dnf: must be at least 1, got 0"),
+    ])
+    def test_bad_option_value_is_a_usage_error(self, tmp_path, capsys, args, message):
+        path = rule_file(tmp_path, SHIFT_GE)
+        command, *options = args
+        query = ["--query", "p(0, 0)"] if command == "check" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *query, *options])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"clploop {command}: error: argument {message}")
+
+    def test_least_option_values_are_accepted(self, tmp_path, capsys):
+        path = rule_file(tmp_path, SHIFT_GE)
+        assert main(["analyze", path, "--verify-steps", "0", "--max-dnf", "1"]) == 0
+        assert capsys.readouterr().out.endswith("1 clause: 1 looping, 0 none found\n")
+        assert main(["check", path, "--query", "p(0, 0)", "--run", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "<p(0, 0) | true>: LOOPS (proved)\n  more general than <p(0, 0) | true>\n")
+
     def test_resource_limit(self, corpus_path, capsys):
         assert main(["analyze", str(corpus_path), "--max-dnf", "3"]) == 3
         out = capsys.readouterr().out
@@ -328,6 +358,24 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: elimination exceeds 3 conjuncts"]
+
+    def test_filter_more_general_proof(self, tmp_path, capsys, monkeypatch):
+        text = "p(A, B) <- A >= 1, A = C + 1, B = D <> p(C, D).\n"
+        path = rule_file(tmp_path, text)
+        assert main(["check", path, "--query", "p(X, 3) : X >= 1"]) == 0
+        assert capsys.readouterr().out == (
+            "<p(X, 3) | X >= 1>: LOOPS (proved)\n"
+            "  filter-more-general than <p(A, B) | A >= 1, A - C = 1, B - D = 0> "
+            "under tau {2}\n")
+        # a query that no fact proves tries both passing filters ({2} and
+        # {}) on the one head query built for the clause
+        report = analyzer.analyze_program(parse_program(text))
+        built = []
+        head_query = Clause.head_query.fget
+        monkeypatch.setattr(Clause, "head_query",
+                            property(lambda c: built.append(c) or head_query(c)))
+        assert cli._proof_for(parse_query("p(0, 0)"), report, 10**6) is None
+        assert len(built) == 1
 
     def test_unknown_predicate(self, tmp_path, capsys):
         path = rule_file(tmp_path, SHIFT_GE)

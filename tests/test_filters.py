@@ -1,7 +1,7 @@
 """Position sets, query projection, generality and filter membership."""
 
 import pytest
-from fuzzers import membership
+from fuzzers import membership, project_query
 
 from clploop.filters import (
     Filter,
@@ -9,7 +9,6 @@ from clploop.filters import (
     delta_more_general,
     denotation,
     more_general,
-    project_query,
     probes,
     projected_pred,
     satisfies,
