@@ -98,11 +98,16 @@ class FilterResult:
 
 @dataclass(frozen=True)
 class ClauseReport:
+    """The subset scan of one clause.  ``head_query`` is the head query the
+    scan decided on, with its denotation cached; None for a non-recursive
+    rule, which is not scanned."""
+
     index: int
     clause: Clause
     results: tuple[FilterResult, ...] = ()
     checks: tuple[SubsetCheck, ...] = ()
     classes: frozenset[frozenset[int]] = frozenset()
+    head_query: Optional[Query] = None
 
     @property
     def status(self) -> str:
@@ -175,6 +180,8 @@ def make_witness(filt: Filter, rule: Clause, head: Query,
         Atom(pred, tuple(args)),
         linarith.project(rule.constraint, select_positions(rule.head_vars, kept), limit),
     )
+    if candidate == head:
+        candidate = head  # its denotation is cached
     if delta_more_general(candidate, head, filt, limit):
         return candidate
     return head
@@ -244,7 +251,7 @@ def find_looping_queries(rule: Clause, index: int = 0,
                 break
     classes = class_closure({r.positions for r in results})
     return ClauseReport(index=index, clause=rule, results=tuple(results),
-                        checks=tuple(checks), classes=classes)
+                        checks=tuple(checks), classes=classes, head_query=head)
 
 
 def propagate(program: Program,
@@ -271,11 +278,14 @@ def propagate(program: Program,
         if r.results:
             have_head.add(r.index)
             known = facts.setdefault(r.clause.head_pred, [])
-            known.append(r.clause.head_query)
+            known.append(r.head_query)
             for res in r.results:
                 if res.witness not in known:
                     known.append(res.witness)
     cursor = [0] * len(program.clauses)
+    # body queries of rules still underived after a visit, kept for the next
+    # visit so that each rule's body denotation is computed once
+    bodies: dict[int, Query] = {}
     out: list[PropagatedLoop] = []
     changed = True
     while changed:
@@ -288,7 +298,7 @@ def propagate(program: Program,
             if start == len(known):
                 continue
             cursor[index] = len(known)
-            body_q = rule.body_query
+            body_q = bodies.pop(index, None) or rule.body_query
             for fact in known[start:]:
                 if more_general(body_q, fact):
                     head_q = rule.head_query
@@ -297,6 +307,8 @@ def propagate(program: Program,
                     out.append(PropagatedLoop(index, head_q, via=fact))
                     changed = True
                     break
+            else:
+                bodies[index] = body_q
     return tuple(out)
 
 

@@ -6,7 +6,10 @@ nowhere else, the values of W are denoted by Q exactly when ``W = t, d``
 has a solution extending them.  That constraint projected onto W is the
 *denotation* den(Q) (:func:`denotation`, computed once per query), and
 inclusion between two denotations is the entailment ``den(Q) |= den(Q1)``
-over W, decided exactly by the linarith module.
+over W, decided exactly by the linarith module.  Two cases compute it:
+when t is a tuple of distinct variables, den(Q) is ``proj(d, t)`` with t
+renamed to W, and no equation is eliminated; a constant, a compound term
+or a repeated variable among t takes the equations ``W = t``.
 
 A *filter* assigns every predicate a set of argument positions together with a
 condition query over the projected predicate.  Both filter questions restrict
@@ -119,15 +122,22 @@ def probes(n: int) -> tuple[Var, ...]:
 def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
     """q's denotation as a constraint over ``probes(n)``: ``W = t, d``
     projected onto W for q = <p(t) | d>, where q needs no renaming apart
-    since no variable of q has the probes' generation.  Cached on q; a call
+    since no variable of q has the probes' generation.  When t is a tuple of
+    distinct variables, that set is ``proj(d, t)`` with t renamed to W,
+    computed so without the equations; a constant, a compound term or a
+    repeated variable among t takes the equations.  Cached on q; a call
     with a smaller ``limit`` than the cached one computes it again, so it
     raises ``ResourceLimitError`` exactly when an uncached call would."""
     cached = q._den
     if cached is None or limit < cached[0]:
         w = probes(q.pred.arity)
-        member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
-        cached = (limit, linarith.project(
-            Constraint(member + q.constraint.atoms), w, limit))
+        args = tuple(t.is_var() for t in q.atom.args)
+        if None not in args and len(set(args)) == len(args):
+            den = linarith.project(q.constraint, args, limit).rename(dict(zip(args, w)))
+        else:
+            member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
+            den = linarith.project(Constraint(member + q.constraint.atoms), w, limit)
+        cached = (limit, den)
         object.__setattr__(q, "_den", cached)
     return cached[1]
 

@@ -25,7 +25,11 @@ by substitution: an equality with coefficient c on x turns an atom a with
 coefficient d on x into ``|c|*a - sign(c)*d*eq``.  Every remaining lower
 bound ``lo`` (coefficient -b on x, b > 0) is combined with every upper bound
 ``up`` (coefficient a > 0) into ``b*up + a*lo``, strict iff either side is
-strict.  `project` eliminates the variables outside a set, `satisfiable`
+strict.  A step that adds no atom, because x occurs only in the equality
+that eliminates it or has lower bounds only or upper bounds only, returns
+the atoms without x as they are: they are an order-preserving subset of a
+simplified conjunction, which simplification leaves unchanged.
+`project` eliminates the variables outside a set, `satisfiable`
 eliminates them all, and `decide` projects both sides of an entailment onto
 its universal variables and refutes the left side conjoined with the
 negation of each right-hand atom, the standard entailment check of CLP(Q)
@@ -144,11 +148,16 @@ def _combine(p: int, a: AtomicProp, q: int, b: AtomicProp, x: Var,
 def _eliminate_var_conj(
     atoms: Sequence[AtomicProp], x: Var, limit: int
 ) -> Optional[tuple[AtomicProp, ...]]:
-    """Eliminate one variable from a conjunction.  Returns the reduced
-    conjunction or None if it becomes inconsistent (ground-false)."""
+    """Eliminate one variable from a conjunction, an order-preserving subset
+    of a :func:`_simplify_conj` result.  Returns the reduced conjunction or
+    None if it becomes inconsistent (ground-false).  A step that adds no
+    atom returns the atoms without x as they are: ``_simplify_conj`` would
+    return them unchanged."""
     with_x = [(a, a.term.coeff(x)) for a in atoms]
     eq, c = next(((a, c) for a, c in with_x if c and a.rel == REL_EQ), (None, 0))
     if eq is not None:
+        if not any(d for a, d in with_x if a is not eq):
+            return tuple(a for a in atoms if a is not eq)
         # |c|*a - sign(c)*d*eq cancels the d*x of a
         out = [_combine(abs(c), a, -d if c > 0 else d, eq, x, a.rel) if d else a
                for a, d in with_x if a is not eq]
@@ -166,6 +175,8 @@ def _eliminate_var_conj(
             lowers.append((a, -c))  # -rest/c <= x
     if len(kept) + len(lowers) * len(uppers) > limit:
         raise ResourceLimitError(f"elimination exceeds {limit} conjuncts")
+    if not lowers or not uppers:
+        return tuple(kept)
     for lo, b in lowers:
         for up, a in uppers:
             rel = REL_LT if REL_LT in (lo.rel, up.rel) else REL_LE

@@ -19,6 +19,10 @@ analyzer's builders against them.  ``project_query``,
 satisfaction and δ-generality as they were decided before each question
 became one entailment on the whole query's denotation: on queries kept at
 some argument positions, each with a denotation of its own.
+``equation_denotation`` computes a query's denotation by its definition,
+from the equations ``W = t``, for every query; the property tests compare
+``filters.denotation``, which projects the store alone when the arguments
+are distinct variables, against it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from clploop.filters import (
     Filter,
     PositionSet,
     more_general,
+    probes,
     projected_pred,
     select_positions,
 )
@@ -50,6 +55,7 @@ from clploop.syntax import (
     atom_of_vars,
     compare,
     normalize_clause,
+    var_eq,
 )
 
 RELS = ("=", "<=", "<", ">=", ">")
@@ -475,3 +481,11 @@ def projected_delta_more_general(q_gen: Query, q: Query, filt: Filter) -> bool:
         _keep_positions(q_gen, filt.positions.complement_for(q_gen.pred)),
         _keep_positions(q, filt.positions.complement_for(q.pred)),
     ) and projected_satisfies(q_gen, filt)
+
+
+def equation_denotation(q: Query, limit: int = DEFAULT_DNF_LIMIT) -> Constraint:
+    """den(q) by its definition: ``W = t, d`` projected onto the probes W
+    for q = <p(t) | d>."""
+    w = probes(q.pred.arity)
+    member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
+    return project(Constraint(member + q.constraint.atoms), w, limit)

@@ -1,6 +1,7 @@
 """Candidate filters, witnesses, the subset scan and loop propagation."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from clploop.linarith import Entailment, ResourceLimitError, decide
 from clploop.neutral import neutrality_head_formula
 from clploop.syntax import (
     Atom,
+    Clause,
     Constraint,
     LinTerm,
     Program,
@@ -381,6 +383,26 @@ class TestSemiNaivePropagate:
         assert naive_propagate(prog, reports) == got
         assert len(calls) > len(set(calls))
 
+    def test_each_query_built_at_most_once(self, monkeypatch):
+        # facts start from the head queries the scan decided on, and each
+        # rule's body query is built once for all rounds, so propagation
+        # computes no denotation twice
+        built = Counter()
+        for name in ("head_query", "body_query"):
+            fget = getattr(Clause, name).fget
+            monkeypatch.setattr(Clause, name, property(
+                lambda c, fget=fget, name=name: built.update([(name, id(c))]) or fget(c)))
+        tested = 0
+        for seed in range(24):
+            prog = random_program(random.Random(seed))
+            reports = analyze_program(prog, self.OPTS).reports
+            built.clear()
+            propagate(prog, reports)
+            assert max(built.values(), default=1) == 1, seed
+            assert not any(built["head_query", id(r.clause)] for r in reports if r.results)
+            tested += sum(n for (name, _), n in built.items() if name == "body_query")
+        assert tested >= 100
+
 
 class TestProgramReport:
     def test_results_within_classes(self, corpus_report):
@@ -437,9 +459,10 @@ class _StoredDenotations:
 def test_corpus_denotations_computed(corpus_path, monkeypatch):
     # each clause's head and body queries are built once for the whole
     # subset scan, and filter generality is decided on their denotations;
-    # the two repeats are head queries that propagation builds again
+    # a witness candidate equal to the head query (p1 and p3 at tau {}) is
+    # that query, and propagation starts from the scan's head queries
     stored = _StoredDenotations()
     monkeypatch.setattr(Query, "_den", stored)
     analyze_program(parse_program(corpus_path.read_text(encoding="utf-8")))
     repeats = len(stored.queries) - len(set(stored.queries))
-    assert (len(stored.queries), repeats) == (133, 2)
+    assert (len(stored.queries), repeats) == (131, 0)

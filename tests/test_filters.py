@@ -133,9 +133,9 @@ class TestDenotation:
     def test_smaller_limit_than_the_cached_one_raises(self):
         target = q("p(X) : X >= L, X >= M, L >= 0, M >= 1, X <= 9")
         den = denotation(target)
-        with pytest.raises(ResourceLimitError, match="exceeds 4"):
-            denotation(target, 4)
-        assert denotation(target, 5) == den
+        with pytest.raises(ResourceLimitError, match="exceeds 3"):
+            denotation(target, 3)
+        assert denotation(target, 4) == den
         assert str(den) == "W1#-1 <= 9, W1#-1 >= 1"
 
 

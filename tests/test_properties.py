@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from fuzzers import (
     RELS,
+    equation_denotation,
     every_step_run,
     max_gen,
     membership,
@@ -36,7 +37,7 @@ from fuzzers import (
     textbook_step,
 )
 
-from clploop import engine
+from clploop import engine, linarith
 from clploop.analyzer import candidate_filter
 from clploop.engine import derivation_step, run
 from clploop.filters import (
@@ -52,6 +53,7 @@ from clploop.linarith import (
     Entailment,
     ResourceLimitError,
     _negate_atom,
+    _simplify_conj,
     decide,
     project,
     sample_solution,
@@ -67,6 +69,7 @@ from clploop.syntax import (
     Program,
     Query,
     Var,
+    atom_of_vars,
     compare,
     _canon,
     parse_program,
@@ -120,6 +123,34 @@ class TestEliminationProperties:
             p = project(c, keep)
             assert decide(Entailment(c, p, frozenset(keep)))
             assert decide(Entailment(p, c, frozenset(keep)))
+
+    def test_simplify_is_idempotent_on_its_subsets(self):
+        # the elimination step returns the atoms without x unsimplified when
+        # it adds no atom; atoms over three slopes exercise the dropped,
+        # pinned and folded bounds
+        rng = random.Random(109)
+        u, v, w = (LinTerm.of_var(x) for x in self.VARS)
+        slopes = (u, u - v, v + v + w)
+        folded = subsets = 0
+        for _ in range(300):
+            atoms = [compare(rng.choice(slopes).scaled(rng.choice((1, -1, 2))),
+                             rng.choice(RELS), LinTerm.of_const(rng.randint(-2, 2)))
+                     for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.3:
+                t, k = rng.choice(slopes), LinTerm.of_const(rng.randint(-2, 2))
+                atoms += (compare(t, "<=", k), compare(t, ">=", k))
+            rng.shuffle(atoms)
+            out = _simplify_conj(atoms)
+            if out is None:
+                continue
+            folded += any(a not in atoms for a in out)
+            for _ in range(4):
+                sub = tuple(a for a in out if rng.random() < 0.6)
+                assert _simplify_conj(sub) == sub, (atoms, sub)
+                subsets += len(sub) >= 2
+        # at this seed: 45 outputs hold a folded equality, 414 subsets have
+        # two atoms or more
+        assert folded >= 30 and subsets >= 300, (folded, subsets)
 
 
 def _primitive(a) -> bool:
@@ -326,6 +357,38 @@ def _inside_condition(rng: random.Random, filt, pred: Pred) -> Query:
     return Query(atom, cond.constraint.conjoin(extra))
 
 
+def _variable_query(rng: random.Random, pred: Pred) -> Query:
+    """A query whose arguments are variables, some named like the probes or
+    carrying a generation, over a store that may have locals.  The
+    arguments are distinct, or at times the last repeats the first."""
+    pool = [Var(n, g) for n in ("Q1", "Q2", "W1", "W2") for g in (0, 3)]
+    rng.shuffle(pool)
+    args = pool[:pred.arity]
+    if len(args) >= 2 and rng.random() < 0.3:
+        args[-1] = args[0]
+    return Query(atom_of_vars(pred, args),
+                 rand_constraint(rng, pool[:pred.arity + rng.randint(0, 2)], 3))
+
+
+_ARGUMENT_KINDS = ("repeated", "constant", "compound", "rational")
+
+
+def _argument_kinds(q: Query) -> set[str]:
+    """The kinds of arguments that take the equations ``W = t``."""
+    var_args = [t.is_var() for t in q.atom.args if t.is_var() is not None]
+    kinds = set()
+    if len(set(var_args)) < len(var_args):
+        kinds.add("repeated")
+    if any(not t.coeffs for t in q.atom.args):
+        kinds.add("constant")
+    if any(t.coeffs and t.is_var() is None for t in q.atom.args):
+        kinds.add("compound")
+    if any(c.denominator != 1 for t in q.atom.args
+           for c in (t.const, *(c for _, c in t.coeffs))):
+        kinds.add("rational")
+    return kinds
+
+
 class TestDenotationProperties:
     """The entailments built on cached denotations decide as the renaming
     builders kept in the fuzzers do."""
@@ -418,6 +481,44 @@ class TestDenotationProperties:
         # filters over two predicates
         assert len(verdicts) == 4 and min(verdicts.values()) >= 60, verdicts
         assert len(kinds) == 7 and min(kinds.values()) >= 30, kinds
+
+    def test_denotation_equals_equation_reference(self, monkeypatch):
+        # distinct-variable arguments project the store alone; repeated
+        # variables, constants and compound or rational terms take the
+        # equations W = t; an unsatisfiable store occurs on both paths
+        rng = random.Random(121)
+        projected = []
+        project_ = linarith.project
+        monkeypatch.setattr(linarith, "project", lambda c, keep, limit: (
+            projected.append(c) or project_(c, keep, limit)))
+        kinds = Counter()
+        for k in range(400):
+            pred = Pred("p", rng.randint(0, 3))
+            q = (_variable_query, rand_query, rand_rational_query,
+                 rand_linear_query)[k % 4](rng, pred)
+            if rng.random() < 0.2:
+                t = LinTerm.of_var(rng.choice(sorted(q.variables) or [Var("L")]))
+                q = Query(q.atom, q.constraint.conjoin(Constraint.of(
+                    compare(t, ">=", LinTerm.of_const(1)),
+                    compare(t, "<=", LinTerm.of_const(0)))))
+            den = denotation(q)
+            path = "store" if projected[-1] is q.constraint else "equations"
+            w = probes(pred.arity)
+            ref = equation_denotation(q)
+            assert den.variables <= set(w)
+            assert decide(Entailment(den, ref, frozenset(w))), str(q)
+            assert decide(Entailment(ref, den, frozenset(w))), str(q)
+            kinds[path] += 1
+            kinds.update((path, kind) for kind in _argument_kinds(q))
+            if not satisfiable(q.constraint):
+                kinds[path, "unsatisfiable"] += 1
+        # at this seed: 198 denotations projected the store and 202 took the
+        # equations, with constants 140, compound terms 91, rational ones
+        # 34 and repeated variables 14; 77 and 50 stores were unsatisfiable
+        assert kinds["store"] >= 100 and kinds["equations"] >= 100, kinds
+        assert not any(kinds["store", kind] for kind in _ARGUMENT_KINDS), kinds
+        assert min(kinds["equations", kind] for kind in _ARGUMENT_KINDS) >= 10, kinds
+        assert min(kinds[path, "unsatisfiable"] for path in ("store", "equations")) >= 30, kinds
 
     def test_denotation_equals_projected_membership(self):
         rng = random.Random(119)
