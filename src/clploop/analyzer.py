@@ -3,11 +3,20 @@
 For each subset m of a recursive rule's head positions, the analyzer builds
 the candidate filter whose positions are m and whose condition query is the
 rule constraint existentially projected onto the m-selected head variables.
+The conditions of one rule form a lattice: the full set's condition projects
+the rule constraint, and any other subset's projects its parent's
+condition, the parent being m plus the smallest position outside m.  The
+scan runs in decreasing cardinality, so each subset costs one projection of
+a small constraint over head variables.  Fourier-Motzkin output depends on
+the elimination order, so on rare inputs a condition's printed text differs
+from a direct projection of the rule constraint in atom order or by a
+redundant atom; the two denote the same set.
 If the filter is derivation neutral for the rule and the rule's body query is
 filter-more-general than its head query, then the head query loops; a ground
 witness is built by sampling the condition constraint at the filtered
-positions, and every reported query is validated by actually running the
-derivation engine for a configurable number of steps.  With zero steps the
+positions, with the lattice's condition at the other positions as its store,
+and every reported query is validated by actually running the derivation
+engine for a configurable number of steps.  With zero steps the
 witnesses are reported unverified (``verified_steps`` 0, "not run").
 
 The reports expose the downward closure of the passing position subsets as
@@ -43,7 +52,16 @@ from .filters import (
 )
 from .linarith import ResourceLimitError
 from .neutral import neutrality_body_formula, neutrality_head_formula
-from .syntax import Atom, Clause, LinTerm, Pred, Program, Query, atom_of_vars
+from .syntax import (
+    Atom,
+    Clause,
+    Constraint,
+    LinTerm,
+    Pred,
+    Program,
+    Query,
+    atom_of_vars,
+)
 
 
 @dataclass(frozen=True)
@@ -141,28 +159,70 @@ def candidate_filter(rule: Clause, positions: frozenset[int],
                      limit: int = linarith.DEFAULT_DNF_LIMIT) -> Filter:
     """The projection filter for a recursive rule and a head position subset:
     the condition query keeps the selected head variables and projects the
-    rule constraint onto them."""
+    rule constraint onto them, derived from the condition of the parent
+    subset (see `_condition`).  The condition is satisfiable because the
+    rule constraint is, so the filter is built without `Filter.make`'s
+    check."""
     if not rule.is_recursive():
         raise ValueError("candidate filters are defined for recursive rules only")
     pred = rule.head_pred
     selected = select_positions(rule.head_vars, positions)
-    tau = PositionSet.of({pred: positions})
     condition = Query(atom_of_vars(projected_pred(pred, positions), selected),
-                      linarith.project(rule.constraint, selected, limit))
-    return Filter.make(tau, {pred: condition})
+                      _condition(rule, frozenset(positions), limit))
+    return Filter(PositionSet.of({pred: positions}), ((pred, condition),))
+
+
+def _condition(rule: Clause, positions: frozenset[int], limit: int) -> Constraint:
+    """The condition constraint over the head variables at ``positions``:
+    the rule constraint c projected onto them.  The full set's is
+    ``proj(c, X)``; any other subset m takes ``proj(cond(m u {j}), X_m)``,
+    where j is the smallest position outside m, which denotes the same set
+    because projections compose.  Each is computed on demand from its
+    nearest cached ancestor and cached on the rule as (limit, constraint),
+    so the decreasing-cardinality scan projects one small constraint per
+    subset.  The cache holds no query, so the denotation the scan caches on
+    a filter's condition query is freed with the filter.  A request with a
+    smaller ``limit`` than the cached one computes the chain again, so it
+    raises ``ResourceLimitError`` exactly when an uncached call would; a
+    subset that raised is not cached, and every subset below it raises too.
+    Fourier-Motzkin output depends on the elimination order, so on rare
+    inputs a condition's atoms differ in order, or by a redundant atom, from
+    those of a direct projection of c; the two are equivalent."""
+    cache = rule._conditions
+    if cache is None:
+        cache = {}
+        object.__setattr__(rule, "_conditions", cache)
+    full = frozenset(range(1, rule.head_pred.arity + 1))
+    chain: list[frozenset[int]] = []  # positions and its uncached ancestors
+    m = positions
+    while True:
+        cached = cache.get(m)
+        if cached is not None and limit >= cached[0]:
+            source = cached[1]
+            break
+        chain.append(m)
+        if m == full:
+            source = rule.constraint
+            break
+        m = m | {min(full - m)}
+    for m in reversed(chain):
+        source = linarith.project(source, select_positions(rule.head_vars, m), limit)
+        cache[m] = (limit, source)
+    return cache[positions][1]
 
 
 def make_witness(filt: Filter, rule: Clause, head: Query,
                  limit: int = linarith.DEFAULT_DNF_LIMIT) -> Query:
     """A concrete looping query for a passing filter: constants sampled from
     the condition constraint at the filtered positions, head variables kept
-    elsewhere, the rule constraint projected onto the kept variables.  Falls
+    elsewhere, and as store the rule constraint projected onto the kept
+    variables, which is the candidate condition at the complement positions
+    (taken from the same lattice as the filters, see `_condition`).  Falls
     back to ``head``, the rule's head query (itself proved looping), if the
     generality check for the constructed candidate does not go through."""
     pred = rule.head_pred
     tau = filt.positions.get(pred)
     condition = filt.condition(pred)
-    selected = select_positions(rule.head_vars, tau)
     values = linarith.sample_solution(
         condition.constraint, variables=condition.atom.variables, limit=limit
     )
@@ -176,10 +236,7 @@ def make_witness(filt: Filter, rule: Clause, head: Query,
             args.append(LinTerm.of_const(by_position[i].eval(values)))
         else:
             args.append(LinTerm.of_var(v))
-    candidate = Query(
-        Atom(pred, tuple(args)),
-        linarith.project(rule.constraint, select_positions(rule.head_vars, kept), limit),
-    )
+    candidate = Query(Atom(pred, tuple(args)), _condition(rule, kept, limit))
     if candidate == head:
         candidate = head  # its denotation is cached
     if delta_more_general(candidate, head, filt, limit):

@@ -468,6 +468,9 @@ class Clause:
     text: str = field(default="", compare=False)
 
     _step = None  # the engine's compiled derivation step, set lazily
+    # the analyzer's candidate-filter conditions by position subset, as
+    # {positions: (limit, constraint)}, filled lazily
+    _conditions = None
 
     def __post_init__(self):
         hv, bv = self.head_vars, self.body_vars

@@ -1,10 +1,11 @@
 """Seeded random generators shared by the property and acceptance suites.
 
 Everything takes an explicit random.Random so each suite is reproducible.
-Scales are kept small on purpose: arity at most 2 (3 for drifting rules),
-a handful of atoms, coefficients in a narrow integer band.  Generators that
-must deliver a well-formed value (satisfiable rule constraint, satisfiable
-filter condition) retry instead of returning a broken one.
+Scales are kept small on purpose: arity at most 2 (3 for drifting rules, 5
+for ``rand_wide_rule``), a handful of atoms, coefficients in a narrow
+integer band.  Generators that must deliver a well-formed value
+(satisfiable rule constraint, satisfiable filter condition) retry instead
+of returning a broken one.
 ``every_step_run`` is the reference the engine's variant and affine
 shortcuts are tested against, ``textbook_step`` the reference for the
 meaning of one derivation step, and ``renaming_step`` the reference for the
@@ -22,7 +23,11 @@ some argument positions, each with a denotation of its own.
 ``equation_denotation`` computes a query's denotation by its definition,
 from the equations ``W = t``, for every query; the property tests compare
 ``filters.denotation``, which projects the store alone when the arguments
-are distinct variables, against it.
+are distinct variables, against it.  ``direct_condition`` projects the rule
+constraint onto a head position subset in one step, the reference for the
+analyzer's candidate conditions, which each project their parent subset's
+condition; ``rand_wide_rule`` draws rules wide enough for the two to
+eliminate in different orders.
 """
 
 from __future__ import annotations
@@ -152,6 +157,26 @@ def rand_rule(rng: random.Random, arity: int | None = None, name: str = "p"):
     pool = head_vars + body_vars + locals_
     while True:
         c = rand_constraint(rng, pool)
+        try:
+            return normalize_clause(atom_of_vars(pred, head_vars), c,
+                                    atom_of_vars(pred, body_vars))
+        except ParseError:
+            continue
+
+
+def rand_wide_rule(rng: random.Random, name: str = "p") -> Clause:
+    """Random recursive rule of arity 2-5 with 3-9 atoms over its head, body
+    and 0-2 local variables, and a satisfiable constraint: wide enough that
+    projecting onto a head position subset directly and through its
+    supersets eliminate variables in different orders."""
+    n = rng.randint(2, 5)
+    pred = Pred(name, n)
+    head_vars = tuple(Var(f"A{i}") for i in range(1, n + 1))
+    body_vars = tuple(Var(f"B{i}") for i in range(1, n + 1))
+    locals_ = tuple(Var(f"L{i}") for i in range(1, rng.randint(0, 2) + 1))
+    pool = head_vars + body_vars + locals_
+    while True:
+        c = Constraint(tuple(rand_atom(rng, pool) for _ in range(rng.randint(3, 9))))
         try:
             return normalize_clause(atom_of_vars(pred, head_vars), c,
                                     atom_of_vars(pred, body_vars))
@@ -489,3 +514,12 @@ def equation_denotation(q: Query, limit: int = DEFAULT_DNF_LIMIT) -> Constraint:
     w = probes(q.pred.arity)
     member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
     return project(Constraint(member + q.constraint.atoms), w, limit)
+
+
+def direct_condition(rule: Clause, positions: frozenset[int],
+                     limit: int = DEFAULT_DNF_LIMIT) -> Query:
+    """The candidate condition at ``positions`` by its definition: the rule
+    constraint projected onto the head variables there in one projection."""
+    selected = select_positions(rule.head_vars, positions)
+    return Query(atom_of_vars(projected_pred(rule.head_pred, positions), selected),
+                 project(rule.constraint, selected, limit))

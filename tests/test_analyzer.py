@@ -1,11 +1,12 @@
 """Candidate filters, witnesses, the subset scan and loop propagation."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from clploop import analyzer
+from clploop import analyzer, linarith
 from clploop.analyzer import (
     AnalyzeOptions,
     PropagatedLoop,
@@ -76,6 +77,37 @@ class TestCandidateFilter:
         rule = clause("p(A) <- A >= 0 <> q(A).\nq(A) <- true <> q(A).")
         with pytest.raises(ValueError, match="recursive"):
             candidate_filter(rule, frozenset())
+
+
+class TestConditionCache:
+    # {1, 2} eliminates A3 from the full set's condition: 2 lower bounds
+    # times 3 upper bounds make 6 conjuncts
+    RULE = ("p(A1, A2, A3) <- A3 <= A1, A3 <= A2, A3 <= 9, A3 >= 0, A3 >= A1 - 5 "
+            "<> p(B1, B2, B3).")
+
+    def test_smaller_limit_than_the_cached_one_raises(self):
+        rule = clause(self.RULE)
+        cond = candidate_filter(rule, frozenset({1, 2})).condition(rule.head_pred)
+        for r in (rule, clause(self.RULE)):  # cached, then uncached
+            with pytest.raises(ResourceLimitError, match="exceeds 5"):
+                candidate_filter(r, frozenset({1, 2}), 5)
+        assert candidate_filter(rule, frozenset({1, 2}), 6).condition(rule.head_pred) == cond
+        assert str(cond.constraint) == "A1 >= 0, A2 >= 0, A1 - A2 <= 5, A1 <= 14"
+
+    def test_a_subset_that_raised_is_not_cached(self):
+        rule = clause(self.RULE)
+        with pytest.raises(ResourceLimitError, match="exceeds 5"):
+            candidate_filter(rule, frozenset({1}), 5)
+        # {1} projects {1, 2}, which raised; the full set's condition fit
+        assert set(rule._conditions) == {frozenset({1, 2, 3})}
+        # so in the scan {1, 2} and the subsets below it, {1}, {2} and {},
+        # have no condition; {3}'s condition fits, its head decision does not
+        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=5))
+        assert {c.positions for c in report.checks if c.error} == {
+            frozenset({1, 2}), frozenset({1}), frozenset({2}), frozenset({3}),
+            frozenset()}
+        assert set(rule._conditions) == {
+            frozenset({1, 2, 3}), frozenset({1, 3}), frozenset({2, 3}), frozenset({3})}
 
 
 class TestMakeWitness:
@@ -466,3 +498,47 @@ def test_corpus_denotations_computed(corpus_path, monkeypatch):
     analyze_program(parse_program(corpus_path.read_text(encoding="utf-8")))
     repeats = len(stored.queries) - len(set(stored.queries))
     assert (len(stored.queries), repeats) == (131, 0)
+
+
+def _shift_rule(n: int) -> Clause:
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    ys = [f"Y{i}" for i in range(1, n + 1)]
+    atoms = [f"{y} = {x} + 1" for x, y in zip(xs, ys)]
+    atoms += [f"{a} >= {b}" for a, b in zip(xs, xs[1:])]
+    return clause(f"p({', '.join(xs)}) <- {', '.join(atoms)} <> p({', '.join(ys)}).")
+
+
+def test_shift_conditions_projected_once_per_subset(monkeypatch):
+    # the 128 candidate conditions of an arity-7 rule form one lattice:
+    # each is one projection of its parent's condition, the two witness
+    # stores ({} and the full set pass) come from it, and no condition is
+    # checked for satisfiability again
+    rule = _shift_rule(7)
+    calls = Counter()
+    open_filters = []
+    project, satisfiable = linarith.project, linarith.satisfiable
+    candidate = analyzer.candidate_filter
+
+    def counted_project(c, keep, limit=linarith.DEFAULT_DNF_LIMIT):
+        # the projections the analyzer makes itself, not its layers below
+        calls["project"] += sys._getframe(1).f_globals["__name__"] == analyzer.__name__
+        return project(c, keep, limit)
+
+    def counted_satisfiable(c, limit=linarith.DEFAULT_DNF_LIMIT):
+        calls["satisfiable"] += bool(open_filters)
+        return satisfiable(c, limit)
+
+    def counted_candidate(*args):
+        open_filters.append(args)
+        try:
+            return candidate(*args)
+        finally:
+            open_filters.pop()
+
+    monkeypatch.setattr(linarith, "project", counted_project)
+    monkeypatch.setattr(linarith, "satisfiable", counted_satisfiable)
+    monkeypatch.setattr(analyzer, "candidate_filter", counted_candidate)
+    report = find_looping_queries(rule)
+    assert len(report.checks) == 128
+    assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
+    assert (calls["project"], calls["satisfiable"]) == (128, 0)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from fuzzers import (
     RELS,
+    direct_condition,
     equation_denotation,
     every_step_run,
     max_gen,
@@ -29,6 +30,7 @@ from fuzzers import (
     rand_rule,
     rand_step_rule,
     rand_term,
+    rand_wide_rule,
     relax,
     renaming_body_formula,
     renaming_head_formula,
@@ -38,9 +40,15 @@ from fuzzers import (
 )
 
 from clploop import engine, linarith
-from clploop.analyzer import candidate_filter
+from clploop.analyzer import (
+    AnalyzeOptions,
+    candidate_filter,
+    find_looping_queries,
+    make_witness,
+)
 from clploop.engine import derivation_step, run
 from clploop.filters import (
+    Filter,
     PositionSet,
     delta_more_general,
     denotation,
@@ -531,6 +539,56 @@ class TestDenotationProperties:
             assert den.variables <= set(w)
             assert decide(Entailment(den, ref, frozenset(w)))
             assert decide(Entailment(ref, den, frozenset(w)))
+
+
+def _equivalent(c1: Constraint, c2: Constraint, over: frozenset) -> bool:
+    return decide(Entailment(c1, c2, over)) and decide(Entailment(c2, c1, over))
+
+
+class TestCandidateConditionProperties:
+    """Each candidate condition projects the condition of its parent subset
+    (the subset plus its smallest missing position), and a witness takes its
+    store from the same lattice; ``direct_condition``, one projection of the
+    rule constraint, is the reference."""
+
+    def test_lattice_conditions_equal_direct_projection(self):
+        rng = random.Random(125)
+        kinds = Counter()
+        for _ in range(50):
+            rule = rand_wide_rule(rng)
+            pred = rule.head_pred
+            head, body = rule.head_query, rule.body_query
+            report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
+            assert len(report.checks) == 2 ** pred.arity and not report.errors
+            for check in report.checks:
+                m = check.positions
+                filt = candidate_filter(rule, m)
+                cond, ref = filt.condition(pred), direct_condition(rule, m)
+                assert cond.atom == ref.atom
+                assert _equivalent(cond.constraint, ref.constraint,
+                                   frozenset(ref.atom.variables)), (str(rule), sorted(m))
+                kinds["text differs"] += str(cond) != str(ref)
+                # the witness store against the complement's reference, over
+                # the head variables the witness keeps
+                witness = make_witness(filt, rule, head)
+                ref_kept = direct_condition(rule, filt.positions.complement_for(pred))
+                assert _equivalent(witness.constraint, ref_kept.constraint,
+                                   frozenset(ref_kept.atom.variables)), (str(rule), sorted(m))
+                ref_filt = Filter.make(filt.positions, {pred: ref})
+                head_ok = decide(neutrality_head_formula(ref_filt, rule))
+                body_ok = subsumes = None
+                if head_ok:
+                    body_ok = decide(neutrality_body_formula(ref_filt, rule))
+                    if body_ok:
+                        subsumes = delta_more_general(body, head, ref_filt)
+                assert (check.head_ok, check.body_ok, check.subsumes) == (
+                    head_ok, body_ok, subsumes), (str(rule), sorted(m))
+                kinds[check.failed_condition or "passed"] += 1
+        # at this seed: 828 subsets; 358 failed the head condition, 203 the
+        # body condition and 146 subsumption, and 121 passed; 12 conditions
+        # print differently from their direct projection
+        assert kinds["text differs"] >= 5, kinds
+        assert min(kinds[k] for k in ("head", "body", "subsumes", "passed")) >= 100, kinds
 
 
 class TestSampleProperties:
