@@ -51,7 +51,7 @@ from .filters import (
     select_positions,
 )
 from .linarith import ResourceLimitError
-from .neutral import neutrality_body_formula, neutrality_head_formula
+from .neutral import cached_lattice, neutrality_body_formula, neutrality_head_formula
 from .syntax import (
     Atom,
     Clause,
@@ -178,37 +178,22 @@ def _condition(rule: Clause, positions: frozenset[int], limit: int) -> Constrain
     ``proj(c, X)``; any other subset m takes ``proj(cond(m u {j}), X_m)``,
     where j is the smallest position outside m, which denotes the same set
     because projections compose.  Each is computed on demand from its
-    nearest cached ancestor and cached on the rule as (limit, constraint),
-    so the decreasing-cardinality scan projects one small constraint per
-    subset.  The cache holds no query, so the denotation the scan caches on
-    a filter's condition query is freed with the filter.  A request with a
-    smaller ``limit`` than the cached one computes the chain again, so it
-    raises ``ResourceLimitError`` exactly when an uncached call would; a
-    subset that raised is not cached, and every subset below it raises too.
-    Fourier-Motzkin output depends on the elimination order, so on rare
-    inputs a condition's atoms differ in order, or by a redundant atom, from
-    those of a direct projection of c; the two are equivalent."""
-    cache = rule._conditions
-    if cache is None:
-        cache = {}
-        object.__setattr__(rule, "_conditions", cache)
+    nearest cached ancestor and cached on the rule (`cached_lattice`, whose
+    limit rule it follows), so the decreasing-cardinality scan projects one
+    small constraint per subset.  Fourier-Motzkin output depends on the
+    elimination order, so on rare inputs a condition's atoms differ in
+    order, or by a redundant atom, from those of a direct projection of c;
+    the two are equivalent."""
     full = frozenset(range(1, rule.head_pred.arity + 1))
-    chain: list[frozenset[int]] = []  # positions and its uncached ancestors
-    m = positions
-    while True:
-        cached = cache.get(m)
-        if cached is not None and limit >= cached[0]:
-            source = cached[1]
-            break
-        chain.append(m)
-        if m == full:
-            source = rule.constraint
-            break
-        m = m | {min(full - m)}
-    for m in reversed(chain):
-        source = linarith.project(source, select_positions(rule.head_vars, m), limit)
-        cache[m] = (limit, source)
-    return cache[positions][1]
+
+    def parent(m: frozenset[int]) -> Optional[frozenset[int]]:
+        return None if m == full else m | {min(full - m)}
+
+    def step(source: Optional[Constraint], m: frozenset[int]) -> Constraint:
+        return linarith.project(rule.constraint if source is None else source,
+                                select_positions(rule.head_vars, m), limit)
+
+    return cached_lattice(rule, "_conditions", positions, parent, step, limit)
 
 
 def make_witness(filt: Filter, rule: Clause, head: Query,

@@ -140,7 +140,7 @@ def cmd_analyze(args) -> int:
         return 2
     report = analyze_program(program, _options_from(args))
     if args.json:
-        json.dump(report_to_json(report), sys.stdout, indent=2)
+        sys.stdout.write(json.dumps(report_to_json(report), indent=2))
         print()
     else:
         _print_text_report(report, sys.stdout)
@@ -211,7 +211,7 @@ def cmd_check(args) -> int:
             "via": f"{proof[0]} {proof[1]}" if proof else None,
             "empirical_steps": empirical,
         }
-        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write(json.dumps(payload, indent=2))
         print()
     else:
         print(f"{query}: {verdict}")

@@ -31,11 +31,12 @@ the atoms without x as they are: they are an order-preserving subset of a
 simplified conjunction, which simplification leaves unchanged.
 `project` eliminates the variables outside a set, `satisfiable`
 eliminates them all, and `decide` projects both sides of an entailment onto
-its universal variables and refutes the left side conjoined with the
-negation of each right-hand atom, the standard entailment check of CLP(Q)
-solvers.  All arithmetic is exact; sampled values are ``Fraction``s.  One
-configurable ceiling caps the conjuncts one elimination step produces,
-raising :class:`ResourceLimitError` when exceeded.
+its universal variables (a side already over them is taken as it is) and
+refutes the left side conjoined with the negation of each right-hand atom,
+the standard entailment check of CLP(Q) solvers.  All arithmetic is exact;
+sampled values are ``Fraction``s.  One configurable ceiling caps the
+conjuncts one elimination step produces, raising
+:class:`ResourceLimitError` when exceeded.
 """
 
 from __future__ import annotations
@@ -275,13 +276,25 @@ def _negate_atom(a: AtomicProp) -> tuple[AtomicProp, ...]:
     return (_atom(n.coeffs, n.const, REL_LE),)
 
 
+def _onto(c: Constraint, over: frozenset[Var], limit: int) -> tuple[AtomicProp, ...]:
+    """The atoms of c projected onto ``over``; c's own atoms when all its
+    variables lie in ``over``, since such a projection eliminates nothing."""
+    if c.variables <= over:
+        return c.atoms
+    return project(c, over, limit).atoms
+
+
 def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     """Whether the entailment holds over the rationals: with both sides
     projected onto ``over``, the left side conjoined with any atom of the
-    negation of a right-hand atom is unsatisfiable."""
-    lhs = project(e.lhs, e.over, limit).atoms
+    negation of a right-hand atom is unsatisfiable.  A side whose variables
+    already lie in ``over`` is taken as it is, unsimplified: the left side
+    entails a conjunction exactly when it entails each of its atoms, so the
+    verdict does not depend on the form of the right side, and
+    ``satisfiable`` simplifies the left side itself."""
+    lhs = _onto(e.lhs, e.over, limit)
     have = set(lhs)
-    for a in project(e.rhs, e.over, limit):
+    for a in _onto(e.rhs, e.over, limit):
         if a in have:
             continue  # the projected left side contains a, so entails it
         for n in _negate_atom(a):

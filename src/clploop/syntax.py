@@ -225,6 +225,7 @@ class AtomicProp:
 
     _hash = None
     _slope = None
+    _vars = None
 
     def __post_init__(self):
         if self.rel not in (REL_EQ, REL_LE, REL_LT):
@@ -246,7 +247,11 @@ class AtomicProp:
 
     @property
     def variables(self) -> frozenset[Var]:
-        return self.term.variables
+        vs = self._vars
+        if vs is None:
+            vs = self.term.variables
+            object.__setattr__(self, "_vars", vs)
+        return vs
 
     def substitute(self, mapping: Mapping[Var, LinTerm]) -> "AtomicProp":
         t = self.term.substitute(mapping)
@@ -471,6 +476,9 @@ class Clause:
     # the analyzer's candidate-filter conditions by position subset, as
     # {positions: (limit, constraint)}, filled lazily
     _conditions = None
+    # the two sides of the head condition by (head positions, body
+    # positions), as {node: (limit, (rhs, lhs))}, filled lazily
+    _sides = None
 
     def __post_init__(self):
         hv, bv = self.head_vars, self.body_vars

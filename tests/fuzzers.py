@@ -26,8 +26,10 @@ from the equations ``W = t``, for every query; the property tests compare
 are distinct variables, against it.  ``direct_condition`` projects the rule
 constraint onto a head position subset in one step, the reference for the
 analyzer's candidate conditions, which each project their parent subset's
-condition; ``rand_wide_rule`` draws rules wide enough for the two to
-eliminate in different orders.
+condition; ``direct_sides`` likewise projects the rule constraint onto the
+head condition's two sides, the reference for the neutrality builder's
+lattice of sides.  ``rand_wide_rule`` draws rules wide enough for the
+lattices and the references to eliminate in different orders.
 """
 
 from __future__ import annotations
@@ -523,3 +525,19 @@ def direct_condition(rule: Clause, positions: frozenset[int],
     selected = select_positions(rule.head_vars, positions)
     return Query(atom_of_vars(projected_pred(rule.head_pred, positions), selected),
                  project(rule.constraint, selected, limit))
+
+
+def direct_sides(rule: Clause, m: frozenset[int],
+                 body_m: Optional[frozenset[int]] = None,
+                 limit: int = DEFAULT_DNF_LIMIT) -> tuple[Constraint, Constraint]:
+    """The head condition's sides ``(rhs, lhs)`` by their definition, each
+    one projection of the rule constraint c: ``proj(c, X u Y_-m)`` and
+    ``proj(c, X_-m u Y_-m)``, with ``body_m`` (default m) the filtered body
+    positions.  The reference for the neutrality builder's lattice of
+    sides."""
+    body_m = m if body_m is None else body_m
+    body = set(rule.body_vars) - set(select_positions(rule.body_vars, body_m))
+    head = set(rule.head_vars)
+    kept_head = head - set(select_positions(rule.head_vars, m))
+    return (project(rule.constraint, head | body, limit),
+            project(rule.constraint, kept_head | body, limit))

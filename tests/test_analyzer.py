@@ -233,6 +233,22 @@ class TestFindLoopingQueries:
         assert failed.head_ok is None
         assert report.results
 
+    def test_a_head_side_that_raised_is_not_cached(self):
+        # the head builder's sides of {1} eliminate from those of {}, which
+        # project the rule constraint onto the head and body variables
+        rule = clause(
+            "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
+            "C >= B <> pow2(D, E, F).")
+        filt = candidate_filter(rule, frozenset({1}))
+        with pytest.raises(ResourceLimitError, match="exceeds 4"):
+            neutrality_head_formula(filt, rule, 4)
+        top = (frozenset(), frozenset())
+        assert set(rule._sides) == {top}
+        # a larger limit serves from the top; {1} is cached once it fits
+        held = decide(neutrality_head_formula(filt, rule))
+        assert set(rule._sides) == {top, (frozenset({1}), frozenset({1}))}
+        assert held == decide(neutrality_head_formula(filt, clause(str(rule))))
+
     def test_witness_overflow_is_the_subsets_error(self):
         # subset {1, 2} passes the search within 4 conjuncts; its witness
         # needs 5
@@ -542,3 +558,33 @@ def test_shift_conditions_projected_once_per_subset(monkeypatch):
     assert len(report.checks) == 128
     assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
     assert (calls["project"], calls["satisfiable"]) == (128, 0)
+
+
+def test_shift_head_sides_eliminate_at_most_three_per_subset(monkeypatch):
+    # the head condition's sides of an arity-7 rule form one lattice: each
+    # subset's rhs eliminates y_j from its parent's, and its lhs x_j and
+    # y_j, with j the subset's largest position; projecting the whole rule
+    # constraint again for each subset took 895 eliminations
+    rule = _shift_rule(7)
+    calls = Counter()
+    inside = []
+    eliminate = linarith._eliminate_var_conj
+    builder = analyzer.neutrality_head_formula
+
+    def counted_eliminate(atoms, x, limit):
+        calls["head"] += bool(inside)
+        return eliminate(atoms, x, limit)
+
+    def counted_builder(*args):
+        inside.append(args)
+        try:
+            return builder(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linarith, "_eliminate_var_conj", counted_eliminate)
+    monkeypatch.setattr(analyzer, "neutrality_head_formula", counted_builder)
+    report = find_looping_queries(rule)
+    assert len(report.checks) == 128
+    assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
+    assert calls["head"] <= 3 * 128, calls

@@ -40,6 +40,10 @@ def eq(a, b):
     return compare(a, "=", b)
 
 
+def ge(a, b):
+    return compare(a, ">=", b)
+
+
 def entails(lhs, rhs, over) -> bool:
     return decide(Entailment(Constraint(tuple(lhs)), Constraint(tuple(rhs)),
                              frozenset(over)))
@@ -293,6 +297,39 @@ class TestSample:
         c = Constraint.of(le(tx + one, ty), le(zero, tx))
         v = sample_solution(c)
         assert all(a.eval(v) for a in c)
+
+
+class TestDecideSidesInsideOver:
+    """A side whose variables lie in ``over`` is decided as it is, without
+    being projected (which would simplify it); the verdict equals the one
+    with both sides projected first."""
+
+    OVER = frozenset({X, Y})
+    CASES = {
+        "duplicate rhs": ([le(tx, ty)], [le(tx, ty), le(tx, ty)], True),
+        "duplicate lhs": ([le(tx, ty), le(tx, ty)], [lt(tx, ty)], False),
+        "slackened rhs": ([le(tx, ty)], [le(tx, ty + one), le(tx, ty)], True),
+        "slackened lhs": ([le(tx, ty + one), le(tx, ty + one + one)], [le(tx, ty)],
+                          False),
+        "ground-true rhs": ([le(tx, ty)], [le(zero, one), le(tx, ty)], True),
+        "ground-true lhs": ([lt(zero, one), eq(tx, ty)], [le(ty, tx)], True),
+        "opposite bounds rhs": ([eq(tx, ty)], [le(tx, ty), ge(tx, ty)], True),
+        "contradictory lhs": ([eq(tx, zero), eq(tx, one)], [le(ty, zero)], True),
+        "contradictory rhs": ([le(tx, ty)], [eq(tx, ty), eq(tx, ty + one)], False),
+        "ground-false rhs": ([le(tx, ty)], [le(one, zero)], False),
+        "ground-false both": ([le(one, zero)], [le(one, zero)], True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_verdict_as_projected_sides(self, case):
+        lhs_atoms, rhs_atoms, held = self.CASES[case]
+        lhs, rhs = Constraint(tuple(lhs_atoms)), Constraint(tuple(rhs_atoms))
+        assert lhs.variables <= self.OVER and rhs.variables <= self.OVER
+        # projecting simplifies at least one side, so the two forms differ
+        projected = (project(lhs, self.OVER), project(rhs, self.OVER))
+        assert projected != (lhs, rhs)
+        assert decide(Entailment(lhs, rhs, self.OVER)) is held
+        assert decide(Entailment(*projected, self.OVER)) is held
 
 
 class TestResourceLimits:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from fuzzers import (
     RELS,
     direct_condition,
+    direct_sides,
     equation_denotation,
     every_step_run,
     max_gen,
@@ -50,6 +51,7 @@ from clploop.engine import derivation_step, run
 from clploop.filters import (
     Filter,
     PositionSet,
+    condition_denotation,
     delta_more_general,
     denotation,
     more_general,
@@ -67,7 +69,7 @@ from clploop.linarith import (
     sample_solution,
     satisfiable,
 )
-from clploop.neutral import neutrality_body_formula, neutrality_head_formula
+from clploop.neutral import head_sides, neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
     Atom,
     Clause,
@@ -589,6 +591,65 @@ class TestCandidateConditionProperties:
         # print differently from their direct projection
         assert kinds["text differs"] >= 5, kinds
         assert min(kinds[k] for k in ("head", "body", "subsumes", "passed")) >= 100, kinds
+
+
+class TestHeadSideProperties:
+    """The head condition's sides come from one lattice per rule: each
+    side eliminates one or two variables from its parent subset's (the
+    subset without its largest position); ``direct_sides``, one projection
+    of the rule constraint per side, is the reference."""
+
+    @staticmethod
+    def check_sides(rule: Clause, hm: frozenset[int], bm: frozenset[int]):
+        """Compares the lattice sides at head positions hm and body
+        positions bm with the reference; returns the reference sides, the
+        right side's variables and whether either side prints differently."""
+        rhs, lhs = head_sides(rule, hm, bm)
+        ref_rhs, ref_lhs = direct_sides(rule, hm, bm)
+        kept_body = set(rule.body_vars) - set(select_positions(rule.body_vars, bm))
+        kept_head = set(rule.head_vars) - set(select_positions(rule.head_vars, hm))
+        over = frozenset(rule.head_vars).union(kept_body)
+        kept = frozenset(kept_head | kept_body)
+        # each side lies over its variables, so decide takes it as it is
+        assert rhs.variables <= over and lhs.variables <= kept
+        where = (str(rule), sorted(hm), sorted(bm))
+        assert _equivalent(rhs, ref_rhs, over), where
+        assert _equivalent(lhs, ref_lhs, kept), where
+        differs = (str(rhs), str(lhs)) != (str(ref_rhs), str(ref_lhs))
+        return ref_rhs, ref_lhs, over, differs
+
+    def test_lattice_sides_equal_direct_projection(self):
+        rng = random.Random(126)
+        kinds = Counter()
+        for _ in range(40):
+            rule = rand_wide_rule(rng)
+            pred = rule.head_pred
+            n = pred.arity
+            report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
+            assert len(report.checks) == 2 ** n and not report.errors
+            for check in report.checks:
+                m = check.positions
+                ref_rhs, ref_lhs, over, differs = self.check_sides(rule, m, m)
+                kinds["text differs"] += differs
+                # the verdict decided on the reference sides
+                filt = candidate_filter(rule, m)
+                member = condition_denotation(
+                    filt, pred, select_positions(rule.head_vars, m))
+                head_ok = decide(Entailment(ref_lhs.conjoin(member), ref_rhs, over))
+                assert check.head_ok == head_ok, (str(rule), sorted(m))
+                kinds["head holds" if head_ok else "head fails"] += 1
+            # filters whose head and body positions differ take the same
+            # lattice, with j the largest filtered position on either side
+            for _ in range(4):
+                hm, bm = rand_positions(rng, n), rand_positions(rng, n)
+                self.check_sides(rule, hm, bm)
+                kinds["differing positions"] += hm != bm
+        # at this seed: 664 subsets, 338 head conditions hold and 326 fail,
+        # 4 side pairs print differently from the reference, and 146 of the
+        # 160 extra filters have differing head and body positions
+        assert kinds["text differs"] >= 3, kinds
+        assert min(kinds["head holds"], kinds["head fails"]) >= 100, kinds
+        assert kinds["differing positions"] >= 100, kinds
 
 
 class TestSampleProperties:
