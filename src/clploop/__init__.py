@@ -11,14 +11,16 @@ submodules: :mod:`clploop.syntax` (terms and normalization),
 and :mod:`clploop.engine` (the derivation engine).
 
 The prover decides three conjunctive entailments, each projected onto a set
-of variables: the head condition ``proj(c, O), den(cond)<H> |= proj(c, O u
-H)`` over the unfiltered head and body variables O and the filtered head
-variables H, the body condition ``c |= den(cond)<B>`` over the filtered body
+of variables: the head condition ``proj(c, O), cond(m) |= proj(c, O u H)``
+over the unfiltered head and body variables O and the filtered head
+variables H, the body condition ``c |= cond(m)<B>`` over the filtered body
 variables B, and query generality ``den(Q) |= den(Q1)`` over probe
-variables W, or over those at some positions for a filter.  Here c is a
-rule constraint, ``proj(c, V)`` its projection onto V, den(Q) the
-denotation of a query as a constraint over W, computed once per query, and
-``den(cond)<V>`` that of a filter condition with W renamed to V.
+variables W, or over those at the unfiltered positions for filter
+generality, whose filter half is the body condition.  Here c is a rule
+constraint, ``proj(c, V)`` its projection onto V, ``cond(m) = proj(c, H)``
+the condition of the candidate filter at head positions m, ``cond(m)<B>``
+the same with H renamed to B, and den(Q) the denotation of a query as a
+constraint over W, computed once per query.
 """
 
 from __future__ import annotations

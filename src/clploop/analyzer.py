@@ -1,23 +1,24 @@
 """Search for looping queries of binary recursive rules.
 
-For each subset m of a recursive rule's head positions, the analyzer builds
-the candidate filter whose positions are m and whose condition query is the
-rule constraint existentially projected onto the m-selected head variables.
-The conditions of one rule form a lattice: the full set's condition projects
-the rule constraint, and any other subset's projects its parent's
-condition, the parent being m plus the smallest position outside m.  The
-scan runs in decreasing cardinality, so each subset costs one projection of
-a small constraint over head variables.  Fourier-Motzkin output depends on
-the elimination order, so on rare inputs a condition's printed text differs
-from a direct projection of the rule constraint in atom order or by a
-redundant atom; the two denote the same set.
-If the filter is derivation neutral for the rule and the rule's body query is
-filter-more-general than its head query, then the head query loops; a ground
-witness is built by sampling the condition constraint at the filtered
-positions, with the lattice's condition at the other positions as its store,
-and every reported query is validated by actually running the derivation
-engine for a configurable number of steps.  With zero steps the
-witnesses are reported unverified (``verified_steps`` 0, "not run").
+For each subset m of a recursive rule's head positions, the analyzer takes
+the condition cond(m), the rule constraint existentially projected onto the
+m-selected head variables.  The conditions of one rule form a lattice: the
+full set's condition projects the rule constraint, and any other subset's
+projects its parent's condition, the parent being m plus the smallest
+position outside m.  The scan runs in decreasing cardinality, so each subset
+costs one projection of a small constraint over head variables.
+Fourier-Motzkin output depends on the elimination order, so on rare inputs a
+condition's printed text differs from a direct projection of the rule
+constraint in atom order or by a redundant atom; the two denote the same
+set.  If the filter at m with condition cond(m) is derivation neutral for
+the rule (decided on cond(m) itself) and the body query is
+filter-more-general than the head query (whose filter half is the body
+condition), the head query loops; only then is the filter built, and a
+ground witness sampled from cond(m) at the filtered positions, with the
+lattice's condition at the other positions as its store.  Every reported
+query is validated by running the derivation engine for a configurable
+number of steps; with zero steps the witnesses are reported unverified
+(``verified_steps`` 0, "not run").
 
 The reports expose the downward closure of the passing position subsets as
 "non-terminating classes": m is a class when some query with constants at the
@@ -160,9 +161,8 @@ def candidate_filter(rule: Clause, positions: frozenset[int],
     """The projection filter for a recursive rule and a head position subset:
     the condition query keeps the selected head variables and projects the
     rule constraint onto them, derived from the condition of the parent
-    subset (see `_condition`).  The condition is satisfiable because the
-    rule constraint is, so the filter is built without `Filter.make`'s
-    check."""
+    subset (see `_condition`).  The condition is satisfiable, as a filter
+    condition must be, because the rule constraint is."""
     if not rule.is_recursive():
         raise ValueError("candidate filters are defined for recursive rules only")
     pred = rule.head_pred
@@ -248,6 +248,8 @@ def find_looping_queries(rule: Clause, index: int = 0,
     if not rule.is_recursive():
         return ClauseReport(index=index, clause=rule)
     arity = rule.head_pred.arity
+    full = frozenset(range(1, arity + 1))
+    to_body = dict(zip(rule.head_vars, rule.body_vars))
     # built once, so each denotation is computed once per clause
     head, body = rule.head_query, rule.body_query
     checks: list[SubsetCheck] = []
@@ -259,17 +261,18 @@ def find_looping_queries(rule: Clause, index: int = 0,
         for combo in itertools.combinations(range(1, arity + 1), size):
             m = frozenset(combo)
             try:
-                filt = candidate_filter(rule, m, opts.max_dnf)
+                cond = _condition(rule, m, opts.max_dnf)
                 head_ok = linarith.decide(
-                    neutrality_head_formula(filt, rule, opts.max_dnf), opts.max_dnf)
+                    neutrality_head_formula(rule, m, m, cond, opts.max_dnf), opts.max_dnf)
                 body_ok = subsumes = None
                 if head_ok:
-                    body_ok = linarith.decide(
-                        neutrality_body_formula(filt, rule, opts.max_dnf), opts.max_dnf)
-                    if body_ok:
-                        subsumes = delta_more_general(body, head, filt, opts.max_dnf)
+                    body_ok = linarith.decide(neutrality_body_formula(
+                        rule, m, cond.rename(to_body)), opts.max_dnf)
+                    if body_ok:  # the filter half of delta_more_general
+                        subsumes = more_general(body, head, opts.max_dnf, full - m)
                 check = SubsetCheck(m, head_ok, body_ok, subsumes)
                 if check.passed:
+                    filt = candidate_filter(rule, m, opts.max_dnf)
                     witness = make_witness(filt, rule, head, opts.max_dnf)
                     verified = 0
                     if opts.verify_steps > 0:

@@ -8,15 +8,17 @@ and answers LOOPS (proved) when the query is more general than a verified
 looping query, or filter-more-general than a proven looping head query under
 one of the found filters.
 
-Exit codes: 0 analysis completed (whatever the findings), 2 parse,
-validation or usage error, 3 a resource limit was hit somewhere or a
-witness failed engine validation (the partial report is still printed).
+Exit codes: 0 analysis completed (whatever the findings), 1 stdout closed
+before the report was written, 2 parse, validation or usage error, 3 a
+resource limit was hit somewhere or a witness failed engine validation (the
+partial report is still printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -289,7 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so flushing it at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ condition query over the projected predicate.  Both filter questions restrict
 inclusion to the probes of some positions: Q satisfies the filter when
 ``den(Q) |= den(cond)<W_tau>`` over W_tau, the probes at the filtered
 positions (:func:`condition_denotation`), and Q1 is more general than Q at
-the unfiltered positions plus satisfies the filter (δ-generality, the
-analyzer's order: transitive, not reflexive) when also ``den(Q) |= den(Q1)``
-over the probes there.
+the unfiltered positions (:func:`more_general` with ``positions``) plus
+satisfies the filter (δ-generality, the analyzer's order: transitive, not
+reflexive) when also ``den(Q) |= den(Q1)`` over the probes there.
 """
 
 from __future__ import annotations
@@ -84,23 +84,6 @@ class Filter:
     positions: PositionSet
     conditions: tuple[tuple[Pred, Query], ...] = ()
 
-    @staticmethod
-    def make(
-        positions: PositionSet,
-        conditions: Optional[Mapping[Pred, Query]] = None,
-    ) -> "Filter":
-        items = []
-        for pred, q in (conditions or {}).items():
-            expected = projected_pred(pred, positions.get(pred))
-            if q.pred != expected:
-                raise ValueError(
-                    f"condition for {pred} must be over {expected}, got {q.pred}")
-            if not linarith.satisfiable(q.constraint):
-                raise ValueError(f"condition for {pred} is unsatisfiable: {q}")
-            items.append((pred, q))
-        items.sort(key=lambda kv: (kv[0].name, kv[0].arity))
-        return Filter(positions, tuple(items))
-
     def condition(self, pred: Pred) -> Query:
         for p, q in self.conditions:
             if p == pred:
@@ -150,21 +133,18 @@ def condition_denotation(filt: Filter, pred: Pred, at: tuple[Var, ...],
     return den.rename(dict(zip(probes(len(at)), at)))
 
 
-def _included(q_gen: Query, q: Query, over: tuple[Var, ...], limit: int) -> bool:
-    """``den(q) |= den(q_gen)`` over the probes ``over``; see more_general."""
+def more_general(q_gen: Query, q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT,
+                 positions: Optional[Iterable[int]] = None) -> bool:
+    """Whether q_gen denotes a superset of q: ``den(q) |= den(q_gen)`` over
+    the probes (see :func:`denotation`), or those at ``positions`` if given.
+    Queries over distinct predicates are incomparable unless q denotes the
+    empty set, in which case any query is more general."""
     if q_gen.pred != q.pred:
         return not linarith.satisfiable(q.constraint, limit)
+    w = probes(q.pred.arity)
+    over = w if positions is None else select_positions(w, positions)
     return linarith.decide(Entailment(
         denotation(q, limit), denotation(q_gen, limit), frozenset(over)), limit)
-
-
-def more_general(q_gen: Query, q: Query,
-                 limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
-    """Whether q_gen denotes a superset of q: ``den(q) |= den(q_gen)`` over
-    the probes (see :func:`denotation`).  Queries over distinct predicates
-    are incomparable unless q denotes the empty set, in which case any
-    query is more general."""
-    return _included(q_gen, q, probes(q.pred.arity), limit)
 
 
 def satisfies(q: Query, filt: Filter,
@@ -181,6 +161,5 @@ def delta_more_general(q_gen: Query, q: Query, filt: Filter,
                        limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
     """More general on the unfiltered positions, and q_gen satisfies the
     filter.  Transitive; not reflexive in general."""
-    kept = filt.positions.complement_for(q.pred)
-    return (_included(q_gen, q, select_positions(probes(q.pred.arity), kept), limit)
+    return (more_general(q_gen, q, limit, filt.positions.complement_for(q.pred))
             and satisfies(q_gen, filt, limit))

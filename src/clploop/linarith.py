@@ -5,13 +5,16 @@ conjunction, projected onto some variables, entail another projected onto
 the same variables?  There are three such questions, for a rule with
 constraint c, filtered head variables H, filtered body variables B, O the
 unfiltered head and body variables, ``proj(c, V)`` the projection of c onto
-V and ``den(Q)`` the denotation of a query Q as a constraint over probe
-variables W (``den(cond)<V>`` with W renamed to V, for a filter condition):
+V, ``cond(m) = proj(c, H)`` the condition of the filter at head positions m
+(``cond(m)<B>`` with H renamed to B) and ``den(Q)`` the denotation of a
+query Q as a constraint over probe variables W:
 
-* the head condition ``proj(c, O), den(cond)<H> |= proj(c, O u H)`` over O
+* the head condition ``proj(c, O), cond(m) |= proj(c, O u H)`` over O
   and H;
-* the body condition ``c |= den(cond)<B>`` over B;
-* query generality ``den(Q) |= den(Q1)`` over W, or some of W (filters).
+* the body condition ``c |= cond(m)<B>`` over B;
+* query generality ``den(Q) |= den(Q1)`` over W, or over the probes at the
+  unfiltered positions for filter generality, whose filter half is the
+  body condition (filters).
 
 The admitted structure is the rationals with addition, rational constants
 and the orderings.

@@ -5,33 +5,37 @@ argument positions of any query in a derivation by anything satisfying the
 filter's condition preserves the existence of every derivation step.  For a
 normalized rule ``p(X) <- c <> q(Y)`` write H for the filtered head
 variables, B for the filtered body variables, R for B plus the rule's local
-variables and O for every other rule variable, ``proj(c, V)`` for c
-projected onto V and ``den(cond)<V>`` for the condition query's cached
-denotation with its probes renamed to V (:func:`filters.condition_denotation`).
+variables and O for every other rule variable, and ``proj(c, V)`` for c
+projected onto V.  The builders take the filter condition as a constraint
+over the rule's own variables.  For the analyzer's candidate filter at head
+positions m that is ``cond(m) = proj(c, X_m)``, over H = X_m, and
+``cond(m)<B>``, the same with X_m renamed to B = Y_m; another filter's
+condition query enters by its denotation with the probes renamed to H or B.
 The criterion is a pair of entailments over linear rational arithmetic,
 decided exactly:
 
-* the head condition ``proj(c, O), den(cond)<H> |= proj(c, O u H)`` over O
-  and H: whenever c holds, every replacement of the filtered head positions
-  that satisfies the condition query can be completed to a solution of c
-  by re-choosing R.  Its left side is that of the renaming form
+* the head condition ``proj(c, O), cond(m) |= proj(c, O u H)`` over O and
+  H: whenever c holds, every replacement of the filtered head positions
+  that satisfies the condition can be completed to a solution of c by
+  re-choosing R.  Its left side is that of the renaming form
   ``c[H renamed apart], M(H) |= c``, with M(H) the membership of H in the
-  condition query, projected onto O and H: the two conjuncts share no
-  variable, so the projection splits into ``proj(c, O)`` and
-  ``den(cond)<H>``.  Both projections come from one lattice per rule
-  (:func:`head_sides`);
+  condition, projected onto O and H: the two conjuncts share no variable,
+  so the projection splits into ``proj(c, O)`` and ``cond(m)``.  Both
+  projections of c come from one lattice per rule (:func:`head_sides`);
 
-* the body condition ``c |= den(cond)<B>`` over B: whenever c holds, the
-  filtered body positions satisfy the condition query.
+* the body condition ``c |= cond(m)<B>`` over B: whenever c holds, the
+  filtered body positions satisfy the condition.
 
 Both conditions together imply derivation neutrality, and over linear
 rational constraints they are exact.  The two conditions must be decided
 separately: merging them into the single entailment "every replacement can
 be completed to a solution that also satisfies the condition",
-``proj(c, O), den(cond)<H> |= proj((c, den(cond)<B>), O u H)`` over O and
-H, is strictly weaker and unsound (the analyzer's tests pin a
-counterexample).  The analyzer decides each entailment on its own and
-reports each verdict.
+``proj(c, O), cond(m) |= proj((c, cond(m)<B>), O u H)`` over O and H, is
+strictly weaker and unsound (the analyzer's tests pin a counterexample).
+The analyzer decides each entailment on its own and reports each verdict.
+Its third condition, that the body query be filter-more-general than the
+head query, has the body condition as its filter half, so only generality
+at the unfiltered positions is left to decide.
 
 With X and Y the head and body variables, m the filtered positions and Z_m
 the variables of Z at the positions in m (Z_-m at the others), the head
@@ -54,7 +58,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Optional, TypeVar
 
 from . import linarith
-from .filters import Filter, condition_denotation, select_positions
+from .filters import select_positions
 from .linarith import Entailment
 from .syntax import Clause, Constraint
 
@@ -132,22 +136,20 @@ def head_sides(rule: Clause, head_pos: frozenset[int], body_pos: frozenset[int],
                           step, limit)
 
 
-def neutrality_head_formula(filt: Filter, rule: Clause,
+def neutrality_head_formula(rule: Clause, head_pos: frozenset[int],
+                            body_pos: frozenset[int], cond: Constraint,
                             limit: int = linarith.DEFAULT_DNF_LIMIT) -> Entailment:
-    """Entailment of the head condition (see the module docstring)."""
-    head_pos = filt.positions.get(rule.head_pred)
-    body_pos = filt.positions.get(rule.body_pred)
-    head_sel = select_positions(rule.head_vars, head_pos)
-    member = condition_denotation(filt, rule.head_pred, head_sel, limit)
+    """Entailment of the head condition (see the module docstring), with
+    ``cond`` the filter condition over the filtered head variables."""
     rhs, lhs = head_sides(rule, head_pos, body_pos, limit)
     body_sel = select_positions(rule.body_vars, body_pos)
     over = frozenset(rule.head_vars + rule.body_vars).difference(body_sel)
-    return Entailment(lhs.conjoin(member), rhs, over)
+    return Entailment(lhs.conjoin(cond), rhs, over)
 
 
-def neutrality_body_formula(filt: Filter, rule: Clause,
-                            limit: int = linarith.DEFAULT_DNF_LIMIT) -> Entailment:
-    """Entailment of the body condition (see the module docstring)."""
-    body_sel = select_positions(rule.body_vars, filt.positions.get(rule.body_pred))
-    member = condition_denotation(filt, rule.body_pred, body_sel, limit)
-    return Entailment(rule.constraint, member, frozenset(body_sel))
+def neutrality_body_formula(rule: Clause, body_pos: frozenset[int],
+                            cond: Constraint) -> Entailment:
+    """Entailment of the body condition (see the module docstring), with
+    ``cond`` the filter condition over the filtered body variables."""
+    return Entailment(rule.constraint, cond,
+                      frozenset(select_positions(rule.body_vars, body_pos)))

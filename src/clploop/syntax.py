@@ -382,9 +382,6 @@ class Constraint:
     def rename(self, mapping: Mapping[Var, Var]) -> "Constraint":
         return Constraint(tuple(a.rename(mapping) for a in self.atoms))
 
-    def is_true(self) -> bool:
-        return not self.atoms
-
     def __iter__(self) -> Iterator[AtomicProp]:
         return iter(self.atoms)
 
@@ -504,10 +501,6 @@ class Clause:
     @property
     def variables(self) -> frozenset[Var]:
         return frozenset(self.head_vars) | frozenset(self.body_vars) | self.constraint.variables
-
-    def local_vars(self) -> frozenset[Var]:
-        """Constraint variables that occur in neither argument tuple."""
-        return self.constraint.variables - set(self.head_vars) - set(self.body_vars)
 
     def is_recursive(self) -> bool:
         return self.head_pred == self.body_pred

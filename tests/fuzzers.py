@@ -30,24 +30,32 @@ condition; ``direct_sides`` likewise projects the rule constraint onto the
 head condition's two sides, the reference for the neutrality builder's
 lattice of sides.  ``rand_wide_rule`` draws rules wide enough for the
 lattices and the references to eliminate in different orders.
+``filter_head_formula`` and ``filter_body_formula`` build the neutrality
+entailments for a hand-built ``Filter``, whose conditions the builders in
+``clploop.neutral`` take as constraints over the rule's variables: each
+condition's denotation renamed to the filtered variables.  ``make_filter``,
+``is_true`` and ``local_vars`` are small constructors and accessors only
+the tests use.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from clploop.engine import derivation_step
 from clploop.filters import (
     Filter,
     PositionSet,
+    condition_denotation,
     more_general,
     probes,
     projected_pred,
     select_positions,
 )
 from clploop.linarith import DEFAULT_DNF_LIMIT, Entailment, project, satisfiable
+from clploop.neutral import neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
     Atom,
     AtomicProp,
@@ -66,6 +74,54 @@ from clploop.syntax import (
 )
 
 RELS = ("=", "<=", "<", ">=", ">")
+
+
+def is_true(c: Constraint) -> bool:
+    """Whether a constraint is the empty conjunction."""
+    return not c.atoms
+
+
+def local_vars(rule: Clause) -> frozenset[Var]:
+    """Constraint variables that occur in neither argument tuple."""
+    return rule.constraint.variables - set(rule.head_vars) - set(rule.body_vars)
+
+
+def make_filter(positions: PositionSet,
+                conditions: Optional[Mapping[Pred, Query]] = None) -> Filter:
+    """A filter with its conditions checked: each must be over the projected
+    predicate and have a satisfiable constraint, else ValueError."""
+    items = []
+    for pred, q in (conditions or {}).items():
+        expected = projected_pred(pred, positions.get(pred))
+        if q.pred != expected:
+            raise ValueError(
+                f"condition for {pred} must be over {expected}, got {q.pred}")
+        if not satisfiable(q.constraint):
+            raise ValueError(f"condition for {pred} is unsatisfiable: {q}")
+        items.append((pred, q))
+    items.sort(key=lambda kv: (kv[0].name, kv[0].arity))
+    return Filter(positions, tuple(items))
+
+
+def filter_head_formula(filt: Filter, rule: Clause,
+                        limit: int = DEFAULT_DNF_LIMIT) -> Entailment:
+    """The head condition of a filter: its head condition's denotation
+    renamed to the filtered head variables, given to the builder."""
+    head_pos = filt.positions.get(rule.head_pred)
+    at = select_positions(rule.head_vars, head_pos)
+    cond = condition_denotation(filt, rule.head_pred, at, limit)
+    return neutrality_head_formula(rule, head_pos, filt.positions.get(rule.body_pred),
+                                   cond, limit)
+
+
+def filter_body_formula(filt: Filter, rule: Clause,
+                        limit: int = DEFAULT_DNF_LIMIT) -> Entailment:
+    """The body condition of a filter: its body condition's denotation
+    renamed to the filtered body variables, given to the builder."""
+    body_pos = filt.positions.get(rule.body_pred)
+    at = select_positions(rule.body_vars, body_pos)
+    cond = condition_denotation(filt, rule.body_pred, at, limit)
+    return neutrality_body_formula(rule, body_pos, cond)
 
 
 def variables_of(obj) -> frozenset[Var]:
@@ -325,7 +381,7 @@ def rand_filter(rng: random.Random, pred: Pred,
             Constraint(atoms),
         )
         try:
-            return Filter.make(tau, {pred: cond})
+            return make_filter(tau, {pred: cond})
         except ValueError:
             continue
 
@@ -437,7 +493,7 @@ def renaming_head_formula(filt: Filter, rule: Clause) -> Entailment:
     member = membership(probe, filt.condition(rule.head_pred), base)
     fresh = 1 + max_gen(rule, member)
     apart = c.rename({v: Var(v.name, fresh + v.gen) for v in head_sel})
-    rechoose = set(body_sel) | rule.local_vars()
+    rechoose = set(body_sel) | local_vars(rule)
     return Entailment(apart.conjoin(member), c, rule.variables - rechoose)
 
 
@@ -476,7 +532,7 @@ def rand_condition_filter(rng: random.Random, rule: Clause) -> Filter:
                 args[0] = args[-1] = LinTerm.of_var(rng.choice(pool))
             conditions[p] = Query(Atom(pp, tuple(args)), cond.constraint.rename(mapping))
         try:
-            return Filter.make(PositionSet.of(positions), conditions)
+            return make_filter(PositionSet.of(positions), conditions)
         except ValueError:
             continue
 

@@ -9,6 +9,10 @@ import time
 from fractions import Fraction
 
 from fuzzers import (
+    filter_body_formula,
+    filter_head_formula,
+    local_vars,
+    make_filter,
     max_gen,
     membership,
     project_query,
@@ -23,7 +27,6 @@ from fuzzers import (
 from clploop.analyzer import analyze_program, candidate_filter, find_looping_queries
 from clploop.engine import derivation_step, run
 from clploop.filters import (
-    Filter,
     PositionSet,
     delta_more_general,
     more_general,
@@ -38,7 +41,6 @@ from clploop.linarith import (
     sample_solution,
     satisfiable,
 )
-from clploop.neutral import neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
     Atom,
     Constraint,
@@ -249,7 +251,7 @@ def test_criterion_6_randomized_soundness_suites():
     for _ in range(1000):
         rule = rand_rule(rng)
         filt = rand_filter(rng, rule.head_pred)
-        lhs = decide(neutrality_body_formula(filt, rule))
+        lhs = decide(filter_body_formula(filt, rule))
         rhs = satisfies(rule.body_query, filt)
         assert lhs == rhs
 
@@ -282,7 +284,7 @@ def test_criterion_6_randomized_soundness_suites():
         tau = PositionSet.of({pred: ps})
         cond = project_query(q1, tau)
         try:
-            filt = Filter.make(tau, {pred: cond})
+            filt = make_filter(tau, {pred: cond})
         except ValueError:
             continue
         assert delta_more_general(q1, q2, filt)
@@ -306,8 +308,8 @@ def test_criterion_6_randomized_soundness_suites():
     for _ in range(1000):
         rule = rand_rule(rng)
         filt = candidate_filter(rule, frozenset())
-        assert decide(neutrality_head_formula(filt, rule))
-        assert decide(neutrality_body_formula(filt, rule))
+        assert decide(filter_head_formula(filt, rule))
+        assert decide(filter_body_formula(filt, rule))
 
 
 def test_criterion_7_merged_criterion_is_rejected():
@@ -320,7 +322,7 @@ def test_criterion_7_merged_criterion_is_rejected():
         Atom(projected_pred(pred, {1}), (LinTerm.of_var(cvar),)),
         Constraint.of(compare(LinTerm.of_var(cvar), "<=", _c(3))),
     )
-    filt = Filter.make(PositionSet.of({pred: {1}}), {pred: cond})
+    filt = make_filter(PositionSet.of({pred: {1}}), {pred: cond})
 
     head_sel = select_positions(rule.head_vars, {1})
     body_sel = select_positions(rule.body_vars, {1})
@@ -331,13 +333,13 @@ def test_criterion_7_merged_criterion_is_rejected():
     member_body = membership(
         tuple(LinTerm.of_var(v) for v in body_sel), cond, base + 1)
     apart = c.rename({v: Var(v.name, base + 2) for v in head_sel})
-    rechoose = set(body_sel) | rule.local_vars()
+    rechoose = set(body_sel) | local_vars(rule)
     merged = Entailment(apart.conjoin(member_head), c.conjoin(member_body),
                         rule.variables - rechoose)
 
     assert decide(merged)  # the merged form wrongly certifies the filter
-    assert decide(neutrality_head_formula(filt, rule))
-    assert not decide(neutrality_body_formula(filt, rule))
+    assert decide(filter_head_formula(filt, rule))
+    assert not decide(filter_body_formula(filt, rule))
 
     # engine evidence: derivations reach first arguments above 3, where no
     # further step exists

@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 
 import pytest
+from fuzzers import is_true
 
 from clploop import analyzer, linarith
 from clploop.analyzer import (
@@ -64,14 +65,14 @@ class TestCandidateFilter:
         filt = candidate_filter(rule, frozenset())
         cond = filt.condition(rule.head_pred)
         assert cond.pred.arity == 0
-        assert cond.constraint.is_true()
+        assert is_true(cond.constraint)
 
     def test_single_position_unconstrained(self):
         rule = clause(SHIFT_LE)
         filt = candidate_filter(rule, frozenset({1}))
         cond = filt.condition(rule.head_pred)
         # X1 alone is unbounded in X1 <= X2
-        assert cond.constraint.is_true()
+        assert is_true(cond.constraint)
 
     def test_non_recursive_rejected(self):
         rule = clause("p(A) <- A >= 0 <> q(A).\nq(A) <- true <> q(A).")
@@ -224,9 +225,10 @@ class TestFindLoopingQueries:
         rule = clause(
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
-        filt = candidate_filter(rule, frozenset({1}), 4)
+        m = frozenset({1})
+        cond = candidate_filter(rule, m, 4).condition(rule.head_pred).constraint
         with pytest.raises(ResourceLimitError, match="exceeds 4"):
-            neutrality_head_formula(filt, rule, 4)
+            neutrality_head_formula(rule, m, m, cond, 4)
         report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
         failed = next(c for c in report.checks if c.positions == frozenset({1}))
         assert failed.error == "elimination exceeds 4 conjuncts"
@@ -239,15 +241,16 @@ class TestFindLoopingQueries:
         rule = clause(
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
-        filt = candidate_filter(rule, frozenset({1}))
+        m = frozenset({1})
+        cond = candidate_filter(rule, m).condition(rule.head_pred).constraint
         with pytest.raises(ResourceLimitError, match="exceeds 4"):
-            neutrality_head_formula(filt, rule, 4)
+            neutrality_head_formula(rule, m, m, cond, 4)
         top = (frozenset(), frozenset())
         assert set(rule._sides) == {top}
         # a larger limit serves from the top; {1} is cached once it fits
-        held = decide(neutrality_head_formula(filt, rule))
-        assert set(rule._sides) == {top, (frozenset({1}), frozenset({1}))}
-        assert held == decide(neutrality_head_formula(filt, clause(str(rule))))
+        held = decide(neutrality_head_formula(rule, m, m, cond))
+        assert set(rule._sides) == {top, (m, m)}
+        assert held == decide(neutrality_head_formula(clause(str(rule)), m, m, cond))
 
     def test_witness_overflow_is_the_subsets_error(self):
         # subset {1, 2} passes the search within 4 conjuncts; its witness
@@ -508,12 +511,15 @@ def test_corpus_denotations_computed(corpus_path, monkeypatch):
     # each clause's head and body queries are built once for the whole
     # subset scan, and filter generality is decided on their denotations;
     # a witness candidate equal to the head query (p1 and p3 at tau {}) is
-    # that query, and propagation starts from the scan's head queries
+    # that query, and propagation starts from the scan's head queries.  The
+    # scan decides both neutrality conditions on the condition constraint,
+    # so only the 23 passing subsets' condition queries are denoted (by
+    # their witness check), not those of the 33 failing subsets
     stored = _StoredDenotations()
     monkeypatch.setattr(Query, "_den", stored)
     analyze_program(parse_program(corpus_path.read_text(encoding="utf-8")))
     repeats = len(stored.queries) - len(set(stored.queries))
-    assert (len(stored.queries), repeats) == (131, 0)
+    assert (len(stored.queries), repeats) == (98, 0)
 
 
 def _shift_rule(n: int) -> Clause:
@@ -558,6 +564,26 @@ def test_shift_conditions_projected_once_per_subset(monkeypatch):
     assert len(report.checks) == 128
     assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
     assert (calls["project"], calls["satisfiable"]) == (128, 0)
+
+
+def test_shift_filters_built_for_passing_subsets_only(monkeypatch):
+    # the scan decides each of the 128 subsets on its condition constraint;
+    # only the 2 passing subsets, the full set and {}, get a candidate
+    # filter, and only their condition queries are denoted
+    rule = _shift_rule(7)
+    built = []
+    candidate = analyzer.candidate_filter
+    stored = _StoredDenotations()
+    monkeypatch.setattr(analyzer, "candidate_filter",
+                        lambda r, m, *rest: built.append(m) or candidate(r, m, *rest))
+    monkeypatch.setattr(Query, "_den", stored)
+    report = find_looping_queries(rule)
+    passing = [r.positions for r in report.results]
+    assert len(report.checks) == 128
+    assert passing == [frozenset(range(1, 8)), frozenset()]
+    assert built == passing
+    conditions = [q for q in stored.queries if q.startswith("<p|")]
+    assert conditions == [str(r.delta) for r in report.results], conditions
 
 
 def test_shift_head_sides_eliminate_at_most_three_per_subset(monkeypatch):

@@ -1,11 +1,14 @@
 """Command line behavior: reports, verdicts, exit codes, output formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import clploop
 from clploop import __version__, analyzer, cli, engine, parse_program, parse_query
 from clploop.cli import main
 from clploop.engine import derivation_step
@@ -242,6 +245,24 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"clploop {__version__}"
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path, flags):
+        # 3000 unscanned clauses make a report (170 KB as text, 460 KB as
+        # JSON) larger than a pipe's buffer, so its writing outlasts the reader
+        text = "".join(f"q{i}(A) <- A >= {i} <> r(A).\n" for i in range(3000))
+        path = rule_file(tmp_path, text)
+        src = str(Path(clploop.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "clploop", "analyze", path, *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b"", err.decode()
 
 
 class TestCheck:

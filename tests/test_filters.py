@@ -1,7 +1,7 @@
 """Position sets, query projection, generality and filter membership."""
 
 import pytest
-from fuzzers import membership, project_query
+from fuzzers import is_true, make_filter, membership, project_query
 
 from clploop.filters import (
     Filter,
@@ -122,7 +122,7 @@ class TestDenotation:
         assert den.variables == set(probes(2))
         assert str(den) == "4*W1#-1 - 2*W2#-1 = -1, W1#-1 >= 1"
         assert str(denotation(q("p(X, X, 3)"))) == "W1#-1 - W2#-1 = 0, W3#-1 = 3"
-        assert denotation(q("p")).is_true()
+        assert is_true(denotation(q("p")))
         # a query over variables named like the probes needs no renaming
         assert str(denotation(q("p(W2, W1) : W2 <= W1"))) == "W1#-1 - W2#-1 <= 0"
 
@@ -175,7 +175,7 @@ def tau2(ps) -> PositionSet:
 
 
 class TestFilter:
-    def make_filter(self, ps, constraint_text=None) -> Filter:
+    def filter_on(self, ps, constraint_text=None) -> Filter:
         pp = projected_pred(P2, ps)
         args = tuple(LinTerm.of_var(Var(f"C{i}")) for i in range(1, pp.arity + 1))
         atoms = ()
@@ -184,38 +184,38 @@ class TestFilter:
             parsed = parse_query(f"probe({names}) : {constraint_text}")
             atoms = parsed.constraint.atoms
         cond = Query(Atom(pp, args), Constraint(atoms))
-        return Filter.make(tau2(ps), {P2: cond})
+        return make_filter(tau2(ps), {P2: cond})
 
     def test_make_validates_pred(self):
         bad = Query(Atom(Pred("p|{1}", 1), (tx,)), Constraint(()))
         with pytest.raises(ValueError, match="must be over"):
-            Filter.make(tau2({2}), {P2: bad})
+            make_filter(tau2({2}), {P2: bad})
 
     def test_make_validates_satisfiable(self):
         pp = projected_pred(P2, {2})
         bad = Query(Atom(pp, (ty,)), Constraint.of(compare(ty, "<", ty)))
         with pytest.raises(ValueError, match="unsatisfiable"):
-            Filter.make(tau2({2}), {P2: bad})
+            make_filter(tau2({2}), {P2: bad})
 
     def test_default_condition_unconstrained(self):
-        filt = Filter.make(tau2({1, 2}))
+        filt = make_filter(tau2({1, 2}))
         c = filt.condition(P2)
         assert c.pred == projected_pred(P2, {1, 2})
-        assert c.constraint.is_true()
+        assert is_true(c.constraint)
 
     def test_satisfies(self):
-        filt = self.make_filter({2}, "C1 >= 0")
+        filt = self.filter_on({2}, "C1 >= 0")
         assert satisfies(q("p(X, Y) : Y >= 1"), filt)
         assert satisfies(q("p(X, 0) : X >= 5"), filt)
         assert not satisfies(q("p(X, Y) : Y >= -1"), filt)
         assert not satisfies(q("p(X, Y)"), filt)
 
     def test_satisfies_empty_positions(self):
-        filt = Filter.make(tau2(set()))
+        filt = make_filter(tau2(set()))
         assert satisfies(q("p(X, Y)"), filt)
 
     def test_delta_more_general(self):
-        filt = self.make_filter({2}, "C1 >= 0")
+        filt = self.filter_on({2}, "C1 >= 0")
         gen = q("p(X, Y) : Y >= 0")
         narrow = q("p(X, Y) : X >= 1, Y >= 2")
         assert delta_more_general(gen, narrow, filt)
@@ -225,17 +225,17 @@ class TestFilter:
         assert not delta_more_general(q("p(0, Y) : Y >= 0"), narrow, filt)
 
     def test_delta_more_general_ground(self):
-        filt = self.make_filter({1}, "C1 >= 0")
+        filt = self.filter_on({1}, "C1 >= 0")
         assert delta_more_general(q("p(1, 0)"), q("p(0, 0)"), filt)
         assert not delta_more_general(q("p(-1, 0)"), q("p(0, 0)"), filt)
 
     def test_delta_more_general_not_reflexive(self):
-        filt = self.make_filter({2}, "C1 >= 0")
+        filt = self.filter_on({2}, "C1 >= 0")
         outside = q("p(X, Y) : Y <= -1")
         assert not delta_more_general(outside, outside, filt)
 
     def test_transitive(self):
-        filt = self.make_filter({2}, "C1 >= 0")
+        filt = self.filter_on({2}, "C1 >= 0")
         q1 = q("p(X, Y) : Y >= 0")
         q2 = q("p(X, Y) : X >= 0, Y >= 1")
         q3 = q("p(0, 2)")

@@ -50,7 +50,7 @@ def entails(lhs, rhs, over) -> bool:
 
 
 class TestConstructors:
-    def test_quantifier_constructors(self):
+    def test_entailment_is_frozen_and_hashable(self):
         e = Entailment(Constraint.of(le(tx, ty)), Constraint(()), frozenset({X}))
         assert e == Entailment(Constraint.of(le(tx, ty)), Constraint(()),
                                frozenset({X}))
@@ -59,7 +59,7 @@ class TestConstructors:
         with pytest.raises(AttributeError):
             e.over = frozenset()
 
-    def test_neg_implies(self):
+    def test_negated_atom_is_a_disjunction_of_atoms(self):
         # the negation of an atom is the disjunction of the returned atoms
         assert _negate_atom(eq(tx, one)) == (lt(tx, one), lt(one, tx))
         assert _negate_atom(le(tx, one)) == (lt(one, tx),)
@@ -67,7 +67,7 @@ class TestConstructors:
 
 
 class TestFreeVarsSubstitute:
-    def test_free_vars_under_binders(self):
+    def test_variables_outside_over_are_existential(self):
         # variables outside `over` are existential, each on its own side
         assert entails([le(tx, ty), le(ty, tz)], [le(tx, tz)], {X, Z})
         assert entails([le(tx, tz)], [le(tx, ty), le(ty, tz)], {X, Z})
@@ -98,11 +98,11 @@ class TestEval:
             le(tx, ty).eval({X: Fraction(0)})
 
 
-class TestDnf:
-    """The normal forms decide works with: each disjunct a simplified
-    conjunction, and the negation of an atom a disjunction of atoms."""
+class TestSimplifyAndNegate:
+    """The forms decide works with: a simplified conjunction, and the
+    negation of an atom as a disjunction of atoms."""
 
-    def test_conjunction_single_disjunct(self):
+    def test_independent_bounds_kept(self):
         assert _simplify_conj((le(tx, ty), le(ty, tz))) == (le(tx, ty), le(ty, tz))
 
     def test_negated_equality_splits(self):

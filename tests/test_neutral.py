@@ -1,8 +1,9 @@
 """The two-part neutrality criterion on hand-built filters."""
 
+from fuzzers import filter_body_formula, filter_head_formula, make_filter
+
 from clploop.filters import Filter, PositionSet, projected_pred, satisfies
 from clploop.linarith import decide
-from clploop.neutral import neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
     Atom,
     Constraint,
@@ -25,8 +26,8 @@ def clause(text):
 
 def both_hold(filt: Filter, rule) -> bool:
     """Both conditions of the criterion, each decided on its own."""
-    return (decide(neutrality_head_formula(filt, rule))
-            and decide(neutrality_body_formula(filt, rule)))
+    return (decide(filter_head_formula(filt, rule))
+            and decide(filter_body_formula(filt, rule)))
 
 
 def filter_for(pred: Pred, ps, *atom_builders) -> Filter:
@@ -36,7 +37,7 @@ def filter_for(pred: Pred, ps, *atom_builders) -> Filter:
     atoms = tuple(build(cvars) for build in atom_builders)
     cond = Query(Atom(pp, tuple(LinTerm.of_var(v) for v in cvars)),
                  Constraint(atoms))
-    return Filter.make(PositionSet.of({pred: ps}), {pred: cond})
+    return make_filter(PositionSet.of({pred: ps}), {pred: cond})
 
 
 class TestDoublingRule:
@@ -46,27 +47,27 @@ class TestDoublingRule:
             rule.head_pred, {2},
             lambda cv: compare(LinTerm.of_var(cv[0]), ">=", LinTerm.of_const(1)),
         )
-        assert decide(neutrality_head_formula(filt, rule))
-        assert decide(neutrality_body_formula(filt, rule))
+        assert decide(filter_head_formula(filt, rule))
+        assert decide(filter_body_formula(filt, rule))
         assert both_hold(filt, rule)
 
     def test_second_position_wrong_conditions_fail(self):
         rule = clause(DOUBLING)
         # unconstrained condition admits replacements below the rule's bound
         loose = filter_for(rule.head_pred, {2})
-        assert not decide(neutrality_head_formula(loose, rule))
+        assert not decide(filter_head_formula(loose, rule))
         assert not both_hold(loose, rule)
         # too tight a condition and the body values fall outside it
         tight = filter_for(
             rule.head_pred, {2},
             lambda cv: compare(LinTerm.of_var(cv[0]), ">=", LinTerm.of_const(3)),
         )
-        assert not decide(neutrality_body_formula(tight, rule))
+        assert not decide(filter_body_formula(tight, rule))
         assert not both_hold(tight, rule)
 
     def test_empty_positions_always_neutral(self):
         rule = clause(DOUBLING)
-        filt = Filter.make(PositionSet.of({rule.head_pred: set()}))
+        filt = make_filter(PositionSet.of({rule.head_pred: set()}))
         assert both_hold(filt, rule)
 
 
@@ -77,8 +78,8 @@ class TestShiftRules:
             rule.head_pred, {1, 2},
             lambda cv: compare(LinTerm.of_var(cv[0]), ">=", LinTerm.of_var(cv[1])),
         )
-        assert decide(neutrality_head_formula(filt, rule))
-        assert decide(neutrality_body_formula(filt, rule))
+        assert decide(filter_head_formula(filt, rule))
+        assert decide(filter_body_formula(filt, rule))
         assert both_hold(filt, rule)
 
     def test_le_full_positions_fails_body(self):
@@ -87,22 +88,22 @@ class TestShiftRules:
             rule.head_pred, {1, 2},
             lambda cv: compare(LinTerm.of_var(cv[0]), "<=", LinTerm.of_var(cv[1])),
         )
-        assert decide(neutrality_head_formula(filt, rule))
-        assert not decide(neutrality_body_formula(filt, rule))
+        assert decide(filter_head_formula(filt, rule))
+        assert not decide(filter_body_formula(filt, rule))
         assert not both_hold(filt, rule)
 
     def test_le_single_positions_fail_head(self):
         rule = clause(SHIFT_LE)
         for ps in ({1}, {2}):
             filt = filter_for(rule.head_pred, ps)
-            assert not decide(neutrality_head_formula(filt, rule))
+            assert not decide(filter_head_formula(filt, rule))
             assert not both_hold(filt, rule)
 
     def test_le_empty_positions_neutral(self):
         rule = clause(SHIFT_LE)
-        filt = Filter.make(PositionSet.of({rule.head_pred: set()}))
-        assert decide(neutrality_head_formula(filt, rule))
-        assert decide(neutrality_body_formula(filt, rule))
+        filt = make_filter(PositionSet.of({rule.head_pred: set()}))
+        assert decide(filter_head_formula(filt, rule))
+        assert decide(filter_body_formula(filt, rule))
         assert both_hold(filt, rule)
 
 
@@ -113,7 +114,7 @@ class TestBodyConditionMatchesMembership:
             rule = clause(text)
             for ps in (set(), {1}, {2}, {1, 2}):
                 filt = (
-                    Filter.make(PositionSet.of({rule.head_pred: ps}))
+                    make_filter(PositionSet.of({rule.head_pred: ps}))
                     if not ps
                     else filter_for(
                         rule.head_pred, ps,
@@ -121,7 +122,7 @@ class TestBodyConditionMatchesMembership:
                                            LinTerm.of_var(cv[-1])),
                     )
                 )
-                lhs = decide(neutrality_body_formula(filt, rule))
+                lhs = decide(filter_body_formula(filt, rule))
                 rhs = satisfies(rule.body_query, filt)
                 assert lhs == rhs
 
@@ -135,8 +136,8 @@ class TestUnboundedBodyRule:
             Constraint.of(compare(LinTerm.of_var(Var("C1")), "<=",
                                   LinTerm.of_const(3))),
         )
-        filt = Filter.make(PositionSet.of({rule.head_pred: {1}}),
+        filt = make_filter(PositionSet.of({rule.head_pred: {1}}),
                            {rule.head_pred: cond})
-        assert decide(neutrality_head_formula(filt, rule))
-        assert not decide(neutrality_body_formula(filt, rule))
+        assert decide(filter_head_formula(filt, rule))
+        assert not decide(filter_body_formula(filt, rule))
         assert not both_hold(filt, rule)

@@ -15,6 +15,9 @@ from fuzzers import (
     direct_sides,
     equation_denotation,
     every_step_run,
+    filter_body_formula,
+    filter_head_formula,
+    make_filter,
     max_gen,
     membership,
     project_query,
@@ -49,7 +52,6 @@ from clploop.analyzer import (
 )
 from clploop.engine import derivation_step, run
 from clploop.filters import (
-    Filter,
     PositionSet,
     condition_denotation,
     delta_more_general,
@@ -69,7 +71,7 @@ from clploop.linarith import (
     sample_solution,
     satisfiable,
 )
-from clploop.neutral import head_sides, neutrality_body_formula, neutrality_head_formula
+from clploop.neutral import head_sides
 from clploop.syntax import (
     Atom,
     Clause,
@@ -301,7 +303,7 @@ class TestNeutralityProperties:
         for _ in range(400):
             rule = rand_rule(rng)
             filt = rand_filter(rng, rule.head_pred)
-            e = neutrality_head_formula(filt, rule)
+            e = filter_head_formula(filt, rule)
             if decide(e):
                 continue
             failed += 1
@@ -424,9 +426,9 @@ class TestDenotationProperties:
                 filt = rand_condition_filter(rng, rule)
             for pred in {rule.head_pred, rule.body_pred}:
                 kinds.update(_condition_kinds(filt.condition(pred), rule))
-            head = decide(neutrality_head_formula(filt, rule))
+            head = decide(filter_head_formula(filt, rule))
             assert head == decide(renaming_head_formula(filt, rule)), (str(rule), filt)
-            body = decide(neutrality_body_formula(filt, rule))
+            body = decide(filter_body_formula(filt, rule))
             assert body == decide(renaming_body_formula(filt, rule)), (str(rule), filt)
             verdicts[head, body] += 1
         # at this seed: (head, body) verdicts 189/105/44/22; conditions with
@@ -576,11 +578,11 @@ class TestCandidateConditionProperties:
                 ref_kept = direct_condition(rule, filt.positions.complement_for(pred))
                 assert _equivalent(witness.constraint, ref_kept.constraint,
                                    frozenset(ref_kept.atom.variables)), (str(rule), sorted(m))
-                ref_filt = Filter.make(filt.positions, {pred: ref})
-                head_ok = decide(neutrality_head_formula(ref_filt, rule))
+                ref_filt = make_filter(filt.positions, {pred: ref})
+                head_ok = decide(filter_head_formula(ref_filt, rule))
                 body_ok = subsumes = None
                 if head_ok:
-                    body_ok = decide(neutrality_body_formula(ref_filt, rule))
+                    body_ok = decide(filter_body_formula(ref_filt, rule))
                     if body_ok:
                         subsumes = delta_more_general(body, head, ref_filt)
                 assert (check.head_ok, check.body_ok, check.subsumes) == (

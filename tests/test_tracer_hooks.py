@@ -64,6 +64,28 @@ assert notes.count("neutral.head") == len(checks) == 4, notes
 assert notes.count("neutral.body") == head_passes == 2, notes
 """
 
+# the scan builds a candidate filter only for a passing subset, and decides
+# subsumption as generality at the unfiltered positions, a more_general call
+SCAN_SPANS = """\
+import spans
+from clploop import analyze_program, parse_program
+
+tracer = spans.Tracer()
+tracer.install()
+report = analyze_program(parse_program(
+    "p(X1, X2) <- X1 <= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\\n"))
+checks = report.reports[0].checks
+def spans_of(name):
+    return [span for span in tracer.spans if span[spans.NAME] == name]
+scan = tracer.spans.index(spans_of("analyzer.clause")[0])
+passed = sum(1 for check in checks if check.passed)
+assert len(spans_of("analyzer.candidate_filter")) == passed == 1, checks
+decided = sum(1 for check in checks if check.subsumes is not None)
+general = spans_of("filters.more_general")
+assert len(general) == decided == 1, checks
+assert all(span[spans.PARENT] == scan for span in general), general
+"""
+
 # the benchmark's engine counters on the bundled corpus: a change to the step
 # or to the run must keep every witness run and step visible to the tracer
 CORPUS_COUNTERS = """\
@@ -110,6 +132,11 @@ def test_engine_steps_counted():
 
 def test_neutrality_decides_charged_to_their_builders():
     proc = run_in_perfbench(NEUTRALITY_DECIDES)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scan_spans_follow_passing_subsets():
+    proc = run_in_perfbench(SCAN_SPANS)
     assert proc.returncode == 0, proc.stderr
 
 
