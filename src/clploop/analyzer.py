@@ -38,8 +38,7 @@ loops as well.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linarith
 from .engine import run
@@ -65,16 +64,14 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class AnalyzeOptions:
+class AnalyzeOptions(NamedTuple):
     first_only: bool = False
     verify_steps: int = 100
     max_dnf: int = linarith.DEFAULT_DNF_LIMIT
     propagate: bool = True
 
 
-@dataclass(frozen=True)
-class SubsetCheck:
+class SubsetCheck(NamedTuple):
     """Diagnostics for one position subset: which side of the neutrality
     criterion held, and whether the body query subsumed the head query.
     Unevaluated checks are None.  ``error`` carries a resource-limit
@@ -103,8 +100,7 @@ class SubsetCheck:
         return None
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(NamedTuple):
     """One passing position subset with its condition query and a verified
     looping witness."""
 
@@ -115,8 +111,7 @@ class FilterResult:
     verified_steps: int
 
 
-@dataclass(frozen=True)
-class ClauseReport:
+class ClauseReport(NamedTuple):
     """The subset scan of one clause.  ``head_query`` is the head query the
     scan decided on, with its denotation cached; None for a non-recursive
     rule, which is not scanned."""
@@ -137,15 +132,13 @@ class ClauseReport:
         return tuple(c.error for c in self.checks if c.error)
 
 
-@dataclass(frozen=True)
-class PropagatedLoop:
+class PropagatedLoop(NamedTuple):
     index: int
     head_query: Query
     via: Query
 
 
-@dataclass(frozen=True)
-class ProgramReport:
+class ProgramReport(NamedTuple):
     reports: tuple[ClauseReport, ...]
     propagated: tuple[PropagatedLoop, ...] = ()
 

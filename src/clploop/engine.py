@@ -71,7 +71,6 @@ forgoes the shortcut at that checkpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -91,7 +90,6 @@ from .syntax import (
 )
 
 
-@dataclass
 class DerivationState:
     """Outcome of a (partial) derivation run.  ``cycle`` is (step, period)
     when the run skipped steps.  With ``drift`` None, the query after
@@ -102,11 +100,17 @@ class DerivationState:
     is closed under A (see the module docstring).  ``trace`` holds (clause
     index, query) for each executed step when the run keeps it."""
 
-    current: Query
-    steps: int
-    cycle: Optional[tuple[int, int]] = None
-    drift: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
-    trace: list[tuple[int, Query]] = field(default_factory=list)
+    __slots__ = ("current", "steps", "cycle", "drift", "trace")
+
+    def __init__(self, current: Query, steps: int,
+                 cycle: Optional[tuple[int, int]] = None,
+                 drift: Optional[tuple[tuple[Fraction, Fraction], ...]] = None,
+                 trace: Optional[list[tuple[int, Query]]] = None):
+        self.current = current
+        self.steps = steps
+        self.cycle = cycle
+        self.drift = drift
+        self.trace = [] if trace is None else trace
 
 
 def _compiled(rule: Clause) -> tuple[tuple, tuple[tuple[str, int], ...], int]:
@@ -128,8 +132,7 @@ def _compiled(rule: Clause) -> tuple[tuple, tuple[tuple[str, int], ...], int]:
              a.term.const, a.rel)
             for a in rule.constraint)
         body = tuple((v.name, offset[v.gen]) for v in rule.body_vars)
-        form = (atoms, body, 1 + max((o for _, o in body), default=-1))
-        object.__setattr__(rule, "_step", form)
+        form = rule._step = (atoms, body, 1 + max((o for _, o in body), default=-1))
     return form
 
 

@@ -23,8 +23,7 @@ reflexive) when also ``den(Q) |= den(Q1)`` over the probes there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import linarith
 from .linarith import Entailment
@@ -40,8 +39,7 @@ def projected_pred(pred: Pred, positions: Iterable[int]) -> Pred:
     return Pred(f"{pred.name}|{{{inner}}}", len(ordered))
 
 
-@dataclass(frozen=True)
-class PositionSet:
+class PositionSet(NamedTuple):
     """A map from predicate to a set of argument positions (1-based)."""
 
     entries: tuple[tuple[Pred, frozenset[int]], ...] = ()
@@ -74,8 +72,7 @@ def select_positions(items: tuple, positions: Iterable[int]) -> tuple:
     return tuple(items[i - 1] for i in sorted(set(positions)))
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(NamedTuple):
     """Positions plus a condition query per predicate.  Condition queries are
     over the projected predicate and must have satisfiable constraints;
     predicates without an explicit condition default to the unconstrained
@@ -120,8 +117,7 @@ def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
         else:
             member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
             den = linarith.project(Constraint(member + q.constraint.atoms), w, limit)
-        cached = (limit, den)
-        object.__setattr__(q, "_den", cached)
+        cached = q._den = (limit, den)
     return cached[1]
 
 

@@ -44,9 +44,8 @@ conjuncts one elimination step produces, raising
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .syntax import (
     REL_EQ,
@@ -258,8 +257,7 @@ def satisfiable(c: Constraint, limit: int = DEFAULT_DNF_LIMIT) -> bool:
 # ---------------------------------------------------------------------------
 # entailment
 
-@dataclass(frozen=True)
-class Entailment:
+class Entailment(NamedTuple):
     """For every valuation of ``over``: if ``lhs`` has a solution extending
     it, then so does ``rhs``.  Variables outside ``over`` are existential,
     each on its own side."""

@@ -83,7 +83,7 @@ def cached_lattice(rule: Clause, attr: str, node: Hashable,
     cache = getattr(rule, attr)
     if cache is None:
         cache = {}
-        object.__setattr__(rule, attr, cache)
+        setattr(rule, attr, cache)
     chain = []  # node and its uncached ancestors
     value: Optional[T] = None
     up: Optional[Hashable] = node

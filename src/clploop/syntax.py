@@ -8,7 +8,10 @@ constraints, atoms, rules, queries, programs), the parser, normalization of
 rules into the internal form (argument tuples that are disjoint sequences of
 distinct variables), variable renaming, and printing.
 
-Everything is immutable and exact; no floating point is used anywhere in the
+Everything is exact, and immutable by convention: the data types other
+than the NamedTuple ``Var`` are ``__slots__`` classes with no setters.
+After construction only their lazy caches are assigned, and no cache takes
+part in equality or hashing.  No floating point is used anywhere in the
 package.  Terms, query arguments and sampled values are rationals
 (``fractions.Fraction``).  An atomic proposition is kept as a primitive
 integer vector: its coefficients and constant are Python ``int``s with gcd 1,
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -70,7 +72,6 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
 class LinTerm:
     """A linear term: sum of coefficient*variable pairs plus a constant.
 
@@ -84,11 +85,14 @@ class LinTerm:
     scale.
     """
 
-    coeffs: tuple[tuple[Var, Fraction], ...] = ()
-    const: Fraction = Fraction(0)
+    __slots__ = ("coeffs", "const", "_key", "_hash")
 
-    _key = None  # per-instance cache, set lazily past the frozen guard
-    _hash = None
+    def __init__(self, coeffs: tuple[tuple[Var, Fraction], ...] = (),
+                 const: Fraction = _F0):
+        self.coeffs = coeffs
+        self.const = const
+        self._key = None
+        self._hash = None
 
     def key(self) -> tuple:
         k = self._key
@@ -99,7 +103,7 @@ class LinTerm:
                 self.const.numerator,
                 self.const.denominator,
             )
-            object.__setattr__(self, "_key", k)
+            self._key = k
         return k
 
     def __eq__(self, other):
@@ -112,9 +116,11 @@ class LinTerm:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self.key())
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(self.key())
         return h
+
+    def __repr__(self) -> str:
+        return f"LinTerm({self.coeffs!r}, {self.const!r})"
 
     @staticmethod
     def make(coeffs: Mapping[Var, Fraction], const=0) -> "LinTerm":
@@ -208,7 +214,6 @@ class LinTerm:
         return "".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
 class AtomicProp:
     """A canonical atomic proposition ``term REL 0`` with REL in {=, <=, <}.
 
@@ -220,16 +225,14 @@ class AtomicProp:
     form) or by :func:`_atom` from an integer vector.
     """
 
-    term: LinTerm
-    rel: str
+    __slots__ = ("term", "rel", "_hash", "_slope", "_vars")
 
-    _hash = None
-    _slope = None
-    _vars = None
-
-    def __post_init__(self):
-        if self.rel not in (REL_EQ, REL_LE, REL_LT):
-            raise ValueError(f"bad canonical relation {self.rel!r}")
+    def __init__(self, term: LinTerm, rel: str):
+        if rel not in (REL_EQ, REL_LE, REL_LT):
+            raise ValueError(f"bad canonical relation {rel!r}")
+        self.term = term
+        self.rel = rel
+        self._hash = self._slope = self._vars = None
 
     def __eq__(self, other):
         if self is other:
@@ -241,16 +244,17 @@ class AtomicProp:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.rel, self.term.key()))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((self.rel, self.term.key()))
         return h
+
+    def __repr__(self) -> str:
+        return f"AtomicProp({self.term!r}, {self.rel!r})"
 
     @property
     def variables(self) -> frozenset[Var]:
         vs = self._vars
         if vs is None:
-            vs = self.term.variables
-            object.__setattr__(self, "_vars", vs)
+            vs = self._vars = self.term.variables
         return vs
 
     def substitute(self, mapping: Mapping[Var, LinTerm]) -> "AtomicProp":
@@ -279,8 +283,7 @@ class AtomicProp:
             d: list = []
             for v, c in coeffs:
                 d += (v.name, v.gen, c // sg)
-            slope = (tuple(d), 1 if sg > 0 else -1, g)
-            object.__setattr__(self, "_slope", slope)
+            slope = self._slope = (tuple(d), 1 if sg > 0 else -1, g)
         return slope
 
     def is_ground(self) -> bool:
@@ -358,12 +361,25 @@ def var_eq(v: Var, term: LinTerm) -> AtomicProp:
     return compare(LinTerm.of_var(v), "=", term)
 
 
-@dataclass(frozen=True)
 class Constraint:
     """A finite conjunction of atomic propositions.  The empty conjunction is
     the constraint ``true``."""
 
-    atoms: tuple[AtomicProp, ...] = ()
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple[AtomicProp, ...] = ()):
+        self.atoms = atoms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash((self.atoms,))
+
+    def __repr__(self) -> str:
+        return f"Constraint({self.atoms!r})"
 
     @staticmethod
     def of(*atoms: AtomicProp) -> "Constraint":
@@ -394,26 +410,50 @@ class Constraint:
 TRUE_CONSTRAINT = Constraint(())
 
 
-@dataclass(frozen=True)
 class Pred:
     """A predicate symbol: name plus arity.  Projected predicates (see the
     filters module) carry their position set in the name, e.g. ``p|{2}``."""
 
-    name: str
-    arity: int
+    __slots__ = ("name", "arity")
+
+    def __init__(self, name: str, arity: int):
+        self.name = name
+        self.arity = arity
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.arity == other.arity
+
+    def __hash__(self):
+        return hash((self.name, self.arity))
+
+    def __repr__(self) -> str:
+        return f"Pred({self.name!r}, {self.arity!r})"
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
 class Atom:
-    pred: Pred
-    args: tuple[LinTerm, ...]
+    __slots__ = ("pred", "args")
 
-    def __post_init__(self):
-        if len(self.args) != self.pred.arity:
-            raise ValueError(f"{self.pred} applied to {len(self.args)} arguments")
+    def __init__(self, pred: Pred, args: tuple[LinTerm, ...]):
+        if len(args) != pred.arity:
+            raise ValueError(f"{pred} applied to {len(args)} arguments")
+        self.pred = pred
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pred == other.pred and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
+
+    def __repr__(self) -> str:
+        return f"Atom({self.pred!r}, {self.args!r})"
 
     @property
     def variables(self) -> frozenset[Var]:
@@ -432,17 +472,32 @@ def atom_of_vars(pred: Pred, variables: Iterable[Var]) -> Atom:
     return Atom(pred, tuple(LinTerm.of_var(v) for v in variables))
 
 
-@dataclass(frozen=True)
 class Query:
     """An atomic query: an atom together with a constraint.  The query denotes
     the set of ground instances of the atom under solutions of the constraint;
     constraint variables that do not occur in the atom are understood
     existentially."""
 
-    atom: Atom
-    constraint: Constraint
+    # _den: filters.denotation as (limit, constraint); _str: the text; both
+    # filled lazily
+    __slots__ = ("atom", "constraint", "_den", "_str")
 
-    _den = None  # filters.denotation as (limit, constraint), set lazily
+    def __init__(self, atom: Atom, constraint: Constraint):
+        self.atom = atom
+        self.constraint = constraint
+        self._den = None
+        self._str = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atom == other.atom and self.constraint == other.constraint
+
+    def __hash__(self):
+        return hash((self.atom, self.constraint))
+
+    def __repr__(self) -> str:
+        return f"Query({self.atom!r}, {self.constraint!r})"
 
     @property
     def pred(self) -> Pred:
@@ -453,34 +508,54 @@ class Query:
         return self.atom.variables | self.constraint.variables
 
     def __str__(self) -> str:
-        return f"<{self.atom} | {self.constraint}>"
+        text = self._str
+        if text is None:
+            text = self._str = f"<{self.atom} | {self.constraint}>"
+        return text
 
 
-@dataclass(frozen=True)
 class Clause:
     """A normalized binary rule ``p(X1..Xn) <- c <> q(Y1..Ym)``: the argument
     tuples are disjoint sequences of distinct variables and c is satisfiable
-    (checked when rules are built through the parser or normalize_clause)."""
+    (checked when rules are built through the parser or normalize_clause).
+    ``text`` is the rule's source text and takes no part in equality."""
 
-    head_pred: Pred
-    head_vars: tuple[Var, ...]
-    constraint: Constraint
-    body_pred: Pred
-    body_vars: tuple[Var, ...]
-    text: str = field(default="", compare=False)
+    # lazily filled caches: _step, the engine's compiled derivation step;
+    # _conditions, the analyzer's candidate-filter conditions by position
+    # subset, as {positions: (limit, constraint)}; _sides, the two sides of
+    # the head condition by (head positions, body positions), as
+    # {node: (limit, (rhs, lhs))}
+    __slots__ = ("head_pred", "head_vars", "constraint", "body_pred", "body_vars",
+                 "text", "_step", "_conditions", "_sides")
 
-    _step = None  # the engine's compiled derivation step, set lazily
-    # the analyzer's candidate-filter conditions by position subset, as
-    # {positions: (limit, constraint)}, filled lazily
-    _conditions = None
-    # the two sides of the head condition by (head positions, body
-    # positions), as {node: (limit, (rhs, lhs))}, filled lazily
-    _sides = None
-
-    def __post_init__(self):
-        hv, bv = self.head_vars, self.body_vars
-        if len(set(hv)) != len(hv) or len(set(bv)) != len(bv) or set(hv) & set(bv):
+    def __init__(self, head_pred: Pred, head_vars: tuple[Var, ...],
+                 constraint: Constraint, body_pred: Pred,
+                 body_vars: tuple[Var, ...], text: str = ""):
+        hv, bv = set(head_vars), set(body_vars)
+        if len(hv) != len(head_vars) or len(bv) != len(body_vars) or hv & bv:
             raise ValueError("rule arguments must be disjoint sequences of distinct variables")
+        self.head_pred = head_pred
+        self.head_vars = head_vars
+        self.constraint = constraint
+        self.body_pred = body_pred
+        self.body_vars = body_vars
+        self.text = text
+        self._step = self._conditions = self._sides = None
+
+    def _compared(self) -> tuple:
+        return (self.head_pred, self.head_vars, self.constraint,
+                self.body_pred, self.body_vars)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return "Clause(" + ", ".join(map(repr, self._compared())) + f", text={self.text!r})"
 
     @property
     def head_atom(self) -> Atom:
@@ -511,9 +586,22 @@ class Clause:
         return f"{self.head_atom} <- {self.constraint} <> {self.body_atom}."
 
 
-@dataclass(frozen=True)
 class Program:
-    clauses: tuple[Clause, ...]
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: tuple[Clause, ...]):
+        self.clauses = clauses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.clauses == other.clauses
+
+    def __hash__(self):
+        return hash((self.clauses,))
+
+    def __repr__(self) -> str:
+        return f"Program({self.clauses!r})"
 
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.clauses)

@@ -494,17 +494,24 @@ class TestProgramReport:
 
 class _StoredDenotations:
     """Stands in for ``Query._den``, the cache of ``filters.denotation``:
-    every store into it is a cache miss, recorded as the query's text."""
+    every denotation stored into it is a cache miss, recorded as the query's
+    text.  The empty cache a new query starts with is no store.  Entries are
+    kept by query id, with the query, which keeps the id from being reused."""
 
     def __init__(self):
         self.queries: list[str] = []
+        self.stored: dict[int, tuple] = {}
 
     def __get__(self, q, owner=None):
-        return self if q is None else q.__dict__.get("_den_stored")
+        if q is None:
+            return self
+        entry = self.stored.get(id(q))
+        return None if entry is None else entry[1]
 
     def __set__(self, q, value):
-        self.queries.append(str(q))
-        q.__dict__["_den_stored"] = value
+        if value is not None:
+            self.queries.append(str(q))
+            self.stored[id(q)] = (q, value)
 
 
 def test_corpus_denotations_computed(corpus_path, monkeypatch):

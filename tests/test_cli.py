@@ -265,6 +265,21 @@ class TestExitCodes:
         assert err == b"", err.decode()
 
 
+class TestColdStart:
+    def test_cli_import_loads_no_dataclasses(self):
+        # importing dataclasses, and the inspect it pulls in, cost about a
+        # third of a cold process's import of the command line
+        src = str(Path(clploop.__file__).resolve().parent.parent)
+        code = ("import sys; before = set(sys.modules); import clploop.cli; "
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "clploop.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
 class TestCheck:
     def test_ground_query_loops(self, tmp_path, capsys):
         path = rule_file(tmp_path, SHIFT_GE)

@@ -4,11 +4,13 @@ Counts stay modest here; the heavier randomized suites with their own
 budgets live in the acceptance gate.
 """
 
+import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from fuzzers import (
     RELS,
     direct_condition,
@@ -43,7 +45,7 @@ from fuzzers import (
     textbook_step,
 )
 
-from clploop import engine, linarith
+from clploop import analyzer, engine, linarith
 from clploop.analyzer import (
     AnalyzeOptions,
     candidate_filter,
@@ -74,6 +76,7 @@ from clploop.linarith import (
 from clploop.neutral import head_sides
 from clploop.syntax import (
     Atom,
+    AtomicProp,
     Clause,
     Constraint,
     LinTerm,
@@ -595,6 +598,39 @@ class TestCandidateConditionProperties:
         assert min(kinds[k] for k in ("head", "body", "subsumes", "passed")) >= 100, kinds
 
 
+class TestWitnessProperties:
+    def test_passing_subsets_take_the_constructed_candidate(self, corpus_program,
+                                                            monkeypatch):
+        # make_witness falls back to the head query when its candidate is
+        # not delta-more general than it, but by construction the candidate
+        # always is: its constants are sampled from the condition, and its
+        # store is the condition at the kept positions, the head
+        # denotation's projection onto them.  The check stays in the
+        # analyzer; this pins that it never fails.
+        checked = []
+        real = analyzer.delta_more_general
+
+        def recorded(*args):
+            checked.append(real(*args))
+            return checked[-1]
+
+        monkeypatch.setattr(analyzer, "delta_more_general", recorded)
+        rng = random.Random(3)
+        rules = (list(corpus_program.clauses)
+                 + [rand_wide_rule(rng) for _ in range(150)]
+                 + [rand_rule(rng) for _ in range(300)])
+        passing = 0
+        for rule in rules:
+            report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
+            for res in report.results:
+                passing += 1
+                args = res.witness.atom.args
+                assert all(not args[i - 1].variables for i in res.positions), \
+                    (str(rule), str(res.witness))
+        # at this seed: 984 passing subsets
+        assert passing >= 900 and checked == [True] * passing
+
+
 class TestHeadSideProperties:
     """The head condition's sides come from one lattice per rule: each
     side eliminates one or two variables from its parent subset's (the
@@ -926,3 +962,101 @@ class TestSourceRoundTrip:
             prog = Program((rule,))
             again = parse_program(str(prog))
             assert again.clauses[0] == rule
+
+
+def _structure(x):
+    """The fields a value type compares on, as nested tuples with every
+    number a Fraction: equality as the types defined it when they were
+    frozen dataclasses.  A clause's source text is not compared."""
+    if isinstance(x, LinTerm):
+        return ("LinTerm", tuple((v, Fraction(c)) for v, c in x.coeffs),
+                Fraction(x.const))
+    if isinstance(x, AtomicProp):
+        return ("AtomicProp", x.rel, _structure(x.term))
+    if isinstance(x, Constraint):
+        return ("Constraint", tuple(_structure(a) for a in x.atoms))
+    if isinstance(x, Pred):
+        return ("Pred", x.name, x.arity)
+    if isinstance(x, Atom):
+        return ("Atom", _structure(x.pred), tuple(_structure(t) for t in x.args))
+    if isinstance(x, Query):
+        return ("Query", _structure(x.atom), _structure(x.constraint))
+    if isinstance(x, Clause):
+        return ("Clause", _structure(x.head_pred), x.head_vars,
+                _structure(x.constraint), _structure(x.body_pred), x.body_vars)
+    assert isinstance(x, Program)
+    return ("Program", tuple(_structure(c) for c in x.clauses))
+
+
+def _fraction_twin(t: LinTerm) -> LinTerm:
+    return LinTerm(tuple((v, Fraction(c)) for v, c in t.coeffs), Fraction(t.const))
+
+
+class TestValueSemantics:
+    """The value types are __slots__ classes with hand-written equality and
+    hashing; ``_structure`` is the reference for what they compare."""
+
+    def _values(self, rng: random.Random) -> list:
+        """Values from the generators, each next to an equal copy built
+        separately, so that equal values are distinct objects."""
+        out = []
+        for _ in range(25):
+            rule = rand_rule(rng)
+            twin = Clause(rule.head_pred, rule.head_vars, rule.constraint,
+                          rule.body_pred, rule.body_vars, text=f"rule {len(out)}")
+            out += [rule, twin, Program((rule,)), Program((twin,)),
+                    rule.head_pred, Pred(rule.head_pred.name, rule.head_pred.arity)]
+            for q in (rule.head_query, rand_query(rng, rule.head_pred),
+                      rand_query(rng, rule.head_pred)):
+                filled = Query(q.atom, q.constraint)
+                denotation(filled)
+                out += [q, filled, q.atom, q.constraint, Constraint(q.constraint.atoms)]
+            for a in rule.constraint:
+                out += [a, AtomicProp(a.term, a.rel), a.term, _fraction_twin(a.term)]
+            out += [rand_term(rng, rule.variables) for _ in range(3)]
+        return out
+
+    def test_equality_matches_structure_and_equal_values_hash_equal(self):
+        values = self._values(random.Random(17))
+        keys = [_structure(v) for v in values]
+        equal_pairs = 0
+        for (a, ka), (b, kb) in itertools.combinations(zip(values, keys), 2):
+            assert (a == b) == (ka == kb) and (a != b) == (ka != kb), (a, b)
+            if ka == kb:
+                equal_pairs += 1
+                assert hash(a) == hash(b), (a, b)
+        # at this seed: 760 values, 3018 equal pairs
+        assert equal_pairs >= 2000, equal_pairs
+
+    def test_named_equalities(self):
+        rng = random.Random(18)
+        for _ in range(20):
+            rule = rand_rule(rng)
+            # an integer-coefficient term equals its Fraction twin
+            for a in rule.constraint:
+                twin = _fraction_twin(a.term)
+                assert twin == a.term and hash(twin) == hash(a.term)
+            # the source text takes no part in a clause's equality
+            other = Clause(rule.head_pred, rule.head_vars, rule.constraint,
+                           rule.body_pred, rule.body_vars, text="other text")
+            assert other.text != rule.text
+            assert other == rule and hash(other) == hash(rule)
+            # nor does a query's cached denotation
+            q, filled = rule.head_query, rule.head_query
+            denotation(filled)
+            assert filled._den is not None and q._den is None
+            assert filled == q and hash(filled) == hash(q) and str(filled) == str(q)
+
+    def test_constructor_checks(self):
+        p = Pred("p", 2)
+        term = LinTerm.of_var(Var("A"))
+        with pytest.raises(ValueError, match="bad canonical relation"):
+            AtomicProp(term, ">=")
+        with pytest.raises(ValueError, match="applied to 1 arguments"):
+            Atom(p, (term,))
+        A, B = Var("A"), Var("B")
+        for head_vars, body_vars in (((A, A), (B, Var("C"))),
+                                     ((A, B), (Var("C"), Var("C"))),
+                                     ((A, B), (B, Var("C")))):
+            with pytest.raises(ValueError, match="disjoint sequences"):
+                Clause(p, head_vars, Constraint(()), p, body_vars)
