@@ -263,6 +263,107 @@ class TestParsing:
             pytest.fail("expected ParseError")
 
 
+_ONE_RULE = "p(A) <- true <> p(B)."
+
+# One input per raise site of the tokenizer, the parser, rule normalization
+# and parse_query: (parser, source, message, line, column).  "program" runs
+# parse_program, "query" parse_query, "query in p/1" parse_query against
+# _ONE_RULE.  Columns count characters, a tab or a carriage return as one.
+_PARSE_ERRORS = [
+    ("program", "p(A) <- A >= 1 <> p(B). @",
+     "unexpected character '@'", 1, 25),
+    ("program", "p(A) <- A >= 1 <> p(B).\r\nq(A) <- A >= 1 ;\r\n",
+     "unexpected character ';'", 2, 16),
+    ("program", "# one\n# two\n#three\n$p(A) <- true <> p(B).",
+     "unexpected character '$'", 4, 1),
+    ("program", "p(A) <-\tA\t>= 1 <> p(B)\n# tail comment",
+     "expected '.', found 'end of input'", 2, 15),
+    ("program", "p(A) <- A >= 1 <> p(B)#x",
+     "expected '.', found 'end of input'", 1, 25),
+    ("program", "\tp(A) <- A\t>= 1 <> p(B) q",
+     "expected '.', found 'q'", 1, 25),
+    ("program", "p(A <- A >= 1 <> p(B).",
+     "expected ')', found '<-'", 1, 5),
+    ("program", "p(A) <- A >= 1 <> p(B",
+     "expected ')', found 'end of input'", 1, 22),
+    ("program", "p(A) A >= 1 <> p(B).",
+     "expected '<-', found 'A'", 1, 6),
+    ("program", "p(A) <- A >= 1 p(B).",
+     "expected '<>', found 'p'", 1, 16),
+    ("program", "p(A) <- A >= 1/0 <> p(B).",
+     "zero denominator in rational literal", 1, 14),
+    ("program", "p(A) <- A = " + "(" * 101 + "B" + ")" * 101 + " <> p(B).",
+     "parentheses nested deeper than 100", 1, 113),
+    ("program", "p(A) <- 2 * 3 >= A <> p(B).",
+     "nonlinear term: products must be constant * variable", 1, 13),
+    ("program", "p(A) <- 2 * (A) >= 1 <> p(B).",
+     "expected a variable after '*'", 1, 13),
+    ("program", "p(A) <- B = 1 / A <> p(B).",
+     "division must be variable / constant", 1, 15),
+    ("program", "p(A) <- A * B >= 1 <> p(B).",
+     "nonlinear term: variable * variable", 1, 11),
+    ("program", "p(A) <- A * (2) >= 1 <> p(B).",
+     "expected a constant after '*'", 1, 13),
+    ("program", "p(A) <- A / B >= 1 <> p(B).",
+     "nonlinear term: division by a variable", 1, 13),
+    ("program", "p(A) <- A / (2) >= 1 <> p(B).",
+     "expected a constant divisor", 1, 13),
+    ("program", "p(A) <- A / 0 >= 1 <> p(B).",
+     "division by zero", 1, 13),
+    ("program", "p(A) <- A = <> p(B).",
+     "expected a term", 1, 13),
+    ("program", "p(A) <- A >= ",
+     "expected a term", 1, 14),
+    ("program", "p(A) <- A <> p(B).",
+     "expected a relation (=, <=, <, >=, >)", 1, 11),
+    ("program", "P(A) <- true <> p(B).",
+     "expected a predicate name", 1, 1),
+    ("program", "p(A) <- true <>\r\n",
+     "expected a predicate name", 2, 1),
+    ("program", "true <- true <> p(B).",
+     "'true' is reserved", 1, 1),
+    ("program", "p(A) <- true <> p(A, B).",
+     "arity mismatch: p used with 1 and 2 arguments", 1, 17),
+    # normalization raises without a position; the clause's start is given
+    ("program", _ONE_RULE + "\n  q(A) <- A >= 1,\n A <= 0 <> q(B).",
+     "unsatisfiable rule constraint: A >= 1, A <= 0", 2, 3),
+    ("query", "p(X). q(Y).",
+     "trailing input after query", 1, 7),
+    ("query", "p(X) : X >= ",
+     "expected a term", 1, 13),
+    ("query", "p(X) :\r\n\tX ! 1",
+     "unexpected character '!'", 2, 4),
+    ("query in p/1", "p(X, Y)",
+     "arity mismatch: p used with 1 and 2 arguments", 1, 1),
+    ("query in p/1", "q(X)",
+     "unknown predicate q/1", None, None),
+]
+
+
+@pytest.mark.parametrize("parser, source, message, line, col", _PARSE_ERRORS,
+                         ids=[f"{i}-{row[2]}" for i, row in enumerate(_PARSE_ERRORS)])
+def test_parse_error_message_and_position(parser, source, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        if parser == "program":
+            parse_program(source)
+        elif parser == "query":
+            parse_query(source)
+        else:
+            parse_query(source, parse_program(_ONE_RULE))
+    err = exc.value
+    assert (err.message, err.line, err.col) == (message, line, col)
+    assert str(err) == (message if line is None else f"{line}:{col}: {message}")
+
+
+def test_normalize_clause_error_has_no_position():
+    p = Pred("p", 1)
+    c = Constraint.of(compare(ta, "<", ta))
+    with pytest.raises(ParseError) as exc:
+        normalize_clause(atom_of_vars(p, (A,)), c, atom_of_vars(p, (B,)))
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "unsatisfiable rule constraint: 0 < 0", None, None)
+
+
 class TestParseQuery:
     def test_forms(self):
         q = parse_query("p(0, B) : B >= 1.")
