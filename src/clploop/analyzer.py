@@ -138,15 +138,31 @@ class PropagatedLoop(NamedTuple):
     via: Query
 
 
+class PropagationLimitError(ResourceLimitError):
+    """A resource limit hit by the propagation pass.  ``found`` holds the
+    loops it derived before that."""
+
+    def __init__(self, message: str, found: tuple[PropagatedLoop, ...]):
+        super().__init__(message)
+        self.found = found
+
+
 class ProgramReport(NamedTuple):
+    """The scans of all clauses and the loops propagation derived from them.
+    ``propagation_error`` is the resource limit that stopped propagation,
+    whose loops are then those found before it."""
+
     reports: tuple[ClauseReport, ...]
     propagated: tuple[PropagatedLoop, ...] = ()
+    propagation_error: Optional[str] = None
 
     @property
     def had_error(self) -> bool:
-        """Whether some subset hit a resource limit or has a witness that
-        failed engine validation (the CLI then exits with 3)."""
-        return any(r.errors for r in self.reports)
+        """Whether some subset or the propagation pass hit a resource limit,
+        or some witness failed engine validation (the CLI then exits with
+        3)."""
+        return (any(r.errors for r in self.reports)
+                or self.propagation_error is not None)
 
 
 def candidate_filter(rule: Clause, positions: frozenset[int],
@@ -292,8 +308,8 @@ def find_looping_queries(rule: Clause, index: int = 0,
                         checks=tuple(checks), classes=classes, head_query=head)
 
 
-def propagate(program: Program,
-              reports: tuple[ClauseReport, ...]) -> tuple[PropagatedLoop, ...]:
+def propagate(program: Program, reports: tuple[ClauseReport, ...],
+              limit: int = linarith.DEFAULT_DNF_LIMIT) -> tuple[PropagatedLoop, ...]:
     """Close looping facts under the rules: whenever a rule's body query is
     more general than a known looping query, its head query loops too.  Known
     facts start from the head queries and verified witnesses of directly
@@ -309,7 +325,11 @@ def propagate(program: Program,
     refuted.  The first match past the cursor is therefore the first match a
     full rescan of all known facts finds, and the result (loops, order and
     ``via`` facts) equals the naive rescan's, with each (rule, fact) pair
-    tested at most once."""
+    tested at most once.
+
+    Every generality test runs under ``limit``; a ``ResourceLimitError``
+    ends the pass with a :class:`PropagationLimitError` holding the loops
+    found before it."""
     facts: dict[Pred, list[Query]] = {}
     have_head: set[int] = set()
     for r in reports:
@@ -338,7 +358,11 @@ def propagate(program: Program,
             cursor[index] = len(known)
             body_q = bodies.pop(index, None) or rule.body_query
             for fact in known[start:]:
-                if more_general(body_q, fact):
+                try:
+                    found = more_general(body_q, fact, limit)
+                except ResourceLimitError as err:
+                    raise PropagationLimitError(str(err), tuple(out)) from err
+                if found:
                     head_q = rule.head_query
                     facts.setdefault(rule.head_pred, []).append(head_q)
                     have_head.add(index)
@@ -357,6 +381,10 @@ def analyze_program(program: Program,
         for index, rule in enumerate(program.clauses)
     )
     propagated: tuple[PropagatedLoop, ...] = ()
+    error = None
     if opts.propagate:
-        propagated = propagate(program, reports)
-    return ProgramReport(reports=reports, propagated=propagated)
+        try:
+            propagated = propagate(program, reports, opts.max_dnf)
+        except PropagationLimitError as err:
+            propagated, error = err.found, str(err)
+    return ProgramReport(reports, propagated, error)

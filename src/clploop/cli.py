@@ -76,12 +76,17 @@ def _print_text_report(report: ProgramReport, out) -> None:
         for p in report.propagated:
             print(f"  clause {p.index + 1}: {p.head_query}  via {p.via}",
                   file=out)
+    if report.propagation_error:
+        print(f"resource limit in propagation: {report.propagation_error}",
+              file=out)
     total = len(report.reports)
     print(f"{total} clause{'s' if total != 1 else ''}: "
           f"{looping} looping, {total - looping} none found", file=out)
 
 
 def report_to_json(report: ProgramReport) -> dict:
+    """The report as JSON data; the key ``propagation_error`` is present only
+    when a resource limit stopped propagation."""
     clauses = []
     for r in report.reports:
         clauses.append({
@@ -102,7 +107,7 @@ def report_to_json(report: ProgramReport) -> dict:
                 for c in r.checks if c.error
             ],
         })
-    return {
+    data = {
         "version": __version__,
         "clauses": clauses,
         "propagated": [
@@ -114,6 +119,9 @@ def report_to_json(report: ProgramReport) -> dict:
             for p in report.propagated
         ],
     }
+    if report.propagation_error:
+        data["propagation_error"] = report.propagation_error
+    return data
 
 
 def _load_program(path: str) -> Program:
@@ -241,7 +249,7 @@ def _at_least(least: int):
 
 _MAX_DNF_HELP = ("ceiling on the conjuncts of one elimination step in the "
                  "filter search, witness construction and verification, "
-                 "check's proof and --run (propagation uses 10^6)")
+                 "propagation, check's proof and --run (default 10^6)")
 
 
 def build_parser() -> argparse.ArgumentParser:

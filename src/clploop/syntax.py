@@ -16,6 +16,13 @@ package.  Terms, query arguments and sampled values are rationals
 (``fractions.Fraction``).  An atomic proposition is kept as a primitive
 integer vector: its coefficients and constant are Python ``int``s with gcd 1,
 so the Fourier-Motzkin kernel combines atoms in integer arithmetic.
+
+The parser reads the source in one regular-expression pass into tokens that
+carry their source offset; a line and column are computed from the offset
+only for a ``ParseError``, and a clause's text is sliced by offsets.  Each
+comparison is read into one map of coefficients and a constant, which are
+``int``s unless the source writes a fraction, and becomes its atom in one
+:func:`_atom` call.
 """
 
 from __future__ import annotations
@@ -618,51 +625,68 @@ def max_gen(q: Query) -> int:
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# Blanks and comments match no named group and are dropped.  The last
+# group matches any other character, so that finditer skips none.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+    \s+ | \#[^\n]*
   | (?P<rat>[0-9]+(?:/[0-9]+)?)
   | (?P<var>[A-Z][A-Za-z0-9_]*)
   | (?P<pred>[a-z][A-Za-z0-9_]*)
   | (?P<op><-|<>|<=|>=|[<>=+\-*/(),.:])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 # "<-", "<>", "<=" and bare "<" are disambiguated by alternation order.
 
-_Token = tuple  # (kind, text, line, col)
+_Token = tuple  # (kind, text, offset into the source)
 
 # Parentheses nest at most this deep.  Each level costs three parser frames,
 # so far deeper input would exhaust the interpreter's recursion limit.
 _MAX_NESTING = 100
 
+# source relation -> (canonical relation, sign of lhs - rhs in the atom)
+_RELATIONS = {
+    "=": (REL_EQ, 1),
+    "<=": (REL_LE, 1),
+    "<": (REL_LT, 1),
+    ">=": (REL_LE, -1),
+    ">": (REL_LT, -1),
+}
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset into the source."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, tok, line, pos - line_start + 1))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + tok.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(("eof", "", line, len(text) - line_start + 1))
+        if kind is None:
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             *_position(text, m.start()))
+        append((kind, m.group(), m.start()))
+    append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list.  A linear expression is read
+    into a ``{Var: coefficient}`` accumulator and a returned constant, each
+    term added under a sign of +1 or -1; coefficients are ``int``s except
+    for ``a/b`` literals and division by a constant, which give
+    ``Fraction``s."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -678,7 +702,7 @@ class _Parser:
 
     def error(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok[2], tok[3])
+        raise ParseError(message, *_position(self.text, tok[2]))
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
@@ -691,98 +715,107 @@ class _Parser:
         return self.peek()[1] == text
 
     # rational := [0-9]+ ("/" [0-9]+)?
-    def rational(self) -> Fraction:
-        tok = self.next()
-        if tok[0] != "rat":
-            self.error("expected a rational literal", tok)
-        if "/" in tok[1]:
-            num, den = tok[1].split("/")
+    def rational(self, tok: _Token) -> int | Fraction:
+        """The value of a literal token already taken."""
+        text = tok[1]
+        if "/" in text:
+            num, den = text.split("/")
             if int(den) == 0:
                 self.error("zero denominator in rational literal", tok)
             return Fraction(int(num), int(den))
-        return Fraction(int(tok[1]))
+        return int(text)
 
     # term := "-"* unsigned
-    def term(self) -> LinTerm:
-        negate = False
+    def term(self, acc: dict, sign: int):
         while self.at("-"):
             self.next()
-            negate = not negate
-        t = self.unsigned()
-        return -t if negate else t
+            sign = -sign
+        return self.unsigned(acc, sign)
 
     # unsigned := rational | var | rational "*" var | var "*" rational
     #           | var "/" rational | "(" linexpr ")"
-    def unsigned(self) -> LinTerm:
-        tok = self.peek()
+    def unsigned(self, acc: dict, sign: int):
+        tok = self.next()
         if tok[1] == "(":
             if self.depth == _MAX_NESTING:
-                self.error(f"parentheses nested deeper than {_MAX_NESTING}")
-            self.next()
+                self.error(f"parentheses nested deeper than {_MAX_NESTING}", tok)
             self.depth += 1
-            t = self.linexpr()
+            const = self.linexpr(acc, sign)
             self.depth -= 1
             self.expect(")")
-            return t
+            return const
         if tok[0] == "rat":
-            coeff = self.rational()
-            if self.at("*"):
+            value = self.rational(tok)
+            after = self.peek()[1]
+            if after == "*":
                 self.next()
                 vtok = self.next()
                 if vtok[0] != "var":
                     if vtok[0] == "rat":
                         self.error("nonlinear term: products must be constant * variable", vtok)
                     self.error("expected a variable after '*'", vtok)
-                return LinTerm.make({Var(vtok[1]): coeff})
-            if self.at("/"):
+                v = Var(vtok[1])
+                acc[v] = acc.get(v, 0) + sign * value
+                return 0
+            if after == "/":
                 self.error("division must be variable / constant")
-            return LinTerm.of_const(coeff)
+            return sign * value
         if tok[0] == "var":
-            self.next()
             v = Var(tok[1])
-            if self.at("*"):
+            coeff = 1
+            after = self.peek()[1]
+            if after == "*":
                 star = self.next()
-                ntok = self.peek()
+                ntok = self.next()
                 if ntok[0] == "var":
                     self.error("nonlinear term: variable * variable", star)
                 if ntok[0] != "rat":
                     self.error("expected a constant after '*'", ntok)
-                return LinTerm.make({v: self.rational()})
-            if self.at("/"):
+                coeff = self.rational(ntok)
+            elif after == "/":
                 self.next()
-                dtok = self.peek()
+                dtok = self.next()
                 if dtok[0] == "var":
                     self.error("nonlinear term: division by a variable", dtok)
                 if dtok[0] != "rat":
                     self.error("expected a constant divisor", dtok)
-                den = self.rational()
+                den = self.rational(dtok)
                 if den == 0:
                     self.error("division by zero", dtok)
-                return LinTerm.make({v: Fraction(1) / den})
-            return LinTerm.of_var(v)
-        self.error("expected a term")
+                coeff = _F1 / den
+            acc[v] = acc.get(v, 0) + sign * coeff
+            return 0
+        self.error("expected a term", tok)
 
     # linexpr := term (("+" | "-") term)*
-    def linexpr(self) -> LinTerm:
-        t = self.term()
+    def linexpr(self, acc: dict, sign: int):
+        """Add ``sign`` times the expression's variable part to ``acc`` and
+        return ``sign`` times its constant."""
+        const = self.term(acc, sign)
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
-            rhs = self.term()
-            t = t + rhs if op == "+" else t - rhs
-        return t
+            const += self.term(acc, sign if op == "+" else -sign)
+        return const
 
     # constr := linexpr rel linexpr
     def constr(self) -> AtomicProp:
-        lhs = self.linexpr()
+        acc: dict[Var, int | Fraction] = {}
+        const = self.linexpr(acc, 1)
         tok = self.next()
-        if tok[1] not in _SOURCE_RELS:
+        relation = _RELATIONS.get(tok[1])
+        if relation is None:
             self.error("expected a relation (=, <=, <, >=, >)", tok)
-        rhs = self.linexpr()
-        return compare(lhs, tok[1], rhs)
+        const += self.linexpr(acc, -1)
+        rel, sign = relation
+        coeffs = sorted((v, c) for v, c in acc.items() if c)
+        # scale by the lcm of the denominators, negated for >= and >
+        scale = sign * math.lcm(const.denominator, *(c.denominator for _, c in coeffs))
+        return _atom(tuple((v, c.numerator * (scale // c.denominator)) for v, c in coeffs),
+                     const.numerator * (scale // const.denominator), rel)
 
     # constrs := "true" | constr ("," constr)*
     def constrs(self) -> Constraint:
-        if self.peek()[1] == "true":
+        if self.at("true"):
             self.next()
             return TRUE_CONSTRAINT
         atoms = [self.constr()]
@@ -790,6 +823,11 @@ class _Parser:
             self.next()
             atoms.append(self.constr())
         return Constraint(tuple(atoms))
+
+    def argument(self) -> LinTerm:
+        acc: dict[Var, int | Fraction] = {}
+        const = self.linexpr(acc, 1)
+        return LinTerm.make(acc, const)
 
     # atom := pred | pred "(" linexpr ("," linexpr)* ")"
     def atom(self) -> tuple[str, tuple[LinTerm, ...], _Token]:
@@ -801,10 +839,10 @@ class _Parser:
         args: list[LinTerm] = []
         if self.at("("):
             self.next()
-            args.append(self.linexpr())
+            args.append(self.argument())
             while self.at(","):
                 self.next()
-                args.append(self.linexpr())
+                args.append(self.argument())
             self.expect(")")
         return tok[1], tuple(args), tok
 
@@ -817,23 +855,21 @@ class _Parser:
         return Pred(name, arity)
 
     # clause := atom "<-" constrs "<>" atom "."
-    def clause(self, lines: list[str]) -> Clause:
-        start = self.peek()
+    def clause(self) -> Clause:
+        start = self.peek()[2]
         hname, hargs, htok = self.atom()
         self.expect("<-")
         c = self.constrs()
         self.expect("<>")
         bname, bargs, btok = self.atom()
-        self.expect(".")
+        end = self.expect(".")[2] + 1
         head = Atom(self.pred_of(hname, len(hargs), htok), hargs)
         body = Atom(self.pred_of(bname, len(bargs), btok), bargs)
-        end = self.tokens[self.pos - 1]
-        text = _slice_source(lines, start, end)
         try:
-            clause = normalize_clause(head, c, body, text=text)
+            clause = normalize_clause(head, c, body, text=_slice_source(self.text, start, end))
         except ParseError as err:
             if err.line is None:
-                raise ParseError(err.message, start[2], start[3]) from None
+                raise ParseError(err.message, *_position(self.text, start)) from None
             raise
         return clause
 
@@ -841,26 +877,21 @@ class _Parser:
     def query(self) -> Query:
         name, args, tok = self.atom()
         c = Constraint(())
-        if self.peek()[1] == ":":
+        if self.at(":"):
             self.next()
             c = self.constrs()
-        if self.peek()[1] == ".":
+        if self.at("."):
             self.next()
         return Query(Atom(self.pred_of(name, len(args), tok), args), c)
 
 
-def _slice_source(lines: list[str], start: _Token, end: _Token) -> str:
-    """The source text from token start to token end, from the source's
-    lines; the lines of a multi-line span are stripped and joined by one
-    space."""
-    s_line, s_col = start[2], start[3]
-    e_line, e_col = end[2], end[3]
-    if s_line == e_line:
-        return lines[s_line - 1][s_col - 1 : e_col]
-    parts = [lines[s_line - 1][s_col - 1 :]]
-    parts.extend(lines[s_line : e_line - 1])
-    parts.append(lines[e_line - 1][:e_col])
-    return " ".join(p.strip() for p in parts)
+def _slice_source(text: str, start: int, end: int) -> str:
+    """The source text between two offsets; the lines of a multi-line span
+    are stripped and joined by one space."""
+    span = text[start:end]
+    if "\n" in span:
+        span = " ".join(part.strip() for part in span.split("\n"))
+    return span
 
 
 def parse_program(text: str) -> Program:
@@ -868,10 +899,9 @@ def parse_program(text: str) -> Program:
     position for syntax errors, predicate arity mismatches, nonlinear terms and
     rules whose constraint is unsatisfiable."""
     p = _Parser(text)
-    lines = text.split("\n")
     clauses: list[Clause] = []
     while p.peek()[0] != "eof":
-        clauses.append(p.clause(lines))
+        clauses.append(p.clause())
     return Program(tuple(clauses))
 
 
@@ -911,35 +941,37 @@ def normalize_clause(head: Atom, constraint: Constraint, body: Atom, text: str =
     X<i> (head) or Y<i> (body) with the equation ``fresh = argument`` added in
     front of the constraint.  Idempotent up to renaming; raises ParseError if
     the resulting constraint is unsatisfiable."""
+    args = head.args + body.args
+    # one pass over the arguments: the variable each one is (None for a
+    # constant or a compound term), how many arguments each variable is,
+    # and every variable name in use
+    arg_vars: list[Optional[Var]] = []
     occurrences: dict[Var, int] = {}
-    for t in head.args + body.args:
+    used_names = {v.name for a in constraint.atoms for v, _ in a.term.coeffs}
+    for t in args:
         v = t.is_var()
+        arg_vars.append(v)
         if v is not None:
             occurrences[v] = occurrences.get(v, 0) + 1
+        for w, _ in t.coeffs:
+            used_names.add(w.name)
 
-    used_names = {v.name for t in head.args + body.args for v in t.variables}
-    used_names |= {v.name for v in constraint.variables}
-
+    n = len(head.args)
+    chosen: list[Var] = []
     equations: list[AtomicProp] = []
-
-    def pick(args: tuple[LinTerm, ...], prefix: str) -> tuple[Var, ...]:
-        out: list[Var] = []
-        for i, t in enumerate(args, start=1):
-            v = t.is_var()
-            if v is not None and occurrences[v] == 1:
-                out.append(v)
-            else:
-                fresh = Var(_fresh_name(f"{prefix}{i}", used_names))
-                equations.append(var_eq(fresh, t))
-                out.append(fresh)
-        return tuple(out)
-
-    head_vars = pick(head.args, "X")
-    body_vars = pick(body.args, "Y")
-    new_constraint = Constraint(tuple(equations)).conjoin(constraint)
-
-    from . import linarith  # deferred: linarith depends on this module's types
+    for i, (t, v) in enumerate(zip(args, arg_vars)):
+        if v is None or occurrences[v] > 1:
+            base = f"X{i + 1}" if i < n else f"Y{i - n + 1}"
+            v = Var(_fresh_name(base, used_names))
+            equations.append(var_eq(v, t))
+        chosen.append(v)
+    new_constraint = Constraint(tuple(equations) + constraint.atoms)
 
     if not linarith.satisfiable(new_constraint):
         raise ParseError(f"unsatisfiable rule constraint: {new_constraint}")
-    return Clause(head.pred, head_vars, new_constraint, body.pred, body_vars, text=text)
+    return Clause(head.pred, tuple(chosen[:n]), new_constraint, body.pred,
+                  tuple(chosen[n:]), text=text)
+
+
+# linarith imports this module's types, so it is imported once they exist
+from . import linarith  # noqa: E402

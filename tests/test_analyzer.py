@@ -421,9 +421,9 @@ class TestSemiNaivePropagate:
         calls = []
         more_general = analyzer.more_general
 
-        def counted(body_q, fact):
+        def counted(body_q, fact, *limit):
             calls.append((body_q, fact))
-            return more_general(body_q, fact)
+            return more_general(body_q, fact, *limit)
 
         monkeypatch.setattr(analyzer, "more_general", counted)
         got = propagate(prog, reports)
@@ -453,6 +453,38 @@ class TestSemiNaivePropagate:
             assert not any(built["head_query", id(r.clause)] for r in reports if r.results)
             tested += sum(n for (name, _), n in built.items() if name == "body_query")
         assert tested >= 100
+
+
+class TestPropagationLimit:
+    # clause 3's body denotation eliminates X from three lower and two upper
+    # bounds: 6 conjuncts, above a ceiling of 3; clause 2's takes 2
+    PROGRAM = (
+        "s(A) <- A = B <> s(B).\n"
+        "c(X) <- X >= Y, X >= 2*Y, X <= 5 <> s(Y).\n"
+        "d(X) <- X >= Y, X >= 2*Y, X >= 3*Y, X <= 5, X <= 6 + Y <> s(Y).\n"
+    )
+
+    def test_propagation_obeys_max_dnf(self):
+        prog = parse_program(self.PROGRAM)
+        report = analyze_program(prog)
+        assert [p.index for p in report.propagated] == [1, 2]
+        assert report.propagation_error is None and not report.had_error
+        limited = analyze_program(prog, AnalyzeOptions(max_dnf=3))
+        # the scan is unaffected; propagation keeps the loop found before
+        # the limit and records it
+        assert limited.reports == report.reports
+        assert limited.propagated == report.propagated[:1]
+        assert limited.propagation_error == "elimination exceeds 3 conjuncts"
+        assert limited.had_error
+
+    def test_propagate_raises_with_the_loops_found(self):
+        prog = parse_program(self.PROGRAM)
+        reports = analyze_program(prog, AnalyzeOptions(propagate=False)).reports
+        with pytest.raises(analyzer.PropagationLimitError) as exc:
+            propagate(prog, reports, 3)
+        assert isinstance(exc.value, ResourceLimitError)
+        assert [p.index for p in exc.value.found] == [1]
+        assert len(propagate(prog, reports, 6)) == 2
 
 
 class TestProgramReport:

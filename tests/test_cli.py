@@ -232,6 +232,31 @@ class TestExitCodes:
         # the report is still printed in full
         assert "18 clauses:" in out
 
+    def test_propagation_resource_limit(self, tmp_path, capsys):
+        # clause 3's body denotation takes an elimination step of 6
+        # conjuncts; the subset scan of clause 1 and clause 2's take at most 3
+        path = rule_file(tmp_path, (
+            "s(A) <- A = B <> s(B).\n"
+            "c(X) <- X >= Y, X >= 2*Y, X <= 5 <> s(Y).\n"
+            "d(X) <- X >= Y, X >= 2*Y, X >= 3*Y, X <= 5, X <= 6 + Y <> s(Y).\n"))
+        assert main(["analyze", path]) == 0
+        full = capsys.readouterr().out
+        assert main(["analyze", path, "--max-dnf", "3"]) == 3
+        out = capsys.readouterr().out
+        assert out.endswith(
+            "propagated:\n"
+            "  clause 2: <c(X) | X - Y >= 0, X - 2*Y >= 0, X <= 5>  via <s(0) | true>\n"
+            "resource limit in propagation: elimination exceeds 3 conjuncts\n"
+            "3 clauses: 1 looping, 2 none found\n")
+        assert out.split("propagated:")[0] == full.split("propagated:")[0]
+        assert "  clause 3: <d(X)" in full
+        assert main(["analyze", path, "--max-dnf", "3", "--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        assert [p["clause"] for p in data["propagated"]] == [2]
+        assert data["propagation_error"] == "elimination exceeds 3 conjuncts"
+        assert main(["analyze", path, "--json"]) == 0
+        assert "propagation_error" not in json.loads(capsys.readouterr().out)
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
