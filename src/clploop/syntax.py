@@ -37,8 +37,6 @@ REL_EQ = "="
 REL_LE = "<="
 REL_LT = "<"
 
-_SOURCE_RELS = ("=", "<=", "<", ">=", ">")
-
 
 class ParseError(Exception):
     """Raised for syntax errors, arity mismatches, nonlinear terms and
@@ -347,21 +345,24 @@ def _atom(coeffs: tuple[tuple[Var, int], ...], const: int, rel: str) -> AtomicPr
     return AtomicProp(LinTerm(coeffs, const), rel)
 
 
+# source relation -> (canonical relation, sign of lhs - rhs in the atom)
+_RELATIONS = {
+    "=": (REL_EQ, 1),
+    "<=": (REL_LE, 1),
+    "<": (REL_LT, 1),
+    ">=": (REL_LE, -1),
+    ">": (REL_LT, -1),
+}
+
+
 def compare(lhs: LinTerm, op: str, rhs: LinTerm) -> AtomicProp:
     """Build a canonical atomic proposition from ``lhs op rhs`` where op is one
     of =, <=, <, >=, >."""
+    if op not in _RELATIONS:
+        raise ValueError(f"unknown relation {op!r}")
+    rel, sign = _RELATIONS[op]
     diff = lhs - rhs
-    if op == "=":
-        return _canon(diff, REL_EQ)
-    if op == "<=":
-        return _canon(diff, REL_LE)
-    if op == "<":
-        return _canon(diff, REL_LT)
-    if op == ">=":
-        return _canon(-diff, REL_LE)
-    if op == ">":
-        return _canon(-diff, REL_LT)
-    raise ValueError(f"unknown relation {op!r}")
+    return _canon(diff if sign > 0 else -diff, rel)
 
 
 def var_eq(v: Var, term: LinTerm) -> AtomicProp:
@@ -646,16 +647,6 @@ _Token = tuple  # (kind, text, offset into the source)
 # Parentheses nest at most this deep.  Each level costs three parser frames,
 # so far deeper input would exhaust the interpreter's recursion limit.
 _MAX_NESTING = 100
-
-# source relation -> (canonical relation, sign of lhs - rhs in the atom)
-_RELATIONS = {
-    "=": (REL_EQ, 1),
-    "<=": (REL_LE, 1),
-    "<": (REL_LT, 1),
-    ">=": (REL_LE, -1),
-    ">": (REL_LT, -1),
-}
-
 
 def _position(text: str, offset: int) -> tuple[int, int]:
     """The 1-based line and column of an offset into the source."""
