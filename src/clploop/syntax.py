@@ -736,22 +736,20 @@ class _Parser:
             self.expect(")")
             return const
         if tok[0] == "rat":
-            value = self.rational(tok)
+            coeff = self.rational(tok)
             after = self.peek()[1]
-            if after == "*":
-                self.next()
-                vtok = self.next()
-                if vtok[0] != "var":
-                    if vtok[0] == "rat":
-                        self.error("nonlinear term: products must be constant * variable", vtok)
-                    self.error("expected a variable after '*'", vtok)
-                v = Var(vtok[1])
-                acc[v] = acc.get(v, 0) + sign * value
-                return 0
             if after == "/":
                 self.error("division must be variable / constant")
-            return sign * value
-        if tok[0] == "var":
+            if after != "*":
+                return sign * coeff
+            self.next()
+            vtok = self.next()
+            if vtok[0] != "var":
+                if vtok[0] == "rat":
+                    self.error("nonlinear term: products must be constant * variable", vtok)
+                self.error("expected a variable after '*'", vtok)
+            v = Var(vtok[1])
+        elif tok[0] == "var":
             v = Var(tok[1])
             coeff = 1
             after = self.peek()[1]
@@ -774,9 +772,10 @@ class _Parser:
                 if den == 0:
                     self.error("division by zero", dtok)
                 coeff = _F1 / den
-            acc[v] = acc.get(v, 0) + sign * coeff
-            return 0
-        self.error("expected a term", tok)
+        else:
+            self.error("expected a term", tok)
+        acc[v] = acc.get(v, 0) + sign * coeff
+        return 0
 
     # linexpr := term (("+" | "-") term)*
     def linexpr(self, acc: dict, sign: int):
