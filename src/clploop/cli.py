@@ -11,7 +11,8 @@ one of the found filters.
 Exit codes: 0 analysis completed (whatever the findings), 1 stdout closed
 before the report was written, 2 parse, validation or usage error, 3 a
 resource limit was hit somewhere or a witness failed engine validation (the
-partial report is still printed).
+partial report is still printed; ``check`` names the first such error on
+stderr).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 from . import __version__, linarith
 from .analyzer import AnalyzeOptions, ClauseReport, ProgramReport, analyze_program
 from .engine import format_trace, run
-from .filters import delta_more_general, more_general
+from .filters import delta_more_general, more_general, positions_str
 from .linarith import ResourceLimitError
 from .syntax import (
     ParseError,
@@ -36,16 +37,27 @@ from .syntax import (
 )
 
 
-def _positions_str(positions: frozenset[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(positions)) + "}"
-
-
 def _sorted_classes(classes) -> list[frozenset[int]]:
     return sorted(classes, key=lambda m: (len(m), tuple(sorted(m))))
 
 
 def _clause_source(report: ClauseReport) -> str:
     return report.clause.text or str(report.clause)
+
+
+def _check_error(check) -> str:
+    # a failed witness is the only error of a subset that was decided
+    kind = "error" if check.head_ok else "resource limit"
+    return f"{kind} at tau {positions_str(check.positions)}: {check.error}"
+
+
+def _first_error(report: ProgramReport) -> str:
+    """The first error of a report that has one, as one line."""
+    for r in report.reports:
+        for check in r.checks:
+            if check.error:
+                return f"clause {r.index + 1}: {_check_error(check)}"
+    return f"resource limit in propagation: {report.propagation_error}"
 
 
 def _print_text_report(report: ProgramReport, out) -> None:
@@ -56,21 +68,17 @@ def _print_text_report(report: ProgramReport, out) -> None:
             for res in r.results:
                 verified = (f"verified {res.verified_steps} steps"
                             if res.verified_steps else "not run")
-                print(f"  tau: {_positions_str(res.positions)}", file=out)
+                print(f"  tau: {positions_str(res.positions)}", file=out)
                 print(f"    delta: {res.delta}", file=out)
                 print(f"    witness: {res.witness}  ({verified})", file=out)
-            rendered = ", ".join(_positions_str(m)
+            rendered = ", ".join(positions_str(m)
                                  for m in _sorted_classes(r.classes))
             print(f"  classes: {rendered}", file=out)
         else:
             print("  none found", file=out)
         for check in r.checks:
             if check.error:
-                # a failed witness is the only error of a subset that was decided
-                kind = "error" if check.head_ok else "resource limit"
-                print(f"  {kind} at tau "
-                      f"{_positions_str(check.positions)}: {check.error}",
-                      file=out)
+                print(f"  {_check_error(check)}", file=out)
     if report.propagated:
         print("propagated:", file=out)
         for p in report.propagated:
@@ -162,7 +170,7 @@ def cmd_analyze(args) -> int:
                 state = run(res.witness, Program((r.clause,)), res.verified_steps,
                             keep_trace=True, limit=args.max_dnf)
                 print(f"trace for {res.witness} "
-                      f"(clause {r.index + 1}, tau {_positions_str(res.positions)}):")
+                      f"(clause {r.index + 1}, tau {positions_str(res.positions)}):")
                 for line in format_trace(state):
                     print(f"  {line}")
     return 3 if report.had_error else 0
@@ -192,7 +200,7 @@ def _proof_for(query: Query, report: ProgramReport,
         for res in r.results:
             if delta_more_general(query, head, res.filter, limit):
                 return ("filter-more-general than",
-                        f"{head} under tau {_positions_str(res.positions)}")
+                        f"{head} under tau {positions_str(res.positions)}")
     return None
 
 
@@ -234,7 +242,10 @@ def cmd_check(args) -> int:
         if args.trace and state:
             for line in format_trace(state):
                 print(f"  {line}")
-    return 3 if report.had_error else 0
+    if report.had_error:
+        print(f"error: {_first_error(report)}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _at_least(least: int):

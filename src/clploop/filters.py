@@ -30,13 +30,17 @@ from .linarith import Entailment
 from .syntax import Constraint, Pred, Query, Var, atom_of_vars, var_eq
 
 
+def positions_str(positions: Iterable[int]) -> str:
+    """A position set as text, e.g. {1,3}, for symbols and reports."""
+    return "{" + ",".join(str(i) for i in sorted(positions)) + "}"
+
+
 def projected_pred(pred: Pred, positions: Iterable[int]) -> Pred:
     """The projected predicate symbol, e.g. p|{1,3} for positions {1, 3}."""
     ordered = sorted(set(positions))
     if ordered and (ordered[0] < 1 or ordered[-1] > pred.arity):
         raise ValueError(f"positions {ordered} out of range for {pred}")
-    inner = ",".join(str(i) for i in ordered)
-    return Pred(f"{pred.name}|{{{inner}}}", len(ordered))
+    return Pred(f"{pred.name}|{positions_str(ordered)}", len(ordered))
 
 
 class PositionSet(NamedTuple):

@@ -21,8 +21,9 @@ The parser reads the source in one regular-expression pass into tokens that
 carry their source offset; a line and column are computed from the offset
 only for a ``ParseError``, and a clause's text is sliced by offsets.  Each
 comparison is read into one map of coefficients and a constant, which are
-``int``s unless the source writes a fraction, and becomes its atom in one
-:func:`_atom` call.
+``int``s unless the source writes a fraction.  :func:`_linear_atom` is the one
+builder that turns such a map into an atom; the parser, :func:`compare` and
+``AtomicProp.substitute`` all go through it.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class LinTerm:
     (variable names, generations, numerators, denominators), which both
     number types provide: Fraction's own comparisons funnel through
     numeric-tower instance checks that dominate profiles at elimination
-    scale.
+    scale.  A term is data: it is built whole by :meth:`make` or by the
+    parser, and combining terms into an atom is :func:`_linear_atom`'s job.
     """
 
     __slots__ = ("coeffs", "const", "_key", "_hash")
@@ -157,43 +159,8 @@ class LinTerm:
             return self.coeffs[0][0]
         return None
 
-    def __add__(self, other: "LinTerm") -> "LinTerm":
-        acc = dict(self.coeffs)
-        for v, c in other.coeffs:
-            acc[v] = acc.get(v, _F0) + c
-        return LinTerm.make(acc, self.const + other.const)
-
     def __neg__(self) -> "LinTerm":
         return LinTerm(tuple((v, -c) for v, c in self.coeffs), -self.const)
-
-    def __sub__(self, other: "LinTerm") -> "LinTerm":
-        return self + (-other)
-
-    def scaled(self, factor) -> "LinTerm":
-        factor = _as_fraction(factor)
-        if factor == 0:
-            return LinTerm.of_const(0)
-        return LinTerm(tuple((v, c * factor) for v, c in self.coeffs), self.const * factor)
-
-    def substitute(self, mapping: Mapping[Var, "LinTerm"]) -> "LinTerm":
-        """Replace variables by linear terms (or by constants wrapped by the
-        caller).  Variables not in the mapping are kept."""
-        if not any(v in mapping for v, _ in self.coeffs):
-            return self
-        acc: dict[Var, Fraction] = {}
-        const = self.const
-        for v, c in self.coeffs:
-            t = mapping.get(v)
-            if t is None:
-                acc[v] = acc.get(v, _F0) + c
-            else:
-                const += t.const * c
-                for w, d in t.coeffs:
-                    acc[w] = acc.get(w, _F0) + d * c
-        return LinTerm.make(acc, const)
-
-    def rename(self, mapping: Mapping[Var, Var]) -> "LinTerm":
-        return LinTerm.make({mapping.get(v, v): c for v, c in self.coeffs}, self.const)
 
     def eval(self, valuation: Mapping[Var, Fraction]) -> Fraction:
         total = self.const
@@ -224,10 +191,10 @@ class AtomicProp:
 
     The term is a primitive integer vector: its coefficients and constant are
     ``int``s with gcd 1, and an equality's leading coefficient is positive, so
-    the positive multiples of a proposition share one form.  Built by
-    :func:`_canon` from a rational term (through :func:`compare`, which moves
-    everything to the left side; all five source relations reduce to this
-    form) or by :func:`_atom` from an integer vector.
+    the positive multiples of a proposition share one form.  Rational data
+    becomes an atom only through :func:`_linear_atom`, which the parser,
+    :func:`compare` and :meth:`substitute` call (all five source relations
+    reduce to this form); :func:`_atom` builds one from an integer vector.
     """
 
     __slots__ = ("term", "rel", "_hash", "_slope", "_vars")
@@ -263,10 +230,22 @@ class AtomicProp:
         return vs
 
     def substitute(self, mapping: Mapping[Var, LinTerm]) -> "AtomicProp":
-        t = self.term.substitute(mapping)
-        if t is self.term:
+        """The atom with variables replaced by linear terms; variables not
+        in the mapping are kept."""
+        coeffs = self.term.coeffs
+        if not any(v in mapping for v, _ in coeffs):
             return self
-        return _canon(t, self.rel)
+        acc: dict[Var, int | Fraction] = {}
+        const = self.term.const
+        for v, c in coeffs:
+            t = mapping.get(v)
+            if t is None:
+                acc[v] = acc.get(v, 0) + c
+            else:
+                const += t.const * c
+                for w, d in t.coeffs:
+                    acc[w] = acc.get(w, 0) + d * c
+        return _linear_atom(acc, const, self.rel, 1)
 
     def rename(self, mapping: Mapping[Var, Var]) -> "AtomicProp":
         t = self.term
@@ -322,12 +301,15 @@ class AtomicProp:
         return f"{LinTerm(term.coeffs)} {rel} {-term.const}"
 
 
-def _canon(term: LinTerm, rel: str) -> AtomicProp:
-    """The atom ``term REL 0`` of a rational term, scaled to integers."""
-    coeffs, const = term.coeffs, term.const
-    scale = math.lcm(const.denominator, *(c.denominator for _, c in coeffs))
-    return _atom(tuple((v, c.numerator * (scale // c.denominator))
-                       for v, c in coeffs),
+def _linear_atom(acc: Mapping[Var, int | Fraction], const: int | Fraction,
+                 rel: str, sign: int) -> AtomicProp:
+    """The atom ``sign * (sum of c*v + const) REL 0`` of rational
+    coefficients and constant, with sign +1 or -1: the one place rational
+    data becomes an atom.  Scales by the lcm of the denominators, then
+    :func:`_atom` divides by the gcd."""
+    coeffs = sorted((v, c) for v, c in acc.items() if c)
+    scale = sign * math.lcm(const.denominator, *(c.denominator for _, c in coeffs))
+    return _atom(tuple((v, c.numerator * (scale // c.denominator)) for v, c in coeffs),
                  const.numerator * (scale // const.denominator), rel)
 
 
@@ -357,12 +339,15 @@ _RELATIONS = {
 
 def compare(lhs: LinTerm, op: str, rhs: LinTerm) -> AtomicProp:
     """Build a canonical atomic proposition from ``lhs op rhs`` where op is one
-    of =, <=, <, >=, >."""
+    of =, <=, <, >=, >: ``lhs - rhs`` is added into one map and given to
+    :func:`_linear_atom`."""
     if op not in _RELATIONS:
         raise ValueError(f"unknown relation {op!r}")
     rel, sign = _RELATIONS[op]
-    diff = lhs - rhs
-    return _canon(diff if sign > 0 else -diff, rel)
+    acc = dict(lhs.coeffs)
+    for v, c in rhs.coeffs:
+        acc[v] = acc.get(v, 0) - c
+    return _linear_atom(acc, lhs.const - rhs.const, rel, sign)
 
 
 def var_eq(v: Var, term: LinTerm) -> AtomicProp:
@@ -796,12 +781,7 @@ class _Parser:
         if relation is None:
             self.error("expected a relation (=, <=, <, >=, >)", tok)
         const += self.linexpr(acc, -1)
-        rel, sign = relation
-        coeffs = sorted((v, c) for v, c in acc.items() if c)
-        # scale by the lcm of the denominators, negated for >= and >
-        scale = sign * math.lcm(const.denominator, *(c.denominator for _, c in coeffs))
-        return _atom(tuple((v, c.numerator * (scale // c.denominator)) for v, c in coeffs),
-                     const.numerator * (scale // const.denominator), rel)
+        return _linear_atom(acc, const, *relation)
 
     # constrs := "true" | constr ("," constr)*
     def constrs(self) -> Constraint:
@@ -909,7 +889,8 @@ def parse_query(text: str, program: Optional[Program] = None) -> Query:
     if program is not None:
         names = {cl.head_pred for cl in program.clauses} | {cl.body_pred for cl in program.clauses}
         if q.pred not in names:
-            raise ParseError(f"unknown predicate {q.pred}")
+            # a query's first token is its predicate name
+            p.error(f"unknown predicate {q.pred}", p.tokens[0])
     return q
 
 

@@ -34,8 +34,9 @@ lattices and the references to eliminate in different orders.
 entailments for a hand-built ``Filter``, whose conditions the builders in
 ``clploop.neutral`` take as constraints over the rule's variables: each
 condition's denotation renamed to the filtered variables.  ``make_filter``,
-``is_true`` and ``local_vars`` are small constructors and accessors only
-the tests use.
+``is_true``, ``local_vars``, ``rename_term`` and ``atom`` (one comparison
+read by the parser, e.g. ``atom("2*X + 2*Y <= 1")``) are small
+constructors and accessors only the tests use.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from clploop.syntax import (
     atom_of_vars,
     compare,
     normalize_clause,
+    parse_query,
     var_eq,
 )
 
@@ -151,6 +153,19 @@ def max_gen(*objects) -> int:
     return best
 
 
+def rename_term(t: LinTerm, mapping: Mapping[Var, Var]) -> LinTerm:
+    """A term with its variables renamed; variables not in the mapping are
+    kept."""
+    return LinTerm.make({mapping.get(v, v): c for v, c in t.coeffs}, t.const)
+
+
+def atom(text: str) -> AtomicProp:
+    """The atom of one comparison in source syntax, e.g.
+    ``atom("2*X + 2*Y <= 1")``, read by the parser."""
+    (a,) = parse_query(f"p : {text}").constraint.atoms
+    return a
+
+
 def rename_apart(obj, gen: int):
     """Return a variant of ``obj`` with every variable re-indexed at or above
     ``gen``.  Distinct generations in the input stay distinct (the i-th
@@ -162,13 +177,15 @@ def rename_apart(obj, gen: int):
     gens = sorted({v.gen for v in vs})
     shift = {g: gen + i for i, g in enumerate(gens)}
     mapping = {v: Var(v.name, shift[v.gen]) for v in vs}
-    if isinstance(obj, (LinTerm, AtomicProp, Constraint)):
+    if isinstance(obj, LinTerm):
+        return rename_term(obj, mapping)
+    if isinstance(obj, (AtomicProp, Constraint)):
         return obj.rename(mapping)
     if isinstance(obj, Atom):
-        return Atom(obj.pred, tuple(t.rename(mapping) for t in obj.args))
+        return Atom(obj.pred, tuple(rename_term(t, mapping) for t in obj.args))
     if isinstance(obj, Query):
         return Query(
-            Atom(obj.atom.pred, tuple(t.rename(mapping) for t in obj.atom.args)),
+            Atom(obj.atom.pred, tuple(rename_term(t, mapping) for t in obj.atom.args)),
             obj.constraint.rename(mapping),
         )
     if isinstance(obj, Clause):
@@ -527,7 +544,7 @@ def rand_condition_filter(rng: random.Random, rule: Clause) -> Filter:
             pp = projected_pred(p, positions[p])
             cond = rand_rational_query(rng, pp)
             mapping = dict(zip(sorted(cond.variables), pool))
-            args = [t.rename(mapping) for t in cond.atom.args]
+            args = [rename_term(t, mapping) for t in cond.atom.args]
             if len(args) > 1 and rng.random() < 0.25:
                 args[0] = args[-1] = LinTerm.of_var(rng.choice(pool))
             conditions[p] = Query(Atom(pp, tuple(args)), cond.constraint.rename(mapping))

@@ -441,7 +441,35 @@ class TestCheck:
     def test_unknown_predicate(self, tmp_path, capsys):
         path = rule_file(tmp_path, SHIFT_GE)
         assert main(["check", path, "--query", "r(0)"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: 1:1: unknown predicate r/1\n"
+
+    def test_analysis_resource_limit_is_named(self, corpus_path, capsys):
+        # the verdict and the payload are those of a run without the line
+        args = ["check", str(corpus_path), "--query", "p1(0)", "--max-dnf", "3"]
+        line = ("error: clause 18: resource limit at tau {1,2,3}: "
+                "elimination exceeds 3 conjuncts\n")
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "<p1(0) | true>: LOOPS (proved)\n  more general than <p1(0) | true>\n")
+        assert captured.err == line
+        assert main(args + ["--json"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "query": "<p1(0) | true>", "verdict": "LOOPS (proved)",
+            "via": "more general than <p1(0) | true>", "empirical_steps": None}
+        assert captured.err == line
+
+    def test_propagation_resource_limit_is_named(self, tmp_path, capsys):
+        path = rule_file(tmp_path, (
+            "s(A) <- A = B <> s(B).\n"
+            "c(X) <- X >= Y, X >= 2*Y, X <= 5 <> s(Y).\n"
+            "d(X) <- X >= Y, X >= 2*Y, X >= 3*Y, X <= 5, X <= 6 + Y <> s(Y).\n"))
+        assert main(["check", path, "--query", "s(0)", "--max-dnf", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("<s(0) | true>: LOOPS (proved)\n")
+        assert captured.err == (
+            "error: resource limit in propagation: elimination exceeds 3 conjuncts\n")
 
     def test_propagated_head_counts_as_proof(self, tmp_path, capsys):
         path = rule_file(tmp_path, PAIR)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from fuzzers import atom
 
 from clploop.linarith import (
     Entailment,
@@ -76,12 +77,12 @@ class TestFreeVarsSubstitute:
     def test_substitute_atom_and_number(self):
         f = le(tx, ty)
         assert f.substitute({X: LinTerm.of_const(3)}) == le(LinTerm.of_const(3), ty)
-        assert f.substitute({X: tz + one}) == le(tz + one, ty)
+        assert f.substitute({X: LinTerm.make({Z: 1}, 1)}) == atom("Z + 1 <= Y")
 
 
 class TestEval:
     def test_basic(self):
-        f = le(ty, tx + LinTerm.of_const(2))
+        f = atom("Y <= X + 2")
         assert f.eval({X: Fraction(0), Y: Fraction(2)})
         assert not f.eval({X: Fraction(0), Y: Fraction(3)})
         assert not lt(tx, tx).eval({X: Fraction(1)})
@@ -134,15 +135,15 @@ class TestEliminate:
         assert project(c, {X}) == Constraint.of(le(zero, tx))
 
     def test_equality_substitution(self):
-        c = Constraint.of(eq(ty, tx + one), le(ty, tz))
-        assert project(c, {X, Z}) == Constraint.of(le(tx + one, tz))
+        c = Constraint.of(atom("Y = X + 1"), le(ty, tz))
+        assert project(c, {X, Z}) == Constraint.of(atom("X + 1 <= Z"))
 
     def test_empty_and_false(self):
         assert project(Constraint.of(le(tx, tx)), ()) == Constraint(())
         assert not satisfiable(project(Constraint.of(lt(tx, tx)), ()))
 
     def test_equivalence_with_original(self):
-        c = Constraint.of(le(tx, ty), le(ty, tz), lt(tx + one, tz))
+        c = Constraint.of(le(tx, ty), le(ty, tz), atom("X + 1 < Z"))
         p = project(c, {X, Z})
         assert entails(p, c, {X, Z})
         assert entails(c, p, {X, Z})
@@ -153,7 +154,7 @@ class TestEliminate:
         # strict or apart bounds stay as they are
         c = Constraint.of(le(tx, ty), lt(ty, tx))
         assert project(c, {X, Y}) == c
-        c = Constraint.of(le(tx, ty), le(ty + one, tx))
+        c = Constraint.of(le(tx, ty), atom("Y + 1 <= X"))
         assert project(c, {X, Y}) == c
 
 
@@ -163,29 +164,29 @@ class TestIntegerForm:
 
     def test_proportional_slopes_keep_the_tighter_bound(self):
         # 2*X + 2*Y <= 1 says X + Y <= 1/2
-        loose = le(tx.scaled(2) + ty.scaled(2), one)
-        tight = le(tx + ty, zero)
+        loose = atom("2*X + 2*Y <= 1")
+        tight = atom("X + Y <= 0")
         assert _simplify_conj((loose, tight)) == (tight,)
         assert _simplify_conj((tight, loose)) == (tight,)
         assert project(Constraint.of(loose, tight, le(zero, tz)), {X, Y}) == \
             Constraint.of(tight)
 
     def test_opposite_bounds_with_different_gcds_fold(self):
-        atoms = (le(tx.scaled(2), one), compare(tx.scaled(-4), "<=", LinTerm.of_const(-2)))
+        atoms = (atom("2*X <= 1"), atom("-4*X <= -2"))
         folded = _simplify_conj(atoms)
-        assert folded == (eq(tx.scaled(2), one),)
+        assert folded == (atom("2*X = 1"),)
         assert str(folded[0]) == "2*X = 1"
 
     def test_equality_settles_bounds_on_its_slope(self):
-        e = eq(tx.scaled(2) + ty.scaled(2), one)  # X + Y = 1/2
-        assert _simplify_conj((e, le(tx + ty, one))) == (e,)
-        assert _simplify_conj((e, le(zero, tx + ty))) == (e,)
-        assert _simplify_conj((e, lt(tx + ty, zero))) is None
-        assert _simplify_conj((e, le(one, tx + ty))) is None
-        assert _simplify_conj((e, eq(tx + ty, zero))) is None
+        e = atom("2*X + 2*Y = 1")  # X + Y = 1/2
+        assert _simplify_conj((e, atom("X + Y <= 1"))) == (e,)
+        assert _simplify_conj((e, atom("0 <= X + Y"))) == (e,)
+        assert _simplify_conj((e, atom("X + Y < 0"))) is None
+        assert _simplify_conj((e, atom("1 <= X + Y"))) is None
+        assert _simplify_conj((e, atom("X + Y = 0"))) is None
 
     def test_atoms_print_their_integer_vector(self):
-        a = le(tx.scaled(Fraction(2, 3)), ty.scaled(Fraction(1, 2)) + one)
+        a = le(LinTerm.make({X: Fraction(2, 3)}), LinTerm.make({Y: Fraction(1, 2)}, 1))
         assert [c for _, c in a.term.coeffs] == [4, -3] and a.term.const == -6
         assert str(a) == "4*X - 3*Y <= 6"
         assert str(project(Constraint.of(lt(tx, tx)), ())) == "1 < 0"
@@ -209,7 +210,7 @@ class TestDecide:
         x1, x2, y1, y2 = Var("X1"), Var("X2"), Var("Y1"), Var("Y2")
         c = Constraint.of(
             le(LinTerm.of_var(x1), LinTerm.of_var(x2)),
-            eq(LinTerm.of_var(y1), LinTerm.of_var(x1) + one),
+            atom("Y1 = X1 + 1"),
             eq(LinTerm.of_var(y2), LinTerm.of_var(x2)),
         )
         apart = c.rename({x1: Var("X1", 1), y1: Var("Y1", 1)})
@@ -294,7 +295,7 @@ class TestSample:
         assert sample_solution(c) == sample_solution(c)
 
     def test_solution_satisfies(self):
-        c = Constraint.of(le(tx + one, ty), le(zero, tx))
+        c = Constraint.of(atom("X + 1 <= Y"), le(zero, tx))
         v = sample_solution(c)
         assert all(a.eval(v) for a in c)
 
@@ -308,14 +309,14 @@ class TestDecideSidesInsideOver:
     CASES = {
         "duplicate rhs": ([le(tx, ty)], [le(tx, ty), le(tx, ty)], True),
         "duplicate lhs": ([le(tx, ty), le(tx, ty)], [lt(tx, ty)], False),
-        "slackened rhs": ([le(tx, ty)], [le(tx, ty + one), le(tx, ty)], True),
-        "slackened lhs": ([le(tx, ty + one), le(tx, ty + one + one)], [le(tx, ty)],
+        "slackened rhs": ([le(tx, ty)], [atom("X <= Y + 1"), le(tx, ty)], True),
+        "slackened lhs": ([atom("X <= Y + 1"), atom("X <= Y + 2")], [le(tx, ty)],
                           False),
         "ground-true rhs": ([le(tx, ty)], [le(zero, one), le(tx, ty)], True),
         "ground-true lhs": ([lt(zero, one), eq(tx, ty)], [le(ty, tx)], True),
         "opposite bounds rhs": ([eq(tx, ty)], [le(tx, ty), ge(tx, ty)], True),
         "contradictory lhs": ([eq(tx, zero), eq(tx, one)], [le(ty, zero)], True),
-        "contradictory rhs": ([le(tx, ty)], [eq(tx, ty), eq(tx, ty + one)], False),
+        "contradictory rhs": ([le(tx, ty)], [eq(tx, ty), atom("X = Y + 1")], False),
         "ground-false rhs": ([le(tx, ty)], [le(one, zero)], False),
         "ground-false both": ([le(one, zero)], [le(one, zero)], True),
     }

@@ -88,7 +88,6 @@ from clploop.syntax import (
     Var,
     atom_of_vars,
     compare,
-    _canon,
     parse_program,
     parse_query,
     var_eq,
@@ -146,15 +145,17 @@ class TestEliminationProperties:
         # it adds no atom; atoms over three slopes exercise the dropped,
         # pinned and folded bounds
         rng = random.Random(109)
-        u, v, w = (LinTerm.of_var(x) for x in self.VARS)
-        slopes = (u, u - v, v + v + w)
+        u, v, w = self.VARS
+        slopes = ({u: 1}, {u: 1, v: -1}, {v: 2, w: 1})
         folded = subsets = 0
         for _ in range(300):
-            atoms = [compare(rng.choice(slopes).scaled(rng.choice((1, -1, 2))),
-                             rng.choice(RELS), LinTerm.of_const(rng.randint(-2, 2)))
-                     for _ in range(rng.randint(1, 5))]
+            atoms = []
+            for _ in range(rng.randint(1, 5)):
+                slope, factor = rng.choice(slopes), rng.choice((1, -1, 2))
+                atoms.append(compare(LinTerm.make({x: factor * c for x, c in slope.items()}),
+                                     rng.choice(RELS), LinTerm.of_const(rng.randint(-2, 2))))
             if rng.random() < 0.3:
-                t, k = rng.choice(slopes), LinTerm.of_const(rng.randint(-2, 2))
+                t, k = LinTerm.make(rng.choice(slopes)), LinTerm.of_const(rng.randint(-2, 2))
                 atoms += (compare(t, "<=", k), compare(t, ">=", k))
             rng.shuffle(atoms)
             out = _simplify_conj(atoms)
@@ -221,17 +222,92 @@ class TestIntegerAtomProperties:
         assert steps > 40 and samples > 40 and len(atoms) > 400
         assert all(_primitive(a) for a in atoms)
 
-    def test_canonical_form_ignores_positive_scaling(self):
+    def test_one_builder_matches_a_fraction_reference(self):
+        # lhs op rhs from random rational maps, built by compare and by the
+        # parser, against the reference, and again with both sides scaled
+        # by a positive rational
         rng = random.Random(116)
         for _ in range(300):
-            t = rand_term(rng, self.VARS).scaled(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            lhs, rhs = _rational_map(rng, self.VARS), _rational_map(rng, self.VARS)
+            op = rng.choice(RELS)
+            a = compare(_term(lhs), op, _term(rhs))
+            assert _primitive(a)
+            assert _reference_atom(lhs, op, rhs) == (a.term.coeffs, a.term.const, a.rel)
+            assert parse_query(f"p : {_source(lhs)} {op} {_source(rhs)}").constraint \
+                == Constraint.of(a)
             k = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-            for rel in ("=", "<=", "<"):
-                a = _canon(t, rel)
-                assert _primitive(a)
-                assert _canon(t.scaled(k), rel) == a
-                assert hash(_canon(t.scaled(k), rel)) == hash(a)
+            lhs_k = {v: k * c for v, c in lhs.items()}
+            rhs_k = {v: k * c for v, c in rhs.items()}
+            for b in (compare(_term(lhs_k), op, _term(rhs_k)),
+                      parse_query(f"p : {_source(lhs_k)} {op} {_source(rhs_k)}")
+                      .constraint.atoms[0]):
+                assert b == a and hash(b) == hash(a)
+
+    def test_substitute_agrees_with_eval(self):
+        # a[m] at v holds exactly when a holds at v extended by m's values,
+        # and a[m]'s term is one fixed multiple of a's term under m
+        rng = random.Random(117)
+        pool = self.VARS + (Var("T"),)
+        for _ in range(300):
+            a = compare(_term(_rational_map(rng, self.VARS)), rng.choice(RELS),
+                        _term(_rational_map(rng, self.VARS)))
+            m = {x: _term(_rational_map(rng, pool))
+                 for x in self.VARS if rng.random() < 0.6}
+            s = a.substitute(m)
+            assert _primitive(s)
+            ratios = set()
+            for _ in range(5):
+                v = {x: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for x in pool}
+                ext = {**v, **{x: t.eval(v) for x, t in m.items()}}
+                assert s.eval(v) == a.eval(ext)
+                value = a.term.eval(ext)
+                if value == 0:
+                    assert s.term.eval(v) == 0
+                else:
+                    ratios.add(s.term.eval(v) / value)
+            assert len(ratios) <= 1, (a, m)
+
+
+def _rational_map(rng, variables) -> dict:
+    """Random rational coefficients over some of ``variables`` (a few of
+    them zero) and a rational constant under the key None."""
+    out = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+           for v in variables if rng.random() < 0.6}
+    out[None] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return out
+
+
+def _term(coeffs: dict) -> LinTerm:
+    return LinTerm.make({v: c for v, c in coeffs.items() if v is not None}, coeffs[None])
+
+
+def _source(coeffs: dict) -> str:
+    """A rational map as source text, e.g. ``-3/2*U + 0/1*V + 5/6``."""
+    parts = [f"{abs(c.numerator)}/{c.denominator}*{v}" if v is not None else
+             f"{abs(c.numerator)}/{c.denominator}" for v, c in coeffs.items()]
+    signs = ["-" if c < 0 else "+" for c in coeffs.values()]
+    return " ".join(f"{sign} {part}" for sign, part in zip(signs, parts)).lstrip("+ ")
+
+
+def _reference_atom(lhs: dict, op: str, rhs: dict) -> tuple:
+    """(coefficients, constant, relation) of the atom ``lhs op rhs`` in
+    Fraction arithmetic: lhs - rhs, negated for >= and >, scaled by the lcm
+    of the denominators, divided by the gcd of the entries, and an equality
+    negated when its leading coefficient is negative."""
+    diff = dict(lhs)
+    for v, c in rhs.items():
+        diff[v] = diff.get(v, 0) - c
+    if op in (">=", ">"):
+        diff = {v: -c for v, c in diff.items()}
+    rel = {">=": "<=", ">": "<"}.get(op, op)
+    const = diff.pop(None)
+    coeffs = sorted((v, c) for v, c in diff.items() if c != 0)
+    scale = math.lcm(*(c.denominator for _, c in coeffs), const.denominator)
+    g = math.gcd(*(int(c * scale) for _, c in coeffs), int(const * scale)) or 1
+    if rel == "=" and coeffs and coeffs[0][1] < 0:
+        g = -g
+    unit = Fraction(scale, g)
+    return (tuple((v, int(c * unit)) for v, c in coeffs), int(const * unit), rel)
 
 
 def _holds(c, valuation) -> bool:
@@ -243,8 +319,7 @@ def _loosen(rng, a):
     constant, an equality read as one of its two bounds."""
     term = a.term if a.rel != "=" or rng.random() < 0.5 else -a.term
     op = "<" if a.rel == "<" else "<="
-    return compare(term - LinTerm.of_const(rng.randint(0, 2)), op,
-                   LinTerm.of_const(0))
+    return compare(term, op, LinTerm.of_const(rng.randint(0, 2)))
 
 
 def _refuting_sample(e: Entailment):
