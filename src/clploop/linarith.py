@@ -36,7 +36,13 @@ simplified conjunction, which simplification leaves unchanged.
 eliminates them all, and `decide` projects both sides of an entailment onto
 its universal variables (a side already over them is taken as it is) and
 refutes the left side conjoined with the negation of each right-hand atom,
-the standard entailment check of CLP(Q) solvers.  All arithmetic is exact;
+the standard entailment check of CLP(Q) solvers.  All four go through one
+elimination loop, :func:`_eliminate_all`.  When the left side carries the
+record that it is satisfiable (see :class:`syntax.Constraint`), a
+refutation keeps the atoms derived from the negated atom apart from the
+left side's and stops as soon as none is left, as an incremental CLP(Q)
+solver checks only what a constraint added to a solved store reaches
+(Jaffar, Michaylov, Stuckey & Yap, TOPLAS 1992).  All arithmetic is exact;
 sampled values are ``Fraction``s.  One configurable ceiling caps the
 conjuncts one elimination step produces, raising
 :class:`ResourceLimitError` when exceeded.
@@ -149,21 +155,33 @@ def _combine(p: int, a: AtomicProp, q: int, b: AtomicProp, x: Var,
 
 
 def _eliminate_var_conj(
-    atoms: Sequence[AtomicProp], x: Var, limit: int
+    atoms: Sequence[AtomicProp], x: Var, limit: int,
+    known: Optional[set[AtomicProp]] = None,
 ) -> Optional[tuple[AtomicProp, ...]]:
     """Eliminate one variable from a conjunction, an order-preserving subset
     of a :func:`_simplify_conj` result.  Returns the reduced conjunction or
     None if it becomes inconsistent (ground-false).  A step that adds no
     atom returns the atoms without x as they are: ``_simplify_conj`` would
-    return them unchanged."""
+    return them unchanged.  ``known``, if given, is a set of atoms implied by
+    some satisfiable conjunction; each atom the step combines from two known
+    atoms is implied by it too and is added to the set."""
     with_x = [(a, a.term.coeff(x)) for a in atoms]
     eq, c = next(((a, c) for a, c in with_x if c and a.rel == REL_EQ), (None, 0))
     if eq is not None:
         if not any(d for a, d in with_x if a is not eq):
             return tuple(a for a in atoms if a is not eq)
-        # |c|*a - sign(c)*d*eq cancels the d*x of a
-        out = [_combine(abs(c), a, -d if c > 0 else d, eq, x, a.rel) if d else a
-               for a, d in with_x if a is not eq]
+        eq_known = known is not None and eq in known
+        out = []
+        for a, d in with_x:
+            if a is eq:
+                continue
+            if d:
+                # |c|*a - sign(c)*d*eq cancels the d*x of a
+                b = _combine(abs(c), a, -d if c > 0 else d, eq, x, a.rel)
+                if eq_known and a in known:
+                    known.add(b)
+                a = b
+            out.append(a)
         return _simplify_conj(out)
 
     kept: list[AtomicProp] = []
@@ -181,17 +199,27 @@ def _eliminate_var_conj(
     if not lowers or not uppers:
         return tuple(kept)
     for lo, b in lowers:
+        lo_known = known is not None and lo in known
         for up, a in uppers:
             rel = REL_LT if REL_LT in (lo.rel, up.rel) else REL_LE
-            kept.append(_combine(b, up, a, lo, x, rel))
+            combined = _combine(b, up, a, lo, x, rel)
+            kept.append(combined)
+            if lo_known and up in known:
+                known.add(combined)
     return _simplify_conj(kept)
 
 
-def _cheapest_var(atoms: Sequence[AtomicProp], todo: set[Var]) -> Optional[Var]:
-    """Greedy elimination order: the next variable to remove, preferring ones
-    solvable by an equality (substitution adds nothing) and otherwise the one
-    whose bound combination grows the conjunction least.  Variables absent
-    from the atoms are dropped from ``todo``."""
+def _cheapest_var(atoms: Sequence[AtomicProp],
+                  todo: set[Var]) -> tuple[Optional[Var], Optional[int]]:
+    """Greedy elimination order: the next variable of ``todo`` to remove and
+    its cost, the change in the number of atoms its elimination makes,
+    ``lowers*uppers - lowers - uppers`` for its lower and upper bounds, or -1
+    when an equality contains it (substitution adds nothing).  Variables are
+    scanned in name order and the first of least cost wins, but the scan
+    ends at the first variable whose cost -1 makes it a new best, so a later
+    one of lower cost (one-sided, with two or more bounds) is not reached.
+    Variables absent from the atoms are dropped from ``todo``; ``(None,
+    None)`` when none is left."""
     best: Optional[Var] = None
     best_cost = None
     for x in sorted(todo):
@@ -218,21 +246,41 @@ def _cheapest_var(atoms: Sequence[AtomicProp], todo: set[Var]) -> Optional[Var]:
             best, best_cost = x, cost
             if cost == -1:
                 break
-    return best
+    return best, best_cost
 
 
 def _eliminate_all(
-    atoms: Optional[tuple[AtomicProp, ...]], drop: Iterable[Var], limit: int
+    atoms: Optional[tuple[AtomicProp, ...]], drop: Iterable[Var], limit: int,
+    known: Optional[set[AtomicProp]] = None,
 ) -> Optional[tuple[AtomicProp, ...]]:
     """Eliminate every variable of ``drop`` from a conjunction; None when the
-    conjunction is inconsistent."""
+    conjunction is inconsistent.
+
+    ``known``, if given, is a set of atoms implied by some satisfiable
+    conjunction, which grows as the steps combine known atoms (see
+    :func:`_eliminate_var_conj`); the other atoms are the derived ones.  The
+    known atoms left at any point are jointly satisfiable, so the loop stops
+    and returns the atoms left as soon as none of them is derived: the
+    result then tells satisfiability only.  It eliminates first a variable
+    of a derived atom whose elimination shrinks the conjunction
+    (:func:`_cheapest_var` cost at most -1), and otherwise the cheapest
+    variable.  Without ``known`` every atom is derived, and that order is
+    the cheapest variable's."""
     todo = set(drop)
     while todo and atoms:
-        x = _cheapest_var(atoms, todo)
+        if known is None:
+            x, _ = _cheapest_var(atoms, todo)
+        else:
+            reach = {v for a in atoms if a not in known for v in a.variables}
+            if not reach:
+                break
+            x, cost = _cheapest_var(atoms, reach & todo)
+            if x is None or cost > -1:
+                x, _ = _cheapest_var(atoms, todo)
         if x is None:
             break
         todo.discard(x)
-        atoms = _eliminate_var_conj(atoms, x, limit)
+        atoms = _eliminate_var_conj(atoms, x, limit, known)
         if atoms is None:
             return None
     return atoms
@@ -241,17 +289,25 @@ def _eliminate_all(
 def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) -> Constraint:
     """Existentially project a constraint onto ``keep``: the result is a
     constraint over (a subset of) keep describing the same solutions there.
-    Projection of a conjunction stays a conjunction."""
+    Projection of a conjunction stays a conjunction, and it carries c's
+    satisfiability record (see :class:`syntax.Constraint`)."""
     atoms = _eliminate_all(_simplify_conj(c.atoms), c.variables - set(keep), limit)
     if atoms is None:
         # unsatisfiable input: a ground-false conjunction
-        return Constraint((_atom((), 1, REL_LT),))
-    return Constraint(atoms)
+        out = Constraint((_atom((), 1, REL_LT),))
+        out._sat = False
+        return out
+    out = Constraint(atoms)
+    out._sat = c._sat
+    return out
 
 
 def satisfiable(c: Constraint, limit: int = DEFAULT_DNF_LIMIT) -> bool:
-    """Whether a constraint has a rational solution."""
-    return _eliminate_all(_simplify_conj(c.atoms), c.variables, limit) is not None
+    """Whether a constraint has a rational solution: every variable is
+    eliminated, with no atom known.  The verdict is recorded on c."""
+    sat = _eliminate_all(_simplify_conj(c.atoms), c.variables, limit) is not None
+    c._sat = sat
+    return sat
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +333,12 @@ def _negate_atom(a: AtomicProp) -> tuple[AtomicProp, ...]:
     return (_atom(n.coeffs, n.const, REL_LE),)
 
 
-def _onto(c: Constraint, over: frozenset[Var], limit: int) -> tuple[AtomicProp, ...]:
-    """The atoms of c projected onto ``over``; c's own atoms when all its
-    variables lie in ``over``, since such a projection eliminates nothing."""
+def _onto(c: Constraint, over: frozenset[Var], limit: int) -> Constraint:
+    """c projected onto ``over``; c itself when all its variables lie in
+    ``over``, since such a projection eliminates nothing."""
     if c.variables <= over:
-        return c.atoms
-    return project(c, over, limit).atoms
+        return c
+    return project(c, over, limit)
 
 
 def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
@@ -291,15 +347,28 @@ def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     negation of a right-hand atom is unsatisfiable.  A side whose variables
     already lie in ``over`` is taken as it is, unsimplified: the left side
     entails a conjunction exactly when it entails each of its atoms, so the
-    verdict does not depend on the form of the right side, and
-    ``satisfiable`` simplifies the left side itself."""
-    lhs = _onto(e.lhs, e.over, limit)
+    verdict does not depend on the form of the right side, and the
+    elimination simplifies the left side itself.
+
+    When the left side is recorded satisfiable (see
+    :class:`syntax.Constraint`), its atoms are known to
+    :func:`_eliminate_all`: a refutation stops once no atom derived from
+    the negated atom is left, as an incremental CLP(Q) solver checks only
+    what a constraint added to a solved store reaches.  Otherwise every
+    variable is eliminated, as :func:`satisfiable` does."""
+    left = _onto(e.lhs, e.over, limit)
+    lhs = left.atoms
     have = set(lhs)
-    for a in _onto(e.rhs, e.over, limit):
+    lhs_vars = None
+    for a in _onto(e.rhs, e.over, limit).atoms:
         if a in have:
             continue  # the projected left side contains a, so entails it
+        if lhs_vars is None:
+            lhs_vars = left.variables
         for n in _negate_atom(a):
-            if satisfiable(Constraint(lhs + (n,)), limit):
+            known = set(have) if left._sat else None
+            if _eliminate_all(_simplify_conj(lhs + (n,)), lhs_vars | n.variables,
+                              limit, known) is not None:
                 return False
     return True
 

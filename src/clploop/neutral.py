@@ -51,6 +51,17 @@ a filtered body position.  The sides are cached on the rule as constraints
 by :func:`cached_lattice`, which also caches the analyzer's candidate
 conditions, so each subset eliminates at most three variables from a small
 constraint.
+
+Both builders' left sides are recorded satisfiable (see
+:class:`syntax.Constraint`), so ``linarith.decide`` stops each refutation
+once no atom derived from the negated atom is left.  The body condition's
+left side is c, which normalization proved satisfiable.  The head
+condition's is ``lhs(m)``, a projection of c, conjoined with the filter
+condition, which is satisfiable as a filter condition must be; the two
+parts lie over O and H, which are disjoint, so a solution of each makes one
+of the conjunction.  Projection carries the record, and
+:func:`neutrality_head_formula` sets it on the conjunction once it has
+checked that the parts share no variable.
 """
 
 from __future__ import annotations
@@ -140,11 +151,16 @@ def neutrality_head_formula(rule: Clause, head_pos: frozenset[int],
                             body_pos: frozenset[int], cond: Constraint,
                             limit: int = linarith.DEFAULT_DNF_LIMIT) -> Entailment:
     """Entailment of the head condition (see the module docstring), with
-    ``cond`` the filter condition over the filtered head variables."""
+    ``cond`` the filter condition over the filtered head variables.  The
+    left side is recorded satisfiable when both its parts are and they share
+    no variable."""
     rhs, lhs = head_sides(rule, head_pos, body_pos, limit)
     body_sel = select_positions(rule.body_vars, body_pos)
     over = frozenset(rule.head_vars + rule.body_vars).difference(body_sel)
-    return Entailment(lhs.conjoin(cond), rhs, over)
+    both = lhs.conjoin(cond)
+    if lhs._sat and cond._sat and lhs.variables.isdisjoint(cond.variables):
+        both._sat = True
+    return Entailment(both, rhs, over)
 
 
 def neutrality_body_formula(rule: Clause, body_pos: frozenset[int],

@@ -10,8 +10,9 @@ distinct variables), variable renaming, and printing.
 
 Everything is exact, and immutable by convention: the data types other
 than the NamedTuple ``Var`` are ``__slots__`` classes with no setters.
-After construction only their lazy caches are assigned, and no cache takes
-part in equality or hashing.  No floating point is used anywhere in the
+After construction only their lazy caches and a constraint's
+satisfiability record are assigned, and none of them takes part in equality
+or hashing.  No floating point is used anywhere in the
 package.  Terms, query arguments and sampled values are rationals
 (``fractions.Fraction``).  An atomic proposition is kept as a primitive
 integer vector: its coefficients and constant are Python ``int``s with gcd 1,
@@ -356,12 +357,21 @@ def var_eq(v: Var, term: LinTerm) -> AtomicProp:
 
 class Constraint:
     """A finite conjunction of atomic propositions.  The empty conjunction is
-    the constraint ``true``."""
+    the constraint ``true``.
 
-    __slots__ = ("atoms",)
+    ``_sat`` records a satisfiability verdict: None until
+    ``linarith.satisfiable`` writes the one it proved.  ``linarith.project``
+    and :meth:`rename` carry it, a rename only as far as it keeps the
+    verdict (one that merges variables keeps False alone); ``conjoin`` does
+    not, and ``neutral.neutrality_head_formula`` sets it on a conjunction of
+    two satisfiable parts over disjoint variables.  ``linarith.decide``
+    reads it (see there)."""
+
+    __slots__ = ("atoms", "_sat")
 
     def __init__(self, atoms: tuple[AtomicProp, ...] = ()):
         self.atoms = atoms
+        self._sat: Optional[bool] = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -389,7 +399,13 @@ class Constraint:
         return Constraint(self.atoms + other.atoms)
 
     def rename(self, mapping: Mapping[Var, Var]) -> "Constraint":
-        return Constraint(tuple(a.rename(mapping) for a in self.atoms))
+        out = Constraint(tuple(a.rename(mapping) for a in self.atoms))
+        if self._sat is not None:
+            vs = self.variables
+            # merging variables keeps unsatisfiability, not satisfiability
+            if not self._sat or len({mapping.get(v, v) for v in vs}) == len(vs):
+                out._sat = self._sat
+        return out
 
     def __iter__(self) -> Iterator[AtomicProp]:
         return iter(self.atoms)

@@ -30,6 +30,9 @@ condition; ``direct_sides`` likewise projects the rule constraint onto the
 head condition's two sides, the reference for the neutrality builder's
 lattice of sides.  ``rand_wide_rule`` draws rules wide enough for the
 lattices and the references to eliminate in different orders.
+``reference_decide`` decides an entailment by eliminating every variable
+of each refutation, the reference for ``decide``'s early stop on a left
+side recorded satisfiable.
 ``filter_head_formula`` and ``filter_body_formula`` build the neutrality
 entailments for a hand-built ``Filter``, whose conditions the builders in
 ``clploop.neutral`` take as constraints over the rule's variables: each
@@ -55,7 +58,13 @@ from clploop.filters import (
     projected_pred,
     select_positions,
 )
-from clploop.linarith import DEFAULT_DNF_LIMIT, Entailment, project, satisfiable
+from clploop.linarith import (
+    DEFAULT_DNF_LIMIT,
+    Entailment,
+    _negate_atom,
+    project,
+    satisfiable,
+)
 from clploop.neutral import neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
     Atom,
@@ -614,3 +623,21 @@ def direct_sides(rule: Clause, m: frozenset[int],
     kept_head = head - set(select_positions(rule.head_vars, m))
     return (project(rule.constraint, head | body, limit),
             project(rule.constraint, kept_head | body, limit))
+
+
+def reference_decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
+    """``decide`` without the early stop: both sides projected onto
+    ``over`` (a side already over it taken as it is), and for each
+    right-hand atom not among the left side's, ``satisfiable`` of the left
+    side conjoined with each atom of its negation, which eliminates every
+    variable and knows no atom satisfiable."""
+    lhs, rhs = (c if c.variables <= e.over else project(c, e.over, limit)
+                for c in (e.lhs, e.rhs))
+    have = set(lhs.atoms)
+    for a in rhs.atoms:
+        if a in have:
+            continue
+        for n in _negate_atom(a):
+            if satisfiable(Constraint(lhs.atoms + (n,)), limit):
+                return False
+    return True

@@ -636,9 +636,9 @@ def test_shift_head_sides_eliminate_at_most_three_per_subset(monkeypatch):
     eliminate = linarith._eliminate_var_conj
     builder = analyzer.neutrality_head_formula
 
-    def counted_eliminate(atoms, x, limit):
+    def counted_eliminate(atoms, x, limit, known=None):
         calls["head"] += bool(inside)
-        return eliminate(atoms, x, limit)
+        return eliminate(atoms, x, limit, known)
 
     def counted_builder(*args):
         inside.append(args)
@@ -653,3 +653,33 @@ def test_shift_head_sides_eliminate_at_most_three_per_subset(monkeypatch):
     assert len(report.checks) == 128
     assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
     assert calls["head"] <= 3 * 128, calls
+
+
+def test_shift_refutations_stop_once_the_negated_atom_is_gone(monkeypatch):
+    # both neutrality formulas of a subset have a left side recorded
+    # satisfiable, so a refutation eliminates only until no atom derived
+    # from the negated atom is left; eliminating every variable of each
+    # refutation took 1233 eliminations
+    rule = _shift_rule(7)
+    calls = Counter()
+    inside = []
+    eliminate = linarith._eliminate_var_conj
+    decide = linarith.decide
+
+    def counted_eliminate(atoms, x, limit, known=None):
+        calls["decide"] += bool(inside)
+        return eliminate(atoms, x, limit, known)
+
+    def counted_decide(*args):
+        inside.append(args)
+        try:
+            return decide(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linarith, "_eliminate_var_conj", counted_eliminate)
+    monkeypatch.setattr(linarith, "decide", counted_decide)
+    report = find_looping_queries(rule)
+    assert len(report.checks) == 128
+    assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
+    assert calls["decide"] <= 4 * 128, calls

@@ -232,6 +232,46 @@ class TestDecide:
         assert not satisfiable(Constraint.of(le(tx, zero), lt(zero, tx)))
 
 
+class TestSatisfiabilityRecord:
+    """A constraint records the verdict ``satisfiable`` proved; ``decide``
+    stops a refutation early only on a left side recorded satisfiable."""
+
+    def test_satisfiable_writes_and_project_and_rename_carry(self):
+        c = Constraint.of(le(tx, ty), le(ty, tz))
+        u = Constraint.of(le(tx, zero), lt(zero, tx))
+        assert c._sat is None and u._sat is None
+        assert satisfiable(c) and c._sat is True
+        assert not satisfiable(u) and u._sat is False
+        assert project(c, {X, Z})._sat is True
+        assert project(u, {Y})._sat is False
+        assert project(Constraint.of(le(tx, ty)), {X})._sat is None
+        assert c.rename({X: Var("X", 1)})._sat is True
+        # a rename that merges variables carries False alone: X < Y, which
+        # is satisfiable, becomes X < X
+        assert c.rename({Z: X})._sat is None
+        assert u.rename({X: Y})._sat is False
+        assert c.conjoin(c)._sat is None
+
+    def test_unsatisfiable_left_side_without_record_entails(self):
+        lhs = Constraint.of(le(tx, zero), ge(tx, one))
+        assert decide(Entailment(lhs, Constraint.of(le(ty, zero)), frozenset({X, Y})))
+        assert lhs._sat is None
+
+    def test_known_combination_before_the_negated_atom_is_reached(self):
+        # refuting Z < X: X and Z each have two lower and two upper bounds,
+        # so no variable of the negated atom shrinks the conjunction, and A
+        # goes first; its elimination combines two atoms of the recorded
+        # left side into X <= Z, which contradicts Z < X
+        A = Var("A")
+        ta, five = LinTerm.of_var(A), LinTerm.of_const(5)
+        lhs = Constraint.of(le(tx, ta), le(ta, tz), ge(tx, zero), le(tx, five),
+                            ge(tz, zero), le(tz, five))
+        assert satisfiable(lhs)
+        assert decide(Entailment(lhs, Constraint.of(le(tx, tz)), frozenset({A, X, Z})))
+        assert not decide(Entailment(lhs, Constraint.of(lt(tx, tz)),
+                                     frozenset({A, X, Z})))
+
+
 class TestProject:
     def test_keep_all_is_identity_up_to_equivalence(self):
         c = Constraint.of(le(tx, ty), le(zero, tx))

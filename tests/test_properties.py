@@ -38,6 +38,7 @@ from fuzzers import (
     rand_step_rule,
     rand_term,
     rand_wide_rule,
+    reference_decide,
     relax,
     renaming_body_formula,
     renaming_head_formula,
@@ -74,7 +75,11 @@ from clploop.linarith import (
     sample_solution,
     satisfiable,
 )
-from clploop.neutral import head_sides
+from clploop.neutral import (
+    head_sides,
+    neutrality_body_formula,
+    neutrality_head_formula,
+)
 from clploop.syntax import (
     Atom,
     AtomicProp,
@@ -369,6 +374,70 @@ class TestDecideProperties:
                     assert _holds(rhs, v), (str(lhs), str(rhs), v)
                     held += 1
         assert refuted >= 50 and held >= 50, (refuted, held)
+
+
+def _all_subsets(n: int):
+    return (frozenset(c) for k in range(n + 1)
+            for c in itertools.combinations(range(1, n + 1), k))
+
+
+class TestEarlyStopProperties:
+    """``decide`` stops a refutation once no atom derived from the negated
+    atom is left when its left side is recorded satisfiable;
+    ``reference_decide`` eliminates every variable instead."""
+
+    def test_decide_equals_reference_on_neutrality_formulas(self, corpus_program):
+        # the head and body formulas of every subset, as the analyzer builds
+        # them; then crossed head formulas, whose condition is the full-set
+        # condition of an earlier rule of the same arity renamed onto this
+        # rule's head variables, so the two parts of the left side overlap
+        # and may contradict each other
+        rng = random.Random(131)
+        rules = ([rand_wide_rule(rng) for _ in range(40)]
+                 + [rand_rule(rng) for _ in range(120)])
+        kinds = Counter()
+        for rule in rules + list(corpus_program.clauses):
+            if not rule.is_recursive():
+                continue
+            to_body = dict(zip(rule.head_vars, rule.body_vars))
+            for m in _all_subsets(rule.head_pred.arity):
+                cond = analyzer._condition(rule, m, linarith.DEFAULT_DNF_LIMIT)
+                for kind, e in (
+                        ("head", neutrality_head_formula(rule, m, m, cond)),
+                        ("body", neutrality_body_formula(rule, m, cond.rename(to_body)))):
+                    # both left sides are projections of the rule constraint,
+                    # which the parser proved satisfiable
+                    assert e.lhs._sat is True, (str(rule), sorted(m))
+                    verdict = decide(e)
+                    assert verdict == reference_decide(e), (kind, str(rule), sorted(m))
+                    kinds[kind, verdict] += 1
+        earlier = {}
+        for rule in rules:
+            n = rule.head_pred.arity
+            other = earlier.get(n)
+            earlier[n] = rule
+            if other is None:
+                continue
+            full = frozenset(range(1, n + 1))
+            cond = analyzer._condition(other, full, linarith.DEFAULT_DNF_LIMIT).rename(
+                dict(zip(other.head_vars, rule.head_vars)))
+            for m in _all_subsets(n):
+                if m == full:
+                    continue  # the parts are disjoint there
+                e = neutrality_head_formula(rule, m, m, cond)
+                verdict = decide(e)
+                assert verdict == reference_decide(e), (str(rule), str(cond), sorted(m))
+                kinds["crossed", verdict] += 1
+                kinds["crossed, parts overlap"] += e.lhs._sat is None
+                kinds["crossed lhs unsatisfiable"] += not satisfiable(e.lhs)
+        # at this seed: head formulas hold 710 times and fail 358 times,
+        # body formulas 721 and 347; crossed formulas hold 371 times and
+        # fail 424 times, the parts of 203 of them overlap, and 9 of their
+        # left sides are unsatisfiable
+        assert min(kinds[k, v] for k in ("head", "body", "crossed")
+                   for v in (True, False)) >= 300, kinds
+        assert kinds["crossed, parts overlap"] >= 100, kinds
+        assert kinds["crossed lhs unsatisfiable"] >= 5, kinds
 
 
 class TestNeutralityProperties:
