@@ -258,10 +258,11 @@ def _eliminate_all(
 
     ``known``, if given, is a set of atoms implied by some satisfiable
     conjunction, which grows as the steps combine known atoms (see
-    :func:`_eliminate_var_conj`); the other atoms are the derived ones.  The
-    known atoms left at any point are jointly satisfiable, so the loop stops
-    and returns the atoms left as soon as none of them is derived: the
-    result then tells satisfiability only.  It eliminates first a variable
+    :func:`_eliminate_var_conj`), and ``drop`` holds every variable; the
+    atoms outside ``known`` are the derived ones.  The known atoms left at
+    any point are jointly satisfiable, so the loop stops and returns the
+    atoms left as soon as none of them is derived: the result then tells
+    satisfiability only.  It eliminates first a variable
     of a derived atom whose elimination shrinks the conjunction
     (:func:`_cheapest_var` cost at most -1), and otherwise the cheapest
     variable.  Without ``known`` every atom is derived, and that order is
@@ -274,8 +275,8 @@ def _eliminate_all(
             reach = {v for a in atoms if a not in known for v in a.variables}
             if not reach:
                 break
-            x, cost = _cheapest_var(atoms, reach & todo)
-            if x is None or cost > -1:
+            x, cost = _cheapest_var(atoms, reach)
+            if cost > -1:
                 x, _ = _cheapest_var(atoms, todo)
         if x is None:
             break
@@ -351,24 +352,23 @@ def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     elimination simplifies the left side itself.
 
     When the left side is recorded satisfiable (see
-    :class:`syntax.Constraint`), its atoms are known to
-    :func:`_eliminate_all`: a refutation stops once no atom derived from
+    :class:`syntax.Constraint`), the set of atoms it implies, at first its
+    own, is known to :func:`_eliminate_all`, which adds to it the atoms it
+    combines from known ones: a refutation stops once no atom derived from
     the negated atom is left, as an incremental CLP(Q) solver checks only
-    what a constraint added to a solved store reaches.  Otherwise every
+    what a constraint added to a solved store reaches, and a right-hand
+    atom found in the set is entailed without one.  Otherwise every
     variable is eliminated, as :func:`satisfiable` does."""
     left = _onto(e.lhs, e.over, limit)
     lhs = left.atoms
-    have = set(lhs)
-    lhs_vars = None
+    have = set(lhs)  # atoms the left side implies
+    known = have if left._sat else None
     for a in _onto(e.rhs, e.over, limit).atoms:
         if a in have:
-            continue  # the projected left side contains a, so entails it
-        if lhs_vars is None:
-            lhs_vars = left.variables
+            continue  # the projected left side implies a
         for n in _negate_atom(a):
-            known = set(have) if left._sat else None
-            if _eliminate_all(_simplify_conj(lhs + (n,)), lhs_vars | n.variables,
-                              limit, known) is not None:
+            # both sides lie over `over`, so eliminating it leaves no variable
+            if _eliminate_all(_simplify_conj(lhs + (n,)), e.over, limit, known) is not None:
                 return False
     return True
 

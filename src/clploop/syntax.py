@@ -371,7 +371,7 @@ class Constraint:
 
     def __init__(self, atoms: tuple[AtomicProp, ...] = ()):
         self.atoms = atoms
-        self._sat: Optional[bool] = None
+        self._sat = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
