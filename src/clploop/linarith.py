@@ -36,13 +36,14 @@ simplified conjunction, which simplification leaves unchanged.
 eliminates them all, and `decide` projects both sides of an entailment onto
 its universal variables (a side already over them is taken as it is) and
 refutes the left side conjoined with the negation of each right-hand atom,
-the standard entailment check of CLP(Q) solvers.  All four go through one
-elimination loop, :func:`_eliminate_all`.  When the left side carries the
-record that it is satisfiable (see :class:`syntax.Constraint`), a
-refutation keeps the atoms derived from the negated atom apart from the
-left side's and stops as soon as none is left, as an incremental CLP(Q)
-solver checks only what a constraint added to a solved store reaches
-(Jaffar, Michaylov, Stuckey & Yap, TOPLAS 1992).  All arithmetic is exact;
+the standard entailment check of CLP(Q) solvers.  The three, and
+`sample_solution`, share one elimination loop, :func:`_eliminate_all`.
+When the left side carries the record that it is satisfiable (see
+:class:`syntax.Constraint`), a refutation keeps the atoms derived from the
+negated atom apart from the left side's and stops as soon as none is left,
+as an incremental CLP(Q) solver checks only what a constraint added to a
+solved store reaches (Jaffar, Michaylov, Stuckey & Yap, TOPLAS 1992).  All
+arithmetic is exact;
 sampled values are ``Fraction``s.  One configurable ceiling caps the
 conjuncts one elimination step produces, raising
 :class:`ResourceLimitError` when exceeded.
@@ -262,11 +263,10 @@ def _eliminate_all(
     atoms outside ``known`` are the derived ones.  The known atoms left at
     any point are jointly satisfiable, so the loop stops and returns the
     atoms left as soon as none of them is derived: the result then tells
-    satisfiability only.  It eliminates first a variable
-    of a derived atom whose elimination shrinks the conjunction
-    (:func:`_cheapest_var` cost at most -1), and otherwise the cheapest
-    variable.  Without ``known`` every atom is derived, and that order is
-    the cheapest variable's."""
+    satisfiability only.  It eliminates first a variable of a derived atom
+    whose elimination shrinks the conjunction (:func:`_cheapest_var` cost
+    at most -1), and otherwise the cheapest variable.  Without ``known``
+    every atom is derived, and that order is the cheapest variable's."""
     todo = set(drop)
     while todo and atoms:
         if known is None:
