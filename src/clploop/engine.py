@@ -127,9 +127,9 @@ def _compiled(rule: Clause) -> tuple[tuple, tuple[tuple[str, int], ...], int]:
         offset = {g: i for i, g in enumerate(gens)}
         head = {v: i for i, v in enumerate(rule.head_vars)}
         atoms = tuple(
-            (tuple((head[v], c) for v, c in a.term.coeffs if v in head),
-             tuple((v.name, offset[v.gen], c) for v, c in a.term.coeffs if v not in head),
-             a.term.const, a.rel)
+            (tuple((head[v], c) for v, c in a.coeffs if v in head),
+             tuple((v.name, offset[v.gen], c) for v, c in a.coeffs if v not in head),
+             a.const, a.rel)
             for a in rule.constraint)
         body = tuple((v.name, offset[v.gen]) for v in rule.body_vars)
         form = rule._step = (atoms, body, 1 + max((o for _, o in body), default=-1))
@@ -304,13 +304,13 @@ def _variant_key(q: Query) -> tuple:
     different keys, which only forgoes a shortcut."""
     names: dict = {}
 
-    def term(t: LinTerm) -> tuple:
+    def term(t) -> tuple:  # a LinTerm or an AtomicProp: coefficients, constant
         return (tuple((names.setdefault(v, len(names)), c.numerator, c.denominator)
                       for v, c in t.coeffs),
                 t.const.numerator, t.const.denominator)
 
     args = tuple(term(t) for t in q.atom.args)
-    store = tuple((a.rel, term(a.term)) for a in q.constraint.atoms)
+    store = tuple((a.rel, term(a)) for a in q.constraint.atoms)
     return (q.pred, args, store)
 
 

@@ -108,8 +108,10 @@ def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
     projected onto W for q = <p(t) | d>, where q needs no renaming apart
     since no variable of q has the probes' generation.  When t is a tuple of
     distinct variables, that set is ``proj(d, t)`` with t renamed to W,
-    computed so without the equations; a constant, a compound term or a
-    repeated variable among t takes the equations.  Cached on q; a call
+    computed so without the equations, and it keeps the satisfiability
+    record of that projection, since the renaming is one-to-one; a
+    constant, a compound term or a repeated variable among t takes the
+    equations.  Cached on q; a call
     with a smaller ``limit`` than the cached one computes it again, so it
     raises ``ResourceLimitError`` exactly when an uncached call would."""
     cached = q._den
@@ -117,7 +119,9 @@ def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
         w = probes(q.pred.arity)
         args = tuple(t.is_var() for t in q.atom.args)
         if None not in args and len(set(args)) == len(args):
-            den = linarith.project(q.constraint, args, limit).rename(dict(zip(args, w)))
+            projected = linarith.project(q.constraint, args, limit)
+            den = projected.rename(dict(zip(args, w)))
+            den._sat = projected._sat
         else:
             member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
             den = linarith.project(Constraint(member + q.constraint.atoms), w, limit)

@@ -20,10 +20,11 @@ The admitted structure is the rationals with addition, rational constants
 and the orderings.
 
 The decision procedure is Fourier-Motzkin elimination over integers.  Every
-atom is a primitive integer vector (see :class:`syntax.AtomicProp`), so each
-step is an integer combination of two atoms that cancels the eliminated
-variable x, divided by the gcd of its entries, as in the normalization of
-the Omega test (Pugh, CACM 1992).  Equalities containing x are removed first
+atom is a primitive integer vector that holds its ``int`` coefficients and
+constant (see :class:`syntax.AtomicProp`), so each step is an integer
+combination of two atoms that cancels the eliminated variable x, divided by
+the gcd of its entries, as in the normalization of the Omega test (Pugh,
+CACM 1992).  Equalities containing x are removed first
 by substitution: an equality with coefficient c on x turns an atom a with
 coefficient d on x into ``|c|*a - sign(c)*d*eq``.  Every remaining lower
 bound ``lo`` (coefficient -b on x, b > 0) is combined with every upper bound
@@ -92,7 +93,7 @@ def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ..
                 continue
             return None
         d, s, g = a.slope()
-        k = a.term.const
+        k = a.const
         if a.rel == REL_EQ:
             prev = eqs.get(d)
             if prev is not None:
@@ -136,7 +137,7 @@ def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ..
                     and bound[0] * g == -k * bound[1]):
                 # s*d.x <= -k/g and s*d.x >= -k/g
                 bound[3] = None
-                a = _atom(a.term.coeffs, k, REL_EQ)
+                a = _atom(a.coeffs, k, REL_EQ)
         out.append(a)
     return tuple(out)
 
@@ -147,12 +148,12 @@ def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ..
 def _combine(p: int, a: AtomicProp, q: int, b: AtomicProp, x: Var,
              rel: str) -> AtomicProp:
     """The atom ``p*a + q*b REL 0``, where p and q cancel x."""
-    acc = {v: p * c for v, c in a.term.coeffs}
-    for v, c in b.term.coeffs:
+    acc = {v: p * c for v, c in a.coeffs}
+    for v, c in b.coeffs:
         acc[v] = acc.get(v, 0) + q * c
     del acc[x]
     return _atom(tuple(sorted((v, c) for v, c in acc.items() if c)),
-                 p * a.term.const + q * b.term.const, rel)
+                 p * a.const + q * b.const, rel)
 
 
 def _eliminate_var_conj(
@@ -166,7 +167,7 @@ def _eliminate_var_conj(
     return them unchanged.  ``known``, if given, is a set of atoms implied by
     some satisfiable conjunction; each atom the step combines from two known
     atoms is implied by it too and is added to the set."""
-    with_x = [(a, a.term.coeff(x)) for a in atoms]
+    with_x = [(a, a.coeff(x)) for a in atoms]
     eq, c = next(((a, c) for a, c in with_x if c and a.rel == REL_EQ), (None, 0))
     if eq is not None:
         if not any(d for a, d in with_x if a is not eq):
@@ -228,7 +229,7 @@ def _cheapest_var(atoms: Sequence[AtomicProp],
         present = False
         has_eq = False
         for a in atoms:
-            c = a.term.coeff(x)
+            c = a.coeff(x)
             if c == 0:
                 continue
             present = True
@@ -326,12 +327,12 @@ class Entailment(NamedTuple):
 
 def _negate_atom(a: AtomicProp) -> tuple[AtomicProp, ...]:
     """Atoms whose disjunction is the negation of ``a``."""
-    t, n = a.term, -a.term
+    neg = tuple((v, -c) for v, c in a.coeffs)
     if a.rel == REL_EQ:
-        return (_atom(t.coeffs, t.const, REL_LT), _atom(n.coeffs, n.const, REL_LT))
+        return (_atom(a.coeffs, a.const, REL_LT), _atom(neg, -a.const, REL_LT))
     if a.rel == REL_LE:
-        return (_atom(n.coeffs, n.const, REL_LT),)
-    return (_atom(n.coeffs, n.const, REL_LE),)
+        return (_atom(neg, -a.const, REL_LT),)
+    return (_atom(neg, -a.const, REL_LE),)
 
 
 def _onto(c: Constraint, over: frozenset[Var], limit: int) -> Constraint:
@@ -434,10 +435,10 @@ def sample_solution(
         hi: Optional[Fraction] = None
         lo_strict = hi_strict = False
         for a in onto_x:
-            k = a.term.coeff(x)
+            k = a.coeff(x)
             if k == 0:
                 continue  # ground leftovers are true after _simplify_conj
-            bound = Fraction(-a.term.const, k)
+            bound = Fraction(-a.const, k)
             if a.rel == REL_EQ:
                 if (lo is None or bound > lo or (bound == lo and not lo_strict)) :
                     lo, lo_strict = bound, False

@@ -9,14 +9,17 @@ rules into the internal form (argument tuples that are disjoint sequences of
 distinct variables), variable renaming, and printing.
 
 Everything is exact, and immutable by convention: the data types other
-than the NamedTuple ``Var`` are ``__slots__`` classes with no setters.
-After construction only their lazy caches and a constraint's
-satisfiability record are assigned, and none of them takes part in equality
-or hashing.  No floating point is used anywhere in the
+than the NamedTuple ``Var`` are ``__slots__`` subclasses of ``_Value`` with
+no setters.  Each lists the fields it compares on in ``_fields``, and
+``_Value`` derives equality, hashing and repr from that list.  After
+construction only their lazy caches and a constraint's satisfiability record
+are assigned; they are the slots outside ``_fields``, so none of them takes
+part in equality or hashing.  No floating point is used anywhere in the
 package.  Terms, query arguments and sampled values are rationals
-(``fractions.Fraction``).  An atomic proposition is kept as a primitive
-integer vector: its coefficients and constant are Python ``int``s with gcd 1,
-so the Fourier-Motzkin kernel combines atoms in integer arithmetic.
+(``fractions.Fraction``).  An atomic proposition is a primitive integer
+vector: it holds its coefficients and constant itself, as Python ``int``s
+with gcd 1, so the Fourier-Motzkin kernel combines atoms in integer
+arithmetic.
 
 The parser reads the source in one regular-expression pass into tokens that
 carry their source offset; a line and column are computed from the offset
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 # relations of canonical atomic propositions (term REL 0)
@@ -79,56 +83,56 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class LinTerm:
-    """A linear term: sum of coefficient*variable pairs plus a constant.
+class _Value:
+    """Base of the value types.  A subclass lists the fields it compares on
+    in ``_fields``; equality (same class, then field by field), hashing and
+    repr are derived from them through one ``attrgetter`` per class.  The
+    other slots are caches and records, which take no part in any of the
+    three."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._field_values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(repr(getattr(self, f)) for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class LinTerm(_Value):
+    """A linear term: sum of coefficient*variable pairs plus a constant, the
+    arguments of atoms and queries.
 
     ``coeffs`` is sorted by variable and contains no zero coefficients, so
     structural equality is semantic equality.  The coefficients and constant
-    are ``Fraction``s, except in the term of an :class:`AtomicProp`, where
-    they are ``int``s.  Equality and hashing go through an integer key
-    (variable names, generations, numerators, denominators), which both
-    number types provide: Fraction's own comparisons funnel through
-    numeric-tower instance checks that dominate profiles at elimination
-    scale.  A term is data: it is built whole by :meth:`make` or by the
-    parser, and combining terms into an atom is :func:`_linear_atom`'s job.
+    are ``Fraction``s, except in :attr:`AtomicProp.term`, which holds an
+    atom's ``int``s; a number equals and hashes as its ``Fraction``, so the
+    two compare as one.  A term is data: it is built whole by :meth:`make`
+    or by the parser, and combining terms into an atom is
+    :func:`_linear_atom`'s job.
     """
 
-    __slots__ = ("coeffs", "const", "_key", "_hash")
+    _fields = ("coeffs", "const")
+    __slots__ = _fields
 
     def __init__(self, coeffs: tuple[tuple[Var, Fraction], ...] = (),
                  const: Fraction = _F0):
         self.coeffs = coeffs
         self.const = const
-        self._key = None
-        self._hash = None
-
-    def key(self) -> tuple:
-        k = self._key
-        if k is None:
-            k = (
-                tuple((v.name, v.gen, c.numerator, c.denominator)
-                      for v, c in self.coeffs),
-                self.const.numerator,
-                self.const.denominator,
-            )
-            self._key = k
-        return k
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, LinTerm):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.key())
-        return h
-
-    def __repr__(self) -> str:
-        return f"LinTerm({self.coeffs!r}, {self.const!r})"
 
     @staticmethod
     def make(coeffs: Mapping[Var, Fraction], const=0) -> "LinTerm":
@@ -143,13 +147,6 @@ class LinTerm:
     def of_const(value) -> "LinTerm":
         return LinTerm((), _as_fraction(value))
 
-    def coeff(self, v: Var) -> Fraction | int:
-        """The coefficient of v; the int 0 when v does not occur."""
-        for var, c in self.coeffs:
-            if var == v:
-                return c
-        return 0
-
     @property
     def variables(self) -> frozenset[Var]:
         return frozenset(v for v, _ in self.coeffs)
@@ -159,9 +156,6 @@ class LinTerm:
         if self.const == 0 and len(self.coeffs) == 1 and self.coeffs[0][1] == 1:
             return self.coeffs[0][0]
         return None
-
-    def __neg__(self) -> "LinTerm":
-        return LinTerm(tuple((v, -c) for v, c in self.coeffs), -self.const)
 
     def eval(self, valuation: Mapping[Var, Fraction]) -> Fraction:
         total = self.const
@@ -187,57 +181,65 @@ class LinTerm:
         return "".join(parts)
 
 
-class AtomicProp:
-    """A canonical atomic proposition ``term REL 0`` with REL in {=, <=, <}.
+class AtomicProp(_Value):
+    """A canonical atomic proposition ``sum of c*v + const REL 0`` with REL
+    in {=, <=, <}.
 
-    The term is a primitive integer vector: its coefficients and constant are
-    ``int``s with gcd 1, and an equality's leading coefficient is positive, so
-    the positive multiples of a proposition share one form.  Rational data
-    becomes an atom only through :func:`_linear_atom`, which the parser,
-    :func:`compare` and :meth:`substitute` call (all five source relations
-    reduce to this form); :func:`_atom` builds one from an integer vector.
+    The atom is a primitive integer vector: ``coeffs`` holds (variable,
+    ``int``) pairs sorted by variable, none zero, and ``const`` is an
+    ``int``; their gcd is 1, and an equality's leading coefficient is
+    positive, so the positive multiples of a proposition share one form.
+    Rational data becomes an atom only through :func:`_linear_atom`, which
+    the parser, :func:`compare` and :meth:`substitute` call (all five source
+    relations reduce to this form); :func:`_atom` builds one from an integer
+    vector.  The hash is cached, since entailment checks hash atoms into
+    sets.
     """
 
-    __slots__ = ("term", "rel", "_hash", "_slope", "_vars")
+    _fields = ("coeffs", "const", "rel")
+    __slots__ = _fields + ("_hash", "_slope", "_vars")
 
-    def __init__(self, term: LinTerm, rel: str):
+    def __init__(self, coeffs: tuple[tuple[Var, int], ...], const: int, rel: str):
         if rel not in (REL_EQ, REL_LE, REL_LT):
             raise ValueError(f"bad canonical relation {rel!r}")
-        self.term = term
+        self.coeffs = coeffs
+        self.const = const
         self.rel = rel
         self._hash = self._slope = self._vars = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, AtomicProp):
-            return NotImplemented
-        return self.rel == other.rel and self.term == other.term
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.rel, self.term.key()))
+            h = self._hash = hash(self._field_values(self))
         return h
 
-    def __repr__(self) -> str:
-        return f"AtomicProp({self.term!r}, {self.rel!r})"
+    @property
+    def term(self) -> LinTerm:
+        """The left side ``sum of c*v + const`` as a term of ``int``s."""
+        return LinTerm(self.coeffs, self.const)
+
+    def coeff(self, v: Var) -> int:
+        """The coefficient of v; 0 when v does not occur."""
+        for var, c in self.coeffs:
+            if var == v:
+                return c
+        return 0
 
     @property
     def variables(self) -> frozenset[Var]:
         vs = self._vars
         if vs is None:
-            vs = self._vars = self.term.variables
+            vs = self._vars = frozenset(v for v, _ in self.coeffs)
         return vs
 
     def substitute(self, mapping: Mapping[Var, LinTerm]) -> "AtomicProp":
         """The atom with variables replaced by linear terms; variables not
         in the mapping are kept."""
-        coeffs = self.term.coeffs
+        coeffs = self.coeffs
         if not any(v in mapping for v, _ in coeffs):
             return self
         acc: dict[Var, int | Fraction] = {}
-        const = self.term.const
+        const = self.const
         for v, c in coeffs:
             t = mapping.get(v)
             if t is None:
@@ -249,9 +251,8 @@ class AtomicProp:
         return _linear_atom(acc, const, self.rel, 1)
 
     def rename(self, mapping: Mapping[Var, Var]) -> "AtomicProp":
-        t = self.term
-        return _atom(tuple(sorted((mapping.get(v, v), c) for v, c in t.coeffs)),
-                     t.const, self.rel)
+        return _atom(tuple(sorted((mapping.get(v, v), c) for v, c in self.coeffs)),
+                     self.const, self.rel)
 
     def slope(self) -> tuple[tuple, int, int]:
         """(d, s, g) with the coefficient vector equal to s*g*d: g > 0 is
@@ -262,7 +263,7 @@ class AtomicProp:
         not defined for ground atoms."""
         slope = self._slope
         if slope is None:
-            coeffs = self.term.coeffs
+            coeffs = self.coeffs
             g = math.gcd(*(c for _, c in coeffs))
             sg = g if coeffs[0][1] > 0 else -g
             d: list = []
@@ -272,11 +273,11 @@ class AtomicProp:
         return slope
 
     def is_ground(self) -> bool:
-        return not self.term.coeffs
+        return not self.coeffs
 
     def ground_truth(self) -> bool:
         """Truth value of a ground proposition."""
-        k = self.term.const
+        k = self.const
         if self.rel == REL_EQ:
             return k == 0
         if self.rel == REL_LE:
@@ -292,14 +293,14 @@ class AtomicProp:
         return value < 0
 
     def __str__(self) -> str:
-        term, rel = self.term, self.rel
-        if not term.coeffs:
-            return f"{term.const} {rel} 0"
+        coeffs, const, rel = self.coeffs, self.const, self.rel
+        if not coeffs:
+            return f"{const} {rel} 0"
         # flip for readability when the leading coefficient is negative
-        if term.coeffs[0][1] < 0:
-            term = -term
+        if coeffs[0][1] < 0:
+            coeffs, const = tuple((v, -c) for v, c in coeffs), -const
             rel = {REL_EQ: "=", REL_LE: ">=", REL_LT: ">"}[rel]
-        return f"{LinTerm(term.coeffs)} {rel} {-term.const}"
+        return f"{LinTerm(coeffs)} {rel} {-const}"
 
 
 def _linear_atom(acc: Mapping[Var, int | Fraction], const: int | Fraction,
@@ -325,7 +326,7 @@ def _atom(coeffs: tuple[tuple[Var, int], ...], const: int, rel: str) -> AtomicPr
     if g != 1 and g != 0:
         coeffs = tuple((v, c // g) for v, c in coeffs)
         const //= g
-    return AtomicProp(LinTerm(coeffs, const), rel)
+    return AtomicProp(coeffs, const, rel)
 
 
 # source relation -> (canonical relation, sign of lhs - rhs in the atom)
@@ -355,34 +356,24 @@ def var_eq(v: Var, term: LinTerm) -> AtomicProp:
     return compare(LinTerm.of_var(v), "=", term)
 
 
-class Constraint:
+class Constraint(_Value):
     """A finite conjunction of atomic propositions.  The empty conjunction is
     the constraint ``true``.
 
     ``_sat`` records a satisfiability verdict: None until
     ``linarith.satisfiable`` writes the one it proved.  ``linarith.project``
-    and :meth:`rename` carry it, a rename only as far as it keeps the
-    verdict (one that merges variables keeps False alone); ``conjoin`` does
-    not, and ``neutral.neutrality_head_formula`` sets it on a conjunction of
+    carries it; :meth:`rename` and :meth:`conjoin` do not.  Two builders set
+    it on what they make: ``filters.denotation`` on a projection renamed
+    one-to-one, and ``neutral.neutrality_head_formula`` on a conjunction of
     two satisfiable parts over disjoint variables.  ``linarith.decide``
     reads it (see there)."""
 
-    __slots__ = ("atoms", "_sat")
+    _fields = ("atoms",)
+    __slots__ = _fields + ("_sat",)
 
     def __init__(self, atoms: tuple[AtomicProp, ...] = ()):
         self.atoms = atoms
         self._sat = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.atoms == other.atoms
-
-    def __hash__(self):
-        return hash((self.atoms,))
-
-    def __repr__(self) -> str:
-        return f"Constraint({self.atoms!r})"
 
     @staticmethod
     def of(*atoms: AtomicProp) -> "Constraint":
@@ -399,13 +390,7 @@ class Constraint:
         return Constraint(self.atoms + other.atoms)
 
     def rename(self, mapping: Mapping[Var, Var]) -> "Constraint":
-        out = Constraint(tuple(a.rename(mapping) for a in self.atoms))
-        if self._sat is not None:
-            vs = self.variables
-            # merging variables keeps unsatisfiability, not satisfiability
-            if not self._sat or len({mapping.get(v, v) for v in vs}) == len(vs):
-                out._sat = self._sat
-        return out
+        return Constraint(tuple(a.rename(mapping) for a in self.atoms))
 
     def __iter__(self) -> Iterator[AtomicProp]:
         return iter(self.atoms)
@@ -419,50 +404,30 @@ class Constraint:
 TRUE_CONSTRAINT = Constraint(())
 
 
-class Pred:
+class Pred(_Value):
     """A predicate symbol: name plus arity.  Projected predicates (see the
     filters module) carry their position set in the name, e.g. ``p|{2}``."""
 
-    __slots__ = ("name", "arity")
+    _fields = ("name", "arity")
+    __slots__ = _fields
 
     def __init__(self, name: str, arity: int):
         self.name = name
         self.arity = arity
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.arity == other.arity
-
-    def __hash__(self):
-        return hash((self.name, self.arity))
-
-    def __repr__(self) -> str:
-        return f"Pred({self.name!r}, {self.arity!r})"
-
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
 
 
-class Atom:
-    __slots__ = ("pred", "args")
+class Atom(_Value):
+    _fields = ("pred", "args")
+    __slots__ = _fields
 
     def __init__(self, pred: Pred, args: tuple[LinTerm, ...]):
         if len(args) != pred.arity:
             raise ValueError(f"{pred} applied to {len(args)} arguments")
         self.pred = pred
         self.args = args
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pred == other.pred and self.args == other.args
-
-    def __hash__(self):
-        return hash((self.pred, self.args))
-
-    def __repr__(self) -> str:
-        return f"Atom({self.pred!r}, {self.args!r})"
 
     @property
     def variables(self) -> frozenset[Var]:
@@ -481,7 +446,7 @@ def atom_of_vars(pred: Pred, variables: Iterable[Var]) -> Atom:
     return Atom(pred, tuple(LinTerm.of_var(v) for v in variables))
 
 
-class Query:
+class Query(_Value):
     """An atomic query: an atom together with a constraint.  The query denotes
     the set of ground instances of the atom under solutions of the constraint;
     constraint variables that do not occur in the atom are understood
@@ -489,24 +454,14 @@ class Query:
 
     # _den: filters.denotation as (limit, constraint); _str: the text; both
     # filled lazily
-    __slots__ = ("atom", "constraint", "_den", "_str")
+    _fields = ("atom", "constraint")
+    __slots__ = _fields + ("_den", "_str")
 
     def __init__(self, atom: Atom, constraint: Constraint):
         self.atom = atom
         self.constraint = constraint
         self._den = None
         self._str = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.atom == other.atom and self.constraint == other.constraint
-
-    def __hash__(self):
-        return hash((self.atom, self.constraint))
-
-    def __repr__(self) -> str:
-        return f"Query({self.atom!r}, {self.constraint!r})"
 
     @property
     def pred(self) -> Pred:
@@ -523,19 +478,20 @@ class Query:
         return text
 
 
-class Clause:
+class Clause(_Value):
     """A normalized binary rule ``p(X1..Xn) <- c <> q(Y1..Ym)``: the argument
     tuples are disjoint sequences of distinct variables and c is satisfiable
     (checked when rules are built through the parser or normalize_clause).
-    ``text`` is the rule's source text and takes no part in equality."""
+    ``text`` is the rule's source text and takes no part in equality or
+    repr."""
 
     # lazily filled caches: _step, the engine's compiled derivation step;
     # _conditions, the analyzer's candidate-filter conditions by position
     # subset, as {positions: (limit, constraint)}; _sides, the two sides of
     # the head condition by (head positions, body positions), as
     # {node: (limit, (rhs, lhs))}
-    __slots__ = ("head_pred", "head_vars", "constraint", "body_pred", "body_vars",
-                 "text", "_step", "_conditions", "_sides")
+    _fields = ("head_pred", "head_vars", "constraint", "body_pred", "body_vars")
+    __slots__ = _fields + ("text", "_step", "_conditions", "_sides")
 
     def __init__(self, head_pred: Pred, head_vars: tuple[Var, ...],
                  constraint: Constraint, body_pred: Pred,
@@ -550,21 +506,6 @@ class Clause:
         self.body_vars = body_vars
         self.text = text
         self._step = self._conditions = self._sides = None
-
-    def _compared(self) -> tuple:
-        return (self.head_pred, self.head_vars, self.constraint,
-                self.body_pred, self.body_vars)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return "Clause(" + ", ".join(map(repr, self._compared())) + f", text={self.text!r})"
 
     @property
     def head_atom(self) -> Atom:
@@ -595,22 +536,12 @@ class Clause:
         return f"{self.head_atom} <- {self.constraint} <> {self.body_atom}."
 
 
-class Program:
-    __slots__ = ("clauses",)
+class Program(_Value):
+    _fields = ("clauses",)
+    __slots__ = _fields
 
     def __init__(self, clauses: tuple[Clause, ...]):
         self.clauses = clauses
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.clauses == other.clauses
-
-    def __hash__(self):
-        return hash((self.clauses,))
-
-    def __repr__(self) -> str:
-        return f"Program({self.clauses!r})"
 
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.clauses)
@@ -934,7 +865,7 @@ def normalize_clause(head: Atom, constraint: Constraint, body: Atom, text: str =
     # and every variable name in use
     arg_vars: list[Optional[Var]] = []
     occurrences: dict[Var, int] = {}
-    used_names = {v.name for a in constraint.atoms for v, _ in a.term.coeffs}
+    used_names = {v.name for a in constraint.atoms for v, _ in a.coeffs}
     for t in args:
         v = t.is_var()
         arg_vars.append(v)

@@ -4,9 +4,13 @@ Each test prints a single pass/fail line under pytest -v.  Frozen expected
 values live inline; randomized suites are seeded and deterministic.
 """
 
+import hashlib
+import importlib.util
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from fuzzers import (
     filter_body_formula,
@@ -25,6 +29,7 @@ from fuzzers import (
 )
 
 from clploop.analyzer import analyze_program, candidate_filter, find_looping_queries
+from clploop.cli import main
 from clploop.engine import derivation_step, run
 from clploop.filters import (
     PositionSet,
@@ -179,9 +184,9 @@ def _one_var_candidates(atoms, x):
     bounds, and the bounds shifted by one on each side."""
     bounds = set()
     for atom in atoms:
-        a = atom.term.coeff(x)
+        a = atom.coeff(x)
         if a != 0:
-            bounds.add(Fraction(-atom.term.const) / a)
+            bounds.add(Fraction(-atom.const) / a)
     if not bounds:
         return [Fraction(0)]
     ordered = sorted(bounds)
@@ -349,3 +354,36 @@ def test_criterion_7_merged_criterion_is_rejected():
     assert satisfiable(membership((_c(4),), succ))
     stuck = Query(Atom(pred, (_c(4),)), Constraint(()))
     assert derivation_step(stuck, rule, 1) is None
+
+
+# sha256 of `clploop analyze FILE --json` and `--trace` on the corpus and on
+# the seed-7 scaled benchmark workloads (perfbench/workloads.py), which no
+# golden file covers
+REPORT_SHA256 = {
+    ("corpus", "--trace"): "f124305e5422a1e79657699e091dd8f5f7e280f5eeb109cfdc14f642873f2db7",
+    ("shift", "--json"): "c5d3a64fb7a4a45c33b7bf6998776eb857ba09e37cab8dc350c615c1f988f124",
+    ("shift", "--trace"): "681bf2467e22ad188410fa541501e22c89ee9ea74c2a44510d77a4adfc6a5a3c",
+    ("chain", "--json"): "5838260696832f1b2cfb058cb281b83f63e60a9b48bd32d609a9d91632bfd01a",
+    ("chain", "--trace"): "79197e75fe0d91683991383bb44223cbd90728c5e647863f0632e313c297a004",
+}
+
+
+def _benchmark_workloads():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    spec.loader.exec_module(module)
+    return root, module
+
+
+def test_criterion_8_scaled_reports_are_byte_identical(tmp_path, capsys):
+    # a refactor must leave every report byte for byte as it was
+    root, workloads = _benchmark_workloads()
+    for (name, flag), expected in REPORT_SHA256.items():
+        path = tmp_path / f"{name}.clp"
+        path.write_text(workloads.make(name, root, 7).text, encoding="utf-8")
+        assert main(["analyze", str(path), flag]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, (name, flag)

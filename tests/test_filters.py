@@ -130,6 +130,18 @@ class TestDenotation:
         target = q("p(X, Y) : Y <= X + 2")
         assert denotation(target) is denotation(target)
 
+    def test_recorded_store_gives_recorded_denotation(self):
+        # distinct variable arguments: the store is projected and renamed to
+        # the probes one to one, which keeps its satisfiability record
+        recorded = q("p(X, Y) : Y <= X + 2, X >= L")
+        assert satisfiable(recorded.constraint)
+        assert denotation(recorded)._sat is True
+        assert denotation(q("p(X, Y) : Y <= X + 2"))._sat is None
+        # a repeated variable takes the equations, and a new constraint
+        repeated = q("p(X, X) : X >= 0")
+        assert satisfiable(repeated.constraint)
+        assert denotation(repeated)._sat is None
+
     def test_smaller_limit_than_the_cached_one_raises(self):
         target = q("p(X) : X >= L, X >= M, L >= 0, M >= 1, X <= 9")
         den = denotation(target)

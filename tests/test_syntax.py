@@ -69,13 +69,15 @@ class TestVar:
 class TestLinTerm:
     def test_algebra(self):
         t = LinTerm.make({A: 2, B: -1, C: 0}, 3)
-        assert t.coeff(A) == 2
-        assert t.coeff(B) == -1
-        assert t.coeff(C) == 0
+        assert t.coeffs == ((A, 2), (B, -1))
         assert t.const == 3
         assert t.variables == {A, B}
-        assert (-t).coeff(A) == -2
-        assert (-t).const == -3
+        # an atom holds the term's integer vector and reads coefficients off it
+        a = compare(t, "<=", LinTerm.of_const(0))
+        assert (a.coeff(A), a.coeff(B), a.coeff(C), a.const) == (2, -1, 0, 3)
+        assert a.term == t
+        neg = compare(t, ">=", LinTerm.of_const(0))
+        assert (neg.coeff(A), neg.coeff(B), neg.const) == (-2, 1, -3)
 
     def test_zero_coefficients_vanish(self):
         assert LinTerm.make({A: 0}) == LinTerm.of_const(0)
@@ -96,7 +98,7 @@ class TestLinTerm:
         assert str(LinTerm.make({A: 1, B: -1})) == "A - B"
         assert str(LinTerm.make({A: 2}, -3)) == "2*A - 3"
         assert str(LinTerm.of_const(Fraction(-1, 2))) == "-1/2"
-        assert str(-LinTerm.make({A: 1, B: -1})) == "-A + B"
+        assert str(LinTerm.make({A: -1, B: 1})) == "-A + B"
 
 
 class TestAtomicProp:
