@@ -2,23 +2,25 @@
 
 For each subset m of a recursive rule's head positions, the analyzer takes
 the condition cond(m), the rule constraint existentially projected onto the
-m-selected head variables.  The conditions of one rule form a lattice: the
-full set's condition projects the rule constraint, and any other subset's
-projects its parent's condition, the parent being m plus the smallest
-position outside m.  The scan runs in decreasing cardinality, so each subset
-costs one projection of a small constraint over head variables.
-Fourier-Motzkin output depends on the elimination order, so on rare inputs a
-condition's printed text differs from a direct projection of the rule
-constraint in atom order or by a redundant atom; the two denote the same
-set.  If the filter at m with condition cond(m) is derivation neutral for
-the rule (decided on cond(m) itself) and the body query is
-filter-more-general than the head query (whose filter half is the body
-condition), the head query loops; only then is the filter built, and a
-ground witness sampled from cond(m) at the filtered positions, with the
-lattice's condition at the other positions as its store.  Every reported
-query is validated by running the derivation engine for a configurable
-number of steps; with zero steps the witnesses are reported unverified
-(``verified_steps`` 0, "not run").
+m-selected head variables.  The conditions are nodes of the rule's one
+projection lattice (``neutral.projection``), which also holds the head
+condition's sides under a parent rule of their own, since the chain fixes a
+node's printed atoms and where a ``--max-dnf`` limit stops: the full set's
+condition projects the rule constraint, and any other subset's projects its
+parent's condition, the parent being m plus the smallest position outside
+m.  The scan runs in decreasing cardinality, so each subset costs one
+projection of a small constraint over head variables.  Fourier-Motzkin
+output depends on the elimination order, so on rare inputs a condition's
+printed text differs from a direct projection of the rule constraint in
+atom order or by a redundant atom; the two denote the same set.  If the
+filter at m with condition cond(m) is derivation neutral for the rule
+(decided on cond(m) itself) and the body query is filter-more-general than
+the head query (whose filter half is the body condition), the head query
+loops; only then is the filter built, and a ground witness sampled from
+cond(m) at the filtered positions, with the lattice's condition at the
+other positions as its store.  Every reported query is validated by running
+the derivation engine for a configurable number of steps; with zero steps
+the witnesses are reported unverified (``verified_steps`` 0, "not run").
 
 The reports expose the downward closure of the passing position subsets as
 "non-terminating classes": m is a class when some query with constants at the
@@ -51,11 +53,10 @@ from .filters import (
     select_positions,
 )
 from .linarith import ResourceLimitError
-from .neutral import cached_lattice, neutrality_body_formula, neutrality_head_formula
+from .neutral import neutrality_body_formula, neutrality_head_formula, projection
 from .syntax import (
     Atom,
     Clause,
-    Constraint,
     LinTerm,
     Pred,
     Program,
@@ -170,39 +171,15 @@ def candidate_filter(rule: Clause, positions: frozenset[int],
     """The projection filter for a recursive rule and a head position subset:
     the condition query keeps the selected head variables and projects the
     rule constraint onto them, derived from the condition of the parent
-    subset (see `_condition`).  The condition is satisfiable, as a filter
-    condition must be, because the rule constraint is."""
+    subset (see `neutral.projection`).  The condition is satisfiable, as a
+    filter condition must be, because the rule constraint is."""
     if not rule.is_recursive():
         raise ValueError("candidate filters are defined for recursive rules only")
     pred = rule.head_pred
     selected = select_positions(rule.head_vars, positions)
     condition = Query(atom_of_vars(projected_pred(pred, positions), selected),
-                      _condition(rule, frozenset(positions), limit))
+                      projection(rule, frozenset(positions), None, limit))
     return Filter(PositionSet.of({pred: positions}), ((pred, condition),))
-
-
-def _condition(rule: Clause, positions: frozenset[int], limit: int) -> Constraint:
-    """The condition constraint over the head variables at ``positions``:
-    the rule constraint c projected onto them.  The full set's is
-    ``proj(c, X)``; any other subset m takes ``proj(cond(m u {j}), X_m)``,
-    where j is the smallest position outside m, which denotes the same set
-    because projections compose.  Each is computed on demand from its
-    nearest cached ancestor and cached on the rule (`cached_lattice`, whose
-    limit rule it follows), so the decreasing-cardinality scan projects one
-    small constraint per subset.  Fourier-Motzkin output depends on the
-    elimination order, so on rare inputs a condition's atoms differ in
-    order, or by a redundant atom, from those of a direct projection of c;
-    the two are equivalent."""
-    full = frozenset(range(1, rule.head_pred.arity + 1))
-
-    def parent(m: frozenset[int]) -> Optional[frozenset[int]]:
-        return None if m == full else m | {min(full - m)}
-
-    def step(source: Optional[Constraint], m: frozenset[int]) -> Constraint:
-        return linarith.project(rule.constraint if source is None else source,
-                                select_positions(rule.head_vars, m), limit)
-
-    return cached_lattice(rule, "_conditions", positions, parent, step, limit)
 
 
 def make_witness(filt: Filter, rule: Clause, head: Query,
@@ -211,9 +188,9 @@ def make_witness(filt: Filter, rule: Clause, head: Query,
     the condition constraint at the filtered positions, head variables kept
     elsewhere, and as store the rule constraint projected onto the kept
     variables, which is the candidate condition at the complement positions
-    (taken from the same lattice as the filters, see `_condition`).  Falls
-    back to ``head``, the rule's head query (itself proved looping), if the
-    generality check for the constructed candidate does not go through."""
+    (taken from the same lattice as the filters, see `neutral.projection`).
+    Falls back to ``head``, the rule's head query (itself proved looping), if
+    the generality check for the constructed candidate does not go through."""
     pred = rule.head_pred
     tau = filt.positions.get(pred)
     condition = filt.condition(pred)
@@ -230,7 +207,7 @@ def make_witness(filt: Filter, rule: Clause, head: Query,
             args.append(LinTerm.of_const(by_position[i].eval(values)))
         else:
             args.append(LinTerm.of_var(v))
-    candidate = Query(Atom(pred, tuple(args)), _condition(rule, kept, limit))
+    candidate = Query(Atom(pred, tuple(args)), projection(rule, kept, None, limit))
     if candidate == head:
         candidate = head  # its denotation is cached
     if delta_more_general(candidate, head, filt, limit):
@@ -270,7 +247,7 @@ def find_looping_queries(rule: Clause, index: int = 0,
         for combo in itertools.combinations(range(1, arity + 1), size):
             m = frozenset(combo)
             try:
-                cond = _condition(rule, m, opts.max_dnf)
+                cond = projection(rule, m, None, opts.max_dnf)
                 head_ok = linarith.decide(
                     neutrality_head_formula(rule, m, m, cond, opts.max_dnf), opts.max_dnf)
                 body_ok = subsumes = None

@@ -21,7 +21,7 @@ decided exactly:
   ``c[H renamed apart], M(H) |= c``, with M(H) the membership of H in the
   condition, projected onto O and H: the two conjuncts share no variable,
   so the projection splits into ``proj(c, O)`` and ``cond(m)``.  Both
-  projections of c come from one lattice per rule (:func:`head_sides`);
+  projections of c come from the rule's lattice (:func:`head_sides`);
 
 * the body condition ``c |= cond(m)<B>`` over B: whenever c holds, the
   filtered body positions satisfy the condition.
@@ -40,17 +40,30 @@ at the unfiltered positions is left to decide.
 With X and Y the head and body variables, m the filtered positions and Z_m
 the variables of Z at the positions in m (Z_-m at the others), the head
 condition's sides are ``rhs(m) = proj(c, O u H) = proj(c, X u Y_-m)`` and
-``lhs(m) = proj(c, O) = proj(c, X_-m u Y_-m)``.  They form a lattice:
-``rhs({}) = lhs({}) = proj(c, X u Y)``, and for any other m, with j the
-largest position in m, ``rhs(m)`` is ``rhs(m - {j})`` with y_j eliminated
-and ``lhs(m)`` is ``lhs(m - {j})`` with x_j and y_j eliminated, which
-denotes the same set because projections compose.  When the head and body
-positions differ, j is the largest filtered position on either side; x_j
-is eliminated only if j is a filtered head position, and y_j only if it is
-a filtered body position.  The sides are cached on the rule as constraints
-by :func:`cached_lattice`, which also caches the analyzer's candidate
-conditions, so each subset eliminates at most three variables from a small
-constraint.
+``lhs(m) = proj(c, O) = proj(c, X_-m u Y_-m)``.  They and the candidate
+conditions ``cond(m) = proj(c, X_m)`` are nodes (a, b) of one lattice per
+rule, ``proj(c, X_a u Y_b)`` with b None for a condition, cached by
+:func:`projection`.  Each node projects its parent's value, which denotes
+the same set because projections compose, under one of two parent rules:
+
+* a condition's parent adds back the smallest head position it misses, up
+  to the root ``(X, None)``;
+
+* a side's parent adds back j, the largest position missing on either
+  side, to each side that misses it, up to the root ``(X, Y)``.  So
+  ``rhs(m)`` is ``rhs(m - {j})`` with y_j eliminated and ``lhs(m)`` is
+  ``lhs(m - {j})`` with x_j and y_j eliminated (with differing head and
+  body positions, x_j only if j is a filtered head position and y_j only
+  if a filtered body one).
+
+Fourier-Motzkin output depends on the elimination order, so the chain
+decides a node's printed atoms and where a ``--max-dnf`` limit stops.  The
+families share no node, not even ``(X, None)`` and ``(X, {})`` or
+``({}, None)`` and ``({}, {})``, which denote the same sets: the conditions
+are the text the reports print, and sides reached through the conditions'
+chain hit a small limit at other subsets (on the corpus at ``--max-dnf 3``
+the first error falls at tau {1,2} instead of {1,2,3}).  Each subset
+eliminates at most three variables from a small constraint.
 
 Both builders' left sides are recorded satisfiable (see
 :class:`syntax.Constraint`), so ``linarith.decide`` stops each refutation
@@ -66,85 +79,67 @@ checked that the parts share no variable.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional, TypeVar
+from typing import Optional
 
 from . import linarith
 from .filters import select_positions
 from .linarith import Entailment
 from .syntax import Clause, Constraint
 
-T = TypeVar("T")
 
-
-def cached_lattice(rule: Clause, attr: str, node: Hashable,
-                   parent: Callable[[Hashable], Optional[Hashable]],
-                   step: Callable[[Optional[T], Hashable], T], limit: int) -> T:
-    """The value at ``node`` of a lattice cached on the rule in the dict
-    ``rule.<attr>`` as {node: (limit, value)}, created on first use.
-    ``parent(node)`` is the node a value is derived from, None at the top;
-    ``step(value, node)`` derives a node's value from its parent's, and the
-    top's from None.  A value is computed from its nearest cached ancestor
-    and cached with every uncached node on the way.  An ancestor cached with
-    a smaller limit than ``limit`` serves; one cached with a larger limit
-    does not, and the chain is computed again, so a request raises
-    ``ResourceLimitError`` exactly when an uncached one would.  A node whose
-    step raised is not cached, and every node below it raises too.  The
-    caches hold constraints, not queries, so a denotation cached on a query
-    built from them is freed with that query."""
-    cache = getattr(rule, attr)
+def projection(rule: Clause, head_kept: frozenset[int],
+               body_kept: Optional[frozenset[int]],
+               limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
+    """``proj(c, X_a u Y_b)`` for the rule constraint c, a = ``head_kept``
+    and b = ``body_kept``, or the candidate condition ``cond(a)`` when b is
+    None: one node of the rule's lattice (see the module docstring), cached
+    on the rule as {(a, b): (limit, constraint)}.  A node is projected from
+    its nearest cached ancestor, or from c at a root, and cached with every
+    uncached node on the way.  An ancestor cached under a larger limit than
+    ``limit`` does not serve, so a request raises ``ResourceLimitError``
+    exactly when an uncached one would; a node whose projection raised is
+    not cached.  The cache holds constraints, not queries, so a denotation
+    cached on a query built from them is freed with that query."""
+    cache = rule._projections
     if cache is None:
-        cache = {}
-        setattr(rule, attr, cache)
-    chain = []  # node and its uncached ancestors
-    value: Optional[T] = None
-    up: Optional[Hashable] = node
-    while up is not None:
-        cached = cache.get(up)
+        cache = rule._projections = {}
+    heads = frozenset(range(1, len(rule.head_vars) + 1))
+    bodies = frozenset(range(1, len(rule.body_vars) + 1))
+    chain = []  # the node and its uncached ancestors
+    value: Optional[Constraint] = None
+    node: Optional[tuple] = (head_kept, body_kept)
+    while node is not None:
+        cached = cache.get(node)
         if cached is not None and limit >= cached[0]:
             value = cached[1]
             break
-        chain.append(up)
-        up = parent(up)
-    for m in reversed(chain):
-        value = step(value, m)
-        cache[m] = (limit, value)
+        chain.append(node)
+        a, b = node
+        if b is None:
+            node = (a | {min(heads - a)}, None) if a != heads else None
+        elif a != heads or b != bodies:
+            j = {max((heads - a) | (bodies - b))}
+            node = a | (j & heads), b | (j & bodies)
+        else:
+            node = None
+    for node in reversed(chain):
+        a, b = node
+        keep = select_positions(rule.head_vars, a) + select_positions(rule.body_vars, b or ())
+        value = linarith.project(rule.constraint if value is None else value, keep, limit)
+        cache[node] = (limit, value)
     return value
-
-
-_Node = tuple[frozenset[int], frozenset[int]]  # (head positions, body positions)
-
-
-def _side_parent(node: _Node) -> Optional[_Node]:
-    head_pos, body_pos = node
-    if not head_pos and not body_pos:
-        return None
-    j = max(head_pos | body_pos)
-    return head_pos - {j}, body_pos - {j}
 
 
 def head_sides(rule: Clause, head_pos: frozenset[int], body_pos: frozenset[int],
                limit: int = linarith.DEFAULT_DNF_LIMIT) -> tuple[Constraint, Constraint]:
     """``(rhs, lhs)`` of the head condition for the filtered head positions
     ``head_pos`` and body positions ``body_pos``: the rule constraint
-    projected onto ``X u Y_-m`` and onto ``X_-m u Y_-m``, taken from the
-    rule's lattice of sides (see the module docstring)."""
-    head, body = frozenset(rule.head_vars), frozenset(rule.body_vars)
-
-    def step(parent: Optional[tuple[Constraint, Constraint]],
-             node: _Node) -> tuple[Constraint, Constraint]:
-        if parent is None:
-            top = linarith.project(rule.constraint, head | body, limit)
-            return top, top
-        hp, bp = node
-        kept_body = body - set(select_positions(rule.body_vars, bp))
-        rhs, lhs = parent
-        if max(hp | bp) in bp:
-            rhs = linarith.project(rhs, head | kept_body, limit)
-        kept_head = head - set(select_positions(rule.head_vars, hp))
-        return rhs, linarith.project(lhs, kept_head | kept_body, limit)
-
-    return cached_lattice(rule, "_sides", (head_pos, body_pos), _side_parent,
-                          step, limit)
+    projected onto ``X u Y_-m`` and onto ``X_-m u Y_-m`` (see
+    :func:`projection`)."""
+    heads = frozenset(range(1, len(rule.head_vars) + 1))
+    body_kept = frozenset(range(1, len(rule.body_vars) + 1)) - body_pos
+    return (projection(rule, heads, body_kept, limit),
+            projection(rule, heads - head_pos, body_kept, limit))
 
 
 def neutrality_head_formula(rule: Clause, head_pos: frozenset[int],

@@ -486,12 +486,11 @@ class Clause(_Value):
     repr."""
 
     # lazily filled caches: _step, the engine's compiled derivation step;
-    # _conditions, the analyzer's candidate-filter conditions by position
-    # subset, as {positions: (limit, constraint)}; _sides, the two sides of
-    # the head condition by (head positions, body positions), as
-    # {node: (limit, (rhs, lhs))}
+    # _projections, the rule constraint's projections onto the head
+    # positions a and body positions b (b None for a candidate condition),
+    # as {(a, b): (limit, constraint)}, filled by neutral.projection
     _fields = ("head_pred", "head_vars", "constraint", "body_pred", "body_vars")
-    __slots__ = _fields + ("text", "_step", "_conditions", "_sides")
+    __slots__ = _fields + ("text", "_step", "_projections")
 
     def __init__(self, head_pred: Pred, head_vars: tuple[Var, ...],
                  constraint: Constraint, body_pred: Pred,
@@ -505,7 +504,7 @@ class Clause(_Value):
         self.body_pred = body_pred
         self.body_vars = body_vars
         self.text = text
-        self._step = self._conditions = self._sides = None
+        self._step = self._projections = None
 
     @property
     def head_atom(self) -> Atom:
@@ -613,7 +612,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.arities: dict[str, int] = {}
+        self.preds: dict[str, Pred] = {}  # one Pred per name
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -764,12 +763,13 @@ class _Parser:
         return tok[1], tuple(args), tok
 
     def pred_of(self, name: str, arity: int, tok: _Token) -> Pred:
-        known = self.arities.get(name)
-        if known is None:
-            self.arities[name] = arity
-        elif known != arity:
-            self.error(f"arity mismatch: {name} used with {known} and {arity} arguments", tok)
-        return Pred(name, arity)
+        pred = self.preds.get(name)
+        if pred is None:
+            pred = self.preds[name] = Pred(name, arity)
+        elif pred.arity != arity:
+            self.error(f"arity mismatch: {name} used with {pred.arity} and {arity} arguments",
+                       tok)
+        return pred
 
     # clause := atom "<-" constrs "<>" atom "."
     def clause(self) -> Clause:
@@ -827,17 +827,15 @@ def parse_query(text: str, program: Optional[Program] = None) -> Query:
     match a program predicate (same name and arity)."""
     p = _Parser(text)
     if program is not None:
-        for cl in program.clauses:
-            p.arities[cl.head_pred.name] = cl.head_pred.arity
-            p.arities[cl.body_pred.name] = cl.body_pred.arity
+        p.preds.update((pred.name, pred) for cl in program.clauses
+                       for pred in (cl.head_pred, cl.body_pred))
+    known = set(p.preds)
     q = p.query()
     if p.peek()[0] != "eof":
         p.error("trailing input after query")
-    if program is not None:
-        names = {cl.head_pred for cl in program.clauses} | {cl.body_pred for cl in program.clauses}
-        if q.pred not in names:
-            # a query's first token is its predicate name
-            p.error(f"unknown predicate {q.pred}", p.tokens[0])
+    if program is not None and q.pred.name not in known:
+        # a query's first token is its predicate name
+        p.error(f"unknown predicate {q.pred}", p.tokens[0])
     return q
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from fuzzers import is_true
 
-from clploop import analyzer, linarith
+from clploop import analyzer, linarith, neutral
 from clploop.analyzer import (
     AnalyzeOptions,
     PropagatedLoop,
@@ -97,17 +97,21 @@ class TestConditionCache:
 
     def test_a_subset_that_raised_is_not_cached(self):
         rule = clause(self.RULE)
+
+        def cached_conditions():
+            return {a for a, b in rule._projections if b is None}
+
         with pytest.raises(ResourceLimitError, match="exceeds 5"):
             candidate_filter(rule, frozenset({1}), 5)
         # {1} projects {1, 2}, which raised; the full set's condition fit
-        assert set(rule._conditions) == {frozenset({1, 2, 3})}
+        assert cached_conditions() == {frozenset({1, 2, 3})}
         # so in the scan {1, 2} and the subsets below it, {1}, {2} and {},
         # have no condition; {3}'s condition fits, its head decision does not
         report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=5))
         assert {c.positions for c in report.checks if c.error} == {
             frozenset({1, 2}), frozenset({1}), frozenset({2}), frozenset({3}),
             frozenset()}
-        assert set(rule._conditions) == {
+        assert cached_conditions() == {
             frozenset({1, 2, 3}), frozenset({1, 3}), frozenset({2, 3}), frozenset({3})}
 
 
@@ -236,20 +240,27 @@ class TestFindLoopingQueries:
         assert report.results
 
     def test_a_head_side_that_raised_is_not_cached(self):
-        # the head builder's sides of {1} eliminate from those of {}, which
-        # project the rule constraint onto the head and body variables
+        # the head builder's sides of {1}, rhs over X u Y_-m and lhs over
+        # X_-m u Y_-m, eliminate from the top, which projects the rule
+        # constraint onto the head and body variables; within 4 conjuncts
+        # rhs fits and lhs does not
         rule = clause(
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
         m = frozenset({1})
         cond = candidate_filter(rule, m).condition(rule.head_pred).constraint
+
+        def cached_sides():
+            return {node for node in rule._projections if node[1] is not None}
+
         with pytest.raises(ResourceLimitError, match="exceeds 4"):
             neutrality_head_formula(rule, m, m, cond, 4)
-        top = (frozenset(), frozenset())
-        assert set(rule._sides) == {top}
-        # a larger limit serves from the top; {1} is cached once it fits
+        full, rest = frozenset({1, 2, 3}), frozenset({2, 3})
+        top, rhs, lhs = (full, full), (full, rest), (rest, rest)
+        assert cached_sides() == {top, rhs}
+        # a larger limit serves from rhs; {1}'s lhs is cached once it fits
         held = decide(neutrality_head_formula(rule, m, m, cond))
-        assert set(rule._sides) == {top, (m, m)}
+        assert cached_sides() == {top, rhs, lhs}
         assert held == decide(neutrality_head_formula(clause(str(rule)), m, m, cond))
 
     def test_witness_overflow_is_the_subsets_error(self):
@@ -581,8 +592,11 @@ def test_shift_conditions_projected_once_per_subset(monkeypatch):
     candidate = analyzer.candidate_filter
 
     def counted_project(c, keep, limit=linarith.DEFAULT_DNF_LIMIT):
-        # the projections the analyzer makes itself, not its layers below
-        calls["project"] += sys._getframe(1).f_globals["__name__"] == analyzer.__name__
+        # the condition nodes of the rule's projection lattice, not its
+        # head-condition sides or the layers below
+        frame = sys._getframe(1)
+        calls["project"] += (frame.f_code is neutral.projection.__code__
+                             and frame.f_locals["node"][1] is None)
         return project(c, keep, limit)
 
     def counted_satisfiable(c, limit=linarith.DEFAULT_DNF_LIMIT):

@@ -264,9 +264,10 @@ class TestExitCodes:
         assert capsys.readouterr().out.strip() == f"clploop {__version__}"
 
     def test_module_entry_point(self):
+        src = str(Path(clploop.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "clploop", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"clploop {__version__}"

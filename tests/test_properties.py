@@ -79,6 +79,7 @@ from clploop.neutral import (
     head_sides,
     neutrality_body_formula,
     neutrality_head_formula,
+    projection,
 )
 from clploop.syntax import (
     Atom,
@@ -402,7 +403,7 @@ class TestEarlyStopProperties:
                 continue
             to_body = dict(zip(rule.head_vars, rule.body_vars))
             for m in _all_subsets(rule.head_pred.arity):
-                cond = analyzer._condition(rule, m, linarith.DEFAULT_DNF_LIMIT)
+                cond = projection(rule, m, None, linarith.DEFAULT_DNF_LIMIT)
                 for kind, e in (
                         ("head", neutrality_head_formula(rule, m, m, cond)),
                         ("body", neutrality_body_formula(rule, m, cond.rename(to_body)))):
@@ -420,7 +421,7 @@ class TestEarlyStopProperties:
             if other is None:
                 continue
             full = frozenset(range(1, n + 1))
-            cond = analyzer._condition(other, full, linarith.DEFAULT_DNF_LIMIT).rename(
+            cond = projection(other, full, None, linarith.DEFAULT_DNF_LIMIT).rename(
                 dict(zip(other.head_vars, rule.head_vars)))
             for m in _all_subsets(n):
                 if m == full:
@@ -837,6 +838,62 @@ class TestHeadSideProperties:
         assert kinds["differing positions"] >= 100, kinds
 
 
+class TestProjectionOrderProperties:
+    """Each node of a rule's projection lattice is one projection of a
+    fixed parent's value, so its printed value does not depend on which
+    nodes were cached before it: filling one copy of a rule in scan order
+    and a fresh copy in shuffled order gives the same constraints."""
+
+    @staticmethod
+    def requests(rng: random.Random, rule: Clause) -> list:
+        """Every candidate condition and the sides at every subset m in the
+        scan order (decreasing cardinality, lexicographic within one), then
+        the sides of random filters whose head and body positions differ."""
+        n, k = len(rule.head_vars), len(rule.body_vars)
+        out = []
+        for m in sorted(_all_subsets(n), key=lambda m: (-len(m), sorted(m))):
+            out += [("cond", m, None), ("sides", m, frozenset(i for i in m if i <= k))]
+        out += [("sides", rand_positions(rng, n), rand_positions(rng, k))
+                for _ in range(8)]
+        return out
+
+    @staticmethod
+    def fill(rule: Clause, requests: list) -> dict:
+        out = {}
+        for kind, a, b in requests:
+            value = (projection(rule, a, None) if kind == "cond"
+                     else head_sides(rule, a, b))
+            out[kind, a, b] = str(value) if kind == "cond" else tuple(map(str, value))
+        return out
+
+    def test_any_call_order_gives_the_same_constraints(self):
+        rng = random.Random(127)
+        kinds = Counter()
+        for _ in range(60):
+            wide = rand_wide_rule(rng)
+            # the same constraint under a non-recursive rule whose body
+            # keeps a prefix of the body variables (the others turn local)
+            k = rng.randint(0, len(wide.body_vars))
+            other = Clause(wide.head_pred, wide.head_vars, wide.constraint,
+                           Pred("q", k), wide.body_vars[:k])
+            kinds["shorter body"] += k < len(wide.body_vars)
+            for rule in (wide, other):
+                requests = self.requests(rng, rule)
+                fresh = Clause(rule.head_pred, rule.head_vars, rule.constraint,
+                               rule.body_pred, rule.body_vars)
+                shuffled = requests[:]
+                rng.shuffle(shuffled)
+                in_scan_order = self.fill(rule, requests)
+                assert self.fill(fresh, shuffled) == in_scan_order, str(rule)
+                assert set(fresh._projections) == set(rule._projections), str(rule)
+                kinds["recursive" if rule.is_recursive() else "non-recursive"] += 1
+                kinds["nodes"] += len(rule._projections)
+        # at this seed: 60 rules of each kind, 36 of the non-recursive ones
+        # with a shorter body, and 5908 lattice nodes
+        assert kinds["recursive"] == kinds["non-recursive"] == 60, kinds
+        assert kinds["shorter body"] >= 25 and kinds["nodes"] >= 5000, kinds
+
+
 class TestSampleProperties:
     VARS = (Var("U"), Var("V"), Var("W"))
 
@@ -1213,7 +1270,7 @@ class TestValueSemantics:
         Pred: set(),
         Atom: set(),
         Query: {"_den", "_str"},
-        Clause: {"text", "_step", "_conditions", "_sides"},
+        Clause: {"text", "_step", "_projections"},
         Program: set(),
     }
 

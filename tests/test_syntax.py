@@ -390,6 +390,20 @@ class TestParseQuery:
         with pytest.raises(ParseError, match="trailing input"):
             parse_query("p(X). q(Y).")
 
+    def test_one_pred_object_per_name(self):
+        # the parser interns predicates, so equal predicates of one program
+        # and of a query parsed against it are one object
+        prog = parse_program("p(A) <- A >= 0 <> q(B).\n"
+                             "q(A) <- true <> q(B).\n"
+                             "r(A, C) <- true <> p(B).")
+        by_name = {}
+        for cl in prog.clauses:
+            for pred in (cl.head_pred, cl.body_pred):
+                assert by_name.setdefault(pred.name, pred) is pred
+        assert sorted(by_name) == ["p", "q", "r"]
+        assert parse_query("q(X) : X <= 1", prog).pred is by_name["q"]
+        assert parse_query("r(0, Y)", prog).pred is by_name["r"]
+
 
 class TestRenaming:
     def test_rename_apart_query(self):
