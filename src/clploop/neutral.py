@@ -124,7 +124,7 @@ def projection(rule: Clause, head_kept: frozenset[int],
             node = None
     for node in reversed(chain):
         a, b = node
-        keep = select_positions(rule.head_vars, a) + select_positions(rule.body_vars, b or ())
+        keep = [rule.head_vars[i - 1] for i in a] + [rule.body_vars[i - 1] for i in b or ()]
         value = linarith.project(rule.constraint if value is None else value, keep, limit)
         cache[node] = (limit, value)
     return value
@@ -133,9 +133,8 @@ def projection(rule: Clause, head_kept: frozenset[int],
 def head_sides(rule: Clause, head_pos: frozenset[int], body_pos: frozenset[int],
                limit: int = linarith.DEFAULT_DNF_LIMIT) -> tuple[Constraint, Constraint]:
     """``(rhs, lhs)`` of the head condition for the filtered head positions
-    ``head_pos`` and body positions ``body_pos``: the rule constraint
-    projected onto ``X u Y_-m`` and onto ``X_-m u Y_-m`` (see
-    :func:`projection`)."""
+    ``head_pos`` and body positions ``body_pos``: ``proj(c, X u Y_-m)`` and
+    ``proj(c, X_-m u Y_-m)``, two nodes of the rule's lattice."""
     heads = frozenset(range(1, len(rule.head_vars) + 1))
     body_kept = frozenset(range(1, len(rule.body_vars) + 1)) - body_pos
     return (projection(rule, heads, body_kept, limit),
