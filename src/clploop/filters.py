@@ -121,7 +121,7 @@ def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
         if None not in args and len(set(args)) == len(args):
             projected = linarith.project(q.constraint, args, limit)
             den = projected.rename(dict(zip(args, w)))
-            den._sat = projected._sat
+            den._sat, den._simplified = projected._sat, projected._simplified
         else:
             member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
             den = linarith.project(Constraint(member + q.constraint.atoms), w, limit)

@@ -24,28 +24,36 @@ atom is a primitive integer vector that holds its ``int`` coefficients and
 constant (see :class:`syntax.AtomicProp`), so each step is an integer
 combination of two atoms that cancels the eliminated variable x, divided by
 the gcd of its entries, as in the normalization of the Omega test (Pugh,
-CACM 1992).  Equalities containing x are removed first
-by substitution: an equality with coefficient c on x turns an atom a with
-coefficient d on x into ``|c|*a - sign(c)*d*eq``.  Every remaining lower
-bound ``lo`` (coefficient -b on x, b > 0) is combined with every upper bound
+CACM 1992).  Equalities containing x are removed first by substitution: an
+equality with coefficient c on x turns an atom a with coefficient d on x
+into ``|c|*a - sign(c)*d*eq``, in a's place.  Otherwise every lower bound
+``lo`` (coefficient -b on x, b > 0) is combined with every upper bound
 ``up`` (coefficient a > 0) into ``b*up + a*lo``, strict iff either side is
-strict.  A step that adds no atom, because x occurs only in the equality
-that eliminates it or has lower bounds only or upper bounds only, returns
-the atoms without x as they are: they are an order-preserving subset of a
-simplified conjunction, which simplification leaves unchanged.
-`project` eliminates the variables outside a set, `satisfiable`
-eliminates them all, and `decide` projects both sides of an entailment onto
-its universal variables (a side already over them is taken as it is) and
+strict, after the atoms without x.  After each step the conjunction is the
+simplification (:func:`_simplify_conj`) of that list, order included.
+
+The conjunction under elimination is one indexed store (:class:`_Store`),
+built once per elimination from a simplified conjunction.  It holds the
+atoms in insertion order, and for each variable still to eliminate the
+counts of its lower bounds, upper bounds and equalities and the positions
+of its atoms.  A step reads x's atoms from the index, removes them and
+merges its new atoms by their slopes: only a slope that a new atom shares
+with another is simplified again, since every other one already is.  The
+next variable is the cheapest by those counts.  This is the incremental
+solver's rule of touching only what a new constraint reaches in a solved
+store (Jaffar, Michaylov, Stuckey & Yap, TOPLAS 1992).
+
+`project` eliminates the variables outside a set, `satisfiable` eliminates
+them all, and `decide` projects both sides of an entailment onto its
+universal variables (a side already over them is taken as it is) and
 refutes the left side conjoined with the negation of each right-hand atom,
-the standard entailment check of CLP(Q) solvers.  The three, and
-`sample_solution`, share one elimination loop, :func:`_eliminate_all`.
-When the left side carries the record that it is satisfiable (see
-:class:`syntax.Constraint`), a refutation keeps the atoms derived from the
-negated atom apart from the left side's and stops as soon as none is left,
-as an incremental CLP(Q) solver checks only what a constraint added to a
-solved store reaches (Jaffar, Michaylov, Stuckey & Yap, TOPLAS 1992).  All
-arithmetic is exact;
-sampled values are ``Fraction``s.  One configurable ceiling caps the
+the standard entailment check of CLP(Q) solvers: it merges the negated atom
+into a store of the left side.  A constraint recorded simplified (see
+:class:`syntax.Constraint`) enters a store as it is; any other is simplified
+first.  When the left side of an entailment carries the record that it is
+satisfiable, the store flags its atoms known, and a refutation stops as
+soon as no atom derived from the negated atom is left.  All arithmetic is
+exact; sampled values are ``Fraction``s.  One configurable ceiling caps the
 conjuncts one elimination step produces, raising
 :class:`ResourceLimitError` when exceeded.
 """
@@ -156,144 +164,327 @@ def _combine(p: int, a: AtomicProp, q: int, b: AtomicProp, x: Var,
                  p * a.const + q * b.const, rel)
 
 
-def _eliminate_var_conj(
-    atoms: Sequence[AtomicProp], x: Var, limit: int,
-    known: Optional[set[AtomicProp]] = None,
-) -> Optional[tuple[AtomicProp, ...]]:
-    """Eliminate one variable from a conjunction, an order-preserving subset
-    of a :func:`_simplify_conj` result.  Returns the reduced conjunction or
-    None if it becomes inconsistent (ground-false).  A step that adds no
-    atom returns the atoms without x as they are: ``_simplify_conj`` would
-    return them unchanged.  ``known``, if given, is a set of atoms implied by
-    some satisfiable conjunction; each atom the step combines from two known
-    atoms is implied by it too and is added to the set."""
-    with_x = [(a, a.coeff(x)) for a in atoms]
-    eq, c = next(((a, c) for a, c in with_x if c and a.rel == REL_EQ), (None, 0))
-    if eq is not None:
-        if not any(d for a, d in with_x if a is not eq):
-            return tuple(a for a in atoms if a is not eq)
-        eq_known = known is not None and eq in known
-        out = []
-        for a, d in with_x:
-            if a is eq:
-                continue
-            if d:
-                # |c|*a - sign(c)*d*eq cancels the d*x of a
-                b = _combine(abs(c), a, -d if c > 0 else d, eq, x, a.rel)
-                if eq_known and a in known:
-                    known.add(b)
-                a = b
-            out.append(a)
-        return _simplify_conj(out)
+class _Store:
+    """A simplified conjunction under elimination, indexed so that a
+    Fourier-Motzkin step touches only the eliminated variable's atoms and
+    the slopes its new atoms reach.
 
-    kept: list[AtomicProp] = []
-    lowers: list[tuple[AtomicProp, int]] = []  # (atom, -coefficient of x)
-    uppers: list[tuple[AtomicProp, int]] = []
-    for a, c in with_x:
-        if c == 0:
-            kept.append(a)
-        elif c > 0:
-            uppers.append((a, c))  # x <= -rest/c
-        else:
-            lowers.append((a, -c))  # -rest/c <= x
-    if len(kept) + len(lowers) * len(uppers) > limit:
-        raise ResourceLimitError(f"elimination exceeds {limit} conjuncts")
-    if not lowers or not uppers:
-        return tuple(kept)
-    for lo, b in lowers:
-        lo_known = known is not None and lo in known
-        for up, a in uppers:
-            rel = REL_LT if REL_LT in (lo.rel, up.rel) else REL_LE
-            combined = _combine(b, up, a, lo, x, rel)
-            kept.append(combined)
-            if lo_known and up in known:
-                known.add(combined)
-    return _simplify_conj(kept)
+    ``atoms`` holds the conjunction by position, None where an atom was
+    removed; read in position order it is the conjunction.  ``index`` maps
+    each variable of ``drop`` that occurs in some atom to ``[lowers, uppers,
+    equalities, {position: coefficient}]``: the counts of its atoms by
+    coefficient sign, equalities apart, and where they are.  ``slopes`` maps
+    each slope d (see :meth:`AtomicProp.slope`) to the positions of its
+    atoms, or is None until the first merge needs it.
+    ``derived``, when the store tracks known atoms, holds the positions of
+    the atoms that are not known, and is None otherwise.
 
+    New atoms are merged as :func:`_simplify_conj` simplifies one list,
+    order included: each goes at the end or, for an atom an equality
+    substitution made, at the position of the atom it replaces; a slope that
+    new atoms share with another atom is then simplified on its own
+    (:meth:`_resolve`), and every other slope already is."""
 
-def _cheapest_var(atoms: Sequence[AtomicProp],
-                  todo: set[Var]) -> tuple[Optional[Var], Optional[int]]:
-    """Greedy elimination order: the next variable of ``todo`` to remove and
-    its cost, the change in the number of atoms its elimination makes,
-    ``lowers*uppers - lowers - uppers`` for its lower and upper bounds, or -1
-    when an equality contains it (substitution adds nothing).  Variables are
-    scanned in name order and the first of least cost wins, but the scan
-    ends at the first variable whose cost -1 makes it a new best, so a later
-    one of lower cost (one-sided, with two or more bounds) is not reached.
-    Variables absent from the atoms are dropped from ``todo``; ``(None,
-    None)`` when none is left."""
-    best: Optional[Var] = None
-    best_cost = None
-    for x in sorted(todo):
-        lowers = uppers = 0
-        present = False
-        has_eq = False
-        for a in atoms:
-            c = a.coeff(x)
-            if c == 0:
-                continue
-            present = True
-            if a.rel == REL_EQ:
-                has_eq = True
-                break
-            if c > 0:
-                uppers += 1
+    __slots__ = ("atoms", "index", "slopes", "drop", "derived", "limit")
+
+    def __init__(self, atoms: Sequence[AtomicProp], drop: frozenset[Var] | set[Var],
+                 limit: int, derived: Optional[set[int]] = None):
+        """A store of ``atoms``, a simplified conjunction; ``derived`` as the
+        attribute of that name."""
+        self.atoms: list[Optional[AtomicProp]] = list(atoms)
+        self.index: dict[Var, list] = {}
+        self.slopes: Optional[dict[tuple, list[int]]] = None
+        self.drop = drop
+        self.derived = derived
+        self.limit = limit
+        for p, a in enumerate(atoms):
+            self._place(p, a, False, None)
+
+    def conjunction(self) -> tuple[AtomicProp, ...]:
+        return tuple(filter(None, self.atoms))  # the holes are None
+
+    def _place(self, p: int, a: AtomicProp, derived: bool, d: tuple) -> None:
+        """Put the non-ground atom a of slope d at position p and index it."""
+        self.atoms[p] = a
+        drop, index = self.drop, self.index
+        eq = a.rel == REL_EQ
+        for v, c in a.coeffs:
+            if v in drop:
+                e = index.get(v)
+                if e is None:
+                    e = index[v] = [0, 0, 0, {}]
+                e[3][p] = c
+                e[2 if eq else c > 0] += 1  # lowers at 0, uppers at 1
+        slopes = self.slopes
+        if slopes is not None:
+            ps = slopes.get(d)
+            if ps is None:
+                slopes[d] = [p]
             else:
-                lowers += 1
-        if not present:
-            todo.discard(x)
-            continue
-        cost = -1 if has_eq else lowers * uppers - lowers - uppers
-        if best_cost is None or cost < best_cost:
-            best, best_cost = x, cost
-            if cost == -1:
-                break
-    return best, best_cost
+                ps.append(p)
+        if derived and self.derived is not None:
+            self.derived.add(p)
 
+    def _unplace(self, p: int) -> None:
+        """Remove the atom at position p and its index entries."""
+        atoms = self.atoms
+        a = atoms[p]
+        atoms[p] = None
+        drop, index = self.drop, self.index
+        eq = a.rel == REL_EQ
+        for v, c in a.coeffs:
+            if v in drop:
+                e = index.get(v)
+                if e is None:
+                    continue  # the variable being eliminated
+                where = e[3]
+                del where[p]
+                if where:
+                    e[2 if eq else c > 0] -= 1
+                else:
+                    del index[v]
+        slopes = self.slopes
+        if slopes is not None:
+            d = a.slope()[0]
+            ps = slopes[d]
+            if len(ps) == 1:
+                del slopes[d]
+            else:
+                ps.remove(p)
+        if self.derived is not None:
+            self.derived.discard(p)
 
-def _eliminate_all(
-    atoms: Optional[tuple[AtomicProp, ...]], drop: Iterable[Var], limit: int,
-    known: Optional[set[AtomicProp]] = None,
-) -> Optional[tuple[AtomicProp, ...]]:
-    """Eliminate every variable of ``drop`` from a conjunction; None when the
-    conjunction is inconsistent.
+    def merge(self, new: list) -> bool:
+        """Merge the ``(position, atom, derived)`` entries of ``new``, a
+        position None meaning after every other atom (see the class
+        docstring); False when the conjunction becomes inconsistent."""
+        atoms, slopes = self.atoms, self.slopes
+        if slopes is None:
+            slopes = self.slopes = {}
+            for p, a in enumerate(atoms):
+                if a is not None:
+                    slopes.setdefault(a.slope()[0], []).append(p)
+        pending: dict[tuple, list] = {}  # slope -> its new entries
+        for p, a, derived in new:
+            if not a.coeffs:
+                if a.ground_truth():
+                    continue
+                return False
+            if p is None:
+                p = len(atoms)
+                atoms.append(None)
+            pending.setdefault(a.slope()[0], []).append((p, a, derived))
+        for d, group in pending.items():
+            old = slopes.get(d)
+            if old is None and len(group) == 1:
+                p, a, derived = group[0]
+                self._place(p, a, derived, d)
+            elif not self._resolve(d, list(old or ()), group):
+                return False
+        return True
 
-    ``known``, if given, is a set of atoms implied by some satisfiable
-    conjunction, which grows as the steps combine known atoms (see
-    :func:`_eliminate_var_conj`), and ``drop`` holds every variable; the
-    atoms outside ``known`` are the derived ones.  The known atoms left at
-    any point are jointly satisfiable, so the loop stops and returns the
-    atoms left as soon as none of them is derived: the result then tells
-    satisfiability only.  It eliminates first a variable of a derived atom
-    whose elimination shrinks the conjunction (:func:`_cheapest_var` cost
-    at most -1), and otherwise the cheapest variable.  Without ``known``
-    every atom is derived, and that order is the cheapest variable's."""
-    todo = set(drop)
-    while todo and atoms:
-        if known is None:
-            x, _ = _cheapest_var(atoms, todo)
+    def _resolve(self, d: tuple, old: list[int], group: list) -> bool:
+        """Merge the new entries ``group`` into slope d, whose atoms are at
+        the positions ``old``, by :func:`_simplify_conj`'s rules.  The slope
+        holds at most one atom per key: the equality, the upper bound (s =
+        1) and the lower bound (s = -1), where an atom with slope (d, s, g)
+        and constant k says ``s*d.x + k/g REL 0``.  A new atom of a key
+        already held is a duplicate, a looser bound (dropped) or a tighter
+        one (kept), and a key sits at the position of its first atom; which
+        atom a key keeps does not depend on their order.  Only then is each
+        bound checked against the equality that pins it, or two bounds that
+        meet folded into one equality at the first one's position.  A
+        surviving atom is derived when every atom equal to it is; a folded
+        equality is derived.  False when two atoms contradict."""
+        atoms, derived = self.atoms, self.derived
+        keys: list = [None, None, None]  # equality, upper, lower: [position, atom, derived]
+        for p in old:
+            a = atoms[p]
+            keys[0 if a.rel == REL_EQ else 1 if a.slope()[1] > 0 else 2] = [
+                p, a, derived is not None and p in derived]
+        for p, a, der in group:
+            _, s, g = a.slope()
+            i = 0 if a.rel == REL_EQ else 1 if s > 0 else 2
+            held = keys[i]
+            if held is None:
+                keys[i] = [p, a, der]
+                continue
+            if p < held[0]:
+                held[0] = p
+            b = held[1]
+            k0, g0 = b.const, b.slope()[2]
+            if not i:
+                if k0 * g != a.const * g0:
+                    return False
+                held[2] = held[2] and der
+                continue
+            # s*d.x <= -k/g (or <): larger k/g is tighter, and strict
+            # tighter at equal k/g
+            diff = a.const * g0 - k0 * g
+            if diff > 0 or (diff == 0 and a.rel == REL_LT and b.rel == REL_LE):
+                held[1], held[2] = a, der
+            elif diff == 0 and a.rel == b.rel:
+                held[2] = held[2] and der  # the same atom again
+        eq, up, lo = keys
+        if eq is not None:
+            # the equality pins d.x to -ke/ge; s*d.x + k/g there, times g*ge
+            e = eq[1]
+            ke, ge = e.const, e.slope()[2]
+            for held in (up, lo):
+                if held is not None:
+                    a = held[1]
+                    _, s, g = a.slope()
+                    slack = a.const * ge - s * ke * g
+                    if slack > 0 or (slack == 0 and a.rel == REL_LT):
+                        return False
+            keys = [eq]
+        elif (up is not None and lo is not None and up[1].rel == REL_LE
+              and lo[1].rel == REL_LE
+              and up[1].const * lo[1].slope()[2] == -lo[1].const * up[1].slope()[2]):
+            first = up if up[0] < lo[0] else lo
+            keys = [[first[0], _atom(first[1].coeffs, first[1].const, REL_EQ), True]]
+        kept = [held[0] for held in keys if held is not None]
+        for p in old:
+            if p not in kept:
+                self._unplace(p)
+        for held in keys:
+            if held is not None:
+                p, a, der = held
+                b = atoms[p]
+                if a is not b:
+                    if b is not None:
+                        self._unplace(p)
+                    self._place(p, a, der, d)
+                elif derived is not None:
+                    (derived.add if der else derived.discard)(p)
+        return True
+
+    def _cheapest(self, candidates: Iterable[Var]) -> tuple[Optional[Var], Optional[int]]:
+        """Greedy elimination order: the first variable of ``candidates`` (in
+        name order) of least cost, the change in the number of atoms its
+        elimination makes, ``lowers*uppers - lowers - uppers`` for its lower
+        and upper bounds, or -1 when an equality contains it (substitution
+        adds nothing).  The scan ends at the first variable whose cost -1
+        makes it a new best, so a later one of lower cost (one-sided, with
+        two or more bounds) is not reached.  Candidates that occur in no
+        atom are skipped; ``(None, None)`` when none is left."""
+        index = self.index
+        best: Optional[Var] = None
+        best_cost = None
+        for x in candidates:
+            e = index.get(x)
+            if e is None:
+                continue
+            lowers, uppers, eqs, _ = e
+            cost = -1 if eqs else lowers * uppers - lowers - uppers
+            if best_cost is None or cost < best_cost:
+                best, best_cost = x, cost
+                if cost == -1:
+                    break
+        return best, best_cost
+
+    def eliminate(self, x: Var) -> bool:
+        """One Fourier-Motzkin step on x's atoms, read from the index; False
+        when the conjunction becomes inconsistent.  With an equality on x,
+        each other atom of x is replaced in place by its substitution;
+        otherwise every lower bound is combined with every upper bound and
+        the combinations go at the end.  A combination is derived when
+        either of its atoms is."""
+        atoms, derived = self.atoms, self.derived
+        lowers, uppers, eqs, where = self.index.pop(x)
+        where = sorted(where.items())
+        new = []
+        if eqs:
+            p, c = next((p, c) for p, c in where if atoms[p].rel == REL_EQ)
+            eq = atoms[p]
+            for q, d in where:
+                if q != p:
+                    # |c|*a - sign(c)*d*eq cancels the d*x of a
+                    a = atoms[q]
+                    b = _combine(abs(c), a, -d if c > 0 else d, eq, x, a.rel)
+                    if b.coeffs:
+                        new.append((q, b, derived is not None
+                                    and (p in derived or q in derived)))
+                    elif not b.ground_truth():
+                        return False
         else:
-            reach = {v for a in atoms if a not in known for v in a.variables}
-            if not reach:
+            grown = lowers * uppers - len(where)
+            if (len(atoms) + grown > self.limit  # counts the holes too
+                    and sum(a is not None for a in atoms) + grown > self.limit):
+                raise ResourceLimitError(f"elimination exceeds {self.limit} conjuncts")
+            if lowers and uppers:
+                ups = [(q, c) for q, c in where if c > 0]  # x <= -rest/c
+                for lo, b in where:
+                    if b > 0:
+                        continue
+                    a_lo = atoms[lo]  # -rest/b <= x
+                    for up, a in ups:
+                        a_up = atoms[up]
+                        rel = REL_LT if REL_LT in (a_lo.rel, a_up.rel) else REL_LE
+                        comb = _combine(-b, a_up, a, a_lo, x, rel)
+                        if comb.coeffs:
+                            new.append((None, comb, derived is not None
+                                        and (lo in derived or up in derived)))
+                        elif not comb.ground_truth():
+                            return False
+        for q, _ in where:
+            self._unplace(q)
+        return not new or self.merge(new)
+
+    def eliminate_all(self) -> Optional[tuple[AtomicProp, ...]]:
+        """Eliminate every variable of ``drop``; None when the conjunction is
+        inconsistent.
+
+        When the store tracks known atoms (implied by some satisfiable
+        conjunction), the known atoms left at any point are jointly
+        satisfiable, so the loop stops and returns the atoms left as soon as
+        none of them is derived: the result then tells satisfiability only.
+        It eliminates first a variable of a derived atom whose elimination
+        shrinks the conjunction (:meth:`_cheapest` cost at most -1), and
+        otherwise the cheapest variable; ``drop`` must then hold every
+        variable.  Otherwise every atom counts as derived, and the order is
+        the cheapest variable's."""
+        index, derived, atoms = self.index, self.derived, self.atoms
+        while index:
+            if derived is not None and not derived:
                 break
-            x, cost = _cheapest_var(atoms, reach)
-            if cost > -1:
-                x, _ = _cheapest_var(atoms, todo)
-        if x is None:
-            break
-        todo.discard(x)
-        atoms = _eliminate_var_conj(atoms, x, limit, known)
+            if len(index) == 1:
+                x = next(iter(index))  # the only choice
+            elif derived is None:
+                x, _ = self._cheapest(sorted(index))
+            else:
+                x, cost = self._cheapest(sorted({v for p in derived for v, _ in atoms[p].coeffs}))
+                if cost is None or cost > -1:
+                    x, _ = self._cheapest(sorted(index))
+            if not self.eliminate(x):
+                return None
+        return self.conjunction()
+
+
+def _eliminate(c: Constraint, drop: frozenset[Var] | set[Var],
+               limit: int) -> Optional[tuple[AtomicProp, ...]]:
+    """Eliminate every variable of ``drop`` from c's atoms, simplified
+    first unless c is recorded simplified; None when they are inconsistent.
+    A c that the simplification leaves unchanged is recorded simplified."""
+    atoms = c.atoms
+    if not c._simplified:
+        atoms = _simplify_conj(atoms)
         if atoms is None:
             return None
-    return atoms
+        c._simplified = atoms == c.atoms
+    if not drop:
+        return atoms
+    return _Store(atoms, drop, limit).eliminate_all()
 
 
 def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) -> Constraint:
     """Existentially project a constraint onto ``keep``: the result is a
     constraint over (a subset of) keep describing the same solutions there.
-    Projection of a conjunction stays a conjunction, and it carries c's
-    satisfiability record (see :class:`syntax.Constraint`)."""
-    atoms = _eliminate_all(_simplify_conj(c.atoms), c.variables - set(keep), limit)
+    Projection of a conjunction stays a conjunction; it carries c's
+    satisfiability record and is recorded simplified (see
+    :class:`syntax.Constraint`).  A c recorded simplified is taken as it
+    is."""
+    atoms = _eliminate(c, c.variables - set(keep), limit)
     if atoms is None:
         # unsatisfiable input: a ground-false conjunction
         out = Constraint((_atom((), 1, REL_LT),))
@@ -301,13 +492,14 @@ def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) 
         return out
     out = Constraint(atoms)
     out._sat = c._sat
+    out._simplified = True
     return out
 
 
 def satisfiable(c: Constraint, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     """Whether a constraint has a rational solution: every variable is
     eliminated, with no atom known.  The verdict is recorded on c."""
-    sat = _eliminate_all(_simplify_conj(c.atoms), c.variables, limit) is not None
+    sat = _eliminate(c, c.variables, limit) is not None
     c._sat = sat
     return sat
 
@@ -347,29 +539,32 @@ def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     """Whether the entailment holds over the rationals: with both sides
     projected onto ``over``, the left side conjoined with any atom of the
     negation of a right-hand atom is unsatisfiable.  A side whose variables
-    already lie in ``over`` is taken as it is, unsimplified: the left side
-    entails a conjunction exactly when it entails each of its atoms, so the
-    verdict does not depend on the form of the right side, and the
-    elimination simplifies the left side itself.
+    already lie in ``over`` is taken as it is: the left side entails a
+    conjunction exactly when it entails each of its atoms, so the verdict
+    does not depend on the form of the right side, and the left side is
+    simplified once unless it is recorded simplified.  A right-hand atom
+    among the left side's is entailed without a refutation.
 
-    When the left side is recorded satisfiable (see
-    :class:`syntax.Constraint`), the set of atoms it implies, at first its
-    own, is known to :func:`_eliminate_all`, which adds to it the atoms it
-    combines from known ones: a refutation stops once no atom derived from
-    the negated atom is left, as an incremental CLP(Q) solver checks only
-    what a constraint added to a solved store reaches, and a right-hand
-    atom found in the set is entailed without one.  Otherwise every
-    variable is eliminated, as :func:`satisfiable` does."""
+    Each refutation merges the negated atom into a store of the left side's
+    atoms.  When the left side is recorded satisfiable (see
+    :class:`syntax.Constraint`), its atoms are known to the store, so a
+    refutation stops once no atom derived from the negated atom is left, as
+    an incremental CLP(Q) solver checks only what a constraint added to a
+    solved store reaches.  Otherwise every variable is eliminated, as
+    :func:`satisfiable` does."""
     left = _onto(e.lhs, e.over, limit)
-    lhs = left.atoms
-    have = set(lhs)  # atoms the left side implies
-    known = have if left._sat else None
-    for a in _onto(e.rhs, e.over, limit).atoms:
+    rhs = _onto(e.rhs, e.over, limit)
+    lhs = left.atoms if left._simplified else _simplify_conj(left.atoms)
+    if lhs is None:
+        return True  # an unsatisfiable left side entails anything
+    have = set(left.atoms)
+    for a in rhs.atoms:
         if a in have:
             continue  # the projected left side implies a
         for n in _negate_atom(a):
             # both sides lie over `over`, so eliminating it leaves no variable
-            if _eliminate_all(_simplify_conj(lhs + (n,)), e.over, limit, known) is not None:
+            store = _Store(lhs, e.over, limit, set() if left._sat else None)
+            if store.merge([(None, n, True)]) and store.eliminate_all() is not None:
                 return False
     return True
 
@@ -428,7 +623,7 @@ def sample_solution(
         # project the remaining system onto x alone; over the rationals the
         # projected interval is exactly the set of feasible x values
         others = {v for a in current for v in a.variables} - {x}
-        onto_x = _eliminate_all(current, others, limit)
+        onto_x = _Store(current, others, limit).eliminate_all()
         if onto_x is None:
             return None
         lo: Optional[Fraction] = None

@@ -74,17 +74,28 @@ condition, which is satisfiable as a filter condition must be; the two
 parts lie over O and H, which are disjoint, so a solution of each makes one
 of the conjunction.  Projection carries the record, and
 :func:`neutrality_head_formula` sets it on the conjunction once it has
-checked that the parts share no variable.
+checked that the parts share no variable.  It also records the conjunction
+simplified when both parts are, as projections are: atoms over disjoint
+variables share no slope, so ``decide`` merges each negated atom into the
+left side without simplifying it again.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 from . import linarith
 from .filters import select_positions
 from .linarith import Entailment
 from .syntax import Clause, Constraint
+
+
+@cache
+def _positions(n: int) -> frozenset[int]:
+    """The positions 1..n, one shared set per arity: every lattice key that
+    keeps all head or all body positions holds it."""
+    return frozenset(range(1, n + 1))
 
 
 def projection(rule: Clause, head_kept: frozenset[int],
@@ -103,8 +114,7 @@ def projection(rule: Clause, head_kept: frozenset[int],
     cache = rule._projections
     if cache is None:
         cache = rule._projections = {}
-    heads = frozenset(range(1, len(rule.head_vars) + 1))
-    bodies = frozenset(range(1, len(rule.body_vars) + 1))
+    heads, bodies = _positions(len(rule.head_vars)), _positions(len(rule.body_vars))
     chain = []  # the node and its uncached ancestors
     value: Optional[Constraint] = None
     node: Optional[tuple] = (head_kept, body_kept)
@@ -135,8 +145,8 @@ def head_sides(rule: Clause, head_pos: frozenset[int], body_pos: frozenset[int],
     """``(rhs, lhs)`` of the head condition for the filtered head positions
     ``head_pos`` and body positions ``body_pos``: ``proj(c, X u Y_-m)`` and
     ``proj(c, X_-m u Y_-m)``, two nodes of the rule's lattice."""
-    heads = frozenset(range(1, len(rule.head_vars) + 1))
-    body_kept = frozenset(range(1, len(rule.body_vars) + 1)) - body_pos
+    heads = _positions(len(rule.head_vars))
+    body_kept = _positions(len(rule.body_vars)) - body_pos
     return (projection(rule, heads, body_kept, limit),
             projection(rule, heads - head_pos, body_kept, limit))
 
@@ -152,8 +162,12 @@ def neutrality_head_formula(rule: Clause, head_pos: frozenset[int],
     body_sel = select_positions(rule.body_vars, body_pos)
     over = frozenset(rule.head_vars + rule.body_vars).difference(body_sel)
     both = lhs.conjoin(cond)
-    if lhs._sat and cond._sat and lhs.variables.isdisjoint(cond.variables):
-        both._sat = True
+    if lhs.variables.isdisjoint(cond.variables):
+        # a solution of each part makes one of both, and no slope of one
+        # part is a slope of the other
+        if lhs._sat and cond._sat:
+            both._sat = True
+        both._simplified = lhs._simplified and cond._simplified
     return Entailment(both, rhs, over)
 
 

@@ -366,14 +366,23 @@ class Constraint(_Value):
     it on what they make: ``filters.denotation`` on a projection renamed
     one-to-one, and ``neutral.neutrality_head_formula`` on a conjunction of
     two satisfiable parts over disjoint variables.  ``linarith.decide``
-    reads it (see there)."""
+    reads it (see there).
+
+    ``_simplified`` records that ``linarith._simplify_conj`` leaves the
+    atoms as they are, so that an elimination takes them without that pass.
+    ``linarith.project`` sets it on its result, and ``project`` and
+    ``satisfiable`` on an input the pass left unchanged; the same two
+    builders set it, on a one-to-one renaming of a recorded projection and
+    on a conjunction of two recorded parts over disjoint variables, whose
+    slopes differ.  :meth:`rename` and :meth:`conjoin` do not carry it."""
 
     _fields = ("atoms",)
-    __slots__ = _fields + ("_sat",)
+    __slots__ = _fields + ("_sat", "_simplified")
 
     def __init__(self, atoms: tuple[AtomicProp, ...] = ()):
         self.atoms = atoms
         self._sat = None
+        self._simplified = False
 
     @staticmethod
     def of(*atoms: AtomicProp) -> "Constraint":

@@ -32,7 +32,11 @@ lattice of sides.  ``rand_wide_rule`` draws rules wide enough for the
 lattices and the references to eliminate in different orders.
 ``reference_decide`` decides an entailment by eliminating every variable
 of each refutation, the reference for ``decide``'s early stop on a left
-side recorded satisfiable.
+side recorded satisfiable.  ``reference_step`` makes one Fourier-Motzkin
+step (``step_list``) and simplifies the whole result, the reference for the
+indexed elimination store's step, which simplifies only the slopes its new
+atoms reach; ``benchmark_text`` reads a benchmark workload's rule file
+(``perfbench/workloads.py``) for the checks that replay it.
 ``filter_head_formula`` and ``filter_body_formula`` build the neutrality
 entailments for a hand-built ``Filter``, whose conditions the builders in
 ``clploop.neutral`` take as constraints over the rule's variables: each
@@ -44,8 +48,11 @@ constructors and accessors only the tests use.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping, Optional
 
 from clploop.engine import derivation_step
@@ -61,7 +68,9 @@ from clploop.filters import (
 from clploop.linarith import (
     DEFAULT_DNF_LIMIT,
     Entailment,
+    _combine,
     _negate_atom,
+    _simplify_conj,
     project,
     satisfiable,
 )
@@ -641,3 +650,40 @@ def reference_decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
             if satisfiable(Constraint(lhs.atoms + (n,)), limit):
                 return False
     return True
+
+
+def step_list(atoms: tuple[AtomicProp, ...], x: Var) -> list[AtomicProp]:
+    """One Fourier-Motzkin step on x of a simplified conjunction, before
+    simplification: with an equality on x (the first), each other atom of x
+    replaced in place by its substitution; otherwise the atoms without x
+    followed by every lower bound combined with every upper bound, lowers in
+    order, each with the uppers in order."""
+    eq = next((a for a in atoms if a.rel == "=" and a.coeff(x)), None)
+    if eq is not None:
+        c = eq.coeff(x)
+        return [_combine(abs(c), a, -d if c > 0 else d, eq, x, a.rel) if d else a
+                for a, d in ((a, a.coeff(x)) for a in atoms) if a is not eq]
+    kept = [a for a in atoms if not a.coeff(x)]
+    lowers = [(a, -a.coeff(x)) for a in atoms if a.coeff(x) < 0]
+    uppers = [(a, a.coeff(x)) for a in atoms if a.coeff(x) > 0]
+    return kept + [_combine(b, up, c, lo, x, "<" if "<" in (lo.rel, up.rel) else "<=")
+                   for lo, b in lowers for up, c in uppers]
+
+
+def reference_step(atoms: tuple[AtomicProp, ...], x: Var) -> Optional[tuple[AtomicProp, ...]]:
+    """The step of ``step_list`` simplified as a whole by
+    ``_simplify_conj``."""
+    return _simplify_conj(step_list(atoms, x))
+
+
+def benchmark_text(name: str, seed: int = 7) -> str:
+    """The rule file of the benchmark workload ``name`` at ``seed``."""
+    root = Path(__file__).resolve().parent.parent
+    module = sys.modules.get("workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "workloads", root / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses looks its module up
+        spec.loader.exec_module(module)
+    return module.make(name, root, seed).text

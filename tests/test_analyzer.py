@@ -647,12 +647,12 @@ def test_shift_head_sides_eliminate_at_most_three_per_subset(monkeypatch):
     rule = _shift_rule(7)
     calls = Counter()
     inside = []
-    eliminate = linarith._eliminate_var_conj
+    eliminate = linarith._Store.eliminate
     builder = analyzer.neutrality_head_formula
 
-    def counted_eliminate(atoms, x, limit, known=None):
+    def counted_eliminate(store, x):
         calls["head"] += bool(inside)
-        return eliminate(atoms, x, limit, known)
+        return eliminate(store, x)
 
     def counted_builder(*args):
         inside.append(args)
@@ -661,7 +661,7 @@ def test_shift_head_sides_eliminate_at_most_three_per_subset(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(linarith, "_eliminate_var_conj", counted_eliminate)
+    monkeypatch.setattr(linarith._Store, "eliminate", counted_eliminate)
     monkeypatch.setattr(analyzer, "neutrality_head_formula", counted_builder)
     report = find_looping_queries(rule)
     assert len(report.checks) == 128
@@ -677,12 +677,12 @@ def test_shift_refutations_stop_once_the_negated_atom_is_gone(monkeypatch):
     rule = _shift_rule(7)
     calls = Counter()
     inside = []
-    eliminate = linarith._eliminate_var_conj
+    eliminate = linarith._Store.eliminate
     decide = linarith.decide
 
-    def counted_eliminate(atoms, x, limit, known=None):
+    def counted_eliminate(store, x):
         calls["decide"] += bool(inside)
-        return eliminate(atoms, x, limit, known)
+        return eliminate(store, x)
 
     def counted_decide(*args):
         inside.append(args)
@@ -691,9 +691,29 @@ def test_shift_refutations_stop_once_the_negated_atom_is_gone(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(linarith, "_eliminate_var_conj", counted_eliminate)
+    monkeypatch.setattr(linarith._Store, "eliminate", counted_eliminate)
     monkeypatch.setattr(linarith, "decide", counted_decide)
     report = find_looping_queries(rule)
     assert len(report.checks) == 128
     assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
     assert calls["decide"] <= 4 * 128, calls
+
+
+def test_shift_simplifies_few_whole_conjunctions(monkeypatch):
+    # projections are recorded simplified, so a lattice step or a
+    # refutation takes its input as it is, and an elimination step
+    # simplifies only the slopes its new atoms reach: simplifying each
+    # input and each step's whole output took 1156 passes
+    rule = _shift_rule(7)
+    calls = Counter()
+    simplify = linarith._simplify_conj
+
+    def counted_simplify(atoms):
+        calls["simplify"] += 1
+        return simplify(atoms)
+
+    monkeypatch.setattr(linarith, "_simplify_conj", counted_simplify)
+    report = find_looping_queries(rule)
+    assert len(report.checks) == 128
+    assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
+    assert calls["simplify"] <= 100, calls

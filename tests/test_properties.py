@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from fuzzers import (
     RELS,
+    atom,
     direct_condition,
     direct_sides,
     equation_denotation,
@@ -38,12 +39,15 @@ from fuzzers import (
     rand_step_rule,
     rand_term,
     rand_wide_rule,
+    benchmark_text,
     reference_decide,
+    reference_step,
     relax,
     renaming_body_formula,
     renaming_head_formula,
     renaming_more_general,
     renaming_step,
+    step_list,
     textbook_step,
 )
 
@@ -66,6 +70,7 @@ from clploop.filters import (
     select_positions,
 )
 from clploop.linarith import (
+    DEFAULT_DNF_LIMIT,
     Entailment,
     ResourceLimitError,
     _negate_atom,
@@ -175,6 +180,154 @@ class TestEliminationProperties:
         # at this seed: 45 outputs hold a folded equality, 414 subsets have
         # two atoms or more
         assert folded >= 30 and subsets >= 300, (folded, subsets)
+
+
+def _store_matches_its_atoms(store) -> None:
+    """The index, the slope map and the derived positions of an elimination
+    store describe exactly the atoms it holds."""
+    live = [(p, a) for p, a in enumerate(store.atoms) if a is not None]
+    index = {}
+    for p, a in live:
+        for v, c in a.coeffs:
+            if v in store.drop:
+                e = index.setdefault(v, [0, 0, 0, {}])
+                e[3][p] = c
+                e[2 if a.rel == "=" else int(c > 0)] += 1
+    assert store.index == index
+    if store.slopes is not None:
+        slopes = {}
+        for p, a in live:
+            slopes.setdefault(a.slope()[0], []).append(p)
+        assert {d: sorted(ps) for d, ps in store.slopes.items()} == slopes
+    if store.derived is not None:
+        assert store.derived <= {p for p, _ in live}
+
+
+def _merge_kinds(listed: list, out) -> set[str]:
+    """What simplifying a step's atoms ``listed`` into ``out`` did: two
+    bounds of one sign on a slope (one tightened or duplicated away), an
+    equality pinning a bound, two bounds folded into an equality, a ground
+    atom, or a contradiction."""
+    kinds = set()
+    by_slope: dict = {}
+    for a in listed:
+        if a.coeffs:
+            by_slope.setdefault(a.slope()[0], []).append(a)
+        else:
+            kinds.add("ground")
+    for group in by_slope.values():
+        eqs = sum(a.rel == "=" for a in group)
+        if eqs and eqs < len(group):
+            kinds.add("pinned")
+        signs = Counter(a.slope()[1] for a in group if a.rel != "=")
+        if any(n > 1 for n in signs.values()):
+            kinds.add("tightened")
+    if out is None:
+        kinds.add("inconsistent")
+    elif any(a not in listed for a in out):
+        kinds.add("folded")
+    return kinds
+
+
+class TestEliminationStore:
+    """Each step of the indexed elimination store equals ``reference_step``,
+    the step simplified as a whole, in value and order, though the store
+    simplifies only the slopes the step's new atoms reach."""
+
+    VARS = (Var("U"), Var("V"), Var("W"))
+
+    def _conjunction(self, rng: random.Random):
+        # atoms on a few slopes, so that a step's new atoms meet kept ones;
+        # a third of the time also t >= k with bounds on W that combine
+        # into t <= k, which meets it, and a third bounds on t with
+        # equalities on W that substitute into t = k, which pins them
+        u, v, w = self.VARS
+        slopes = ({u: 1}, {u: 1, v: -1}, {u: 1, w: 1}, {v: 1, w: -1}, {w: 1},
+                  {v: 2, w: 1}, {u: 1, v: 1, w: -2})
+        atoms = []
+        for _ in range(rng.randint(2, 6)):
+            slope, factor = rng.choice(slopes), rng.choice((1, -1, 2))
+            atoms.append(compare(LinTerm.make({x: factor * c for x, c in slope.items()}),
+                                 rng.choice(RELS), LinTerm.of_const(rng.randint(-3, 3))))
+        t = LinTerm.make(rng.choice(({u: 1}, {u: 1, v: -1}, {v: 1})))
+        tw = LinTerm.make({**dict(t.coeffs), w: -1})
+        k, a = rng.randint(-2, 2), rng.randint(-2, 2)
+        seed = rng.randrange(3)
+        if seed == 1:
+            atoms += (compare(t, ">=", LinTerm.of_const(k)),
+                      compare(tw, "<=", LinTerm.of_const(a)),
+                      compare(LinTerm.of_var(w), "<=", LinTerm.of_const(k - a)))
+        elif seed == 2:
+            atoms += (compare(t, rng.choice((">=", ">")), LinTerm.of_const(k - rng.randint(0, 2))),
+                      compare(t, rng.choice(("<=", "<")), LinTerm.of_const(k + rng.randint(0, 2))),
+                      compare(tw, "=", LinTerm.of_const(a)),
+                      compare(LinTerm.of_var(w), "=", LinTerm.of_const(k - a)))
+        rng.shuffle(atoms)
+        return _simplify_conj(atoms)
+
+    def test_random_steps_equal_the_reference(self):
+        rng = random.Random(151)
+        kinds = Counter()
+        for _ in range(600):
+            atoms = self._conjunction(rng)
+            if atoms is None:
+                continue
+            store = linarith._Store(atoms, frozenset(self.VARS), DEFAULT_DNF_LIMIT)
+            _store_matches_its_atoms(store)
+            while store.index:
+                x = rng.choice(sorted(store.index))
+                before = store.conjunction()
+                ok = store.eliminate(x)
+                after = store.conjunction() if ok else None
+                assert after == reference_step(before, x), (before, x)
+                kinds.update(_merge_kinds(step_list(before, x), after))
+                if not ok:
+                    break
+                _store_matches_its_atoms(store)
+        # at this seed: 243 steps make a contradiction, 212 tighten or repeat
+        # a bound, 209 make a ground atom, 140 pin a bound and 45 fold two
+        assert min(kinds.values()) >= 40 and len(kinds) == 5, kinds
+
+    @pytest.mark.parametrize("substitute", [False, True])
+    def test_bounds_meet_only_after_tightening(self, substitute):
+        # the step keeps X <= 5 and adds X <= 3 and X >= 5, which simplify
+        # to X <= 3, X >= 5 as one list; folding X <= 5 and X >= 5 into
+        # X = 5 as X >= 5 arrives would pin X <= 3 into a contradiction.
+        # The new atoms come from bounds on Y, or from substituting X for Y
+        # in place
+        y = Var("Y")
+        if substitute:
+            atoms = (atom("X <= 5"), atom("X - Y = 0"), atom("Y >= 5"), atom("Y <= 3"))
+        else:
+            atoms = (atom("X <= 5"), atom("Y >= X"), atom("Y <= 3"), atom("Y <= 2*X - 5"))
+        assert _simplify_conj(atoms) == atoms
+        store = linarith._Store(atoms, frozenset({y}), DEFAULT_DNF_LIMIT)
+        assert store.eliminate(y)
+        assert [str(a) for a in store.conjunction()] == ["X <= 3", "X >= 5"]
+        assert store.conjunction() == reference_step(atoms, y)
+        _store_matches_its_atoms(store)
+
+    @pytest.mark.parametrize("name, steps", [("corpus", 693), ("shift", 1111),
+                                             ("chain", 1879)])
+    def test_workload_steps_equal_the_reference(self, name, steps, monkeypatch):
+        # every step of one analysis of each benchmark workload (seed 7);
+        # the number of steps is that of the elimination before the store
+        eliminate = linarith._Store.eliminate
+        made = []
+
+        def checked(store, x):
+            before = store.conjunction()
+            ok = eliminate(store, x)
+            assert (store.conjunction() if ok else None) == reference_step(before, x), (
+                before, x)
+            if ok:
+                _store_matches_its_atoms(store)
+            made.append(ok)
+            return ok
+
+        monkeypatch.setattr(linarith._Store, "eliminate", checked)
+        analyzer.analyze_program(parse_program(benchmark_text(name)))
+        assert len(made) == steps
 
 
 def _primitive(a) -> bool:
@@ -1266,7 +1419,7 @@ class TestValueSemantics:
     UNCOMPARED = {
         LinTerm: set(),
         AtomicProp: {"_hash", "_slope", "_vars"},
-        Constraint: {"_sat"},
+        Constraint: {"_sat", "_simplified"},
         Pred: set(),
         Atom: set(),
         Query: {"_den", "_str"},
