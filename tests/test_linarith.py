@@ -176,6 +176,10 @@ class TestIntegerForm:
         folded = _simplify_conj(atoms)
         assert folded == (atom("2*X = 1"),)
         assert str(folded[0]) == "2*X = 1"
+        # bounds meet only after each sign keeps its tightest: X <= 3 and
+        # X >= 5 do not, though X <= 5 and X >= 5 would
+        tightened = _simplify_conj((atom("X <= 5"), atom("X >= 5"), atom("X <= 3")))
+        assert [str(a) for a in tightened] == ["X <= 3", "X >= 5"]
 
     def test_equality_settles_bounds_on_its_slope(self):
         e = atom("2*X + 2*Y = 1")  # X + Y = 1/2
