@@ -39,6 +39,7 @@ loops as well.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import NamedTuple, Optional
 
@@ -293,16 +294,24 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
     looping rules; the pass iterates to a fixpoint (at most one new head query
     per rule).
 
-    The fixpoint is semi-naive.  Facts are kept per predicate in order of
-    discovery, and each rule keeps a cursor into the list of its body
-    predicate.  A round visits the underived rules in program order and tests
-    each only against the facts past its cursor, then moves the cursor to the
-    end; a rule with no new facts is skipped.  ``more_general`` is pure, so a
-    fact before the cursor was already refuted for that rule and stays
+    The fixpoint is semi-naive and driven by new facts.  Facts are kept per
+    predicate in order of discovery, each rule keeps a cursor into the list
+    of its body predicate, and the underived rules are indexed by body
+    predicate once.  The pass runs in sweeps over a worklist: the first
+    sweep holds every rule whose body predicate has an initial fact, and a
+    rule whose body predicate gains a fact becomes pending, in the current
+    sweep if it comes later in program order than the rule that added the
+    fact and in the next sweep otherwise.  A sweep visits its pending rules
+    in program order and tests each only against the facts past its cursor,
+    then moves the cursor to the end; the pass ends with an empty sweep.
+    These are exactly the visits of rounds over all underived rules in
+    program order that skip a rule with no new facts, so the result (loops,
+    order and ``via`` facts) is theirs, at a cost that follows the (rule, new
+    fact) pairs rather than rounds times rules.  ``more_general`` is pure,
+    so a fact before the cursor was already refuted for that rule and stays
     refuted.  The first match past the cursor is therefore the first match a
-    full rescan of all known facts finds, and the result (loops, order and
-    ``via`` facts) equals the naive rescan's, with each (rule, fact) pair
-    tested at most once.
+    full rescan of all known facts finds, and the result equals the naive
+    rescan's, with each (rule, fact) pair tested at most once.
 
     Every generality test runs under ``limit``; a ``ResourceLimitError``
     ends the pass with a :class:`PropagationLimitError` holding the loops
@@ -317,15 +326,21 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
             for res in r.results:
                 if res.witness not in known:
                     known.append(res.witness)
+    readers: dict[Pred, list[int]] = {}  # body predicate -> underived rules
+    for index, rule in enumerate(program.clauses):
+        if index not in have_head:
+            readers.setdefault(rule.body_pred, []).append(index)
     cursor = [0] * len(program.clauses)
     # body queries of rules still underived after a visit, kept for the next
     # visit so that each rule's body denotation is computed once
     bodies: dict[int, Query] = {}
     out: list[PropagatedLoop] = []
-    changed = True
-    while changed:
-        changed = False
-        for index, rule in enumerate(program.clauses):
+    sweep = sorted(i for pred in facts for i in readers.get(pred, ()))
+    while sweep:
+        pending, later = set(sweep), set()
+        while sweep:
+            index = heapq.heappop(sweep)
+            rule = program.clauses[index]
             if index in have_head:
                 continue
             known = facts.get(rule.body_pred, [])
@@ -344,10 +359,16 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
                     facts.setdefault(rule.head_pred, []).append(head_q)
                     have_head.add(index)
                     out.append(PropagatedLoop(index, head_q, via=fact))
-                    changed = True
+                    for i in readers.get(rule.head_pred, ()):
+                        if i <= index:
+                            later.add(i)
+                        elif i not in pending:
+                            pending.add(i)
+                            heapq.heappush(sweep, i)
                     break
             else:
                 bodies[index] = body_q
+        sweep = sorted(later)
     return tuple(out)
 
 

@@ -23,6 +23,7 @@ reflexive) when also ``den(Q) |= den(Q1)`` over the probes there.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import linarith
@@ -97,9 +98,11 @@ class Filter(NamedTuple):
 # ---------------------------------------------------------------------------
 # denotation and inclusion
 
+@cache
 def probes(n: int) -> tuple[Var, ...]:
-    """The probe variables W1..Wn.  Their generation, -1, is reserved: no
-    parsed, normalized or renamed variable carries it."""
+    """The probe variables W1..Wn, one shared tuple per arity.  Their
+    generation, -1, is reserved: no parsed, normalized or renamed variable
+    carries it."""
     return tuple(Var(f"W{i}", -1) for i in range(1, n + 1))
 
 

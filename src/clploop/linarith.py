@@ -43,19 +43,30 @@ next variable is the cheapest by those counts.  This is the incremental
 solver's rule of touching only what a new constraint reaches in a solved
 store (Jaffar, Michaylov, Stuckey & Yap, TOPLAS 1992).
 
+No store is built in Fourier-Motzkin's base case, where no variable to
+eliminate is in an equality or bounded on both sides: each step then only
+deletes the variable's atoms (Dantzig & Eaves, JCT A 1973), so the result
+is the atoms without those variables, in order, and, with at most as many
+atoms as the ceiling of conjuncts, no step exceeds it.  `project` tests
+for it after simplifying, and `satisfiable` on the atoms as they are,
+where a base case is satisfiable exactly when its ground atoms are true.
+
 `project` eliminates the variables outside a set, `satisfiable` eliminates
 them all, and `decide` projects both sides of an entailment onto its
 universal variables (a side already over them is taken as it is) and
 refutes the left side conjoined with the negation of each right-hand atom,
 the standard entailment check of CLP(Q) solvers: it merges the negated atom
 into a store of the left side.  A constraint recorded simplified (see
-:class:`syntax.Constraint`) enters a store as it is; any other is simplified
-first.  When the left side of an entailment carries the record that it is
-satisfiable, the store flags its atoms known, and a refutation stops as
-soon as no atom derived from the negated atom is left.  All arithmetic is
-exact; sampled values are ``Fraction``s.  One configurable ceiling caps the
-conjuncts one elimination step produces, raising
-:class:`ResourceLimitError` when exceeded.
+:class:`syntax.Constraint`) enters a store, or the base case, as it is;
+any other is simplified first, and recorded simplified when that leaves it
+unchanged.  `satisfiable` records nothing in its base case, since it does
+not simplify there; the constraint's first projection records it.  When
+the left side of an entailment carries the record that it is satisfiable,
+the store flags its atoms known, and a refutation stops as soon as no atom
+derived from the negated atom is left.  All arithmetic is exact; sampled
+values are ``Fraction``s.  One configurable ceiling caps the conjuncts one
+elimination step produces, raising :class:`ResourceLimitError` when
+exceeded.
 """
 
 from __future__ import annotations
@@ -461,11 +472,35 @@ class _Store:
         return self.conjunction()
 
 
+def _one_sided(atoms: Sequence[AtomicProp], drop: Optional[frozenset[Var] | set[Var]],
+               limit: int) -> bool:
+    """Whether eliminating ``drop`` (every variable when None) from
+    ``atoms`` is Fourier-Motzkin's base case: no variable of drop is in an
+    equality or has both a lower and an upper bound, so each step only
+    deletes the variable's atoms, and there are at most ``limit`` atoms, so
+    no step exceeds the ceiling of conjuncts."""
+    if len(atoms) > limit:
+        return False
+    upper: dict[Var, bool] = {}
+    for a in atoms:
+        eq = a.rel == REL_EQ
+        for v, c in a.coeffs:
+            if drop is None or v in drop:
+                if eq or upper.setdefault(v, c > 0) is not (c > 0):
+                    return False
+    return True
+
+
 def _eliminate(c: Constraint, drop: frozenset[Var] | set[Var],
                limit: int) -> Optional[tuple[AtomicProp, ...]]:
     """Eliminate every variable of ``drop`` from c's atoms, simplified
     first unless c is recorded simplified; None when they are inconsistent.
-    A c that the simplification leaves unchanged is recorded simplified."""
+    A c that the simplification leaves unchanged is recorded simplified.
+
+    In the base case (:func:`_one_sided`) the result is the atoms that
+    mention no variable of drop, in order, and no store is built: that is
+    what the store returns, since each of its steps then only deletes
+    atoms."""
     atoms = c.atoms
     if not c._simplified:
         atoms = _simplify_conj(atoms)
@@ -474,6 +509,8 @@ def _eliminate(c: Constraint, drop: frozenset[Var] | set[Var],
         c._simplified = atoms == c.atoms
     if not drop:
         return atoms
+    if _one_sided(atoms, drop, limit):
+        return tuple(a for a in atoms if drop.isdisjoint(a.variables))
     return _Store(atoms, drop, limit).eliminate_all()
 
 
@@ -498,8 +535,19 @@ def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) 
 
 def satisfiable(c: Constraint, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     """Whether a constraint has a rational solution: every variable is
-    eliminated, with no atom known.  The verdict is recorded on c."""
-    sat = _eliminate(c, c.variables, limit) is not None
+    eliminated, with no atom known.  The verdict is recorded on c.
+
+    The base case (:func:`_one_sided`) is tested on c's atoms as they are,
+    before any simplification: when it holds, pushing each variable far
+    past its bounds satisfies every atom with a variable, so the verdict is
+    the truth of the ground atoms, and c is not recorded simplified (its
+    first projection records it).  Otherwise :func:`_eliminate` decides,
+    recording c simplified when the simplification leaves it unchanged."""
+    atoms = c.atoms
+    if _one_sided(atoms, None, limit):
+        sat = all(a.ground_truth() for a in atoms if not a.coeffs)
+    else:
+        sat = _eliminate(c, c.variables, limit) is not None
     c._sat = sat
     return sat
 

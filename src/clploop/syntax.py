@@ -371,10 +371,10 @@ class Constraint(_Value):
     ``_simplified`` records that ``linarith._simplify_conj`` leaves the
     atoms as they are, so that an elimination takes them without that pass.
     ``linarith.project`` sets it on its result, and ``project`` and
-    ``satisfiable`` on an input the pass left unchanged; the same two
-    builders set it, on a one-to-one renaming of a recorded projection and
-    on a conjunction of two recorded parts over disjoint variables, whose
-    slopes differ.  :meth:`rename` and :meth:`conjoin` do not carry it."""
+    ``satisfiable`` (outside the base case it settles unsimplified) on an
+    input the pass left unchanged; the same two builders set it, on a
+    one-to-one renaming of a recorded projection and on a conjunction of
+    two recorded parts over disjoint variables, whose slopes differ.  :meth:`rename` and :meth:`conjoin` do not carry it."""
 
     _fields = ("atoms",)
     __slots__ = _fields + ("_sat", "_simplified")

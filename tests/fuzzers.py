@@ -37,6 +37,10 @@ step (``step_list``) and simplifies the whole result, the reference for the
 indexed elimination store's step, which simplifies only the slopes its new
 atoms reach; ``benchmark_text`` reads a benchmark workload's rule file
 (``perfbench/workloads.py``) for the checks that replay it.
+``reference_propagate`` is the propagation pass as rounds over every
+underived rule in program order, the reference for ``analyzer.propagate``'s
+worklist; ``rand_propagation_program`` draws the programs they are compared
+on.
 ``filter_head_formula`` and ``filter_body_formula`` build the neutrality
 entailments for a hand-built ``Filter``, whose conditions the builders in
 ``clploop.neutral`` take as constraints over the rule's variables: each
@@ -55,6 +59,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
 
+from clploop.analyzer import ClauseReport, PropagatedLoop, PropagationLimitError
 from clploop.engine import derivation_step
 from clploop.filters import (
     Filter,
@@ -68,6 +73,7 @@ from clploop.filters import (
 from clploop.linarith import (
     DEFAULT_DNF_LIMIT,
     Entailment,
+    ResourceLimitError,
     _combine,
     _negate_atom,
     _simplify_conj,
@@ -89,6 +95,7 @@ from clploop.syntax import (
     atom_of_vars,
     compare,
     normalize_clause,
+    parse_program,
     parse_query,
     var_eq,
 )
@@ -687,3 +694,81 @@ def benchmark_text(name: str, seed: int = 7) -> str:
         sys.modules[spec.name] = module  # dataclasses looks its module up
         spec.loader.exec_module(module)
     return module.make(name, root, seed).text
+
+
+def reference_propagate(program: Program, reports: tuple[ClauseReport, ...],
+                        limit: int = DEFAULT_DNF_LIMIT) -> tuple[PropagatedLoop, ...]:
+    """The propagation pass in rounds: each round visits every underived
+    rule in program order and tests it against the facts of its body
+    predicate past its cursor, until a round derives nothing."""
+    facts: dict[Pred, list[Query]] = {}
+    have_head: set[int] = set()
+    for r in reports:
+        if r.results:
+            have_head.add(r.index)
+            known = facts.setdefault(r.clause.head_pred, [])
+            known.append(r.head_query)
+            for res in r.results:
+                if res.witness not in known:
+                    known.append(res.witness)
+    cursor = [0] * len(program.clauses)
+    out: list[PropagatedLoop] = []
+    changed = True
+    while changed:
+        changed = False
+        for index, rule in enumerate(program.clauses):
+            if index in have_head:
+                continue
+            known = facts.get(rule.body_pred, [])
+            start = cursor[index]
+            cursor[index] = len(known)
+            for fact in known[start:]:
+                try:
+                    found = more_general(rule.body_query, fact, limit)
+                except ResourceLimitError as err:
+                    raise PropagationLimitError(str(err), tuple(out)) from err
+                if found:
+                    head_q = rule.head_query
+                    facts.setdefault(rule.head_pred, []).append(head_q)
+                    have_head.add(index)
+                    out.append(PropagatedLoop(index, head_q, via=fact))
+                    changed = True
+                    break
+    return tuple(out)
+
+
+def rand_propagation_program(rng: random.Random) -> Program:
+    """Looping sinks with several witnesses each, sinks sharing a head
+    predicate, a recursive rule that does not loop, and callers of several
+    predicates whose bodies call any predicate, the callers included, so
+    that callers come both before and after their callees, may call one
+    another in a cycle and may call themselves; all shuffled.  A caller body
+    mostly bounds its variable from above, so that callers inherit the
+    looping facts of their callees, and bounds it up to three times, so that
+    small limits stop some generality tests."""
+    k = rng.randint(-2, 2)
+    rules = [
+        "s(A) <- A = B <> s(B).",
+        f"s(A) <- A = B + 1, B >= {k} <> s(B).",
+        "t(A, B) <- A = C, B = D <> t(C, D).",
+        f"u(A) <- A = B - 1, B <= {k + 3} <> u(B).",
+        "r(A) <- A = 0, B = 1 <> r(B).",
+    ]
+    callers = [f"c{i}" for i in range(rng.randint(3, 6))]
+    callees = ["s", "t", "u", "r"] + callers
+    for _ in range(rng.randint(6, 14)):
+        head, callee = rng.choice(callers), rng.choice(callees + callers)
+        args, y = ("Y, Z", "Y + Z") if callee == "t" else ("Y", "Y")
+        bounds = [f"X <= {rng.randint(-2, 8)}"]
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(["<=", "<=", "<=", "<", ">="])
+            bounds.append(f"{rng.choice(('', '2*'))}{y} {op} "
+                          f"{rng.choice(('', '', 'X + ', '2*X + '))}{rng.randint(-3, 6)}")
+        rule = f"{head}(X) <- {', '.join(bounds)} <> {callee}({args})."
+        try:
+            parse_program(rule)
+        except ParseError:
+            continue  # an unsatisfiable rule constraint
+        rules.append(rule)
+    rng.shuffle(rules)
+    return parse_program("\n".join(rules) + "\n")

@@ -33,6 +33,7 @@ from fuzzers import (
     rand_filter,
     rand_linear_query,
     rand_positions,
+    rand_propagation_program,
     rand_query,
     rand_rational_query,
     rand_rule,
@@ -41,6 +42,7 @@ from fuzzers import (
     rand_wide_rule,
     benchmark_text,
     reference_decide,
+    reference_propagate,
     reference_step,
     relax,
     renaming_body_formula,
@@ -97,6 +99,7 @@ from clploop.syntax import (
     Program,
     Query,
     Var,
+    _atom,
     atom_of_vars,
     compare,
     parse_program,
@@ -307,11 +310,13 @@ class TestEliminationStore:
         assert store.conjunction() == reference_step(atoms, y)
         _store_matches_its_atoms(store)
 
-    @pytest.mark.parametrize("name, steps", [("corpus", 693), ("shift", 1111),
-                                             ("chain", 1879)])
-    def test_workload_steps_equal_the_reference(self, name, steps, monkeypatch):
-        # every step of one analysis of each benchmark workload (seed 7);
-        # the number of steps is that of the elimination before the store
+    # store steps per analysis; an elimination in Fourier-Motzkin's base
+    # case builds no store (see TestOneSidedElimination)
+    WORKLOAD_STEPS = {"corpus": 570, "shift": 1042, "chain": 440}
+
+    @pytest.mark.parametrize("name", ["corpus", "shift", "chain"])
+    def test_workload_steps_equal_the_reference(self, name, monkeypatch):
+        # every step of one analysis of each benchmark workload (seed 7)
         eliminate = linarith._Store.eliminate
         made = []
 
@@ -327,7 +332,144 @@ class TestEliminationStore:
 
         monkeypatch.setattr(linarith._Store, "eliminate", checked)
         analyzer.analyze_program(parse_program(benchmark_text(name)))
-        assert len(made) == steps
+        assert len(made) == self.WORKLOAD_STEPS[name]
+
+
+class TestOneSidedElimination:
+    """Eliminating variables each bounded on one side only, and in no
+    equality, only deletes atoms: ``project`` and ``satisfiable`` settle it
+    without a store, and agree with a store forced on the same input, its
+    ceiling of conjuncts included."""
+
+    VARS = (Var("U"), Var("V"), Var("W"), Var("X"), Var("Y"))
+    LIMITS = (1, 2, 3, 4, DEFAULT_DNF_LIMIT)
+
+    def _atoms(self, rng: random.Random, drop, upper: dict) -> list:
+        """Atoms whose variables of ``drop`` have the sign ``upper`` gives
+        them (upper bounds positive) and are in no equality; the other
+        variables are free, and a few atoms are ground, some false."""
+        atoms = []
+        for _ in range(rng.randint(1, 7)):
+            if rng.random() < 0.12:
+                atoms.append(compare(LinTerm.of_const(rng.randint(-1, 1)),
+                                     rng.choice(RELS), LinTerm.of_const(0)))
+                continue
+            coeffs = {}
+            for v in rng.sample(self.VARS, rng.randint(1, 3)):
+                c = rng.randint(1, 3)
+                coeffs[v] = c if v not in drop or upper[v] else -c
+                if v not in drop and rng.random() < 0.5:
+                    coeffs[v] = -c
+            rels = ("<=", "<") if drop.intersection(coeffs) else ("<=", "<", "=")
+            atoms.append(compare(LinTerm.make(coeffs), rng.choice(rels),
+                                 LinTerm.of_const(rng.randint(-3, 3))))
+        return atoms
+
+    @staticmethod
+    def _store(atoms, drop, limit):
+        """The store's elimination, forced: the simplified atoms, None when
+        inconsistent, or the ResourceLimitError it raises."""
+        simplified = _simplify_conj(atoms)
+        if simplified is None:
+            return None
+        try:
+            return linarith._Store(simplified, drop, limit).eliminate_all()
+        except ResourceLimitError as err:
+            return err
+
+    def test_project_and_satisfiable_equal_the_store(self, monkeypatch):
+        rng = random.Random(241)
+        built = []
+        init = linarith._Store.__init__
+        monkeypatch.setattr(linarith._Store, "__init__",
+                            lambda store, *args: built.append(args) or init(store, *args))
+        kinds = Counter()
+        for _ in range(500):
+            drop = frozenset(rng.sample(self.VARS, rng.randint(1, len(self.VARS))))
+            upper = {v: rng.random() < 0.5 for v in drop}
+            atoms = self._atoms(rng, drop, upper)
+            keep = frozenset(self.VARS) - drop
+            recorded = rng.random() < 0.3 and _simplify_conj(atoms)
+            for limit in self.LIMITS:
+                expected = self._store(atoms, drop, limit)
+                c = Constraint(tuple(atoms))
+                if recorded:
+                    c = Constraint(recorded)
+                    c._simplified = True
+                built.clear()
+                try:
+                    got = project(c, keep, limit)
+                except ResourceLimitError as err:
+                    assert isinstance(expected, ResourceLimitError), (atoms, limit)
+                    assert str(err) == str(expected)
+                    kinds["raised"] += 1
+                    continue
+                if expected is None:
+                    assert got.atoms == (_atom((), 1, "<"),) and got._sat is False
+                    kinds["inconsistent"] += 1
+                    continue
+                assert got.atoms == expected, (atoms, drop, limit)
+                assert got._simplified
+                if len(_simplify_conj(atoms)) <= limit:
+                    assert not built, (atoms, drop, limit)  # settled without a store
+                    kinds["deleted" if len(expected) < len(c.atoms) else "kept"] += 1
+            # with every variable one-sided, satisfiable decides on the raw
+            # atoms; the other inputs take the store
+            every = frozenset(v for a in atoms for v in a.variables)
+            for limit in self.LIMITS:
+                c = Constraint(tuple(atoms))
+                expected = self._store(atoms, every, limit)
+                if isinstance(expected, ResourceLimitError):
+                    with pytest.raises(ResourceLimitError):
+                        satisfiable(c, limit)
+                    kinds["sat raised"] += 1
+                    continue
+                assert satisfiable(c, limit) == (expected is not None), (atoms, limit)
+                assert c._sat == (expected is not None)
+                if every <= drop and len(atoms) <= limit:
+                    assert not c._simplified  # its first projection records it
+                    kinds["sat" if c._sat else "unsat"] += 1
+        # at this seed: 962 projections delete atoms and 126 keep them all,
+        # 535 inputs are inconsistent, the store raises in 314 projections
+        # and 350 satisfiability checks, and the raw atoms settle 330
+        # satisfiable and 63 unsatisfiable inputs
+        assert min(kinds.values()) >= 30 and len(kinds) == 7, kinds
+
+
+class TestWorklistPropagation:
+    """``propagate`` visits the rules a worklist holds, and returns what
+    rounds over every underived rule return (``reference_propagate``):
+    the same loops in the same order with the same ``via`` facts, and at a
+    small limit the same loops found before the same error."""
+
+    OPTS = AnalyzeOptions(verify_steps=0, propagate=False)
+
+    def test_equals_the_rounds(self):
+        seen = Counter()
+        for seed in range(60):
+            prog = rand_propagation_program(random.Random(seed))
+            reports = analyzer.analyze_program(prog, self.OPTS).reports
+            got = analyzer.propagate(prog, reports)
+            assert got == reference_propagate(prog, reports), seed
+            seen["loops"] += len(got)
+            # a loop of an earlier rule than the one before it came in a
+            # later sweep
+            seen["sweeps"] += any(a.index > b.index for a, b in zip(got, got[1:]))
+            for limit in (1, 2, 3, 4):
+                try:
+                    expected = reference_propagate(prog, reports, limit)
+                except analyzer.PropagationLimitError as err:
+                    with pytest.raises(analyzer.PropagationLimitError) as raised:
+                        analyzer.propagate(prog, reports, limit)
+                    assert raised.value.found == err.found, (seed, limit)
+                    assert str(raised.value) == str(err)
+                    seen["raised"] += 1
+                    seen["found before"] += bool(err.found)
+                else:
+                    assert analyzer.propagate(prog, reports, limit) == expected
+        # at these seeds: 150 loops, 15 programs whose loops take more than
+        # one sweep, 77 limit errors, 30 of them after some loop was found
+        assert min(seen.values()) >= 10, seen
 
 
 def _primitive(a) -> bool:
