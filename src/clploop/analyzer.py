@@ -39,7 +39,6 @@ loops as well.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import NamedTuple, Optional
 
@@ -335,11 +334,13 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
     # visit so that each rule's body denotation is computed once
     bodies: dict[int, Query] = {}
     out: list[PropagatedLoop] = []
-    sweep = sorted(i for pred in facts for i in readers.get(pred, ()))
+    # the rules still to visit in this sweep, the next one last; a visit
+    # that adds some sorts it again
+    sweep = sorted((i for pred in facts for i in readers.get(pred, ())), reverse=True)
     while sweep:
         pending, later = set(sweep), set()
         while sweep:
-            index = heapq.heappop(sweep)
+            index = sweep.pop()
             rule = program.clauses[index]
             if index in have_head:
                 continue
@@ -360,15 +361,16 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
                     have_head.add(index)
                     out.append(PropagatedLoop(index, head_q, via=fact))
                     for i in readers.get(rule.head_pred, ()):
-                        if i <= index:
+                        if i < index:
                             later.add(i)
-                        elif i not in pending:
+                        elif i > index and i not in pending:
                             pending.add(i)
-                            heapq.heappush(sweep, i)
+                            sweep.append(i)
+                    sweep.sort(reverse=True)
                     break
             else:
                 bodies[index] = body_q
-        sweep = sorted(later)
+        sweep = sorted(later, reverse=True)
     return tuple(out)
 
 

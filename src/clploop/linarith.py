@@ -473,22 +473,28 @@ class _Store:
 
 
 def _one_sided(atoms: Sequence[AtomicProp], drop: Optional[frozenset[Var] | set[Var]],
-               limit: int) -> bool:
-    """Whether eliminating ``drop`` (every variable when None) from
-    ``atoms`` is Fourier-Motzkin's base case: no variable of drop is in an
-    equality or has both a lower and an upper bound, so each step only
+               limit: int) -> Optional[list[AtomicProp]]:
+    """The atoms that mention no variable of ``drop`` (every variable when
+    None), in order, when eliminating drop from ``atoms`` is Fourier-Motzkin's
+    base case, and None otherwise.  The base case: no variable of drop is in
+    an equality or has both a lower and an upper bound, so each step only
     deletes the variable's atoms, and there are at most ``limit`` atoms, so
     no step exceeds the ceiling of conjuncts."""
     if len(atoms) > limit:
-        return False
+        return None
     upper: dict[Var, bool] = {}
+    kept = []
     for a in atoms:
         eq = a.rel == REL_EQ
+        free = True
         for v, c in a.coeffs:
             if drop is None or v in drop:
                 if eq or upper.setdefault(v, c > 0) is not (c > 0):
-                    return False
-    return True
+                    return None
+                free = False
+        if free:
+            kept.append(a)
+    return kept
 
 
 def _eliminate(c: Constraint, drop: frozenset[Var] | set[Var],
@@ -509,8 +515,9 @@ def _eliminate(c: Constraint, drop: frozenset[Var] | set[Var],
         c._simplified = atoms == c.atoms
     if not drop:
         return atoms
-    if _one_sided(atoms, drop, limit):
-        return tuple(a for a in atoms if drop.isdisjoint(a.variables))
+    kept = _one_sided(atoms, drop, limit)
+    if kept is not None:
+        return tuple(kept)
     return _Store(atoms, drop, limit).eliminate_all()
 
 
@@ -543,9 +550,9 @@ def satisfiable(c: Constraint, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     the truth of the ground atoms, and c is not recorded simplified (its
     first projection records it).  Otherwise :func:`_eliminate` decides,
     recording c simplified when the simplification leaves it unchanged."""
-    atoms = c.atoms
-    if _one_sided(atoms, None, limit):
-        sat = all(a.ground_truth() for a in atoms if not a.coeffs)
+    ground = _one_sided(c.atoms, None, limit)
+    if ground is not None:
+        sat = all(a.ground_truth() for a in ground)
     else:
         sat = _eliminate(c, c.variables, limit) is not None
     c._sat = sat
