@@ -39,9 +39,11 @@ counts of its lower bounds, upper bounds and equalities and the positions
 of its atoms.  A step reads x's atoms from the index, removes them and
 merges its new atoms by their slopes: only a slope that a new atom shares
 with another is simplified again, since every other one already is.  The
-next variable is the cheapest by those counts.  This is the incremental
-solver's rule of touching only what a new constraint reaches in a solved
-store (Jaffar, Michaylov, Stuckey & Yap, TOPLAS 1992).
+slope rules live there alone (:meth:`_Store._resolve`): simplifying a list
+is merging it into a store with nothing to eliminate.  The next variable is
+the cheapest by those counts.  This is the incremental solver's rule of
+touching only what a new constraint reaches in a solved store (Jaffar,
+Michaylov, Stuckey & Yap, TOPLAS 1992).
 
 No store is built in Fourier-Motzkin's base case, where no variable to
 eliminate is in an equality or bounded on both sides: each step then only
@@ -52,14 +54,15 @@ for it after simplifying, and `satisfiable` on the atoms as they are,
 where a base case is satisfiable exactly when its ground atoms are true.
 
 `project` eliminates the variables outside a set, `satisfiable` eliminates
-them all, and `decide` projects both sides of an entailment onto its
-universal variables (a side already over them is taken as it is) and
-refutes the left side conjoined with the negation of each right-hand atom,
-the standard entailment check of CLP(Q) solvers: it merges the negated atom
-into a store of the left side.  A constraint recorded simplified (see
-:class:`syntax.Constraint`) enters a store, or the base case, as it is;
-any other is simplified first, and recorded simplified when that leaves it
-unchanged.  `satisfiable` records nothing in its base case, since it does
+them all, `sample_solution` projects along one chain, the last-named
+variable first, and picks values back along it, and `decide` projects both
+sides of an entailment onto its universal variables (a side already over
+them is taken as it is) and refutes the left side conjoined with the
+negation of each right-hand atom, the standard entailment check of CLP(Q)
+solvers: it merges the negated atom into a store of the left side.  A
+constraint recorded simplified (see :class:`syntax.Constraint`) enters a
+store, or the base case, as it is; any other is simplified first, and
+recorded simplified when that leaves it unchanged.  `satisfiable` records nothing in its base case, since it does
 not simplify there; the constraint's first projection records it.  When
 the left side of an entailment carries the record that it is satisfiable,
 the store flags its atoms known, and a refutation stops as soon as no atom
@@ -80,7 +83,6 @@ from .syntax import (
     REL_LT,
     AtomicProp,
     Constraint,
-    LinTerm,
     Var,
     _atom,
 )
@@ -100,65 +102,12 @@ def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ..
     one bound); fold inequalities settled by an equality over the same
     variables, and opposite non-strict bounds that meet into one equality.
     Returns None when a conjunct is ground-false or two conjuncts
-    contradict outright.  An atom with slope (d, s, g) (see
-    :meth:`AtomicProp.slope`) and constant k says ``s*d.x + k/g REL 0``; the
-    constants of atoms on one slope are compared by cross-multiplication."""
-    eqs: dict[tuple, tuple[int, int, AtomicProp]] = {}  # d -> (k, g, atom)
-    ineqs: dict[tuple, list] = {}  # (d, s) -> [k, g, strict, atom]
-    order: list[tuple[bool, tuple]] = []
-    for a in atoms:
-        if a.is_ground():
-            if a.ground_truth():
-                continue
-            return None
-        d, s, g = a.slope()
-        k = a.const
-        if a.rel == REL_EQ:
-            prev = eqs.get(d)
-            if prev is not None:
-                if prev[0] * g != k * prev[1]:
-                    return None
-                continue
-            eqs[d] = (k, g, a)
-            order.append((True, d))
-        else:
-            strict = a.rel == REL_LT
-            key = (d, s)
-            cell = ineqs.get(key)
-            if cell is None:
-                ineqs[key] = [k, g, strict, a]
-                order.append((False, key))
-            else:
-                k0, g0, s0, _ = cell
-                # s*d.x <= -k/g (or <): larger k/g is tighter
-                if k * g0 > k0 * g or (k * g0 == k0 * g and strict and not s0):
-                    cell[:] = k, g, strict, a
-    out: list[AtomicProp] = []
-    for is_eq, key in order:
-        if is_eq:
-            out.append(eqs[key][2])
-            continue
-        k, g, strict, a = ineqs[key]
-        if a is None:
-            continue  # folded into an equality with its opposite bound
-        d, s = key
-        pinned = eqs.get(d)
-        if pinned is not None:
-            # the equality pins d.x to -ke/ge; s*d.x + k/g there, times g*ge
-            ke, ge, _ = pinned
-            slack = k * ge - s * ke * g
-            if slack < 0 or (slack == 0 and not strict):
-                continue
-            return None
-        if not strict:
-            bound = ineqs.get((d, -s))
-            if (bound is not None and not bound[2]
-                    and bound[0] * g == -k * bound[1]):
-                # s*d.x <= -k/g and s*d.x >= -k/g
-                bound[3] = None
-                a = _atom(a.coeffs, k, REL_EQ)
-        out.append(a)
-    return tuple(out)
+    contradict outright.  The atoms are merged, in order, into a store with
+    nothing to eliminate, whose :meth:`_Store._resolve` holds these rules."""
+    store = _Store((), frozenset(), DEFAULT_DNF_LIMIT)
+    if not store.merge([(None, a, False) for a in atoms]):
+        return None
+    return store.conjunction()
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +139,8 @@ class _Store:
     ``derived``, when the store tracks known atoms, holds the positions of
     the atoms that are not known, and is None otherwise.
 
-    New atoms are merged as :func:`_simplify_conj` simplifies one list,
-    order included: each goes at the end or, for an atom an equality
+    New atoms are merged as if the whole conjunction were simplified as one
+    list, order included: each goes at the end or, for an atom an equality
     substitution made, at the position of the atom it replaces; a slope that
     new atoms share with another atom is then simplified on its own
     (:meth:`_resolve`), and every other slope already is."""
@@ -296,17 +245,18 @@ class _Store:
 
     def _resolve(self, d: tuple, old: list[int], group: list) -> bool:
         """Merge the new entries ``group`` into slope d, whose atoms are at
-        the positions ``old``, by :func:`_simplify_conj`'s rules.  The slope
-        holds at most one atom per key: the equality, the upper bound (s =
-        1) and the lower bound (s = -1), where an atom with slope (d, s, g)
-        and constant k says ``s*d.x + k/g REL 0``.  A new atom of a key
-        already held is a duplicate, a looser bound (dropped) or a tighter
-        one (kept), and a key sits at the position of its first atom; which
-        atom a key keeps does not depend on their order.  Only then is each
-        bound checked against the equality that pins it, or two bounds that
-        meet folded into one equality at the first one's position.  A
-        surviving atom is derived when every atom equal to it is; a folded
-        equality is derived.  False when two atoms contradict."""
+        the positions ``old``, by the slope rules of simplification, whose
+        one home this is.  The slope holds at most one atom per key: the
+        equality, the upper bound (s = 1) and the lower bound (s = -1),
+        where an atom with slope (d, s, g) and constant k says ``s*d.x +
+        k/g REL 0``.  A new atom of a key already held is a duplicate, a
+        looser bound (dropped) or a tighter one (kept), and a key sits at
+        the position of its first atom; which atom a key keeps does not
+        depend on their order.  Only then is each bound checked against the
+        equality that pins it, or two bounds that meet folded into one
+        equality at the first one's position.  A surviving atom is derived
+        when every atom equal to it is; a folded equality is derived.  False
+        when two atoms contradict."""
         atoms, derived = self.atoms, self.derived
         keys: list = [None, None, None]  # equality, upper, lower: [position, atom, derived]
         for p in old:
@@ -668,29 +618,34 @@ def sample_solution(
     ``variables`` may extend the domain of the returned valuation;
     unconstrained variables get 0.  Values prefer the integer of smallest
     magnitude inside the feasible interval, ties toward the non-negative,
-    midpoints when no integer fits."""
+    midpoints when no integer fits.
+
+    With x1..xn the variables in name order, the stages ``proj(c, x1..xk)``
+    for k = n-1 down to 0 each project the one before, so xn is eliminated
+    first; c is unsatisfiable when the last, ground, stage is false.
+    Otherwise the values are picked back along the chain (Dantzig & Eaves,
+    JCT A 1973): xk's from its interval in the stage over x1..xk (c itself
+    for xn) with x1..x(k-1) plugged in.  Over the rationals that interval
+    is exactly the set of feasible xk values, so it is never empty."""
     order = sorted(c.variables.union(variables or ()))
-    current: Optional[tuple[AtomicProp, ...]] = _simplify_conj(c.atoms)
+    stages = [c]
+    for k in range(len(order) - 1, -1, -1):
+        stages.append(project(stages[-1], order[:k], limit))
+    if not all(a.ground_truth() for a in stages.pop().atoms):
+        return None
     valuation: dict[Var, Fraction] = {}
-    for x in order:
-        if current is None:
-            return None
-        # project the remaining system onto x alone; over the rationals the
-        # projected interval is exactly the set of feasible x values
-        others = {v for a in current for v in a.variables} - {x}
-        onto_x = _Store(current, others, limit).eliminate_all()
-        if onto_x is None:
-            return None
+    for x, stage in zip(order, reversed(stages)):
         lo: Optional[Fraction] = None
         hi: Optional[Fraction] = None
         lo_strict = hi_strict = False
-        for a in onto_x:
+        for a in stage.atoms:
             k = a.coeff(x)
             if k == 0:
-                continue  # ground leftovers are true after _simplify_conj
-            bound = Fraction(-a.const, k)
+                continue  # true at the values already picked
+            rest = a.const + sum(n * valuation[v] for v, n in a.coeffs if v != x)
+            bound = Fraction(-rest, k)
             if a.rel == REL_EQ:
-                if (lo is None or bound > lo or (bound == lo and not lo_strict)) :
+                if lo is None or bound > lo or (bound == lo and not lo_strict):
                     lo, lo_strict = bound, False
                 if hi is None or bound < hi or (bound == hi and not hi_strict):
                     hi, hi_strict = bound, False
@@ -700,14 +655,5 @@ def sample_solution(
             else:  # bound <= x
                 if lo is None or bound > lo or (bound == lo and a.rel == REL_LT):
                     lo, lo_strict = bound, a.rel == REL_LT
-        value = _pick_value(lo, lo_strict, hi, hi_strict)
-        valuation[x] = value
-        current = _simplify_conj(
-            a.substitute({x: LinTerm.of_const(value)}) for a in current
-        )
-    if current is None or current:
-        # leftover unsubstituted atoms would mean a variable escaped `order`
-        if current:
-            raise AssertionError("sampling left unresolved conjuncts")
-        return None
+        valuation[x] = _pick_value(lo, lo_strict, hi, hi_strict)
     return valuation

@@ -368,13 +368,15 @@ class Constraint(_Value):
     two satisfiable parts over disjoint variables.  ``linarith.decide``
     reads it (see there).
 
-    ``_simplified`` records that ``linarith._simplify_conj`` leaves the
-    atoms as they are, so that an elimination takes them without that pass.
+    ``_simplified`` records that simplification (``linarith._simplify_conj``,
+    a merge into an elimination store with nothing to eliminate) leaves the
+    atoms as they are, so that an elimination takes them without that merge.
     ``linarith.project`` sets it on its result, and ``project`` and
     ``satisfiable`` (outside the base case it settles unsimplified) on an
-    input the pass left unchanged; the same two builders set it, on a
+    input the merge left unchanged; the same two builders set it, on a
     one-to-one renaming of a recorded projection and on a conjunction of
-    two recorded parts over disjoint variables, whose slopes differ.  :meth:`rename` and :meth:`conjoin` do not carry it."""
+    two recorded parts over disjoint variables, whose slopes differ.
+    :meth:`rename` and :meth:`conjoin` do not carry it."""
 
     _fields = ("atoms",)
     __slots__ = _fields + ("_sat", "_simplified")

@@ -35,8 +35,13 @@ of each refutation, the reference for ``decide``'s early stop on a left
 side recorded satisfiable.  ``reference_step`` makes one Fourier-Motzkin
 step (``step_list``) and simplifies the whole result, the reference for the
 indexed elimination store's step, which simplifies only the slopes its new
-atoms reach; ``benchmark_text`` reads a benchmark workload's rule file
-(``perfbench/workloads.py``) for the checks that replay it.
+atoms reach.  It simplifies by ``reference_simplify``, a pass of its own
+and the reference for ``_simplify_conj``, which merges into a store; and
+``reference_sample`` samples a solution by projecting the whole
+conjunction onto each variable in turn, the reference for
+``sample_solution``'s one chain of projections.  ``benchmark_text``
+reads a benchmark workload's rule file (``perfbench/workloads.py``) for
+the checks that replay it.
 ``reference_propagate`` is the propagation pass as rounds over every
 underived rule in program order, the reference for ``analyzer.propagate``'s
 worklist; ``rand_propagation_program`` draws the programs they are compared
@@ -57,7 +62,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from clploop.analyzer import ClauseReport, PropagatedLoop, PropagationLimitError
 from clploop.engine import derivation_step
@@ -75,13 +80,16 @@ from clploop.linarith import (
     Entailment,
     ResourceLimitError,
     _combine,
+    _Store,
     _negate_atom,
-    _simplify_conj,
+    _pick_value,
     project,
     satisfiable,
 )
 from clploop.neutral import neutrality_body_formula, neutrality_head_formula
 from clploop.syntax import (
+    REL_EQ,
+    REL_LT,
     Atom,
     AtomicProp,
     Clause,
@@ -97,6 +105,7 @@ from clploop.syntax import (
     normalize_clause,
     parse_program,
     parse_query,
+    _atom,
     var_eq,
 )
 
@@ -679,8 +688,134 @@ def step_list(atoms: tuple[AtomicProp, ...], x: Var) -> list[AtomicProp]:
 
 def reference_step(atoms: tuple[AtomicProp, ...], x: Var) -> Optional[tuple[AtomicProp, ...]]:
     """The step of ``step_list`` simplified as a whole by
-    ``_simplify_conj``."""
-    return _simplify_conj(step_list(atoms, x))
+    ``reference_simplify``."""
+    return reference_simplify(step_list(atoms, x))
+
+
+def reference_simplify(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ...]]:
+    """The simplification as one pass of its own, the reference for
+    ``linarith._simplify_conj``, which merges the atoms into an elimination
+    store.  Normalize a conjunction: drop ground-true conjuncts, duplicates,
+    and inequalities slackened by a tighter bound on the same slope (the growth
+    mode of iterated projection, which otherwise accumulates shifted copies of
+    one bound); fold inequalities settled by an equality over the same
+    variables, and opposite non-strict bounds that meet into one equality.
+    Returns None when a conjunct is ground-false or two conjuncts
+    contradict outright.  An atom with slope (d, s, g) (see
+    :meth:`AtomicProp.slope`) and constant k says ``s*d.x + k/g REL 0``; the
+    constants of atoms on one slope are compared by cross-multiplication."""
+    eqs: dict[tuple, tuple[int, int, AtomicProp]] = {}  # d -> (k, g, atom)
+    ineqs: dict[tuple, list] = {}  # (d, s) -> [k, g, strict, atom]
+    order: list[tuple[bool, tuple]] = []
+    for a in atoms:
+        if a.is_ground():
+            if a.ground_truth():
+                continue
+            return None
+        d, s, g = a.slope()
+        k = a.const
+        if a.rel == REL_EQ:
+            prev = eqs.get(d)
+            if prev is not None:
+                if prev[0] * g != k * prev[1]:
+                    return None
+                continue
+            eqs[d] = (k, g, a)
+            order.append((True, d))
+        else:
+            strict = a.rel == REL_LT
+            key = (d, s)
+            cell = ineqs.get(key)
+            if cell is None:
+                ineqs[key] = [k, g, strict, a]
+                order.append((False, key))
+            else:
+                k0, g0, s0, _ = cell
+                # s*d.x <= -k/g (or <): larger k/g is tighter
+                if k * g0 > k0 * g or (k * g0 == k0 * g and strict and not s0):
+                    cell[:] = k, g, strict, a
+    out: list[AtomicProp] = []
+    for is_eq, key in order:
+        if is_eq:
+            out.append(eqs[key][2])
+            continue
+        k, g, strict, a = ineqs[key]
+        if a is None:
+            continue  # folded into an equality with its opposite bound
+        d, s = key
+        pinned = eqs.get(d)
+        if pinned is not None:
+            # the equality pins d.x to -ke/ge; s*d.x + k/g there, times g*ge
+            ke, ge, _ = pinned
+            slack = k * ge - s * ke * g
+            if slack < 0 or (slack == 0 and not strict):
+                continue
+            return None
+        if not strict:
+            bound = ineqs.get((d, -s))
+            if (bound is not None and not bound[2]
+                    and bound[0] * g == -k * bound[1]):
+                # s*d.x <= -k/g and s*d.x >= -k/g
+                bound[3] = None
+                a = _atom(a.coeffs, k, REL_EQ)
+        out.append(a)
+    return tuple(out)
+
+
+def reference_sample(
+    c: Constraint, variables: Optional[Iterable[Var]] = None,
+    limit: int = DEFAULT_DNF_LIMIT,
+) -> Optional[dict[Var, Fraction]]:
+    """``linarith.sample_solution`` by projecting the whole conjunction onto
+    each variable in name order, then substituting its value, the reference
+    for sampling back along one chain of projections.  A deterministic
+    solution of a constraint, or None when unsatisfiable.
+    ``variables`` may extend the domain of the returned valuation;
+    unconstrained variables get 0.  Values prefer the integer of smallest
+    magnitude inside the feasible interval, ties toward the non-negative,
+    midpoints when no integer fits."""
+    order = sorted(c.variables.union(variables or ()))
+    current: Optional[tuple[AtomicProp, ...]] = reference_simplify(c.atoms)
+    valuation: dict[Var, Fraction] = {}
+    for x in order:
+        if current is None:
+            return None
+        # project the remaining system onto x alone; over the rationals the
+        # projected interval is exactly the set of feasible x values
+        others = {v for a in current for v in a.variables} - {x}
+        onto_x = _Store(current, others, limit).eliminate_all()
+        if onto_x is None:
+            return None
+        lo: Optional[Fraction] = None
+        hi: Optional[Fraction] = None
+        lo_strict = hi_strict = False
+        for a in onto_x:
+            k = a.coeff(x)
+            if k == 0:
+                continue  # ground leftovers are true after reference_simplify
+            bound = Fraction(-a.const, k)
+            if a.rel == REL_EQ:
+                if (lo is None or bound > lo or (bound == lo and not lo_strict)) :
+                    lo, lo_strict = bound, False
+                if hi is None or bound < hi or (bound == hi and not hi_strict):
+                    hi, hi_strict = bound, False
+            elif k > 0:  # x <= bound
+                if hi is None or bound < hi or (bound == hi and a.rel == REL_LT):
+                    hi, hi_strict = bound, a.rel == REL_LT
+            else:  # bound <= x
+                if lo is None or bound > lo or (bound == lo and a.rel == REL_LT):
+                    lo, lo_strict = bound, a.rel == REL_LT
+        value = _pick_value(lo, lo_strict, hi, hi_strict)
+        valuation[x] = value
+        current = reference_simplify(
+            a.substitute({x: LinTerm.of_const(value)}) for a in current
+        )
+    if current is None or current:
+        # leftover unsubstituted atoms would mean a variable escaped `order`
+        if current:
+            raise AssertionError("sampling left unresolved conjuncts")
+        return None
+    return valuation
 
 
 def benchmark_text(name: str, seed: int = 7) -> str:
