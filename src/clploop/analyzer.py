@@ -113,16 +113,14 @@ class FilterResult(NamedTuple):
 
 
 class ClauseReport(NamedTuple):
-    """The subset scan of one clause.  ``head_query`` is the head query the
-    scan decided on, with its denotation cached; None for a non-recursive
-    rule, which is not scanned."""
+    """The subset scan of one clause; a non-recursive rule is not scanned.
+    The head query the scan decided on is ``clause.head_query``."""
 
     index: int
     clause: Clause
     results: tuple[FilterResult, ...] = ()
     checks: tuple[SubsetCheck, ...] = ()
     classes: frozenset[frozenset[int]] = frozenset()
-    head_query: Optional[Query] = None
 
     @property
     def status(self) -> str:
@@ -182,15 +180,16 @@ def candidate_filter(rule: Clause, positions: frozenset[int],
     return Filter(PositionSet.of({pred: positions}), ((pred, condition),))
 
 
-def make_witness(filt: Filter, rule: Clause, head: Query,
+def make_witness(filt: Filter, rule: Clause,
                  limit: int = linarith.DEFAULT_DNF_LIMIT) -> Query:
     """A concrete looping query for a passing filter: constants sampled from
-    the condition constraint at the filtered positions, head variables kept
-    elsewhere, and as store the rule constraint projected onto the kept
-    variables, which is the candidate condition at the complement positions
-    (taken from the same lattice as the filters, see `neutral.projection`).
-    Falls back to ``head``, the rule's head query (itself proved looping), if
-    the generality check for the constructed candidate does not go through."""
+    the condition constraint at the filtered positions (whose atom is over
+    the head variables there), head variables kept elsewhere, and as store
+    the rule constraint projected onto the kept variables, which is the
+    candidate condition at the complement positions (taken from the same
+    lattice as the filters, see `neutral.projection`).  Falls back to the
+    rule's head query (itself proved looping) if the generality check for
+    the constructed candidate does not go through."""
     pred = rule.head_pred
     tau = filt.positions.get(pred)
     condition = filt.condition(pred)
@@ -199,15 +198,11 @@ def make_witness(filt: Filter, rule: Clause, head: Query,
     )
     if values is None:
         raise AssertionError("filter condition constraints are satisfiable by construction")
-    by_position = dict(zip(sorted(tau), condition.atom.args))
     kept = filt.positions.complement_for(pred)
-    args: list[LinTerm] = []
-    for i, v in enumerate(rule.head_vars, start=1):
-        if i in tau:
-            args.append(LinTerm.of_const(by_position[i].eval(values)))
-        else:
-            args.append(LinTerm.of_var(v))
-    candidate = Query(Atom(pred, tuple(args)), projection(rule, kept, None, limit))
+    args = tuple(LinTerm.of_const(values[v]) if i in tau else LinTerm.of_var(v)
+                 for i, v in enumerate(rule.head_vars, start=1))
+    head = rule.head_query
+    candidate = Query(Atom(pred, args), projection(rule, kept, None, limit))
     if candidate == head:
         candidate = head  # its denotation is cached
     if delta_more_general(candidate, head, filt, limit):
@@ -236,7 +231,6 @@ def find_looping_queries(rule: Clause, index: int = 0,
     arity = rule.head_pred.arity
     full = frozenset(range(1, arity + 1))
     to_body = dict(zip(rule.head_vars, rule.body_vars))
-    # built once, so each denotation is computed once per clause
     head, body = rule.head_query, rule.body_query
     checks: list[SubsetCheck] = []
     results: list[FilterResult] = []
@@ -259,7 +253,7 @@ def find_looping_queries(rule: Clause, index: int = 0,
                 check = SubsetCheck(m, head_ok, body_ok, subsumes)
                 if check.passed:
                     filt = candidate_filter(rule, m, opts.max_dnf)
-                    witness = make_witness(filt, rule, head, opts.max_dnf)
+                    witness = make_witness(filt, rule, opts.max_dnf)
                     verified = 0
                     if opts.verify_steps > 0:
                         verified = run(witness, Program((rule,)), opts.verify_steps,
@@ -282,7 +276,7 @@ def find_looping_queries(rule: Clause, index: int = 0,
                 break
     classes = class_closure({r.positions for r in results})
     return ClauseReport(index=index, clause=rule, results=tuple(results),
-                        checks=tuple(checks), classes=classes, head_query=head)
+                        checks=tuple(checks), classes=classes)
 
 
 def propagate(program: Program, reports: tuple[ClauseReport, ...],
@@ -321,7 +315,7 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
         if r.results:
             have_head.add(r.index)
             known = facts.setdefault(r.clause.head_pred, [])
-            known.append(r.head_query)
+            known.append(r.clause.head_query)
             for res in r.results:
                 if res.witness not in known:
                     known.append(res.witness)
@@ -330,9 +324,6 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
         if index not in have_head:
             readers.setdefault(rule.body_pred, []).append(index)
     cursor = [0] * len(program.clauses)
-    # body queries of rules still underived after a visit, kept for the next
-    # visit so that each rule's body denotation is computed once
-    bodies: dict[int, Query] = {}
     out: list[PropagatedLoop] = []
     # the rules still to visit in this sweep, the next one last; a visit
     # that adds some sorts it again
@@ -349,10 +340,9 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
             if start == len(known):
                 continue
             cursor[index] = len(known)
-            body_q = bodies.pop(index, None) or rule.body_query
             for fact in known[start:]:
                 try:
-                    found = more_general(body_q, fact, limit)
+                    found = more_general(rule.body_query, fact, limit)
                 except ResourceLimitError as err:
                     raise PropagationLimitError(str(err), tuple(out)) from err
                 if found:
@@ -368,8 +358,6 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
                             sweep.append(i)
                     sweep.sort(reverse=True)
                     break
-            else:
-                bodies[index] = body_q
         sweep = sorted(later, reverse=True)
     return tuple(out)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -32,6 +33,7 @@ from .syntax import (
     ParseError,
     Program,
     Query,
+    _position,
     parse_program,
     parse_query,
 )
@@ -133,11 +135,18 @@ def report_to_json(report: ProgramReport) -> dict:
 
 
 def _load_program(path: str) -> Program:
+    """Parse a rule file.  A byte that is not UTF-8 is read as a lone
+    surrogate (U+DC80..U+DCFF), which valid UTF-8 never decodes to, and the
+    first one is a positioned parse error."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as err:
         raise ParseError(str(err))
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        raise ParseError(f"invalid UTF-8 byte {ord(bad.group()) - 0xdc00:#04x}",
+                         *_position(text, bad.start()))
     return parse_program(text)
 
 
@@ -184,17 +193,17 @@ def _proof_for(query: Query, report: ProgramReport,
     'filter-more-general than' cites a looping head query whose clause has a
     passing filter.
     """
-    # each looping clause's head query, built once for both loops
-    looping = [(r, r.clause.head_query) for r in report.reports if r.results]
+    looping = [r for r in report.reports if r.results]
     facts: list[Query] = []
-    for r, head in looping:
-        facts.append(head)
+    for r in looping:
+        facts.append(r.clause.head_query)
         facts.extend(res.witness for res in r.results)
     facts.extend(p.head_query for p in report.propagated)
     for fact in facts:
         if fact.pred == query.pred and more_general(query, fact, limit):
             return ("more general than", str(fact))
-    for r, head in looping:
+    for r in looping:
+        head = r.clause.head_query
         if head.pred != query.pred:
             continue
         for res in r.results:

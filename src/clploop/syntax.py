@@ -272,9 +272,6 @@ class AtomicProp(_Value):
             slope = self._slope = (tuple(d), 1 if sg > 0 else -1, g)
         return slope
 
-    def is_ground(self) -> bool:
-        return not self.coeffs
-
     def ground_truth(self) -> bool:
         """Truth value of a ground proposition."""
         k = self.const
@@ -496,12 +493,15 @@ class Clause(_Value):
     ``text`` is the rule's source text and takes no part in equality or
     repr."""
 
-    # lazily filled caches: _step, the engine's compiled derivation step;
-    # _projections, the rule constraint's projections onto the head
-    # positions a and body positions b (b None for a candidate condition),
-    # as {(a, b): (limit, constraint)}, filled by neutral.projection
+    # lazily filled caches: _head_query and _body_query, the rule's head and
+    # body queries, built once so that each keeps its cached denotation;
+    # _step, the engine's compiled derivation step; _projections, the rule
+    # constraint's projections onto the head positions a and body positions
+    # b (b None for a candidate condition), as {(a, b): (limit, constraint)},
+    # filled by neutral.projection
     _fields = ("head_pred", "head_vars", "constraint", "body_pred", "body_vars")
-    __slots__ = _fields + ("text", "_step", "_projections")
+    __slots__ = _fields + ("text", "_head_query", "_body_query", "_step",
+                           "_projections")
 
     def __init__(self, head_pred: Pred, head_vars: tuple[Var, ...],
                  constraint: Constraint, body_pred: Pred,
@@ -515,6 +515,7 @@ class Clause(_Value):
         self.body_pred = body_pred
         self.body_vars = body_vars
         self.text = text
+        self._head_query = self._body_query = None
         self._step = self._projections = None
 
     @property
@@ -527,11 +528,17 @@ class Clause(_Value):
 
     @property
     def head_query(self) -> Query:
-        return Query(self.head_atom, self.constraint)
+        q = self._head_query
+        if q is None:
+            q = self._head_query = Query(self.head_atom, self.constraint)
+        return q
 
     @property
     def body_query(self) -> Query:
-        return Query(self.body_atom, self.constraint)
+        q = self._body_query
+        if q is None:
+            q = self._body_query = Query(self.body_atom, self.constraint)
+        return q
 
     @property
     def variables(self) -> frozenset[Var]:
@@ -650,13 +657,17 @@ class _Parser:
     # rational := [0-9]+ ("/" [0-9]+)?
     def rational(self, tok: _Token) -> int | Fraction:
         """The value of a literal token already taken."""
-        text = tok[1]
-        if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
-                self.error("zero denominator in rational literal", tok)
-            return Fraction(int(num), int(den))
-        return int(text)
+        parts = tok[1].split("/")
+        try:
+            values = [int(part) for part in parts]
+        except ValueError:  # longer than the interpreter's int-string limit
+            self.error(f"integer literal too long ({max(map(len, parts))} digits)", tok)
+        if len(values) == 1:
+            return values[0]
+        num, den = values
+        if den == 0:
+            self.error("zero denominator in rational literal", tok)
+        return Fraction(num, den)
 
     # term := "-"* unsigned
     def term(self, acc: dict, sign: int):

@@ -708,7 +708,7 @@ def reference_simplify(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp
     ineqs: dict[tuple, list] = {}  # (d, s) -> [k, g, strict, atom]
     order: list[tuple[bool, tuple]] = []
     for a in atoms:
-        if a.is_ground():
+        if not a.coeffs:
             if a.ground_truth():
                 continue
             return None
@@ -842,7 +842,7 @@ def reference_propagate(program: Program, reports: tuple[ClauseReport, ...],
         if r.results:
             have_head.add(r.index)
             known = facts.setdefault(r.clause.head_pred, [])
-            known.append(r.head_query)
+            known.append(r.clause.head_query)
             for res in r.results:
                 if res.witness not in known:
                     known.append(res.witness)

@@ -12,7 +12,7 @@ import clploop
 from clploop import __version__, analyzer, cli, engine, parse_program, parse_query
 from clploop.cli import main
 from clploop.engine import derivation_step
-from clploop.syntax import Clause
+from clploop.syntax import Query
 
 SHIFT_GE = "p(X1, X2) <- X1 >= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
 SHIFT_LE = "p(X1, X2) <- X1 <= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
@@ -151,6 +151,35 @@ class TestExitCodes:
         path = rule_file(tmp_path, f"p(A) <- A = {rhs} <> p(B).\n")
         assert main(["analyze", path]) == 2
         assert "nested deeper than" in capsys.readouterr().err
+
+    def test_invalid_utf8_is_a_positioned_parse_error(self, tmp_path, capsys):
+        # the column counts characters, the line follows any newline
+        # convention, and a byte in a comment counts as well
+        for data, where in ((b"p(A) <- A >= 0 \xff <> p(B).\n", "1:16: invalid UTF-8 byte 0xff"),
+                            (b"p(A) <- A >= 0,\r\n  B = \xc3\xa9 \xc3( <> p(B).\n",
+                             "2:9: invalid UTF-8 byte 0xc3"),
+                            (b"# \xe9\np(A) <- A = B <> p(B).\n", "1:3: invalid UTF-8 byte 0xe9")):
+            path = tmp_path / "rules.clp"
+            path.write_bytes(data)
+            assert main(["analyze", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {where}\n"
+
+    def test_overlong_integer_literal_is_a_parse_error(self, tmp_path, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no int-string limit")
+        fits, over = "9" * limit, "1" + "0" * limit
+        assert parse_program(f"p(A) <- A = {fits} <> p(B).")
+        assert parse_query(f"p(X, 0) : X = 1/{fits}", parse_program(SHIFT_GE))
+        for literal in (over, f"1/{over}", f"{over}/3"):
+            path = rule_file(tmp_path, f"p(A) <- A = {literal} <> p(B).\n")
+            assert main(["analyze", path]) == 2
+            assert capsys.readouterr().err == (
+                f"error: 1:13: integer literal too long ({limit + 1} digits)\n")
+        path = rule_file(tmp_path, SHIFT_GE)
+        assert main(["check", path, "--query", f"p({over}, 0)"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: 1:3: integer literal too long ({limit + 1} digits)\n")
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.clp"]) == 2
@@ -430,14 +459,20 @@ class TestCheck:
             "  filter-more-general than <p(A, B) | A >= 1, A - C = 1, B - D = 0> "
             "under tau {2}\n")
         # a query that no fact proves tries both passing filters ({2} and
-        # {}) on the one head query built for the clause
+        # {}) on the head query the clause built for its scan
         report = analyzer.analyze_program(parse_program(text))
+        rule = report.reports[0].clause
         built = []
-        head_query = Clause.head_query.fget
-        monkeypatch.setattr(Clause, "head_query",
-                            property(lambda c: built.append(c) or head_query(c)))
+        init = Query.__init__
+
+        def counted(q, atom, constraint):
+            built.append((atom, constraint))
+            init(q, atom, constraint)
+
+        monkeypatch.setattr(Query, "__init__", counted)
         assert cli._proof_for(parse_query("p(0, 0)"), report, 10**6) is None
-        assert len(built) == 1
+        assert built and not {(rule.head_atom, rule.constraint),
+                              (rule.body_atom, rule.constraint)} & set(built)
 
     def test_unknown_predicate(self, tmp_path, capsys):
         path = rule_file(tmp_path, SHIFT_GE)

@@ -1077,7 +1077,7 @@ class TestCandidateConditionProperties:
                 kinds["text differs"] += str(cond) != str(ref)
                 # the witness store against the complement's reference, over
                 # the head variables the witness keeps
-                witness = make_witness(filt, rule, head)
+                witness = make_witness(filt, rule)
                 ref_kept = direct_condition(rule, filt.positions.complement_for(pred))
                 assert _equivalent(witness.constraint, ref_kept.constraint,
                                    frozenset(ref_kept.atom.variables)), (str(rule), sorted(m))
@@ -1660,7 +1660,7 @@ class TestValueSemantics:
         Pred: set(),
         Atom: set(),
         Query: {"_den", "_str"},
-        Clause: {"text", "_step", "_projections"},
+        Clause: {"text", "_head_query", "_body_query", "_step", "_projections"},
         Program: set(),
     }
 
@@ -1718,7 +1718,8 @@ class TestValueSemantics:
             assert other.text != rule.text
             assert other == rule and hash(other) == hash(rule)
             # nor does a query's cached denotation
-            q, filled = rule.head_query, rule.head_query
+            q = rule.head_query
+            filled = Query(q.atom, q.constraint)
             denotation(filled)
             assert filled._den is not None and q._den is None
             assert filled == q and hash(filled) == hash(q) and str(filled) == str(q)
