@@ -143,7 +143,7 @@ def _load_program(path: str) -> Program:
             text = fh.read()
     except OSError as err:
         raise ParseError(str(err))
-    bad = re.search("[\udc80-\udcff]", text)
+    bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
     if bad:
         raise ParseError(f"invalid UTF-8 byte {ord(bad.group()) - 0xdc00:#04x}",
                          *_position(text, bad.start()))
