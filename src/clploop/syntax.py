@@ -657,17 +657,17 @@ class _Parser:
     # rational := [0-9]+ ("/" [0-9]+)?
     def rational(self, tok: _Token) -> int | Fraction:
         """The value of a literal token already taken."""
-        parts = tok[1].split("/")
+        text = tok[1]
         try:
-            values = [int(part) for part in parts]
+            if "/" in text:
+                num, den = text.split("/")
+                if int(den) == 0:
+                    self.error("zero denominator in rational literal", tok)
+                return Fraction(int(num), int(den))
+            return int(text)
         except ValueError:  # longer than the interpreter's int-string limit
-            self.error(f"integer literal too long ({max(map(len, parts))} digits)", tok)
-        if len(values) == 1:
-            return values[0]
-        num, den = values
-        if den == 0:
-            self.error("zero denominator in rational literal", tok)
-        return Fraction(num, den)
+            digits = max(map(len, text.split("/")))
+            self.error(f"integer literal too long ({digits} digits)", tok)
 
     # term := "-"* unsigned
     def term(self, acc: dict, sign: int):
