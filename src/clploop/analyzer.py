@@ -234,46 +234,43 @@ def find_looping_queries(rule: Clause, index: int = 0,
     head, body = rule.head_query, rule.body_query
     checks: list[SubsetCheck] = []
     results: list[FilterResult] = []
-    done = False
-    for size in range(arity, -1, -1):
-        if done:
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(1, arity + 1), size) for size in range(arity, -1, -1))
+    for combo in subsets:
+        m = frozenset(combo)
+        try:
+            cond = projection(rule, m, None, opts.max_dnf)
+            head_ok = linarith.decide(
+                neutrality_head_formula(rule, m, m, cond, opts.max_dnf), opts.max_dnf)
+            body_ok = subsumes = None
+            if head_ok:
+                body_ok = linarith.decide(neutrality_body_formula(
+                    rule, m, cond.rename(to_body)), opts.max_dnf)
+                if body_ok:  # the filter half of delta_more_general
+                    subsumes = more_general(body, head, opts.max_dnf, full - m)
+            check = SubsetCheck(m, head_ok, body_ok, subsumes)
+            if check.passed:
+                filt = candidate_filter(rule, m, opts.max_dnf)
+                witness = make_witness(filt, rule, opts.max_dnf)
+                verified = 0
+                if opts.verify_steps > 0:
+                    verified = run(witness, Program((rule,)), opts.verify_steps,
+                                   limit=opts.max_dnf).steps
+        except ResourceLimitError as err:
+            checks.append(SubsetCheck(m, error=str(err)))
+            continue
+        if check.passed and verified < opts.verify_steps:
+            # the criterion is sound, so this is an implementation fault
+            check = SubsetCheck(m, head_ok, body_ok, subsumes, error=(
+                f"witness {witness} failed engine validation after "
+                f"{verified} of {opts.verify_steps} steps"))
+        checks.append(check)
+        if not check.passed:
+            continue
+        results.append(FilterResult(m, filt, filt.condition(rule.head_pred),
+                                    witness, verified))
+        if opts.first_only:
             break
-        for combo in itertools.combinations(range(1, arity + 1), size):
-            m = frozenset(combo)
-            try:
-                cond = projection(rule, m, None, opts.max_dnf)
-                head_ok = linarith.decide(
-                    neutrality_head_formula(rule, m, m, cond, opts.max_dnf), opts.max_dnf)
-                body_ok = subsumes = None
-                if head_ok:
-                    body_ok = linarith.decide(neutrality_body_formula(
-                        rule, m, cond.rename(to_body)), opts.max_dnf)
-                    if body_ok:  # the filter half of delta_more_general
-                        subsumes = more_general(body, head, opts.max_dnf, full - m)
-                check = SubsetCheck(m, head_ok, body_ok, subsumes)
-                if check.passed:
-                    filt = candidate_filter(rule, m, opts.max_dnf)
-                    witness = make_witness(filt, rule, opts.max_dnf)
-                    verified = 0
-                    if opts.verify_steps > 0:
-                        verified = run(witness, Program((rule,)), opts.verify_steps,
-                                       limit=opts.max_dnf).steps
-            except ResourceLimitError as err:
-                checks.append(SubsetCheck(m, error=str(err)))
-                continue
-            if check.passed and verified < opts.verify_steps:
-                # the criterion is sound, so this is an implementation fault
-                check = SubsetCheck(m, head_ok, body_ok, subsumes, error=(
-                    f"witness {witness} failed engine validation after "
-                    f"{verified} of {opts.verify_steps} steps"))
-            checks.append(check)
-            if not check.passed:
-                continue
-            results.append(FilterResult(m, filt, filt.condition(rule.head_pred),
-                                        witness, verified))
-            if opts.first_only:
-                done = True
-                break
     classes = class_closure({r.positions for r in results})
     return ClauseReport(index=index, clause=rule, results=tuple(results),
                         checks=tuple(checks), classes=classes)
@@ -337,8 +334,6 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
                 continue
             known = facts.get(rule.body_pred, [])
             start = cursor[index]
-            if start == len(known):
-                continue
             cursor[index] = len(known)
             for fact in known[start:]:
                 try:

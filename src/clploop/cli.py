@@ -134,20 +134,26 @@ def report_to_json(report: ProgramReport) -> dict:
     return data
 
 
+def _utf8(text: str) -> str:
+    """Text read with ``errors="surrogateescape"``, as a rule file and the
+    command line are: a byte that is not UTF-8 is read as a lone surrogate
+    (U+DC80..U+DCFF), which valid UTF-8 never decodes to, and the first one
+    is a positioned parse error."""
+    bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
+    if bad:
+        raise ParseError(f"invalid UTF-8 byte {ord(bad.group()) - 0xdc00:#04x}",
+                         *_position(text, bad.start()))
+    return text
+
+
 def _load_program(path: str) -> Program:
-    """Parse a rule file.  A byte that is not UTF-8 is read as a lone
-    surrogate (U+DC80..U+DCFF), which valid UTF-8 never decodes to, and the
-    first one is a positioned parse error."""
+    """Parse a rule file."""
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as err:
         raise ParseError(str(err))
-    bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
-    if bad:
-        raise ParseError(f"invalid UTF-8 byte {ord(bad.group()) - 0xdc00:#04x}",
-                         *_position(text, bad.start()))
-    return parse_program(text)
+    return parse_program(_utf8(text))
 
 
 def _options_from(args) -> AnalyzeOptions:
@@ -160,11 +166,7 @@ def _options_from(args) -> AnalyzeOptions:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        program = _load_program(args.file)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    program = _load_program(args.file)
     report = analyze_program(program, _options_from(args))
     if args.json:
         sys.stdout.write(json.dumps(report_to_json(report), indent=2))
@@ -214,12 +216,8 @@ def _proof_for(query: Query, report: ProgramReport,
 
 
 def cmd_check(args) -> int:
-    try:
-        program = _load_program(args.file)
-        query = parse_query(args.query, program)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    program = _load_program(args.file)
+    query = parse_query(_utf8(args.query), program)
     report = analyze_program(program, _options_from(args))
     try:
         proof = _proof_for(query, report, args.max_dnf)
@@ -320,7 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except ParseError as err:
+            print(f"error: {err}", file=sys.stderr)
+            code = 2
+        except ValueError as err:
+            # a number the analysis derived is too long to print; it has no
+            # source position, and the report may stop part-way
+            if "integer string conversion" not in str(err):
+                raise
+            print("error: a derived number exceeds the interpreter's "
+                  f"int-string limit ({sys.get_int_max_str_digits()} digits)",
+                  file=sys.stderr)
+            code = 3
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered to devnull,

@@ -320,23 +320,20 @@ class _Store:
                     (derived.add if der else derived.discard)(p)
         return True
 
-    def _cheapest(self, candidates: Iterable[Var]) -> tuple[Optional[Var], Optional[int]]:
+    def _cheapest(self, candidates: Iterable[Var]) -> tuple[Var, int]:
         """Greedy elimination order: the first variable of ``candidates`` (in
         name order) of least cost, the change in the number of atoms its
         elimination makes, ``lowers*uppers - lowers - uppers`` for its lower
         and upper bounds, or -1 when an equality contains it (substitution
         adds nothing).  The scan ends at the first variable whose cost -1
         makes it a new best, so a later one of lower cost (one-sided, with
-        two or more bounds) is not reached.  Candidates that occur in no
-        atom are skipped; ``(None, None)`` when none is left."""
+        two or more bounds) is not reached.  The candidates are keys of the
+        index, at least one."""
         index = self.index
         best: Optional[Var] = None
         best_cost = None
         for x in candidates:
-            e = index.get(x)
-            if e is None:
-                continue
-            lowers, uppers, eqs, _ = e
+            lowers, uppers, eqs, _ = index[x]
             cost = -1 if eqs else lowers * uppers - lowers - uppers
             if best_cost is None or cost < best_cost:
                 best, best_cost = x, cost
@@ -350,7 +347,8 @@ class _Store:
         each other atom of x is replaced in place by its substitution;
         otherwise every lower bound is combined with every upper bound and
         the combinations go at the end.  A combination is derived when
-        either of its atoms is."""
+        either of its atoms is.  Every new atom goes to :meth:`merge`, which
+        drops a true ground one and fails on a false one."""
         atoms, derived = self.atoms, self.derived
         lowers, uppers, eqs, where = self.index.pop(x)
         where = sorted(where.items())
@@ -363,11 +361,8 @@ class _Store:
                     # |c|*a - sign(c)*d*eq cancels the d*x of a
                     a = atoms[q]
                     b = _combine(abs(c), a, -d if c > 0 else d, eq, x, a.rel)
-                    if b.coeffs:
-                        new.append((q, b, derived is not None
-                                    and (p in derived or q in derived)))
-                    elif not b.ground_truth():
-                        return False
+                    new.append((q, b, derived is not None
+                                and (p in derived or q in derived)))
         else:
             grown = lowers * uppers - len(where)
             if (len(atoms) + grown > self.limit  # counts the holes too
@@ -383,11 +378,8 @@ class _Store:
                         a_up = atoms[up]
                         rel = REL_LT if REL_LT in (a_lo.rel, a_up.rel) else REL_LE
                         comb = _combine(-b, a_up, a, a_lo, x, rel)
-                        if comb.coeffs:
-                            new.append((None, comb, derived is not None
-                                        and (lo in derived or up in derived)))
-                        elif not comb.ground_truth():
-                            return False
+                        new.append((None, comb, derived is not None
+                                    and (lo in derived or up in derived)))
         for q, _ in where:
             self._unplace(q)
         return not new or self.merge(new)
@@ -415,7 +407,7 @@ class _Store:
                 x, _ = self._cheapest(sorted(index))
             else:
                 x, cost = self._cheapest(sorted({v for p in derived for v, _ in atoms[p].coeffs}))
-                if cost is None or cost > -1:
+                if cost > -1:
                     x, _ = self._cheapest(sorted(index))
             if not self.eliminate(x):
                 return None

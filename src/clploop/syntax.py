@@ -805,12 +805,9 @@ class _Parser:
         head = Atom(self.pred_of(hname, len(hargs), htok), hargs)
         body = Atom(self.pred_of(bname, len(bargs), btok), bargs)
         try:
-            clause = normalize_clause(head, c, body, text=_slice_source(self.text, start, end))
-        except ParseError as err:
-            if err.line is None:
-                raise ParseError(err.message, *_position(self.text, start)) from None
-            raise
-        return clause
+            return normalize_clause(head, c, body, text=_slice_source(self.text, start, end))
+        except ParseError as err:  # normalization errors carry no position
+            raise ParseError(err.message, *_position(self.text, start)) from None
 
     # query := atom [":" constrs] ["."]   (bare atom means constraint true)
     def query(self) -> Query:

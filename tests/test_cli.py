@@ -152,7 +152,7 @@ class TestExitCodes:
         assert main(["analyze", path]) == 2
         assert "nested deeper than" in capsys.readouterr().err
 
-    def test_invalid_utf8_is_a_positioned_parse_error(self, tmp_path, capsys):
+    def test_invalid_utf8_is_a_positioned_parse_error(self, tmp_path, corpus_path, capsys):
         # the column counts characters, the line follows any newline
         # convention, and a byte in a comment counts as well
         for data, where in ((b"p(A) <- A >= 0 \xff <> p(B).\n", "1:16: invalid UTF-8 byte 0xff"),
@@ -163,6 +163,10 @@ class TestExitCodes:
             path.write_bytes(data)
             assert main(["analyze", str(path)]) == 2
             assert capsys.readouterr().err == f"error: {where}\n"
+        # the command line decodes the byte 0xff of a --query the same way
+        query = b"p1(\xff)".decode("utf-8", "surrogateescape")
+        assert main(["check", str(corpus_path), "--query", query]) == 2
+        assert capsys.readouterr().err == "error: 1:4: invalid UTF-8 byte 0xff\n"
 
     def test_overlong_integer_literal_is_a_parse_error(self, tmp_path, capsys):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -180,6 +184,27 @@ class TestExitCodes:
         assert main(["check", path, "--query", f"p({over}, 0)"]) == 2
         assert capsys.readouterr().err == (
             f"error: 1:3: integer literal too long ({limit + 1} digits)\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_derived_number_past_the_int_string_limit_is_exit_3(self, tmp_path, capsys,
+                                                                 flags):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no int-string limit")
+        # the literal fits the limit; the witness's A = K*K does not
+        k = "7" * (limit // 2 + 2)
+        path = rule_file(tmp_path, f"p(A) <- A = {k}*B, B >= {k} <> p(B).\n")
+        assert main(["analyze", path, "--verify-steps", "0", *flags]) == 3
+        assert capsys.readouterr().err == (
+            "error: a derived number exceeds the interpreter's int-string "
+            f"limit ({limit} digits)\n")
+
+    def test_other_value_errors_surface(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise ValueError("not a conversion")
+        monkeypatch.setattr(cli, "analyze_program", fail)
+        with pytest.raises(ValueError, match="not a conversion"):
+            main(["analyze", rule_file(tmp_path, SHIFT_GE)])
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/no/such/file.clp"]) == 2

@@ -307,6 +307,8 @@ _PARSE_ERRORS = [
      "nonlinear term: variable * variable", 1, 11),
     ("program", "p(A) <- A * (2) >= 1 <> p(B).",
      "expected a constant after '*'", 1, 13),
+    ("program", "p(A) <- A * (B) >= 0 <> p(C).",
+     "expected a constant after '*'", 1, 13),
     ("program", "p(A) <- A / B >= 1 <> p(B).",
      "nonlinear term: division by a variable", 1, 13),
     ("program", "p(A) <- A / (2) >= 1 <> p(B).",
@@ -436,10 +438,16 @@ class TestRoundTrip:
         assert again == prog
 
     def test_clause_source(self):
-        prog = parse_program("p(0) <- true <> p(B).")
-        (cl,) = prog.clauses
-        reparsed = parse_program(str(cl))
-        assert reparsed.clauses[0] == cl
+        # the second rule's fresh head variable takes a suffix, since X1 is
+        # in use; the third writes its coefficient after the variable
+        for source, printed in (
+                ("p(0) <- true <> p(B).", "p(X1) <- X1 = 0 <> p(B)."),
+                ("p(X1 + 1) <- X1 >= 0 <> p(B).",
+                 "p(X1_) <- X1 - X1_ = -1, X1 >= 0 <> p(B)."),
+                ("p(A) <- A * 2 >= 1 <> p(B).", "p(A) <- 2*A >= 1 <> p(B).")):
+            (cl,) = parse_program(source).clauses
+            assert str(cl) == printed
+            assert parse_program(printed).clauses[0] == cl
 
     def test_empty_program(self):
         assert parse_program("").clauses == ()
