@@ -12,7 +12,8 @@ Exit codes: 0 analysis completed (whatever the findings), 1 stdout closed
 before the report was written, 2 parse, validation or usage error, 3 a
 resource limit was hit somewhere or a witness failed engine validation (the
 partial report is still printed; ``check`` names the first such error on
-stderr).
+stderr) or a derived number is too long to print (the text report stops
+at it).
 """
 
 from __future__ import annotations

@@ -47,10 +47,10 @@ def _run_suite(mutant: dict | None) -> tuple[bool, str, float]:
             target = copy / mutant["file"]
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-x", "-q"],
             cwd=copy, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
