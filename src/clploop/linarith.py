@@ -39,8 +39,9 @@ counts of its lower bounds, upper bounds and equalities and the positions
 of its atoms.  A step reads x's atoms from the index, removes them and
 merges its new atoms by their slopes: only a slope that a new atom shares
 with another is simplified again, since every other one already is.  The
-slope rules live there alone (:meth:`_Store._resolve`): simplifying a list
-is merging it into a store with nothing to eliminate.  The next variable is
+slope rules live there alone (:meth:`_Store._resolve`, which compares two
+atoms of one slope by :func:`_implies`): simplifying a list is merging it
+into a store with nothing to eliminate.  The next variable is
 the cheapest by those counts.  This is the incremental solver's rule of
 touching only what a new constraint reaches in a solved store (Jaffar,
 Michaylov, Stuckey & Yap, TOPLAS 1992).
@@ -60,6 +61,8 @@ sides of an entailment onto its universal variables (a side already over
 them is taken as it is) and refutes the left side conjoined with the
 negation of each right-hand atom, the standard entailment check of CLP(Q)
 solvers: it merges the negated atom into a store of the left side.  A
+right-hand atom implied by one left atom of its slope needs no refutation
+(the quasi-syntactic redundancy of Lassez, Huynh & McAloon, 1993).  A
 constraint recorded simplified (see :class:`syntax.Constraint`) enters a
 store, or the base case, as it is; any other is simplified first, and
 recorded simplified when that leaves it unchanged.  `satisfiable` records nothing in its base case, since it does
@@ -103,11 +106,34 @@ def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ..
     variables, and opposite non-strict bounds that meet into one equality.
     Returns None when a conjunct is ground-false or two conjuncts
     contradict outright.  The atoms are merged, in order, into a store with
-    nothing to eliminate, whose :meth:`_Store._resolve` holds these rules."""
+    nothing to eliminate, whose :meth:`_Store._resolve` holds these rules;
+    when no atom is ground and no two share a slope, no rule applies, and
+    the atoms are returned as they are."""
+    atoms = tuple(atoms)
+    if all(a.coeffs for a in atoms) and len({a.slope()[0] for a in atoms}) == len(atoms):
+        return atoms
     store = _Store((), frozenset(), DEFAULT_DNF_LIMIT)
     if not store.merge([(None, a, False) for a in atoms]):
         return None
     return store.conjunction()
+
+
+def _implies(b: AtomicProp, a: AtomicProp) -> bool:
+    """Whether atom b implies atom a, two non-ground atoms of one slope d,
+    each read as ``s*d.x + k/g REL 0`` with (d, s, g) its slope and k its
+    constant.  An equality (led by a positive coefficient, so s = 1) pins
+    d.x to -k/g, and b implies a when a holds there.  A bound implies a
+    bound of its direction s that is no tighter: a larger k/g is tighter,
+    and at an equal k/g a strict bound is tighter than a non-strict one."""
+    _, sa, ga = a.slope()
+    _, sb, gb = b.slope()
+    if b.rel == REL_EQ:
+        v = a.const * gb - sa * b.const * ga  # s*d.x + k/g at d.x = -kb/gb, times g*gb
+        return v == 0 if a.rel == REL_EQ else v < 0 if a.rel == REL_LT else v <= 0
+    if a.rel == REL_EQ or sa != sb:
+        return False
+    diff = a.const * gb - b.const * ga
+    return diff < 0 or (diff == 0 and (a.rel == REL_LE or b.rel == REL_LT))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +272,8 @@ class _Store:
     def _resolve(self, d: tuple, old: list[int], group: list) -> bool:
         """Merge the new entries ``group`` into slope d, whose atoms are at
         the positions ``old``, by the slope rules of simplification, whose
-        one home this is.  The slope holds at most one atom per key: the
+        one home this is, comparing two atoms of the slope by
+        :func:`_implies`.  The slope holds at most one atom per key: the
         equality, the upper bound (s = 1) and the lower bound (s = -1),
         where an atom with slope (d, s, g) and constant k says ``s*d.x +
         k/g REL 0``.  A new atom of a key already held is a duplicate, a
@@ -264,8 +291,7 @@ class _Store:
             keys[0 if a.rel == REL_EQ else 1 if a.slope()[1] > 0 else 2] = [
                 p, a, derived is not None and p in derived]
         for p, a, der in group:
-            _, s, g = a.slope()
-            i = 0 if a.rel == REL_EQ else 1 if s > 0 else 2
+            i = 0 if a.rel == REL_EQ else 1 if a.slope()[1] > 0 else 2
             held = keys[i]
             if held is None:
                 keys[i] = [p, a, der]
@@ -273,31 +299,17 @@ class _Store:
             if p < held[0]:
                 held[0] = p
             b = held[1]
-            k0, g0 = b.const, b.slope()[2]
-            if not i:
-                if k0 * g != a.const * g0:
-                    return False
-                held[2] = held[2] and der
-                continue
-            # s*d.x <= -k/g (or <): larger k/g is tighter, and strict
-            # tighter at equal k/g
-            diff = a.const * g0 - k0 * g
-            if diff > 0 or (diff == 0 and a.rel == REL_LT and b.rel == REL_LE):
-                held[1], held[2] = a, der
-            elif diff == 0 and a.rel == b.rel:
+            if not _implies(b, a):
+                if not i:
+                    return False  # two equalities pin d.x apart
+                held[1], held[2] = a, der  # a tighter bound
+            elif _implies(a, b):
                 held[2] = held[2] and der  # the same atom again
         eq, up, lo = keys
         if eq is not None:
-            # the equality pins d.x to -ke/ge; s*d.x + k/g there, times g*ge
-            e = eq[1]
-            ke, ge = e.const, e.slope()[2]
             for held in (up, lo):
-                if held is not None:
-                    a = held[1]
-                    _, s, g = a.slope()
-                    slack = a.const * ge - s * ke * g
-                    if slack > 0 or (slack == 0 and a.rel == REL_LT):
-                        return False
+                if held is not None and not _implies(eq[1], held[1]):
+                    return False
             keys = [eq]
         elif (up is not None and lo is not None and up[1].rel == REL_LE
               and lo[1].rel == REL_LE
@@ -540,7 +552,10 @@ def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     conjunction exactly when it entails each of its atoms, so the verdict
     does not depend on the form of the right side, and the left side is
     simplified once unless it is recorded simplified.  A right-hand atom
-    among the left side's is entailed without a refutation.
+    implied by one left atom of its slope (:func:`_implies`) is entailed
+    without a refutation: the quasi-syntactic redundancy of Lassez, Huynh &
+    McAloon (1993).  Membership among the left side's atoms is asked first,
+    and the left atoms are grouped by slope only at the first miss.
 
     Each refutation merges the negated atom into a store of the left side's
     atoms.  When the left side is recorded satisfiable (see
@@ -555,9 +570,17 @@ def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     if lhs is None:
         return True  # an unsatisfiable left side entails anything
     have = set(left.atoms)
+    slopes: Optional[dict[tuple, list[AtomicProp]]] = None
     for a in rhs.atoms:
         if a in have:
             continue  # the projected left side implies a
+        if a.coeffs:
+            if slopes is None:
+                slopes = {}
+                for b in lhs:
+                    slopes.setdefault(b.slope()[0], []).append(b)
+            if any(_implies(b, a) for b in slopes.get(a.slope()[0], ())):
+                continue  # one left atom of a's slope implies a
         for n in _negate_atom(a):
             # both sides lie over `over`, so eliminating it leaves no variable
             store = _Store(lhs, e.over, limit, set() if left._sat else None)

@@ -85,6 +85,15 @@ class TestAnalyzeText:
             "  step 2: clause 1 |- <p(B#2) | B#2 >= 0>\n"
             "  steps 3..100 not executed: step 2 is a variant of step 1 (period 1)\n")
 
+    def test_trace_skips_a_witness_that_was_not_run(self, tmp_path, capsys):
+        path = rule_file(tmp_path, "p(A) <- A = B + 1, B >= 0 <> p(B).\n")
+        assert main(["analyze", path, "--verify-steps", "0"]) == 0
+        report = capsys.readouterr().out
+        assert main(["analyze", path, "--verify-steps", "0", "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert out == report
+        assert "witness: <p(A) | A >= 1>  (not run)" in out
+
     def test_trace_lists_each_witness_run(self, corpus_path, capsys):
         assert main(["analyze", str(corpus_path), "--trace"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -498,6 +507,16 @@ class TestCheck:
         assert cli._proof_for(parse_query("p(0, 0)"), report, 10**6) is None
         assert built and not {(rule.head_atom, rule.constraint),
                               (rule.body_atom, rule.constraint)} & set(built)
+
+    def test_filter_proof_skips_a_looping_rule_of_another_predicate(self, tmp_path,
+                                                                    capsys):
+        # q's looping rule comes first; only p's head query can prove p(3)
+        path = rule_file(tmp_path, "q(A) <- A = B <> q(B).\n"
+                                   "p(A) <- A >= 0, B = A + 1 <> p(B).\n")
+        assert main(["check", path, "--query", "p(3)"]) == 0
+        assert capsys.readouterr().out == (
+            "<p(3) | true>: LOOPS (proved)\n"
+            "  filter-more-general than <p(A) | A >= 0, A - B = -1> under tau {1}\n")
 
     def test_unknown_predicate(self, tmp_path, capsys):
         path = rule_file(tmp_path, SHIFT_GE)

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from fuzzers import atom
+from fuzzers import atom, reference_decide
 
+from clploop import linarith
 from clploop.linarith import (
     Entailment,
     ResourceLimitError,
@@ -228,6 +229,41 @@ class TestDecide:
         assert entails([lt(tx, zero), lt(zero, tx)], [eq(tx, one)], {X})
         assert not entails([le(tx, zero)], [lt(ty, ty)], {X})
         assert entails([], [le(zero, one)], ())
+
+    # one left atom of the right-hand atom's slope: the verdict needs no
+    # refutation when that atom implies it, and a refutation otherwise
+    SAME_SLOPE = {
+        "equality, strict bound at its value": ("X = 3", "X < 3", False),
+        "equality, bound at its value": ("X = 3", "X <= 3", True),
+        "equality, another equality": ("X = 3", "X = 4", False),
+        "scaled equality, bound": ("2*X + 4*Y = 3", "X + 2*Y <= 2", True),
+        "tighter bound": ("X <= 2", "X < 3", True),
+        "strict, non-strict at one value": ("X < 3", "X <= 3", True),
+        "non-strict, strict at one value": ("X <= 3", "X < 3", False),
+        "scaled slope": ("2*X <= 6", "X <= 3", True),
+        "scaled slope, tighter": ("2*X <= 5", "X <= 3", True),
+        "scaled slope, looser": ("2*X <= 7", "X <= 3", False),
+        "lower bounds": ("X > 4", "X >= 4", True),
+        "opposite direction": ("X >= 4", "X <= 5", False),
+        "bound, equality": ("X <= 3", "X = 3", False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SAME_SLOPE))
+    def test_one_left_atom_of_the_slope(self, case, monkeypatch):
+        left, right, held = self.SAME_SLOPE[case]
+        e = Entailment(Constraint.of(atom(left)), Constraint.of(atom(right)),
+                       frozenset({X, Y}))
+        assert reference_decide(e) is held
+        built = []
+        store = linarith._Store
+
+        def counted(*args):
+            built.append(args)
+            return store(*args)
+
+        monkeypatch.setattr(linarith, "_Store", counted)
+        assert decide(e) is held
+        assert bool(built) is not held  # a refutation runs only when it fails
 
     def test_satisfiable(self):
         assert satisfiable(Constraint.of(le(tx, ty)))

@@ -364,7 +364,7 @@ class TestEliminationStore:
 
     # store steps per analysis; an elimination in Fourier-Motzkin's base
     # case builds no store (see TestOneSidedElimination)
-    WORKLOAD_STEPS = {"corpus": 554, "shift": 979, "chain": 440}
+    WORKLOAD_STEPS = {"corpus": 523, "shift": 979, "chain": 171}
 
     @pytest.mark.parametrize("name", ["corpus", "shift", "chain"])
     def test_workload_steps_equal_the_reference(self, name, monkeypatch):
