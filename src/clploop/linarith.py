@@ -41,10 +41,10 @@ merges its new atoms by their slopes: only a slope that a new atom shares
 with another is simplified again, since every other one already is.  The
 slope rules live there alone (:meth:`_Store._resolve`, which compares two
 atoms of one slope by :func:`_implies`): simplifying a list is merging it
-into a store with nothing to eliminate.  The next variable is
-the cheapest by those counts.  This is the incremental solver's rule of
-touching only what a new constraint reaches in a solved store (Jaffar,
-Michaylov, Stuckey & Yap, TOPLAS 1992).
+into a store with nothing to eliminate.  The next variable is the cheapest
+by those counts.  This is the incremental solver's rule of touching only
+what a new constraint reaches in a solved store (Jaffar, Michaylov, Stuckey
+& Yap, TOPLAS 1992).
 
 No store is built in Fourier-Motzkin's base case, where no variable to
 eliminate is in an equality or bounded on both sides: each step then only

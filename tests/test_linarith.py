@@ -263,7 +263,7 @@ class TestDecide:
 
         monkeypatch.setattr(linarith, "_Store", counted)
         assert decide(e) is held
-        assert bool(built) is not held  # a refutation runs only when it fails
+        assert bool(built) is not held  # only an atom no left atom implies is refuted
 
     def test_satisfiable(self):
         assert satisfiable(Constraint.of(le(tx, ty)))
