@@ -1,9 +1,12 @@
 """Terms, atomic propositions, rule parsing and normalization."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
-from fuzzers import atom, is_true, local_vars, max_gen, rename_apart
+from conftest import CORPUS_PATH
+from fuzzers import atom, benchmark_text, is_true, local_vars, max_gen, rename_apart
 
 from clploop import syntax
 from clploop.syntax import (
@@ -368,6 +371,56 @@ def test_normalize_clause_error_has_no_position():
         normalize_clause(atom_of_vars(p, (A,)), c, atom_of_vars(p, (B,)))
     assert (exc.value.message, exc.value.line, exc.value.col) == (
         "unsatisfiable rule constraint: 0 < 0", None, None)
+
+
+# The characters a one-character edit writes in place of another.
+_EDIT_CHARACTERS = "(),.-*/<>=#A1\n"
+
+# sha256 of the outcomes of 400 seeded one-character edits of each source
+# (see _edit_outcomes): a parser change that moves an error position,
+# changes a message or builds another clause changes the digest
+EDIT_OUTCOME_SHA256 = {
+    "demo": "23f9728679fb29b64973eddb3bbef724c0b46a9ec2b3319f5450aa7293210620",
+    "chain": "f8d970c7b4b129d8060dba69886abec4b3b9710c41068d151c0779ccc650fd80",
+}
+
+
+def _edit_sources() -> dict[str, str]:
+    return {"demo": CORPUS_PATH.read_text(encoding="utf-8"),
+            "chain": benchmark_text("chain")}
+
+
+def _edit_outcomes(text: str, seed: int):
+    """The outcome of parse_program on each of 400 edits of the text, at
+    distinct seeded positions: the character deleted, duplicated, or
+    replaced by one of _EDIT_CHARACTERS.  An outcome is ("clauses", the
+    repr and text of each clause) or ("error", (message, line, column))."""
+    rng = random.Random(seed)
+    for i in sorted(rng.sample(range(len(text)), 400)):
+        edit = rng.randrange(3)
+        if edit == 0:
+            edited = text[:i] + text[i + 1:]
+        elif edit == 1:
+            edited = text[:i] + text[i] + text[i:]
+        else:
+            edited = text[:i] + rng.choice(_EDIT_CHARACTERS) + text[i + 1:]
+        try:
+            clauses = parse_program(edited).clauses
+        except ParseError as err:
+            yield "error", (err.message, err.line, err.col)
+        else:
+            yield "clauses", [(repr(c), c.text) for c in clauses]
+
+
+@pytest.mark.parametrize("name", sorted(EDIT_OUTCOME_SHA256))
+def test_one_character_edits_keep_their_parse_outcomes(name):
+    digest = hashlib.sha256()
+    kinds = set()
+    for kind, outcome in _edit_outcomes(_edit_sources()[name], seed=1):
+        kinds.add(kind)
+        digest.update(repr((kind, outcome)).encode("utf-8") + b"\n")
+    assert kinds == {"clauses", "error"}
+    assert digest.hexdigest() == EDIT_OUTCOME_SHA256[name]
 
 
 class TestParseQuery:
