@@ -305,7 +305,17 @@ def _linear_atom(acc: Mapping[Var, int | Fraction], const: int | Fraction,
     """The atom ``sign * (sum of c*v + const) REL 0`` of rational
     coefficients and constant, with sign +1 or -1: the one place rational
     data becomes an atom.  Scales by the lcm of the denominators, then
-    :func:`_atom` divides by the gcd."""
+    :func:`_atom` divides by the gcd; ``int`` data needs no scaling."""
+    if const.__class__ is int:
+        coeffs = []
+        for v, c in acc.items():
+            if c.__class__ is not int:
+                break
+            if c:
+                coeffs.append((v, sign * c))
+        else:
+            coeffs.sort()
+            return _atom(tuple(coeffs), sign * const, rel)
     coeffs = sorted((v, c) for v, c in acc.items() if c)
     scale = sign * math.lcm(const.denominator, *(c.denominator for _, c in coeffs))
     return _atom(tuple((v, c.numerator * (scale // c.denominator)) for v, c in coeffs),
@@ -506,8 +516,7 @@ class Clause(_Value):
     def __init__(self, head_pred: Pred, head_vars: tuple[Var, ...],
                  constraint: Constraint, body_pred: Pred,
                  body_vars: tuple[Var, ...], text: str = ""):
-        hv, bv = set(head_vars), set(body_vars)
-        if len(hv) != len(head_vars) or len(bv) != len(body_vars) or hv & bv:
+        if len(set(head_vars + body_vars)) != len(head_vars) + len(body_vars):
             raise ValueError("rule arguments must be disjoint sequences of distinct variables")
         self.head_pred = head_pred
         self.head_vars = head_vars
@@ -671,15 +680,19 @@ class _Parser:
 
     # term := "-"* unsigned
     def term(self, acc: dict, sign: int):
-        while self.at("-"):
-            self.next()
+        tokens, pos = self.tokens, self.pos
+        while tokens[pos][1] == "-":
+            pos += 1
             sign = -sign
+        self.pos = pos
         return self.unsigned(acc, sign)
 
     # unsigned := rational | var | rational "*" var | var "*" rational
     #           | var "/" rational | "(" linexpr ")"
     def unsigned(self, acc: dict, sign: int):
-        tok = self.next()
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        self.pos = pos + 1
         if tok[1] == "(":
             if self.depth == _MAX_NESTING:
                 self.error(f"parentheses nested deeper than {_MAX_NESTING}", tok)
@@ -690,13 +703,13 @@ class _Parser:
             return const
         if tok[0] == "rat":
             coeff = self.rational(tok)
-            after = self.peek()[1]
+            after = tokens[pos + 1][1]
             if after == "/":
                 self.error("division must be variable / constant")
             if after != "*":
                 return sign * coeff
-            self.next()
-            vtok = self.next()
+            vtok = tokens[pos + 2]
+            self.pos = pos + 3
             if vtok[0] != "var":
                 if vtok[0] == "rat":
                     self.error("nonlinear term: products must be constant * variable", vtok)
@@ -705,18 +718,18 @@ class _Parser:
         elif tok[0] == "var":
             v = Var(tok[1])
             coeff = 1
-            after = self.peek()[1]
+            after = tokens[pos + 1][1]
             if after == "*":
-                star = self.next()
-                ntok = self.next()
+                star, ntok = tokens[pos + 1], tokens[pos + 2]
+                self.pos = pos + 3
                 if ntok[0] == "var":
                     self.error("nonlinear term: variable * variable", star)
                 if ntok[0] != "rat":
                     self.error("expected a constant after '*'", ntok)
                 coeff = self.rational(ntok)
             elif after == "/":
-                self.next()
-                dtok = self.next()
+                dtok = tokens[pos + 2]
+                self.pos = pos + 3
                 if dtok[0] == "var":
                     self.error("nonlinear term: division by a variable", dtok)
                 if dtok[0] != "rat":
@@ -735,16 +748,24 @@ class _Parser:
         """Add ``sign`` times the expression's variable part to ``acc`` and
         return ``sign`` times its constant."""
         const = self.term(acc, sign)
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            const += self.term(acc, sign if op == "+" else -sign)
-        return const
+        tokens = self.tokens
+        while True:
+            op = tokens[self.pos][1]
+            if op == "+":
+                self.pos += 1
+                const += self.term(acc, sign)
+            elif op == "-":
+                self.pos += 1
+                const += self.term(acc, -sign)
+            else:
+                return const
 
     # constr := linexpr rel linexpr
     def constr(self) -> AtomicProp:
         acc: dict[Var, int | Fraction] = {}
         const = self.linexpr(acc, 1)
-        tok = self.next()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         relation = _RELATIONS.get(tok[1])
         if relation is None:
             self.error("expected a relation (=, <=, <, >=, >)", tok)
@@ -753,33 +774,42 @@ class _Parser:
 
     # constrs := "true" | constr ("," constr)*
     def constrs(self) -> Constraint:
-        if self.at("true"):
-            self.next()
+        tokens = self.tokens
+        if tokens[self.pos][1] == "true":
+            self.pos += 1
             return TRUE_CONSTRAINT
         atoms = [self.constr()]
-        while self.at(","):
-            self.next()
+        while tokens[self.pos][1] == ",":
+            self.pos += 1
             atoms.append(self.constr())
         return Constraint(tuple(atoms))
 
     def argument(self) -> LinTerm:
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        if tok[0] == "var" and tokens[pos + 1][1] in (",", ")"):
+            # a lone variable, as LinTerm.make would build it
+            self.pos = pos + 1
+            return LinTerm(((Var(tok[1]), _F1),), _F0)
         acc: dict[Var, int | Fraction] = {}
         const = self.linexpr(acc, 1)
         return LinTerm.make(acc, const)
 
     # atom := pred | pred "(" linexpr ("," linexpr)* ")"
     def atom(self) -> tuple[str, tuple[LinTerm, ...], _Token]:
-        tok = self.next()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
         if tok[0] != "pred":
             self.error("expected a predicate name", tok)
         if tok[1] == "true":
             self.error("'true' is reserved", tok)
         args: list[LinTerm] = []
-        if self.at("("):
-            self.next()
+        if tokens[self.pos][1] == "(":
+            self.pos += 1
             args.append(self.argument())
-            while self.at(","):
-                self.next()
+            while tokens[self.pos][1] == ",":
+                self.pos += 1
                 args.append(self.argument())
             self.expect(")")
         return tok[1], tuple(args), tok
@@ -875,36 +905,36 @@ def normalize_clause(head: Atom, constraint: Constraint, body: Atom, text: str =
     occurs in more than one argument position, is replaced by a fresh variable
     X<i> (head) or Y<i> (body) with the equation ``fresh = argument`` added in
     front of the constraint.  Idempotent up to renaming; raises ParseError if
-    the resulting constraint is unsatisfiable."""
+    the resulting constraint is unsatisfiable.  A rule already in the
+    internal form is returned over the given constraint, with no new
+    equations."""
     args = head.args + body.args
-    # one pass over the arguments: the variable each one is (None for a
-    # constant or a compound term), how many arguments each variable is,
-    # and every variable name in use
-    arg_vars: list[Optional[Var]] = []
-    occurrences: dict[Var, int] = {}
-    used_names = {v.name for a in constraint.atoms for v, _ in a.coeffs}
-    for t in args:
-        v = t.is_var()
-        arg_vars.append(v)
-        if v is not None:
-            occurrences[v] = occurrences.get(v, 0) + 1
-        for w, _ in t.coeffs:
-            used_names.add(w.name)
-
     n = len(head.args)
-    chosen: list[Var] = []
-    equations: list[AtomicProp] = []
-    for i, (t, v) in enumerate(zip(args, arg_vars)):
-        if v is None or occurrences[v] > 1:
-            base = f"X{i + 1}" if i < n else f"Y{i - n + 1}"
-            v = Var(_fresh_name(base, used_names))
-            equations.append(var_eq(v, t))
-        chosen.append(v)
-    new_constraint = Constraint(tuple(equations) + constraint.atoms)
+    # the variable each argument is (None for a constant or a compound term)
+    arg_vars = [t.is_var() for t in args]
+    if None not in arg_vars and len(set(arg_vars)) == len(arg_vars):
+        chosen = arg_vars
+    else:
+        # how many arguments each variable is, and every variable name in use
+        occurrences: dict[Var, int] = {}
+        for v in arg_vars:
+            if v is not None:
+                occurrences[v] = occurrences.get(v, 0) + 1
+        used_names = {v.name for a in constraint.atoms for v, _ in a.coeffs}
+        used_names.update(w.name for t in args for w, _ in t.coeffs)
+        chosen = []
+        equations: list[AtomicProp] = []
+        for i, (t, v) in enumerate(zip(args, arg_vars)):
+            if v is None or occurrences[v] > 1:
+                base = f"X{i + 1}" if i < n else f"Y{i - n + 1}"
+                v = Var(_fresh_name(base, used_names))
+                equations.append(var_eq(v, t))
+            chosen.append(v)
+        constraint = Constraint(tuple(equations) + constraint.atoms)
 
-    if not linarith.satisfiable(new_constraint):
-        raise ParseError(f"unsatisfiable rule constraint: {new_constraint}")
-    return Clause(head.pred, tuple(chosen[:n]), new_constraint, body.pred,
+    if not linarith.satisfiable(constraint):
+        raise ParseError(f"unsatisfiable rule constraint: {constraint}")
+    return Clause(head.pred, tuple(chosen[:n]), constraint, body.pred,
                   tuple(chosen[n:]), text=text)
 
 

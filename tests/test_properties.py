@@ -91,6 +91,9 @@ from clploop.neutral import (
     projection,
 )
 from clploop.syntax import (
+    REL_EQ,
+    REL_LE,
+    REL_LT,
     Atom,
     AtomicProp,
     Clause,
@@ -102,6 +105,7 @@ from clploop.syntax import (
     Query,
     Var,
     _atom,
+    _linear_atom,
     atom_of_vars,
     compare,
     parse_program,
@@ -600,6 +604,20 @@ class TestIntegerAtomProperties:
                       parse_query(f"p : {_source(lhs_k)} {op} {_source(rhs_k)}")
                       .constraint.atoms[0]):
                 assert b == a and hash(b) == hash(a)
+
+    def test_int_data_equals_its_fraction_form(self):
+        # _linear_atom on int data, under either sign, equals the same call
+        # with every number given as a Fraction, which takes the scaling path
+        rng = random.Random(117)
+        for _ in range(300):
+            acc = {v: rng.randint(-6, 6) for v in self.VARS if rng.random() < 0.7}
+            const = rng.randint(-12, 12)
+            rel = rng.choice((REL_EQ, REL_LE, REL_LT))
+            for sign in (1, -1):
+                a = _linear_atom(acc, const, rel, sign)
+                assert _primitive(a)
+                assert a == _linear_atom({v: Fraction(c) for v, c in acc.items()},
+                                         Fraction(const), rel, sign)
 
     def test_substitute_agrees_with_eval(self):
         # a[m] at v holds exactly when a holds at v extended by m's values,

@@ -523,6 +523,32 @@ class TestNormalizeClause:
         with pytest.raises(ParseError, match="unsatisfiable"):
             normalize_clause(atom_of_vars(p, (A,)), c, atom_of_vars(p, (B,)))
 
+    def test_normal_form_keeps_the_constraint(self):
+        # distinct argument variables need no equations: the atoms stay as
+        # given, directly and through the parser
+        p, q = Pred("p", 2), Pred("q", 1)
+        c = Constraint.of(compare(ta, ">=", tb), compare(LinTerm.of_var(C), "<", ta))
+        cl = normalize_clause(atom_of_vars(p, (A, B)), c, atom_of_vars(q, (C,)))
+        assert (cl.head_vars, cl.body_vars) == ((A, B), (C,))
+        assert cl.constraint.atoms == c.atoms
+        (parsed,) = parse_program("p(A, B) <- A >= B, C < A <> q(C).").clauses
+        assert parsed == cl
+        assert str(parsed) == "p(A, B) <- A - B >= 0, A - C > 0 <> q(C)."
+
+    @pytest.mark.parametrize("source, printed", [
+        # a repeated variable
+        ("p(A, A) <- true <> p(B, C).", "p(X1, X2) <- A - X1 = 0, A - X2 = 0 <> p(B, C)."),
+        # a constant
+        ("p(0) <- A >= 0 <> p(B).", "p(X1) <- X1 = 0, A >= 0 <> p(B)."),
+        # a variable shared by head and body
+        ("p(A) <- A >= 0 <> p(A).", "p(X1) <- A - X1 = 0, A - Y1 = 0, A >= 0 <> p(Y1)."),
+        # a compound argument
+        ("p(A + 1) <- A >= 0 <> p(B).", "p(X1) <- A - X1 = -1, A >= 0 <> p(B)."),
+    ])
+    def test_other_arguments_get_equations(self, source, printed):
+        (cl,) = parse_program(source).clauses
+        assert str(cl) == printed
+
     def test_query_str_uses_angle_brackets(self):
         q = Query(Atom(Pred("p", 2), (ta, LinTerm.of_const(0))), Constraint(()))
         assert str(q) == "<p(A, 0) | true>"
