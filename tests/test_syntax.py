@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import CORPUS_PATH
 from fuzzers import atom, benchmark_text, is_true, local_vars, max_gen, rename_apart
 
 from clploop import syntax
@@ -385,11 +384,6 @@ EDIT_OUTCOME_SHA256 = {
 }
 
 
-def _edit_sources() -> dict[str, str]:
-    return {"demo": CORPUS_PATH.read_text(encoding="utf-8"),
-            "chain": benchmark_text("chain")}
-
-
 def _edit_outcomes(text: str, seed: int):
     """The outcome of parse_program on each of 400 edits of the text, at
     distinct seeded positions: the character deleted, duplicated, or
@@ -413,10 +407,11 @@ def _edit_outcomes(text: str, seed: int):
 
 
 @pytest.mark.parametrize("name", sorted(EDIT_OUTCOME_SHA256))
-def test_one_character_edits_keep_their_parse_outcomes(name):
+def test_one_character_edits_keep_their_parse_outcomes(name, corpus_path):
+    text = corpus_path.read_text(encoding="utf-8") if name == "demo" else benchmark_text(name)
     digest = hashlib.sha256()
     kinds = set()
-    for kind, outcome in _edit_outcomes(_edit_sources()[name], seed=1):
+    for kind, outcome in _edit_outcomes(text, seed=1):
         kinds.add(kind)
         digest.update(repr((kind, outcome)).encode("utf-8") + b"\n")
     assert kinds == {"clauses", "error"}
