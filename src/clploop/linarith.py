@@ -46,33 +46,30 @@ by those counts.  This is the incremental solver's rule of touching only
 what a new constraint reaches in a solved store (Jaffar, Michaylov, Stuckey
 & Yap, TOPLAS 1992).
 
-No store is built in Fourier-Motzkin's base case, where no variable to
-eliminate is in an equality or bounded on both sides: each step then only
-deletes the variable's atoms (Dantzig & Eaves, JCT A 1973), so the result
-is the atoms without those variables, in order, and, with at most as many
-atoms as the ceiling of conjuncts, no step exceeds it.  `project` tests
-for it after simplifying, and `satisfiable` on the atoms as they are,
-where a base case is satisfiable exactly when its ground atoms are true.
+One routine, :func:`_eliminate`, runs every elimination.  It simplifies
+its input first, unless the constraint is recorded simplified (see
+:class:`syntax.Constraint`), and records it simplified when that leaves it
+unchanged.  It builds no store in Fourier-Motzkin's base case, where no
+variable to eliminate is in an equality or bounded on both sides: each step
+then only deletes the variable's atoms (Dantzig & Eaves, JCT A 1973), so
+the result is the atoms without those variables, in order, and, with at
+most as many atoms as the ceiling of conjuncts, no step exceeds it.
 
 `project` eliminates the variables outside a set, `satisfiable` eliminates
 them all, `sample_solution` projects along one chain, the last-named
-variable first, and picks values back along it, and `decide` projects both
-sides of an entailment onto its universal variables (a side already over
-them is taken as it is) and refutes the left side conjoined with the
-negation of each right-hand atom, the standard entailment check of CLP(Q)
-solvers: it merges the negated atom into a store of the left side.  A
-right-hand atom implied by one left atom of its slope needs no refutation
-(the quasi-syntactic redundancy of Lassez, Huynh & McAloon, 1993).  A
-constraint recorded simplified (see :class:`syntax.Constraint`) enters a
-store, or the base case, as it is; any other is simplified first, and
-recorded simplified when that leaves it unchanged.  `satisfiable` records nothing in its base case, since it does
-not simplify there; the constraint's first projection records it.  When
-the left side of an entailment carries the record that it is satisfiable,
-the store flags its atoms known, and a refutation stops as soon as no atom
-derived from the negated atom is left.  All arithmetic is exact; sampled
-values are ``Fraction``s.  One configurable ceiling caps the conjuncts one
-elimination step produces, raising :class:`ResourceLimitError` when
-exceeded.
+variable first, and picks values back along it, and `decide` eliminates
+the left side's variables outside its universal variables, projects the
+right side onto them (a right side already over them is taken as it is)
+and refutes the left side conjoined with the negation of each right-hand
+atom, the standard entailment check of CLP(Q) solvers: it merges the
+negated atom into a store of the left side.  A right-hand atom implied by
+one left atom of its slope needs no refutation (the quasi-syntactic
+redundancy of Lassez, Huynh & McAloon, 1993).  When the left side of an
+entailment carries the record that it is satisfiable, the store flags its
+atoms known, and a refutation stops as soon as no atom derived from the
+negated atom is left.  All arithmetic is exact; sampled values are
+``Fraction``s.  One configurable ceiling caps the conjuncts one elimination
+step produces, raising :class:`ResourceLimitError` when exceeded.
 """
 
 from __future__ import annotations
@@ -426,14 +423,14 @@ class _Store:
         return self.conjunction()
 
 
-def _one_sided(atoms: Sequence[AtomicProp], drop: Optional[frozenset[Var] | set[Var]],
+def _one_sided(atoms: Sequence[AtomicProp], drop: frozenset[Var] | set[Var],
                limit: int) -> Optional[list[AtomicProp]]:
-    """The atoms that mention no variable of ``drop`` (every variable when
-    None), in order, when eliminating drop from ``atoms`` is Fourier-Motzkin's
-    base case, and None otherwise.  The base case: no variable of drop is in
-    an equality or has both a lower and an upper bound, so each step only
-    deletes the variable's atoms, and there are at most ``limit`` atoms, so
-    no step exceeds the ceiling of conjuncts."""
+    """The atoms that mention no variable of ``drop``, in order, when
+    eliminating drop from ``atoms`` is Fourier-Motzkin's base case, and None
+    otherwise.  The base case: no variable of drop is in an equality or has
+    both a lower and an upper bound, so each step only deletes the
+    variable's atoms, and there are at most ``limit`` atoms, so no step
+    exceeds the ceiling of conjuncts."""
     if len(atoms) > limit:
         return None
     upper: dict[Var, bool] = {}
@@ -442,7 +439,7 @@ def _one_sided(atoms: Sequence[AtomicProp], drop: Optional[frozenset[Var] | set[
         eq = a.rel == REL_EQ
         free = True
         for v, c in a.coeffs:
-            if drop is None or v in drop:
+            if v in drop:
                 if eq or upper.setdefault(v, c > 0) is not (c > 0):
                     return None
                 free = False
@@ -456,6 +453,8 @@ def _eliminate(c: Constraint, drop: frozenset[Var] | set[Var],
     """Eliminate every variable of ``drop`` from c's atoms, simplified
     first unless c is recorded simplified; None when they are inconsistent.
     A c that the simplification leaves unchanged is recorded simplified.
+    This is the one elimination behind `project`, `satisfiable` and the
+    left side of `decide`.
 
     In the base case (:func:`_one_sided`) the result is the atoms that
     mention no variable of drop, in order, and no store is built: that is
@@ -495,20 +494,11 @@ def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) 
 
 
 def satisfiable(c: Constraint, limit: int = DEFAULT_DNF_LIMIT) -> bool:
-    """Whether a constraint has a rational solution: every variable is
-    eliminated, with no atom known.  The verdict is recorded on c.
-
-    The base case (:func:`_one_sided`) is tested on c's atoms as they are,
-    before any simplification: when it holds, pushing each variable far
-    past its bounds satisfies every atom with a variable, so the verdict is
-    the truth of the ground atoms, and c is not recorded simplified (its
-    first projection records it).  Otherwise :func:`_eliminate` decides,
-    recording c simplified when the simplification leaves it unchanged."""
-    ground = _one_sided(c.atoms, None, limit)
-    if ground is not None:
-        sat = all(a.ground_truth() for a in ground)
-    else:
-        sat = _eliminate(c, c.variables, limit) is not None
+    """Whether a constraint has a rational solution: :func:`_eliminate`
+    eliminates every variable, with no atom known, and c is satisfiable
+    unless that finds an inconsistency.  The verdict is recorded on c, and
+    c is recorded simplified when the simplification leaves it unchanged."""
+    sat = _eliminate(c, c.variables, limit) is not None
     c._sat = sat
     return sat
 
@@ -536,26 +526,18 @@ def _negate_atom(a: AtomicProp) -> tuple[AtomicProp, ...]:
     return (_atom(neg, -a.const, REL_LE),)
 
 
-def _onto(c: Constraint, over: frozenset[Var], limit: int) -> Constraint:
-    """c projected onto ``over``; c itself when all its variables lie in
-    ``over``, since such a projection eliminates nothing."""
-    if c.variables <= over:
-        return c
-    return project(c, over, limit)
-
-
 def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     """Whether the entailment holds over the rationals: with both sides
     projected onto ``over``, the left side conjoined with any atom of the
-    negation of a right-hand atom is unsatisfiable.  A side whose variables
-    already lie in ``over`` is taken as it is: the left side entails a
-    conjunction exactly when it entails each of its atoms, so the verdict
-    does not depend on the form of the right side, and the left side is
-    simplified once unless it is recorded simplified.  A right-hand atom
-    implied by one left atom of its slope (:func:`_implies`) is entailed
-    without a refutation: the quasi-syntactic redundancy of Lassez, Huynh &
-    McAloon (1993).  Membership among the left side's atoms is asked first,
-    and the left atoms are grouped by slope only at the first miss.
+    negation of a right-hand atom is unsatisfiable.  The left side is
+    projected by :func:`_eliminate`, which also simplifies it unless it is
+    recorded simplified.  A right side whose variables already lie in
+    ``over`` is taken as it is: the left side entails a conjunction exactly
+    when it entails each of its atoms, so the verdict does not depend on
+    the form of the right side.  A right-hand atom that is one of the left
+    side's atoms, or that one left atom of its slope implies
+    (:func:`_implies`), is entailed without a refutation: the
+    quasi-syntactic redundancy of Lassez, Huynh & McAloon (1993).
 
     Each refutation merges the negated atom into a store of the left side's
     atoms.  When the left side is recorded satisfiable (see
@@ -564,26 +546,21 @@ def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     an incremental CLP(Q) solver checks only what a constraint added to a
     solved store reaches.  Otherwise every variable is eliminated, as
     :func:`satisfiable` does."""
-    left = _onto(e.lhs, e.over, limit)
-    rhs = _onto(e.rhs, e.over, limit)
-    lhs = left.atoms if left._simplified else _simplify_conj(left.atoms)
+    lhs = _eliminate(e.lhs, e.lhs.variables - e.over, limit)
+    rhs = e.rhs if e.rhs.variables <= e.over else project(e.rhs, e.over, limit)
     if lhs is None:
         return True  # an unsatisfiable left side entails anything
-    have = set(left.atoms)
-    slopes: Optional[dict[tuple, list[AtomicProp]]] = None
+    have = set(lhs)
     for a in rhs.atoms:
         if a in have:
             continue  # the projected left side implies a
         if a.coeffs:
-            if slopes is None:
-                slopes = {}
-                for b in lhs:
-                    slopes.setdefault(b.slope()[0], []).append(b)
-            if any(_implies(b, a) for b in slopes.get(a.slope()[0], ())):
+            d = a.slope()[0]
+            if any(b.slope()[0] == d and _implies(b, a) for b in lhs):
                 continue  # one left atom of a's slope implies a
         for n in _negate_atom(a):
             # both sides lie over `over`, so eliminating it leaves no variable
-            store = _Store(lhs, e.over, limit, set() if left._sat else None)
+            store = _Store(lhs, e.over, limit, set() if e.lhs._sat else None)
             if store.merge([(None, n, True)]) and store.eliminate_all() is not None:
                 return False
     return True

@@ -378,8 +378,8 @@ class Constraint(_Value):
     ``_simplified`` records that simplification (``linarith._simplify_conj``,
     a merge into an elimination store with nothing to eliminate) leaves the
     atoms as they are, so that an elimination takes them without that merge.
-    ``linarith.project`` sets it on its result, and ``project`` and
-    ``satisfiable`` (outside the base case it settles unsimplified) on an
+    ``linarith.project`` sets it on its result, and every elimination
+    (``project``, ``satisfiable`` and the left side of ``decide``) on an
     input the merge left unchanged; the same two builders set it, on a
     one-to-one renaming of a recorded projection and on a conjunction of
     two recorded parts over disjoint variables, whose slopes differ.
@@ -641,27 +641,17 @@ class _Parser:
         self.depth = 0
         self.preds: dict[str, Pred] = {}  # one Pred per name
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def error(self, message: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
+        tok = tok or self.tokens[self.pos]
         raise ParseError(message, *_position(self.text, tok[2]))
 
     def expect(self, text: str) -> _Token:
-        tok = self.next()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok[1] != text:
             shown = tok[1] or "end of input"
             self.error(f"expected {text!r}, found {shown!r}", tok)
         return tok
-
-    def at(self, text: str) -> bool:
-        return self.peek()[1] == text
 
     # rational := [0-9]+ ("/" [0-9]+)?
     def rational(self, tok: _Token) -> int | Fraction:
@@ -825,7 +815,7 @@ class _Parser:
 
     # clause := atom "<-" constrs "<>" atom "."
     def clause(self) -> Clause:
-        start = self.peek()[2]
+        start = self.tokens[self.pos][2]
         hname, hargs, htok = self.atom()
         self.expect("<-")
         c = self.constrs()
@@ -843,11 +833,11 @@ class _Parser:
     def query(self) -> Query:
         name, args, tok = self.atom()
         c = Constraint(())
-        if self.at(":"):
-            self.next()
+        if self.tokens[self.pos][1] == ":":
+            self.pos += 1
             c = self.constrs()
-        if self.at("."):
-            self.next()
+        if self.tokens[self.pos][1] == ".":
+            self.pos += 1
         return Query(Atom(self.pred_of(name, len(args), tok), args), c)
 
 
@@ -866,7 +856,7 @@ def parse_program(text: str) -> Program:
     rules whose constraint is unsatisfiable."""
     p = _Parser(text)
     clauses: list[Clause] = []
-    while p.peek()[0] != "eof":
+    while p.tokens[p.pos][0] != "eof":
         clauses.append(p.clause())
     return Program(tuple(clauses))
 
@@ -880,7 +870,7 @@ def parse_query(text: str, program: Optional[Program] = None) -> Query:
                        for pred in (cl.head_pred, cl.body_pred))
     known = set(p.preds)
     q = p.query()
-    if p.peek()[0] != "eof":
+    if p.tokens[p.pos][0] != "eof":
         p.error("trailing input after query")
     if program is not None and q.pred.name not in known:
         # a query's first token is its predicate name

@@ -290,6 +290,33 @@ class TestSatisfiabilityRecord:
         assert u.rename({X: Y})._sat is None
         assert c.conjoin(c)._sat is None
 
+    # unrecorded inputs, each with whether simplifying leaves it unchanged
+    RECORDED = (
+        ([le(tx, ty), le(ty, tz)], True),  # one-sided in X and Z
+        ([eq(tx, ty), le(ty, one)], True),  # an equality: not one-sided
+        ([le(tx, ty), le(ty, tx)], False),  # folded into X = Y
+        ([le(tx, ty), le(tx, ty)], False),  # a duplicate
+        ([lt(zero, one), le(tx, zero)], False),  # a ground-true atom
+        ([eq(tx, one), le(tx, LinTerm.of_const(5))], False),  # pinned
+        ([le(tx, zero), lt(zero, tx)], True),  # inconsistent, found by elimination
+        ([eq(tx, zero), eq(tx, one)], False),  # inconsistent, found by simplifying
+    )
+
+    def test_satisfiable_records_an_unchanged_simplification(self):
+        for atoms, unchanged in self.RECORDED:
+            c = Constraint(tuple(atoms))
+            assert (_simplify_conj(c.atoms) == c.atoms) is unchanged
+            satisfiable(c)
+            assert c._simplified is unchanged, atoms
+
+    def test_decide_records_its_left_side_and_not_its_verdict(self):
+        for over in (frozenset({X, Y, Z}), frozenset({X})):
+            for atoms, unchanged in self.RECORDED:
+                lhs = Constraint(tuple(atoms))
+                decide(Entailment(lhs, Constraint.of(le(tx, one)), over))
+                assert lhs._simplified is unchanged, (atoms, over)
+                assert lhs._sat is None
+
     def test_unsatisfiable_left_side_without_record_entails(self):
         lhs = Constraint.of(le(tx, zero), ge(tx, one))
         assert decide(Entailment(lhs, Constraint.of(le(ty, zero)), frozenset({X, Y})))
@@ -398,6 +425,12 @@ class TestDecideSidesInsideOver:
         "contradictory rhs": ([le(tx, ty)], [eq(tx, ty), atom("X = Y + 1")], False),
         "ground-false rhs": ([le(tx, ty)], [le(one, zero)], False),
         "ground-false both": ([le(one, zero)], [le(one, zero)], True),
+        # unrecorded left sides whose simplification removes the right-hand atom
+        "folded lhs": ([le(tx, ty), ge(tx, ty)], [eq(tx, ty)], True),
+        "pinned lhs": ([eq(tx, LinTerm.of_const(2)), le(tx, LinTerm.of_const(5))],
+                       [le(tx, LinTerm.of_const(5))], True),
+        "slackened lhs, looser rhs": ([atom("X <= Y + 1"), atom("X <= Y + 2")],
+                                      [atom("X <= Y + 2")], True),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

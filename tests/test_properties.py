@@ -5,12 +5,14 @@ budgets live in the acceptance gate.
 """
 
 import itertools
+import json
 import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 
+import mutate
 import pytest
 from fuzzers import (
     RELS,
@@ -474,8 +476,8 @@ class TestOneSidedElimination:
                 if len(_simplify_conj(atoms)) <= limit:
                     assert not built, (atoms, drop, limit)  # settled without a store
                     kinds["deleted" if len(expected) < len(c.atoms) else "kept"] += 1
-            # with every variable one-sided, satisfiable decides on the raw
-            # atoms; the other inputs take the store
+            # with every variable one-sided, satisfiable settles the base
+            # case after simplifying; the other inputs take the store
             every = frozenset(v for a in atoms for v in a.variables)
             for limit in self.LIMITS:
                 c = Constraint(tuple(atoms))
@@ -488,12 +490,13 @@ class TestOneSidedElimination:
                 assert satisfiable(c, limit) == (expected is not None), (atoms, limit)
                 assert c._sat == (expected is not None)
                 if every <= drop and len(atoms) <= limit:
-                    assert not c._simplified  # its first projection records it
+                    # recorded simplified exactly when simplifying changes nothing
+                    assert c._simplified == (_simplify_conj(atoms) == tuple(atoms))
                     kinds["sat" if c._sat else "unsat"] += 1
         # at this seed: 962 projections delete atoms and 126 keep them all,
         # 535 inputs are inconsistent, the store raises in 314 projections
-        # and 350 satisfiability checks, and the raw atoms settle 330
-        # satisfiable and 63 unsatisfiable inputs
+        # and 350 satisfiability checks, and the one-sided inputs number 330
+        # satisfiable and 63 unsatisfiable
         assert min(kinds.values()) >= 30 and len(kinds) == 7, kinds
 
 
@@ -1755,3 +1758,13 @@ class TestValueSemantics:
                                      ((A, B), (B, Var("C")))):
             with pytest.raises(ValueError, match="disjoint sequences"):
                 Clause(p, head_vars, Constraint(()), p, body_vars)
+
+
+class TestMutationGate:
+    """Every mutant of ``tests/mutants.json`` still applies: its old text
+    occurs exactly once in its file, so a refactor that rewrites a mutated
+    line fails here, and not only in ``python tests/mutate.py``."""
+
+    def test_no_mutant_is_stale(self):
+        mutants = json.loads((mutate.ROOT / "tests" / "mutants.json").read_text(encoding="utf-8"))
+        assert mutate._stale(mutants) == []
