@@ -4,8 +4,10 @@ A mutant is a small deliberate fault: in one file of the package, one piece
 of text (``old``, which must occur exactly once) is replaced by another
 (``new``); ``fault`` says what it models.  For each mutant this script
 copies the checkout to a temporary directory, applies the mutant there and
-runs ``python -m pytest -x -q`` in the copy.  The unmutated copy is run
-first, since a suite that fails without a mutant would kill every mutant.
+runs ``python -m pytest -x -q`` in the copy, deselecting the test that
+checks every mutant's old text is present (the mutant removed it).  The
+unmutated copy is run first, with that test, since a suite that fails
+without a mutant would kill every mutant.
 The checkout itself is only read.
 
     python tests/mutate.py
@@ -29,6 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_out")
+# Checks that each mutant's old text occurs once in the checkout; in a mutated
+# copy it fails by construction, so it would kill every mutant on its own.
+STALE_TEST = "tests/test_properties.py::TestMutationGate::test_no_mutant_is_stale"
 
 
 def _stale(mutants: list[dict]) -> list[str]:
@@ -49,9 +54,10 @@ def _run_suite(mutant: dict | None) -> tuple[bool, str, float]:
             target.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q"],
-            cwd=copy, env=env, capture_output=True, text=True)
+        args = [sys.executable, "-m", "pytest", "-x", "-q"]
+        if mutant is not None:
+            args += ["--deselect", STALE_TEST]
+        proc = subprocess.run(args, cwd=copy, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
