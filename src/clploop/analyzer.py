@@ -46,7 +46,6 @@ from . import linarith
 from .engine import run
 from .filters import (
     Filter,
-    PositionSet,
     delta_more_general,
     more_general,
     projected_pred,
@@ -102,11 +101,10 @@ class SubsetCheck(NamedTuple):
 
 
 class FilterResult(NamedTuple):
-    """One passing position subset with its condition query and a verified
-    looping witness."""
+    """One passing filter, ``Filter(positions, delta)``: the position subset
+    and its condition query, with a verified looping witness."""
 
     positions: frozenset[int]
-    filter: Filter
     delta: Query
     witness: Query
     verified_steps: int
@@ -177,7 +175,7 @@ def candidate_filter(rule: Clause, positions: frozenset[int],
     selected = select_positions(rule.head_vars, positions)
     condition = Query(atom_of_vars(projected_pred(pred, positions), selected),
                       projection(rule, frozenset(positions), None, limit))
-    return Filter(PositionSet.of({pred: positions}), ((pred, condition),))
+    return Filter(positions, condition)
 
 
 def make_witness(filt: Filter, rule: Clause,
@@ -190,19 +188,17 @@ def make_witness(filt: Filter, rule: Clause,
     lattice as the filters, see `neutral.projection`).  Falls back to the
     rule's head query (itself proved looping) if the generality check for
     the constructed candidate does not go through."""
-    pred = rule.head_pred
-    tau = filt.positions.get(pred)
-    condition = filt.condition(pred)
+    tau, condition = filt
     values = linarith.sample_solution(
         condition.constraint, variables=condition.atom.variables, limit=limit
     )
     if values is None:
         raise AssertionError("filter condition constraints are satisfiable by construction")
-    kept = filt.positions.complement_for(pred)
+    kept = frozenset(range(1, rule.head_pred.arity + 1)) - tau
     args = tuple(LinTerm.of_const(values[v]) if i in tau else LinTerm.of_var(v)
                  for i, v in enumerate(rule.head_vars, start=1))
     head = rule.head_query
-    candidate = Query(Atom(pred, args), projection(rule, kept, None, limit))
+    candidate = Query(Atom(rule.head_pred, args), projection(rule, kept, None, limit))
     if candidate == head:
         candidate = head  # its denotation is cached
     if delta_more_general(candidate, head, filt, limit):
@@ -267,8 +263,7 @@ def find_looping_queries(rule: Clause, index: int = 0,
         checks.append(check)
         if not check.passed:
             continue
-        results.append(FilterResult(m, filt, filt.condition(rule.head_pred),
-                                    witness, verified))
+        results.append(FilterResult(m, filt.condition, witness, verified))
         if opts.first_only:
             break
     classes = class_closure({r.positions for r in results})

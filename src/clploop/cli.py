@@ -28,7 +28,7 @@ from typing import Optional
 from . import __version__, linarith
 from .analyzer import AnalyzeOptions, ClauseReport, ProgramReport, analyze_program
 from .engine import format_trace, run
-from .filters import delta_more_general, more_general, positions_str
+from .filters import Filter, delta_more_general, more_general, positions_str
 from .linarith import ResourceLimitError
 from .syntax import (
     ParseError,
@@ -210,7 +210,7 @@ def _proof_for(query: Query, report: ProgramReport,
         if head.pred != query.pred:
             continue
         for res in r.results:
-            if delta_more_general(query, head, res.filter, limit):
+            if delta_more_general(query, head, Filter(res.positions, res.delta), limit):
                 return ("filter-more-general than",
                         f"{head} under tau {positions_str(res.positions)}")
     return None

@@ -11,8 +11,9 @@ when t is a tuple of distinct variables, den(Q) is ``proj(d, t)`` with t
 renamed to W, and no equation is eliminated; a constant, a compound term
 or a repeated variable among t takes the equations ``W = t``.
 
-A *filter* assigns every predicate a set of argument positions together with a
-condition query over the projected predicate.  Both filter questions restrict
+A *filter* for a predicate p is a set of its argument positions together
+with a condition query over the projected predicate (``p|{1,3}``); every
+query it is asked about is a query of p.  Both filter questions restrict
 inclusion to the probes of some positions: Q satisfies the filter when
 ``den(Q) |= den(cond)<W_tau>`` over W_tau, the probes at the filtered
 positions (:func:`condition_denotation`), and Q1 is more general than Q at
@@ -24,11 +25,11 @@ reflexive) when also ``den(Q) |= den(Q1)`` over the probes there.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import linarith
 from .linarith import Entailment
-from .syntax import Constraint, Pred, Query, Var, atom_of_vars, var_eq
+from .syntax import Constraint, Pred, Query, Var, var_eq
 
 
 def positions_str(positions: Iterable[int]) -> str:
@@ -44,55 +45,18 @@ def projected_pred(pred: Pred, positions: Iterable[int]) -> Pred:
     return Pred(f"{pred.name}|{positions_str(ordered)}", len(ordered))
 
 
-class PositionSet(NamedTuple):
-    """A map from predicate to a set of argument positions (1-based)."""
-
-    entries: tuple[tuple[Pred, frozenset[int]], ...] = ()
-
-    @staticmethod
-    def of(mapping: Mapping[Pred, Iterable[int]]) -> "PositionSet":
-        items = []
-        for pred, positions in mapping.items():
-            ps = frozenset(positions)
-            if any(i < 1 or i > pred.arity for i in ps):
-                raise ValueError(f"positions {sorted(ps)} out of range for {pred}")
-            items.append((pred, ps))
-        items.sort(key=lambda kv: (kv[0].name, kv[0].arity))
-        return PositionSet(tuple(items))
-
-    def get(self, pred: Pred) -> frozenset[int]:
-        """Positions for a predicate; predicates without an entry map to the
-        empty set."""
-        for p, ps in self.entries:
-            if p == pred:
-                return ps
-        return frozenset()
-
-    def complement_for(self, pred: Pred) -> frozenset[int]:
-        return frozenset(range(1, pred.arity + 1)) - self.get(pred)
-
-
 def select_positions(items: tuple, positions: Iterable[int]) -> tuple:
     """Subsequence of a tuple at the given ascending 1-based positions."""
     return tuple(items[i - 1] for i in sorted(set(positions)))
 
 
 class Filter(NamedTuple):
-    """Positions plus a condition query per predicate.  Condition queries are
-    over the projected predicate and must have satisfiable constraints;
-    predicates without an explicit condition default to the unconstrained
-    query over their projected positions."""
+    """The filtered positions of one predicate (1-based) and the condition
+    query over its projected predicate, whose constraint must be
+    satisfiable.  The queries given with a filter are of that predicate."""
 
-    positions: PositionSet
-    conditions: tuple[tuple[Pred, Query], ...] = ()
-
-    def condition(self, pred: Pred) -> Query:
-        for p, q in self.conditions:
-            if p == pred:
-                return q
-        ps = self.positions.get(pred)
-        fresh = tuple(Var(f"X{i}") for i in range(1, len(ps) + 1))
-        return Query(atom_of_vars(projected_pred(pred, ps), fresh), Constraint(()))
+    positions: frozenset[int]
+    condition: Query
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +96,11 @@ def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
     return cached[1]
 
 
-def condition_denotation(filt: Filter, pred: Pred, at: tuple[Var, ...],
+def condition_denotation(filt: Filter, at: tuple[Var, ...],
                          limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
-    """``den(cond)<at>``: the denotation of pred's filter condition with its
+    """``den(cond)<at>``: the denotation of the filter's condition with its
     i-th probe renamed to ``at[i]``, one variable per filtered position."""
-    den = denotation(filt.condition(pred), limit)
+    den = denotation(filt.condition, limit)
     return den.rename(dict(zip(probes(len(at)), at)))
 
 
@@ -158,9 +122,9 @@ def satisfies(q: Query, filt: Filter,
               limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
     """Whether q denotes a subset of the filter's condition query at the
     filtered positions (see the module docstring)."""
-    at = select_positions(probes(q.pred.arity), filt.positions.get(q.pred))
+    at = select_positions(probes(q.pred.arity), filt.positions)
     return linarith.decide(Entailment(
-        denotation(q, limit), condition_denotation(filt, q.pred, at, limit),
+        denotation(q, limit), condition_denotation(filt, at, limit),
         frozenset(at)), limit)
 
 
@@ -168,5 +132,6 @@ def delta_more_general(q_gen: Query, q: Query, filt: Filter,
                        limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
     """More general on the unfiltered positions, and q_gen satisfies the
     filter.  Transitive; not reflexive in general."""
-    return (more_general(q_gen, q, limit, filt.positions.complement_for(q.pred))
+    unfiltered = frozenset(range(1, q.pred.arity + 1)) - filt.positions
+    return (more_general(q_gen, q, limit, unfiltered)
             and satisfies(q_gen, filt, limit))

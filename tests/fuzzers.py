@@ -46,10 +46,15 @@ the checks that replay it.
 underived rule in program order, the reference for ``analyzer.propagate``'s
 worklist; ``rand_propagation_program`` draws the programs they are compared
 on.
-``filter_head_formula`` and ``filter_body_formula`` build the neutrality
-entailments for a hand-built ``Filter``, whose conditions the builders in
-``clploop.neutral`` take as constraints over the rule's variables: each
-condition's denotation renamed to the filtered variables.  ``make_filter``,
+A ``Filter`` is one predicate's positions and condition, so a rule's
+head and body predicates each have a filter, one and the same for a
+recursive rule.  ``filter_head_formula`` and ``filter_body_formula`` build
+the neutrality entailments for hand-built filters, whose conditions the
+builders in ``clploop.neutral`` take as constraints over the rule's
+variables: each condition's denotation renamed to the filtered variables.
+``make_filter`` checks a condition, or builds the unconstrained one;
+``rand_filter`` draws a filter for one predicate and
+``rand_condition_filter`` one for each predicate of a rule.
 ``is_true``, ``local_vars``, ``rename_term`` and ``atom`` (one comparison
 read by the parser, e.g. ``atom("2*X + 2*Y <= 1")``) are small
 constructors and accessors only the tests use.
@@ -68,7 +73,6 @@ from clploop.analyzer import ClauseReport, PropagatedLoop, PropagationLimitError
 from clploop.engine import derivation_step
 from clploop.filters import (
     Filter,
-    PositionSet,
     condition_denotation,
     more_general,
     probes,
@@ -122,42 +126,42 @@ def local_vars(rule: Clause) -> frozenset[Var]:
     return rule.constraint.variables - set(rule.head_vars) - set(rule.body_vars)
 
 
-def make_filter(positions: PositionSet,
-                conditions: Optional[Mapping[Pred, Query]] = None) -> Filter:
-    """A filter with its conditions checked: each must be over the projected
-    predicate and have a satisfiable constraint, else ValueError."""
-    items = []
-    for pred, q in (conditions or {}).items():
-        expected = projected_pred(pred, positions.get(pred))
-        if q.pred != expected:
-            raise ValueError(
-                f"condition for {pred} must be over {expected}, got {q.pred}")
-        if not satisfiable(q.constraint):
-            raise ValueError(f"condition for {pred} is unsatisfiable: {q}")
-        items.append((pred, q))
-    items.sort(key=lambda kv: (kv[0].name, kv[0].arity))
-    return Filter(positions, tuple(items))
+def make_filter(pred: Pred, positions: Iterable[int],
+                condition: Optional[Query] = None) -> Filter:
+    """A filter for pred with its condition checked: it must be over the
+    projected predicate and have a satisfiable constraint, else ValueError.
+    Without a condition, the unconstrained query ``p|{..}(X1, .., Xk)``."""
+    ps = frozenset(positions)
+    expected = projected_pred(pred, ps)
+    if condition is None:
+        fresh = tuple(Var(f"X{i}") for i in range(1, len(ps) + 1))
+        condition = Query(atom_of_vars(expected, fresh), Constraint(()))
+    if condition.pred != expected:
+        raise ValueError(
+            f"condition for {pred} must be over {expected}, got {condition.pred}")
+    if not satisfiable(condition.constraint):
+        raise ValueError(f"condition for {pred} is unsatisfiable: {condition}")
+    return Filter(ps, condition)
 
 
-def filter_head_formula(filt: Filter, rule: Clause,
+def filter_head_formula(head: Filter, body: Filter, rule: Clause,
                         limit: int = DEFAULT_DNF_LIMIT) -> Entailment:
-    """The head condition of a filter: its head condition's denotation
-    renamed to the filtered head variables, given to the builder."""
-    head_pos = filt.positions.get(rule.head_pred)
-    at = select_positions(rule.head_vars, head_pos)
-    cond = condition_denotation(filt, rule.head_pred, at, limit)
-    return neutrality_head_formula(rule, head_pos, filt.positions.get(rule.body_pred),
-                                   cond, limit)
+    """The head condition of the filters of a rule's head and body
+    predicates (one filter twice for a recursive rule): the head filter's
+    condition denotation renamed to the filtered head variables, given to
+    the builder."""
+    at = select_positions(rule.head_vars, head.positions)
+    cond = condition_denotation(head, at, limit)
+    return neutrality_head_formula(rule, head.positions, body.positions, cond, limit)
 
 
-def filter_body_formula(filt: Filter, rule: Clause,
+def filter_body_formula(body: Filter, rule: Clause,
                         limit: int = DEFAULT_DNF_LIMIT) -> Entailment:
-    """The body condition of a filter: its body condition's denotation
-    renamed to the filtered body variables, given to the builder."""
-    body_pos = filt.positions.get(rule.body_pred)
-    at = select_positions(rule.body_vars, body_pos)
-    cond = condition_denotation(filt, rule.body_pred, at, limit)
-    return neutrality_body_formula(rule, body_pos, cond)
+    """The body condition of the filter of a rule's body predicate: its
+    condition denotation renamed to the filtered body variables, given to
+    the builder."""
+    at = select_positions(rule.body_vars, body.positions)
+    return neutrality_body_formula(rule, body.positions, condition_denotation(body, at, limit))
 
 
 def variables_of(obj) -> frozenset[Var]:
@@ -422,7 +426,6 @@ def rand_filter(rng: random.Random, pred: Pred,
                 positions: frozenset[int] | None = None) -> Filter:
     """Random filter for one predicate with a satisfiable condition."""
     ps = positions if positions is not None else rand_positions(rng, pred.arity)
-    tau = PositionSet.of({pred: ps})
     cvars = tuple(Var(f"C{i}") for i in range(1, len(ps) + 1))
     while True:
         atoms = (tuple(rand_atom(rng, cvars)
@@ -432,7 +435,7 @@ def rand_filter(rng: random.Random, pred: Pred,
             Constraint(atoms),
         )
         try:
-            return make_filter(tau, {pred: cond})
+            return make_filter(pred, ps, cond)
         except ValueError:
             continue
 
@@ -527,43 +530,43 @@ def renaming_more_general(q_gen: Query, q: Query) -> Entailment:
                       frozenset(probe_vars))
 
 
-def _renaming_parts(filt: Filter, rule: Clause):
-    head_sel = select_positions(rule.head_vars, filt.positions.get(rule.head_pred))
-    body_sel = select_positions(rule.body_vars, filt.positions.get(rule.body_pred))
-    base = 1 + max(max_gen(rule), max_gen(filt.condition(rule.head_pred)),
-                   max_gen(filt.condition(rule.body_pred)))
+def _renaming_parts(head: Filter, body: Filter, rule: Clause):
+    head_sel = select_positions(rule.head_vars, head.positions)
+    body_sel = select_positions(rule.body_vars, body.positions)
+    base = 1 + max(max_gen(rule), max_gen(head.condition), max_gen(body.condition))
     return head_sel, body_sel, base
 
 
-def renaming_head_formula(filt: Filter, rule: Clause) -> Entailment:
+def renaming_head_formula(head: Filter, body: Filter, rule: Clause) -> Entailment:
     """The head condition ``c[H renamed apart], M(H) |= c`` over O and H,
     with R (B plus the locals) existential on each side."""
-    head_sel, body_sel, base = _renaming_parts(filt, rule)
+    head_sel, body_sel, base = _renaming_parts(head, body, rule)
     c = rule.constraint
     probe = tuple(LinTerm.of_var(v) for v in head_sel)
-    member = membership(probe, filt.condition(rule.head_pred), base)
+    member = membership(probe, head.condition, base)
     fresh = 1 + max_gen(rule, member)
     apart = c.rename({v: Var(v.name, fresh + v.gen) for v in head_sel})
     rechoose = set(body_sel) | local_vars(rule)
     return Entailment(apart.conjoin(member), c, rule.variables - rechoose)
 
 
-def renaming_body_formula(filt: Filter, rule: Clause) -> Entailment:
+def renaming_body_formula(head: Filter, body: Filter, rule: Clause) -> Entailment:
     """The body condition ``c |= M(B)`` over B."""
-    _, body_sel, base = _renaming_parts(filt, rule)
+    _, body_sel, base = _renaming_parts(head, body, rule)
     probe = tuple(LinTerm.of_var(v) for v in body_sel)
-    member = membership(probe, filt.condition(rule.body_pred), base)
+    member = membership(probe, body.condition, base)
     return Entailment(rule.constraint, member, frozenset(body_sel))
 
 
-def rand_condition_filter(rng: random.Random, rule: Clause) -> Filter:
-    """Random filter for a rule's head and body predicates whose condition
-    queries mix variable arguments (sometimes repeated), linear terms with
-    rational coefficients and constants, rational constants and local
-    variables, drawn from a pool that holds some of the rule's own
-    variables (same name and generation), so conditions share names with
-    the rule, and ``W1``, the name of a probe variable at generation 0.  A
-    predicate sometimes keeps the default condition."""
+def rand_condition_filter(rng: random.Random, rule: Clause) -> dict[Pred, Filter]:
+    """Random filters, one for each of a rule's head and body predicates,
+    whose condition queries mix variable arguments (sometimes repeated),
+    linear terms with rational coefficients and constants, rational
+    constants and local variables, drawn from a pool that holds some of the
+    rule's own variables (same name and generation), so conditions share
+    names with the rule, and ``W1``, the name of a probe variable at
+    generation 0.  A condition is sometimes the unconstrained query that
+    ``make_filter`` builds."""
     preds = sorted({rule.head_pred, rule.body_pred}, key=lambda p: p.name)
     shared = sorted(rule.variables)
     while True:
@@ -571,7 +574,7 @@ def rand_condition_filter(rng: random.Random, rule: Clause) -> Filter:
                      else frozenset(range(1, p.arity + 1)) for p in preds}
         pool = rng.sample(shared, min(2, len(shared))) + [Var("W1")]
         rng.shuffle(pool)
-        conditions = {}
+        conditions = dict.fromkeys(preds)
         for p in preds:
             if rng.random() < 0.15:
                 continue
@@ -583,37 +586,32 @@ def rand_condition_filter(rng: random.Random, rule: Clause) -> Filter:
                 args[0] = args[-1] = LinTerm.of_var(rng.choice(pool))
             conditions[p] = Query(Atom(pp, tuple(args)), cond.constraint.rename(mapping))
         try:
-            return make_filter(PositionSet.of(positions), conditions)
+            return {p: make_filter(p, positions[p], conditions[p]) for p in preds}
         except ValueError:
             continue
 
 
-def _keep_positions(q: Query, ps: frozenset[int]) -> Query:
-    """Keep only the argument positions ps; the constraint is unchanged
+def project_query(q: Query, positions: frozenset[int]) -> Query:
+    """Keep only the argument positions given; the constraint is unchanged
     (dropped argument variables become existential)."""
     return Query(
-        Atom(projected_pred(q.pred, ps), select_positions(q.atom.args, ps)),
+        Atom(projected_pred(q.pred, positions), select_positions(q.atom.args, positions)),
         q.constraint,
     )
-
-
-def project_query(q: Query, tau: PositionSet) -> Query:
-    """Keep only the filtered argument positions."""
-    return _keep_positions(q, tau.get(q.pred))
 
 
 def projected_satisfies(q: Query, filt: Filter) -> bool:
     """q kept at the filtered positions denotes a subset of the filter's
     condition query."""
-    return more_general(filt.condition(q.pred), project_query(q, filt.positions))
+    return more_general(filt.condition, project_query(q, filt.positions))
 
 
 def projected_delta_more_general(q_gen: Query, q: Query, filt: Filter) -> bool:
     """``more_general`` on the two queries kept at the unfiltered positions,
     and q_gen satisfies the filter."""
+    unfiltered = frozenset(range(1, q.pred.arity + 1)) - filt.positions
     return more_general(
-        _keep_positions(q_gen, filt.positions.complement_for(q_gen.pred)),
-        _keep_positions(q, filt.positions.complement_for(q.pred)),
+        project_query(q_gen, unfiltered), project_query(q, unfiltered),
     ) and projected_satisfies(q_gen, filt)
 
 

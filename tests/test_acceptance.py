@@ -32,7 +32,6 @@ from clploop.analyzer import analyze_program, candidate_filter, find_looping_que
 from clploop.cli import main
 from clploop.engine import derivation_step, run
 from clploop.filters import (
-    PositionSet,
     delta_more_general,
     more_general,
     projected_pred,
@@ -286,10 +285,9 @@ def test_criterion_6_randomized_soundness_suites():
             continue
         ps = frozenset(i for i in range(1, pred.arity + 1)
                        if rng.random() < 0.5)
-        tau = PositionSet.of({pred: ps})
-        cond = project_query(q1, tau)
+        cond = project_query(q1, ps)
         try:
-            filt = make_filter(tau, {pred: cond})
+            filt = make_filter(pred, ps, cond)
         except ValueError:
             continue
         assert delta_more_general(q1, q2, filt)
@@ -313,7 +311,7 @@ def test_criterion_6_randomized_soundness_suites():
     for _ in range(1000):
         rule = rand_rule(rng)
         filt = candidate_filter(rule, frozenset())
-        assert decide(filter_head_formula(filt, rule))
+        assert decide(filter_head_formula(filt, filt, rule))
         assert decide(filter_body_formula(filt, rule))
 
 
@@ -327,7 +325,7 @@ def test_criterion_7_merged_criterion_is_rejected():
         Atom(projected_pred(pred, {1}), (LinTerm.of_var(cvar),)),
         Constraint.of(compare(LinTerm.of_var(cvar), "<=", _c(3))),
     )
-    filt = make_filter(PositionSet.of({pred: {1}}), {pred: cond})
+    filt = make_filter(pred, {1}, cond)
 
     head_sel = select_positions(rule.head_vars, {1})
     body_sel = select_positions(rule.body_vars, {1})
@@ -343,7 +341,7 @@ def test_criterion_7_merged_criterion_is_rejected():
                         rule.variables - rechoose)
 
     assert decide(merged)  # the merged form wrongly certifies the filter
-    assert decide(filter_head_formula(filt, rule))
+    assert decide(filter_head_formula(filt, filt, rule))
     assert not decide(filter_body_formula(filt, rule))
 
     # engine evidence: derivations reach first arguments above 3, where no

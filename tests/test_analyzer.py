@@ -52,7 +52,7 @@ class TestCandidateFilter:
     def test_full_positions_project_whole_constraint(self):
         rule = clause(SHIFT_GE)
         filt = candidate_filter(rule, frozenset({1, 2}))
-        cond = filt.condition(rule.head_pred)
+        cond = filt.condition
         x1, x2 = rule.head_vars
         assert cond.atom.args == tuple(map(LinTerm.of_var, (x1, x2)))
         assert equivalent(
@@ -63,14 +63,14 @@ class TestCandidateFilter:
     def test_empty_positions(self):
         rule = clause(SHIFT_GE)
         filt = candidate_filter(rule, frozenset())
-        cond = filt.condition(rule.head_pred)
+        cond = filt.condition
         assert cond.pred.arity == 0
         assert is_true(cond.constraint)
 
     def test_single_position_unconstrained(self):
         rule = clause(SHIFT_LE)
         filt = candidate_filter(rule, frozenset({1}))
-        cond = filt.condition(rule.head_pred)
+        cond = filt.condition
         # X1 alone is unbounded in X1 <= X2
         assert is_true(cond.constraint)
 
@@ -88,11 +88,11 @@ class TestConditionCache:
 
     def test_smaller_limit_than_the_cached_one_raises(self):
         rule = clause(self.RULE)
-        cond = candidate_filter(rule, frozenset({1, 2})).condition(rule.head_pred)
+        cond = candidate_filter(rule, frozenset({1, 2})).condition
         for r in (rule, clause(self.RULE)):  # cached, then uncached
             with pytest.raises(ResourceLimitError, match="exceeds 5"):
                 candidate_filter(r, frozenset({1, 2}), 5)
-        assert candidate_filter(rule, frozenset({1, 2}), 6).condition(rule.head_pred) == cond
+        assert candidate_filter(rule, frozenset({1, 2}), 6).condition == cond
         assert str(cond.constraint) == "A1 >= 0, A2 >= 0, A1 - A2 <= 5, A1 <= 14"
 
     def test_a_subset_that_raised_is_not_cached(self):
@@ -230,7 +230,7 @@ class TestFindLoopingQueries:
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
         m = frozenset({1})
-        cond = candidate_filter(rule, m, 4).condition(rule.head_pred).constraint
+        cond = candidate_filter(rule, m, 4).condition.constraint
         with pytest.raises(ResourceLimitError, match="exceeds 4"):
             neutrality_head_formula(rule, m, m, cond, 4)
         report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
@@ -248,7 +248,7 @@ class TestFindLoopingQueries:
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
         m = frozenset({1})
-        cond = candidate_filter(rule, m).condition(rule.head_pred).constraint
+        cond = candidate_filter(rule, m).condition.constraint
 
         def cached_sides():
             return {node for node in rule._projections if node[1] is not None}

@@ -1,11 +1,10 @@
-"""Position sets, query projection, generality and filter membership."""
+"""Projected predicates, query projection, generality and filter membership."""
 
 import pytest
 from fuzzers import is_true, make_filter, membership, project_query
 
 from clploop.filters import (
     Filter,
-    PositionSet,
     delta_more_general,
     denotation,
     more_general,
@@ -48,20 +47,7 @@ class TestProjectedPred:
             projected_pred(P2, {0})
 
 
-class TestPositionSet:
-    def test_of_and_get(self):
-        tau = PositionSet.of({P2: {2}})
-        assert tau.get(P2) == {2}
-        assert tau.get(Pred("q", 1)) == frozenset()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="out of range"):
-            PositionSet.of({P2: {0}})
-
-    def test_complement(self):
-        tau = PositionSet.of({P2: {2}})
-        assert tau.complement_for(P2) == {1}
-
+class TestSelectPositions:
     def test_select_positions(self):
         assert select_positions(("a", "b", "c"), {3, 1}) == ("a", "c")
         assert select_positions(("a", "b"), ()) == ()
@@ -69,8 +55,7 @@ class TestPositionSet:
 
 class TestProjectQuery:
     def test_single_position(self):
-        tau = PositionSet.of({P2: {2}})
-        r = project_query(q("p(X, Y) : X >= 1, Y >= X"), tau)
+        r = project_query(q("p(X, Y) : X >= 1, Y >= X"), {2})
         assert r.pred == Pred("p|{2}", 1)
         assert r.atom.args == (ty,)
         # constraint carries over; dropped variables are existential in use,
@@ -81,18 +66,16 @@ class TestProjectQuery:
         assert more_general(reference, r)
 
     def test_empty_projection_keeps_satisfiability(self):
-        tau = PositionSet.of({P2: set()})
-        r = project_query(q("p(X, Y) : X >= 1"), tau)
+        r = project_query(q("p(X, Y) : X >= 1"), set())
         assert r.pred.arity == 0
         zero_true = Query(r.atom, Constraint(()))
         assert more_general(r, zero_true)
         assert more_general(zero_true, r)
-        unsat = project_query(q("p(X, Y) : X < X"), tau)
+        unsat = project_query(q("p(X, Y) : X < X"), set())
         assert not more_general(unsat, zero_true)
 
     def test_full_projection(self):
-        tau = PositionSet.of({P2: {1, 2}})
-        r = project_query(q("p(X, Y) : Y <= X"), tau)
+        r = project_query(q("p(X, Y) : Y <= X"), {1, 2})
         assert r.pred == Pred("p|{1,2}", 2)
         assert str(r.constraint) == "X - Y >= 0"
 
@@ -182,10 +165,6 @@ class TestMoreGeneral:
         assert not more_general(b, a)
 
 
-def tau2(ps) -> PositionSet:
-    return PositionSet.of({P2: ps})
-
-
 class TestFilter:
     def filter_on(self, ps, constraint_text=None) -> Filter:
         pp = projected_pred(P2, ps)
@@ -196,22 +175,21 @@ class TestFilter:
             parsed = parse_query(f"probe({names}) : {constraint_text}")
             atoms = parsed.constraint.atoms
         cond = Query(Atom(pp, args), Constraint(atoms))
-        return make_filter(tau2(ps), {P2: cond})
+        return make_filter(P2, ps, cond)
 
     def test_make_validates_pred(self):
         bad = Query(Atom(Pred("p|{1}", 1), (tx,)), Constraint(()))
         with pytest.raises(ValueError, match="must be over"):
-            make_filter(tau2({2}), {P2: bad})
+            make_filter(P2, {2}, bad)
 
     def test_make_validates_satisfiable(self):
         pp = projected_pred(P2, {2})
         bad = Query(Atom(pp, (ty,)), Constraint.of(compare(ty, "<", ty)))
         with pytest.raises(ValueError, match="unsatisfiable"):
-            make_filter(tau2({2}), {P2: bad})
+            make_filter(P2, {2}, bad)
 
     def test_default_condition_unconstrained(self):
-        filt = make_filter(tau2({1, 2}))
-        c = filt.condition(P2)
+        c = make_filter(P2, {1, 2}).condition
         assert c.pred == projected_pred(P2, {1, 2})
         assert is_true(c.constraint)
 
@@ -223,7 +201,7 @@ class TestFilter:
         assert not satisfies(q("p(X, Y)"), filt)
 
     def test_satisfies_empty_positions(self):
-        filt = make_filter(tau2(set()))
+        filt = make_filter(P2, set())
         assert satisfies(q("p(X, Y)"), filt)
 
     def test_delta_more_general(self):

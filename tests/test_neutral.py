@@ -2,7 +2,7 @@
 
 from fuzzers import filter_body_formula, filter_head_formula, make_filter
 
-from clploop.filters import Filter, PositionSet, projected_pred, satisfies
+from clploop.filters import Filter, projected_pred, satisfies
 from clploop.linarith import decide
 from clploop.syntax import (
     Atom,
@@ -26,7 +26,7 @@ def clause(text):
 
 def both_hold(filt: Filter, rule) -> bool:
     """Both conditions of the criterion, each decided on its own."""
-    return (decide(filter_head_formula(filt, rule))
+    return (decide(filter_head_formula(filt, filt, rule))
             and decide(filter_body_formula(filt, rule)))
 
 
@@ -37,7 +37,7 @@ def filter_for(pred: Pred, ps, *atom_builders) -> Filter:
     atoms = tuple(build(cvars) for build in atom_builders)
     cond = Query(Atom(pp, tuple(LinTerm.of_var(v) for v in cvars)),
                  Constraint(atoms))
-    return make_filter(PositionSet.of({pred: ps}), {pred: cond})
+    return make_filter(pred, ps, cond)
 
 
 class TestDoublingRule:
@@ -47,7 +47,7 @@ class TestDoublingRule:
             rule.head_pred, {2},
             lambda cv: compare(LinTerm.of_var(cv[0]), ">=", LinTerm.of_const(1)),
         )
-        assert decide(filter_head_formula(filt, rule))
+        assert decide(filter_head_formula(filt, filt, rule))
         assert decide(filter_body_formula(filt, rule))
         assert both_hold(filt, rule)
 
@@ -55,7 +55,7 @@ class TestDoublingRule:
         rule = clause(DOUBLING)
         # unconstrained condition admits replacements below the rule's bound
         loose = filter_for(rule.head_pred, {2})
-        assert not decide(filter_head_formula(loose, rule))
+        assert not decide(filter_head_formula(loose, loose, rule))
         assert not both_hold(loose, rule)
         # too tight a condition and the body values fall outside it
         tight = filter_for(
@@ -67,7 +67,7 @@ class TestDoublingRule:
 
     def test_empty_positions_always_neutral(self):
         rule = clause(DOUBLING)
-        filt = make_filter(PositionSet.of({rule.head_pred: set()}))
+        filt = make_filter(rule.head_pred, set())
         assert both_hold(filt, rule)
 
 
@@ -78,7 +78,7 @@ class TestShiftRules:
             rule.head_pred, {1, 2},
             lambda cv: compare(LinTerm.of_var(cv[0]), ">=", LinTerm.of_var(cv[1])),
         )
-        assert decide(filter_head_formula(filt, rule))
+        assert decide(filter_head_formula(filt, filt, rule))
         assert decide(filter_body_formula(filt, rule))
         assert both_hold(filt, rule)
 
@@ -88,7 +88,7 @@ class TestShiftRules:
             rule.head_pred, {1, 2},
             lambda cv: compare(LinTerm.of_var(cv[0]), "<=", LinTerm.of_var(cv[1])),
         )
-        assert decide(filter_head_formula(filt, rule))
+        assert decide(filter_head_formula(filt, filt, rule))
         assert not decide(filter_body_formula(filt, rule))
         assert not both_hold(filt, rule)
 
@@ -96,13 +96,13 @@ class TestShiftRules:
         rule = clause(SHIFT_LE)
         for ps in ({1}, {2}):
             filt = filter_for(rule.head_pred, ps)
-            assert not decide(filter_head_formula(filt, rule))
+            assert not decide(filter_head_formula(filt, filt, rule))
             assert not both_hold(filt, rule)
 
     def test_le_empty_positions_neutral(self):
         rule = clause(SHIFT_LE)
-        filt = make_filter(PositionSet.of({rule.head_pred: set()}))
-        assert decide(filter_head_formula(filt, rule))
+        filt = make_filter(rule.head_pred, set())
+        assert decide(filter_head_formula(filt, filt, rule))
         assert decide(filter_body_formula(filt, rule))
         assert both_hold(filt, rule)
 
@@ -114,7 +114,7 @@ class TestBodyConditionMatchesMembership:
             rule = clause(text)
             for ps in (set(), {1}, {2}, {1, 2}):
                 filt = (
-                    make_filter(PositionSet.of({rule.head_pred: ps}))
+                    make_filter(rule.head_pred, ps)
                     if not ps
                     else filter_for(
                         rule.head_pred, ps,
@@ -136,8 +136,7 @@ class TestUnboundedBodyRule:
             Constraint.of(compare(LinTerm.of_var(Var("C1")), "<=",
                                   LinTerm.of_const(3))),
         )
-        filt = make_filter(PositionSet.of({rule.head_pred: {1}}),
-                           {rule.head_pred: cond})
-        assert decide(filter_head_formula(filt, rule))
+        filt = make_filter(rule.head_pred, {1}, cond)
+        assert decide(filter_head_formula(filt, filt, rule))
         assert not decide(filter_body_formula(filt, rule))
         assert not both_hold(filt, rule)

@@ -66,7 +66,6 @@ from clploop.analyzer import (
 )
 from clploop.engine import derivation_step, run
 from clploop.filters import (
-    PositionSet,
     condition_denotation,
     delta_more_general,
     denotation,
@@ -138,8 +137,7 @@ class TestGeneralityProperties:
             q1 = rand_query(rng, pred)
             q2 = relax(rng, q1)
             ps = frozenset(i for i in (1, 2) if rng.random() < 0.5)
-            tau = PositionSet.of({pred: ps})
-            assert more_general(project_query(q2, tau), project_query(q1, tau))
+            assert more_general(project_query(q2, ps), project_query(q1, ps))
 
 
 class TestEliminationProperties:
@@ -827,15 +825,14 @@ class TestNeutralityProperties:
         for _ in range(400):
             rule = rand_rule(rng)
             filt = rand_filter(rng, rule.head_pred)
-            e = filter_head_formula(filt, rule)
+            e = filter_head_formula(filt, filt, rule)
             if decide(e):
                 continue
             failed += 1
             refuting = _refuting_sample(
                 Entailment(e.lhs, project(e.rhs, e.over), e.over))
             assert refuting is not None
-            replaced = select_positions(
-                rule.head_vars, filt.positions.get(rule.head_pred))
+            replaced = select_positions(rule.head_vars, filt.positions)
             unfiltered = sorted(e.over - set(replaced))
             fixed = Constraint(tuple(var_eq(v, LinTerm.of_const(refuting[v]))
                                      for v in unfiltered))
@@ -881,10 +878,11 @@ def _condition_kinds(cond: Query, rule: Clause) -> set[str]:
 
 def _inside_condition(rng: random.Random, filt, pred: Pred) -> Query:
     """A query over pred whose arguments at the filtered positions are the
-    condition's, with fresh variables elsewhere, and whose constraint is the
-    condition's with perhaps one more conjunct, so it satisfies the filter."""
-    cond = filt.condition(pred)
-    by_position = dict(zip(sorted(filt.positions.get(pred)), cond.atom.args))
+    condition's of pred's filter, with fresh variables elsewhere, and whose
+    constraint is the condition's with perhaps one more conjunct, so it
+    satisfies the filter."""
+    cond = filt.condition
+    by_position = dict(zip(sorted(filt.positions), cond.atom.args))
     args = tuple(by_position.get(i, LinTerm.of_var(Var(f"F{i}")))
                  for i in range(1, pred.arity + 1))
     atom = Atom(pred, args)
@@ -945,15 +943,17 @@ class TestDenotationProperties:
             else:
                 rule = rand_step_rule(rng)
             if rule.is_recursive() and rng.random() < 0.3:
-                filt = candidate_filter(rule, rand_positions(rng, rule.head_pred.arity))
+                filters = {rule.head_pred: candidate_filter(
+                    rule, rand_positions(rng, rule.head_pred.arity))}
             else:
-                filt = rand_condition_filter(rng, rule)
-            for pred in {rule.head_pred, rule.body_pred}:
-                kinds.update(_condition_kinds(filt.condition(pred), rule))
-            head = decide(filter_head_formula(filt, rule))
-            assert head == decide(renaming_head_formula(filt, rule)), (str(rule), filt)
-            body = decide(filter_body_formula(filt, rule))
-            assert body == decide(renaming_body_formula(filt, rule)), (str(rule), filt)
+                filters = rand_condition_filter(rng, rule)
+            for filt in filters.values():
+                kinds.update(_condition_kinds(filt.condition, rule))
+            hf, bf = filters[rule.head_pred], filters[rule.body_pred]
+            head = decide(filter_head_formula(hf, bf, rule))
+            assert head == decide(renaming_head_formula(hf, bf, rule)), (str(rule), filters)
+            body = decide(filter_body_formula(bf, rule))
+            assert body == decide(renaming_body_formula(hf, bf, rule)), (str(rule), filters)
             verdicts[head, body] += 1
         # at this seed: (head, body) verdicts 189/105/44/22; conditions with
         # shared names 285, locals 181, non-variable arguments 155, rational
@@ -988,13 +988,13 @@ class TestDenotationProperties:
         kinds = Counter()
         for k in range(400):
             rule = rand_rule(rng) if k % 2 else rand_step_rule(rng)
-            filt = rand_condition_filter(rng, rule)
-            preds = {rule.head_pred, rule.body_pred}
-            for pred in preds:
-                kinds.update(_condition_kinds(filt.condition(pred), rule))
-            kinds["two predicates"] += len(preds) == 2
-            kinds["W1"] += any(Var("W1") in filt.condition(p).variables for p in preds)
+            filters = rand_condition_filter(rng, rule)
+            for f in filters.values():
+                kinds.update(_condition_kinds(f.condition, rule))
+            kinds["two predicates"] += len(filters) == 2
+            kinds["W1"] += any(Var("W1") in f.condition.variables for f in filters.values())
             pred = rng.choice((rule.head_pred, rule.body_pred))
+            filt = filters[pred]
             q = (_inside_condition(rng, filt, pred) if rng.random() < 0.3 else
                  (rand_rational_query, rand_linear_query, rand_query)[k % 3](rng, pred))
             kind = rng.randrange(3)
@@ -1091,7 +1091,7 @@ class TestCandidateConditionProperties:
             for check in report.checks:
                 m = check.positions
                 filt = candidate_filter(rule, m)
-                cond, ref = filt.condition(pred), direct_condition(rule, m)
+                cond, ref = filt.condition, direct_condition(rule, m)
                 assert cond.atom == ref.atom
                 assert _equivalent(cond.constraint, ref.constraint,
                                    frozenset(ref.atom.variables)), (str(rule), sorted(m))
@@ -1099,11 +1099,11 @@ class TestCandidateConditionProperties:
                 # the witness store against the complement's reference, over
                 # the head variables the witness keeps
                 witness = make_witness(filt, rule)
-                ref_kept = direct_condition(rule, filt.positions.complement_for(pred))
+                ref_kept = direct_condition(rule, frozenset(range(1, pred.arity + 1)) - m)
                 assert _equivalent(witness.constraint, ref_kept.constraint,
                                    frozenset(ref_kept.atom.variables)), (str(rule), sorted(m))
-                ref_filt = make_filter(filt.positions, {pred: ref})
-                head_ok = decide(filter_head_formula(ref_filt, rule))
+                ref_filt = make_filter(pred, m, ref)
+                head_ok = decide(filter_head_formula(ref_filt, ref_filt, rule))
                 body_ok = subsumes = None
                 if head_ok:
                     body_ok = decide(filter_body_formula(ref_filt, rule))
@@ -1192,8 +1192,7 @@ class TestHeadSideProperties:
                 kinds["text differs"] += differs
                 # the verdict decided on the reference sides
                 filt = candidate_filter(rule, m)
-                member = condition_denotation(
-                    filt, pred, select_positions(rule.head_vars, m))
+                member = condition_denotation(filt, select_positions(rule.head_vars, m))
                 head_ok = decide(Entailment(ref_lhs.conjoin(member), ref_rhs, over))
                 assert check.head_ok == head_ok, (str(rule), sorted(m))
                 kinds["head holds" if head_ok else "head fails"] += 1

@@ -102,6 +102,13 @@ class TestLinTerm:
         assert str(LinTerm.of_const(Fraction(-1, 2))) == "-1/2"
         assert str(LinTerm.make({A: -1, B: 1})) == "-A + B"
 
+    def test_inexact_number_rejected(self):
+        # terms hold exact rationals only; a float is a caller's error
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            LinTerm.of_const(1.5)
+        with pytest.raises(TypeError, match="got float"):
+            LinTerm.make({A: 0.5})
+
 
 class TestAtomicProp:
     def test_canonical_forms(self):
@@ -140,6 +147,14 @@ class TestAtomicProp:
 
     def test_var_eq(self):
         assert var_eq(A, LinTerm.of_const(0)) == compare(ta, "=", LinTerm.of_const(0))
+
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(ValueError, match="unknown relation '=='"):
+            compare(ta, "==", tb)
+
+    def test_repr_lists_the_compared_fields(self):
+        assert repr(Pred("p", 2)) == "Pred('p', 2)"
+        assert repr(Constraint(())) == "Constraint(())"
 
 
 class TestConstraint:
