@@ -39,6 +39,7 @@ loops as well.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import NamedTuple, Optional
 
@@ -48,6 +49,7 @@ from .filters import (
     Filter,
     delta_more_general,
     more_general,
+    positions,
     projected_pred,
     select_positions,
 )
@@ -194,7 +196,7 @@ def make_witness(filt: Filter, rule: Clause,
     )
     if values is None:
         raise AssertionError("filter condition constraints are satisfiable by construction")
-    kept = frozenset(range(1, rule.head_pred.arity + 1)) - tau
+    kept = positions(rule.head_pred.arity) - tau
     args = tuple(LinTerm.of_const(values[v]) if i in tau else LinTerm.of_var(v)
                  for i, v in enumerate(rule.head_vars, start=1))
     head = rule.head_query
@@ -225,7 +227,7 @@ def find_looping_queries(rule: Clause, index: int = 0,
     if not rule.is_recursive():
         return ClauseReport(index=index, clause=rule)
     arity = rule.head_pred.arity
-    full = frozenset(range(1, arity + 1))
+    full = positions(arity)
     to_body = dict(zip(rule.head_vars, rule.body_vars))
     head, body = rule.head_query, rule.body_query
     checks: list[SubsetCheck] = []
@@ -271,84 +273,84 @@ def find_looping_queries(rule: Clause, index: int = 0,
                         checks=tuple(checks), classes=classes)
 
 
-def propagate(program: Program, reports: tuple[ClauseReport, ...],
-              limit: int = linarith.DEFAULT_DNF_LIMIT) -> tuple[PropagatedLoop, ...]:
-    """Close looping facts under the rules: whenever a rule's body query is
-    more general than a known looping query, its head query loops too.  Known
-    facts start from the head queries and verified witnesses of directly
-    looping rules; the pass iterates to a fixpoint (at most one new head query
-    per rule).
-
-    The fixpoint is semi-naive and driven by new facts.  Facts are kept per
-    predicate in order of discovery, each rule keeps a cursor into the list
-    of its body predicate, and the underived rules are indexed by body
-    predicate once.  The pass runs in sweeps over a worklist: the first
-    sweep holds every rule whose body predicate has an initial fact, and a
-    rule whose body predicate gains a fact becomes pending, in the current
-    sweep if it comes later in program order than the rule that added the
-    fact and in the next sweep otherwise.  A sweep visits its pending rules
-    in program order and tests each only against the facts past its cursor,
-    then moves the cursor to the end; the pass ends with an empty sweep.
-    These are exactly the visits of rounds over all underived rules in
-    program order that skip a rule with no new facts, so the result (loops,
-    order and ``via`` facts) is theirs, at a cost that follows the (rule, new
-    fact) pairs rather than rounds times rules.  ``more_general`` is pure,
-    so a fact before the cursor was already refuted for that rule and stays
-    refuted.  The first match past the cursor is therefore the first match a
-    full rescan of all known facts finds, and the result equals the naive
-    rescan's, with each (rule, fact) pair tested at most once.
-
-    Every generality test runs under ``limit``; a ``ResourceLimitError``
-    ends the pass with a :class:`PropagationLimitError` holding the loops
-    found before it."""
+def looping_facts(reports: tuple[ClauseReport, ...],
+                  propagated: tuple[PropagatedLoop, ...] = ()) -> dict[Pred, list[Query]]:
+    """The queries proved looping, per predicate in order of discovery: each
+    looping rule's head query and then its witnesses not listed yet, then
+    the head queries of the propagated loops.  Propagation starts from the
+    first two, and ``check`` cites all three."""
     facts: dict[Pred, list[Query]] = {}
-    have_head: set[int] = set()
     for r in reports:
         if r.results:
-            have_head.add(r.index)
             known = facts.setdefault(r.clause.head_pred, [])
             known.append(r.clause.head_query)
             for res in r.results:
                 if res.witness not in known:
                     known.append(res.witness)
+    for p in propagated:
+        facts.setdefault(p.head_query.pred, []).append(p.head_query)
+    return facts
+
+
+def propagate(program: Program, reports: tuple[ClauseReport, ...],
+              limit: int = linarith.DEFAULT_DNF_LIMIT) -> tuple[PropagatedLoop, ...]:
+    """Close looping facts under the rules: whenever a rule's body query is
+    more general than a known looping query, its head query loops too.  The
+    facts start from `looping_facts`; the pass runs to a fixpoint (at most
+    one new head query per rule).
+
+    The result (loops, order and ``via`` facts) is that of rounds over the
+    underived rules in program order, each rule tested against every known
+    fact of its body predicate in order of discovery.  The pass visits only
+    the rules whose body predicate gained a fact, from a priority queue
+    keyed by (round, program index), whose order is the round order.  It
+    starts with (0, i) for each rule i whose body predicate has an initial
+    fact.  When rule ``index``, popped in round r, derives its head query,
+    each underived rule i reading that predicate and not queued yet is
+    queued as (r + (i < index), i): round r still reaches a rule after
+    ``index``, and a rule before it waits for round r + 1.  A queued rule
+    never needs an earlier key: each subsequent event of round r comes from
+    a larger index, so it would queue the rule in the same round or after.
+    Each rule keeps a cursor into the facts of its body predicate and a
+    visit tests only the facts past it; since ``more_general`` is pure, a
+    fact before the cursor stays refuted, so the first match past the
+    cursor is the first match of a full rescan, and each (rule, fact) pair
+    is tested at most once.
+
+    Every generality test runs under ``limit``; a ``ResourceLimitError``
+    ends the pass with a :class:`PropagationLimitError` holding the loops
+    found before it."""
+    facts = looping_facts(reports)
+    derived = {r.index for r in reports if r.results}
     readers: dict[Pred, list[int]] = {}  # body predicate -> underived rules
     for index, rule in enumerate(program.clauses):
-        if index not in have_head:
+        if index not in derived:
             readers.setdefault(rule.body_pred, []).append(index)
+    queue = [(0, i) for pred in facts for i in readers.get(pred, ())]
+    heapq.heapify(queue)
+    queued = {i for _, i in queue}
     cursor = [0] * len(program.clauses)
     out: list[PropagatedLoop] = []
-    # the rules still to visit in this sweep, the next one last; a visit
-    # that adds some sorts it again
-    sweep = sorted((i for pred in facts for i in readers.get(pred, ())), reverse=True)
-    while sweep:
-        pending, later = set(sweep), set()
-        while sweep:
-            index = sweep.pop()
-            rule = program.clauses[index]
-            if index in have_head:
-                continue
-            known = facts.get(rule.body_pred, [])
-            start = cursor[index]
-            cursor[index] = len(known)
-            for fact in known[start:]:
-                try:
-                    found = more_general(rule.body_query, fact, limit)
-                except ResourceLimitError as err:
-                    raise PropagationLimitError(str(err), tuple(out)) from err
-                if found:
-                    head_q = rule.head_query
-                    facts.setdefault(rule.head_pred, []).append(head_q)
-                    have_head.add(index)
-                    out.append(PropagatedLoop(index, head_q, via=fact))
-                    for i in readers.get(rule.head_pred, ()):
-                        if i < index:
-                            later.add(i)
-                        elif i > index and i not in pending:
-                            pending.add(i)
-                            sweep.append(i)
-                    sweep.sort(reverse=True)
-                    break
-        sweep = sorted(later, reverse=True)
+    while queue:
+        turn, index = heapq.heappop(queue)
+        queued.remove(index)
+        rule = program.clauses[index]
+        known = facts[rule.body_pred]
+        start, cursor[index] = cursor[index], len(known)
+        for fact in known[start:]:
+            try:
+                found = more_general(rule.body_query, fact, limit)
+            except ResourceLimitError as err:
+                raise PropagationLimitError(str(err), tuple(out)) from err
+            if found:
+                derived.add(index)
+                facts.setdefault(rule.head_pred, []).append(rule.head_query)
+                out.append(PropagatedLoop(index, rule.head_query, via=fact))
+                for i in readers.get(rule.head_pred, ()):
+                    if i not in derived and i not in queued:
+                        queued.add(i)
+                        heapq.heappush(queue, (turn + (i < index), i))
+                break
     return tuple(out)
 
 

@@ -26,7 +26,13 @@ import sys
 from typing import Optional
 
 from . import __version__, linarith
-from .analyzer import AnalyzeOptions, ClauseReport, ProgramReport, analyze_program
+from .analyzer import (
+    AnalyzeOptions,
+    ClauseReport,
+    ProgramReport,
+    analyze_program,
+    looping_facts,
+)
 from .engine import format_trace, run
 from .filters import Filter, delta_more_general, more_general, positions_str
 from .linarith import ResourceLimitError
@@ -196,16 +202,10 @@ def _proof_for(query: Query, report: ProgramReport,
     'filter-more-general than' cites a looping head query whose clause has a
     passing filter.
     """
-    looping = [r for r in report.reports if r.results]
-    facts: list[Query] = []
-    for r in looping:
-        facts.append(r.clause.head_query)
-        facts.extend(res.witness for res in r.results)
-    facts.extend(p.head_query for p in report.propagated)
-    for fact in facts:
-        if fact.pred == query.pred and more_general(query, fact, limit):
+    for fact in looping_facts(report.reports, report.propagated).get(query.pred, ()):
+        if more_general(query, fact, limit):
             return ("more general than", str(fact))
-    for r in looping:
+    for r in report.reports:
         head = r.clause.head_query
         if head.pred != query.pred:
             continue
@@ -266,11 +266,6 @@ def _at_least(least: int):
     return parse
 
 
-_MAX_DNF_HELP = ("ceiling on the conjuncts of one elimination step in the "
-                 "filter search, witness construction and verification, "
-                 "propagation, check's proof and --run (default 10^6)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clploop",
@@ -279,39 +274,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("file", help="rule file")
+    shared.add_argument("--json", action="store_true", help="machine readable output")
+    shared.add_argument("--verify-steps", type=_at_least(0), default=100, metavar="K",
+                        help="derivation steps each witness of the analysis must "
+                             "survive (0 disables the runtime check; default 100)")
+    shared.add_argument("--max-dnf", type=_at_least(1),
+                        default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
+                        help="ceiling on the conjuncts of one elimination step in "
+                             "the filter search, witness construction and "
+                             "verification, propagation, check's proof and --run "
+                             "(default 10^6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="find looping queries for every clause")
-    pa.add_argument("file", help="rule file")
-    pa.add_argument("--json", action="store_true", help="machine readable report")
+    pa = sub.add_parser("analyze", parents=[shared],
+                        help="find looping queries for every clause")
     pa.add_argument("--first-only", action="store_true",
                     help="stop at the first passing position set per clause")
-    pa.add_argument("--verify-steps", type=_at_least(0), default=100, metavar="K",
-                    help="derivation steps each witness must survive "
-                         "(0 disables the runtime check; default 100)")
     pa.add_argument("--trace", action="store_true",
                     help="print the verification derivation of each witness")
-    pa.add_argument("--max-dnf", type=_at_least(1),
-                    default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
-                    help=_MAX_DNF_HELP)
     pa.add_argument("--no-propagate", action="store_true",
                     help="skip the cross-clause propagation pass")
     pa.set_defaults(func=cmd_analyze)
 
-    pc = sub.add_parser("check", help="decide whether one query provably loops")
-    pc.add_argument("file", help="rule file")
+    pc = sub.add_parser("check", parents=[shared],
+                        help="decide whether one query provably loops")
     pc.add_argument("--query", required=True, metavar="Q",
                     help='query text, e.g. "p(0, X) : X >= 1"')
     pc.add_argument("--run", type=_at_least(0), default=0, metavar="K",
                     help="also run the query for up to K derivation steps")
-    pc.add_argument("--json", action="store_true", help="machine readable verdict")
     pc.add_argument("--trace", action="store_true",
                     help="with --run, print the derivation steps")
-    pc.add_argument("--verify-steps", type=_at_least(0), default=100, metavar="K",
-                    help="witness verification steps for the underlying analysis")
-    pc.add_argument("--max-dnf", type=_at_least(1),
-                    default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
-                    help=_MAX_DNF_HELP)
     pc.set_defaults(func=cmd_check)
     return parser
 

@@ -70,6 +70,13 @@ def probes(n: int) -> tuple[Var, ...]:
     return tuple(Var(f"W{i}", -1) for i in range(1, n + 1))
 
 
+@cache
+def positions(n: int) -> frozenset[int]:
+    """The positions 1..n, one shared set per arity: every projection
+    lattice key that keeps all head or all body positions holds it."""
+    return frozenset(i + 1 for i in range(n))
+
+
 def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
     """q's denotation as a constraint over ``probes(n)``: ``W = t, d``
     projected onto W for q = <p(t) | d>, where q needs no renaming apart
@@ -132,6 +139,6 @@ def delta_more_general(q_gen: Query, q: Query, filt: Filter,
                        limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
     """More general on the unfiltered positions, and q_gen satisfies the
     filter.  Transitive; not reflexive in general."""
-    unfiltered = frozenset(range(1, q.pred.arity + 1)) - filt.positions
+    unfiltered = positions(q.pred.arity) - filt.positions
     return (more_general(q_gen, q, limit, unfiltered)
             and satisfies(q_gen, filt, limit))

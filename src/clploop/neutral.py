@@ -82,20 +82,12 @@ left side without simplifying it again.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Optional
 
 from . import linarith
-from .filters import select_positions
+from .filters import positions, select_positions
 from .linarith import Entailment
 from .syntax import Clause, Constraint
-
-
-@cache
-def _positions(n: int) -> frozenset[int]:
-    """The positions 1..n, one shared set per arity: every lattice key that
-    keeps all head or all body positions holds it."""
-    return frozenset(range(1, n + 1))
 
 
 def projection(rule: Clause, head_kept: frozenset[int],
@@ -114,7 +106,7 @@ def projection(rule: Clause, head_kept: frozenset[int],
     cache = rule._projections
     if cache is None:
         cache = rule._projections = {}
-    heads, bodies = _positions(len(rule.head_vars)), _positions(len(rule.body_vars))
+    heads, bodies = positions(len(rule.head_vars)), positions(len(rule.body_vars))
     chain = []  # the node and its uncached ancestors
     value: Optional[Constraint] = None
     node: Optional[tuple] = (head_kept, body_kept)
@@ -145,8 +137,8 @@ def head_sides(rule: Clause, head_pos: frozenset[int], body_pos: frozenset[int],
     """``(rhs, lhs)`` of the head condition for the filtered head positions
     ``head_pos`` and body positions ``body_pos``: ``proj(c, X u Y_-m)`` and
     ``proj(c, X_-m u Y_-m)``, two nodes of the rule's lattice."""
-    heads = _positions(len(rule.head_vars))
-    body_kept = _positions(len(rule.body_vars)) - body_pos
+    heads = positions(len(rule.head_vars))
+    body_kept = positions(len(rule.body_vars)) - body_pos
     return (projection(rule, heads, body_kept, limit),
             projection(rule, heads - head_pos, body_kept, limit))
 

@@ -42,10 +42,10 @@ conjunction onto each variable in turn, the reference for
 ``sample_solution``'s one chain of projections.  ``benchmark_text``
 reads a benchmark workload's rule file (``perfbench/workloads.py``) for
 the checks that replay it.
-``reference_propagate`` is the propagation pass as rounds over every
-underived rule in program order, the reference for ``analyzer.propagate``'s
-worklist; ``rand_propagation_program`` draws the programs they are compared
-on.
+``naive_propagate`` is the propagation fixpoint by full rescans of every
+underived rule against every known fact in each round, the reference for
+``analyzer.propagate``'s queue with its cursors;
+``rand_propagation_program`` draws programs to compare them on.
 A ``Filter`` is one predicate's positions and condition, so a rule's
 head and body predicates each have a filter, one and the same for a
 recursive rule.  ``filter_head_formula`` and ``filter_body_formula`` build
@@ -69,6 +69,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
+from clploop import analyzer
 from clploop.analyzer import ClauseReport, PropagatedLoop, PropagationLimitError
 from clploop.engine import derivation_step
 from clploop.filters import (
@@ -829,22 +830,22 @@ def benchmark_text(name: str, seed: int = 7) -> str:
     return module.make(name, root, seed).text
 
 
-def reference_propagate(program: Program, reports: tuple[ClauseReport, ...],
-                        limit: int = DEFAULT_DNF_LIMIT) -> tuple[PropagatedLoop, ...]:
-    """The propagation pass in rounds: each round visits every underived
-    rule in program order and tests it against the facts of its body
-    predicate past its cursor, until a round derives nothing."""
-    facts: dict[Pred, list[Query]] = {}
+def naive_propagate(program: Program, reports: tuple[ClauseReport, ...],
+                    limit: int = DEFAULT_DNF_LIMIT) -> tuple[PropagatedLoop, ...]:
+    """The propagation fixpoint by full rescans: every round tests every
+    underived rule in program order against every known fact of its body
+    predicate, until a round derives nothing.  ``more_general`` is looked
+    up on ``clploop.analyzer``, so a test that counts the pass's calls
+    counts these too."""
+    known: list[Query] = []
     have_head: set[int] = set()
     for r in reports:
         if r.results:
             have_head.add(r.index)
-            known = facts.setdefault(r.clause.head_pred, [])
             known.append(r.clause.head_query)
             for res in r.results:
                 if res.witness not in known:
                     known.append(res.witness)
-    cursor = [0] * len(program.clauses)
     out: list[PropagatedLoop] = []
     changed = True
     while changed:
@@ -852,19 +853,17 @@ def reference_propagate(program: Program, reports: tuple[ClauseReport, ...],
         for index, rule in enumerate(program.clauses):
             if index in have_head:
                 continue
-            known = facts.get(rule.body_pred, [])
-            start = cursor[index]
-            cursor[index] = len(known)
-            for fact in known[start:]:
+            for fact in known:
+                if fact.pred != rule.body_pred:
+                    continue
                 try:
-                    found = more_general(rule.body_query, fact, limit)
+                    found = analyzer.more_general(rule.body_query, fact, limit)
                 except ResourceLimitError as err:
                     raise PropagationLimitError(str(err), tuple(out)) from err
                 if found:
-                    head_q = rule.head_query
-                    facts.setdefault(rule.head_pred, []).append(head_q)
+                    known.append(rule.head_query)
                     have_head.add(index)
-                    out.append(PropagatedLoop(index, head_q, via=fact))
+                    out.append(PropagatedLoop(index, rule.head_query, via=fact))
                     changed = True
                     break
     return tuple(out)

@@ -5,12 +5,11 @@ import sys
 from collections import Counter
 
 import pytest
-from fuzzers import is_true
+from fuzzers import is_true, naive_propagate
 
 from clploop import analyzer, linarith, neutral
 from clploop.analyzer import (
     AnalyzeOptions,
-    PropagatedLoop,
     analyze_program,
     candidate_filter,
     class_closure,
@@ -140,6 +139,20 @@ class TestMakeWitness:
     def test_empty_positions_keep_head_vars(self):
         w = self.witness_for("p10(A) <- A >= 1, B = A <> p10(B).", frozenset())
         assert str(w) == "<p10(A) | A >= 1>"
+
+    def test_a_condition_without_a_sample_is_a_fault(self, monkeypatch):
+        # a filter condition is satisfiable by construction, so a sampler
+        # that finds no solution is a fault, not a witness
+        monkeypatch.setattr(linarith, "sample_solution", lambda *args, **kw: None)
+        with pytest.raises(AssertionError, match="satisfiable by construction"):
+            self.witness_for(SHIFT_GE, {1, 2})
+
+    def test_a_failed_generality_check_gives_the_head_query(self, monkeypatch):
+        rule = clause(SHIFT_GE)
+        filt = candidate_filter(rule, frozenset({1, 2}))
+        assert make_witness(filt, rule) != rule.head_query
+        monkeypatch.setattr(analyzer, "delta_more_general", lambda *args: False)
+        assert make_witness(filt, rule) is rule.head_query
 
 
 class TestClassClosure:
@@ -318,39 +331,6 @@ class TestPropagate:
         )
         report = analyze_program(prog)
         assert report.propagated == ()
-
-
-def naive_propagate(program, reports):
-    """Reference fixpoint: every round rescans every underived rule against
-    every known fact."""
-    known = []
-    have_head = set()
-    for r in reports:
-        if r.results:
-            have_head.add(r.index)
-            known.append(r.clause.head_query)
-            for res in r.results:
-                if res.witness not in known:
-                    known.append(res.witness)
-    out = []
-    changed = True
-    while changed:
-        changed = False
-        for index, rule in enumerate(program.clauses):
-            if index in have_head:
-                continue
-            body_q = rule.body_query
-            for fact in known:
-                if fact.pred != rule.body_pred:
-                    continue
-                if analyzer.more_general(body_q, fact):
-                    head_q = rule.head_query
-                    known.append(head_q)
-                    have_head.add(index)
-                    out.append(PropagatedLoop(index, head_q, via=fact))
-                    changed = True
-                    break
-    return tuple(out)
 
 
 def random_program(rng):

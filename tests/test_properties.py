@@ -26,6 +26,7 @@ from fuzzers import (
     make_filter,
     max_gen,
     membership,
+    naive_propagate,
     project_query,
     projected_delta_more_general,
     projected_satisfies,
@@ -44,7 +45,6 @@ from fuzzers import (
     rand_wide_rule,
     benchmark_text,
     reference_decide,
-    reference_propagate,
     reference_sample,
     reference_simplify,
     reference_step,
@@ -499,10 +499,11 @@ class TestOneSidedElimination:
 
 
 class TestWorklistPropagation:
-    """``propagate`` visits the rules a worklist holds, and returns what
-    rounds over every underived rule return (``reference_propagate``):
-    the same loops in the same order with the same ``via`` facts, and at a
-    small limit the same loops found before the same error."""
+    """``propagate`` visits the rules its queue holds, and returns what full
+    rescans of every underived rule against every known fact return
+    (``naive_propagate``): the same loops in the same order with the same
+    ``via`` facts, and at a small limit the same loops found before the
+    same error."""
 
     OPTS = AnalyzeOptions(verify_steps=0, propagate=False)
 
@@ -512,14 +513,14 @@ class TestWorklistPropagation:
             prog = rand_propagation_program(random.Random(seed))
             reports = analyzer.analyze_program(prog, self.OPTS).reports
             got = analyzer.propagate(prog, reports)
-            assert got == reference_propagate(prog, reports), seed
+            assert got == naive_propagate(prog, reports), seed
             seen["loops"] += len(got)
             # a loop of an earlier rule than the one before it came in a
-            # later sweep
-            seen["sweeps"] += any(a.index > b.index for a, b in zip(got, got[1:]))
+            # later round
+            seen["rounds"] += any(a.index > b.index for a, b in zip(got, got[1:]))
             for limit in (1, 2, 3, 4):
                 try:
-                    expected = reference_propagate(prog, reports, limit)
+                    expected = naive_propagate(prog, reports, limit)
                 except analyzer.PropagationLimitError as err:
                     with pytest.raises(analyzer.PropagationLimitError) as raised:
                         analyzer.propagate(prog, reports, limit)
@@ -530,7 +531,7 @@ class TestWorklistPropagation:
                 else:
                     assert analyzer.propagate(prog, reports, limit) == expected
         # at these seeds: 150 loops, 15 programs whose loops take more than
-        # one sweep, 77 limit errors, 30 of them after some loop was found
+        # one round, 77 limit errors, 30 of them after some loop was found
         assert min(seen.values()) >= 10, seen
 
 
