@@ -164,8 +164,7 @@ class ProgramReport(NamedTuple):
                 or self.propagation_error is not None)
 
 
-def candidate_filter(rule: Clause, positions: frozenset[int],
-                     limit: int = linarith.DEFAULT_DNF_LIMIT) -> Filter:
+def candidate_filter(rule: Clause, positions: frozenset[int]) -> Filter:
     """The projection filter for a recursive rule and a head position subset:
     the condition query keeps the selected head variables and projects the
     rule constraint onto them, derived from the condition of the parent
@@ -176,12 +175,11 @@ def candidate_filter(rule: Clause, positions: frozenset[int],
     pred = rule.head_pred
     selected = select_positions(rule.head_vars, positions)
     condition = Query(atom_of_vars(projected_pred(pred, positions), selected),
-                      projection(rule, frozenset(positions), None, limit))
+                      projection(rule, frozenset(positions), None))
     return Filter(positions, condition)
 
 
-def make_witness(filt: Filter, rule: Clause,
-                 limit: int = linarith.DEFAULT_DNF_LIMIT) -> Query:
+def make_witness(filt: Filter, rule: Clause) -> Query:
     """A concrete looping query for a passing filter: constants sampled from
     the condition constraint at the filtered positions (whose atom is over
     the head variables there), head variables kept elsewhere, and as store
@@ -191,19 +189,17 @@ def make_witness(filt: Filter, rule: Clause,
     rule's head query (itself proved looping) if the generality check for
     the constructed candidate does not go through."""
     tau, condition = filt
-    values = linarith.sample_solution(
-        condition.constraint, variables=condition.atom.variables, limit=limit
-    )
+    values = linarith.sample_solution(condition.constraint, condition.atom.variables)
     if values is None:
         raise AssertionError("filter condition constraints are satisfiable by construction")
     kept = positions(rule.head_pred.arity) - tau
     args = tuple(LinTerm.of_const(values[v]) if i in tau else LinTerm.of_var(v)
                  for i, v in enumerate(rule.head_vars, start=1))
     head = rule.head_query
-    candidate = Query(Atom(rule.head_pred, args), projection(rule, kept, None, limit))
+    candidate = Query(Atom(rule.head_pred, args), projection(rule, kept, None))
     if candidate == head:
         candidate = head  # its denotation is cached
-    if delta_more_general(candidate, head, filt, limit):
+    if delta_more_general(candidate, head, filt):
         return candidate
     return head
 
@@ -223,7 +219,8 @@ def find_looping_queries(rule: Clause, index: int = 0,
     cardinality) and collect every passing filter with a verified witness.
     Non-recursive rules yield an empty report.  Resource-limit errors and
     witnesses that fail engine validation are recorded as the subset's
-    error, and the scan continues."""
+    error, and the scan continues.  The ceiling of conjuncts is
+    ``opts.max_dnf``."""
     if not rule.is_recursive():
         return ClauseReport(index=index, clause=rule)
     arity = rule.head_pred.arity
@@ -234,40 +231,39 @@ def find_looping_queries(rule: Clause, index: int = 0,
     results: list[FilterResult] = []
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(1, arity + 1), size) for size in range(arity, -1, -1))
-    for combo in subsets:
-        m = frozenset(combo)
-        try:
-            cond = projection(rule, m, None, opts.max_dnf)
-            head_ok = linarith.decide(
-                neutrality_head_formula(rule, m, m, cond, opts.max_dnf), opts.max_dnf)
-            body_ok = subsumes = None
-            if head_ok:
-                body_ok = linarith.decide(neutrality_body_formula(
-                    rule, m, cond.rename(to_body)), opts.max_dnf)
-                if body_ok:  # the filter half of delta_more_general
-                    subsumes = more_general(body, head, opts.max_dnf, full - m)
-            check = SubsetCheck(m, head_ok, body_ok, subsumes)
-            if check.passed:
-                filt = candidate_filter(rule, m, opts.max_dnf)
-                witness = make_witness(filt, rule, opts.max_dnf)
-                verified = 0
-                if opts.verify_steps > 0:
-                    verified = run(witness, Program((rule,)), opts.verify_steps,
-                                   limit=opts.max_dnf).steps
-        except ResourceLimitError as err:
-            checks.append(SubsetCheck(m, error=str(err)))
-            continue
-        if check.passed and verified < opts.verify_steps:
-            # the criterion is sound, so this is an implementation fault
-            check = SubsetCheck(m, head_ok, body_ok, subsumes, error=(
-                f"witness {witness} failed engine validation after "
-                f"{verified} of {opts.verify_steps} steps"))
-        checks.append(check)
-        if not check.passed:
-            continue
-        results.append(FilterResult(m, filt.condition, witness, verified))
-        if opts.first_only:
-            break
+    with linarith.max_dnf(opts.max_dnf):
+        for combo in subsets:
+            m = frozenset(combo)
+            try:
+                cond = projection(rule, m, None)
+                head_ok = linarith.decide(neutrality_head_formula(rule, m, m, cond))
+                body_ok = subsumes = None
+                if head_ok:
+                    body_ok = linarith.decide(neutrality_body_formula(
+                        rule, m, cond.rename(to_body)))
+                    if body_ok:  # the filter half of delta_more_general
+                        subsumes = more_general(body, head, full - m)
+                check = SubsetCheck(m, head_ok, body_ok, subsumes)
+                if check.passed:
+                    filt = candidate_filter(rule, m)
+                    witness = make_witness(filt, rule)
+                    verified = 0
+                    if opts.verify_steps > 0:
+                        verified = run(witness, Program((rule,)), opts.verify_steps).steps
+            except ResourceLimitError as err:
+                checks.append(SubsetCheck(m, error=str(err)))
+                continue
+            if check.passed and verified < opts.verify_steps:
+                # the criterion is sound, so this is an implementation fault
+                check = SubsetCheck(m, head_ok, body_ok, subsumes, error=(
+                    f"witness {witness} failed engine validation after "
+                    f"{verified} of {opts.verify_steps} steps"))
+            checks.append(check)
+            if not check.passed:
+                continue
+            results.append(FilterResult(m, filt.condition, witness, verified))
+            if opts.first_only:
+                break
     classes = class_closure({r.positions for r in results})
     return ClauseReport(index=index, clause=rule, results=tuple(results),
                         checks=tuple(checks), classes=classes)
@@ -292,8 +288,8 @@ def looping_facts(reports: tuple[ClauseReport, ...],
     return facts
 
 
-def propagate(program: Program, reports: tuple[ClauseReport, ...],
-              limit: int = linarith.DEFAULT_DNF_LIMIT) -> tuple[PropagatedLoop, ...]:
+def propagate(program: Program,
+              reports: tuple[ClauseReport, ...]) -> tuple[PropagatedLoop, ...]:
     """Close looping facts under the rules: whenever a rule's body query is
     more general than a known looping query, its head query loops too.  The
     facts start from `looping_facts`; the pass runs to a fixpoint (at most
@@ -317,9 +313,8 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
     cursor is the first match of a full rescan, and each (rule, fact) pair
     is tested at most once.
 
-    Every generality test runs under ``limit``; a ``ResourceLimitError``
-    ends the pass with a :class:`PropagationLimitError` holding the loops
-    found before it."""
+    A ``ResourceLimitError`` ends the pass with a
+    :class:`PropagationLimitError` holding the loops found before it."""
     facts = looping_facts(reports)
     derived = {r.index for r in reports if r.results}
     readers: dict[Pred, list[int]] = {}  # body predicate -> underived rules
@@ -339,7 +334,7 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
         start, cursor[index] = cursor[index], len(known)
         for fact in known[start:]:
             try:
-                found = more_general(rule.body_query, fact, limit)
+                found = more_general(rule.body_query, fact)
             except ResourceLimitError as err:
                 raise PropagationLimitError(str(err), tuple(out)) from err
             if found:
@@ -356,15 +351,17 @@ def propagate(program: Program, reports: tuple[ClauseReport, ...],
 
 def analyze_program(program: Program,
                     opts: AnalyzeOptions = AnalyzeOptions()) -> ProgramReport:
-    reports = tuple(
-        find_looping_queries(rule, index, opts)
-        for index, rule in enumerate(program.clauses)
-    )
-    propagated: tuple[PropagatedLoop, ...] = ()
-    error = None
-    if opts.propagate:
-        try:
-            propagated = propagate(program, reports, opts.max_dnf)
-        except PropagationLimitError as err:
-            propagated, error = err.found, str(err)
+    """Scan every clause and propagate, under the ceiling ``opts.max_dnf``."""
+    with linarith.max_dnf(opts.max_dnf):
+        reports = tuple(
+            find_looping_queries(rule, index, opts)
+            for index, rule in enumerate(program.clauses)
+        )
+        propagated: tuple[PropagatedLoop, ...] = ()
+        error = None
+        if opts.propagate:
+            try:
+                propagated = propagate(program, reports)
+            except PropagationLimitError as err:
+                propagated, error = err.found, str(err)
     return ProgramReport(reports, propagated, error)

@@ -185,8 +185,9 @@ def cmd_analyze(args) -> int:
             for res in r.results:
                 if res.verified_steps <= 0:
                     continue
-                state = run(res.witness, Program((r.clause,)), res.verified_steps,
-                            keep_trace=True, limit=args.max_dnf)
+                with linarith.max_dnf(args.max_dnf):
+                    state = run(res.witness, Program((r.clause,)), res.verified_steps,
+                                keep_trace=True)
                 print(f"trace for {res.witness} "
                       f"(clause {r.index + 1}, tau {positions_str(res.positions)}):")
                 for line in format_trace(state):
@@ -194,8 +195,7 @@ def cmd_analyze(args) -> int:
     return 3 if report.had_error else 0
 
 
-def _proof_for(query: Query, report: ProgramReport,
-               limit: int) -> Optional[tuple[str, str]]:
+def _proof_for(query: Query, report: ProgramReport) -> Optional[tuple[str, str]]:
     """A (kind, fact) pair proving the query loops, or None.
 
     kind 'more general than' cites a verified looping query; kind
@@ -203,14 +203,14 @@ def _proof_for(query: Query, report: ProgramReport,
     passing filter.
     """
     for fact in looping_facts(report.reports, report.propagated).get(query.pred, ()):
-        if more_general(query, fact, limit):
+        if more_general(query, fact):
             return ("more general than", str(fact))
     for r in report.reports:
         head = r.clause.head_query
         if head.pred != query.pred:
             continue
         for res in r.results:
-            if delta_more_general(query, head, Filter(res.positions, res.delta), limit):
+            if delta_more_general(query, head, Filter(res.positions, res.delta)):
                 return ("filter-more-general than",
                         f"{head} under tau {positions_str(res.positions)}")
     return None
@@ -220,14 +220,9 @@ def cmd_check(args) -> int:
     program = _load_program(args.file)
     query = parse_query(_utf8(args.query), program)
     report = analyze_program(program, _options_from(args))
-    try:
-        proof = _proof_for(query, report, args.max_dnf)
-        state = (run(query, program, args.run, keep_trace=args.trace,
-                     limit=args.max_dnf)
-                 if args.run > 0 else None)
-    except ResourceLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+    with linarith.max_dnf(args.max_dnf):
+        proof = _proof_for(query, report)
+        state = run(query, program, args.run, keep_trace=args.trace) if args.run > 0 else None
     verdict = "LOOPS (proved)" if proof else "UNKNOWN"
     empirical = state.steps if state else None
     if args.json:
@@ -318,6 +313,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ParseError as err:
             print(f"error: {err}", file=sys.stderr)
             code = 2
+        except ResourceLimitError as err:
+            print(f"error: {err}", file=sys.stderr)
+            code = 3
         except ValueError as err:
             # a number the analysis derived is too long to print; it has no
             # source position, and the report may stop part-way

@@ -64,8 +64,8 @@ The proof needs no inverse of A, so a_i = 0 is sound.  The variant check
 is the case where A is the identity, and it stays the only shortcut for a
 predicate headed by several rules, where leftmost selection may pick an
 earlier rule on a larger query, and for periods no diagonal map describes.
-Samples and decisions run under the run's ``limit``; exceeding it only
-forgoes the shortcut at that checkpoint.
+A sample or decision that exceeds the ceiling of conjuncts only forgoes
+the shortcut at that checkpoint.
 """
 
 from __future__ import annotations
@@ -136,13 +136,7 @@ def _compiled(rule: Clause) -> tuple[tuple, tuple[tuple[str, int], ...], int]:
     return form
 
 
-def derivation_step(
-    q: Query,
-    rule: Clause,
-    generation: int,
-    *,
-    limit: int = linarith.DEFAULT_DNF_LIMIT,
-) -> Optional[Query]:
+def derivation_step(q: Query, rule: Clause, generation: int) -> Optional[Query]:
     """One derivation step, or None when no such step exists.
     ``generation`` must exceed every renaming generation in q.  The step
     takes the rule's fresh variant p(s) <- c' <> q(t) at ``generation``
@@ -177,9 +171,8 @@ def derivation_step(
         store.append(_atom(tuple(sorted([(v, c) for v, c in acc.items() if c])),
                            k, rel))
     keep = tuple(Var(name, generation + off) for name, off in body)
-    projected = linarith.project(Constraint(tuple(store) + q.constraint.atoms),
-                                 keep, limit)
-    if not linarith.satisfiable(projected, limit):
+    projected = linarith.project(Constraint(tuple(store) + q.constraint.atoms), keep)
+    if not linarith.satisfiable(projected):
         return None
     return Query(Atom(rule.body_pred, tuple(LinTerm.of_var(v) for v in keep)),
                  projected)
@@ -191,7 +184,6 @@ def run(
     max_steps: int = 100,
     *,
     keep_trace: bool = False,
-    limit: int = linarith.DEFAULT_DNF_LIMIT,
 ) -> DerivationState:
     """Run up to ``max_steps`` derivation steps from q using leftmost rule
     selection.  Stops early when no rule applies.
@@ -207,8 +199,6 @@ def run(
     the run records the map in ``drift``, sets ``steps`` to ``max_steps``
     and keeps the checkpoint's query as ``current``.  ``keep_trace`` only
     records the executed steps; it does not change which steps are executed.
-    ``limit`` bounds the conjuncts of each elimination step of every
-    derivation step.
 
     Each step's generation exceeds every generation of its query: the first
     is ``1 + max_gen(q)``, and the next is read off the compiled body of the
@@ -222,8 +212,7 @@ def run(
     while state.steps < max_steps:
         for index, rule in enumerate(program.clauses):
             if rule.head_pred == state.current.pred:
-                successor = derivation_step(state.current, rule, generation,
-                                            limit=limit)
+                successor = derivation_step(state.current, rule, generation)
                 if successor is not None:
                     break
         else:
@@ -248,19 +237,20 @@ def run(
         elif state.steps >= 2 * checkpoint_step:
             checkpoint, checkpoint_step = key, state.steps
             if len(recent) == 3 and state.steps < max_steps:
-                drift = _drift(recent, program, limit)
+                drift = _drift(recent, program)
                 if drift is not None:
                     state.cycle, state.drift = (state.steps, 1), drift
                     state.steps = max_steps
     return state
 
 
-def _drift(queries: tuple[Query, Query, Query], program: Program,
-           limit: int) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
+def _drift(queries: tuple[Query, Query, Query],
+           program: Program) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
     """The diagonal map of the module docstring as (a_i, b_i) pairs when
     both of its entailments hold for the three queries, else None.  None
     also when the queries do not share a predicate headed by exactly one
-    rule, that rule is not recursive, or ``limit`` is exceeded."""
+    rule, that rule is not recursive, or the ceiling of conjuncts is
+    exceeded."""
     pred = queries[-1].pred
     rules = [r for r in program.clauses if r.head_pred == pred]
     if (any(q.pred != pred for q in queries) or len(rules) != 1
@@ -269,20 +259,20 @@ def _drift(queries: tuple[Query, Query, Query], program: Program,
     rule = rules[0]
     w = probes(pred.arity)
     try:
-        dens = [denotation(q, limit) for q in queries]
-        s0, s1, s2 = (linarith.sample_solution(d, w, limit) for d in dens)
+        dens = [denotation(q) for q in queries]
+        s0, s1, s2 = (linarith.sample_solution(d, w) for d in dens)
         drift = []
         for v in w:
             a = ((s2[v] - s1[v]) / (s1[v] - s0[v]) if s1[v] != s0[v]
                  else Fraction(1))
             drift.append((a, s2[v] - a * s1[v]))
         if not linarith.decide(Entailment(
-                dens[1], _image(dens[2], w, drift), frozenset(w)), limit):
+                dens[1], _image(dens[2], w, drift), frozenset(w))):
             return None
         moved = rule.head_vars + rule.body_vars  # x and y, both moved by A
         if not linarith.decide(Entailment(
                 rule.constraint, _image(rule.constraint, moved, drift * 2),
-                frozenset(moved)), limit):
+                frozenset(moved))):
             return None
     except ResourceLimitError:
         return None

@@ -77,7 +77,7 @@ def positions(n: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(n))
 
 
-def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
+def denotation(q: Query) -> Constraint:
     """q's denotation as a constraint over ``probes(n)``: ``W = t, d``
     projected onto W for q = <p(t) | d>, where q needs no renaming apart
     since no variable of q has the probes' generation.  When t is a tuple of
@@ -85,60 +85,54 @@ def denotation(q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
     computed so without the equations, and it keeps the satisfiability
     record of that projection, since the renaming is one-to-one; a
     constant, a compound term or a repeated variable among t takes the
-    equations.  Cached on q; a call
-    with a smaller ``limit`` than the cached one computes it again, so it
-    raises ``ResourceLimitError`` exactly when an uncached call would."""
-    cached = q._den
-    if cached is None or limit < cached[0]:
+    equations.  Cached on q with the ceiling of conjuncts it was computed
+    under; a call under a smaller ceiling computes it again, so it raises
+    ``ResourceLimitError`` exactly when an uncached call would."""
+    cached, ceiling = q._den, linarith.ceiling()
+    if cached is None or ceiling < cached[0]:
         w = probes(q.pred.arity)
         args = tuple(t.is_var() for t in q.atom.args)
         if None not in args and len(set(args)) == len(args):
-            projected = linarith.project(q.constraint, args, limit)
+            projected = linarith.project(q.constraint, args)
             den = projected.rename(dict(zip(args, w)))
             den._sat, den._simplified = projected._sat, projected._simplified
         else:
             member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
-            den = linarith.project(Constraint(member + q.constraint.atoms), w, limit)
-        cached = q._den = (limit, den)
+            den = linarith.project(Constraint(member + q.constraint.atoms), w)
+        cached = q._den = (ceiling, den)
     return cached[1]
 
 
-def condition_denotation(filt: Filter, at: tuple[Var, ...],
-                         limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
+def condition_denotation(filt: Filter, at: tuple[Var, ...]) -> Constraint:
     """``den(cond)<at>``: the denotation of the filter's condition with its
     i-th probe renamed to ``at[i]``, one variable per filtered position."""
-    den = denotation(filt.condition, limit)
+    den = denotation(filt.condition)
     return den.rename(dict(zip(probes(len(at)), at)))
 
 
-def more_general(q_gen: Query, q: Query, limit: int = linarith.DEFAULT_DNF_LIMIT,
+def more_general(q_gen: Query, q: Query,
                  positions: Optional[Iterable[int]] = None) -> bool:
     """Whether q_gen denotes a superset of q: ``den(q) |= den(q_gen)`` over
     the probes (see :func:`denotation`), or those at ``positions`` if given.
     Queries over distinct predicates are incomparable unless q denotes the
     empty set, in which case any query is more general."""
     if q_gen.pred != q.pred:
-        return not linarith.satisfiable(q.constraint, limit)
+        return not linarith.satisfiable(q.constraint)
     w = probes(q.pred.arity)
     over = w if positions is None else select_positions(w, positions)
-    return linarith.decide(Entailment(
-        denotation(q, limit), denotation(q_gen, limit), frozenset(over)), limit)
+    return linarith.decide(Entailment(denotation(q), denotation(q_gen), frozenset(over)))
 
 
-def satisfies(q: Query, filt: Filter,
-              limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
+def satisfies(q: Query, filt: Filter) -> bool:
     """Whether q denotes a subset of the filter's condition query at the
     filtered positions (see the module docstring)."""
     at = select_positions(probes(q.pred.arity), filt.positions)
     return linarith.decide(Entailment(
-        denotation(q, limit), condition_denotation(filt, at, limit),
-        frozenset(at)), limit)
+        denotation(q), condition_denotation(filt, at), frozenset(at)))
 
 
-def delta_more_general(q_gen: Query, q: Query, filt: Filter,
-                       limit: int = linarith.DEFAULT_DNF_LIMIT) -> bool:
+def delta_more_general(q_gen: Query, q: Query, filt: Filter) -> bool:
     """More general on the unfiltered positions, and q_gen satisfies the
     filter.  Transitive; not reflexive in general."""
     unfiltered = positions(q.pred.arity) - filt.positions
-    return (more_general(q_gen, q, limit, unfiltered)
-            and satisfies(q_gen, filt, limit))
+    return more_general(q_gen, q, unfiltered) and satisfies(q_gen, filt)

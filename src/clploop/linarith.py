@@ -68,14 +68,17 @@ redundancy of Lassez, Huynh & McAloon, 1993).  When the left side of an
 entailment carries the record that it is satisfiable, the store flags its
 atoms known, and a refutation stops as soon as no atom derived from the
 negated atom is left.  All arithmetic is exact; sampled values are
-``Fraction``s.  One configurable ceiling caps the conjuncts one elimination
-step produces, raising :class:`ResourceLimitError` when exceeded.
+``Fraction``s.  One ceiling caps the conjuncts one elimination step
+produces, raising :class:`ResourceLimitError` when exceeded; like
+``decimal.localcontext``, it is a scoped setting (:func:`max_dnf`).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import (
     REL_EQ,
@@ -88,11 +91,27 @@ from .syntax import (
 )
 
 DEFAULT_DNF_LIMIT = 10**6
+_CEILING: ContextVar[int] = ContextVar("max_dnf", default=DEFAULT_DNF_LIMIT)
 
 
 class ResourceLimitError(Exception):
-    """Raised when one Fourier-Motzkin step exceeds the configured ceiling of
-    conjuncts."""
+    """Raised when one Fourier-Motzkin step exceeds the ceiling of conjuncts."""
+
+
+@contextmanager
+def max_dnf(n: int) -> Iterator[None]:
+    """The ceiling of conjuncts is n inside the ``with`` block, in this
+    thread or task; leaving the block restores the one outside."""
+    token = _CEILING.set(n)
+    try:
+        yield
+    finally:
+        _CEILING.reset(token)
+
+
+def ceiling() -> int:
+    """The innermost :func:`max_dnf` scope's ceiling, or the default."""
+    return _CEILING.get()
 
 
 def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ...]]:
@@ -109,7 +128,7 @@ def _simplify_conj(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp, ..
     atoms = tuple(atoms)
     if all(a.coeffs for a in atoms) and len({a.slope()[0] for a in atoms}) == len(atoms):
         return atoms
-    store = _Store((), frozenset(), DEFAULT_DNF_LIMIT)
+    store = _Store((), frozenset())
     if not store.merge([(None, a, False) for a in atoms]):
         return None
     return store.conjunction()
@@ -168,10 +187,10 @@ class _Store:
     new atoms share with another atom is then simplified on its own
     (:meth:`_resolve`), and every other slope already is."""
 
-    __slots__ = ("atoms", "index", "slopes", "drop", "derived", "limit")
+    __slots__ = ("atoms", "index", "slopes", "drop", "derived")
 
     def __init__(self, atoms: Sequence[AtomicProp], drop: frozenset[Var] | set[Var],
-                 limit: int, derived: Optional[set[int]] = None):
+                 derived: Optional[set[int]] = None):
         """A store of ``atoms``, a simplified conjunction; ``derived`` as the
         attribute of that name."""
         self.atoms: list[Optional[AtomicProp]] = list(atoms)
@@ -179,7 +198,6 @@ class _Store:
         self.slopes: Optional[dict[tuple, list[int]]] = None
         self.drop = drop
         self.derived = derived
-        self.limit = limit
         for p, a in enumerate(atoms):
             self._place(p, a, False, None)
 
@@ -374,9 +392,10 @@ class _Store:
                                 and (p in derived or q in derived)))
         else:
             grown = lowers * uppers - len(where)
-            if (len(atoms) + grown > self.limit  # counts the holes too
-                    and sum(a is not None for a in atoms) + grown > self.limit):
-                raise ResourceLimitError(f"elimination exceeds {self.limit} conjuncts")
+            limit = ceiling()
+            if (len(atoms) + grown > limit  # counts the holes too
+                    and sum(a is not None for a in atoms) + grown > limit):
+                raise ResourceLimitError(f"elimination exceeds {limit} conjuncts")
             if lowers and uppers:
                 ups = [(q, c) for q, c in where if c > 0]  # x <= -rest/c
                 for lo, b in where:
@@ -423,15 +442,15 @@ class _Store:
         return self.conjunction()
 
 
-def _one_sided(atoms: Sequence[AtomicProp], drop: frozenset[Var] | set[Var],
-               limit: int) -> Optional[list[AtomicProp]]:
+def _one_sided(atoms: Sequence[AtomicProp],
+               drop: frozenset[Var] | set[Var]) -> Optional[list[AtomicProp]]:
     """The atoms that mention no variable of ``drop``, in order, when
     eliminating drop from ``atoms`` is Fourier-Motzkin's base case, and None
     otherwise.  The base case: no variable of drop is in an equality or has
     both a lower and an upper bound, so each step only deletes the
-    variable's atoms, and there are at most ``limit`` atoms, so no step
-    exceeds the ceiling of conjuncts."""
-    if len(atoms) > limit:
+    variable's atoms, and there are at most as many atoms as the
+    :func:`ceiling`, so no step exceeds it."""
+    if len(atoms) > ceiling():
         return None
     upper: dict[Var, bool] = {}
     kept = []
@@ -448,8 +467,8 @@ def _one_sided(atoms: Sequence[AtomicProp], drop: frozenset[Var] | set[Var],
     return kept
 
 
-def _eliminate(c: Constraint, drop: frozenset[Var] | set[Var],
-               limit: int) -> Optional[tuple[AtomicProp, ...]]:
+def _eliminate(c: Constraint,
+               drop: frozenset[Var] | set[Var]) -> Optional[tuple[AtomicProp, ...]]:
     """Eliminate every variable of ``drop`` from c's atoms, simplified
     first unless c is recorded simplified; None when they are inconsistent.
     A c that the simplification leaves unchanged is recorded simplified.
@@ -468,20 +487,20 @@ def _eliminate(c: Constraint, drop: frozenset[Var] | set[Var],
         c._simplified = atoms == c.atoms
     if not drop:
         return atoms
-    kept = _one_sided(atoms, drop, limit)
+    kept = _one_sided(atoms, drop)
     if kept is not None:
         return tuple(kept)
-    return _Store(atoms, drop, limit).eliminate_all()
+    return _Store(atoms, drop).eliminate_all()
 
 
-def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) -> Constraint:
+def project(c: Constraint, keep: Iterable[Var]) -> Constraint:
     """Existentially project a constraint onto ``keep``: the result is a
     constraint over (a subset of) keep describing the same solutions there.
     Projection of a conjunction stays a conjunction; it carries c's
     satisfiability record and is recorded simplified (see
     :class:`syntax.Constraint`).  A c recorded simplified is taken as it
     is."""
-    atoms = _eliminate(c, c.variables - set(keep), limit)
+    atoms = _eliminate(c, c.variables - set(keep))
     if atoms is None:
         # unsatisfiable input: a ground-false conjunction
         out = Constraint((_atom((), 1, REL_LT),))
@@ -493,12 +512,12 @@ def project(c: Constraint, keep: Iterable[Var], limit: int = DEFAULT_DNF_LIMIT) 
     return out
 
 
-def satisfiable(c: Constraint, limit: int = DEFAULT_DNF_LIMIT) -> bool:
+def satisfiable(c: Constraint) -> bool:
     """Whether a constraint has a rational solution: :func:`_eliminate`
     eliminates every variable, with no atom known, and c is satisfiable
     unless that finds an inconsistency.  The verdict is recorded on c, and
     c is recorded simplified when the simplification leaves it unchanged."""
-    sat = _eliminate(c, c.variables, limit) is not None
+    sat = _eliminate(c, c.variables) is not None
     c._sat = sat
     return sat
 
@@ -526,7 +545,7 @@ def _negate_atom(a: AtomicProp) -> tuple[AtomicProp, ...]:
     return (_atom(neg, -a.const, REL_LE),)
 
 
-def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
+def decide(e: Entailment) -> bool:
     """Whether the entailment holds over the rationals: with both sides
     projected onto ``over``, the left side conjoined with any atom of the
     negation of a right-hand atom is unsatisfiable.  The left side is
@@ -546,8 +565,8 @@ def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
     an incremental CLP(Q) solver checks only what a constraint added to a
     solved store reaches.  Otherwise every variable is eliminated, as
     :func:`satisfiable` does."""
-    lhs = _eliminate(e.lhs, e.lhs.variables - e.over, limit)
-    rhs = e.rhs if e.rhs.variables <= e.over else project(e.rhs, e.over, limit)
+    lhs = _eliminate(e.lhs, e.lhs.variables - e.over)
+    rhs = e.rhs if e.rhs.variables <= e.over else project(e.rhs, e.over)
     if lhs is None:
         return True  # an unsatisfiable left side entails anything
     have = set(lhs)
@@ -560,7 +579,7 @@ def decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
                 continue  # one left atom of a's slope implies a
         for n in _negate_atom(a):
             # both sides lie over `over`, so eliminating it leaves no variable
-            store = _Store(lhs, e.over, limit, set() if e.lhs._sat else None)
+            store = _Store(lhs, e.over, set() if e.lhs._sat else None)
             if store.merge([(None, n, True)]) and store.eliminate_all() is not None:
                 return False
     return True
@@ -604,7 +623,6 @@ def _pick_value(
 
 def sample_solution(
     c: Constraint, variables: Optional[Iterable[Var]] = None,
-    limit: int = DEFAULT_DNF_LIMIT,
 ) -> Optional[dict[Var, Fraction]]:
     """A deterministic solution of a constraint, or None when unsatisfiable.
     ``variables`` may extend the domain of the returned valuation;
@@ -622,7 +640,7 @@ def sample_solution(
     order = sorted(c.variables.union(variables or ()))
     stages = [c]
     for k in range(len(order) - 1, -1, -1):
-        stages.append(project(stages[-1], order[:k], limit))
+        stages.append(project(stages[-1], order[:k]))
     if not all(a.ground_truth() for a in stages.pop().atoms):
         return None
     valuation: dict[Var, Fraction] = {}

@@ -91,15 +91,15 @@ from .syntax import Clause, Constraint
 
 
 def projection(rule: Clause, head_kept: frozenset[int],
-               body_kept: Optional[frozenset[int]],
-               limit: int = linarith.DEFAULT_DNF_LIMIT) -> Constraint:
+               body_kept: Optional[frozenset[int]]) -> Constraint:
     """``proj(c, X_a u Y_b)`` for the rule constraint c, a = ``head_kept``
     and b = ``body_kept``, or the candidate condition ``cond(a)`` when b is
     None: one node of the rule's lattice (see the module docstring), cached
-    on the rule as {(a, b): (limit, constraint)}.  A node is projected from
-    its nearest cached ancestor, or from c at a root, and cached with every
-    uncached node on the way.  An ancestor cached under a larger limit than
-    ``limit`` does not serve, so a request raises ``ResourceLimitError``
+    on the rule as {(a, b): (ceiling, constraint)}, with the ceiling of
+    conjuncts it was projected under.  A node is projected from its nearest
+    cached ancestor, or from c at a root, and cached with every uncached
+    node on the way.  An ancestor cached under a larger ceiling than the one
+    in force does not serve, so a request raises ``ResourceLimitError``
     exactly when an uncached one would; a node whose projection raised is
     not cached.  The cache holds constraints, not queries, so a denotation
     cached on a query built from them is freed with that query."""
@@ -107,12 +107,13 @@ def projection(rule: Clause, head_kept: frozenset[int],
     if cache is None:
         cache = rule._projections = {}
     heads, bodies = positions(len(rule.head_vars)), positions(len(rule.body_vars))
+    ceiling = linarith.ceiling()
     chain = []  # the node and its uncached ancestors
     value: Optional[Constraint] = None
     node: Optional[tuple] = (head_kept, body_kept)
     while node is not None:
         cached = cache.get(node)
-        if cached is not None and limit >= cached[0]:
+        if cached is not None and ceiling >= cached[0]:
             value = cached[1]
             break
         chain.append(node)
@@ -127,30 +128,29 @@ def projection(rule: Clause, head_kept: frozenset[int],
     for node in reversed(chain):
         a, b = node
         keep = [rule.head_vars[i - 1] for i in a] + [rule.body_vars[i - 1] for i in b or ()]
-        value = linarith.project(rule.constraint if value is None else value, keep, limit)
-        cache[node] = (limit, value)
+        value = linarith.project(rule.constraint if value is None else value, keep)
+        cache[node] = (ceiling, value)
     return value
 
 
-def head_sides(rule: Clause, head_pos: frozenset[int], body_pos: frozenset[int],
-               limit: int = linarith.DEFAULT_DNF_LIMIT) -> tuple[Constraint, Constraint]:
+def head_sides(rule: Clause, head_pos: frozenset[int],
+               body_pos: frozenset[int]) -> tuple[Constraint, Constraint]:
     """``(rhs, lhs)`` of the head condition for the filtered head positions
     ``head_pos`` and body positions ``body_pos``: ``proj(c, X u Y_-m)`` and
     ``proj(c, X_-m u Y_-m)``, two nodes of the rule's lattice."""
     heads = positions(len(rule.head_vars))
     body_kept = positions(len(rule.body_vars)) - body_pos
-    return (projection(rule, heads, body_kept, limit),
-            projection(rule, heads - head_pos, body_kept, limit))
+    return (projection(rule, heads, body_kept),
+            projection(rule, heads - head_pos, body_kept))
 
 
 def neutrality_head_formula(rule: Clause, head_pos: frozenset[int],
-                            body_pos: frozenset[int], cond: Constraint,
-                            limit: int = linarith.DEFAULT_DNF_LIMIT) -> Entailment:
+                            body_pos: frozenset[int], cond: Constraint) -> Entailment:
     """Entailment of the head condition (see the module docstring), with
     ``cond`` the filter condition over the filtered head variables.  The
     left side is recorded satisfiable when both its parts are and they share
     no variable."""
-    rhs, lhs = head_sides(rule, head_pos, body_pos, limit)
+    rhs, lhs = head_sides(rule, head_pos, body_pos)
     body_sel = select_positions(rule.body_vars, body_pos)
     over = frozenset(rule.head_vars + rule.body_vars).difference(body_sel)
     both = lhs.conjoin(cond)

@@ -470,7 +470,7 @@ class Query(_Value):
     constraint variables that do not occur in the atom are understood
     existentially."""
 
-    # _den: filters.denotation as (limit, constraint); _str: the text; both
+    # _den: filters.denotation as (ceiling, constraint); _str: the text; both
     # filled lazily
     _fields = ("atom", "constraint")
     __slots__ = _fields + ("_den", "_str")
@@ -507,7 +507,7 @@ class Clause(_Value):
     # body queries, built once so that each keeps its cached denotation;
     # _step, the engine's compiled derivation step; _projections, the rule
     # constraint's projections onto the head positions a and body positions
-    # b (b None for a candidate condition), as {(a, b): (limit, constraint)},
+    # b (b None for a candidate condition), as {(a, b): (ceiling, constraint)},
     # filled by neutral.projection
     _fields = ("head_pred", "head_vars", "constraint", "body_pred", "body_vars")
     __slots__ = _fields + ("text", "_head_query", "_body_query", "_step",

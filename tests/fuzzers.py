@@ -81,7 +81,6 @@ from clploop.filters import (
     select_positions,
 )
 from clploop.linarith import (
-    DEFAULT_DNF_LIMIT,
     Entailment,
     ResourceLimitError,
     _combine,
@@ -145,24 +144,22 @@ def make_filter(pred: Pred, positions: Iterable[int],
     return Filter(ps, condition)
 
 
-def filter_head_formula(head: Filter, body: Filter, rule: Clause,
-                        limit: int = DEFAULT_DNF_LIMIT) -> Entailment:
+def filter_head_formula(head: Filter, body: Filter, rule: Clause) -> Entailment:
     """The head condition of the filters of a rule's head and body
     predicates (one filter twice for a recursive rule): the head filter's
     condition denotation renamed to the filtered head variables, given to
     the builder."""
     at = select_positions(rule.head_vars, head.positions)
-    cond = condition_denotation(head, at, limit)
-    return neutrality_head_formula(rule, head.positions, body.positions, cond, limit)
+    cond = condition_denotation(head, at)
+    return neutrality_head_formula(rule, head.positions, body.positions, cond)
 
 
-def filter_body_formula(body: Filter, rule: Clause,
-                        limit: int = DEFAULT_DNF_LIMIT) -> Entailment:
+def filter_body_formula(body: Filter, rule: Clause) -> Entailment:
     """The body condition of the filter of a rule's body predicate: its
     condition denotation renamed to the filtered body variables, given to
     the builder."""
     at = select_positions(rule.body_vars, body.positions)
-    return neutrality_body_formula(rule, body.positions, condition_denotation(body, at, limit))
+    return neutrality_body_formula(rule, body.positions, condition_denotation(body, at))
 
 
 def variables_of(obj) -> frozenset[Var]:
@@ -441,8 +438,7 @@ def rand_filter(rng: random.Random, pred: Pred,
             continue
 
 
-def textbook_step(q: Query, rule: Clause, generation: int, *,
-                  limit: int = DEFAULT_DNF_LIMIT) -> Optional[Query]:
+def textbook_step(q: Query, rule: Clause, generation: int) -> Optional[Query]:
     """The derivation step as the paper defines it: from <p(u) | d> with the
     fresh variant p(s) <- c' <> q(t), the successor <q(t) | s = u, c', d>
     when that store is satisfiable, else None.  No substitution and no
@@ -451,13 +447,12 @@ def textbook_step(q: Query, rule: Clause, generation: int, *,
     equations = tuple(compare(LinTerm.of_var(s), "=", u)
                       for s, u in zip(fresh.head_vars, q.atom.args))
     store = Constraint(equations).conjoin(fresh.constraint).conjoin(q.constraint)
-    if not satisfiable(store, limit):
+    if not satisfiable(store):
         return None
     return Query(fresh.body_atom, store)
 
 
-def renaming_step(q: Query, rule: Clause, generation: int, *,
-                  limit: int = DEFAULT_DNF_LIMIT) -> Optional[Query]:
+def renaming_step(q: Query, rule: Clause, generation: int) -> Optional[Query]:
     """The engine's derivation step built from the general operations: the
     fresh variant ``rename_apart(rule, generation)``, each of its atoms with
     the query arguments substituted for the head variables
@@ -467,25 +462,24 @@ def renaming_step(q: Query, rule: Clause, generation: int, *,
     fresh = rename_apart(rule, generation)
     args = dict(zip(fresh.head_vars, q.atom.args))
     atoms = tuple(a.substitute(args) for a in fresh.constraint) + q.constraint.atoms
-    store = project(Constraint(atoms), fresh.body_atom.variables, limit)
-    if not satisfiable(store, limit):
+    store = project(Constraint(atoms), fresh.body_atom.variables)
+    if not satisfiable(store):
         return None
     return Query(fresh.body_atom, store)
 
 
 def every_step_run(q: Query, program: Program, max_steps: int,
-                   step=derivation_step, *,
-                   limit: int = DEFAULT_DNF_LIMIT) -> list[tuple[int, Query]]:
+                   step=derivation_step) -> list[tuple[int, Query]]:
     """The (clause index, query) pair of each step of the derivation from q,
     every step executed: leftmost selection over ``step`` (the engine's
-    ``derivation_step`` or ``textbook_step``, called with ``limit``) with no
+    ``derivation_step`` or ``textbook_step``) with no
     variant or affine shortcut, stopping at ``max_steps`` or when no rule
     applies."""
     steps: list[tuple[int, Query]] = []
     while len(steps) < max_steps:
         for index, rule in enumerate(program.clauses):
             if rule.head_pred == q.pred:
-                successor = step(q, rule, 1 + max_gen(q), limit=limit)
+                successor = step(q, rule, 1 + max_gen(q))
                 if successor is not None:
                     break
         else:
@@ -616,26 +610,24 @@ def projected_delta_more_general(q_gen: Query, q: Query, filt: Filter) -> bool:
     ) and projected_satisfies(q_gen, filt)
 
 
-def equation_denotation(q: Query, limit: int = DEFAULT_DNF_LIMIT) -> Constraint:
+def equation_denotation(q: Query) -> Constraint:
     """den(q) by its definition: ``W = t, d`` projected onto the probes W
     for q = <p(t) | d>."""
     w = probes(q.pred.arity)
     member = tuple(var_eq(v, t) for v, t in zip(w, q.atom.args))
-    return project(Constraint(member + q.constraint.atoms), w, limit)
+    return project(Constraint(member + q.constraint.atoms), w)
 
 
-def direct_condition(rule: Clause, positions: frozenset[int],
-                     limit: int = DEFAULT_DNF_LIMIT) -> Query:
+def direct_condition(rule: Clause, positions: frozenset[int]) -> Query:
     """The candidate condition at ``positions`` by its definition: the rule
     constraint projected onto the head variables there in one projection."""
     selected = select_positions(rule.head_vars, positions)
     return Query(atom_of_vars(projected_pred(rule.head_pred, positions), selected),
-                 project(rule.constraint, selected, limit))
+                 project(rule.constraint, selected))
 
 
 def direct_sides(rule: Clause, m: frozenset[int],
-                 body_m: Optional[frozenset[int]] = None,
-                 limit: int = DEFAULT_DNF_LIMIT) -> tuple[Constraint, Constraint]:
+                 body_m: Optional[frozenset[int]] = None) -> tuple[Constraint, Constraint]:
     """The head condition's sides ``(rhs, lhs)`` by their definition, each
     one projection of the rule constraint c: ``proj(c, X u Y_-m)`` and
     ``proj(c, X_-m u Y_-m)``, with ``body_m`` (default m) the filtered body
@@ -645,24 +637,24 @@ def direct_sides(rule: Clause, m: frozenset[int],
     body = set(rule.body_vars) - set(select_positions(rule.body_vars, body_m))
     head = set(rule.head_vars)
     kept_head = head - set(select_positions(rule.head_vars, m))
-    return (project(rule.constraint, head | body, limit),
-            project(rule.constraint, kept_head | body, limit))
+    return (project(rule.constraint, head | body),
+            project(rule.constraint, kept_head | body))
 
 
-def reference_decide(e: Entailment, limit: int = DEFAULT_DNF_LIMIT) -> bool:
+def reference_decide(e: Entailment) -> bool:
     """``decide`` without the early stop: both sides projected onto
     ``over`` (a side already over it taken as it is), and for each
     right-hand atom not among the left side's, ``satisfiable`` of the left
     side conjoined with each atom of its negation, which eliminates every
     variable and knows no atom satisfiable."""
-    lhs, rhs = (c if c.variables <= e.over else project(c, e.over, limit)
+    lhs, rhs = (c if c.variables <= e.over else project(c, e.over)
                 for c in (e.lhs, e.rhs))
     have = set(lhs.atoms)
     for a in rhs.atoms:
         if a in have:
             continue
         for n in _negate_atom(a):
-            if satisfiable(Constraint(lhs.atoms + (n,)), limit):
+            if satisfiable(Constraint(lhs.atoms + (n,))):
                 return False
     return True
 
@@ -763,7 +755,6 @@ def reference_simplify(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp
 
 def reference_sample(
     c: Constraint, variables: Optional[Iterable[Var]] = None,
-    limit: int = DEFAULT_DNF_LIMIT,
 ) -> Optional[dict[Var, Fraction]]:
     """``linarith.sample_solution`` by projecting the whole conjunction onto
     each variable in name order, then substituting its value, the reference
@@ -782,7 +773,7 @@ def reference_sample(
         # project the remaining system onto x alone; over the rationals the
         # projected interval is exactly the set of feasible x values
         others = {v for a in current for v in a.variables} - {x}
-        onto_x = _Store(current, others, limit).eliminate_all()
+        onto_x = _Store(current, others).eliminate_all()
         if onto_x is None:
             return None
         lo: Optional[Fraction] = None
@@ -830,8 +821,8 @@ def benchmark_text(name: str, seed: int = 7) -> str:
     return module.make(name, root, seed).text
 
 
-def naive_propagate(program: Program, reports: tuple[ClauseReport, ...],
-                    limit: int = DEFAULT_DNF_LIMIT) -> tuple[PropagatedLoop, ...]:
+def naive_propagate(program: Program,
+                    reports: tuple[ClauseReport, ...]) -> tuple[PropagatedLoop, ...]:
     """The propagation fixpoint by full rescans: every round tests every
     underived rule in program order against every known fact of its body
     predicate, until a round derives nothing.  ``more_general`` is looked
@@ -857,7 +848,7 @@ def naive_propagate(program: Program, reports: tuple[ClauseReport, ...],
                 if fact.pred != rule.body_pred:
                     continue
                 try:
-                    found = analyzer.more_general(rule.body_query, fact, limit)
+                    found = analyzer.more_general(rule.body_query, fact)
                 except ResourceLimitError as err:
                     raise PropagationLimitError(str(err), tuple(out)) from err
                 if found:

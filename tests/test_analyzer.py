@@ -89,9 +89,10 @@ class TestConditionCache:
         rule = clause(self.RULE)
         cond = candidate_filter(rule, frozenset({1, 2})).condition
         for r in (rule, clause(self.RULE)):  # cached, then uncached
-            with pytest.raises(ResourceLimitError, match="exceeds 5"):
-                candidate_filter(r, frozenset({1, 2}), 5)
-        assert candidate_filter(rule, frozenset({1, 2}), 6).condition == cond
+            with pytest.raises(ResourceLimitError, match="exceeds 5"), linarith.max_dnf(5):
+                candidate_filter(r, frozenset({1, 2}))
+        with linarith.max_dnf(6):
+            assert candidate_filter(rule, frozenset({1, 2})).condition == cond
         assert str(cond.constraint) == "A1 >= 0, A2 >= 0, A1 - A2 <= 5, A1 <= 14"
 
     def test_a_subset_that_raised_is_not_cached(self):
@@ -100,8 +101,8 @@ class TestConditionCache:
         def cached_conditions():
             return {a for a, b in rule._projections if b is None}
 
-        with pytest.raises(ResourceLimitError, match="exceeds 5"):
-            candidate_filter(rule, frozenset({1}), 5)
+        with pytest.raises(ResourceLimitError, match="exceeds 5"), linarith.max_dnf(5):
+            candidate_filter(rule, frozenset({1}))
         # {1} projects {1, 2}, which raised; the full set's condition fit
         assert cached_conditions() == {frozenset({1, 2, 3})}
         # so in the scan {1, 2} and the subsets below it, {1}, {2} and {},
@@ -243,9 +244,10 @@ class TestFindLoopingQueries:
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
         m = frozenset({1})
-        cond = candidate_filter(rule, m, 4).condition.constraint
-        with pytest.raises(ResourceLimitError, match="exceeds 4"):
-            neutrality_head_formula(rule, m, m, cond, 4)
+        with linarith.max_dnf(4):
+            cond = candidate_filter(rule, m).condition.constraint
+            with pytest.raises(ResourceLimitError, match="exceeds 4"):
+                neutrality_head_formula(rule, m, m, cond)
         report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
         failed = next(c for c in report.checks if c.positions == frozenset({1}))
         assert failed.error == "elimination exceeds 4 conjuncts"
@@ -266,8 +268,8 @@ class TestFindLoopingQueries:
         def cached_sides():
             return {node for node in rule._projections if node[1] is not None}
 
-        with pytest.raises(ResourceLimitError, match="exceeds 4"):
-            neutrality_head_formula(rule, m, m, cond, 4)
+        with pytest.raises(ResourceLimitError, match="exceeds 4"), linarith.max_dnf(4):
+            neutrality_head_formula(rule, m, m, cond)
         full, rest = frozenset({1, 2, 3}), frozenset({2, 3})
         top, rhs, lhs = (full, full), (full, rest), (rest, rest)
         assert cached_sides() == {top, rhs}
@@ -412,9 +414,9 @@ class TestSemiNaivePropagate:
         calls = []
         more_general = analyzer.more_general
 
-        def counted(body_q, fact, *limit):
+        def counted(body_q, fact):
             calls.append((body_q, fact))
-            return more_general(body_q, fact, *limit)
+            return more_general(body_q, fact)
 
         monkeypatch.setattr(analyzer, "more_general", counted)
         got = propagate(prog, reports)
@@ -471,14 +473,27 @@ class TestPropagationLimit:
         assert limited.propagation_error == "elimination exceeds 3 conjuncts"
         assert limited.had_error
 
+    def test_the_ceiling_does_not_outlive_the_call(self):
+        prog = parse_program(self.PROGRAM)
+        with linarith.max_dnf(7):
+            limited = analyze_program(prog, AnalyzeOptions(max_dnf=3))
+            assert limited.propagation_error == "elimination exceeds 3 conjuncts"
+            assert linarith.ceiling() == 7
+            find_looping_queries(prog.clauses[0], opts=AnalyzeOptions(max_dnf=3))
+            assert linarith.ceiling() == 7
+            # propagation runs under the ceiling in force
+            assert len(propagate(prog, limited.reports)) == 2
+        assert linarith.ceiling() == linarith.DEFAULT_DNF_LIMIT
+
     def test_propagate_raises_with_the_loops_found(self):
         prog = parse_program(self.PROGRAM)
         reports = analyze_program(prog, AnalyzeOptions(propagate=False)).reports
-        with pytest.raises(analyzer.PropagationLimitError) as exc:
-            propagate(prog, reports, 3)
+        with pytest.raises(analyzer.PropagationLimitError) as exc, linarith.max_dnf(3):
+            propagate(prog, reports)
         assert isinstance(exc.value, ResourceLimitError)
         assert [p.index for p in exc.value.found] == [1]
-        assert len(propagate(prog, reports, 6)) == 2
+        with linarith.max_dnf(6):
+            assert len(propagate(prog, reports)) == 2
 
 
 class TestProgramReport:
@@ -574,17 +589,17 @@ def test_shift_conditions_projected_once_per_subset(monkeypatch):
     project, satisfiable = linarith.project, linarith.satisfiable
     candidate = analyzer.candidate_filter
 
-    def counted_project(c, keep, limit=linarith.DEFAULT_DNF_LIMIT):
+    def counted_project(c, keep):
         # the condition nodes of the rule's projection lattice, not its
         # head-condition sides or the layers below
         frame = sys._getframe(1)
         calls["project"] += (frame.f_code is neutral.projection.__code__
                              and frame.f_locals["node"][1] is None)
-        return project(c, keep, limit)
+        return project(c, keep)
 
-    def counted_satisfiable(c, limit=linarith.DEFAULT_DNF_LIMIT):
+    def counted_satisfiable(c):
         calls["satisfiable"] += bool(open_filters)
-        return satisfiable(c, limit)
+        return satisfiable(c)
 
     def counted_candidate(*args):
         open_filters.append(args)

@@ -12,6 +12,7 @@ import clploop
 from clploop import __version__, analyzer, cli, engine, parse_program, parse_query
 from clploop.cli import main
 from clploop.engine import derivation_step
+from clploop.linarith import ResourceLimitError, max_dnf
 from clploop.syntax import Query
 
 SHIFT_GE = "p(X1, X2) <- X1 >= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
@@ -295,6 +296,24 @@ class TestExitCodes:
         # the report is still printed in full
         assert "18 clauses:" in out
 
+    def test_parsing_is_outside_the_ceiling(self, tmp_path, capsys):
+        # normalizing the rule eliminates Z from two lower and two upper
+        # bounds, more than one conjunct; --max-dnf bounds the analysis only
+        text = "p(X, Y) <- Z >= X, Z >= Y, Z <= 1, Z <= 2 <> p(X, Y).\n"
+        with pytest.raises(ResourceLimitError, match="exceeds 1 conjuncts"), max_dnf(1):
+            parse_program(text)
+        assert main(["analyze", rule_file(tmp_path, text), "--max-dnf", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "clause 1: p(X, Y) <- Z >= X, Z >= Y, Z <= 1, Z <= 2 <> p(X, Y).\n"
+            "  none found\n"
+            "  resource limit at tau {1,2}: elimination exceeds 1 conjuncts\n"
+            "  resource limit at tau {1}: elimination exceeds 1 conjuncts\n"
+            "  resource limit at tau {2}: elimination exceeds 1 conjuncts\n"
+            "  resource limit at tau {}: elimination exceeds 1 conjuncts\n"
+            "1 clause: 0 looping, 1 none found\n")
+        assert captured.err == ""
+
     def test_propagation_resource_limit(self, tmp_path, capsys):
         # clause 3's body denotation takes an elimination step of 6
         # conjuncts; the subset scan of clause 1 and clause 2's take at most 3
@@ -504,7 +523,7 @@ class TestCheck:
             init(q, atom, constraint)
 
         monkeypatch.setattr(Query, "__init__", counted)
-        assert cli._proof_for(parse_query("p(0, 0)"), report, 10**6) is None
+        assert cli._proof_for(parse_query("p(0, 0)"), report) is None
         assert built and not {(rule.head_atom, rule.constraint),
                               (rule.body_atom, rule.constraint)} & set(built)
 

@@ -3,7 +3,7 @@
 import pytest
 from fuzzers import every_step_run, max_gen, membership, textbook_step
 
-from clploop import engine
+from clploop import engine, linarith
 from clploop.engine import DerivationState, derivation_step, format_trace, run
 from clploop.linarith import ResourceLimitError, satisfiable
 from clploop.syntax import (
@@ -77,10 +77,12 @@ class TestRun:
         prog = parse_program(
             "p(A, B) <- D <= C, E <= C, C <= A, C <= B + D <> p(D, E).")
         q = parse_query("p(0, 1)", prog)
-        assert run(q, prog, 1, limit=5).steps == 1
-        with pytest.raises(ResourceLimitError, match="exceeds 5 conjuncts"):
-            run(q, prog, 2, limit=5)
-        assert run(q, prog, 100, limit=6).steps == 100
+        with linarith.max_dnf(5):
+            assert run(q, prog, 1).steps == 1
+            with pytest.raises(ResourceLimitError, match="exceeds 5 conjuncts"):
+                run(q, prog, 2)
+        with linarith.max_dnf(6):
+            assert run(q, prog, 100).steps == 100
 
     def test_single_step_then_stuck(self):
         prog = parse_program("p(A) <- A = 0, B = 1 <> p(B).")

@@ -3,6 +3,7 @@
 import pytest
 from fuzzers import is_true, make_filter, membership, project_query
 
+from clploop import linarith
 from clploop.filters import (
     Filter,
     delta_more_general,
@@ -128,9 +129,10 @@ class TestDenotation:
     def test_smaller_limit_than_the_cached_one_raises(self):
         target = q("p(X) : X >= L, X >= M, L >= 0, M >= 1, X <= 9")
         den = denotation(target)
-        with pytest.raises(ResourceLimitError, match="exceeds 3"):
-            denotation(target, 3)
-        assert denotation(target, 4) == den
+        with pytest.raises(ResourceLimitError, match="exceeds 3"), linarith.max_dnf(3):
+            denotation(target)
+        with linarith.max_dnf(4):
+            assert denotation(target) == den
         assert str(den) == "W1#-1 <= 9, W1#-1 >= 1"
 
 

@@ -7,11 +7,14 @@ from fuzzers import atom, reference_decide
 
 from clploop import linarith
 from clploop.linarith import (
+    DEFAULT_DNF_LIMIT,
     Entailment,
     ResourceLimitError,
     _negate_atom,
     _simplify_conj,
+    ceiling,
     decide,
+    max_dnf,
     project,
     sample_solution,
     satisfiable,
@@ -118,8 +121,8 @@ class TestSimplifyAndNegate:
         atoms = tuple(le(LinTerm.of_var(Var(f"L{i}")), tx) for i in range(30))
         atoms += tuple(le(tx, LinTerm.of_var(Var(f"H{i}"))) for i in range(30))
         c = Constraint(atoms)
-        with pytest.raises(ResourceLimitError, match="conjuncts"):
-            project(c, c.variables - {X}, limit=800)
+        with pytest.raises(ResourceLimitError, match="conjuncts"), max_dnf(800):
+            project(c, c.variables - {X})
 
 
 class TestEliminate:
@@ -455,6 +458,25 @@ class TestResourceLimits:
         rhs = Constraint.of(le(LinTerm.of_var(lows[0]), LinTerm.of_var(highs[0])))
         e = Entailment(lhs, rhs, frozenset(lows + highs))
         assert decide(e)
-        assert decide(e, limit=9)
-        with pytest.raises(ResourceLimitError, match="exceeds 8 conjuncts"):
-            decide(e, limit=8)
+        with max_dnf(9):
+            assert decide(e)
+        with pytest.raises(ResourceLimitError, match="exceeds 8 conjuncts"), max_dnf(8):
+            decide(e)
+
+    def test_nested_scopes_restore_the_outer_ceiling(self):
+        # eliminating X combines two lower with two upper bounds
+        c = Constraint.of(le(LinTerm.of_var(Var("L0")), tx), le(LinTerm.of_var(Var("L1")), tx),
+                          le(tx, LinTerm.of_var(Var("H0"))), le(tx, LinTerm.of_var(Var("H1"))))
+        keep = c.variables - {X}
+        assert ceiling() == DEFAULT_DNF_LIMIT
+        with max_dnf(4):
+            with max_dnf(3):
+                assert ceiling() == 3
+                with pytest.raises(ResourceLimitError, match="exceeds 3 conjuncts"):
+                    project(c, keep)
+            assert ceiling() == 4
+            with pytest.raises(ResourceLimitError, match="exceeds 2 conjuncts"), max_dnf(2):
+                project(c, keep)
+            assert ceiling() == 4
+            assert len(project(c, keep).atoms) == 4
+        assert ceiling() == DEFAULT_DNF_LIMIT

@@ -331,7 +331,7 @@ class TestEliminationStore:
             atoms = self._conjunction(rng)
             if atoms is None:
                 continue
-            store = linarith._Store(atoms, frozenset(self.VARS), DEFAULT_DNF_LIMIT)
+            store = linarith._Store(atoms, frozenset(self.VARS))
             _store_matches_its_atoms(store)
             while store.index:
                 x = rng.choice(sorted(store.index))
@@ -360,7 +360,7 @@ class TestEliminationStore:
         else:
             atoms = (atom("X <= 5"), atom("Y >= X"), atom("Y <= 3"), atom("Y <= 2*X - 5"))
         assert _simplify_conj(atoms) == atoms
-        store = linarith._Store(atoms, frozenset({y}), DEFAULT_DNF_LIMIT)
+        store = linarith._Store(atoms, frozenset({y}))
         assert store.eliminate(y)
         assert [str(a) for a in store.conjunction()] == ["X <= 3", "X >= 5"]
         assert store.conjunction() == reference_step(atoms, y)
@@ -429,7 +429,8 @@ class TestOneSidedElimination:
         if simplified is None:
             return None
         try:
-            return linarith._Store(simplified, drop, limit).eliminate_all()
+            with linarith.max_dnf(limit):
+                return linarith._Store(simplified, drop).eliminate_all()
         except ResourceLimitError as err:
             return err
 
@@ -459,7 +460,8 @@ class TestOneSidedElimination:
                     c._simplified = True
                 built.clear()
                 try:
-                    got = project(c, keep, limit)
+                    with linarith.max_dnf(limit):
+                        got = project(c, keep)
                 except ResourceLimitError as err:
                     assert isinstance(expected, ResourceLimitError), (atoms, limit)
                     assert str(err) == str(expected)
@@ -481,11 +483,12 @@ class TestOneSidedElimination:
                 c = Constraint(tuple(atoms))
                 expected = self._store(atoms, every, limit)
                 if isinstance(expected, ResourceLimitError):
-                    with pytest.raises(ResourceLimitError):
-                        satisfiable(c, limit)
+                    with pytest.raises(ResourceLimitError), linarith.max_dnf(limit):
+                        satisfiable(c)
                     kinds["sat raised"] += 1
                     continue
-                assert satisfiable(c, limit) == (expected is not None), (atoms, limit)
+                with linarith.max_dnf(limit):
+                    assert satisfiable(c) == (expected is not None), (atoms, limit)
                 assert c._sat == (expected is not None)
                 if every <= drop and len(atoms) <= limit:
                     # recorded simplified exactly when simplifying changes nothing
@@ -519,17 +522,18 @@ class TestWorklistPropagation:
             # later round
             seen["rounds"] += any(a.index > b.index for a, b in zip(got, got[1:]))
             for limit in (1, 2, 3, 4):
-                try:
-                    expected = naive_propagate(prog, reports, limit)
-                except analyzer.PropagationLimitError as err:
-                    with pytest.raises(analyzer.PropagationLimitError) as raised:
-                        analyzer.propagate(prog, reports, limit)
-                    assert raised.value.found == err.found, (seed, limit)
-                    assert str(raised.value) == str(err)
-                    seen["raised"] += 1
-                    seen["found before"] += bool(err.found)
-                else:
-                    assert analyzer.propagate(prog, reports, limit) == expected
+                with linarith.max_dnf(limit):
+                    try:
+                        expected = naive_propagate(prog, reports)
+                    except analyzer.PropagationLimitError as err:
+                        with pytest.raises(analyzer.PropagationLimitError) as raised:
+                            analyzer.propagate(prog, reports)
+                        assert raised.value.found == err.found, (seed, limit)
+                        assert str(raised.value) == str(err)
+                        seen["raised"] += 1
+                        seen["found before"] += bool(err.found)
+                    else:
+                        assert analyzer.propagate(prog, reports) == expected
         # at these seeds: 150 loops, 15 programs whose loops take more than
         # one round, 77 limit errors, 30 of them after some loop was found
         assert min(seen.values()) >= 10, seen
@@ -775,7 +779,7 @@ class TestEarlyStopProperties:
                 continue
             to_body = dict(zip(rule.head_vars, rule.body_vars))
             for m in _all_subsets(rule.head_pred.arity):
-                cond = projection(rule, m, None, linarith.DEFAULT_DNF_LIMIT)
+                cond = projection(rule, m, None)
                 for kind, e in (
                         ("head", neutrality_head_formula(rule, m, m, cond)),
                         ("body", neutrality_body_formula(rule, m, cond.rename(to_body)))):
@@ -793,7 +797,7 @@ class TestEarlyStopProperties:
             if other is None:
                 continue
             full = frozenset(range(1, n + 1))
-            cond = projection(other, full, None, linarith.DEFAULT_DNF_LIMIT).rename(
+            cond = projection(other, full, None).rename(
                 dict(zip(other.head_vars, rule.head_vars)))
             for m in _all_subsets(n):
                 if m == full:
@@ -1026,8 +1030,8 @@ class TestDenotationProperties:
         rng = random.Random(121)
         projected = []
         project_ = linarith.project
-        monkeypatch.setattr(linarith, "project", lambda c, keep, limit: (
-            projected.append(c) or project_(c, keep, limit)))
+        monkeypatch.setattr(linarith, "project", lambda c, keep: (
+            projected.append(c) or project_(c, keep)))
         kinds = Counter()
         for k in range(400):
             pred = Pred("p", rng.randint(0, 3))
@@ -1291,7 +1295,8 @@ class TestSampleProperties:
 
         def attempt(sample, c, variables, limit):
             try:
-                return sample(Constraint(c.atoms), variables, limit)
+                with linarith.max_dnf(limit):
+                    return sample(Constraint(c.atoms), variables)
             except ResourceLimitError:
                 return ResourceLimitError
 
@@ -1412,14 +1417,15 @@ class TestEngineProperties:
                 prog, q = _drift_case(rng, k)
             full_steps: list = []
             try:
-                full = every_step_run(q, prog, budget, step=_recording(full_steps),
-                                      limit=limit)
+                with linarith.max_dnf(limit):
+                    full = every_step_run(q, prog, budget, step=_recording(full_steps))
                 full_raised = None
             except ResourceLimitError:
                 full, full_raised = None, len(full_steps) + 1
             fast_steps.clear()
             try:
-                fast = run(q, prog, budget, keep_trace=True, limit=limit)
+                with linarith.max_dnf(limit):
+                    fast = run(q, prog, budget, keep_trace=True)
             except ResourceLimitError:
                 assert len(fast_steps) + 1 == full_raised, (k, str(q))
                 seen["raised"] += 1
