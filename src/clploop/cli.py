@@ -188,6 +188,8 @@ def cmd_analyze(args) -> int:
                 with linarith.max_dnf(args.max_dnf):
                     state = run(res.witness, Program((r.clause,)), res.verified_steps,
                                 keep_trace=True)
+                # number each step by the clause in the program, not in the run's
+                state.trace = [(r.index, q) for _, q in state.trace]
                 print(f"trace for {res.witness} "
                       f"(clause {r.index + 1}, tau {positions_str(res.positions)}):")
                 for line in format_trace(state):

@@ -358,11 +358,11 @@ def test_criterion_7_merged_criterion_is_rejected():
 # the seed-7 scaled benchmark workloads (perfbench/workloads.py), which no
 # golden file covers
 REPORT_SHA256 = {
-    ("corpus", "--trace"): "f124305e5422a1e79657699e091dd8f5f7e280f5eeb109cfdc14f642873f2db7",
+    ("corpus", "--trace"): "9b71a495f7933bd738acb6e95611018a8183ad344955bc383f4678c67bed1992",
     ("shift", "--json"): "c5d3a64fb7a4a45c33b7bf6998776eb857ba09e37cab8dc350c615c1f988f124",
     ("shift", "--trace"): "681bf2467e22ad188410fa541501e22c89ee9ea74c2a44510d77a4adfc6a5a3c",
     ("chain", "--json"): "5838260696832f1b2cfb058cb281b83f63e60a9b48bd32d609a9d91632bfd01a",
-    ("chain", "--trace"): "79197e75fe0d91683991383bb44223cbd90728c5e647863f0632e313c297a004",
+    ("chain", "--trace"): "dcd7a38f8e89647a3164afe33ae032f0f4b4cf51f2bc7266ac6f68b9f0a7896b",
 }
 
 

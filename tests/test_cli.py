@@ -86,6 +86,20 @@ class TestAnalyzeText:
             "  step 2: clause 1 |- <p(B#2) | B#2 >= 0>\n"
             "  steps 3..100 not executed: step 2 is a variant of step 1 (period 1)\n")
 
+    def test_trace_numbers_steps_by_the_clause_in_the_program(self, tmp_path, capsys):
+        # the witness of clause 2 is re-run on that clause alone; its steps
+        # still name clause 2
+        path = rule_file(tmp_path, "q(A) <- A = B <> q(B).\n"
+                                   "p(A) <- A = B + 1, B >= 0 <> p(B).\n")
+        assert main(["analyze", path, "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(
+            "trace for <p(A) | A >= 1> (clause 2, tau {}):\n"
+            "  step 1: clause 2 |- <p(B#1) | B#1 >= 0>\n"
+            "  step 2: clause 2 |- <p(B#2) | B#2 >= 0>\n"
+            "  steps 3..100 not executed: step 2 is a variant of step 1 (period 1)\n")
+        assert "  step 1: clause 1 |- <q(B#1) | B#1 = 0>\n" in out
+
     def test_trace_skips_a_witness_that_was_not_run(self, tmp_path, capsys):
         path = rule_file(tmp_path, "p(A) <- A = B + 1, B >= 0 <> p(B).\n")
         assert main(["analyze", path, "--verify-steps", "0"]) == 0
