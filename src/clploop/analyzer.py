@@ -69,7 +69,6 @@ from .syntax import (
 class AnalyzeOptions(NamedTuple):
     first_only: bool = False
     verify_steps: int = 100
-    max_dnf: int = linarith.DEFAULT_DNF_LIMIT
     propagate: bool = True
 
 
@@ -219,8 +218,8 @@ def find_looping_queries(rule: Clause, index: int = 0,
     cardinality) and collect every passing filter with a verified witness.
     Non-recursive rules yield an empty report.  Resource-limit errors and
     witnesses that fail engine validation are recorded as the subset's
-    error, and the scan continues.  The ceiling of conjuncts is
-    ``opts.max_dnf``."""
+    error, and the scan continues.  It runs under the ceiling of conjuncts
+    that `linarith` has in force, as every building block does."""
     if not rule.is_recursive():
         return ClauseReport(index=index, clause=rule)
     arity = rule.head_pred.arity
@@ -231,39 +230,38 @@ def find_looping_queries(rule: Clause, index: int = 0,
     results: list[FilterResult] = []
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(1, arity + 1), size) for size in range(arity, -1, -1))
-    with linarith.max_dnf(opts.max_dnf):
-        for combo in subsets:
-            m = frozenset(combo)
-            try:
-                cond = projection(rule, m, None)
-                head_ok = linarith.decide(neutrality_head_formula(rule, m, m, cond))
-                body_ok = subsumes = None
-                if head_ok:
-                    body_ok = linarith.decide(neutrality_body_formula(
-                        rule, m, cond.rename(to_body)))
-                    if body_ok:  # the filter half of delta_more_general
-                        subsumes = more_general(body, head, full - m)
-                check = SubsetCheck(m, head_ok, body_ok, subsumes)
-                if check.passed:
-                    filt = candidate_filter(rule, m)
-                    witness = make_witness(filt, rule)
-                    verified = 0
-                    if opts.verify_steps > 0:
-                        verified = run(witness, Program((rule,)), opts.verify_steps).steps
-            except ResourceLimitError as err:
-                checks.append(SubsetCheck(m, error=str(err)))
-                continue
-            if check.passed and verified < opts.verify_steps:
-                # the criterion is sound, so this is an implementation fault
-                check = SubsetCheck(m, head_ok, body_ok, subsumes, error=(
-                    f"witness {witness} failed engine validation after "
-                    f"{verified} of {opts.verify_steps} steps"))
-            checks.append(check)
-            if not check.passed:
-                continue
-            results.append(FilterResult(m, filt.condition, witness, verified))
-            if opts.first_only:
-                break
+    for combo in subsets:
+        m = frozenset(combo)
+        try:
+            cond = projection(rule, m, None)
+            head_ok = linarith.decide(neutrality_head_formula(rule, m, m, cond))
+            body_ok = subsumes = None
+            if head_ok:
+                body_ok = linarith.decide(neutrality_body_formula(
+                    rule, m, cond.rename(to_body)))
+                if body_ok:  # the filter half of delta_more_general
+                    subsumes = more_general(body, head, full - m)
+            check = SubsetCheck(m, head_ok, body_ok, subsumes)
+            if check.passed:
+                filt = candidate_filter(rule, m)
+                witness = make_witness(filt, rule)
+                verified = 0
+                if opts.verify_steps > 0:
+                    verified = run(witness, Program((rule,)), opts.verify_steps).steps
+        except ResourceLimitError as err:
+            checks.append(SubsetCheck(m, error=str(err)))
+            continue
+        if check.passed and verified < opts.verify_steps:
+            # the criterion is sound, so this is an implementation fault
+            check = SubsetCheck(m, head_ok, body_ok, subsumes, error=(
+                f"witness {witness} failed engine validation after "
+                f"{verified} of {opts.verify_steps} steps"))
+        checks.append(check)
+        if not check.passed:
+            continue
+        results.append(FilterResult(m, filt.condition, witness, verified))
+        if opts.first_only:
+            break
     classes = class_closure({r.positions for r in results})
     return ClauseReport(index=index, clause=rule, results=tuple(results),
                         checks=tuple(checks), classes=classes)
@@ -351,17 +349,17 @@ def propagate(program: Program,
 
 def analyze_program(program: Program,
                     opts: AnalyzeOptions = AnalyzeOptions()) -> ProgramReport:
-    """Scan every clause and propagate, under the ceiling ``opts.max_dnf``."""
-    with linarith.max_dnf(opts.max_dnf):
-        reports = tuple(
-            find_looping_queries(rule, index, opts)
-            for index, rule in enumerate(program.clauses)
-        )
-        propagated: tuple[PropagatedLoop, ...] = ()
-        error = None
-        if opts.propagate:
-            try:
-                propagated = propagate(program, reports)
-            except PropagationLimitError as err:
-                propagated, error = err.found, str(err)
+    """Scan every clause and propagate, under the ceiling of conjuncts that
+    `linarith` has in force (its innermost scope, or the default)."""
+    reports = tuple(
+        find_looping_queries(rule, index, opts)
+        for index, rule in enumerate(program.clauses)
+    )
+    propagated: tuple[PropagatedLoop, ...] = ()
+    error = None
+    if opts.propagate:
+        try:
+            propagated = propagate(program, reports)
+        except PropagationLimitError as err:
+            propagated, error = err.found, str(err)
     return ProgramReport(reports, propagated, error)

@@ -163,37 +163,30 @@ def _load_program(path: str) -> Program:
     return parse_program(_utf8(text))
 
 
-def _options_from(args) -> AnalyzeOptions:
-    return AnalyzeOptions(
-        first_only=getattr(args, "first_only", False),
-        verify_steps=args.verify_steps,
-        max_dnf=args.max_dnf,
-        propagate=not getattr(args, "no_propagate", False),
-    )
-
-
 def cmd_analyze(args) -> int:
     program = _load_program(args.file)
-    report = analyze_program(program, _options_from(args))
-    if args.json:
-        sys.stdout.write(json.dumps(report_to_json(report), indent=2))
-        print()
-    else:
-        _print_text_report(report, sys.stdout)
-    if args.trace and not args.json:
-        for r in report.reports:
-            for res in r.results:
-                if res.verified_steps <= 0:
-                    continue
-                with linarith.max_dnf(args.max_dnf):
+    with linarith.max_dnf(args.max_dnf):
+        report = analyze_program(program, AnalyzeOptions(
+            first_only=args.first_only, verify_steps=args.verify_steps,
+            propagate=not args.no_propagate))
+        if args.json:
+            sys.stdout.write(json.dumps(report_to_json(report), indent=2))
+            print()
+        else:
+            _print_text_report(report, sys.stdout)
+        if args.trace and not args.json:
+            for r in report.reports:
+                for res in r.results:
+                    if res.verified_steps <= 0:
+                        continue
                     state = run(res.witness, Program((r.clause,)), res.verified_steps,
                                 keep_trace=True)
-                # number each step by the clause in the program, not in the run's
-                state.trace = [(r.index, q) for _, q in state.trace]
-                print(f"trace for {res.witness} "
-                      f"(clause {r.index + 1}, tau {positions_str(res.positions)}):")
-                for line in format_trace(state):
-                    print(f"  {line}")
+                    # number each step by the clause in the program, not in the run's
+                    state.trace = [(r.index, q) for _, q in state.trace]
+                    print(f"trace for {res.witness} "
+                          f"(clause {r.index + 1}, tau {positions_str(res.positions)}):")
+                    for line in format_trace(state):
+                        print(f"  {line}")
     return 3 if report.had_error else 0
 
 
@@ -221,8 +214,8 @@ def _proof_for(query: Query, report: ProgramReport) -> Optional[tuple[str, str]]
 def cmd_check(args) -> int:
     program = _load_program(args.file)
     query = parse_query(_utf8(args.query), program)
-    report = analyze_program(program, _options_from(args))
     with linarith.max_dnf(args.max_dnf):
+        report = analyze_program(program, AnalyzeOptions(verify_steps=args.verify_steps))
         proof = _proof_for(query, report)
         state = run(query, program, args.run, keep_trace=args.trace) if args.run > 0 else None
     verdict = "LOOPS (proved)" if proof else "UNKNOWN"
@@ -274,9 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("file", help="rule file")
     shared.add_argument("--json", action="store_true", help="machine readable output")
-    shared.add_argument("--verify-steps", type=_at_least(0), default=100, metavar="K",
+    shared.add_argument("--verify-steps", type=_at_least(0),
+                        default=AnalyzeOptions().verify_steps, metavar="K",
                         help="derivation steps each witness of the analysis must "
-                             "survive (0 disables the runtime check; default 100)")
+                             "survive (0 disables the runtime check; default "
+                             "%(default)s)")
     shared.add_argument("--max-dnf", type=_at_least(1),
                         default=linarith.DEFAULT_DNF_LIMIT, metavar="N",
                         help="ceiling on the conjuncts of one elimination step in "

@@ -87,6 +87,7 @@ from clploop.linarith import (
     _Store,
     _negate_atom,
     _pick_value,
+    decide,
     project,
     satisfiable,
 )
@@ -119,6 +120,15 @@ RELS = ("=", "<=", "<", ">=", ">")
 def is_true(c: Constraint) -> bool:
     """Whether a constraint is the empty conjunction."""
     return not c.atoms
+
+
+def equivalent(c1: Constraint, c2: Constraint,
+               over: Optional[frozenset[Var]] = None) -> bool:
+    """Whether two constraints entail each other over ``over``, by default
+    the variables of both."""
+    if over is None:
+        over = c1.variables | c2.variables
+    return decide(Entailment(c1, c2, over)) and decide(Entailment(c2, c1, over))
 
 
 def local_vars(rule: Clause) -> frozenset[Var]:

@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 
 import pytest
-from fuzzers import is_true, naive_propagate
+from fuzzers import equivalent, is_true, naive_propagate
 
 from clploop import analyzer, linarith, neutral
 from clploop.analyzer import (
@@ -18,7 +18,7 @@ from clploop.analyzer import (
     propagate,
 )
 from clploop.engine import run
-from clploop.linarith import Entailment, ResourceLimitError, decide
+from clploop.linarith import ResourceLimitError, decide
 from clploop.neutral import neutrality_head_formula
 from clploop.syntax import (
     Atom,
@@ -35,12 +35,6 @@ from clploop.syntax import (
 
 def clause(text):
     return parse_program(text).clauses[0]
-
-
-def equivalent(c1, c2) -> bool:
-    over = c1.variables | c2.variables
-    return (decide(Entailment(c1, c2, over))
-            and decide(Entailment(c2, c1, over)))
 
 
 SHIFT_GE = "p(X1, X2) <- X1 >= X2, Y1 = X1 + 1, Y2 = X2 <> p(Y1, Y2).\n"
@@ -107,7 +101,8 @@ class TestConditionCache:
         assert cached_conditions() == {frozenset({1, 2, 3})}
         # so in the scan {1, 2} and the subsets below it, {1}, {2} and {},
         # have no condition; {3}'s condition fits, its head decision does not
-        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=5))
+        with linarith.max_dnf(5):
+            report = find_looping_queries(rule)
         assert {c.positions for c in report.checks if c.error} == {
             frozenset({1, 2}), frozenset({1}), frozenset({2}), frozenset({3}),
             frozenset()}
@@ -231,7 +226,8 @@ class TestFindLoopingQueries:
         rule = clause(
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
-        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
+        with linarith.max_dnf(4):
+            report = find_looping_queries(rule)
         assert report.errors
         assert any("exceeds 4" in e for e in report.errors)
         # subsets after the failing one were still checked
@@ -248,7 +244,7 @@ class TestFindLoopingQueries:
             cond = candidate_filter(rule, m).condition.constraint
             with pytest.raises(ResourceLimitError, match="exceeds 4"):
                 neutrality_head_formula(rule, m, m, cond)
-        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
+            report = find_looping_queries(rule)
         failed = next(c for c in report.checks if c.positions == frozenset({1}))
         assert failed.error == "elimination exceeds 4 conjuncts"
         assert failed.head_ok is None
@@ -282,11 +278,13 @@ class TestFindLoopingQueries:
         # subset {1, 2} passes the search within 4 conjuncts; its witness
         # needs 5
         rule = clause("p(A1, A2) <- 4*B1 > -1, A1 - 2*B1 > -8, B2 >= 1 <> p(B1, B2).")
-        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=4))
+        with linarith.max_dnf(4):
+            report = find_looping_queries(rule)
         assert [(c.positions, c.error) for c in report.checks if c.error] == [
             (frozenset({1, 2}), "elimination exceeds 4 conjuncts")]
         assert not report.results
-        report = find_looping_queries(rule, opts=AnalyzeOptions(max_dnf=5))
+        with linarith.max_dnf(5):
+            report = find_looping_queries(rule)
         assert [r.positions for r in report.results] == [frozenset({1, 2})]
         assert report.results[0].verified_steps == 100
 
@@ -465,7 +463,8 @@ class TestPropagationLimit:
         report = analyze_program(prog)
         assert [p.index for p in report.propagated] == [1, 2]
         assert report.propagation_error is None and not report.had_error
-        limited = analyze_program(prog, AnalyzeOptions(max_dnf=3))
+        with linarith.max_dnf(3):
+            limited = analyze_program(prog)
         # the scan is unaffected; propagation keeps the loop found before
         # the limit and records it
         assert limited.reports == report.reports
@@ -474,16 +473,19 @@ class TestPropagationLimit:
         assert limited.had_error
 
     def test_the_ceiling_does_not_outlive_the_call(self):
-        prog = parse_program(self.PROGRAM)
-        with linarith.max_dnf(7):
-            limited = analyze_program(prog, AnalyzeOptions(max_dnf=3))
-            assert limited.propagation_error == "elimination exceeds 3 conjuncts"
-            assert linarith.ceiling() == 7
-            find_looping_queries(prog.clauses[0], opts=AnalyzeOptions(max_dnf=3))
-            assert linarith.ceiling() == 7
-            # propagation runs under the ceiling in force
-            assert len(propagate(prog, limited.reports)) == 2
+        # an enclosing scope reaches the scan (clause 4 needs more than 3
+        # conjuncts, see TestFindLoopingQueries) and propagation alike
+        prog = parse_program(
+            self.PROGRAM + "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, "
+            "B >= 1, C >= 2, C >= B <> pow2(D, E, F).\n")
+        with linarith.max_dnf(3):
+            limited = analyze_program(prog)
+        assert any("exceeds 3" in e for e in limited.reports[3].errors)
+        assert limited.propagation_error == "elimination exceeds 3 conjuncts"
         assert linarith.ceiling() == linarith.DEFAULT_DNF_LIMIT
+        report = analyze_program(prog)
+        assert not report.had_error
+        assert [p.index for p in report.propagated] == [1, 2]
 
     def test_propagate_raises_with_the_loops_found(self):
         prog = parse_program(self.PROGRAM)

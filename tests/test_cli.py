@@ -310,6 +310,17 @@ class TestExitCodes:
         # the report is still printed in full
         assert "18 clauses:" in out
 
+    def test_a_library_scope_is_the_ceiling_of_the_cli(self, corpus_path,
+                                                       corpus_program, capsys):
+        # analyze_program runs under the scope its caller opens, as the
+        # command does under --max-dnf
+        with max_dnf(3):
+            report = analyzer.analyze_program(corpus_program)
+        assert sum(len(r.errors) for r in report.reports) == 7
+        assert report.propagation_error is None
+        assert main(["analyze", str(corpus_path), "--max-dnf", "3", "--json"]) == 3
+        assert json.loads(capsys.readouterr().out) == cli.report_to_json(report)
+
     def test_parsing_is_outside_the_ceiling(self, tmp_path, capsys):
         # normalizing the rule eliminates Z from two lower and two upper
         # bounds, more than one conjunct; --max-dnf bounds the analysis only

@@ -20,6 +20,7 @@ from fuzzers import (
     direct_condition,
     direct_sides,
     equation_denotation,
+    equivalent,
     every_step_run,
     filter_body_formula,
     filter_head_formula,
@@ -1074,10 +1075,6 @@ class TestDenotationProperties:
             assert decide(Entailment(ref, den, frozenset(w)))
 
 
-def _equivalent(c1: Constraint, c2: Constraint, over: frozenset) -> bool:
-    return decide(Entailment(c1, c2, over)) and decide(Entailment(c2, c1, over))
-
-
 class TestCandidateConditionProperties:
     """Each candidate condition projects the condition of its parent subset
     (the subset plus its smallest missing position), and a witness takes its
@@ -1098,14 +1095,14 @@ class TestCandidateConditionProperties:
                 filt = candidate_filter(rule, m)
                 cond, ref = filt.condition, direct_condition(rule, m)
                 assert cond.atom == ref.atom
-                assert _equivalent(cond.constraint, ref.constraint,
+                assert equivalent(cond.constraint, ref.constraint,
                                    frozenset(ref.atom.variables)), (str(rule), sorted(m))
                 kinds["text differs"] += str(cond) != str(ref)
                 # the witness store against the complement's reference, over
                 # the head variables the witness keeps
                 witness = make_witness(filt, rule)
                 ref_kept = direct_condition(rule, frozenset(range(1, pred.arity + 1)) - m)
-                assert _equivalent(witness.constraint, ref_kept.constraint,
+                assert equivalent(witness.constraint, ref_kept.constraint,
                                    frozenset(ref_kept.atom.variables)), (str(rule), sorted(m))
                 ref_filt = make_filter(pred, m, ref)
                 head_ok = decide(filter_head_formula(ref_filt, ref_filt, rule))
@@ -1177,8 +1174,8 @@ class TestHeadSideProperties:
         # each side lies over its variables, so decide takes it as it is
         assert rhs.variables <= over and lhs.variables <= kept
         where = (str(rule), sorted(hm), sorted(bm))
-        assert _equivalent(rhs, ref_rhs, over), where
-        assert _equivalent(lhs, ref_lhs, kept), where
+        assert equivalent(rhs, ref_rhs, over), where
+        assert equivalent(lhs, ref_lhs, kept), where
         differs = (str(rhs), str(lhs)) != (str(ref_rhs), str(ref_lhs))
         return ref_rhs, ref_lhs, over, differs
 
