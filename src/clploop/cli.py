@@ -156,7 +156,7 @@ def _utf8(text: str) -> str:
 def _load_program(path: str) -> Program:
     """Parse a rule file."""
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as err:
         raise ParseError(str(err))
@@ -182,7 +182,7 @@ def cmd_analyze(args) -> int:
                     state = run(res.witness, Program((r.clause,)), res.verified_steps,
                                 keep_trace=True)
                     # number each step by the clause in the program, not in the run's
-                    state.trace = [(r.index, q) for _, q in state.trace]
+                    state = state._replace(trace=[(r.index, q) for _, q in state.trace])
                     print(f"trace for {res.witness} "
                           f"(clause {r.index + 1}, tau {positions_str(res.positions)}):")
                     for line in format_trace(state):

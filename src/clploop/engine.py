@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linarith
 from .filters import denotation, probes
@@ -90,27 +90,24 @@ from .syntax import (
 )
 
 
-class DerivationState:
-    """Outcome of a (partial) derivation run.  ``cycle`` is (step, period)
-    when the run skipped steps.  With ``drift`` None, the query after
-    ``step`` steps was a variant of the one ``period`` steps earlier.
+class DerivationState(NamedTuple):
+    """Outcome of a (partial) derivation run, immutable like the package's
+    other result types; ``_replace`` derives a changed copy.  ``current``
+    is the last query computed after ``steps`` steps.  ``cycle`` is (step,
+    period) when the run skipped steps.  With ``drift`` None, the query
+    after ``step`` steps was a variant of the one ``period`` steps earlier.
     Otherwise ``drift`` is the diagonal map A(W)_i = a_i*W_i + b_i as its
     (a_i, b_i) pairs, the period is 1, the query after ``step`` steps
     denotes a superset of the image under A of the one before, and the rule
     is closed under A (see the module docstring).  ``trace`` holds (clause
-    index, query) for each executed step when the run keeps it."""
+    index, query) for each executed step when the run keeps it, and is
+    empty otherwise."""
 
-    __slots__ = ("current", "steps", "cycle", "drift", "trace")
-
-    def __init__(self, current: Query, steps: int,
-                 cycle: Optional[tuple[int, int]] = None,
-                 drift: Optional[tuple[tuple[Fraction, Fraction], ...]] = None,
-                 trace: Optional[list[tuple[int, Query]]] = None):
-        self.current = current
-        self.steps = steps
-        self.cycle = cycle
-        self.drift = drift
-        self.trace = [] if trace is None else trace
+    current: Query
+    steps: int
+    cycle: Optional[tuple[int, int]]
+    drift: Optional[tuple[tuple[Fraction, Fraction], ...]]
+    trace: list[tuple[int, Query]]
 
 
 def _compiled(rule: Clause) -> tuple[tuple, tuple[tuple[str, int], ...], int]:
@@ -199,49 +196,51 @@ def run(
     the run records the map in ``drift``, sets ``steps`` to ``max_steps``
     and keeps the checkpoint's query as ``current``.  ``keep_trace`` only
     records the executed steps; it does not change which steps are executed.
+    The result is one immutable `DerivationState`, built when the run
+    stops.
 
     Each step's generation exceeds every generation of its query: the first
     is ``1 + max_gen(q)``, and the next is read off the compiled body of the
     rule applied, which is ``1 + max_gen`` of the successor (whose variables
     are the body variables, or none)."""
-    state = DerivationState(current=q, steps=0)
+    current, steps, cycle, drift = q, 0, None, None
+    trace: list[tuple[int, Query]] = []
     generation = 1 + max_gen(q)
     checkpoint = _variant_key(q)
     checkpoint_step = 0
     recent = (q,)  # the last three queries, while a checkpoint is kept
-    while state.steps < max_steps:
+    while steps < max_steps:
         for index, rule in enumerate(program.clauses):
-            if rule.head_pred == state.current.pred:
-                successor = derivation_step(state.current, rule, generation)
+            if rule.head_pred == current.pred:
+                successor = derivation_step(current, rule, generation)
                 if successor is not None:
                     break
         else:
             break
-        state.current = successor
-        state.steps += 1
+        current = successor
+        steps += 1
         _, _, span = _compiled(rule)
         generation = generation + span if span else 1
         if keep_trace:
-            state.trace.append((index, successor))
+            trace.append((index, successor))
         if checkpoint is None:
             continue
         recent = recent[-2:] + (successor,)
         key = _variant_key(successor)
         if key == checkpoint:
-            period = state.steps - checkpoint_step
-            skipped = (max_steps - state.steps) // period * period
+            period = steps - checkpoint_step
+            skipped = (max_steps - steps) // period * period
             if skipped:
-                state.cycle = (state.steps, period)
-                state.steps += skipped
+                cycle = (steps, period)
+                steps += skipped
             checkpoint = None
-        elif state.steps >= 2 * checkpoint_step:
-            checkpoint, checkpoint_step = key, state.steps
-            if len(recent) == 3 and state.steps < max_steps:
+        elif steps >= 2 * checkpoint_step:
+            checkpoint, checkpoint_step = key, steps
+            if len(recent) == 3 and steps < max_steps:
                 drift = _drift(recent, program)
                 if drift is not None:
-                    state.cycle, state.drift = (state.steps, 1), drift
-                    state.steps = max_steps
-    return state
+                    cycle, steps = (steps, 1), max_steps
+    return DerivationState(current, steps, cycle, drift, trace)
 
 
 def _drift(queries: tuple[Query, Query, Query],

@@ -75,6 +75,7 @@ produces, raising :class:`ResourceLimitError` when exceeded; like
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -591,34 +592,17 @@ def decide(e: Entailment) -> bool:
 def _pick_value(
     lo: Optional[Fraction], lo_strict: bool, hi: Optional[Fraction], hi_strict: bool
 ) -> Fraction:
-    """Deterministic representative of a nonempty rational interval: the
-    integer of smallest magnitude, ties broken toward the non-negative; the
-    midpoint when the interval contains no integer."""
-
-    def lowest_int(bound: Fraction, strict: bool) -> int:
-        n = -((-bound).__floor__())  # ceil
-        if strict and n == bound:
-            n += 1
-        return n
-
-    def highest_int(bound: Fraction, strict: bool) -> int:
-        n = bound.__floor__()
-        if strict and n == bound:
-            n -= 1
-        return n
-
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        h = highest_int(hi, hi_strict)
-        return Fraction(min(0, h) if h >= 0 else h)
-    if hi is None:
-        l = lowest_int(lo, lo_strict)
-        return Fraction(max(0, l) if l <= 0 else l)
-    l, h = lowest_int(lo, lo_strict), highest_int(hi, hi_strict)
-    if l <= h:
-        return Fraction(min(max(0, l), h))
-    return (lo + hi) / 2
+    """Deterministic representative of a nonempty rational interval (a
+    bound of None is an unbounded side).  With l and h the least and the
+    greatest integer inside it (-inf and +inf on an unbounded side), it is
+    the midpoint when l > h, so no integer fits, and otherwise the point of
+    [l, h] nearest 0: the integer of smallest magnitude, ties broken toward
+    the non-negative, which is 0 itself when 0 lies in the interval."""
+    l = -math.inf if lo is None else math.floor(lo) + 1 if lo_strict else math.ceil(lo)
+    h = math.inf if hi is None else math.ceil(hi) - 1 if hi_strict else math.floor(hi)
+    if l > h:
+        return (lo + hi) / 2
+    return Fraction(min(max(0, l), h))
 
 
 def sample_solution(
@@ -635,8 +619,11 @@ def sample_solution(
     first; c is unsatisfiable when the last, ground, stage is false.
     Otherwise the values are picked back along the chain (Dantzig & Eaves,
     JCT A 1973): xk's from its interval in the stage over x1..xk (c itself
-    for xn) with x1..x(k-1) plugged in.  Over the rationals that interval
-    is exactly the set of feasible xk values, so it is never empty."""
+    for xn) with x1..x(k-1) plugged in, by `_pick_value`.  Over the
+    rationals that interval is exactly the set of feasible xk values, so it
+    is never empty, and an atom of the stage that is an equality on xk
+    pins it: the interval is that one value, and the stage's other atoms
+    are not read."""
     order = sorted(c.variables.union(variables or ()))
     stages = [c]
     for k in range(len(order) - 1, -1, -1):
@@ -654,12 +641,11 @@ def sample_solution(
                 continue  # true at the values already picked
             rest = a.const + sum(n * valuation[v] for v, n in a.coeffs if v != x)
             bound = Fraction(-rest, k)
-            if a.rel == REL_EQ:
-                if lo is None or bound > lo or (bound == lo and not lo_strict):
-                    lo, lo_strict = bound, False
-                if hi is None or bound < hi or (bound == hi and not hi_strict):
-                    hi, hi_strict = bound, False
-            elif k > 0:  # x <= bound
+            if a.rel == REL_EQ:  # the stage pins x
+                lo = hi = bound
+                lo_strict = hi_strict = False
+                break
+            if k > 0:  # x <= bound
                 if hi is None or bound < hi or (bound == hi and a.rel == REL_LT):
                     hi, hi_strict = bound, a.rel == REL_LT
             else:  # bound <= x

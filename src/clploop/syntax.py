@@ -69,17 +69,15 @@ class Var(NamedTuple):
         return self.name if self.gen == 0 else f"{self.name}#{self.gen}"
 
 
-_SMALL_FRACTIONS = {i: Fraction(i) for i in range(-8, 9)}
-_F0 = _SMALL_FRACTIONS[0]
-_F1 = _SMALL_FRACTIONS[1]
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        cached = _SMALL_FRACTIONS.get(value)
-        return cached if cached is not None else Fraction(value)
+        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 

@@ -38,8 +38,9 @@ indexed elimination store's step, which simplifies only the slopes its new
 atoms reach.  It simplifies by ``reference_simplify``, a pass of its own
 and the reference for ``_simplify_conj``, which merges into a store; and
 ``reference_sample`` samples a solution by projecting the whole
-conjunction onto each variable in turn, the reference for
-``sample_solution``'s one chain of projections.  ``benchmark_text``
+conjunction onto each variable in turn and picking its value by
+``reference_pick_value``, the reference for ``sample_solution``'s one
+chain of projections and for ``_pick_value``'s one clamp.  ``benchmark_text``
 reads a benchmark workload's rule file (``perfbench/workloads.py``) for
 the checks that replay it.
 ``naive_propagate`` is the propagation fixpoint by full rescans of every
@@ -86,7 +87,6 @@ from clploop.linarith import (
     _combine,
     _Store,
     _negate_atom,
-    _pick_value,
     decide,
     project,
     satisfiable,
@@ -763,6 +763,40 @@ def reference_simplify(atoms: Iterable[AtomicProp]) -> Optional[tuple[AtomicProp
     return tuple(out)
 
 
+def reference_pick_value(
+    lo: Optional[Fraction], lo_strict: bool, hi: Optional[Fraction], hi_strict: bool
+) -> Fraction:
+    """``linarith._pick_value`` case by case, the reference for its one
+    clamp: the integer of smallest magnitude in a nonempty rational
+    interval, ties broken toward the non-negative; the midpoint when the
+    interval contains no integer.  A bound of None is an unbounded side."""
+
+    def lowest_int(bound: Fraction, strict: bool) -> int:
+        n = -((-bound).__floor__())  # ceil
+        if strict and n == bound:
+            n += 1
+        return n
+
+    def highest_int(bound: Fraction, strict: bool) -> int:
+        n = bound.__floor__()
+        if strict and n == bound:
+            n -= 1
+        return n
+
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        h = highest_int(hi, hi_strict)
+        return Fraction(min(0, h) if h >= 0 else h)
+    if hi is None:
+        l = lowest_int(lo, lo_strict)
+        return Fraction(max(0, l) if l <= 0 else l)
+    l, h = lowest_int(lo, lo_strict), highest_int(hi, hi_strict)
+    if l <= h:
+        return Fraction(min(max(0, l), h))
+    return (lo + hi) / 2
+
+
 def reference_sample(
     c: Constraint, variables: Optional[Iterable[Var]] = None,
 ) -> Optional[dict[Var, Fraction]]:
@@ -805,7 +839,7 @@ def reference_sample(
             else:  # bound <= x
                 if lo is None or bound > lo or (bound == lo and a.rel == REL_LT):
                     lo, lo_strict = bound, a.rel == REL_LT
-        value = _pick_value(lo, lo_strict, hi, hi_strict)
+        value = reference_pick_value(lo, lo_strict, hi, hi_strict)
         valuation[x] = value
         current = reference_simplify(
             a.substitute({x: LinTerm.of_const(value)}) for a in current

@@ -192,6 +192,27 @@ class TestExitCodes:
         assert main(["check", str(corpus_path), "--query", query]) == 2
         assert capsys.readouterr().err == "error: 1:4: invalid UTF-8 byte 0xff\n"
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # positions count from the first visible character; a U+FEFF
+        # anywhere else is still an unexpected character
+        bom = "\ufeff".encode()
+        plain = rule_file(tmp_path, PAIR, "plain.clp")
+        marked = tmp_path / "marked.clp"
+        marked.write_bytes(bom + PAIR.encode())
+        for flags in ([], ["--json"]):
+            assert main(["analyze", plain, *flags]) == 0
+            expected = capsys.readouterr().out
+            assert main(["analyze", str(marked), *flags]) == 0
+            assert capsys.readouterr().out == expected
+        for data, where in (
+                (bom + b"p(A) <- A = B \xff<> p(B).\n", "1:15: invalid UTF-8 byte 0xff"),
+                (bom * 2 + PAIR.encode(), "1:1: unexpected character '\\ufeff'"),
+                (b"p(A) <- A = B" + bom + b" <> p(B).\n",
+                 "1:14: unexpected character '\\ufeff'")):
+            marked.write_bytes(data)
+            assert main(["analyze", str(marked)]) == 2
+            assert capsys.readouterr().err == f"error: {where}\n"
+
     def test_overlong_integer_literal_is_a_parse_error(self, tmp_path, capsys):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
@@ -246,7 +267,7 @@ class TestExitCodes:
             state = real_run(q, program, max_steps, **kwargs)
             runs.append(q)
             if len(runs) == 1:
-                state.steps -= 3
+                state = state._replace(steps=state.steps - 3)
             return state
 
         monkeypatch.setattr(analyzer, "run", short_first_run)

@@ -378,3 +378,13 @@ class TestTrace:
         state = run(parse_query("p(0)"), prog, max_steps=3)
         assert state.trace == []
         assert isinstance(state, DerivationState)
+
+    def test_the_result_is_immutable(self):
+        prog = parse_program("p(A) <- A = B + 1, B >= 0 <> p(B).")
+        state = run(parse_query("p(5)"), prog, max_steps=10, keep_trace=True)
+        assert (state.steps, state.cycle, state.drift) == (5, None, None)
+        with pytest.raises(AttributeError):
+            state.steps = 10
+        shorter = state._replace(steps=2)
+        assert (shorter.steps, shorter.current, shorter.trace) == (2, state.current, state.trace)
+        assert state.steps == 5

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from fuzzers import atom, reference_decide
+from fuzzers import atom, reference_decide, reference_pick_value
 
 from clploop import linarith
 from clploop.linarith import (
@@ -11,6 +11,7 @@ from clploop.linarith import (
     Entailment,
     ResourceLimitError,
     _negate_atom,
+    _pick_value,
     _simplify_conj,
     ceiling,
     decide,
@@ -389,8 +390,38 @@ class TestSample:
         assert sample_solution(c) == {Y: Fraction(1), Z: Fraction(2)}
 
     def test_equality_pinned(self):
-        c = Constraint.of(eq(ty, LinTerm.of_const(5)))
-        assert sample_solution(c) == {Y: Fraction(5)}
+        for value in (5, -2, Fraction(3, 2), Fraction(-7, 3)):
+            c = Constraint.of(eq(ty, LinTerm.of_const(value)))
+            assert sample_solution(c) == {Y: Fraction(value)}
+
+    @pytest.mark.parametrize("interval, expected", [
+        # unbounded on one side
+        ((None, False, Fraction(3), False), 0),
+        ((None, False, Fraction(-5, 2), False), -3),
+        ((Fraction(-5, 2), False, None, False), 0),
+        ((Fraction(3, 2), True, None, False), 2),
+        # unbounded on both
+        ((None, False, None, False), 0),
+        # strict integer ends
+        ((Fraction(2), True, Fraction(5), True), 3),
+        ((Fraction(-5), True, Fraction(-2), True), -3),
+        ((Fraction(0), True, None, False), 1),
+        ((None, False, Fraction(0), True), -1),
+        # all negative
+        ((Fraction(-7), False, Fraction(-3), False), -3),
+        ((Fraction(-15, 2), True, Fraction(-1, 3), False), -1),
+        # no integer inside
+        ((Fraction(1, 3), False, Fraction(2, 3), False), Fraction(1, 2)),
+        ((Fraction(1), True, Fraction(2), True), Fraction(3, 2)),
+        ((Fraction(-9, 4), True, Fraction(-2), True), Fraction(-17, 8)),
+        # a single point
+        ((Fraction(5, 2), False, Fraction(5, 2), False), Fraction(5, 2)),
+        ((Fraction(-4), False, Fraction(-4), False), -4),
+        ((Fraction(0), False, Fraction(0), False), 0),
+    ])
+    def test_pick_value_equals_the_reference(self, interval, expected):
+        assert _pick_value(*interval) == reference_pick_value(*interval) == expected
+        assert type(_pick_value(*interval)) is Fraction
 
     def test_midpoint_when_no_integer(self):
         c = Constraint.of(lt(LinTerm.of_const(Fraction(1, 2)), ty), lt(ty, one))
