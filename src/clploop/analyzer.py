@@ -30,8 +30,9 @@ positions does not keep a filter neutral (on the corpus, clause 16's {1} and
 witness has constants at tau; putting fresh variables in place of its
 arguments outside m, a subset of tau, and true in place of its store gives a
 more general query, and a query more general than a looping query loops
-too.  The head-query fallback of `make_witness` has no such constants; the
-tests run every corpus class query on the engine.  A separate
+too.  A witness needs no generality check of its own: `make_witness` builds
+it delta-more-general than the head query (see there), and the tests run
+every corpus class query on the engine.  A separate
 propagation pass extends looping facts through non-recursive rules: if a
 rule's body query is more general than a known looping query, its head query
 loops as well.
@@ -47,7 +48,7 @@ from . import linarith
 from .engine import run
 from .filters import (
     Filter,
-    delta_more_general,
+    delta_more_general,  # noqa: F401  (perfbench/spans.py wraps it here)
     more_general,
     positions,
     projected_pred,
@@ -184,9 +185,15 @@ def make_witness(filt: Filter, rule: Clause) -> Query:
     the head variables there), head variables kept elsewhere, and as store
     the rule constraint projected onto the kept variables, which is the
     candidate condition at the complement positions (taken from the same
-    lattice as the filters, see `neutral.projection`).  Falls back to the
-    rule's head query (itself proved looping) if the generality check for
-    the constructed candidate does not go through."""
+    lattice as the filters, see `neutral.projection`).
+
+    The witness is delta-more-general than the rule's head query by
+    construction, so it loops as the head query does: over the kept
+    positions its denotation is proj(c, X_kept), the head query's own
+    denotation there, and its constants at the filtered positions satisfy
+    cond(tau), from which they were sampled.  So no generality check is
+    made here; a property test checks it on the corpus and on generated
+    rules."""
     tau, condition = filt
     values = linarith.sample_solution(condition.constraint, condition.atom.variables)
     if values is None:
@@ -194,19 +201,17 @@ def make_witness(filt: Filter, rule: Clause) -> Query:
     kept = positions(rule.head_pred.arity) - tau
     args = tuple(LinTerm.of_const(values[v]) if i in tau else LinTerm.of_var(v)
                  for i, v in enumerate(rule.head_vars, start=1))
-    head = rule.head_query
-    candidate = Query(Atom(rule.head_pred, args), projection(rule, kept, None))
-    if candidate == head:
-        candidate = head  # its denotation is cached
-    if delta_more_general(candidate, head, filt):
-        return candidate
-    return head
+    return Query(Atom(rule.head_pred, args), projection(rule, kept, None))
 
 
 def class_closure(passing: set[frozenset[int]]) -> frozenset[frozenset[int]]:
-    """Downward closure under inclusion of the passing position subsets."""
+    """Downward closure under inclusion of the passing position subsets.
+    The sets are visited largest first, so a set that lies inside one
+    visited before is already in the closure with all its subsets."""
     out: set[frozenset[int]] = set()
-    for m in passing:
+    for m in sorted(passing, key=len, reverse=True):
+        if m in out:
+            continue
         for size in range(len(m) + 1):
             out.update(frozenset(sub) for sub in itertools.combinations(sorted(m), size))
     return frozenset(out)
@@ -274,12 +279,15 @@ def looping_facts(reports: tuple[ClauseReport, ...],
     the head queries of the propagated loops.  Propagation starts from the
     first two, and ``check`` cites all three."""
     facts: dict[Pred, list[Query]] = {}
+    listed: set[Query] = set()  # the queries in facts, for hash lookups
     for r in reports:
         if r.results:
             known = facts.setdefault(r.clause.head_pred, [])
             known.append(r.clause.head_query)
+            listed.add(r.clause.head_query)
             for res in r.results:
-                if res.witness not in known:
+                if res.witness not in listed:
+                    listed.add(res.witness)
                     known.append(res.witness)
     for p in propagated:
         facts.setdefault(p.head_query.pred, []).append(p.head_query)

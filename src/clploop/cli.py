@@ -19,6 +19,7 @@ at it).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -148,15 +149,16 @@ def _utf8(text: str) -> str:
     is a positioned parse error."""
     bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
     if bad:
+        bom = text.startswith("\ufeff")  # the parser skips it: count without it
         raise ParseError(f"invalid UTF-8 byte {ord(bad.group()) - 0xdc00:#04x}",
-                         *_position(text, bad.start()))
+                         *_position(text[bom:], bad.start() - bom))
     return text
 
 
 def _load_program(path: str) -> Program:
     """Parse a rule file."""
     try:
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as err:
         raise ParseError(str(err))
@@ -303,8 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code (see the module docstring).
+
+    The cyclic garbage collector is paused for the whole command, and the
+    state it was found in is restored on the way out, also when argparse
+    exits.  The analysis builds no reference cycles, so the collector's
+    scans of the many young objects it makes free nothing, while they cost
+    1-4 ms of a cold ``analyze``; the tests check that a command leaves no
+    cyclic garbage of this package behind.  Only the entry point pauses it:
+    the library functions leave the collector alone."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         try:
             code = args.func(args)
         except ParseError as err:
@@ -328,6 +341,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # so flushing it at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if enabled:
+            gc.enable()
     return code
 
 

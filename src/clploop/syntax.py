@@ -633,7 +633,9 @@ class _Parser:
     ``Fraction``s."""
 
     def __init__(self, text: str):
-        self.text = text
+        # one leading byte-order mark is skipped, so positions count from
+        # the first visible character; any other U+FEFF is a bad character
+        self.text = text = text.removeprefix("\ufeff")
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0

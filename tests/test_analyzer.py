@@ -1,5 +1,6 @@
 """Candidate filters, witnesses, the subset scan and loop propagation."""
 
+import itertools
 import random
 import sys
 from collections import Counter
@@ -142,13 +143,6 @@ class TestMakeWitness:
         monkeypatch.setattr(linarith, "sample_solution", lambda *args, **kw: None)
         with pytest.raises(AssertionError, match="satisfiable by construction"):
             self.witness_for(SHIFT_GE, {1, 2})
-
-    def test_a_failed_generality_check_gives_the_head_query(self, monkeypatch):
-        rule = clause(SHIFT_GE)
-        filt = candidate_filter(rule, frozenset({1, 2}))
-        assert make_witness(filt, rule) != rule.head_query
-        monkeypatch.setattr(analyzer, "delta_more_general", lambda *args: False)
-        assert make_witness(filt, rule) is rule.head_query
 
 
 class TestClassClosure:
@@ -560,16 +554,15 @@ class _StoredDenotations:
 def test_corpus_denotations_computed(corpus_path, monkeypatch):
     # each clause's head and body queries are built once for the whole
     # subset scan, and filter generality is decided on their denotations;
-    # a witness candidate equal to the head query (p1 and p3 at tau {}) is
-    # that query, and propagation starts from the scan's head queries.  The
-    # scan decides both neutrality conditions on the condition constraint,
-    # so only the 23 passing subsets' condition queries are denoted (by
-    # their witness check), not those of the 33 failing subsets
+    # propagation starts from the scan's head queries.  The scan decides
+    # both neutrality conditions on the condition constraint, and a witness
+    # is delta-more-general by construction, so no condition query and no
+    # witness is denoted by the scan
     stored = _StoredDenotations()
     monkeypatch.setattr(Query, "_den", stored)
     analyze_program(parse_program(corpus_path.read_text(encoding="utf-8")))
     repeats = len(stored.queries) - len(set(stored.queries))
-    assert (len(stored.queries), repeats) == (98, 0)
+    assert (len(stored.queries), repeats) == (59, 0)
 
 
 def _shift_rule(n: int) -> Clause:
@@ -622,7 +615,8 @@ def test_shift_conditions_projected_once_per_subset(monkeypatch):
 def test_shift_filters_built_for_passing_subsets_only(monkeypatch):
     # the scan decides each of the 128 subsets on its condition constraint;
     # only the 2 passing subsets, the full set and {}, get a candidate
-    # filter, and only their condition queries are denoted
+    # filter, and no condition query is denoted: a witness needs no
+    # generality check
     rule = _shift_rule(7)
     built = []
     candidate = analyzer.candidate_filter
@@ -636,7 +630,7 @@ def test_shift_filters_built_for_passing_subsets_only(monkeypatch):
     assert passing == [frozenset(range(1, 8)), frozenset()]
     assert built == passing
     conditions = [q for q in stored.queries if q.startswith("<p|")]
-    assert conditions == [str(r.delta) for r in report.results], conditions
+    assert conditions == [], conditions
 
 
 def test_shift_head_sides_eliminate_at_most_three_per_subset(monkeypatch):
@@ -717,3 +711,45 @@ def test_shift_simplifies_few_whole_conjunctions(monkeypatch):
     assert len(report.checks) == 128
     assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
     assert calls["simplify"] <= 100, calls
+
+
+def test_a_passing_subset_costs_its_three_decisions_only(monkeypatch):
+    # every subset of p(X1..X8) <- Yi = Xi + 1 <> p(Y1..Y8) passes; each
+    # still takes exactly the head, body and subsumption decisions, since
+    # a witness is delta-more-general by construction and not decided
+    # again, and its fact joins the fact base by a hash lookup
+    xs = [f"X{i}" for i in range(1, 9)]
+    ys = [f"Y{i}" for i in range(1, 9)]
+    rule = clause(f"p({', '.join(xs)}) <- "
+                  f"{', '.join(f'{y} = {x} + 1' for x, y in zip(xs, ys))} "
+                  f"<> p({', '.join(ys)}).")
+    decided = []
+    decide = linarith.decide
+    monkeypatch.setattr(linarith, "decide", lambda e: decided.append(e) or decide(e))
+    report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
+    assert (len(report.results), len(report.classes)) == (256, 256)
+    assert len(decided) == 3 * 256
+    # the head query and 256 distinct witnesses, in order of discovery
+    facts = analyzer.looping_facts((report,))[rule.head_pred]
+    assert facts == [rule.head_query] + [r.witness for r in report.results]
+
+
+def test_class_closure_of_every_subset_of_ten_positions(monkeypatch):
+    # the full set comes first and holds every other passing set, so the
+    # closure enumerates its 2^10 subsets once, not the 3^10 pairs of a
+    # passing set and its subset
+    every = {frozenset(c) for size in range(11)
+             for c in itertools.combinations(range(1, 11), size)}
+    made = []
+    combinations = itertools.combinations
+
+    def counted(items, size):
+        for sub in combinations(items, size):
+            made.append(sub)
+            yield sub
+
+    monkeypatch.setattr(analyzer.itertools, "combinations", counted)
+    closure = class_closure(every)
+    monkeypatch.undo()
+    assert closure == every and len(every) == 1024
+    assert len(made) == 1024

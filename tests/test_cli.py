@@ -1,12 +1,15 @@
 """Command line behavior: reports, verdicts, exit codes, output formats."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from fuzzers import benchmark_text
 
 import clploop
 from clploop import __version__, analyzer, cli, engine, parse_program, parse_query
@@ -432,6 +435,66 @@ class TestColdStart:
         loaded = set(proc.stdout.split())
         assert "clploop.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic garbage collector for the whole command,
+    since the analysis builds no reference cycles, and leaves it as found."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        yield
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("args, code", [
+        (["analyze", "CORPUS", "--json"], 0),
+        # resource-limit errors recorded in the report
+        (["analyze", "CORPUS", "--json", "--max-dnf", "1"], 3),
+        (["analyze", "CHAIN"], 0),
+        (["check", "CORPUS", "--query", "p16(0, 0)", "--run", "50", "--trace"], 0),
+    ], ids=["corpus", "corpus-max-dnf-1", "chain", "check-run-trace"])
+    def test_a_command_leaves_no_cyclic_garbage_of_the_package(
+            self, args, code, collector, corpus_path, tmp_path, capsys):
+        chain = rule_file(tmp_path, benchmark_text("chain"))
+        args = [{"CORPUS": str(corpus_path), "CHAIN": chain}.get(a, a) for a in args]
+        assert main(args) == code
+        assert capsys.readouterr().out
+        # what a collection would free, kept in gc.garbage instead
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        kinds = {type(obj) for obj in gc.garbage}
+        ours = {k for k in kinds if k.__module__.startswith("clploop")}
+        frames = {k for k in kinds
+                  if issubclass(k, (types.FrameType, types.TracebackType, BaseException))}
+        assert not ours and not frames, (ours, frames)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, enabled, collector,
+                                                      corpus_path, monkeypatch, capsys):
+        seen = []
+        analyze = cli.analyze_program
+        monkeypatch.setattr(cli, "analyze_program",
+                            lambda *a, **kw: seen.append(gc.isenabled()) or analyze(*a, **kw))
+        if enabled:
+            gc.enable()
+        for args, code in ((["analyze", str(corpus_path)], 0),
+                           (["analyze", "no/such/file.clp"], 2)):
+            assert main(args) == code
+            assert gc.isenabled() is enabled, args
+        # argparse exits: a usage error and --help
+        for args, code in ((["analyze"], 2), (["--help"], 0), (["analyze", "--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == code
+            assert gc.isenabled() is enabled, args
+        # paused while the command ran
+        assert seen == [False]
 
 
 class TestCheck:

@@ -378,6 +378,35 @@ def test_parse_error_message_and_position(parser, source, message, line, col):
     assert str(err) == (message if line is None else f"{line}:{col}: {message}")
 
 
+@pytest.mark.parametrize("parser, source, message, line, col", _PARSE_ERRORS,
+                         ids=[f"{i}-{row[2]}" for i, row in enumerate(_PARSE_ERRORS)])
+def test_a_leading_byte_order_mark_moves_no_error_position(parser, source, message,
+                                                           line, col):
+    # a text that begins with U+FEFF, as a file with a UTF-8 byte-order
+    # mark reads under the "utf-8" codec, reports each error where the text
+    # without it does: positions count from the first visible character
+    program = parse_program(_ONE_RULE) if parser == "query in p/1" else None
+    with pytest.raises(ParseError) as exc:
+        if parser == "program":
+            parse_program("\ufeff" + source)
+        else:
+            parse_query("\ufeff" + source, program)
+    err = exc.value
+    assert (err.message, err.line, err.col) == (message, line, col)
+
+
+def test_a_leading_byte_order_mark_is_skipped(corpus_path):
+    text = corpus_path.read_text(encoding="utf-8")
+    plain, marked = parse_program(text), parse_program("\ufeff" + text)
+    assert marked == plain
+    assert [c.text for c in marked.clauses] == [c.text for c in plain.clauses]
+    assert parse_query("\ufeffp(0, B) : B >= 1") == parse_query("p(0, B) : B >= 1")
+    # only one mark is skipped
+    with pytest.raises(ParseError) as exc:
+        parse_program("\ufeff\ufeff" + text)
+    assert str(exc.value) == "1:1: unexpected character '\\ufeff'"
+
+
 def test_normalize_clause_error_has_no_position():
     p = Pred("p", 1)
     c = Constraint.of(compare(ta, "<", ta))
