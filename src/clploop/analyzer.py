@@ -48,9 +48,10 @@ from . import linarith
 from .engine import run
 from .filters import (
     Filter,
-    delta_more_general,  # noqa: F401  (perfbench/spans.py wraps it here)
+    delta_more_general,
     more_general,
     positions,
+    positions_str,
     projected_pred,
     select_positions,
 )
@@ -246,23 +247,22 @@ def find_looping_queries(rule: Clause, index: int = 0,
                     rule, m, cond.rename(to_body)))
                 if body_ok:  # the filter half of delta_more_general
                     subsumes = more_general(body, head, full - m)
-            check = SubsetCheck(m, head_ok, body_ok, subsumes)
-            if check.passed:
+            error = None
+            if subsumes:  # all three checks held
                 filt = candidate_filter(rule, m)
                 witness = make_witness(filt, rule)
                 verified = 0
                 if opts.verify_steps > 0:
                     verified = run(witness, Program((rule,)), opts.verify_steps).steps
+                if verified < opts.verify_steps:
+                    # the criterion is sound, so this is an implementation fault
+                    error = (f"witness {witness} failed engine validation after "
+                             f"{verified} of {opts.verify_steps} steps")
         except ResourceLimitError as err:
             checks.append(SubsetCheck(m, error=str(err)))
             continue
-        if check.passed and verified < opts.verify_steps:
-            # the criterion is sound, so this is an implementation fault
-            check = SubsetCheck(m, head_ok, body_ok, subsumes, error=(
-                f"witness {witness} failed engine validation after "
-                f"{verified} of {opts.verify_steps} steps"))
-        checks.append(check)
-        if not check.passed:
+        checks.append(SubsetCheck(m, head_ok, body_ok, subsumes, error))
+        if not subsumes or error:
             continue
         results.append(FilterResult(m, filt.condition, witness, verified))
         if opts.first_only:
@@ -277,7 +277,7 @@ def looping_facts(reports: tuple[ClauseReport, ...],
     """The queries proved looping, per predicate in order of discovery: each
     looping rule's head query and then its witnesses not listed yet, then
     the head queries of the propagated loops.  Propagation starts from the
-    first two, and ``check`` cites all three."""
+    first two, and `proof_for` cites all three."""
     facts: dict[Pred, list[Query]] = {}
     listed: set[Query] = set()  # the queries in facts, for hash lookups
     for r in reports:
@@ -292,6 +292,28 @@ def looping_facts(reports: tuple[ClauseReport, ...],
     for p in propagated:
         facts.setdefault(p.head_query.pred, []).append(p.head_query)
     return facts
+
+
+def proof_for(query: Query, report: ProgramReport) -> Optional[tuple[str, str]]:
+    """A (kind, fact) pair proving the query loops, or None.
+
+    kind 'more general than' cites a query of `looping_facts`; kind
+    'filter-more-general than' cites a looping head query, under a passing
+    filter of its clause, that the query is delta-more-general than.  It
+    runs under the ceiling of conjuncts that `linarith` has in force.
+    """
+    for fact in looping_facts(report.reports, report.propagated).get(query.pred, ()):
+        if more_general(query, fact):
+            return ("more general than", str(fact))
+    for r in report.reports:
+        head = r.clause.head_query
+        if head.pred != query.pred:
+            continue
+        for res in r.results:
+            if delta_more_general(query, head, Filter(res.positions, res.delta)):
+                return ("filter-more-general than",
+                        f"{head} under tau {positions_str(res.positions)}")
+    return None
 
 
 def propagate(program: Program,

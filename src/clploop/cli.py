@@ -1,12 +1,14 @@
-"""Command line front end.
+"""Command line front end: it parses arguments and renders reports.
 
-Two subcommands.  ``analyze`` loads a rule file, searches every clause for
-derivation-neutral filters and looping queries, and prints a per-clause
-report (text by default, machine-readable with --json).  ``check`` asks
-whether one user-supplied query is provably looping: it reuses the analysis
-and answers LOOPS (proved) when the query is more general than a verified
-looping query, or filter-more-general than a proven looping head query under
-one of the found filters.
+Two subcommands.  ``analyze`` loads a rule file, runs the analysis
+(`analyzer.analyze_program`) and prints a per-clause report (text by
+default, machine-readable with --json).  ``check`` runs the same analysis
+and prints the verdict `analyzer.proof_for` gives one user-supplied query:
+LOOPS (proved) when the query is more general than a verified looping query,
+or filter-more-general than a proven looping head query under one of the
+found filters.  The decisions are the library's: the parser rejects a byte
+that is not UTF-8, the analyzer proves, and ``main`` opens the one scope of
+the --max-dnf ceiling around the command.
 
 Exit codes: 0 analysis completed (whatever the findings), 1 stdout closed
 before the report was written, 2 parse, validation or usage error, 3 a
@@ -22,7 +24,6 @@ import argparse
 import gc
 import json
 import os
-import re
 import sys
 from typing import Optional
 
@@ -32,19 +33,12 @@ from .analyzer import (
     ClauseReport,
     ProgramReport,
     analyze_program,
-    looping_facts,
+    proof_for,
 )
 from .engine import format_trace, run
-from .filters import Filter, delta_more_general, more_general, positions_str
+from .filters import positions_str
 from .linarith import ResourceLimitError
-from .syntax import (
-    ParseError,
-    Program,
-    Query,
-    _position,
-    parse_program,
-    parse_query,
-)
+from .syntax import ParseError, Program, parse_program, parse_query
 
 
 def _sorted_classes(classes) -> list[frozenset[int]]:
@@ -142,84 +136,45 @@ def report_to_json(report: ProgramReport) -> dict:
     return data
 
 
-def _utf8(text: str) -> str:
-    """Text read with ``errors="surrogateescape"``, as a rule file and the
-    command line are: a byte that is not UTF-8 is read as a lone surrogate
-    (U+DC80..U+DCFF), which valid UTF-8 never decodes to, and the first one
-    is a positioned parse error."""
-    bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
-    if bad:
-        bom = text.startswith("\ufeff")  # the parser skips it: count without it
-        raise ParseError(f"invalid UTF-8 byte {ord(bad.group()) - 0xdc00:#04x}",
-                         *_position(text[bom:], bad.start() - bom))
-    return text
-
-
 def _load_program(path: str) -> Program:
-    """Parse a rule file."""
+    """Parse a rule file; the parser rejects a byte that is not UTF-8."""
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as err:
         raise ParseError(str(err))
-    return parse_program(_utf8(text))
+    return parse_program(text)
 
 
-def cmd_analyze(args) -> int:
-    program = _load_program(args.file)
-    with linarith.max_dnf(args.max_dnf):
-        report = analyze_program(program, AnalyzeOptions(
-            first_only=args.first_only, verify_steps=args.verify_steps,
-            propagate=not args.no_propagate))
-        if args.json:
-            sys.stdout.write(json.dumps(report_to_json(report), indent=2))
-            print()
-        else:
-            _print_text_report(report, sys.stdout)
-        if args.trace and not args.json:
-            for r in report.reports:
-                for res in r.results:
-                    if res.verified_steps <= 0:
-                        continue
-                    state = run(res.witness, Program((r.clause,)), res.verified_steps,
-                                keep_trace=True)
-                    # number each step by the clause in the program, not in the run's
-                    state = state._replace(trace=[(r.index, q) for _, q in state.trace])
-                    print(f"trace for {res.witness} "
-                          f"(clause {r.index + 1}, tau {positions_str(res.positions)}):")
-                    for line in format_trace(state):
-                        print(f"  {line}")
+def cmd_analyze(args, program: Program) -> int:
+    report = analyze_program(program, AnalyzeOptions(
+        first_only=args.first_only, verify_steps=args.verify_steps,
+        propagate=not args.no_propagate))
+    if args.json:
+        print(json.dumps(report_to_json(report), indent=2))
+    else:
+        _print_text_report(report, sys.stdout)
+    if args.trace and not args.json:
+        for r in report.reports:
+            for res in r.results:
+                if res.verified_steps <= 0:
+                    continue
+                state = run(res.witness, Program((r.clause,)), res.verified_steps,
+                            keep_trace=True)
+                # number each step by the clause in the program, not in the run's
+                state = state._replace(trace=[(r.index, q) for _, q in state.trace])
+                print(f"trace for {res.witness} "
+                      f"(clause {r.index + 1}, tau {positions_str(res.positions)}):")
+                for line in format_trace(state):
+                    print(f"  {line}")
     return 3 if report.had_error else 0
 
 
-def _proof_for(query: Query, report: ProgramReport) -> Optional[tuple[str, str]]:
-    """A (kind, fact) pair proving the query loops, or None.
-
-    kind 'more general than' cites a verified looping query; kind
-    'filter-more-general than' cites a looping head query whose clause has a
-    passing filter.
-    """
-    for fact in looping_facts(report.reports, report.propagated).get(query.pred, ()):
-        if more_general(query, fact):
-            return ("more general than", str(fact))
-    for r in report.reports:
-        head = r.clause.head_query
-        if head.pred != query.pred:
-            continue
-        for res in r.results:
-            if delta_more_general(query, head, Filter(res.positions, res.delta)):
-                return ("filter-more-general than",
-                        f"{head} under tau {positions_str(res.positions)}")
-    return None
-
-
-def cmd_check(args) -> int:
-    program = _load_program(args.file)
-    query = parse_query(_utf8(args.query), program)
-    with linarith.max_dnf(args.max_dnf):
-        report = analyze_program(program, AnalyzeOptions(verify_steps=args.verify_steps))
-        proof = _proof_for(query, report)
-        state = run(query, program, args.run, keep_trace=args.trace) if args.run > 0 else None
+def cmd_check(args, program: Program) -> int:
+    query = parse_query(args.query, program)
+    report = analyze_program(program, AnalyzeOptions(verify_steps=args.verify_steps))
+    proof = proof_for(query, report)
+    state = run(query, program, args.run, keep_trace=args.trace) if args.run > 0 else None
     verdict = "LOOPS (proved)" if proof else "UNKNOWN"
     empirical = state.steps if state else None
     if args.json:
@@ -229,8 +184,7 @@ def cmd_check(args) -> int:
             "via": f"{proof[0]} {proof[1]}" if proof else None,
             "empirical_steps": empirical,
         }
-        sys.stdout.write(json.dumps(payload, indent=2))
-        print()
+        print(json.dumps(payload, indent=2))
     else:
         print(f"{query}: {verdict}")
         if proof:
@@ -319,7 +273,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            code = args.func(args)
+            # the rule file is parsed outside the ceiling's scope, as
+            # normalizing a rule decides its constraint satisfiable
+            program = _load_program(args.file)
+            with linarith.max_dnf(args.max_dnf):
+                code = args.func(args, program)
         except ParseError as err:
             print(f"error: {err}", file=sys.stderr)
             code = 2

@@ -21,11 +21,15 @@ vector: it holds its coefficients and constant itself, as Python ``int``s
 with gcd 1, so the Fourier-Motzkin kernel combines atoms in integer
 arithmetic.
 
-The parser reads the source in one regular-expression pass into tokens that
-carry their source offset; a line and column are computed from the offset
-only for a ``ParseError``, and a clause's text is sliced by offsets.  Each
-comparison is read into one map of coefficients and a constant, which are
-``int``s unless the source writes a fraction.  :func:`_linear_atom` is the one
+The parser takes text decoded from UTF-8.  One leading byte-order mark is
+skipped.  A byte that is not UTF-8, which ``errors="surrogateescape"`` reads
+as a lone surrogate, is a positioned ``invalid UTF-8 byte`` error, checked
+on the whole text before any token, comments included.  The parser reads
+the source in one regular-expression pass into tokens that carry their
+source offset; a line and column are computed from the offset only for a
+``ParseError``, and a clause's text is sliced by offsets.  Each comparison
+is read into one map of coefficients and a constant, which are ``int``s
+unless the source writes a fraction.  :func:`_linear_atom` is the one
 builder that turns such a map into an atom; the parser, :func:`compare` and
 ``AtomicProp.substitute`` all go through it.
 """
@@ -598,6 +602,10 @@ _TOKEN_RE = re.compile(
 
 # "<-", "<>", "<=" and bare "<" are disambiguated by alternation order.
 
+# A byte that is not UTF-8, as ``errors="surrogateescape"`` reads it: a lone
+# surrogate, which valid UTF-8 never decodes to.
+_UNDECODED_RE = re.compile("[\udc80-\udcff]")
+
 _Token = tuple  # (kind, text, offset into the source)
 
 # Parentheses nest at most this deep.  Each level costs three parser frames,
@@ -636,6 +644,10 @@ class _Parser:
         # one leading byte-order mark is skipped, so positions count from
         # the first visible character; any other U+FEFF is a bad character
         self.text = text = text.removeprefix("\ufeff")
+        bad = not text.isascii() and _UNDECODED_RE.search(text)
+        if bad:  # the first one, also in a comment
+            raise ParseError(f"invalid UTF-8 byte {ord(bad.group()) - 0xdc00:#04x}",
+                             *_position(text, bad.start()))
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -852,8 +864,8 @@ def _slice_source(text: str, start: int, end: int) -> str:
 
 def parse_program(text: str) -> Program:
     """Parse a program: a sequence of rules.  Raises ParseError with a source
-    position for syntax errors, predicate arity mismatches, nonlinear terms and
-    rules whose constraint is unsatisfiable."""
+    position for syntax errors, bytes that are not UTF-8, predicate arity
+    mismatches, nonlinear terms and rules whose constraint is unsatisfiable."""
     p = _Parser(text)
     clauses: list[Clause] = []
     while p.tokens[p.pos][0] != "eof":

@@ -403,6 +403,19 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"clploop {__version__}"
 
+    def test_an_invalid_byte_on_the_command_line_is_a_parse_error(self, corpus_path):
+        # the interpreter decodes argv with surrogateescape under a UTF-8 locale
+        src = str(Path(clploop.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "clploop", "check", str(corpus_path), "--query",
+             b"p1(\xff)"],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=src, LC_ALL="C.UTF-8"),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: 1:4: invalid UTF-8 byte 0xff\n"
+
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_closed_stdout_exits_1_without_traceback(self, tmp_path, flags):
         # 3000 unscanned clauses make a report (170 KB as text, 460 KB as
@@ -632,7 +645,7 @@ class TestCheck:
             init(q, atom, constraint)
 
         monkeypatch.setattr(Query, "__init__", counted)
-        assert cli._proof_for(parse_query("p(0, 0)"), report) is None
+        assert analyzer.proof_for(parse_query("p(0, 0)"), report) is None
         assert built and not {(rule.head_atom, rule.constraint),
                               (rule.body_atom, rule.constraint)} & set(built)
 

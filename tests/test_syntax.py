@@ -407,6 +407,21 @@ def test_a_leading_byte_order_mark_is_skipped(corpus_path):
     assert str(exc.value) == "1:1: unexpected character '\\ufeff'"
 
 
+@pytest.mark.parametrize("parse, source, where", [
+    (parse_program, "p(A) <- A >= 0 \udcff <> p(B).", "1:16: invalid UTF-8 byte 0xff"),
+    (parse_program, "\ufeffp(A) <- A >= 0 \udcff <> p(B).",
+     "1:16: invalid UTF-8 byte 0xff"),
+    (parse_program, "# \udce9\np(A) <- A = B <> p(B).\n", "1:3: invalid UTF-8 byte 0xe9"),
+    (parse_query, "p1(\udcff)", "1:4: invalid UTF-8 byte 0xff"),
+], ids=["constraint", "after-bom", "comment", "query"])
+def test_a_surrogate_escaped_byte_is_a_positioned_error(parse, source, where):
+    # text read with errors="surrogateescape" holds a byte that is not UTF-8
+    # as a lone surrogate; the first one is the error, also in a comment
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert str(exc.value) == where
+
+
 def test_normalize_clause_error_has_no_position():
     p = Pred("p", 1)
     c = Constraint.of(compare(ta, "<", ta))
