@@ -56,7 +56,12 @@ from .filters import (
     select_positions,
 )
 from .linarith import ResourceLimitError
-from .neutral import neutrality_body_formula, neutrality_head_formula, projection
+from .neutral import (
+    head_splits,
+    neutrality_body_formula,
+    neutrality_head_formula,
+    projection,
+)
 from .syntax import (
     Atom,
     Clause,
@@ -240,7 +245,8 @@ def find_looping_queries(rule: Clause, index: int = 0,
         m = frozenset(combo)
         try:
             cond = projection(rule, m, None)
-            head_ok = linarith.decide(neutrality_head_formula(rule, m, m, cond))
+            head_ok = head_splits(rule, m) and linarith.decide(
+                neutrality_head_formula(rule, m, m, cond))
             body_ok = subsumes = None
             if head_ok:
                 body_ok = linarith.decide(neutrality_body_formula(

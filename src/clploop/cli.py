@@ -14,8 +14,9 @@ Exit codes: 0 analysis completed (whatever the findings), 1 stdout closed
 before the report was written, 2 parse, validation or usage error, 3 a
 resource limit was hit somewhere or a witness failed engine validation (the
 partial report is still printed; ``check`` names the first such error on
-stderr) or a derived number is too long to print (the text report stops
-at it).
+stderr, and prints its text verdict before ``--run`` starts, so a limit the
+run hits leaves the verdict printed) or a derived number is too long to
+print (the text report stops at it).
 """
 
 from __future__ import annotations
@@ -174,8 +175,13 @@ def cmd_check(args, program: Program) -> int:
     query = parse_query(args.query, program)
     report = analyze_program(program, AnalyzeOptions(verify_steps=args.verify_steps))
     proof = proof_for(query, report)
-    state = run(query, program, args.run, keep_trace=args.trace) if args.run > 0 else None
     verdict = "LOOPS (proved)" if proof else "UNKNOWN"
+    if not args.json:
+        # printed before the run, so a limit the run hits keeps the verdict
+        print(f"{query}: {verdict}")
+        if proof:
+            print(f"  {proof[0]} {proof[1]}")
+    state = run(query, program, args.run, keep_trace=args.trace) if args.run > 0 else None
     empirical = state.steps if state else None
     if args.json:
         payload = {
@@ -186,9 +192,6 @@ def cmd_check(args, program: Program) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"{query}: {verdict}")
-        if proof:
-            print(f"  {proof[0]} {proof[1]}")
         if empirical is not None:
             note = ("limit reached" if empirical >= args.run
                     else "derivation ended")

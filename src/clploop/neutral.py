@@ -78,6 +78,30 @@ checked that the parts share no variable.  It also records the conjunction
 simplified when both parts are, as projections are: atoms over disjoint
 variables share no slope, so ``decide`` merges each negated atom into the
 left side without simplifying it again.
+
+A necessary condition refutes many subsets whose head condition fails
+before their sides are built (:func:`head_splits`; on the benchmark's shift
+rule, all 126 of 128): the head denotation must split over m,
+``cond(X_-m), cond(m) |= cond(X)`` over X.  Proof: if the head condition holds, its two sides denote sets over
+X u Y_-m, the left inside the right; projecting both onto X keeps the
+inclusion.  The left side lies over X_-m u Y_-m and X_m, disjoint, so its
+projection is ``proj(c, X_-m) x cond(m)``; the right side's is
+``proj(c, X) = cond(X)``, since projections compose.  So a split that fails
+refutes the head condition, and one that holds says nothing.  All three
+sides are condition nodes of the lattice.  The left side's parts lie over
+disjoint variables and are satisfiable projections, so it is recorded
+satisfiable and simplified, as the head condition's own left side is.
+
+Two shortcuts keep the split cheap where it cannot refute.  When no atom
+of ``cond(X)`` mentions a head variable both inside and outside m, the atoms
+partition into a conjunction A over X_m and one B over X_-m; since
+``cond(X)`` is satisfiable, B and A are its projections onto X_-m and X_m,
+so the split holds and nothing is decided: a passing subset still costs
+its head, body and subsumption decisions only.  When building or deciding
+the split exceeds the ceiling of conjuncts, the split is taken to hold and
+the head condition is decided as before, so the split adds no
+resource-limit error; it only removes those that the sides or the head
+decision of a refuted subset would have raised.
 """
 
 from __future__ import annotations
@@ -86,7 +110,7 @@ from typing import Optional
 
 from . import linarith
 from .filters import positions, select_positions
-from .linarith import Entailment
+from .linarith import Entailment, ResourceLimitError
 from .syntax import Clause, Constraint
 
 
@@ -142,6 +166,31 @@ def head_sides(rule: Clause, head_pos: frozenset[int],
     body_kept = positions(len(rule.body_vars)) - body_pos
     return (projection(rule, heads, body_kept),
             projection(rule, heads - head_pos, body_kept))
+
+
+def head_splits(rule: Clause, head_pos: frozenset[int]) -> bool:
+    """Whether ``cond(X_-m), cond(m) |= cond(X)`` over the head variables X,
+    for m = ``head_pos`` (see the module docstring).  False refutes the head
+    condition at m; True, also returned when no atom of ``cond(X)`` crosses
+    m or the split exceeds the ceiling of conjuncts, decides nothing."""
+    heads = positions(len(rule.head_vars))
+    inside = frozenset(select_positions(rule.head_vars, head_pos))
+    try:
+        whole = projection(rule, heads, None)
+        if all(a.variables <= inside or a.variables.isdisjoint(inside)
+               for a in whole.atoms):
+            return True  # no atom crosses m, so the split holds
+        outer = projection(rule, heads - head_pos, None)
+        inner = projection(rule, head_pos, None)
+        both = outer.conjoin(inner)
+        # two projections over disjoint variables: a solution of each makes
+        # one of both, and no slope of one is a slope of the other
+        if outer._sat and inner._sat:
+            both._sat = True
+        both._simplified = outer._simplified and inner._simplified
+        return linarith.decide(Entailment(both, whole, frozenset(rule.head_vars)))
+    except ResourceLimitError:
+        return True
 
 
 def neutrality_head_formula(rule: Clause, head_pos: frozenset[int],

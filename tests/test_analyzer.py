@@ -734,6 +734,76 @@ def test_a_passing_subset_costs_its_three_decisions_only(monkeypatch):
     assert facts == [rule.head_query] + [r.witness for r in report.results]
 
 
+def test_shift_builds_head_sides_only_where_the_split_holds(monkeypatch):
+    # the head denotation X1 >= X2, ..., X6 >= X7 splits over {} and the
+    # full set, where no atom crosses the subset, and over no other subset:
+    # the split refutes the other 126 undecided by their sides, and is
+    # decided at each of them only
+    rule = _shift_rule(7)
+    full = frozenset(range(1, 8))
+    whole = neutral.projection(rule, full, None)
+    built, splits = [], []
+    sides, decide = neutral.head_sides, linarith.decide
+
+    def counted_sides(rule, head_pos, body_pos):
+        built.append(head_pos)
+        return sides(rule, head_pos, body_pos)
+
+    def counted_decide(e):
+        if e.rhs is whole:
+            splits.append(e)
+        return decide(e)
+
+    monkeypatch.setattr(neutral, "head_sides", counted_sides)
+    monkeypatch.setattr(linarith, "decide", counted_decide)
+    report = find_looping_queries(rule)
+    assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
+    assert sum(1 for c in report.checks if c.failed_condition == "head") == 126
+    assert built == [full, frozenset()]
+    assert len(splits) == 126
+
+
+def test_a_redundant_atom_across_the_subset_leaves_the_split_holding(monkeypatch):
+    # X1 + X2 >= 0 crosses {1} and {2}, but X1 >= 0 and X2 >= 0 imply it,
+    # so the head denotation splits over both and their head conditions,
+    # which hold, are decided on their sides
+    rule = clause("p(X1, X2) <- X1 >= 0, X2 >= 0, X1 + X2 >= 0, "
+                  "Y1 = X1 + 1, Y2 = X2 + 1 <> p(Y1, Y2).")
+    whole = neutral.projection(rule, frozenset({1, 2}), None)
+    assert str(whole) == "X1 >= 0, X2 >= 0, X1 + X2 >= 0"
+    decided = []
+    decide = linarith.decide
+    monkeypatch.setattr(linarith, "decide",
+                        lambda e: decided.append(e.rhs is whole) or decide(e))
+    report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
+    assert [c.head_ok for c in report.checks] == [True] * 4
+    assert sum(decided) == 2
+    for m in ({1}, {2}):
+        assert neutral.head_splits(rule, frozenset(m))
+
+
+def test_a_split_over_the_ceiling_leaves_the_head_condition_to_decide():
+    # under a ceiling of 3 conjuncts, cond({1}) and cond({1,2,3}) fit, but
+    # cond({2,3}), which eliminates X1 from two lower and two upper bounds,
+    # does not; so the split at {1} is taken to hold, and the head condition
+    # at {1} exceeds the ceiling on its sides, as it did before the split.
+    # The split refutes {1,2}, {1,3}, {2} and {3} within the ceiling, whose
+    # head conditions exceeded it on their sides
+    text = ("p(X1, X2, X3) <- X1 >= X2, X1 >= X3, X1 <= X2 + 1, X1 <= X3 + 1, "
+            "Y1 = X1, Y2 = X2, Y3 = X3 <> p(Y1, Y2, Y3).")
+    rule = clause(text)
+    with linarith.max_dnf(3):
+        assert neutral.head_splits(rule, frozenset({1}))
+        with pytest.raises(ResourceLimitError):
+            neutral.projection(rule, frozenset({2, 3}), None)
+        report = find_looping_queries(clause(text))
+    limit = "elimination exceeds 3 conjuncts"
+    assert [(sorted(c.positions), c.head_ok, c.error) for c in report.checks] == [
+        ([1, 2, 3], None, limit), ([1, 2], False, None), ([1, 3], False, None),
+        ([2, 3], None, limit), ([1], None, limit), ([2], False, None),
+        ([3], False, None), ([], True, None)]
+
+
 def test_class_closure_of_every_subset_of_ten_positions(monkeypatch):
     # the full set comes first and holds every other passing set, so the
     # closure enumerates its 2^10 subsets once, not the 3^10 pairs of a

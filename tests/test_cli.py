@@ -334,6 +334,19 @@ class TestExitCodes:
         # the report is still printed in full
         assert "18 clauses:" in out
 
+    def test_subsets_refuted_by_the_split_raise_no_limit(self, tmp_path, capsys):
+        # the seed-7 shift rule at --max-dnf 5: the split of its head
+        # denotation refutes 126 of its 128 subsets within the ceiling, so
+        # their head conditions, whose decision exceeds it, are not decided.
+        # {} and the full set pass the split, and only the full set's head
+        # decision exceeds the ceiling (127 subsets did when every head
+        # condition was decided on its sides)
+        path = rule_file(tmp_path, benchmark_text("shift"))
+        assert main(["analyze", path, "--max-dnf", "5"]) == 3
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if "resource limit" in line] == [
+            "  resource limit at tau {1,2,3,4,5,6,7}: elimination exceeds 5 conjuncts"]
+
     def test_a_library_scope_is_the_ceiling_of_the_cli(self, corpus_path,
                                                        corpus_program, capsys):
         # analyze_program runs under the scope its caller opens, as the
@@ -604,16 +617,36 @@ class TestCheck:
 
     def test_run_obeys_max_dnf(self, tmp_path, capsys):
         # the analysis and the proof fit in 5 conjuncts, the run's second
-        # step does not
+        # step does not; the verdict is printed before the run starts
         path = rule_file(
             tmp_path, "p(A, B) <- D <= C, E <= C, C <= A, C <= B + D <> p(D, E).\n")
         args = ["check", path, "--query", "p(0, 1)", "--max-dnf", "5"]
         assert main(args) == 0
-        capsys.readouterr()
+        verdict = capsys.readouterr().out
+        assert verdict == "<p(0, 1) | true>: UNKNOWN\n"
         assert main(args + ["--run", "5"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == verdict
         assert captured.err.splitlines() == ["error: elimination exceeds 5 conjuncts"]
+
+    def test_a_run_stopped_by_the_ceiling_keeps_the_proved_verdict(self, tmp_path,
+                                                                   capsys):
+        # the run's first step exceeds one conjunct; the proof does not.  The
+        # JSON document holds the run's steps, so it is printed whole or not
+        # at all
+        path = rule_file(tmp_path, "p(A, B) <- C = A + B, D = B + 1 <> p(C, D).\n")
+        args = ["check", path, "--query", "p(X, Y) : X >= 0, Y >= X, X + Y <= 4",
+                "--run", "20", "--max-dnf", "1"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "<p(X, Y) | X >= 0, X - Y <= 0, X + Y <= 4>: LOOPS (proved)\n"
+            "  more general than <p(0, 0) | true>\n")
+        assert captured.err == "error: elimination exceeds 1 conjuncts\n"
+        assert main(args + ["--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: elimination exceeds 1 conjuncts\n"
 
     def test_proof_obeys_max_dnf(self, tmp_path, capsys):
         path = rule_file(tmp_path, "p(A) <- A = B - 1 <> p(B).\n")

@@ -89,6 +89,7 @@ from clploop.linarith import (
 )
 from clploop.neutral import (
     head_sides,
+    head_splits,
     neutrality_body_formula,
     neutrality_head_formula,
     projection,
@@ -369,8 +370,11 @@ class TestEliminationStore:
         _store_matches_its_atoms(store)
 
     # store steps per analysis; an elimination in Fourier-Motzkin's base
-    # case builds no store (see TestOneSidedElimination)
-    WORKLOAD_STEPS = {"corpus": 503, "shift": 939, "chain": 161}
+    # case builds no store (see TestOneSidedElimination), and a subset over
+    # which the head denotation does not split builds no head sides
+    # (neutral.head_splits): all 126 of shift's and 4 of the corpus's
+    # subsets that fail the head condition
+    WORKLOAD_STEPS = {"corpus": 495, "shift": 444, "chain": 161}
 
     @pytest.mark.parametrize("name", ["corpus", "shift", "chain"])
     def test_workload_steps_equal_the_reference(self, name, monkeypatch):
@@ -1266,6 +1270,49 @@ class TestProjectionOrderProperties:
         # with a shorter body, and 5908 lattice nodes
         assert kinds["recursive"] == kinds["non-recursive"] == 60, kinds
         assert kinds["shorter body"] >= 25 and kinds["nodes"] >= 5000, kinds
+
+
+class TestHeadSplitProperties:
+    """The head denotation's split over m (``neutral.head_splits``) is a
+    necessary condition of the head condition, so a subset it refutes
+    needs no head sides: the scan's ``head_ok`` is the head condition
+    decided on its own, and a split that fails implies a head condition
+    that fails."""
+
+    def test_the_split_changes_no_head_verdict(self):
+        rng = random.Random(38)
+        kinds = Counter()
+        rules = {"random": [rand_rule(rng) for _ in range(200)],
+                 "wide": [rand_wide_rule(rng) for _ in range(150)],
+                 "drifting": [rand_drift_rule(rng) for _ in range(100)]}
+        with linarith.max_dnf(2000):
+            for family, listed in rules.items():
+                for rule in listed:
+                    report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
+                    assert not report.errors, str(rule)
+                    whole = frozenset(range(1, len(rule.head_vars) + 1))
+                    for check in report.checks:
+                        m = check.positions
+                        cond = projection(rule, m, None)
+                        head_ok = decide(neutrality_head_formula(rule, m, m, cond))
+                        where = (str(rule), sorted(m))
+                        assert check.head_ok == head_ok, where
+                        splits = head_splits(rule, m)
+                        assert splits or not head_ok, where
+                        outcome = "holds" if head_ok else "refuted" if not splits else "fails"
+                        inside = set(select_positions(rule.head_vars, m))
+                        crossed = any(inside & a.variables and a.variables - inside
+                                      for a in projection(rule, whole, None).atoms)
+                        kinds[family, outcome, crossed] += 1
+        # at this seed the split refutes 560 of the wide rules' 995 head
+        # failures and 18 of the random rules' 36, every subset of the
+        # drifting rules passes the head condition with no atom crossing m,
+        # and 7 wide subsets pass it with an atom crossing m, whose split
+        # was decided to hold
+        assert kinds["wide", "refuted", True] >= 400, kinds
+        assert kinds["random", "refuted", True] >= 10, kinds
+        assert kinds["drifting", "holds", False] >= 400, kinds
+        assert kinds["wide", "holds", True] >= 5, kinds
 
 
 class TestSampleProperties:

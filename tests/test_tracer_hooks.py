@@ -47,7 +47,9 @@ assert len(steps) == 10, len(steps)
 """
 
 # every head decision is charged to neutral.head, and the body decisions,
-# made only after a passing head, to neutral.body
+# made only after a passing head, to neutral.body.  A head formula is built
+# only where the head denotation X1 <= X2 splits over the subset: at {1, 2}
+# and {}, not at {1} or {2}, whose head condition then fails undecided
 NEUTRALITY_DECIDES = """\
 import spans
 from clploop import analyze_program, parse_program
@@ -60,8 +62,9 @@ checks = report.reports[0].checks
 notes = [span[spans.NOTE] for span in tracer.spans
          if span[spans.NAME] == "linarith.decide"]
 head_passes = sum(1 for check in checks if check.head_ok)
-assert notes.count("neutral.head") == len(checks) == 4, notes
-assert notes.count("neutral.body") == head_passes == 2, notes
+assert len(checks) == 4, checks
+assert notes.count("neutral.head") == head_passes == 2, notes
+assert notes.count("neutral.body") == head_passes, notes
 """
 
 # the scan builds a candidate filter only for a passing subset, and decides
