@@ -56,12 +56,7 @@ from .filters import (
     select_positions,
 )
 from .linarith import ResourceLimitError
-from .neutral import (
-    head_splits,
-    neutrality_body_formula,
-    neutrality_head_formula,
-    projection,
-)
+from .neutral import neutrality_body_formula, neutrality_head_formula, projection
 from .syntax import (
     Atom,
     Clause,
@@ -245,8 +240,14 @@ def find_looping_queries(rule: Clause, index: int = 0,
         m = frozenset(combo)
         try:
             cond = projection(rule, m, None)
-            head_ok = head_splits(rule, m) and linarith.decide(
-                neutrality_head_formula(rule, m, m, cond))
+            try:  # the split of cond(X), necessary and taken to hold over the ceiling
+                split = neutrality_head_formula(rule, m, None)
+                head_ok = split is None or linarith.decide(split)
+            except ResourceLimitError:
+                head_ok = True
+            if head_ok:  # the head condition, the split of rhs(m)
+                exact = neutrality_head_formula(rule, m, full - m)
+                head_ok = exact is None or linarith.decide(exact)
             body_ok = subsumes = None
             if head_ok:
                 body_ok = linarith.decide(neutrality_body_formula(

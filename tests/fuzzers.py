@@ -27,9 +27,9 @@ are distinct variables, against it.  ``direct_condition`` projects the rule
 constraint onto a head position subset in one step, the reference for the
 analyzer's candidate conditions, which each project their parent subset's
 condition; ``direct_sides`` likewise projects the rule constraint onto the
-head condition's two sides, the reference for the neutrality builder's
-lattice of sides.  ``rand_wide_rule`` draws rules wide enough for the
-lattices and the references to eliminate in different orders.
+head condition's two sides, the reference for their lattice nodes.
+``rand_wide_rule`` draws rules wide enough for the lattices and the
+references to eliminate in different orders.
 ``reference_decide`` decides an entailment by eliminating every variable
 of each refutation, the reference for ``decide``'s early stop on a left
 side recorded satisfiable.  ``reference_step`` makes one Fourier-Motzkin
@@ -50,9 +50,12 @@ underived rule against every known fact in each round, the reference for
 A ``Filter`` is one predicate's positions and condition, so a rule's
 head and body predicates each have a filter, one and the same for a
 recursive rule.  ``filter_head_formula`` and ``filter_body_formula`` build
-the neutrality entailments for hand-built filters, whose conditions the
-builders in ``clploop.neutral`` take as constraints over the rule's
-variables: each condition's denotation renamed to the filtered variables.
+the neutrality entailments for hand-built filters, each with its
+condition's denotation renamed to the filtered variables: the body one
+through ``clploop.neutral``'s builder, which takes any condition, and the
+head one by ``direct_head_formula`` on ``direct_sides``, the general
+criterion that the analyzer's head builder decides for its candidate
+filter only.
 ``make_filter`` checks a condition, or builds the unconstrained one;
 ``rand_filter`` draws a filter for one predicate and
 ``rand_condition_filter`` one for each predicate of a rule.
@@ -91,7 +94,7 @@ from clploop.linarith import (
     project,
     satisfiable,
 )
-from clploop.neutral import neutrality_body_formula, neutrality_head_formula
+from clploop.neutral import neutrality_body_formula
 from clploop.syntax import (
     REL_EQ,
     REL_LT,
@@ -154,14 +157,26 @@ def make_filter(pred: Pred, positions: Iterable[int],
     return Filter(ps, condition)
 
 
+def direct_head_formula(rule: Clause, head_pos: frozenset[int],
+                        body_pos: frozenset[int], cond: Constraint) -> Entailment:
+    """The head condition ``proj(c, O), F |= proj(c, O u H)`` over O and H
+    for the filtered head positions ``head_pos`` and body positions
+    ``body_pos``, with F = ``cond`` any constraint, and the sides
+    ``direct_sides``.  Nothing is recorded on its left side."""
+    rhs, lhs = direct_sides(rule, head_pos, body_pos)
+    over = set(rule.head_vars).union(rule.body_vars).difference(
+        select_positions(rule.body_vars, body_pos))
+    return Entailment(lhs.conjoin(cond), rhs, frozenset(over))
+
+
 def filter_head_formula(head: Filter, body: Filter, rule: Clause) -> Entailment:
     """The head condition of the filters of a rule's head and body
     predicates (one filter twice for a recursive rule): the head filter's
     condition denotation renamed to the filtered head variables, given to
-    the builder."""
-    at = select_positions(rule.head_vars, head.positions)
-    cond = condition_denotation(head, at)
-    return neutrality_head_formula(rule, head.positions, body.positions, cond)
+    ``direct_head_formula``.  The reference for the analyzer's head
+    condition, which is this entailment for its candidate filter."""
+    cond = condition_denotation(head, select_positions(rule.head_vars, head.positions))
+    return direct_head_formula(rule, head.positions, body.positions, cond)
 
 
 def filter_body_formula(body: Filter, rule: Clause) -> Entailment:

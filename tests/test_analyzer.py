@@ -220,53 +220,53 @@ class TestFindLoopingQueries:
         rule = clause(
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
-        with linarith.max_dnf(4):
+        with linarith.max_dnf(3):
             report = find_looping_queries(rule)
         assert report.errors
-        assert any("exceeds 4" in e for e in report.errors)
+        assert any("exceeds 3" in e for e in report.errors)
         # subsets after the failing one were still checked
         assert len(report.checks) == 8
 
     def test_limit_in_the_head_builder_is_the_subsets_error(self):
-        # subset {1}'s candidate filter projects within 4 conjuncts; the
-        # head builder's projection of the rule constraint needs more
+        # subset {2}'s candidate filter projects within 3 conjuncts; the
+        # head builder's right side, the rule constraint projected onto
+        # X u Y_-m, needs more
         rule = clause(
-            "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
-            "C >= B <> pow2(D, E, F).")
-        m = frozenset({1})
-        with linarith.max_dnf(4):
-            cond = candidate_filter(rule, m).condition.constraint
-            with pytest.raises(ResourceLimitError, match="exceeds 4"):
-                neutrality_head_formula(rule, m, m, cond)
+            "p(A1, A2, A3) <- 3*A2 - B1 > 3, A2 - 2*B2 > 7, 3*A2 + 2*B1 > -1, "
+            "B3 = -2, 2*B1 = 1 <> p(B1, B2, B3).")
+        m, full = frozenset({2}), frozenset({1, 2, 3})
+        with linarith.max_dnf(3):
+            candidate_filter(rule, m)
+            with pytest.raises(ResourceLimitError, match="exceeds 3"):
+                neutrality_head_formula(rule, m, full - m)
             report = find_looping_queries(rule)
-        failed = next(c for c in report.checks if c.positions == frozenset({1}))
-        assert failed.error == "elimination exceeds 4 conjuncts"
+        failed = next(c for c in report.checks if c.positions == m)
+        assert failed.error == "elimination exceeds 3 conjuncts"
         assert failed.head_ok is None
         assert report.results
 
     def test_a_head_side_that_raised_is_not_cached(self):
-        # the head builder's sides of {1}, rhs over X u Y_-m and lhs over
+        # the head builder's sides of {2}, rhs over X u Y_-m and lhs over
         # X_-m u Y_-m, eliminate from the top, which projects the rule
         # constraint onto the head and body variables; within 4 conjuncts
         # rhs fits and lhs does not
         rule = clause(
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
-        m = frozenset({1})
-        cond = candidate_filter(rule, m).condition.constraint
+        m = frozenset({2})
 
         def cached_sides():
             return {node for node in rule._projections if node[1] is not None}
 
+        full, rest = frozenset({1, 2, 3}), frozenset({1, 3})
         with pytest.raises(ResourceLimitError, match="exceeds 4"), linarith.max_dnf(4):
-            neutrality_head_formula(rule, m, m, cond)
-        full, rest = frozenset({1, 2, 3}), frozenset({2, 3})
+            neutrality_head_formula(rule, m, rest)
         top, rhs, lhs = (full, full), (full, rest), (rest, rest)
         assert cached_sides() == {top, rhs}
-        # a larger limit serves from rhs; {1}'s lhs is cached once it fits
-        held = decide(neutrality_head_formula(rule, m, m, cond))
+        # a larger limit serves from rhs; {2}'s lhs is cached once it fits
+        held = decide(neutrality_head_formula(rule, m, rest))
         assert cached_sides() == {top, rhs, lhs}
-        assert held == decide(neutrality_head_formula(clause(str(rule)), m, m, cond))
+        assert held == decide(neutrality_head_formula(clause(str(rule)), m, rest))
 
     def test_witness_overflow_is_the_subsets_error(self):
         # subset {1, 2} passes the search within 4 conjuncts; its witness
@@ -713,11 +713,13 @@ def test_shift_simplifies_few_whole_conjunctions(monkeypatch):
     assert calls["simplify"] <= 100, calls
 
 
-def test_a_passing_subset_costs_its_three_decisions_only(monkeypatch):
+def test_a_passing_subset_costs_its_two_decisions_only(monkeypatch):
     # every subset of p(X1..X8) <- Yi = Xi + 1 <> p(Y1..Y8) passes; each
-    # still takes exactly the head, body and subsumption decisions, since
-    # a witness is delta-more-general by construction and not decided
-    # again, and its fact joins the fact base by a hash lookup
+    # takes exactly the body and subsumption decisions: no atom of the
+    # head denotation or of the head condition's right side crosses the
+    # subset, so neither head split is decided; a witness is
+    # delta-more-general by construction and not decided again, and its
+    # fact joins the fact base by a hash lookup
     xs = [f"X{i}" for i in range(1, 9)]
     ys = [f"Y{i}" for i in range(1, 9)]
     rule = clause(f"p({', '.join(xs)}) <- "
@@ -728,7 +730,7 @@ def test_a_passing_subset_costs_its_three_decisions_only(monkeypatch):
     monkeypatch.setattr(linarith, "decide", lambda e: decided.append(e) or decide(e))
     report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
     assert (len(report.results), len(report.classes)) == (256, 256)
-    assert len(decided) == 3 * 256
+    assert len(decided) == 2 * 256
     # the head query and 256 distinct witnesses, in order of discovery
     facts = analyzer.looping_facts((report,))[rule.head_pred]
     assert facts == [rule.head_query] + [r.witness for r in report.results]
@@ -738,29 +740,36 @@ def test_shift_builds_head_sides_only_where_the_split_holds(monkeypatch):
     # the head denotation X1 >= X2, ..., X6 >= X7 splits over {} and the
     # full set, where no atom crosses the subset, and over no other subset:
     # the split refutes the other 126 undecided by their sides, and is
-    # decided at each of them only
+    # decided at each of them only.  At {} and the full set no atom of the
+    # head condition's right side crosses the subset either, so no head
+    # condition is decided and no left side is built
     rule = _shift_rule(7)
     full = frozenset(range(1, 8))
     whole = neutral.projection(rule, full, None)
-    built, splits = [], []
-    sides, decide = neutral.head_sides, linarith.decide
+    exact, splits = [], []
+    builder, decide = analyzer.neutrality_head_formula, linarith.decide
 
-    def counted_sides(rule, head_pos, body_pos):
-        built.append(head_pos)
-        return sides(rule, head_pos, body_pos)
+    def counted_builder(rule, head_pos, body_kept):
+        formula = builder(rule, head_pos, body_kept)
+        if body_kept is not None:
+            exact.append((head_pos, formula))
+        return formula
 
     def counted_decide(e):
         if e.rhs is whole:
             splits.append(e)
         return decide(e)
 
-    monkeypatch.setattr(neutral, "head_sides", counted_sides)
+    monkeypatch.setattr(analyzer, "neutrality_head_formula", counted_builder)
     monkeypatch.setattr(linarith, "decide", counted_decide)
     report = find_looping_queries(rule)
     assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
     assert sum(1 for c in report.checks if c.failed_condition == "head") == 126
-    assert built == [full, frozenset()]
+    assert exact == [(full, None), (frozenset(), None)]
     assert len(splits) == 126
+    sides = {node for node in rule._projections if node[1] is not None}
+    # the full set's right side and its chain up to the root, rhs({})
+    assert sides == {(full, frozenset(range(j, 8))) for j in range(1, 9)}
 
 
 def test_a_redundant_atom_across_the_subset_leaves_the_split_holding(monkeypatch):
@@ -779,7 +788,8 @@ def test_a_redundant_atom_across_the_subset_leaves_the_split_holding(monkeypatch
     assert [c.head_ok for c in report.checks] == [True] * 4
     assert sum(decided) == 2
     for m in ({1}, {2}):
-        assert neutral.head_splits(rule, frozenset(m))
+        split = neutral.neutrality_head_formula(rule, frozenset(m), None)
+        assert split is not None and decide(split)
 
 
 def test_a_split_over_the_ceiling_leaves_the_head_condition_to_decide():
@@ -788,18 +798,20 @@ def test_a_split_over_the_ceiling_leaves_the_head_condition_to_decide():
     # does not; so the split at {1} is taken to hold, and the head condition
     # at {1} exceeds the ceiling on its sides, as it did before the split.
     # The split refutes {1,2}, {1,3}, {2} and {3} within the ceiling, whose
-    # head conditions exceeded it on their sides
+    # head conditions exceeded it on their sides.  The full set's head
+    # condition, whose sides exceeded it too, needs no decision
     text = ("p(X1, X2, X3) <- X1 >= X2, X1 >= X3, X1 <= X2 + 1, X1 <= X3 + 1, "
             "Y1 = X1, Y2 = X2, Y3 = X3 <> p(Y1, Y2, Y3).")
     rule = clause(text)
     with linarith.max_dnf(3):
-        assert neutral.head_splits(rule, frozenset({1}))
+        with pytest.raises(ResourceLimitError):
+            neutral.neutrality_head_formula(rule, frozenset({1}), None)
         with pytest.raises(ResourceLimitError):
             neutral.projection(rule, frozenset({2, 3}), None)
         report = find_looping_queries(clause(text))
     limit = "elimination exceeds 3 conjuncts"
     assert [(sorted(c.positions), c.head_ok, c.error) for c in report.checks] == [
-        ([1, 2, 3], None, limit), ([1, 2], False, None), ([1, 3], False, None),
+        ([1, 2, 3], True, None), ([1, 2], False, None), ([1, 3], False, None),
         ([2, 3], None, limit), ([1], None, limit), ([2], False, None),
         ([3], False, None), ([], True, None)]
 

@@ -328,34 +328,47 @@ class TestExitCodes:
             "<p(0, 0) | true>: LOOPS (proved)\n  more general than <p(0, 0) | true>\n")
 
     def test_resource_limit(self, corpus_path, capsys):
-        assert main(["analyze", str(corpus_path), "--max-dnf", "3"]) == 3
+        assert main(["analyze", str(corpus_path), "--max-dnf", "2"]) == 3
         out = capsys.readouterr().out
         assert "resource limit at tau" in out
         # the report is still printed in full
         assert "18 clauses:" in out
 
     def test_subsets_refuted_by_the_split_raise_no_limit(self, tmp_path, capsys):
-        # the seed-7 shift rule at --max-dnf 5: the split of its head
-        # denotation refutes 126 of its 128 subsets within the ceiling, so
-        # their head conditions, whose decision exceeds it, are not decided.
-        # {} and the full set pass the split, and only the full set's head
-        # decision exceeds the ceiling (127 subsets did when every head
-        # condition was decided on its sides)
-        path = rule_file(tmp_path, benchmark_text("shift"))
-        assert main(["analyze", path, "--max-dnf", "5"]) == 3
+        # at --max-dnf 3 the split of this head denotation refutes {1,2},
+        # {1,3}, {2} and {3} within the ceiling, so their head conditions,
+        # whose sides exceed it, are not decided; the splits at {2,3} and
+        # {1} exceed it and are taken to hold, and their head conditions
+        # exceed it on their sides.  The full set's head condition needs no
+        # decision, since no atom of its right side crosses the full set
+        path = rule_file(tmp_path, "p(X1, X2, X3) <- X1 >= X2, X1 >= X3, X1 <= X2 + 1, "
+                                   "X1 <= X3 + 1, Y1 = X1, Y2 = X2, Y3 = X3 <> p(Y1, Y2, Y3).")
+        assert main(["analyze", path, "--max-dnf", "3"]) == 3
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if "resource limit" in line] == [
-            "  resource limit at tau {1,2,3,4,5,6,7}: elimination exceeds 5 conjuncts"]
+            "  resource limit at tau {2,3}: elimination exceeds 3 conjuncts",
+            "  resource limit at tau {1}: elimination exceeds 3 conjuncts"]
+        assert "  tau: {1,2,3}\n" in out
+        # the seed-7 shift rule at --max-dnf 5: the split refutes 126 of
+        # its 128 subsets within the ceiling, and the head conditions of
+        # {} and the full set need no decision, so no subset reaches the
+        # ceiling (127 did when every head condition was decided on its
+        # sides, and then the full set's did)
+        path = rule_file(tmp_path, benchmark_text("shift"))
+        assert main(["analyze", path, "--max-dnf", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "resource limit" not in out
+        assert "  tau: {1,2,3,4,5,6,7}\n" in out
 
     def test_a_library_scope_is_the_ceiling_of_the_cli(self, corpus_path,
                                                        corpus_program, capsys):
         # analyze_program runs under the scope its caller opens, as the
         # command does under --max-dnf
-        with max_dnf(3):
+        with max_dnf(2):
             report = analyzer.analyze_program(corpus_program)
-        assert sum(len(r.errors) for r in report.reports) == 7
+        assert sum(len(r.errors) for r in report.reports) == 2
         assert report.propagation_error is None
-        assert main(["analyze", str(corpus_path), "--max-dnf", "3", "--json"]) == 3
+        assert main(["analyze", str(corpus_path), "--max-dnf", "2", "--json"]) == 3
         assert json.loads(capsys.readouterr().out) == cli.report_to_json(report)
 
     def test_parsing_is_outside_the_ceiling(self, tmp_path, capsys):
@@ -699,9 +712,9 @@ class TestCheck:
 
     def test_analysis_resource_limit_is_named(self, corpus_path, capsys):
         # the verdict and the payload are those of a run without the line
-        args = ["check", str(corpus_path), "--query", "p1(0)", "--max-dnf", "3"]
+        args = ["check", str(corpus_path), "--query", "p1(0)", "--max-dnf", "2"]
         line = ("error: clause 18: resource limit at tau {1,2,3}: "
-                "elimination exceeds 3 conjuncts\n")
+                "elimination exceeds 2 conjuncts\n")
         assert main(args) == 3
         captured = capsys.readouterr()
         assert captured.out == (

@@ -18,6 +18,7 @@ from fuzzers import (
     RELS,
     atom,
     direct_condition,
+    direct_head_formula,
     direct_sides,
     equation_denotation,
     equivalent,
@@ -88,8 +89,6 @@ from clploop.linarith import (
     satisfiable,
 )
 from clploop.neutral import (
-    head_sides,
-    head_splits,
     neutrality_body_formula,
     neutrality_head_formula,
     projection,
@@ -370,11 +369,12 @@ class TestEliminationStore:
         _store_matches_its_atoms(store)
 
     # store steps per analysis; an elimination in Fourier-Motzkin's base
-    # case builds no store (see TestOneSidedElimination), and a subset over
-    # which the head denotation does not split builds no head sides
-    # (neutral.head_splits): all 126 of shift's and 4 of the corpus's
-    # subsets that fail the head condition
-    WORKLOAD_STEPS = {"corpus": 495, "shift": 444, "chain": 161}
+    # case builds no store (see TestOneSidedElimination), a subset over
+    # which the head denotation does not split builds no head sides (all
+    # 126 of shift's and 4 of the corpus's subsets that fail the head
+    # condition), and a head condition whose right side no atom crosses
+    # m builds no left side (neutral.neutrality_head_formula)
+    WORKLOAD_STEPS = {"corpus": 443, "shift": 431, "chain": 151}
 
     @pytest.mark.parametrize("name", ["corpus", "shift", "chain"])
     def test_workload_steps_equal_the_reference(self, name, monkeypatch):
@@ -771,11 +771,12 @@ class TestEarlyStopProperties:
     ``reference_decide`` eliminates every variable instead."""
 
     def test_decide_equals_reference_on_neutrality_formulas(self, corpus_program):
-        # the head and body formulas of every subset, as the analyzer builds
-        # them; then crossed head formulas, whose condition is the full-set
-        # condition of an earlier rule of the same arity renamed onto this
-        # rule's head variables, so the two parts of the left side overlap
-        # and may contradict each other
+        # the split, head and body formulas of every subset, as the analyzer
+        # builds them, with a head formula the builder screens decided on
+        # its reference (it must hold); then crossed head formulas, whose
+        # condition is the full-set condition of an earlier rule of the
+        # same arity renamed onto this rule's head variables, so the two
+        # parts of the left side overlap and may contradict each other
         rng = random.Random(131)
         rules = ([rand_wide_rule(rng) for _ in range(40)]
                  + [rand_rule(rng) for _ in range(120)])
@@ -784,16 +785,25 @@ class TestEarlyStopProperties:
             if not rule.is_recursive():
                 continue
             to_body = dict(zip(rule.head_vars, rule.body_vars))
+            full = frozenset(range(1, rule.head_pred.arity + 1))
             for m in _all_subsets(rule.head_pred.arity):
+                where = (str(rule), sorted(m))
                 cond = projection(rule, m, None)
+                head = neutrality_head_formula(rule, m, full - m)
+                if head is None:  # screened: the head condition holds
+                    assert decide(direct_head_formula(rule, m, m, cond)), where
+                    kinds["head", "screened"] += 1
                 for kind, e in (
-                        ("head", neutrality_head_formula(rule, m, m, cond)),
+                        ("split", neutrality_head_formula(rule, m, None)), ("head", head),
                         ("body", neutrality_body_formula(rule, m, cond.rename(to_body)))):
-                    # both left sides are projections of the rule constraint,
-                    # which the parser proved satisfiable
-                    assert e.lhs._sat is True, (str(rule), sorted(m))
+                    if e is None:
+                        continue
+                    # every left side is a projection of the rule constraint,
+                    # which the parser proved satisfiable, or two of them
+                    # over disjoint variables
+                    assert e.lhs._sat is True, where
                     verdict = decide(e)
-                    assert verdict == reference_decide(e), (kind, str(rule), sorted(m))
+                    assert verdict == reference_decide(e), (kind,) + where
                     kinds[kind, verdict] += 1
         earlier = {}
         for rule in rules:
@@ -808,18 +818,22 @@ class TestEarlyStopProperties:
             for m in _all_subsets(n):
                 if m == full:
                     continue  # the parts are disjoint there
-                e = neutrality_head_formula(rule, m, m, cond)
+                e = direct_head_formula(rule, m, m, cond)
                 verdict = decide(e)
                 assert verdict == reference_decide(e), (str(rule), str(cond), sorted(m))
                 kinds["crossed", verdict] += 1
-                kinds["crossed, parts overlap"] += e.lhs._sat is None
+                lhs = direct_sides(rule, m, m)[1]
+                kinds["crossed, parts overlap"] += not lhs.variables.isdisjoint(cond.variables)
                 kinds["crossed lhs unsatisfiable"] += not satisfiable(e.lhs)
-        # at this seed: head formulas hold 710 times and fail 358 times,
-        # body formulas 721 and 347; crossed formulas hold 371 times and
-        # fail 424 times, the parts of 203 of them overlap, and 9 of their
-        # left sides are unsatisfiable
-        assert min(kinds[k, v] for k in ("head", "body", "crossed")
+        # at this seed: head conditions hold 710 times, 705 of them
+        # screened, and fail 358 times; splits are decided 188 times, 186
+        # of them failing; body formulas hold 721 times and fail 347 times;
+        # crossed formulas hold 371 times and fail 424 times, the parts of
+        # 203 of them overlap, and 9 of their left sides are unsatisfiable
+        assert min(kinds[k, v] for k in ("body", "crossed")
                    for v in (True, False)) >= 300, kinds
+        assert min(kinds["head", "screened"], kinds["head", False]) >= 300, kinds
+        assert kinds["split", False] >= 100, kinds
         assert kinds["crossed, parts overlap"] >= 100, kinds
         assert kinds["crossed lhs unsatisfiable"] >= 5, kinds
 
@@ -1158,6 +1172,15 @@ class TestWitnessProperties:
         assert passing >= 1300, passing
 
 
+def _sides(rule: Clause, hm: frozenset[int], bm: frozenset[int]) -> tuple:
+    """The head condition's sides ``(rhs, lhs)`` at head positions hm and
+    body positions bm, two nodes of the rule's lattice: ``(X, Y_-bm)`` and
+    ``(X_-hm, Y_-bm)``."""
+    heads = frozenset(range(1, len(rule.head_vars) + 1))
+    kept = frozenset(range(1, len(rule.body_vars) + 1)) - bm
+    return projection(rule, heads, kept), projection(rule, heads - hm, kept)
+
+
 class TestHeadSideProperties:
     """The head condition's sides come from one lattice per rule: each
     side eliminates one or two variables from its parent subset's (the
@@ -1169,7 +1192,7 @@ class TestHeadSideProperties:
         """Compares the lattice sides at head positions hm and body
         positions bm with the reference; returns the reference sides, the
         right side's variables and whether either side prints differently."""
-        rhs, lhs = head_sides(rule, hm, bm)
+        rhs, lhs = _sides(rule, hm, bm)
         ref_rhs, ref_lhs = direct_sides(rule, hm, bm)
         kept_body = set(rule.body_vars) - set(select_positions(rule.body_vars, bm))
         kept_head = set(rule.head_vars) - set(select_positions(rule.head_vars, hm))
@@ -1240,7 +1263,7 @@ class TestProjectionOrderProperties:
         out = {}
         for kind, a, b in requests:
             value = (projection(rule, a, None) if kind == "cond"
-                     else head_sides(rule, a, b))
+                     else _sides(rule, a, b))
             out[kind, a, b] = str(value) if kind == "cond" else tuple(map(str, value))
         return out
 
@@ -1273,11 +1296,12 @@ class TestProjectionOrderProperties:
 
 
 class TestHeadSplitProperties:
-    """The head denotation's split over m (``neutral.head_splits``) is a
-    necessary condition of the head condition, so a subset it refutes
-    needs no head sides: the scan's ``head_ok`` is the head condition
-    decided on its own, and a split that fails implies a head condition
-    that fails."""
+    """The analyzer's two head decisions are splits of lattice nodes
+    (``neutral.neutrality_head_formula``): of ``cond(X)``, a necessary
+    condition, and of ``rhs(m)``, the head condition itself.  The scan's
+    ``head_ok`` is the head condition decided on ``direct_sides`` with the
+    candidate condition's denotation, and a split of ``cond(X)`` that fails
+    implies a head condition that fails."""
 
     def test_the_split_changes_no_head_verdict(self):
         rng = random.Random(38)
@@ -1290,29 +1314,93 @@ class TestHeadSplitProperties:
                 for rule in listed:
                     report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
                     assert not report.errors, str(rule)
-                    whole = frozenset(range(1, len(rule.head_vars) + 1))
+                    full = frozenset(range(1, len(rule.head_vars) + 1))
                     for check in report.checks:
                         m = check.positions
-                        cond = projection(rule, m, None)
-                        head_ok = decide(neutrality_head_formula(rule, m, m, cond))
                         where = (str(rule), sorted(m))
+                        filt = candidate_filter(rule, m)
+                        head_ok = decide(filter_head_formula(filt, filt, rule))
                         assert check.head_ok == head_ok, where
-                        splits = head_splits(rule, m)
+                        split = neutrality_head_formula(rule, m, None)
+                        splits = split is None or decide(split)
                         assert splits or not head_ok, where
-                        outcome = "holds" if head_ok else "refuted" if not splits else "fails"
-                        inside = set(select_positions(rule.head_vars, m))
-                        crossed = any(inside & a.variables and a.variables - inside
-                                      for a in projection(rule, whole, None).atoms)
-                        kinds[family, outcome, crossed] += 1
-        # at this seed the split refutes 560 of the wide rules' 995 head
-        # failures and 18 of the random rules' 36, every subset of the
-        # drifting rules passes the head condition with no atom crossing m,
-        # and 7 wide subsets pass it with an atom crossing m, whose split
-        # was decided to hold
-        assert kinds["wide", "refuted", True] >= 400, kinds
-        assert kinds["random", "refuted", True] >= 10, kinds
-        assert kinds["drifting", "holds", False] >= 400, kinds
-        assert kinds["wide", "holds", True] >= 5, kinds
+                        exact = neutrality_head_formula(rule, m, full - m)
+                        assert exact is not None or head_ok, where
+                        kinds["split", "screened" if split is None else splits] += 1
+                        if splits:  # the scan goes on to the head condition
+                            kinds["head", "screened" if exact is None else head_ok] += 1
+                        kinds[family, "holds" if head_ok else "fails" if splits
+                              else "refuted"] += 1
+        # at this seed, of 3102 subsets: the split is screened at 2514,
+        # fails at 578 and holds at 10 others; of the 2524 subsets it
+        # leaves, the head condition is screened at 2028, fails at 453 and
+        # holds at 43; the split refutes 560 of the wide rules' 995 head
+        # failures and 18 of the random rules' 36, and every subset of the
+        # drifting rules passes the head condition
+        assert kinds["wide", "refuted"] >= 400, kinds
+        assert kinds["random", "refuted"] >= 10, kinds
+        assert kinds["drifting", "holds"] >= 400 and not kinds["drifting", "fails"], kinds
+        assert min(kinds["split", True], kinds["head", True]) >= 5, kinds
+        assert min(kinds["split", "screened"], kinds["head", "screened"]) >= 1000, kinds
+
+
+def _result_texts(reports, propagated=()) -> set:
+    """Clause results and propagated head queries as text, each keyed by
+    its clause index."""
+    out = {(r.index, tuple(sorted(res.positions)), str(res.delta), str(res.witness),
+            res.verified_steps) for r in reports for res in r.results}
+    return out | {(p.index, str(p.head_query)) for p in propagated}
+
+
+class TestCeilingProperties:
+    """A smaller ceiling of conjuncts only removes results: every result of
+    a report under ``--max-dnf`` 1 to 8 is a result at the default ceiling.
+    A limit stops a subset's checks and never turns a verdict, and a
+    lattice node's printed atoms do not depend on the ceiling."""
+
+    def test_a_smaller_ceiling_only_removes_workload_results(self):
+        kinds = Counter()
+        for name in ("corpus", "shift", "chain"):
+            text = benchmark_text(name)
+            default = analyzer.analyze_program(parse_program(text))
+            expected = _result_texts(default.reports, default.propagated)
+            for k in range(1, 9):
+                program = parse_program(text)  # parsing is outside the ceiling
+                with linarith.max_dnf(k):
+                    report = analyzer.analyze_program(program)
+                found = _result_texts(report.reports, report.propagated)
+                assert found <= expected, (name, k, sorted(found - expected))
+                kinds[name, "fewer results"] += found != expected
+                kinds[name, "limited"] += report.had_error
+        # the corpus reaches a limit at --max-dnf 1 and 2 and loses results
+        # at 1; shift loses them at 1 to 4, where each of its subsets
+        # reaches the ceiling; chain reaches no limit
+        assert kinds["corpus", "limited"] >= 2 and kinds["corpus", "fewer results"], kinds
+        assert kinds["shift", "fewer results"] >= 4, kinds
+
+    def test_a_smaller_ceiling_only_removes_results_of_generated_rules(self):
+        rng = random.Random(139)
+        kinds = Counter()
+        rules = ([rand_rule(rng) for _ in range(60)] + [rand_wide_rule(rng) for _ in range(80)]
+                 + [rand_drift_rule(rng) for _ in range(20)])
+        opts = AnalyzeOptions(verify_steps=0)
+        for rule in rules:
+            def fresh():  # a copy with an empty lattice cache
+                return Clause(rule.head_pred, rule.head_vars, rule.constraint,
+                              rule.body_pred, rule.body_vars)
+
+            expected = _result_texts((find_looping_queries(fresh(), opts=opts),))
+            for k in range(1, 9):
+                with linarith.max_dnf(k):
+                    report = find_looping_queries(fresh(), opts=opts)
+                found = _result_texts((report,))
+                assert found <= expected, (str(rule), k, sorted(found - expected))
+                kinds["fewer results"] += found != expected
+                kinds["limited"] += bool(report.errors)
+                kinds["reports"] += 1
+        # at this seed: of 1280 reports, 261 reach a limit and 92 lose a
+        # result
+        assert kinds["fewer results"] >= 60 and kinds["limited"] >= 180, kinds
 
 
 class TestSampleProperties:

@@ -47,9 +47,11 @@ assert len(steps) == 10, len(steps)
 """
 
 # every head decision is charged to neutral.head, and the body decisions,
-# made only after a passing head, to neutral.body.  A head formula is built
-# only where the head denotation X1 <= X2 splits over the subset: at {1, 2}
-# and {}, not at {1} or {2}, whose head condition then fails undecided
+# made only after a passing head, to neutral.body.  The scan calls the head
+# builder for the split of the head denotation X1 <= X2 at each subset, and
+# for the head condition where that split holds: 4 + 2 calls.  At {1, 2}
+# and {} no atom crosses the subset, so both builders return no formula;
+# the two head decisions are the splits at {1} and {2}, which fail
 NEUTRALITY_DECIDES = """\
 import spans
 from clploop import analyze_program, parse_program
@@ -61,10 +63,29 @@ report = analyze_program(parse_program(
 checks = report.reports[0].checks
 notes = [span[spans.NOTE] for span in tracer.spans
          if span[spans.NAME] == "linarith.decide"]
+built = [span for span in tracer.spans if span[spans.NAME] == "neutral.head"]
+failed = [sorted(check.positions) for check in checks if not check.head_ok]
 head_passes = sum(1 for check in checks if check.head_ok)
-assert len(checks) == 4, checks
-assert notes.count("neutral.head") == head_passes == 2, notes
-assert notes.count("neutral.body") == head_passes, notes
+assert len(checks) == 4 and len(built) == 6, (checks, len(built))
+assert failed == [[1], [2]], checks
+assert notes.count("neutral.head") == len(failed), notes
+assert notes.count("neutral.body") == head_passes == 2, notes
+"""
+
+# on the benchmark's seed-7 shift rule, the 126 splits that refute a subset
+# are charged to neutral.head, and the body decisions of {} and the full set
+# to neutral.body
+SHIFT_DECIDES = """\
+import spans, workloads
+from clploop import analyze_program, parse_program
+
+tracer = spans.Tracer()
+tracer.install()
+analyze_program(parse_program(workloads.shift(7).text))
+notes = [span[spans.NOTE] for span in tracer.spans
+         if span[spans.NAME] == "linarith.decide"]
+assert notes.count("neutral.head") == 126, notes.count("neutral.head")
+assert notes.count("neutral.body") == 2, notes.count("neutral.body")
 """
 
 # the scan builds a candidate filter only for a passing subset, and decides
@@ -135,6 +156,11 @@ def test_engine_steps_counted():
 
 def test_neutrality_decides_charged_to_their_builders():
     proc = run_in_perfbench(NEUTRALITY_DECIDES)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_shift_decides_charged_to_their_builders():
+    proc = run_in_perfbench(SHIFT_DECIDES)
     assert proc.returncode == 0, proc.stderr
 
 
