@@ -218,6 +218,56 @@ def class_closure(passing: set[frozenset[int]]) -> frozenset[frozenset[int]]:
     return frozenset(out)
 
 
+def head_splits(rule: Clause, m: frozenset[int],
+                body_kept: Optional[frozenset[int]]) -> bool:
+    """Whether the lattice node ``N = proj(c, X u Y_b)`` splits over X_m,
+    for b = ``body_kept`` (see `neutral`): at b the positions outside m,
+    the head condition at m; at b None, the split of ``cond(X)``, a
+    necessary condition, where N, or an atom of it, is taken to be kept
+    when projecting or deciding it exceeds the ceiling of conjuncts.
+
+    N splits exactly when the split keeps each of its atoms that crosses
+    X_m, so those atoms are decided in N's order, each on its own
+    variables (``neutrality_head_formula``), up to the first one refuted.
+    A verdict depends only on the atom and the variables of X_m it
+    mentions, and recurs across subsets: it is cached on the rule as
+    {(a, vars(a) n X_m): (ceiling, verdict)}, with the ceiling it was
+    decided under, and served only under a ceiling at least that large;
+    under a smaller one it is decided again, and may raise.  A check that
+    raised is not cached."""
+    necessary = body_kept is None
+    try:
+        node = projection(rule, positions(len(rule.head_vars)), body_kept)
+    except ResourceLimitError:
+        if necessary:
+            return True
+        raise
+    inside = frozenset(select_positions(rule.head_vars, m))
+    memo = rule._crossings
+    if memo is None:
+        memo = rule._crossings = {}
+    ceiling = linarith.ceiling()
+    for a in node.atoms:
+        part = a.variables & inside
+        if not part or part == a.variables:
+            continue  # an atom that does not cross X_m is kept
+        key = (a, part)
+        known = memo.get(key)
+        if known is not None and ceiling >= known[0]:
+            kept = known[1]
+        else:
+            try:
+                kept = linarith.decide(neutrality_head_formula(rule, m, body_kept, a))
+            except ResourceLimitError:
+                if necessary:
+                    continue  # taken to hold
+                raise
+            memo[key] = (ceiling, kept)
+        if not kept:
+            return False
+    return True
+
+
 def find_looping_queries(rule: Clause, index: int = 0,
                          opts: AnalyzeOptions = AnalyzeOptions()) -> ClauseReport:
     """Scan position subsets in decreasing cardinality (lexicographic within a
@@ -239,17 +289,12 @@ def find_looping_queries(rule: Clause, index: int = 0,
     for combo in subsets:
         m = frozenset(combo)
         try:
-            cond = projection(rule, m, None)
-            try:  # the split of cond(X), necessary and taken to hold over the ceiling
-                split = neutrality_head_formula(rule, m, None)
-                head_ok = split is None or linarith.decide(split)
-            except ResourceLimitError:
-                head_ok = True
-            if head_ok:  # the head condition, the split of rhs(m)
-                exact = neutrality_head_formula(rule, m, full - m)
-                head_ok = exact is None or linarith.decide(exact)
+            # the split of cond(X), a necessary condition, then the head
+            # condition, the split of rhs(m)
+            head_ok = head_splits(rule, m, None) and head_splits(rule, m, full - m)
             body_ok = subsumes = None
             if head_ok:
+                cond = projection(rule, m, None)
                 body_ok = linarith.decide(neutrality_body_formula(
                     rule, m, cond.rename(to_body)))
                 if body_ok:  # the filter half of delta_more_general

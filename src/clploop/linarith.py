@@ -10,7 +10,8 @@ V, ``cond(m) = proj(c, H)`` the condition of the filter at head positions m
 query Q as a constraint over probe variables W:
 
 * the head condition ``proj(c, O), cond(m) |= proj(c, O u H)`` over O
-  and H;
+  and H, asked of one right-hand atom at a time over its own variables
+  (neutral);
 * the body condition ``c |= cond(m)<B>`` over B;
 * query generality ``den(Q) |= den(Q1)`` over W, or over the probes at the
   unfiltered positions for filter generality, whose filter half is the

@@ -38,65 +38,79 @@ positions of the head and the body, with the condition
 and Z_m the variables of Z at the positions in m (Z_-m at the others).  The
 body builder takes ``cond(m)<B>``, or any condition over B.  The head
 builder takes no condition: it builds the head condition of the candidate
-filter from the rule's lattice, below.
+filter, one atom at a time, from the rule's lattice, below.
 
-The head condition's sides ``rhs(m) = proj(c, X u Y_-m)`` and
-``lhs(m) = proj(c, X_-m u Y_-m)`` and the candidate conditions are nodes
-(a, b) of one lattice per rule, ``proj(c, X_a u Y_b)`` with b None for a
-condition, cached by :func:`projection`.  Each node projects its parent's
-value, which denotes the same set because projections compose, under one
-of two parent rules:
+The head condition's right side ``rhs(m) = proj(c, X u Y_-m)``, the
+projections of c its atoms are decided on (below) and the candidate
+conditions are nodes (a, b) of one lattice per rule, ``proj(c, X_a u Y_b)``
+with b None for a condition, cached by :func:`projection`.  Each node
+projects its parent's value, which denotes the same set because
+projections compose, under one of two parent rules:
 
 * a condition's parent adds back the smallest head position it misses, up
   to the root ``(X, None)``;
 
 * a side's parent adds back j, the largest position missing on either
   side, to each side that misses it, up to the root ``(X, Y)``.  So
-  ``rhs(m)`` is ``rhs(m - {j})`` with y_j eliminated and ``lhs(m)`` is
-  ``lhs(m - {j})`` with x_j and y_j eliminated (a node whose head and
-  body positions differ eliminates x_j only if j is a head position it
-  misses, and y_j only if j is a body one).
+  ``rhs(m)`` is ``rhs(m - {j})`` with y_j eliminated, and a node whose
+  head and body positions are the same is its parent with x_j and y_j
+  eliminated (a node whose positions differ eliminates x_j only if j is a
+  head position it misses, and y_j only if j is a body one).
 
 Fourier-Motzkin output depends on the elimination order, so the chain
 decides a node's printed atoms and where a ``--max-dnf`` limit stops.  The
 families share no node, not even ``(X, None)`` and ``(X, {})`` or
 ``({}, None)`` and ``({}, {})``, which denote the same sets: the conditions
 are the text the reports print, and sides reached through the conditions'
-chain hit a small limit at other subsets.  Each subset eliminates at most
-three variables from a small constraint.
+chain hit a small limit at other subsets.
 
 The head condition is a split.  ``lhs(m)`` and ``cond(m)`` are projections
 of ``rhs(m)``, so ``rhs(m)`` always lies inside ``lhs(m) x cond(m)``, and
 the head condition says the converse: the node ``rhs(m)`` splits over X_m.
-:func:`neutrality_head_formula` builds the split of the node
-``N = proj(c, X u Y_b)`` over X_m, ``proj(c, X_-m u Y_b), cond(m) |= N``
-over X u Y_b, for any b; at b the positions outside m it is the head
-condition.  At b None, N is ``cond(X)`` and the split a necessary
-condition: a product's projection onto X is the product of its factors'
-projections, so if ``rhs(m)`` splits over X_m, its projection ``cond(X)``
-splits into ``cond(X_-m) x cond(m)``.  The analyzer decides this split
-first, because it refutes most failing subsets from small condition nodes
-(on the benchmark's shift rule, all 126 of 128), and it decides the head
-condition only where the split holds.  When building or deciding the
-necessary split exceeds the ceiling of conjuncts, the analyzer takes it to
-hold, so the split adds no resource-limit error.
+Write N for the node ``proj(c, X u Y_b)`` and L for the left side
+``proj(c, X_-m u Y_b), cond(m)`` of its split over X_m, ``L |= N`` over
+X u Y_b; at b the positions outside m it is the head condition.  At b
+None, N is ``cond(X)`` and the split a necessary condition: a product's
+projection onto X is the product of its factors' projections, so if
+``rhs(m)`` splits over X_m, its projection ``cond(X)`` splits into
+``cond(X_-m) x cond(m)``.  The analyzer decides this split first, because
+it refutes most failing subsets from small condition nodes (on the
+benchmark's shift rule, all 126 of 128), and it decides the head condition
+only where the split holds.
 
-No decision is needed where no atom of N mentions a variable of X_m
-together with one outside X_m: the split then holds.  Proof: the atoms
-partition into a conjunction A over X_m and one B over the rest; since N is
-satisfiable, A and B are its projections onto X_m and the rest, which are
-``cond(m)`` and ``proj(c, X_-m u Y_b)`` since projections compose, so N is
-their product.  The screen covers m = {} and m = X at every node, and a
-passing subset whose two nodes no atom crosses costs its body and
-subsumption decisions only.
+The split is decided atom by atom, each atom on its own variables.  L
+entails N exactly when it entails each atom a of N.  L's two factors lie
+over disjoint variables, so L projected onto vars(a) is the product of
+their projections, which are ``proj(c, vars(a) - X_m)`` and
+``proj(c, vars(a) n X_m)`` since projections compose; so L entails a
+exactly when ``proj(c, vars(a) - X_m), proj(c, vars(a) n X_m) |= a`` over
+vars(a).  :func:`neutrality_head_formula` builds that entailment.  An atom
+that does not cross X_m, whose variables all lie inside X_m or all
+outside, needs no decision: one of the two projections is over no
+variable, so the left side is ``proj(c, vars(a))``, the projection of N
+onto vars(a), which entails a since N does.  So a split that no atom
+crosses holds, at m = {} and m = X for every node, and a passing subset
+whose two nodes no atom crosses costs its body and subsumption decisions
+only.  A crossing atom's entailment depends on the atom and on the
+variables of X_m it mentions only, so the analyzer decides each such pair
+once per rule (``analyzer.head_splits``): on the shift rule, the 126
+failing subsets ask 12 questions.
+
+The entailment's two projections are lattice nodes: the condition at a's
+head positions in m, and the node at a's other head and body positions,
+on the chain of N's family: a side when b is not None, and a condition
+when b is None.  On generated rules under small ceilings, the head
+condition exceeds the ceiling at fewer subsets this way than when it
+takes conditions too.  When building or deciding the necessary split's
+check of an atom exceeds the ceiling of conjuncts, the analyzer takes the
+atom to be kept, so the split adds no resource-limit error.
 
 Both builders' left sides are recorded satisfiable (see
 :class:`syntax.Constraint`), so ``linarith.decide`` stops each refutation
 once no atom derived from the negated atom is left.  The body condition's
-left side is c, which normalization proved satisfiable.  A split's is a
-projection of c conjoined with ``cond(m)``, a satisfiable condition; the
-two parts lie over disjoint variables, so a solution of each makes one of
-the conjunction.  Projection carries the record, and
+left side is c, which normalization proved satisfiable.  A head check's is
+two satisfiable projections of c over disjoint variables, so a solution of
+each makes one of the conjunction.  Projection carries the record, and
 :func:`neutrality_head_formula` sets it on the conjunction.  It also
 records the conjunction simplified, as projections are: atoms over
 disjoint variables share no slope, so ``decide`` merges each negated atom
@@ -110,7 +124,7 @@ from typing import Optional
 from . import linarith
 from .filters import positions, select_positions
 from .linarith import Entailment
-from .syntax import Clause, Constraint
+from .syntax import AtomicProp, Clause, Constraint
 
 
 def projection(rule: Clause, head_kept: frozenset[int],
@@ -157,28 +171,29 @@ def projection(rule: Clause, head_kept: frozenset[int],
 
 
 def neutrality_head_formula(rule: Clause, head_pos: frozenset[int],
-                            body_kept: Optional[frozenset[int]]) -> Optional[Entailment]:
-    """The split of the lattice node ``N = proj(c, X u Y_b)`` over X_m, for
-    m = ``head_pos`` and b = ``body_kept`` (see the module docstring):
-    ``proj(c, X_-m u Y_b), cond(m) |= N`` over X u Y_b.  At b the positions
-    outside m it is the head condition of the candidate filter at m, and at
-    b None the split of ``cond(X)``.  None when no atom of N mentions a
-    variable of X_m together with one outside X_m: the split then holds."""
-    heads = positions(len(rule.head_vars))
-    node = projection(rule, heads, body_kept)
-    inside = frozenset(select_positions(rule.head_vars, head_pos))
-    if all(a.variables <= inside or a.variables.isdisjoint(inside) for a in node.atoms):
-        return None
-    outer = projection(rule, heads - head_pos, body_kept)
-    cond = projection(rule, head_pos, None)
+                            body_kept: Optional[frozenset[int]],
+                            atom: AtomicProp) -> Entailment:
+    """Whether the split of the lattice node ``N = proj(c, X u Y_b)`` over
+    X_m keeps the atom a = ``atom`` of N, for m = ``head_pos`` and b =
+    ``body_kept`` (see the module docstring):
+    ``proj(c, vars(a) - X_m), proj(c, vars(a) n X_m) |= a`` over vars(a).
+    The two projections are lattice nodes: the condition at a's head
+    positions in m, and the node at a's other positions, a side when b is
+    not None and a condition when it is."""
+    head = {v: i for i, v in enumerate(rule.head_vars, start=1)}
+    body = {v: i for i, v in enumerate(rule.body_vars, start=1)}
+    at = {head[v] for v in atom.variables if v in head}
+    at_body = frozenset(body[v] for v in atom.variables if v in body)
+    outer = projection(rule, frozenset(at - head_pos),
+                       None if body_kept is None else at_body)
+    cond = projection(rule, frozenset(at & head_pos), None)
     both = outer.conjoin(cond)
     # two projections over disjoint variables: a solution of each makes one
     # of both, and no slope of one is a slope of the other
     if outer._sat and cond._sat:
         both._sat = True
     both._simplified = outer._simplified and cond._simplified
-    over = rule.head_vars + select_positions(rule.body_vars, body_kept or ())
-    return Entailment(both, node, frozenset(over))
+    return Entailment(both, Constraint((atom,)), atom.variables)
 
 
 def neutrality_body_formula(rule: Clause, body_pos: frozenset[int],

@@ -510,10 +510,12 @@ class Clause(_Value):
     # _step, the engine's compiled derivation step; _projections, the rule
     # constraint's projections onto the head positions a and body positions
     # b (b None for a candidate condition), as {(a, b): (ceiling, constraint)},
-    # filled by neutral.projection
+    # filled by neutral.projection; _crossings, whether a head split keeps an
+    # atom a that crosses the head variables ``inside``, as
+    # {(a, inside): (ceiling, verdict)}, filled by analyzer.head_splits
     _fields = ("head_pred", "head_vars", "constraint", "body_pred", "body_vars")
     __slots__ = _fields + ("text", "_head_query", "_body_query", "_step",
-                           "_projections")
+                           "_projections", "_crossings")
 
     def __init__(self, head_pred: Pred, head_vars: tuple[Var, ...],
                  constraint: Constraint, body_pred: Pred,
@@ -527,7 +529,7 @@ class Clause(_Value):
         self.body_vars = body_vars
         self.text = text
         self._head_query = self._body_query = None
-        self._step = self._projections = None
+        self._step = self._projections = self._crossings = None
 
     @property
     def head_atom(self) -> Atom:

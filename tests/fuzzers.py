@@ -666,6 +666,19 @@ def direct_sides(rule: Clause, m: frozenset[int],
             project(rule.constraint, kept_head | body))
 
 
+def whole_split(rule: Clause, m: frozenset[int],
+                body_kept: Optional[frozenset[int]]) -> Entailment:
+    """The split of ``N = proj(c, X u Y_b)`` over X_m as one entailment,
+    ``proj(c, X_-m u Y_b), proj(c, X_m) |= N`` over X u Y_b, with b =
+    ``body_kept`` (None for no body position), each side one projection of
+    the rule constraint c.  The reference for the analyzer's split decided
+    atom by atom (``analyzer.head_splits``)."""
+    inside = set(select_positions(rule.head_vars, m))
+    over = set(rule.head_vars).union(select_positions(rule.body_vars, body_kept or ()))
+    lhs = project(rule.constraint, over - inside).conjoin(project(rule.constraint, inside))
+    return Entailment(lhs, project(rule.constraint, over), frozenset(over))
+
+
 def reference_decide(e: Entailment) -> bool:
     """``decide`` without the early stop: both sides projected onto
     ``over`` (a side already over it taken as it is), and for each

@@ -15,12 +15,12 @@ from clploop.analyzer import (
     candidate_filter,
     class_closure,
     find_looping_queries,
+    head_splits,
     make_witness,
     propagate,
 )
 from clploop.engine import run
 from clploop.linarith import ResourceLimitError, decide
-from clploop.neutral import neutrality_head_formula
 from clploop.syntax import (
     Atom,
     Clause,
@@ -101,14 +101,17 @@ class TestConditionCache:
         # {1} projects {1, 2}, which raised; the full set's condition fit
         assert cached_conditions() == {frozenset({1, 2, 3})}
         # so in the scan {1, 2} and the subsets below it, {1}, {2} and {},
-        # have no condition; {3}'s condition fits, its head decision does not
+        # have no condition: the head conditions of {1, 2}, {1} and {2}
+        # decide an atom on cond({1}) or cond({2}), and {}'s holds with no
+        # decision and its own condition raises.  {1, 3}, {2, 3} and {3}
+        # are refuted on cond({3}), which fits, and a failing subset's
+        # condition is not projected
         with linarith.max_dnf(5):
             report = find_looping_queries(rule)
         assert {c.positions for c in report.checks if c.error} == {
-            frozenset({1, 2}), frozenset({1}), frozenset({2}), frozenset({3}),
-            frozenset()}
+            frozenset({1, 2}), frozenset({1}), frozenset({2}), frozenset()}
         assert cached_conditions() == {
-            frozenset({1, 2, 3}), frozenset({1, 3}), frozenset({2, 3}), frozenset({3})}
+            frozenset({1, 2, 3}), frozenset({1, 3}), frozenset({3})}
 
 
 class TestMakeWitness:
@@ -229,7 +232,7 @@ class TestFindLoopingQueries:
 
     def test_limit_in_the_head_builder_is_the_subsets_error(self):
         # subset {2}'s candidate filter projects within 3 conjuncts; the
-        # head builder's right side, the rule constraint projected onto
+        # head condition's right side, the rule constraint projected onto
         # X u Y_-m, needs more
         rule = clause(
             "p(A1, A2, A3) <- 3*A2 - B1 > 3, A2 - 2*B2 > 7, 3*A2 + 2*B1 > -1, "
@@ -238,7 +241,9 @@ class TestFindLoopingQueries:
         with linarith.max_dnf(3):
             candidate_filter(rule, m)
             with pytest.raises(ResourceLimitError, match="exceeds 3"):
-                neutrality_head_formula(rule, m, full - m)
+                neutral.projection(rule, full, full - m)
+            with pytest.raises(ResourceLimitError, match="exceeds 3"):
+                head_splits(rule, m, full - m)
             report = find_looping_queries(rule)
         failed = next(c for c in report.checks if c.positions == m)
         assert failed.error == "elimination exceeds 3 conjuncts"
@@ -246,10 +251,11 @@ class TestFindLoopingQueries:
         assert report.results
 
     def test_a_head_side_that_raised_is_not_cached(self):
-        # the head builder's sides of {2}, rhs over X u Y_-m and lhs over
-        # X_-m u Y_-m, eliminate from the top, which projects the rule
-        # constraint onto the head and body variables; within 4 conjuncts
-        # rhs fits and lhs does not
+        # {2}'s head condition decides the atom B - C <= 0 of its right side
+        # rhs, over X u Y_-m, on proj(c, {C}) and cond({2}); proj(c, {C}) is
+        # the side ({3}, {}), projected from the top down the chain
+        # ({2, 3}, {2, 3}), ({3}, {3}).  Within 4 conjuncts rhs fits and the
+        # chain's first step does not
         rule = clause(
             "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
             "C >= B <> pow2(D, E, F).")
@@ -260,13 +266,48 @@ class TestFindLoopingQueries:
 
         full, rest = frozenset({1, 2, 3}), frozenset({1, 3})
         with pytest.raises(ResourceLimitError, match="exceeds 4"), linarith.max_dnf(4):
-            neutrality_head_formula(rule, m, rest)
-        top, rhs, lhs = (full, full), (full, rest), (rest, rest)
+            head_splits(rule, m, rest)
+        top, rhs = (full, full), (full, rest)
         assert cached_sides() == {top, rhs}
-        # a larger limit serves from rhs; {2}'s lhs is cached once it fits
-        held = decide(neutrality_head_formula(rule, m, rest))
-        assert cached_sides() == {top, rhs, lhs}
-        assert held == decide(neutrality_head_formula(clause(str(rule)), m, rest))
+        assert not rule._crossings
+        # a larger limit serves from the top; the chain and the atom's
+        # verdict are cached once they fit
+        held = head_splits(rule, m, rest)
+        chain = {(frozenset({2, 3}), frozenset({2, 3})), (frozenset({3}), frozenset({3})),
+                 (frozenset({3}), frozenset())}
+        assert cached_sides() == {top, rhs} | chain
+        assert len(rule._crossings) == 1
+        assert held == head_splits(clause(str(rule)), m, rest)
+
+    def test_a_verdict_is_served_only_under_its_ceiling(self, monkeypatch):
+        # {2}'s head condition decides B - C <= 0 on the side ({3}, {}),
+        # whose chain's first step exceeds 4 conjuncts (see the test
+        # above).  The verdict decided under 2000 is served, with nothing
+        # built, under 2000 and more; under 4 it is decided again and
+        # raises, which leaves the cached verdict as it was
+        rule = clause(
+            "pow2(A, B, C) <- A >= 1, A = D + 1, B = E, C = F, B >= 1, C >= 2, "
+            "C >= B <> pow2(D, E, F).")
+        m, rest = frozenset({2}), frozenset({1, 3})
+        built = []
+        builder = analyzer.neutrality_head_formula
+        monkeypatch.setattr(analyzer, "neutrality_head_formula",
+                            lambda *args: built.append(args) or builder(*args))
+        with linarith.max_dnf(2000):
+            held = head_splits(rule, m, rest)
+        [(key, cached)] = rule._crossings.items()
+        assert cached == (2000, held) and len(built) == 1
+        for limit in (2000, linarith.DEFAULT_DNF_LIMIT):
+            with linarith.max_dnf(limit):
+                assert head_splits(rule, m, rest) == held
+        assert len(built) == 1
+        with pytest.raises(ResourceLimitError, match="exceeds 4"), linarith.max_dnf(4):
+            head_splits(rule, m, rest)
+        assert len(built) == 2 and rule._crossings == {key: (2000, held)}
+        # decided within 5, the verdict serves every ceiling from 5 up
+        with linarith.max_dnf(5):
+            assert head_splits(rule, m, rest) == held
+        assert len(built) == 3 and rule._crossings == {key: (5, held)}
 
     def test_witness_overflow_is_the_subsets_error(self):
         # subset {1, 2} passes the search within 4 conjuncts; its witness
@@ -574,10 +615,13 @@ def _shift_rule(n: int) -> Clause:
 
 
 def test_shift_conditions_projected_once_per_subset(monkeypatch):
-    # the 128 candidate conditions of an arity-7 rule form one lattice:
-    # each is one projection of its parent's condition, the two witness
-    # stores ({} and the full set pass) come from it, and no condition is
-    # checked for satisfiability again
+    # the candidate conditions of an arity-7 rule form one lattice, and the
+    # scan projects only those it reads, each once from its parent's
+    # condition: the 12 crossing atoms of the head denotation X1 >= X2, ...,
+    # X6 >= X7 are decided on the conditions at single positions, the ends
+    # of 7 chains from the full set (28 nodes), and the passing subsets, {}
+    # and the full set, read their own and their witness stores; no
+    # condition is checked for satisfiability again
     rule = _shift_rule(7)
     calls = Counter()
     open_filters = []
@@ -609,7 +653,8 @@ def test_shift_conditions_projected_once_per_subset(monkeypatch):
     report = find_looping_queries(rule)
     assert len(report.checks) == 128
     assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
-    assert (calls["project"], calls["satisfiable"]) == (128, 0)
+    assert (calls["project"], calls["satisfiable"]) == (29, 0)
+    assert sum(1 for a, b in rule._projections if b is None) == 29
 
 
 def test_shift_filters_built_for_passing_subsets_only(monkeypatch):
@@ -739,34 +784,30 @@ def test_a_passing_subset_costs_its_two_decisions_only(monkeypatch):
 def test_shift_builds_head_sides_only_where_the_split_holds(monkeypatch):
     # the head denotation X1 >= X2, ..., X6 >= X7 splits over {} and the
     # full set, where no atom crosses the subset, and over no other subset:
-    # the split refutes the other 126 undecided by their sides, and is
-    # decided at each of them only.  At {} and the full set no atom of the
-    # head condition's right side crosses the subset either, so no head
-    # condition is decided and no left side is built
+    # the split refutes the other 126 undecided by their sides.  It decides
+    # each crossing atom once with each of its two variables inside the
+    # subset, 12 checks in all, and serves them again from the rule.  At {}
+    # and the full set no atom of the head condition's right side crosses
+    # the subset either, so no atom of it is decided
     rule = _shift_rule(7)
     full = frozenset(range(1, 8))
     whole = neutral.projection(rule, full, None)
-    exact, splits = [], []
-    builder, decide = analyzer.neutrality_head_formula, linarith.decide
+    built = []
+    builder = analyzer.neutrality_head_formula
 
-    def counted_builder(rule, head_pos, body_kept):
-        formula = builder(rule, head_pos, body_kept)
-        if body_kept is not None:
-            exact.append((head_pos, formula))
-        return formula
-
-    def counted_decide(e):
-        if e.rhs is whole:
-            splits.append(e)
-        return decide(e)
+    def counted_builder(rule, head_pos, body_kept, atom):
+        built.append((body_kept, atom, atom.variables & set(rule.head_vars[i - 1]
+                                                             for i in head_pos)))
+        return builder(rule, head_pos, body_kept, atom)
 
     monkeypatch.setattr(analyzer, "neutrality_head_formula", counted_builder)
-    monkeypatch.setattr(linarith, "decide", counted_decide)
     report = find_looping_queries(rule)
     assert [sorted(r.positions) for r in report.results] == [list(range(1, 8)), []]
     assert sum(1 for c in report.checks if c.failed_condition == "head") == 126
-    assert exact == [(full, None), (frozenset(), None)]
-    assert len(splits) == 126
+    assert len(built) == len(set(built)) == 12
+    assert {b for b, _, _ in built} == {None}
+    assert {a for _, a, _ in built} == set(whole.atoms)
+    assert len(rule._crossings) == 12
     sides = {node for node in rule._projections if node[1] is not None}
     # the full set's right side and its chain up to the root, rhs({})
     assert sides == {(full, frozenset(range(j, 8))) for j in range(1, 9)}
@@ -774,46 +815,102 @@ def test_shift_builds_head_sides_only_where_the_split_holds(monkeypatch):
 
 def test_a_redundant_atom_across_the_subset_leaves_the_split_holding(monkeypatch):
     # X1 + X2 >= 0 crosses {1} and {2}, but X1 >= 0 and X2 >= 0 imply it,
-    # so the head denotation splits over both and their head conditions,
-    # which hold, are decided on their sides
+    # so the head denotation splits over both.  The atom is decided once
+    # for each, on X1 >= 0 and X2 >= 0; their head conditions, which hold,
+    # cross it with the same variable inside and are served those verdicts
     rule = clause("p(X1, X2) <- X1 >= 0, X2 >= 0, X1 + X2 >= 0, "
                   "Y1 = X1 + 1, Y2 = X2 + 1 <> p(Y1, Y2).")
     whole = neutral.projection(rule, frozenset({1, 2}), None)
     assert str(whole) == "X1 >= 0, X2 >= 0, X1 + X2 >= 0"
-    decided = []
-    decide = linarith.decide
-    monkeypatch.setattr(linarith, "decide",
-                        lambda e: decided.append(e.rhs is whole) or decide(e))
+    built = []
+    builder = analyzer.neutrality_head_formula
+    monkeypatch.setattr(analyzer, "neutrality_head_formula",
+                        lambda *args: built.append(args) or builder(*args))
     report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
     assert [c.head_ok for c in report.checks] == [True] * 4
-    assert sum(decided) == 2
+    crossing = whole.atoms[2]
+    assert [(sorted(m), b, a) for _, m, b, a in built] == [
+        ([1], None, crossing), ([2], None, crossing)]
     for m in ({1}, {2}):
-        split = neutral.neutrality_head_formula(rule, frozenset(m), None)
-        assert split is not None and decide(split)
+        assert head_splits(rule, frozenset(m), frozenset({1, 2}) - m)
+        assert decide(builder(rule, frozenset(m), None, crossing))
 
 
 def test_a_split_over_the_ceiling_leaves_the_head_condition_to_decide():
-    # under a ceiling of 3 conjuncts, cond({1}) and cond({1,2,3}) fit, but
-    # cond({2,3}), which eliminates X1 from two lower and two upper bounds,
-    # does not; so the split at {1} is taken to hold, and the head condition
-    # at {1} exceeds the ceiling on its sides, as it did before the split.
-    # The split refutes {1,2}, {1,3}, {2} and {3} within the ceiling, whose
-    # head conditions exceeded it on their sides.  The full set's head
-    # condition, whose sides exceeded it too, needs no decision
-    text = ("p(X1, X2, X3) <- X1 >= X2, X1 >= X3, X1 <= X2 + 1, X1 <= X3 + 1, "
+    # under a ceiling of 3 conjuncts cond({1, 2}), which eliminates X3 from
+    # two lower and two upper bounds, does not fit.  So at {2, 3} the split
+    # of the head denotation cannot decide either of its crossing atoms on
+    # cond({1}), below cond({1, 2}), and takes both to be kept.  The head
+    # condition decides the first, X1 - X2 - X3 >= -2, on proj(c, {X1}) as
+    # the side ({1}, {}), whose chain eliminates X2 before X3, and refutes
+    # it.  Every other subset exceeds the ceiling
+    text = ("p(X1, X2, X3) <- X3 >= 0, X2 + X3 <= X1 + 2, X1 >= X3, X3 >= X2, "
             "Y1 = X1, Y2 = X2, Y3 = X3 <> p(Y1, Y2, Y3).")
     rule = clause(text)
+    m = frozenset({2, 3})
     with linarith.max_dnf(3):
         with pytest.raises(ResourceLimitError):
-            neutral.neutrality_head_formula(rule, frozenset({1}), None)
-        with pytest.raises(ResourceLimitError):
-            neutral.projection(rule, frozenset({2, 3}), None)
-        report = find_looping_queries(clause(text))
+            neutral.projection(rule, frozenset({1, 2}), None)
+        assert head_splits(rule, m, None)
+        assert not rule._crossings
+        assert not head_splits(rule, m, frozenset({1}))
+        report = find_looping_queries(clause(text), opts=AnalyzeOptions(verify_steps=0))
     limit = "elimination exceeds 3 conjuncts"
     assert [(sorted(c.positions), c.head_ok, c.error) for c in report.checks] == [
-        ([1, 2, 3], True, None), ([1, 2], False, None), ([1, 3], False, None),
-        ([2, 3], None, limit), ([1], None, limit), ([2], False, None),
-        ([3], False, None), ([], True, None)]
+        ([1, 2, 3], None, limit), ([1, 2], None, limit), ([1, 3], None, limit),
+        ([2, 3], False, None), ([1], None, limit), ([2], None, limit),
+        ([3], None, limit), ([], None, limit)]
+    # within the default ceiling the split refutes {2, 3} itself
+    assert not head_splits(clause(text), m, None)
+
+
+def _head_decisions(monkeypatch) -> list:
+    """The head formulas that the scan decides, as a list that fills as
+    it runs."""
+    decided = []
+    built = {}  # holding each formula keeps its id from being reused
+    builder, decide = analyzer.neutrality_head_formula, linarith.decide
+
+    def counted_builder(*args):
+        formula = builder(*args)
+        built[id(formula)] = formula
+        return formula
+
+    def counted_decide(e):
+        if id(e) in built:
+            decided.append(e)
+        return decide(e)
+
+    monkeypatch.setattr(analyzer, "neutrality_head_formula", counted_builder)
+    monkeypatch.setattr(linarith, "decide", counted_decide)
+    return decided
+
+
+def test_head_decisions_do_not_grow_with_the_subsets(monkeypatch):
+    # the head denotation X1 >= X2, ..., X9 >= X10 has 9 atoms, each
+    # crossing a subset with one of its two variables inside: 18 questions
+    # for the 1022 subsets over which it does not split.  Deciding each
+    # split whole took 1022 decisions
+    rule = _shift_rule(10)
+    decided = _head_decisions(monkeypatch)
+    report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
+    assert len(report.checks) == 1024
+    assert sum(1 for c in report.checks if c.failed_condition == "head") == 1022
+    assert len(decided) <= 2 * (10 - 1)
+
+
+def test_a_rule_whose_subsets_all_pass_makes_no_head_decision(monkeypatch):
+    # no atom of p(X1..X10) <- Yi = Xi + 1 <> p(Y1..Y10)'s head denotation
+    # or head conditions' right sides mentions two positions
+    xs = [f"X{i}" for i in range(1, 11)]
+    ys = [f"Y{i}" for i in range(1, 11)]
+    rule = clause(f"p({', '.join(xs)}) <- "
+                  f"{', '.join(f'{y} = {x} + 1' for x, y in zip(xs, ys))} "
+                  f"<> p({', '.join(ys)}).")
+    decided = _head_decisions(monkeypatch)
+    report = find_looping_queries(rule, opts=AnalyzeOptions(verify_steps=0))
+    assert len(report.results) == 1024
+    assert decided == []
 
 
 def test_class_closure_of_every_subset_of_ten_positions(monkeypatch):

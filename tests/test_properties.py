@@ -57,6 +57,7 @@ from fuzzers import (
     renaming_step,
     step_list,
     textbook_step,
+    whole_split,
 )
 
 from clploop import analyzer, engine, linarith
@@ -64,6 +65,7 @@ from clploop.analyzer import (
     AnalyzeOptions,
     candidate_filter,
     find_looping_queries,
+    head_splits,
     make_witness,
 )
 from clploop.engine import derivation_step, run
@@ -372,9 +374,10 @@ class TestEliminationStore:
     # case builds no store (see TestOneSidedElimination), a subset over
     # which the head denotation does not split builds no head sides (all
     # 126 of shift's and 4 of the corpus's subsets that fail the head
-    # condition), and a head condition whose right side no atom crosses
-    # m builds no left side (neutral.neutrality_head_formula)
-    WORKLOAD_STEPS = {"corpus": 443, "shift": 431, "chain": 151}
+    # condition), an atom that does not cross m is not decided, and an
+    # atom that crosses m is decided once per rule for the variables of m
+    # it mentions (analyzer.head_splits): shift's 126 splits decide 12
+    WORKLOAD_STEPS = {"corpus": 443, "shift": 161, "chain": 151}
 
     @pytest.mark.parametrize("name", ["corpus", "shift", "chain"])
     def test_workload_steps_equal_the_reference(self, name, monkeypatch):
@@ -771,12 +774,14 @@ class TestEarlyStopProperties:
     ``reference_decide`` eliminates every variable instead."""
 
     def test_decide_equals_reference_on_neutrality_formulas(self, corpus_program):
-        # the split, head and body formulas of every subset, as the analyzer
-        # builds them, with a head formula the builder screens decided on
-        # its reference (it must hold); then crossed head formulas, whose
-        # condition is the full-set condition of an earlier rule of the
-        # same arity renamed onto this rule's head variables, so the two
-        # parts of the left side overlap and may contradict each other
+        # the body formula of every subset and the head formula of each atom
+        # that crosses it, of the head denotation (the split) and of the
+        # head condition's right side, as the analyzer builds them, with a
+        # head condition no atom crosses decided on its reference (it must
+        # hold); then crossed head formulas, whose condition is the
+        # full-set condition of an earlier rule of the same arity renamed
+        # onto this rule's head variables, so the two parts of the left
+        # side overlap and may contradict each other
         rng = random.Random(131)
         rules = ([rand_wide_rule(rng) for _ in range(40)]
                  + [rand_rule(rng) for _ in range(120)])
@@ -789,15 +794,17 @@ class TestEarlyStopProperties:
             for m in _all_subsets(rule.head_pred.arity):
                 where = (str(rule), sorted(m))
                 cond = projection(rule, m, None)
-                head = neutrality_head_formula(rule, m, full - m)
-                if head is None:  # screened: the head condition holds
-                    assert decide(direct_head_formula(rule, m, m, cond)), where
-                    kinds["head", "screened"] += 1
-                for kind, e in (
-                        ("split", neutrality_head_formula(rule, m, None)), ("head", head),
-                        ("body", neutrality_body_formula(rule, m, cond.rename(to_body)))):
-                    if e is None:
-                        continue
+                inside = frozenset(select_positions(rule.head_vars, m))
+                formulas = [("body", neutrality_body_formula(rule, m, cond.rename(to_body)))]
+                for kind, b in (("split", None), ("head", full - m)):
+                    crossing = [a for a in projection(rule, full, b).atoms
+                                if a.variables & inside and not a.variables <= inside]
+                    formulas += [(kind, neutrality_head_formula(rule, m, b, a))
+                                 for a in crossing]
+                    if kind == "head" and not crossing:  # the head condition holds
+                        assert decide(direct_head_formula(rule, m, m, cond)), where
+                        kinds["head", "screened"] += 1
+                for kind, e in formulas:
                     # every left side is a projection of the rule constraint,
                     # which the parser proved satisfiable, or two of them
                     # over disjoint variables
@@ -825,15 +832,17 @@ class TestEarlyStopProperties:
                 lhs = direct_sides(rule, m, m)[1]
                 kinds["crossed, parts overlap"] += not lhs.variables.isdisjoint(cond.variables)
                 kinds["crossed lhs unsatisfiable"] += not satisfiable(e.lhs)
-        # at this seed: head conditions hold 710 times, 705 of them
-        # screened, and fail 358 times; splits are decided 188 times, 186
-        # of them failing; body formulas hold 721 times and fail 347 times;
-        # crossed formulas hold 371 times and fail 424 times, the parts of
-        # 203 of them overlap, and 9 of their left sides are unsatisfiable
+        # at this seed: no atom crosses the subset at 705 head conditions;
+        # crossing atoms of a head condition hold 11 times and fail 487
+        # times, and of a split hold 8 times and fail 214 times; body
+        # formulas hold 721 times and fail 347 times; crossed formulas hold
+        # 371 times and fail 424 times, the parts of 203 of them overlap,
+        # and 9 of their left sides are unsatisfiable
         assert min(kinds[k, v] for k in ("body", "crossed")
                    for v in (True, False)) >= 300, kinds
         assert min(kinds["head", "screened"], kinds["head", False]) >= 300, kinds
         assert kinds["split", False] >= 100, kinds
+        assert min(kinds["split", True], kinds["head", True]) >= 5, kinds
         assert kinds["crossed, parts overlap"] >= 100, kinds
         assert kinds["crossed lhs unsatisfiable"] >= 5, kinds
 
@@ -1296,11 +1305,13 @@ class TestProjectionOrderProperties:
 
 
 class TestHeadSplitProperties:
-    """The analyzer's two head decisions are splits of lattice nodes
-    (``neutral.neutrality_head_formula``): of ``cond(X)``, a necessary
-    condition, and of ``rhs(m)``, the head condition itself.  The scan's
+    """The analyzer's two head decisions are splits of lattice nodes, each
+    decided atom by atom (``analyzer.head_splits``): of ``cond(X)``, a
+    necessary condition, and of ``rhs(m)``, the head condition itself.
+    Each verdict, decided in the scan or served from the rule afterwards,
+    is that of the split as one entailment (``whole_split``); the scan's
     ``head_ok`` is the head condition decided on ``direct_sides`` with the
-    candidate condition's denotation, and a split of ``cond(X)`` that fails
+    candidate condition's denotation; and a split of ``cond(X)`` that fails
     implies a head condition that fails."""
 
     def test_the_split_changes_no_head_verdict(self):
@@ -1320,23 +1331,26 @@ class TestHeadSplitProperties:
                         where = (str(rule), sorted(m))
                         filt = candidate_filter(rule, m)
                         head_ok = decide(filter_head_formula(filt, filt, rule))
-                        assert check.head_ok == head_ok, where
-                        split = neutrality_head_formula(rule, m, None)
-                        splits = split is None or decide(split)
+                        splits = decide(whole_split(rule, m, None))
+                        assert decide(whole_split(rule, m, full - m)) == head_ok, where
                         assert splits or not head_ok, where
-                        exact = neutrality_head_formula(rule, m, full - m)
-                        assert exact is not None or head_ok, where
-                        kinds["split", "screened" if split is None else splits] += 1
-                        if splits:  # the scan goes on to the head condition
-                            kinds["head", "screened" if exact is None else head_ok] += 1
+                        assert check.head_ok == head_ok, where
+                        assert head_splits(rule, m, None) == splits, where
+                        assert head_splits(rule, m, full - m) == head_ok, where
+                        inside = frozenset(select_positions(rule.head_vars, m))
+                        for kind, b, held in (("split", None, splits),
+                                              ("head", full - m, head_ok)):
+                            crossed = any(a.variables & inside and not a.variables <= inside
+                                          for a in projection(rule, full, b).atoms)
+                            kinds[kind, held if crossed else "screened"] += 1
                         kinds[family, "holds" if head_ok else "fails" if splits
                               else "refuted"] += 1
-        # at this seed, of 3102 subsets: the split is screened at 2514,
-        # fails at 578 and holds at 10 others; of the 2524 subsets it
-        # leaves, the head condition is screened at 2028, fails at 453 and
-        # holds at 43; the split refutes 560 of the wide rules' 995 head
-        # failures and 18 of the random rules' 36, and every subset of the
-        # drifting rules passes the head condition
+        # at this seed, of 3102 subsets: no atom of cond(X) crosses 2514,
+        # and the split fails at 578 and holds at 10 others; no atom of
+        # rhs(m) crosses 2028, and the head condition fails at 1031 and
+        # holds at 43 others; the split refutes 560 of the wide rules' 995
+        # head failures and 18 of the random rules' 36, and every subset of
+        # the drifting rules passes the head condition
         assert kinds["wide", "refuted"] >= 400, kinds
         assert kinds["random", "refuted"] >= 10, kinds
         assert kinds["drifting", "holds"] >= 400 and not kinds["drifting", "fails"], kinds
@@ -1819,7 +1833,8 @@ class TestValueSemantics:
         Pred: set(),
         Atom: set(),
         Query: {"_den", "_str"},
-        Clause: {"text", "_head_query", "_body_query", "_step", "_projections"},
+        Clause: {"text", "_head_query", "_body_query", "_step", "_projections",
+                 "_crossings"},
         Program: set(),
     }
 

@@ -48,10 +48,10 @@ assert len(steps) == 10, len(steps)
 
 # every head decision is charged to neutral.head, and the body decisions,
 # made only after a passing head, to neutral.body.  The scan calls the head
-# builder for the split of the head denotation X1 <= X2 at each subset, and
-# for the head condition where that split holds: 4 + 2 calls.  At {1, 2}
-# and {} no atom crosses the subset, so both builders return no formula;
-# the two head decisions are the splits at {1} and {2}, which fail
+# builder for each atom that crosses the subset and whose verdict the rule
+# does not hold yet: X1 <= X2 of the head denotation crosses {1} and {2},
+# where its split fails, so 2 calls and 2 head decisions.  At {1, 2} and {}
+# no atom crosses the subset, and the head condition holds undecided
 NEUTRALITY_DECIDES = """\
 import spans
 from clploop import analyze_program, parse_program
@@ -66,15 +66,15 @@ notes = [span[spans.NOTE] for span in tracer.spans
 built = [span for span in tracer.spans if span[spans.NAME] == "neutral.head"]
 failed = [sorted(check.positions) for check in checks if not check.head_ok]
 head_passes = sum(1 for check in checks if check.head_ok)
-assert len(checks) == 4 and len(built) == 6, (checks, len(built))
+assert len(checks) == 4 and len(built) == 2, (checks, len(built))
 assert failed == [[1], [2]], checks
 assert notes.count("neutral.head") == len(failed), notes
 assert notes.count("neutral.body") == head_passes == 2, notes
 """
 
 # on the benchmark's seed-7 shift rule, the 126 splits that refute a subset
-# are charged to neutral.head, and the body decisions of {} and the full set
-# to neutral.body
+# decide 12 crossing atoms, each once, charged to neutral.head, and the body
+# decisions of {} and the full set are charged to neutral.body
 SHIFT_DECIDES = """\
 import spans, workloads
 from clploop import analyze_program, parse_program
@@ -84,7 +84,7 @@ tracer.install()
 analyze_program(parse_program(workloads.shift(7).text))
 notes = [span[spans.NOTE] for span in tracer.spans
          if span[spans.NAME] == "linarith.decide"]
-assert notes.count("neutral.head") == 126, notes.count("neutral.head")
+assert notes.count("neutral.head") == 12, notes.count("neutral.head")
 assert notes.count("neutral.body") == 2, notes.count("neutral.body")
 """
 
